@@ -468,27 +468,6 @@ func (e *Engine) QueryTerm(ctx context.Context, term core.Term, extra map[string
 	return e.run(ctx, term, e.queryConfig(opts), extra)
 }
 
-// QueryResult is the pre-context one-shot API.
-//
-// Deprecated: use Query with a context.Context (and Rows.Collect if the
-// whole result is wanted in memory). Kept for one release as a thin
-// context.Background() wrapper.
-func (e *Engine) QueryResult(text string, opts ...QueryOption) (*Result, error) {
-	return e.QueryCollect(context.Background(), text, opts...)
-}
-
-// QueryTermResult is the pre-context one-shot term API.
-//
-// Deprecated: use QueryTerm with a context.Context. Kept for one release
-// as a thin context.Background() wrapper.
-func (e *Engine) QueryTermResult(term core.Term, extra map[string]*core.Relation, opts ...QueryOption) (*Result, error) {
-	rows, err := e.QueryTerm(context.Background(), term, extra, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return rows.Collect()
-}
-
 // Explanation describes the optimizer's view of a query.
 type Explanation struct {
 	Query      string

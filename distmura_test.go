@@ -116,20 +116,6 @@ func TestRowsCursor(t *testing.T) {
 	}
 }
 
-// TestDeprecatedWrappers pins the one-release compatibility surface: the
-// pre-context entry points must keep producing the old *Result shape.
-func TestDeprecatedWrappers(t *testing.T) {
-	e := openTest(t, Options{Workers: 2})
-	addChain(e, "knows", "alice", "bob", "carol")
-	res, err := e.QueryResult("?x <- alice knows+ ?x")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 2 {
-		t.Fatalf("deprecated QueryResult rows = %d, want 2", len(res.Rows))
-	}
-}
-
 func TestQueryPlansAgree(t *testing.T) {
 	e := openTest(t, Options{Workers: 3})
 	g := graphgen.Yago(200, 17)

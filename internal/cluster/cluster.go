@@ -456,10 +456,25 @@ type Dataset struct {
 	id            int64
 	cols          []string
 	PartitionedBy []string
+	// disjoint records that no row occurs in two partitions, so their
+	// concatenation is already a set and Collect appends frames instead of
+	// re-hashing them. Parallelize (any split of a set) and Distinct set
+	// it; SetPartition clears it, since the cluster cannot know what the
+	// plan stored; a plan that can prove its partitions disjoint (rows
+	// routed by row hash, or by stable columns — Prop. 3) says so with
+	// MarkDisjoint.
+	disjoint atomic.Bool
 }
 
 // Cols returns the dataset schema.
 func (d *Dataset) Cols() []string { return d.cols }
+
+// Disjoint reports whether the partitions are known to share no row.
+func (d *Dataset) Disjoint() bool { return d.disjoint.Load() }
+
+// MarkDisjoint asserts that the partitions currently stored share no row.
+// Call it after the phase that stored them; a later SetPartition clears it.
+func (d *Dataset) MarkDisjoint() { d.disjoint.Store(true) }
 
 // Broadcast is a handle to a relation replicated on every worker.
 type Broadcast struct {
@@ -583,11 +598,13 @@ func (ctx *Ctx) Partition(ds *Dataset) *core.Relation {
 	return core.NewRelation(ds.cols...)
 }
 
-// SetPartition replaces this worker's partition of ds.
+// SetPartition replaces this worker's partition of ds. The dataset is no
+// longer known to be disjoint (see Dataset.MarkDisjoint).
 func (ctx *Ctx) SetPartition(ds *Dataset, rel *core.Relation) {
 	if !core.ColsEqual(rel.Cols(), ds.cols) {
 		panic(fmt.Sprintf("cluster: partition schema %v does not match dataset %v", rel.Cols(), ds.cols))
 	}
+	ds.disjoint.Store(false)
 	ctx.w.mu.Lock()
 	ctx.w.store[ds.id] = rel
 	ctx.w.mu.Unlock()
@@ -734,8 +751,8 @@ func (ctx *Ctx) exchange(rel *core.Relation, byCols []string,
 }
 
 // sendFrames ships one logical batch to a node as a sequence of
-// budget-sized wire frames (core.BatchRowsFor rows each), flagging the
-// final one. An empty batch still sends one empty Last frame so barrier
+// budget-sized wire frames (core.BatchRowsFor rows each), numbered from
+// ordinal 0 and flagging the final one. An empty batch still sends one empty Last frame so barrier
 // receivers can count completed senders. Record/byte metrics are added per
 // frame.
 func (c *Cluster) sendFrames(to int, kind MsgKind, tag, seq int64, from int, id int64,
@@ -743,12 +760,12 @@ func (c *Cluster) sendFrames(to int, kind MsgKind, tag, seq int64, from int, id 
 	step := core.BatchRowsFor(b.Arity())
 	n := b.Len()
 	lo := 0
-	for {
+	for ord := uint32(0); ; ord++ {
 		hi := lo + step
 		if hi > n {
 			hi = n
 		}
-		msg := &DataMsg{Kind: kind, Tag: tag, Seq: seq, From: from, ID: id,
+		msg := &DataMsg{Kind: kind, Tag: tag, Seq: seq, From: from, ID: id, Ord: ord,
 			Batch: b.Sub(lo, hi), Last: hi == n}
 		recs.Add(int64(hi - lo))
 		bytes.Add(msg.wireBytes())
@@ -762,9 +779,10 @@ func (c *Cluster) sendFrames(to int, kind MsgKind, tag, seq int64, from int, id 
 	}
 }
 
-// recvFrames receives one sender's frame sequence for an exchange
-// sequence number, validating each frame with check and merging the
-// payloads into dst, until the Last frame.
+// recvFrames receives the driver's frame sequence for a scatter or
+// broadcast, validating each frame with check and appending the payloads
+// to dst, until the Last frame. The frames are disjoint windows of a set
+// and each arrives at most once (mailbox.put), so nothing is re-hashed.
 func recvFrames(ctx *Ctx, dst *core.Relation, check func(*DataMsg) error) error {
 	for {
 		// Same abort check as recvSeq: don't keep merging frames into a
@@ -779,7 +797,7 @@ func recvFrames(ctx *Ctx, dst *core.Relation, check func(*DataMsg) error) error 
 		if err := check(msg); err != nil {
 			return err
 		}
-		dst.AddBatch(msg.Batch)
+		dst.AppendDistinct(msg.Batch)
 		if msg.Last {
 			return nil
 		}
@@ -810,7 +828,7 @@ func (ctx *Ctx) AllGather(rel *core.Relation) (*core.Relation, error) {
 		step := core.BatchRowsFor(rel.Arity())
 		total := rel.Len()
 		var firstErr error
-		for lo := 0; ; {
+		for lo, ord := 0, uint32(0); ; ord++ {
 			hi := lo + step
 			if hi > total {
 				hi = total
@@ -821,7 +839,7 @@ func (ctx *Ctx) AllGather(rel *core.Relation) (*core.Relation, error) {
 				if peer == ctx.rank {
 					continue
 				}
-				msg := &DataMsg{Kind: KindShuffle, Tag: s.tag, Seq: seq, From: ctx.w.id,
+				msg := &DataMsg{Kind: KindShuffle, Tag: s.tag, Seq: seq, From: ctx.w.id, Ord: ord,
 					Batch: window, encSize: encSize, Last: hi == total}
 				ctr{&c.metrics.ShuffleRecords, &s.m.ShuffleRecords}.Add(int64(window.Len()))
 				ctr{&c.metrics.ShuffleBytes, &s.m.ShuffleBytes}.Add(msg.wireBytes())
@@ -942,6 +960,7 @@ func (c *Cluster) NewDataset(cols ...string) *Dataset {
 // Parallelize splits rel across the workers and ships each partition to its
 // worker (scatter). With byCols non-nil the split hashes on those columns —
 // the stable-column partitioning of §III-B; otherwise rows go round-robin.
+// Either way the partitions of a set are disjoint, and the dataset says so.
 func (s *Session) Parallelize(rel *core.Relation, byCols []string) (*Dataset, error) {
 	c := s.c
 	ds := c.NewDataset(rel.Cols()...)
@@ -966,7 +985,8 @@ func (s *Session) Parallelize(rel *core.Relation, byCols []string) (*Dataset, er
 		sendErr <- firstErr
 	}()
 	err := s.RunPhase(func(ctx *Ctx) error {
-		part := core.NewRelationSized(rel.Len()/len(s.members), rel.Cols()...)
+		part := core.NewRelation(rel.Cols()...)
+		part.ReserveRows(rel.Len() / len(s.members))
 		if err := recvFrames(ctx, part, func(msg *DataMsg) error {
 			if msg.Kind != KindScatter || msg.Seq != seq || msg.ID != ds.id {
 				return fmt.Errorf("cluster: protocol violation during scatter (kind=%d)", msg.Kind)
@@ -984,6 +1004,7 @@ func (s *Session) Parallelize(rel *core.Relation, byCols []string) (*Dataset, er
 	if err != nil {
 		return nil, err
 	}
+	ds.MarkDisjoint()
 	return ds, nil
 }
 
@@ -1008,7 +1029,7 @@ func (s *Session) BroadcastRel(rel *core.Relation) (*Broadcast, error) {
 		step := core.BatchRowsFor(rel.Arity())
 		total := rel.Len()
 		var firstErr error
-		for lo := 0; ; {
+		for lo, ord := 0, uint32(0); ; ord++ {
 			hi := lo + step
 			if hi > total {
 				hi = total
@@ -1016,7 +1037,7 @@ func (s *Session) BroadcastRel(rel *core.Relation) (*Broadcast, error) {
 			window := whole.Sub(lo, hi)
 			encSize := uvarintSize(window.Values())
 			for _, id := range s.members {
-				msg := &DataMsg{Kind: KindBroadcast, Tag: s.tag, Seq: seq, From: DriverNode, ID: b.id,
+				msg := &DataMsg{Kind: KindBroadcast, Tag: s.tag, Seq: seq, From: DriverNode, ID: b.id, Ord: ord,
 					Batch: window, encSize: encSize, Last: hi == total}
 				ctr{&c.metrics.BroadcastRecords, &s.m.BroadcastRecords}.Add(int64(window.Len()))
 				ctr{&c.metrics.BroadcastBytes, &s.m.BroadcastBytes}.Add(msg.wireBytes())
@@ -1035,7 +1056,8 @@ func (s *Session) BroadcastRel(rel *core.Relation) (*Broadcast, error) {
 		sendErr <- firstErr
 	}()
 	err := s.RunPhase(func(ctx *Ctx) error {
-		r := core.NewRelationSized(rel.Len(), rel.Cols()...)
+		r := core.NewRelation(rel.Cols()...)
+		r.ReserveRows(rel.Len())
 		if err := recvFrames(ctx, r, func(msg *DataMsg) error {
 			if msg.Kind != KindBroadcast || msg.Seq != seq || msg.ID != b.id {
 				return fmt.Errorf("cluster: protocol violation during broadcast (kind=%d)", msg.Kind)
@@ -1065,12 +1087,19 @@ func (c *Cluster) BroadcastRel(rel *core.Relation) (*Broadcast, error) {
 	return s.BroadcastRel(rel)
 }
 
-// Collect gathers all partitions of ds on the driver, merging with set
+// Collect gathers all partitions of ds on the driver. The frames of a
+// dataset known to be disjoint are appended as they arrive, into storage
+// sized from the partition row counts the tasks report (no row is hashed,
+// the result's dedup set is deferred); any other dataset is merged with set
 // semantics.
 func (s *Session) Collect(ds *Dataset) (*core.Relation, error) {
 	c := s.c
 	seq := c.seq.Add(1) << 20
 	out := core.NewRelation(ds.cols...)
+	disjoint := ds.Disjoint()
+	// rows sums the partition sizes the tasks report before they send, so
+	// that a frame never arrives ahead of its sender's count.
+	var rows atomic.Int64
 	done := make(chan error, 1)
 	stop := make(chan struct{})
 	defer close(stop) // unblocks the receiver if the phase fails first
@@ -1087,7 +1116,12 @@ func (s *Session) Collect(ds *Dataset) (*core.Relation, error) {
 				done <- fmt.Errorf("cluster: protocol violation during collect (kind=%d)", msg.Kind)
 				return
 			}
-			out.AddBatch(msg.Batch)
+			if disjoint {
+				out.ReserveRows(int(rows.Load()))
+				out.AppendDistinct(msg.Batch)
+			} else {
+				out.AddBatch(msg.Batch)
+			}
 			if msg.Last {
 				lastSeen++
 			}
@@ -1096,6 +1130,7 @@ func (s *Session) Collect(ds *Dataset) (*core.Relation, error) {
 	}()
 	phaseErr := s.RunPhase(func(ctx *Ctx) error {
 		part := ctx.Partition(ds)
+		rows.Add(int64(part.Len()))
 		return c.sendFrames(DriverNode, KindCollect, s.tag, seq, ctx.w.id, ds.id, part.AsBatch(),
 			ctr{&c.metrics.CollectRecords, &s.m.CollectRecords},
 			ctr{&c.metrics.CollectBytes, &s.m.CollectBytes})
@@ -1148,6 +1183,7 @@ func (s *Session) Distinct(ds *Dataset) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
+	out.MarkDisjoint()
 	return out, nil
 }
 

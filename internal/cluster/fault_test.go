@@ -9,6 +9,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"repro/internal/core"
 )
 
 // TestKillWorkerReturnsTransition covers the satellite bugfix: KillWorker
@@ -143,9 +145,8 @@ func TestInjectedDropFailsBothEnds(t *testing.T) {
 	})
 }
 
-// TestDelayAndDuplicateAreHarmless: latency and duplicated (non-Last)
-// frames must not change results — rows are idempotent under set
-// semantics and barriers count only Last frames.
+// TestDelayAndDuplicateAreHarmless: latency and duplicated frames must not
+// change the result of a shuffle.
 func TestDelayAndDuplicateAreHarmless(t *testing.T) {
 	transports(t, 3, func(t *testing.T, c *Cluster) {
 		rng := rand.New(rand.NewSource(11))
@@ -176,6 +177,67 @@ func TestDelayAndDuplicateAreHarmless(t *testing.T) {
 			}
 		}
 		c.InjectFaults(nil)
+	})
+}
+
+// TestDuplicatedFrameDroppedByOrdinal: scatter, broadcast and the collect of
+// a disjoint dataset append the frames they receive without re-hashing
+// them, so a frame delivered twice — any frame of the transfer, its Last
+// one included — must be dropped by its ordinal: the receiver ends up with
+// exactly the sender's rows, and a duplicated Last frame does not end the
+// barrier one sender early.
+func TestDuplicatedFrameDroppedByOrdinal(t *testing.T) {
+	transports(t, 3, func(t *testing.T, c *Cluster) {
+		// Two frames per worker per transfer: six frames each.
+		perWorker := core.BatchRowsFor(2) + 10
+		rel := core.NewRelation(core.ColSrc, core.ColTrg)
+		for i := 0; i < 3*perWorker; i++ {
+			rel.Add([]core.Value{core.Value(i), core.Value(i % 7)})
+		}
+		half := rel.Slice(0, 2*perWorker-20)
+		dup := func(frame int64) {
+			p := NewFaultPlan()
+			p.DuplicateFrameAt = frame
+			c.InjectFaults(p)
+		}
+		defer c.InjectFaults(nil)
+		for frame := int64(1); frame <= 6; frame++ {
+			dup(frame)
+			ds, err := c.Parallelize(rel, nil)
+			if err != nil {
+				t.Fatalf("scatter, frame %d duplicated: %v", frame, err)
+			}
+			c.InjectFaults(nil)
+			if n, err := c.Count(ds); err != nil || n != rel.Len() {
+				t.Fatalf("scatter, frame %d duplicated: partitions hold %d rows, want %d (err %v)", frame, n, rel.Len(), err)
+			}
+
+			dup(frame)
+			got, err := c.Collect(ds)
+			if err != nil {
+				t.Fatalf("collect, frame %d duplicated: %v", frame, err)
+			}
+			if !ds.Disjoint() || got.Len() != rel.Len() || !core.SameRows(got, rel) {
+				t.Fatalf("collect, frame %d duplicated: %d rows, want the %d scattered", frame, got.Len(), rel.Len())
+			}
+
+			dup(frame)
+			b, err := c.BroadcastRel(half)
+			if err != nil {
+				t.Fatalf("broadcast, frame %d duplicated: %v", frame, err)
+			}
+			c.InjectFaults(nil)
+			if err := c.RunPhase(func(ctx *Ctx) error {
+				if r := ctx.BroadcastValue(b); r.Len() != half.Len() || !core.SameRows(r, half) {
+					return fmt.Errorf("worker %d holds %d broadcast rows, want %d", ctx.WorkerID(), r.Len(), half.Len())
+				}
+				return nil
+			}); err != nil {
+				t.Fatalf("broadcast, frame %d duplicated: %v", frame, err)
+			}
+			c.Free(ds)
+			c.FreeBroadcast(b)
+		}
 	})
 }
 

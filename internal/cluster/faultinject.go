@@ -44,11 +44,9 @@ type FaultPlan struct {
 	DelayFrameAt int64
 	Delay        time.Duration
 
-	// DuplicateFrameAt sends the Nth data frame twice. Only non-Last
-	// frames are duplicated: rows are idempotent under set semantics, but a
-	// duplicated Last frame would double-count its sender at the barrier,
-	// which no real transport produces (frames are sequenced per
-	// connection). 0 disables.
+	// DuplicateFrameAt sends the Nth data frame twice. The receiver's
+	// mailbox drops the second copy by its ordinal, so neither its rows nor
+	// — for a Last frame — its sender are counted twice. 0 disables.
 	DuplicateFrameAt int64
 
 	phases      atomic.Int64
@@ -118,7 +116,7 @@ func (p *FaultPlan) frameAction(to int, msg *DataMsg) (faultAction, time.Duratio
 		return faultDrop, 0
 	case p.DelayFrameAt != 0 && n == p.DelayFrameAt:
 		return faultPass, p.Delay
-	case p.DuplicateFrameAt != 0 && n == p.DuplicateFrameAt && !msg.Last:
+	case p.DuplicateFrameAt != 0 && n == p.DuplicateFrameAt:
 		return faultDup, 0
 	}
 	return faultPass, 0

@@ -37,23 +37,49 @@ var errTransportDown = errors.New("cluster: transport shut down mid-exchange")
 // would head-of-line-block every other session's traffic on that node).
 // Single consumer (the session's worker goroutine for that node), any
 // number of producers (the demux goroutine; in practice one).
+//
+// It is also where at-most-once absorption is enforced. Receivers append
+// the frames of set-valued transfers without re-hashing them, so a frame
+// delivered twice must not reach them twice. Within a session every sender
+// issues its transfers one after the other with increasing Seq, numbers the
+// frames of each from Ord 0, and both transports deliver one sender's
+// frames to one receiver in order; so the frames a mailbox admits from one
+// sender are strictly increasing in (Seq, Ord), and anything else is a
+// duplicate. Frames of another execution epoch never get this far (the
+// demultiplexer routes by tag).
 type mailbox struct {
 	mu     sync.Mutex
 	q      []*DataMsg
+	last   map[int]framePos // per sender: the newest frame admitted
 	closed bool
 	notify chan struct{} // cap 1: wake the (single) waiting consumer
 }
 
-func newMailbox() *mailbox { return &mailbox{notify: make(chan struct{}, 1)} }
+// framePos orders the frames one sender addresses to one receiver.
+type framePos struct {
+	seq int64
+	ord uint32
+}
+
+func newMailbox() *mailbox {
+	return &mailbox{last: make(map[int]framePos), notify: make(chan struct{}, 1)}
+}
 
 // put enqueues a message, dropping it when the mailbox is closed (a stale
-// frame of a finished or cancelled session).
+// frame of a finished or cancelled session) or when it does not advance
+// its sender's (Seq, Ord) position (a duplicated frame).
 func (m *mailbox) put(msg *DataMsg) {
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
 		return
 	}
+	if at, seen := m.last[msg.From]; seen &&
+		(msg.Seq < at.seq || msg.Seq == at.seq && msg.Ord <= at.ord) {
+		m.mu.Unlock()
+		return
+	}
+	m.last[msg.From] = framePos{msg.Seq, msg.Ord}
 	m.q = append(m.q, msg)
 	m.mu.Unlock()
 	select {

@@ -37,14 +37,17 @@ const (
 // the dataset's columns); only raw values cross the wire. A logical
 // transfer is a sequence of budget-sized frames (core.BatchRowsFor rows
 // each); Last marks the final frame, which is how barrier receivers count
-// completed senders.
+// completed senders, and Ord numbers the frames of one sender's transfer
+// for Seq from 0, which is how a receiver absorbs each of them at most
+// once (see mailbox.put).
 type DataMsg struct {
 	Kind  MsgKind
-	Last  bool  // final frame of this sender's transfer for Seq
-	Tag   int64 // session (execution epoch) this frame belongs to
-	Seq   int64 // exchange phase this batch belongs to
-	From  int   // sending node (DriverNode for the driver)
-	ID    int64 // dataset / broadcast identifier
+	Last  bool   // final frame of this sender's transfer for Seq
+	Ord   uint32 // ordinal of this frame within the sender's transfer for Seq
+	Tag   int64  // session (execution epoch) this frame belongs to
+	Seq   int64  // exchange phase this batch belongs to
+	From  int    // sending node (DriverNode for the driver)
+	ID    int64  // dataset / broadcast identifier
 	Batch *core.Batch
 
 	// encSize caches the varint-encoded value size so the metrics pass and
@@ -107,7 +110,7 @@ type Transport interface {
 // DriverNode is the node id of the driver in the transport.
 const DriverNode = -1
 
-const msgHeaderSize = 1 + 1 + 8 + 8 + 4 + 8 + 4 + 4 // kind, flags, tag, seq, from, id, arity, nrows
+const msgHeaderSize = 1 + 1 + 4 + 8 + 8 + 4 + 8 + 4 + 4 // kind, flags, ord, tag, seq, from, id, arity, nrows
 
 // frame flag bits.
 const flagLast = 1 << 0
@@ -144,7 +147,7 @@ func (t *ChanTransport) Send(to int, msg *DataMsg) error {
 	if !ok {
 		return fmt.Errorf("cluster: no such node %d", to)
 	}
-	cp := &DataMsg{Kind: msg.Kind, Last: msg.Last, Tag: msg.Tag, Seq: msg.Seq, From: msg.From, ID: msg.ID}
+	cp := &DataMsg{Kind: msg.Kind, Last: msg.Last, Ord: msg.Ord, Tag: msg.Tag, Seq: msg.Seq, From: msg.From, ID: msg.ID}
 	if msg.Batch != nil {
 		vals := make([]core.Value, len(msg.Batch.Values()))
 		copy(vals, msg.Batch.Values())
@@ -327,12 +330,13 @@ func writeFrame(w io.Writer, msg *DataMsg) error {
 	if msg.Last {
 		buf[5] = flagLast
 	}
-	binary.LittleEndian.PutUint64(buf[6:], uint64(msg.Tag))
-	binary.LittleEndian.PutUint64(buf[14:], uint64(msg.Seq))
-	binary.LittleEndian.PutUint32(buf[22:], uint32(int32(msg.From)))
-	binary.LittleEndian.PutUint64(buf[26:], uint64(msg.ID))
-	binary.LittleEndian.PutUint32(buf[34:], uint32(arity))
-	binary.LittleEndian.PutUint32(buf[38:], uint32(nRows))
+	binary.LittleEndian.PutUint32(buf[6:], msg.Ord)
+	binary.LittleEndian.PutUint64(buf[10:], uint64(msg.Tag))
+	binary.LittleEndian.PutUint64(buf[18:], uint64(msg.Seq))
+	binary.LittleEndian.PutUint32(buf[26:], uint32(int32(msg.From)))
+	binary.LittleEndian.PutUint64(buf[30:], uint64(msg.ID))
+	binary.LittleEndian.PutUint32(buf[38:], uint32(arity))
+	binary.LittleEndian.PutUint32(buf[42:], uint32(nRows))
 	off := 4 + msgHeaderSize
 	for _, v := range vals {
 		off += binary.PutUvarint(buf[off:], uint64(v))
@@ -361,13 +365,14 @@ func readFrame(r io.Reader) (*DataMsg, error) {
 	msg := &DataMsg{
 		Kind: MsgKind(buf[0]),
 		Last: buf[1]&flagLast != 0,
-		Tag:  int64(binary.LittleEndian.Uint64(buf[2:])),
-		Seq:  int64(binary.LittleEndian.Uint64(buf[10:])),
-		From: int(int32(binary.LittleEndian.Uint32(buf[18:]))),
-		ID:   int64(binary.LittleEndian.Uint64(buf[22:])),
+		Ord:  binary.LittleEndian.Uint32(buf[2:]),
+		Tag:  int64(binary.LittleEndian.Uint64(buf[6:])),
+		Seq:  int64(binary.LittleEndian.Uint64(buf[14:])),
+		From: int(int32(binary.LittleEndian.Uint32(buf[22:]))),
+		ID:   int64(binary.LittleEndian.Uint64(buf[26:])),
 	}
-	arity := int(binary.LittleEndian.Uint32(buf[30:]))
-	nRows := int(binary.LittleEndian.Uint32(buf[34:]))
+	arity := int(binary.LittleEndian.Uint32(buf[34:]))
+	nRows := int(binary.LittleEndian.Uint32(buf[38:]))
 	// Every value costs at least one varint byte, so the header's claimed
 	// value count is bounded by the payload actually received — reject
 	// inconsistent frames before allocating for them.

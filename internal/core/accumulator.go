@@ -389,15 +389,17 @@ func (a *Accumulator) Add(row []Value) bool {
 	return a.addHashed(row, HashValues(row))
 }
 
-// AddInto is Add that also appends the row to fresh when it was new,
-// reusing the hash. fresh is the caller's private delta relation and is
-// not synchronized; concurrent callers must each pass their own.
+// AddInto is Add that also appends the row to fresh when it was new.
+// fresh is the caller's private delta relation — it must hold only rows
+// collected this way, which are distinct by construction, so they are
+// appended with fresh's dedup set deferred — and is not synchronized;
+// concurrent callers must each pass their own.
 func (a *Accumulator) AddInto(row []Value, fresh *Relation) bool {
 	h := HashValues(row)
 	if !a.addHashed(row, h) {
 		return false
 	}
-	fresh.addHashed(row, h)
+	fresh.appendDistinctVals(row, 1)
 	return true
 }
 
@@ -488,13 +490,7 @@ func (a *Accumulator) DeltaViews(from, to AccMark) []*Relation {
 		if lo < base {
 			panic(fmt.Sprintf("core: delta window [%d,%d) overlaps rows evicted below %d", lo, hi, base))
 		}
-		out = append(out, &Relation{
-			cols:     a.cols,
-			data:     data[(lo-base)*a.arity : (hi-base)*a.arity : (hi-base)*a.arity],
-			n:        hi - lo,
-			readonly: true,
-			lazySet:  true,
-		})
+		out = append(out, newView(a.cols, data[(lo-base)*a.arity:(hi-base)*a.arity:(hi-base)*a.arity], hi-lo))
 	}
 	return out
 }
@@ -507,8 +503,7 @@ func (a *Accumulator) DeltaViews(from, to AccMark) []*Relation {
 // each shard's slice header under the shard lock, so it is safe while
 // later Adds proceed concurrently.
 func (a *Accumulator) DeltaRelation(from, to AccMark) *Relation {
-	out := &Relation{cols: a.cols, readonly: true, lazySet: true}
-	out.data = make([]Value, 0, DeltaRows(from, to)*a.arity)
+	out := newView(a.cols, make([]Value, 0, DeltaRows(from, to)*a.arity), 0)
 	for i := range a.shards {
 		lo, hi := from[i], to[i]
 		if lo == hi {
@@ -566,16 +561,41 @@ func (a *Accumulator) MaybeEvict() int {
 // grown by at least stride rows since the last attempt, so each eviction's
 // run compaction is amortized over a stride's worth of input instead of
 // being rewritten once per batch. Like MaybeEvict it requires that no
-// DeltaViews windows are outstanding. Safe for concurrent use; the gate's
-// read-then-store race is benign (a duplicate eviction is a cheap no-op,
-// a skipped one is retried a stride later).
+// DeltaViews windows are outstanding and that no delta will be taken from
+// below the current watermark (a fixpoint absorbing its own iteration uses
+// EvictBelowStride). Safe for concurrent use.
 func (a *Accumulator) MaybeEvictStride(stride int) int {
-	n := int64(a.Len())
-	if n-a.strideMark.Load() < int64(stride) {
+	if !a.strideDue(stride) {
 		return 0
 	}
-	a.strideMark.Store(n)
 	return a.MaybeEvict()
+}
+
+// EvictBelowStride is the stride-gated EvictBelow: the in-iteration valve
+// of a fixpoint whose φ rows land in the accumulator as they are produced.
+// Rows at or above mark — the iteration's own, the next delta — stay in
+// memory. Safe for concurrent use.
+func (a *Accumulator) EvictBelowStride(mark AccMark, stride int) int {
+	if !a.strideDue(stride) {
+		return 0
+	}
+	return a.EvictBelow(mark)
+}
+
+// strideDue reports whether the accumulator grew by stride rows since the
+// last stride-gated eviction attempt, and if so starts the next stride. The
+// read-then-store race is benign (a duplicate eviction is a cheap no-op, a
+// skipped one is retried a stride later).
+func (a *Accumulator) strideDue(stride int) bool {
+	if a.gauge == nil {
+		return false
+	}
+	n := int64(a.Len())
+	if n-a.strideMark.Load() < int64(stride) {
+		return false
+	}
+	a.strideMark.Store(n)
+	return true
 }
 
 // evictShardLocked freezes the shard's in-memory prefix below upTo (shard
@@ -736,8 +756,8 @@ func (a *Accumulator) Absorb(r *Relation) int {
 
 // AbsorbNew inserts every row of o not already present and returns the
 // relation of newly added rows — the fused diff-then-union of the
-// semi-naive step, one hash per row (shared by the accumulator and the
-// returned delta).
+// semi-naive step, one hash per row (the returned delta's dedup set is
+// deferred).
 func (a *Accumulator) AbsorbNew(o *Relation) *Relation {
 	fresh := NewRelation(a.cols...)
 	var ad accAdder
@@ -780,37 +800,53 @@ func (ab *Absorber) AbsorbBatch(b *Batch, fresh *Relation) int {
 // coordination than the copies save.
 const parallelMaterializeMin = 1 << 15
 
-// Materialize copies the accumulated rows into one Relation: frozen runs
-// are streamed back from disk in chunks, then each shard's in-memory flat
-// store is memcpy'd, with fresh-slot dedup-set inserts reusing the stored
-// hashes — no rehash, no membership probes (runs and shards are mutually
-// disjoint by construction). Large fully-in-memory accumulators scatter
-// their shards concurrently (per-shard output offsets are known up front).
-// It is called once, at fixpoint exit; it must not race with Add or
-// EvictBelow.
+// Materialize copies the accumulated rows into one Relation sized from the
+// shards' row counts: frozen runs are streamed back from disk in chunks,
+// then each shard's in-memory flat store is memcpy'd. Runs and shards are
+// mutually disjoint sets by construction, so nothing is hashed or probed —
+// the result's dedup set is deferred to whoever first asks for it. Large
+// fully-in-memory accumulators scatter their shards concurrently (per-shard
+// output offsets are known up front). It is called once, at fixpoint exit;
+// it must not race with Add or EvictBelow.
 func (a *Accumulator) Materialize() *Relation {
 	total := 0
 	spilled, retracted := false, false
+	var offs [accShards]int
 	for i := range a.shards {
-		total += a.shards[i].n
-		spilled = spilled || len(a.shards[i].runs) > 0
-		retracted = retracted || (a.shards[i].dead != nil && a.shards[i].dead.Len() > 0)
-	}
-	if !spilled && !retracted && total >= parallelMaterializeMin {
-		if out := a.materializeParallel(total); out != nil {
-			return out
+		sh := &a.shards[i]
+		offs[i] = total
+		total += sh.n
+		spilled = spilled || len(sh.runs) > 0
+		if sh.dead != nil && sh.dead.Len() > 0 {
+			retracted = true
+			total -= sh.dead.Len()
 		}
 	}
-	out := NewRelationSized(total, a.cols...)
+	out := NewRelation(a.cols...)
+	out.ReserveRows(total)
 	arity := a.arity
-	// One flush-buffer pair reused across all runs and shards.
-	block := make([]Value, 0, runScanChunk*arity)
-	hashes := make([]uint64, 0, runScanChunk)
-	flush := func() {
-		if len(hashes) > 0 {
-			out.appendUniqueBlock(block, hashes)
-			block, hashes = block[:0], hashes[:0]
+	if !spilled && !retracted {
+		// Every shard's rows land at a precomputed offset of the output's
+		// flat backing array, so the copies need no synchronization.
+		workers := 1
+		if total >= parallelMaterializeMin {
+			workers = DefaultParallelism()
 		}
+		out.data = out.data[:total*arity]
+		runWorkers(accShards, workers, func(_, shard int) {
+			sh := &a.shards[shard]
+			copy(out.data[offs[shard]*arity:], sh.data[:sh.n*arity])
+		})
+		out.n = total
+		out.deferred.Store(true)
+		return out
+	}
+	// One flush buffer reused across all runs and shards.
+	block := make([]Value, 0, runScanChunk*arity)
+	rows := 0
+	flush := func() {
+		out.appendDistinctVals(block, rows)
+		block, rows = block[:0], 0
 	}
 	for i := range a.shards {
 		sh := &a.shards[i]
@@ -824,20 +860,16 @@ func (a *Accumulator) Materialize() *Relation {
 				if dead != nil && dead.hasHashed(rec[1:], uint64(rec[0])) {
 					continue
 				}
-				hashes = append(hashes, uint64(rec[0]))
 				block = append(block, rec[1:]...)
-				if len(hashes) >= runScanChunk {
+				if rows++; rows >= runScanChunk {
 					flush()
 				}
 			}
 			flush()
 		}
 		inMem := sh.n - sh.frozen
-		if inMem == 0 {
-			continue
-		}
 		if dead == nil {
-			out.appendUniqueBlock(sh.data[:inMem*arity], sh.hashes[:inMem])
+			out.appendDistinctVals(sh.data[:inMem*arity], inMem)
 			continue
 		}
 		for r := 0; r < inMem; r++ {
@@ -845,53 +877,12 @@ func (a *Accumulator) Materialize() *Relation {
 			if dead.hasHashed(row, sh.hashes[r]) {
 				continue
 			}
-			hashes = append(hashes, sh.hashes[r])
 			block = append(block, row...)
-			if len(hashes) >= runScanChunk {
+			if rows++; rows >= runScanChunk {
 				flush()
 			}
 		}
 		flush()
-	}
-	return out
-}
-
-// materializeParallel is the exit scatter for large, never-spilled
-// accumulators: every shard's rows land at a precomputed offset of the
-// output's flat backing array, so the copies proceed concurrently with no
-// synchronization. The dedup-set inserts stay sequential (the tupleSet is
-// single-writer) but reuse the stored hashes in the same shard order the
-// copies used, preserving appendUniqueBlock's 1-based row-id contract.
-// Returns nil when parallelism is unavailable (caller falls back to the
-// sequential path). Shard rows are globally distinct by construction
-// (hash-routed shards, per-shard dedup), which insertFresh requires.
-func (a *Accumulator) materializeParallel(total int) *Relation {
-	workers := DefaultParallelism()
-	if workers <= 1 {
-		return nil
-	}
-	arity := a.arity
-	out := NewRelationSized(total, a.cols...)
-	out.data = out.data[:total*arity]
-	var offs [accShards]int
-	off := 0
-	for i := range a.shards {
-		offs[i] = off
-		off += a.shards[i].n
-	}
-	runWorkers(accShards, workers, func(_, shard int) {
-		sh := &a.shards[shard]
-		if sh.n > 0 {
-			copy(out.data[offs[shard]*arity:(offs[shard]+sh.n)*arity], sh.data[:sh.n*arity])
-		}
-	})
-	out.set.reserve(total)
-	for i := range a.shards {
-		sh := &a.shards[i]
-		for _, h := range sh.hashes[:sh.n] {
-			out.n++
-			out.set.insertFresh(h, int32(out.n))
-		}
 	}
 	return out
 }
@@ -911,7 +902,7 @@ type accAdder struct {
 // shard-routing work happens lock-free, then each shard that received rows
 // is locked exactly once, with the membership probe and insertion fused
 // under that lock. Rows that were new are appended to fresh (when
-// non-nil), reusing the hash.
+// non-nil) with its dedup set deferred — see AddInto.
 func (ad *accAdder) addBatch(a *Accumulator, b *Batch, fresh *Relation) int {
 	n := b.Len()
 	if n == 0 {

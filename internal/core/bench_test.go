@@ -89,6 +89,60 @@ func TestScanZeroFlattenCopies(t *testing.T) {
 	}
 }
 
+// TestFixpointReusesBatchBuffers asserts the free-list property of the
+// fixpoint data path: operator output batches are taken once, in the first
+// iteration, and every later iteration's pipelines reuse them — and no
+// pipeline under a fixpoint root grows a buffer of its own (the inline
+// distinct an anti-projection carries anywhere else).
+func TestFixpointReusesBatchBuffers(t *testing.T) {
+	term := ClosureLR("X", &Var{Name: "E"})
+	poolAllocs := func(chain, parallel int) int {
+		env := NewEnv()
+		env.Bind("E", chainRelation(chain))
+		ev := NewEvaluator(env)
+		ev.Parallel = parallel
+		if _, err := ev.Eval(term); err != nil {
+			t.Fatal(err)
+		}
+		if ev.Stats.FixpointIterations < chain-1 {
+			t.Fatalf("chain %d converged in %d iterations", chain, ev.Stats.FixpointIterations)
+		}
+		return ev.pool.allocs
+	}
+	// One pipeline per iteration: rename, join, anti-projection.
+	if short, long := poolAllocs(4, 1), poolAllocs(300, 1); short != long || long > 3 {
+		t.Fatalf("batch buffers allocated: %d over 3 iterations, %d over 299; want the same, at most 3", short, long)
+	}
+
+	// A warm φ step allocates per call, not per row: with every candidate
+	// already in the filter, a delta of four batches costs what a delta of
+	// one batch costs. A per-pipeline distinct would grow with the rows.
+	d, err := Decompose(term)
+	if err != nil {
+		t.Fatal(err)
+	}
+	step := BatchRowsFor(2)
+	env := NewEnv()
+	env.Bind("E", chainRelation(4*step+1))
+	ev := NewEvaluator(env)
+	filter := NewAccumulator(ColSrc, ColTrg)
+	stepAllocs := func(nu *Relation) float64 {
+		return testing.AllocsPerRun(20, func() {
+			out, err := ev.EvalPhiDelta(d, nu, env, filter)
+			if err != nil || out.Len() != 0 {
+				t.Fatalf("warm φ step: %d new rows, err %v", out.Len(), err)
+			}
+		})
+	}
+	all, _ := env.Lookup("E")
+	if _, err := ev.EvalPhiDelta(d, all, env, filter); err != nil { // warm: indexes, pool, filter
+		t.Fatal(err)
+	}
+	if one, four := stepAllocs(all.Slice(0, step)), stepAllocs(all.Slice(0, 4*step)); four > one {
+		t.Fatalf("a φ step over 4 batches cost %.0f allocs, over 1 batch %.0f; want no per-batch allocation", four, one)
+	}
+}
+
 // BenchmarkParallelFixpoint measures the parallel delta probing against
 // the sequential step on a workload with large deltas (dense random
 // graph transitive closure).

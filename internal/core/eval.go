@@ -10,6 +10,10 @@ import (
 // race with evaluation; lookups during evaluation are read-only.
 type Env struct {
 	Rels map[string]*Relation
+	// deltas binds the recursion variables of running fixpoints to their
+	// current delta as a windowed scan source (see deltaSource); a name is
+	// bound in Rels or in deltas, never both.
+	deltas map[string]*deltaSource
 }
 
 // NewEnv returns an empty environment.
@@ -18,28 +22,65 @@ func NewEnv() *Env { return &Env{Rels: make(map[string]*Relation)} }
 // Bind associates a relation with a name, replacing any previous binding.
 func (e *Env) Bind(name string, r *Relation) { e.Rels[name] = r }
 
-// Lookup returns the relation bound to name.
+// Lookup returns the relation bound to name. A delta-bound recursion
+// variable is coalesced into a fresh relation on every call — pipelines
+// scan it through stream instead; only an operator that must materialize
+// it (a join building on the recursion variable) comes here.
 func (e *Env) Lookup(name string) (*Relation, bool) {
-	r, ok := e.Rels[name]
-	return r, ok
+	if r, ok := e.Rels[name]; ok {
+		return r, true
+	}
+	if d, ok := e.deltas[name]; ok {
+		return d.relation(), true
+	}
+	return nil, false
 }
 
-// with returns a copy of e with one extra binding (used for recursion
-// variables during fixpoint evaluation).
-func (e *Env) with(name string, r *Relation) *Env {
+// without returns a copy of e with name unbound.
+func (e *Env) without(name string) *Env {
 	out := &Env{Rels: make(map[string]*Relation, len(e.Rels)+1)}
 	for k, v := range e.Rels {
-		out.Rels[k] = v
+		if k != name {
+			out.Rels[k] = v
+		}
 	}
+	for k, v := range e.deltas {
+		if k != name {
+			if out.deltas == nil {
+				out.deltas = make(map[string]*deltaSource, len(e.deltas))
+			}
+			out.deltas[k] = v
+		}
+	}
+	return out
+}
+
+// with returns a copy of e with name rebound to r (used for recursion
+// variables during fixpoint evaluation).
+func (e *Env) with(name string, r *Relation) *Env {
+	out := e.without(name)
 	out.Rels[name] = r
+	return out
+}
+
+// withDelta returns a copy of e with name rebound to a delta source.
+func (e *Env) withDelta(name string, d *deltaSource) *Env {
+	out := e.without(name)
+	if out.deltas == nil {
+		out.deltas = make(map[string]*deltaSource, 1)
+	}
+	out.deltas[name] = d
 	return out
 }
 
 // SchemaEnv derives the schema environment of the bound relations.
 func (e *Env) SchemaEnv() SchemaEnv {
-	out := make(SchemaEnv, len(e.Rels))
+	out := make(SchemaEnv, len(e.Rels)+len(e.deltas))
 	for k, v := range e.Rels {
 		out[k] = v.Cols()
+	}
+	for k, d := range e.deltas {
+		out[k] = d.cols
 	}
 	return out
 }
@@ -62,7 +103,8 @@ type EvalStats struct {
 //
 // By default operators execute as a streaming iterator pipeline: tuples
 // flow through join/filter/rename/anti-projection/union in column-aligned
-// batches and are only materialized (and deduplicated) at pipeline sinks.
+// batches and are only materialized (and deduplicated, exactly once — see
+// iter.go) at pipeline sinks.
 // Joins and antijoins probe JoinIndexes; indexes over relations that are
 // constant with respect to the running fixpoints are cached on the
 // evaluator, so a fixpoint builds them once and every semi-naive delta
@@ -116,6 +158,9 @@ type Evaluator struct {
 	consts map[string]*Relation
 	// ephemeral holds uncached budgeted indexes until Close.
 	ephemeral []*JoinIndex
+	// pool is the free list the pipelines' output batches come from; every
+	// sink recycles what its pipelines took once they are drained.
+	pool BatchPool
 }
 
 type indexCacheKey struct {
@@ -166,7 +211,9 @@ func (ev *Evaluator) eval(t Term, env *Env) (*Relation, error) {
 		}
 		return ev.evalFixpoint(n, env)
 	}
-	it, err := ev.stream(t, env)
+	mark := ev.pool.Mark()
+	defer ev.pool.Recycle(mark)
+	it, err := ev.stream(t, env, true)
 	if err != nil {
 		return nil, err
 	}
@@ -175,10 +222,18 @@ func (ev *Evaluator) eval(t Term, env *Env) (*Relation, error) {
 	return out, nil
 }
 
-// stream builds the iterator pipeline for t under env.
-func (ev *Evaluator) stream(t Term, env *Env) (Iterator, error) {
+// stream builds the iterator pipeline for t under env. root is true while
+// t sits at the root of a pipeline whose sink deduplicates, through any
+// chain of anti-projections, unions and renames: those drops and unions
+// are built without their inline distinct and their rows are deduplicated
+// once, by the sink. Everything below the chain — and every pipeline whose
+// consumer is another operator — streams sets.
+func (ev *Evaluator) stream(t Term, env *Env, root bool) (Iterator, error) {
 	switch n := t.(type) {
 	case *Var:
+		if d, ok := env.deltas[n.Name]; ok {
+			return d.scan(), nil
+		}
 		r, ok := env.Lookup(n.Name)
 		if !ok {
 			return nil, fmt.Errorf("core: unbound relation variable %q", n.Name)
@@ -189,24 +244,24 @@ func (ev *Evaluator) stream(t Term, env *Env) (Iterator, error) {
 		copy(row, n.Vals)
 		return &singletonIter{cols: n.Cols, row: row}, nil
 	case *Union:
-		l, err := ev.stream(n.L, env)
+		l, err := ev.stream(n.L, env, root)
 		if err != nil {
 			return nil, err
 		}
-		r, err := ev.stream(n.R, env)
+		r, err := ev.stream(n.R, env, root)
 		if err != nil {
 			return nil, err
 		}
 		if !ColsEqual(l.Cols(), r.Cols()) {
 			return nil, fmt.Errorf("core: union schema mismatch %v vs %v", l.Cols(), r.Cols())
 		}
-		return UnionStream(l, r), nil
+		return UnionStream(l, r, !root), nil
 	case *Join:
 		return ev.streamJoin(n, env)
 	case *Antijoin:
 		return ev.streamAntijoin(n, env)
 	case *Filter:
-		in, err := ev.stream(n.T, env)
+		in, err := ev.stream(n.T, env, false)
 		if err != nil {
 			return nil, err
 		}
@@ -215,32 +270,19 @@ func (ev *Evaluator) stream(t Term, env *Env) (Iterator, error) {
 				return nil, fmt.Errorf("core: filter column %q not in schema %v", c, in.Cols())
 			}
 		}
-		return FilterStream(in, n.Cond), nil
+		return FilterStream(in, n.Cond, &ev.pool), nil
 	case *Rename:
-		in, err := ev.stream(n.T, env)
+		in, err := ev.stream(n.T, env, root)
 		if err != nil {
 			return nil, err
 		}
-		if n.From != n.To {
-			if ColIndex(in.Cols(), n.From) < 0 {
-				return nil, fmt.Errorf("core: rename: column %q not in schema %v", n.From, in.Cols())
-			}
-			if ColIndex(in.Cols(), n.To) >= 0 {
-				return nil, fmt.Errorf("core: rename: column %q already in schema %v", n.To, in.Cols())
-			}
-		}
-		return RenameStream(in, n.From, n.To), nil
+		return RenameStream(in, n.From, n.To, &ev.pool)
 	case *AntiProject:
-		in, err := ev.stream(n.T, env)
+		in, err := ev.stream(n.T, env, root)
 		if err != nil {
 			return nil, err
 		}
-		for _, c := range n.Cols {
-			if ColIndex(in.Cols(), c) < 0 {
-				return nil, fmt.Errorf("core: drop: column %q not in schema %v", c, in.Cols())
-			}
-		}
-		return DropStream(in, n.Cols...), nil
+		return DropStream(in, n.Cols, !root, &ev.pool)
 	case *Fixpoint:
 		rel, err := ev.evalOperand(t, env)
 		if err != nil {
@@ -379,7 +421,7 @@ func (ev *Evaluator) streamJoin(n *Join, env *Env) (Iterator, error) {
 	if err != nil {
 		return nil, err
 	}
-	probeIt, err := ev.stream(probe, env)
+	probeIt, err := ev.stream(probe, env, false)
 	if err != nil {
 		return nil, err
 	}
@@ -389,9 +431,9 @@ func (ev *Evaluator) streamJoin(n *Join, env *Env) (Iterator, error) {
 		return nil, err
 	}
 	if ix.Spilled() {
-		return GraceJoinStream(probeIt, ix, buildRel.Cols()), nil
+		return GraceJoinStream(probeIt, ix, buildRel.Cols(), &ev.pool), nil
 	}
-	return JoinStream(probeIt, ix, buildRel.Cols()), nil
+	return JoinStream(probeIt, ix, buildRel.Cols(), &ev.pool), nil
 }
 
 // streamAntijoin plans l ▷ r: the right side is materialized (constant
@@ -399,7 +441,7 @@ func (ev *Evaluator) streamJoin(n *Join, env *Env) (Iterator, error) {
 // the common columns; left rows stream and are emitted when no match
 // exists.
 func (ev *Evaluator) streamAntijoin(n *Antijoin, env *Env) (Iterator, error) {
-	l, err := ev.stream(n.L, env)
+	l, err := ev.stream(n.L, env, false)
 	if err != nil {
 		return nil, err
 	}
@@ -423,9 +465,9 @@ func (ev *Evaluator) streamAntijoin(n *Antijoin, env *Env) (Iterator, error) {
 		probeAt[i] = ColIndex(l.Cols(), c)
 	}
 	if ix.Spilled() {
-		return GraceAntijoinStream(l, ix, probeAt), nil
+		return GraceAntijoinStream(l, ix, probeAt, &ev.pool), nil
 	}
-	return AntijoinStream(l, ix, probeAt), nil
+	return AntijoinStream(l, ix, probeAt, &ev.pool), nil
 }
 
 func (ev *Evaluator) evalFixpoint(fp *Fixpoint, env *Env) (*Relation, error) {
@@ -469,14 +511,19 @@ func (ev *Evaluator) markDynamic(x string) func() {
 //
 // The streaming implementation keeps X sharded across all iterations in a
 // cross-iteration Accumulator: φ(new) streams into the accumulator with
-// the set difference and union fused under the shard locks (one hash probe
-// per produced tuple), the rows an iteration appends ARE the next delta
-// (zero-copy shard windows between two marks, or one coalesced relation in
-// the sequential regime), and a Relation is materialized exactly once at
-// fixpoint exit. The constant sides' join indexes are built — in parallel
-// for large inputs — once before the first iteration and reused by every
-// later one. Insertion order of the result is not deterministic under
-// parallelism; consumers must compare order-insensitively (SameRows).
+// the set difference and union fused under the shard locks — the one hash
+// probe a produced tuple ever pays, since φ's root anti-projections and
+// unions are built without their inline distinct — the rows an iteration
+// appends ARE the next delta (zero-copy shard windows between two marks,
+// scanned through a deltaSource), and a Relation is materialized exactly
+// once, by block copy, at fixpoint exit. Each iteration builds one
+// pipeline per φ branch per pool worker over the shared delta cursor and
+// returns their output batches to the evaluator's free list when the drain
+// returns, so iterations after the first allocate no batch buffers. The
+// constant sides' join indexes are built — in parallel for large inputs —
+// once before the first iteration and reused by every later one. Insertion
+// order of the result is not deterministic under parallelism; consumers
+// must compare order-insensitively (SameRows).
 func (ev *Evaluator) RunFixpoint(d *Decomposed, init *Relation, env *Env) (*Relation, error) {
 	if ev.Materializing {
 		return ev.runFixpointMat(d, init, env)
@@ -505,53 +552,36 @@ func (ev *Evaluator) RunFixpoint(d *Decomposed, init *Relation, env *Env) (*Rela
 		// touched, so its zero-copy views stay valid.
 		acc.EvictBelow(prev)
 		mark := acc.Mark()
-		// The delta: for the first iteration init itself (already
-		// contiguous); afterwards the shard windows appended since prev —
-		// coalesced into one relation when this iteration runs
-		// sequentially, streamed straight out of the shards in chunk-sized
-		// views when the worker pool is engaged.
-		chunk, workers := ParallelPlan(deltaRows, acc.Arity(), ev.Parallel)
-		var views []*Relation
-		switch {
-		case iter == 1:
-			views = []*Relation{init}
-		case workers > 1:
+		// The delta: for the first iteration init itself, afterwards the
+		// shard windows appended since prev.
+		views := []*Relation{init}
+		if iter > 1 {
 			views = acc.DeltaViews(prev, mark)
-		default:
-			views = []*Relation{acc.DeltaRelation(prev, mark)}
 		}
-		if workers <= 1 {
-			// Sequential regime: one pipeline per branch per view — chunking
-			// buys nothing without the pool and would cost a pipeline
-			// (iterator stack + batch buffers) per chunk.
-			chunk = deltaRows
-		}
-		// Ephemeral (dynamic-build-side) indexes built for this iteration's
-		// pipelines are dead once the drain below finishes; release them so
-		// neither they nor their gauge charges outlive the iteration.
-		ebase := len(ev.ephemeral)
-		var pipes []Iterator
+		_, workers := ParallelPlan(deltaRows, acc.Arity(), ev.Parallel)
+		// Ephemeral (dynamic-build-side) indexes and the output batches of
+		// this iteration's pipelines are dead once the drain below
+		// finishes; release them so neither they nor their gauge charges
+		// outlive the iteration.
+		ebase, bmark := len(ev.ephemeral), ev.pool.Mark()
+		pipes := make([]Iterator, 0, len(d.PhiBranches)*workers)
 		for _, br := range d.PhiBranches {
-			for _, nu := range views {
-				for lo := 0; lo < nu.Len(); lo += chunk {
-					hi := lo + chunk
-					if hi > nu.Len() {
-						hi = nu.Len()
-					}
-					bound := nu
-					if lo != 0 || hi != nu.Len() {
-						bound = nu.Slice(lo, hi)
-					}
-					it, err := ev.stream(br, env.with(d.X, bound))
-					if err != nil {
-						return nil, err
-					}
-					pipes = append(pipes, it)
+			// One cursor per branch: its pipelines split the delta between
+			// them, and every branch sees all of it.
+			src := newDeltaSource(acc.Cols(), views)
+			stepEnv := env.withDelta(d.X, src)
+			for w := 0; w < workers; w++ {
+				src.nextPipeline()
+				it, err := ev.stream(br, stepEnv, true)
+				if err != nil {
+					return nil, err
 				}
+				pipes = append(pipes, it)
 			}
 		}
 		added, err := ParallelDrainCtx(ev.Ctx, pipes, workers, acc)
 		ev.releaseEphemeral(ebase)
+		ev.pool.Recycle(bmark)
 		if err != nil {
 			return nil, err
 		}
@@ -673,30 +703,44 @@ func (ev *Evaluator) warmConstIndexes(d *Decomposed, init *Relation, env *Env) {
 // sides' join indexes are cached on the evaluator and reused when the
 // caller loops (the driver-side global loop Pgld calls this once per
 // iteration on each worker).
-func (ev *Evaluator) EvalPhiDelta(d *Decomposed, nu *Relation, env *Env) (*Relation, error) {
+//
+// The branch pipelines are bag-rooted and the delta's dedup is the one set
+// operation per tuple: with a nil filter the returned relation's own set;
+// with a filter — Pgld's per-sender shuffle filter — the filter's, and the
+// returned relation holds exactly the rows that were new to it, appended
+// as they were absorbed (distinct by construction, set deferred).
+func (ev *Evaluator) EvalPhiDelta(d *Decomposed, nu *Relation, env *Env, filter *Accumulator) (*Relation, error) {
 	if env == nil {
 		env = ev.env
 	}
 	restore := ev.markDynamic(d.X)
 	defer restore()
-	ebase := len(ev.ephemeral)
+	ebase, bmark := len(ev.ephemeral), ev.pool.Mark()
 	defer ev.releaseEphemeral(ebase)
+	defer ev.pool.Recycle(bmark)
 	stepEnv := env.with(d.X, nu)
 	out := NewRelation(nu.Cols()...)
+	sink := func(b *Batch) { out.AddBatch(b) }
+	if filter != nil {
+		ab := filter.Absorber()
+		sink = func(b *Batch) { ab.AbsorbBatch(b, out) }
+	}
 	for _, br := range d.PhiBranches {
 		if ev.Materializing {
 			rel, err := ev.evalMat(br, stepEnv)
 			if err != nil {
 				return nil, err
 			}
-			out.UnionInPlace(rel)
+			sink(rel.AsBatch())
 			continue
 		}
-		it, err := ev.stream(br, stepEnv)
+		it, err := ev.stream(br, stepEnv, true)
 		if err != nil {
 			return nil, err
 		}
-		Drain(it, out)
+		for b := it.Next(); b != nil; b = it.Next() {
+			sink(b)
+		}
 	}
 	return out, nil
 }
@@ -839,7 +883,9 @@ func (ev *Evaluator) runFixpointMat(d *Decomposed, init *Relation, env *Env) (*R
 // SplitRelation partitions r into n parts. When byCols is non-empty the
 // split hashes on those columns (every tuple sharing the byCols values
 // lands in the same part — the stable-column partitioning of §III-B);
-// otherwise rows are dealt round-robin. Parts may be empty.
+// otherwise rows are dealt round-robin. Parts may be empty. The parts of a
+// set are disjoint sets: rows are appended, never re-hashed, and the parts'
+// dedup sets stay deferred.
 func SplitRelation(r *Relation, n int, byCols []string) []*Relation {
 	if n < 1 {
 		panic("core: SplitRelation with n < 1")
@@ -860,12 +906,12 @@ func SplitRelation(r *Relation, n int, byCols []string) []*Relation {
 		for i := 0; i < r.Len(); i++ {
 			row := r.RowAt(i)
 			h := HashValuesAt(row, at)
-			parts[int(h%uint64(n))].Add(row)
+			parts[int(h%uint64(n))].appendDistinctVals(row, 1)
 		}
 		return parts
 	}
 	for i := 0; i < r.Len(); i++ {
-		parts[i%n].Add(r.RowAt(i))
+		parts[i%n].appendDistinctVals(r.RowAt(i), 1)
 	}
 	return parts
 }

@@ -19,18 +19,17 @@ package core
 // the build side's common columns, partition-at-a-time. buildCols is the
 // build side's schema. The iterator owns its pipeline state and is not
 // safe for concurrent use, but several GraceJoinStreams may share one
-// spilled index (partition reads are positioned).
-func GraceJoinStream(probe Iterator, ix *JoinIndex, buildCols []string) Iterator {
+// spilled index (partition reads are positioned). The output batch comes
+// from pool (nil allocates).
+func GraceJoinStream(probe Iterator, ix *JoinIndex, buildCols []string, pool *BatchPool) Iterator {
 	plan := newJoinPlan(probe.Cols(), buildCols)
-	probeAt := make([]int, len(plan.common))
-	copy(probeAt, plan.commonA)
 	return &graceIter{
 		probe:   probe,
 		ix:      ix,
 		plan:    plan,
-		probeAt: probeAt,
+		probeAt: plan.commonA,
 		cols:    plan.outCols,
-		out:     NewBatch(len(plan.outCols)),
+		out:     pool.get(len(plan.outCols)),
 	}
 }
 
@@ -38,14 +37,14 @@ func GraceJoinStream(probe Iterator, ix *JoinIndex, buildCols []string) Iterator
 // partition-at-a-time; probeAt locates the common columns in probe rows
 // (aligned with the index key). Like AntijoinStream, the no-common-columns
 // case must be handled by the caller.
-func GraceAntijoinStream(probe Iterator, ix *JoinIndex, probeAt []int) Iterator {
+func GraceAntijoinStream(probe Iterator, ix *JoinIndex, probeAt []int, pool *BatchPool) Iterator {
 	return &graceIter{
 		probe:   probe,
 		ix:      ix,
 		probeAt: probeAt,
 		anti:    true,
 		cols:    probe.Cols(),
-		out:     NewBatch(len(probe.Cols())),
+		out:     pool.get(len(probe.Cols())),
 	}
 }
 

@@ -1,20 +1,40 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+	"sync/atomic"
+)
 
 // This file is the streaming data plane of the evaluator: µ-RA operators
 // implemented as composable iterators over column-aligned row batches,
 // replacing the seed's stage-by-stage materialization of a full Relation
-// per operator. A pipeline allocates a handful of reusable batch buffers
-// regardless of data size; tuples are only materialized (and deduplicated)
-// at pipeline sinks — fixpoint accumulators and API boundaries.
+// per operator. Operator output batches come from a BatchPool the pipeline
+// builder owns, so a fixpoint re-uses one iteration's buffers for the next.
 //
-// Set discipline: scans of relations are duplicate-free by construction,
-// and filter, rename and join preserve that; only anti-projection and
-// union can introduce duplicates, so exactly those two operators carry an
-// inline distinct. Every stream therefore has set semantics end to end,
-// matching the reference (materializing) evaluator without per-operator
-// rehashing.
+// Set discipline — a tuple is deduplicated exactly once, at the sink.
+//
+//   - Sets by construction: a scan of a relation or of accumulator delta
+//     windows, a constant tuple, and filter, rename, join and antijoin over
+//     a set probe (the build side is a relation, hence a set; a combined
+//     row determines the pair it came from). IsSet reports it.
+//   - Anti-projection and union are the two operators that can introduce
+//     duplicates. In the interior of a pipeline they carry an inline
+//     distinct, so everything above them is a set again. At the root of a
+//     pipeline whose sink deduplicates — a fixpoint Accumulator, a shuffle
+//     filter, Materialize — they are built without it (distinct=false):
+//     the projected or concatenated rows go straight to the sink, which
+//     performs the one set operation Algorithm 1 asks for per derived
+//     tuple (new = φ(new) \ X; X = X ∪ new).
+//   - Sinks observe the stream: Materialize block-appends a set stream
+//     with the dedup set deferred (Relation.AppendDistinct) and hashes the
+//     rows of a bag stream once (Relation.Add).
+//
+// Past the sink, set-ness travels with the data instead of being
+// re-established: an Accumulator materializes by block copy, a
+// cluster.Dataset records that its partitions are disjoint so Collect
+// appends frames, and duplicated frames are dropped by their ordinal, not
+// absorbed by re-hashing (see ARCHITECTURE.md, "Set discipline").
 
 // BatchBudgetValues is the per-batch value budget: batches target about
 // 64 KiB of Values (8192 × 8 bytes), a cache-friendly unit that amortizes
@@ -112,15 +132,18 @@ func (b *Batch) AppendRow(row []Value) {
 	b.n++
 }
 
-// appendEmptyRow extends the batch by one uninitialized row and returns a
-// writable view of it.
+// appendEmptyRow extends the batch by one uninitialized row (a reused
+// buffer's previous contents) and returns a writable view of it; callers
+// write every position.
 func (b *Batch) appendEmptyRow() []Value {
 	start := len(b.vals)
-	for i := 0; i < b.arity; i++ {
-		b.vals = append(b.vals, 0)
+	end := start + b.arity
+	if end > cap(b.vals) {
+		b.vals = slices.Grow(b.vals, b.arity)
 	}
+	b.vals = b.vals[:end]
 	b.n++
-	return b.vals[start : start+b.arity : start+b.arity]
+	return b.vals[start:end:end]
 }
 
 // reset empties the batch keeping its buffer.
@@ -131,6 +154,49 @@ func (b *Batch) reset() {
 
 // full reports whether the batch reached the soft size target.
 func (b *Batch) full() bool { return b.n >= b.target }
+
+// BatchPool is a free list of operator output batches owned by whoever
+// builds pipelines (an Evaluator): operators take their output buffer from
+// it, and the owner recycles everything handed out since a mark once those
+// pipelines are drained, so the next round of pipelines reuses the same
+// buffers instead of growing fresh ones. A nil pool allocates and never
+// recycles. Single-owner: get, Mark and Recycle run on the builder's
+// goroutine; the batches themselves belong to their pipelines in between.
+type BatchPool struct {
+	free []*Batch
+	live []*Batch
+	// allocs counts the batches the pool had to allocate because the free
+	// list was empty — the figure the allocation tests pin.
+	allocs int
+}
+
+// get returns an empty batch for rows of the given arity.
+func (p *BatchPool) get(arity int) *Batch {
+	if p == nil {
+		return NewBatch(arity)
+	}
+	var b *Batch
+	if n := len(p.free); n > 0 {
+		b = p.free[n-1]
+		p.free = p.free[:n-1]
+		*b = Batch{arity: arity, vals: b.vals[:0], target: BatchRowsFor(arity)}
+	} else {
+		b = NewBatch(arity)
+		p.allocs++
+	}
+	p.live = append(p.live, b)
+	return b
+}
+
+// Mark returns the recycle point for the batches handed out from now on.
+func (p *BatchPool) Mark() int { return len(p.live) }
+
+// Recycle returns every batch handed out since mark to the free list. The
+// pipelines holding them must be fully drained.
+func (p *BatchPool) Recycle(mark int) {
+	p.free = append(p.free, p.live[mark:]...)
+	p.live = p.live[:mark]
+}
 
 // Iterator streams a relation-valued expression as batches. Next returns
 // nil when the stream is exhausted; the returned batch is valid only until
@@ -189,6 +255,89 @@ func (it *relationIter) Next() *Batch {
 	return &it.out
 }
 
+// deltaSource is one fixpoint iteration's delta — init, or the rows the
+// accumulator's shards gained between two marks — cut into batch-sized
+// zero-copy windows behind shared cursors. Every pipeline built for one φ
+// branch scans it through a deltaIter of its own, and each window is
+// handed to exactly one of them: a worker pool splits the delta at batch
+// granularity with one pipeline per worker, instead of one pipeline per
+// shard window. The k-th occurrence of the recursion variable in a
+// pipeline shares cursor k with the k-th occurrence in its siblings, so a
+// (non-linear) branch scanning the delta twice still sees all of it twice.
+type deltaSource struct {
+	cols    []string
+	views   []*Relation
+	wins    []Batch
+	cursors []*atomic.Int64
+	occ     int // occurrences streamed so far in the pipeline being built
+}
+
+// newDeltaSource windows the given views (same schema, rows distinct
+// across views).
+func newDeltaSource(cols []string, views []*Relation) *deltaSource {
+	src := &deltaSource{cols: cols, views: views}
+	step := BatchRowsFor(len(cols))
+	for _, v := range views {
+		for lo := 0; lo < v.Len(); lo += step {
+			src.wins = append(src.wins, *v.BatchRange(lo, min(lo+step, v.Len())))
+		}
+	}
+	return src
+}
+
+// nextPipeline starts the occurrence count of a new sibling pipeline.
+func (s *deltaSource) nextPipeline() { s.occ = 0 }
+
+// scan returns the iterator of the next occurrence in the pipeline being
+// built.
+func (s *deltaSource) scan() Iterator {
+	if s.occ == len(s.cursors) {
+		s.cursors = append(s.cursors, new(atomic.Int64))
+	}
+	it := &deltaIter{src: s, next: s.cursors[s.occ]}
+	s.occ++
+	return it
+}
+
+// relation coalesces the delta into one relation, for the rare operator
+// that needs it materialized (a join building on the recursion variable).
+func (s *deltaSource) relation() *Relation {
+	out := NewRelation(s.cols...)
+	for _, v := range s.views {
+		out.AppendDistinct(v.AsBatch())
+	}
+	return out
+}
+
+type deltaIter struct {
+	src  *deltaSource
+	next *atomic.Int64
+}
+
+func (it *deltaIter) Cols() []string { return it.src.cols }
+
+func (it *deltaIter) Next() *Batch {
+	i := int(it.next.Add(1)) - 1
+	if i >= len(it.src.wins) {
+		return nil
+	}
+	return &it.src.wins[i]
+}
+
+// ScanShared returns n iterators that together stream rel exactly once:
+// its batch-sized windows are handed out from one shared cursor, so n
+// pipelines built over them — one per worker — split the relation between
+// them as they go.
+func ScanShared(rel *Relation, n int) []Iterator {
+	src := newDeltaSource(rel.Cols(), []*Relation{rel})
+	its := make([]Iterator, n)
+	for i := range its {
+		src.nextPipeline()
+		its[i] = src.scan()
+	}
+	return its
+}
+
 // singletonIter yields one constant row (the {c→v} term).
 type singletonIter struct {
 	cols []string
@@ -224,8 +373,8 @@ type filterIter struct {
 }
 
 // FilterStream applies σ[cond] to in.
-func FilterStream(in Iterator, cond Condition) Iterator {
-	return &filterIter{in: in, cond: cond, out: NewBatch(len(in.Cols()))}
+func FilterStream(in Iterator, cond Condition, pool *BatchPool) Iterator {
+	return &filterIter{in: in, cond: cond, out: pool.get(len(in.Cols()))}
 }
 
 func (it *filterIter) Cols() []string { return it.in.Cols() }
@@ -254,6 +403,18 @@ func (it *filterIter) Next() *Batch {
 	return it.out
 }
 
+// projectInto appends, for every row of b, the row restricted/permuted to
+// the source positions idx (one output column per entry) to out.
+func projectInto(out, b *Batch, idx []int) {
+	for i := 0; i < b.Len(); i++ {
+		row := b.Row(i)
+		dst := out.appendEmptyRow()
+		for j, p := range idx {
+			dst[j] = row[p]
+		}
+	}
+}
+
 // renameIter permutes rows into the sorted order of the renamed schema.
 type renameIter struct {
 	in   Iterator
@@ -262,13 +423,19 @@ type renameIter struct {
 	out  *Batch
 }
 
-// RenameStream applies ρ[from→to] to in. The caller must have validated
-// the rename against the schema (from present, to absent).
-func RenameStream(in Iterator, from, to string) Iterator {
+// RenameStream applies ρ[from→to] to in, after validating it against the
+// schema (from present, to absent).
+func RenameStream(in Iterator, from, to string, pool *BatchPool) (Iterator, error) {
 	if from == to {
-		return in
+		return in, nil
 	}
 	oldCols := in.Cols()
+	if ColIndex(oldCols, from) < 0 {
+		return nil, fmt.Errorf("core: rename: column %q not in schema %v", from, oldCols)
+	}
+	if ColIndex(oldCols, to) >= 0 {
+		return nil, fmt.Errorf("core: rename: column %q already in schema %v", to, oldCols)
+	}
 	newCols := make([]string, len(oldCols))
 	for i, c := range oldCols {
 		if c == from {
@@ -282,8 +449,8 @@ func RenameStream(in Iterator, from, to string) Iterator {
 		in:   in,
 		cols: newCols,
 		perm: renamePerm(oldCols, newCols, from, to),
-		out:  NewBatch(len(newCols)),
-	}
+		out:  pool.get(len(newCols)),
+	}, nil
 }
 
 func (it *renameIter) Cols() []string { return it.cols }
@@ -294,48 +461,68 @@ func (it *renameIter) Next() *Batch {
 		return nil
 	}
 	it.out.reset()
-	for i := 0; i < b.Len(); i++ {
-		row := b.Row(i)
-		dst := it.out.appendEmptyRow()
-		for j, p := range it.perm {
-			dst[j] = row[p]
-		}
-	}
+	projectInto(it.out, b, it.perm)
 	return it.out
 }
 
-// dropIter anti-projects columns away with an inline distinct: dropping
-// columns merges tuples, so this is one of the two operators that must
-// deduplicate to keep the stream a set.
+// dropIter anti-projects columns away. Dropping columns merges tuples, so
+// with distinct set it deduplicates inline (rows accumulate in seen, one of
+// the two operators that must to keep an interior stream a set); without,
+// it is the root of a pipeline whose sink deduplicates, and the projected
+// rows of each input batch go out as they are.
 type dropIter struct {
-	in     Iterator
-	cols   []string
-	keep   []int // positions of kept columns in the input row
-	seen   *Relation
+	in   Iterator
+	cols []string
+	keep []int // positions of kept columns in the input row
+
+	out *Batch // projected rows of the current input batch (!distinct)
+
+	seen   *Relation // distinct rows so far (distinct)
+	narrow []Value   // projection scratch
 	pos    int
 	target int
-	out    Batch // reused view header over seen's backing array
+	view   Batch // reused view header over seen's backing array
 }
 
-// DropStream applies π̃[cols] to in. The caller must have validated the
-// columns against the schema.
-func DropStream(in Iterator, cols ...string) Iterator {
+// DropStream applies π̃[cols] to in, after validating the columns against
+// the schema; distinct selects the inline distinct (see dropIter).
+func DropStream(in Iterator, cols []string, distinct bool, pool *BatchPool) (Iterator, error) {
+	for _, c := range cols {
+		if ColIndex(in.Cols(), c) < 0 {
+			return nil, fmt.Errorf("core: drop: column %q not in schema %v", c, in.Cols())
+		}
+	}
 	keepCols := ColsMinus(in.Cols(), SortCols(cols))
 	keep := make([]int, len(keepCols))
 	for i, c := range keepCols {
 		keep[i] = ColIndex(in.Cols(), c)
 	}
-	return &dropIter{in: in, cols: keepCols, keep: keep,
-		seen: NewRelation(keepCols...), target: BatchRowsFor(len(keepCols))}
+	it := &dropIter{in: in, cols: keepCols, keep: keep}
+	if distinct {
+		it.seen = NewRelation(keepCols...)
+		it.narrow = make([]Value, len(keep))
+		it.target = BatchRowsFor(len(keepCols))
+	} else {
+		it.out = pool.get(len(keepCols))
+	}
+	return it, nil
 }
 
 func (it *dropIter) Cols() []string { return it.cols }
 
 func (it *dropIter) Next() *Batch {
+	if it.seen == nil {
+		b := it.in.Next()
+		if b == nil {
+			return nil
+		}
+		it.out.reset()
+		projectInto(it.out, b, it.keep)
+		return it.out
+	}
 	// Distinct rows accumulate in it.seen's flat arena; emitted batches
 	// are zero-copy views of the newly accumulated window, valid until the
 	// following Next call (a later insert may move the arena).
-	narrow := make([]Value, len(it.keep))
 	for {
 		b := it.in.Next()
 		if b == nil {
@@ -344,15 +531,15 @@ func (it *dropIter) Next() *Batch {
 		for i := 0; i < b.Len(); i++ {
 			row := b.Row(i)
 			for j, p := range it.keep {
-				narrow[j] = row[p]
+				it.narrow[j] = row[p]
 			}
-			it.seen.Add(narrow)
+			it.seen.Add(it.narrow)
 		}
 		if it.seen.Len()-it.pos >= it.target {
 			break
 		}
 	}
-	return drainSeen(it.seen, &it.pos, &it.out)
+	return drainSeen(it.seen, &it.pos, &it.view)
 }
 
 // drainSeen emits the rows of seen accumulated past *pos as a zero-copy
@@ -373,48 +560,60 @@ func drainSeen(seen *Relation, pos *int, out *Batch) *Batch {
 	return out
 }
 
-// unionIter concatenates two streams with an inline distinct (the streams
-// may overlap).
+// unionIter concatenates two streams (which may overlap). With distinct
+// set it deduplicates inline like dropIter; without, it is at the root of
+// a pipeline whose sink deduplicates and hands its inputs' batches through
+// untouched.
 type unionIter struct {
 	l, r   Iterator
-	seen   *Relation
+	cols   []string
+	seen   *Relation // nil when !distinct
 	pos    int
 	target int
-	out    Batch // reused view header over seen's backing array
+	view   Batch // reused view header over seen's backing array
 }
 
-// UnionStream streams l ∪ r (schemas must agree).
-func UnionStream(l, r Iterator) Iterator {
+// UnionStream streams l ∪ r (schemas must agree); distinct selects the
+// inline distinct (see unionIter).
+func UnionStream(l, r Iterator, distinct bool) Iterator {
 	if !ColsEqual(l.Cols(), r.Cols()) {
 		panic("core: union stream schema mismatch")
 	}
-	return &unionIter{l: l, r: r, seen: NewRelation(l.Cols()...),
-		target: BatchRowsFor(len(l.Cols()))}
+	it := &unionIter{l: l, r: r, cols: l.Cols()}
+	if distinct {
+		it.seen = NewRelation(it.cols...)
+		it.target = BatchRowsFor(len(it.cols))
+	}
+	return it
 }
 
-func (it *unionIter) Cols() []string { return it.seen.Cols() }
+func (it *unionIter) Cols() []string { return it.cols }
+
+// nextInput returns the next batch of l, then of r, then nil.
+func (it *unionIter) nextInput() *Batch {
+	for it.l != nil {
+		if b := it.l.Next(); b != nil {
+			return b
+		}
+		it.l, it.r = it.r, nil
+	}
+	return nil
+}
 
 func (it *unionIter) Next() *Batch {
+	if it.seen == nil {
+		return it.nextInput()
+	}
 	for it.seen.Len()-it.pos < it.target {
-		var b *Batch
-		if it.l != nil {
-			if b = it.l.Next(); b == nil {
-				it.l = nil
-				continue
-			}
-		} else if it.r != nil {
-			if b = it.r.Next(); b == nil {
-				it.r = nil
-				continue
-			}
-		} else {
+		b := it.nextInput()
+		if b == nil {
 			break
 		}
 		for i := 0; i < b.Len(); i++ {
 			it.seen.Add(b.Row(i))
 		}
 	}
-	return drainSeen(it.seen, &it.pos, &it.out)
+	return drainSeen(it.seen, &it.pos, &it.view)
 }
 
 // --- hash join / antijoin ----------------------------------------------------
@@ -442,16 +641,14 @@ type joinIter struct {
 
 // JoinStream joins the probe stream against an index built over the build
 // side's common columns. buildCols is the build side's schema.
-func JoinStream(probe Iterator, ix *JoinIndex, buildCols []string) Iterator {
+func JoinStream(probe Iterator, ix *JoinIndex, buildCols []string, pool *BatchPool) Iterator {
 	plan := newJoinPlan(probe.Cols(), buildCols)
-	probeAt := make([]int, len(plan.common))
-	copy(probeAt, plan.commonA)
 	return &joinIter{
 		probe:   probe,
 		ix:      ix,
 		plan:    plan,
-		probeAt: probeAt,
-		out:     NewBatch(len(plan.outCols)),
+		probeAt: plan.commonA,
+		out:     pool.get(len(plan.outCols)),
 	}
 }
 
@@ -503,8 +700,8 @@ type antijoinIter struct {
 // the common columns and probeAt locates those columns in probe rows. The
 // no-common-columns case must be handled by the caller (the result is all
 // of probe or nothing, depending on build emptiness).
-func AntijoinStream(probe Iterator, ix *JoinIndex, probeAt []int) Iterator {
-	return &antijoinIter{probe: probe, ix: ix, probeAt: probeAt, out: NewBatch(len(probe.Cols()))}
+func AntijoinStream(probe Iterator, ix *JoinIndex, probeAt []int, pool *BatchPool) Iterator {
+	return &antijoinIter{probe: probe, ix: ix, probeAt: probeAt, out: pool.get(len(probe.Cols()))}
 }
 
 func (it *antijoinIter) Cols() []string { return it.probe.Cols() }
@@ -532,7 +729,7 @@ func (it *antijoinIter) Next() *Batch {
 // DiffStream streams the rows of in absent from o (set difference with a
 // materialized right side; schemas must agree).
 func DiffStream(in Iterator, o *Relation) Iterator {
-	return FilterStream(in, notInRelation{o})
+	return FilterStream(in, notInRelation{o}, nil)
 }
 
 // notInRelation is the membership-complement pseudo-condition DiffStream
@@ -545,6 +742,31 @@ func (c notInRelation) String() string                        { return "∉rel" 
 
 // --- sinks -------------------------------------------------------------------
 
+// IsSet reports whether a stream is duplicate-free by construction (see the
+// set discipline at the top of this file). A false answer is always safe:
+// the sink then deduplicates.
+func IsSet(it Iterator) bool {
+	switch n := it.(type) {
+	case *relationIter, *deltaIter, *singletonIter, *emptyIter:
+		return true
+	case *filterIter:
+		return IsSet(n.in)
+	case *renameIter:
+		return IsSet(n.in)
+	case *dropIter:
+		return n.seen != nil
+	case *unionIter:
+		return n.seen != nil
+	case *joinIter:
+		return IsSet(n.probe)
+	case *antijoinIter:
+		return IsSet(n.probe)
+	case *graceIter:
+		return IsSet(n.probe)
+	}
+	return false
+}
+
 // Drain adds every streamed row into dst (set semantics, values copied
 // into dst's flat backing array) and returns the number of rows added.
 // dst must not be a source relation of the pipeline: scans are zero-copy
@@ -553,18 +775,38 @@ func (c notInRelation) String() string                        { return "∉rel" 
 func Drain(it Iterator, dst *Relation) int {
 	added := 0
 	for b := it.Next(); b != nil; b = it.Next() {
-		for i := 0; i < b.Len(); i++ {
-			if dst.Add(b.Row(i)) {
-				added++
-			}
-		}
+		added += dst.AddBatch(b)
 	}
 	return added
 }
 
-// Materialize collects a stream into a fresh Relation.
+// exactRows returns the number of rows a stream will yield when that is
+// known without running it (a scan, through renames), else -1.
+func exactRows(it Iterator) int {
+	switch n := it.(type) {
+	case *relationIter:
+		return n.rel.Len() - n.pos
+	case *renameIter:
+		return exactRows(n.in)
+	}
+	return -1
+}
+
+// Materialize collects a stream into a fresh Relation, deduplicating only
+// when the stream can hold duplicates: a set stream is block-appended with
+// the dedup set deferred, into storage sized up front when the row count is
+// known.
 func Materialize(it Iterator) *Relation {
 	out := NewRelation(it.Cols()...)
-	Drain(it, out)
+	if !IsSet(it) {
+		Drain(it, out)
+		return out
+	}
+	if n := exactRows(it); n > 0 {
+		out.ReserveRows(n)
+	}
+	for b := it.Next(); b != nil; b = it.Next() {
+		out.AppendDistinct(b)
+	}
 	return out
 }

@@ -417,3 +417,150 @@ func TestQuickDropCommutes(t *testing.T) {
 		}
 	}
 }
+
+// bagRootedBranches returns φ branches over X(src,trg) whose root chains
+// are the three shapes a bag-rooted pipeline is built for: an
+// anti-projection over an anti-projection, a union, and a rename over an
+// anti-projection. E3 is ternary (src,trg,w) so that dropping w merges
+// tuples that dropping the join column alone would keep apart.
+func bagRootedBranches() map[string]Term {
+	step := func(edges Term) Term { // (@m,src,trg,w): X ∘ edges, before any projection
+		return &Join{
+			L: &Rename{From: ColTrg, To: "@m", T: &Var{Name: "X"}},
+			R: &Rename{From: ColSrc, To: "@m", T: edges},
+		}
+	}
+	e3 := &Var{Name: "E3"}
+	return map[string]Term{
+		"drop-over-drop": NewAntiProject(NewAntiProject(step(e3), "@m"), "w"),
+		"union-rooted": &Union{
+			L: NewAntiProject(step(e3), "@m", "w"),
+			R: NewAntiProject(step(&Var{Name: "F3"}), "w", "@m"),
+		},
+		"rename-over-drop": &Rename{From: "u", To: ColTrg,
+			T: NewAntiProject(step(&Rename{From: ColTrg, To: "u", T: e3}), "@m", "w")},
+	}
+}
+
+func randomTernaryRelation(rng *rand.Rand, n, domain int) *Relation {
+	r := NewRelation(ColSrc, ColTrg, "w")
+	for i := 0; i < n; i++ {
+		r.Add([]Value{Value(rng.Intn(domain)), Value(rng.Intn(domain)), Value(rng.Intn(3))})
+	}
+	return r
+}
+
+// TestQuickBagRootedSinksMatchReference: a pipeline whose root chain of
+// anti-projections, unions and renames carries no inline distinct, drained
+// into each of the sinks that deduplicate — the fixpoint Accumulator, the
+// delta relation of EvalPhiDelta, a shuffle filter, Materialize — yields
+// the rows of the materializing reference.
+func TestQuickBagRootedSinksMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(20260925))
+	for name, branch := range bagRootedBranches() {
+		for trial := 0; trial < 60; trial++ {
+			env := NewEnv()
+			env.Bind("E3", randomTernaryRelation(rng, 2+rng.Intn(40), 7))
+			env.Bind("F3", randomTernaryRelation(rng, 1+rng.Intn(20), 7))
+			init := randomBinaryRelation(rng, 1+rng.Intn(10), 7)
+			d := &Decomposed{X: "X", Const: &Var{Name: "S"}, PhiBranches: []Term{branch}}
+			reference := NewEvaluator(env)
+			reference.Materializing = true
+			streaming := NewEvaluator(env)
+
+			// Sink 1: the accumulator of the semi-naive loop.
+			want, err := reference.RunFixpoint(d, init, env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := streaming.RunFixpoint(d, init, env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !SameRows(got, want) {
+				t.Fatalf("%s trial %d: fixpoint %v ≠ reference %v", name, trial, got, want)
+			}
+
+			// Sink 2: EvalPhiDelta's delta relation.
+			wantStep, err := reference.EvalPhiDelta(d, init, env, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotStep, err := streaming.EvalPhiDelta(d, init, env, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !SameRows(gotStep, wantStep) {
+				t.Fatalf("%s trial %d: φ(init) %v ≠ reference %v", name, trial, gotStep, wantStep)
+			}
+
+			// Sink 3: a shuffle filter that has already seen part of φ(init)
+			// passes on exactly the rest, and holds all of it afterwards.
+			seenBefore := wantStep.Slice(0, wantStep.Len()/2)
+			filter := NewAccumulator(init.Cols()...)
+			filter.Absorb(seenBefore)
+			gotNew, err := streaming.EvalPhiDelta(d, init, env, filter)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if wantNew := wantStep.Diff(seenBefore); !SameRows(gotNew, wantNew) {
+				t.Fatalf("%s trial %d: rows new to the filter %v, want %v", name, trial, gotNew, wantNew)
+			}
+			if held := filter.Materialize(); !SameRows(held, wantStep) {
+				t.Fatalf("%s trial %d: filter holds %v, want %v", name, trial, held, wantStep)
+			}
+
+			// Sink 4: Materialize at the root of a plain evaluation.
+			bound := env.with("X", init)
+			wantRel, err := NewEvaluator(bound).evalMat(branch, bound)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotRel, err := NewEvaluator(bound).Eval(branch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !SameRows(gotRel, wantRel) {
+				t.Fatalf("%s trial %d: materialized %v ≠ reference %v", name, trial, gotRel, wantRel)
+			}
+		}
+	}
+}
+
+// TestBagRootKeepsInteriorDistinct: only the root chain loses its inline
+// distinct. Below the first operator that is not an anti-projection, union
+// or rename the stream is a set again, which is what lets Materialize
+// append a set-rooted pipeline without hashing it.
+func TestBagRootKeepsInteriorDistinct(t *testing.T) {
+	env := NewEnv()
+	env.Bind("E3", randomTernaryRelation(rand.New(rand.NewSource(3)), 40, 5))
+	ev := NewEvaluator(env)
+	drop := NewAntiProject(&Var{Name: "E3"}, "w")
+	root, err := ev.stream(drop, env, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if IsSet(root) {
+		t.Fatal("a root anti-projection still carries its inline distinct")
+	}
+	interior, err := ev.stream(&Filter{Cond: NeConst{Col: ColSrc, Val: 0}, T: drop}, env, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !IsSet(interior) {
+		t.Fatal("an anti-projection under a filter lost its inline distinct")
+	}
+	got := Materialize(interior)
+	if !got.deferred.Load() {
+		t.Fatal("a set stream was hashed on materialization")
+	}
+	ref := NewEvaluator(env)
+	ref.Materializing = true
+	want, err := ref.Eval(&Filter{Cond: NeConst{Col: ColSrc, Val: 0}, T: drop})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !SameRows(got, want) {
+		t.Fatalf("interior distinct: %v ≠ %v", got, want)
+	}
+}

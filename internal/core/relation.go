@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 )
 
 // Relation is a set of tuples over a fixed schema, the µ-RA data model.
@@ -21,12 +23,20 @@ import (
 // FNV-1a hash and, on a hit, one value-wise comparison, with zero
 // allocation.
 //
-// Concurrency: a Relation is single-writer — Add/AddBatch/Union* must not
-// run concurrently with anything else. Read-only access (RowAt, Data,
-// scans, Has on a relation whose dedup set is already built) is safe from
-// any number of goroutines; the parallel fixpoint step relies on exactly
-// that. Lazily-built views (Slice) materialize their dedup set on the
-// first membership query, so their first Has is a write.
+// The dedup set may be deferred: a relation filled from rows that are
+// distinct by construction (AppendDistinct — a duplicate-free stream, an
+// accumulator's shards, the frames of a disjoint dataset, a Slice view)
+// stores the rows only, and the set is built by the first operation that
+// needs it (Has, Add, Remove, Clone of a built set, Equal). Most results
+// are only ever scanned and never pay for it.
+//
+// Concurrency: a Relation is single-writer — Add/AddBatch/Remove/Union*/
+// AppendDistinct must not run concurrently with anything else. Read-only
+// access (RowAt, Data, scans, Has) is safe from any number of goroutines,
+// including on a relation whose set is still deferred: the first
+// membership query builds the set exactly once under setMu and concurrent
+// readers wait for it. The parallel fixpoint step and the shared
+// sub-result cache rely on exactly that.
 type Relation struct {
 	cols []string
 	data []Value // row-major backing array, len = n*arity
@@ -36,9 +46,10 @@ type Relation struct {
 	// another relation's backing array, so insertion must never touch them
 	// (an append could clobber the parent's rows through shared capacity).
 	readonly bool
-	// lazySet marks relations whose dedup set has not been built (views);
-	// it is materialized on the first membership query.
-	lazySet bool
+	// deferred is true while the dedup set has not been built over the
+	// stored rows; setMu serializes the one build (see ensureSet).
+	deferred atomic.Bool
+	setMu    sync.Mutex
 }
 
 // NewRelation returns an empty relation over the given columns.
@@ -63,12 +74,20 @@ func NewRelationSized(n int, cols ...string) *Relation {
 
 // Reserve grows the backing array and the dedup set for about n rows.
 func (r *Relation) Reserve(n int) {
+	r.ReserveRows(n)
+	if !r.deferred.Load() {
+		r.set.reserve(n)
+	}
+}
+
+// ReserveRows grows the backing array alone for about n rows — the
+// capacity hint of AppendDistinct fills, which never touch the set.
+func (r *Relation) ReserveRows(n int) {
 	if need := n * len(r.cols); cap(r.data) < need {
 		grown := make([]Value, len(r.data), need)
 		copy(grown, r.data)
 		r.data = grown
 	}
-	r.set.reserve(n)
 }
 
 // Cols returns the relation's schema (sorted). The returned slice must not
@@ -124,13 +143,15 @@ func (r *Relation) BatchRange(lo, hi int) *Batch {
 // is invalidated by insertions into r, like any other row view.
 func (r *Relation) Slice(lo, hi int) *Relation {
 	a := len(r.cols)
-	return &Relation{
-		cols:     r.cols,
-		data:     r.data[lo*a : hi*a : hi*a],
-		n:        hi - lo,
-		readonly: true,
-		lazySet:  true,
-	}
+	return newView(r.cols, r.data[lo*a:hi*a:hi*a], hi-lo)
+}
+
+// newView wraps a window of distinct rows as a read-only relation whose
+// dedup set is deferred.
+func newView(cols []string, data []Value, n int) *Relation {
+	v := &Relation{cols: cols, data: data, n: n, readonly: true}
+	v.deferred.Store(true)
+	return v
 }
 
 // RowKey packs a row into a string key usable as a map key. Rows of equal
@@ -189,18 +210,47 @@ func (r *Relation) addHashed(row []Value, h uint64) bool {
 	return true
 }
 
-// appendUniqueBlock bulk-appends rows known to be absent from r (and
-// distinct among themselves): one memcpy of the flat row block plus a
-// fresh-slot set insert per row reusing the given hashes — no rehash, no
-// membership probes. It is the accumulator's exit-materialization path.
-func (r *Relation) appendUniqueBlock(data []Value, hashes []uint64) {
-	r.ensureSet()
-	r.set.reserve(r.n + len(hashes))
-	r.data = append(r.data, data...)
-	for _, h := range hashes {
-		r.n++
-		r.set.insertFresh(h, int32(r.n))
+// AppendDistinct bulk-appends the rows of b, which the caller guarantees
+// are absent from r and distinct among themselves — a duplicate-free
+// stream, a frame of a disjoint dataset, a window of accumulator rows. It
+// is one memcpy of the flat row block, with the dedup set deferred to the
+// first operation that needs it; once that set exists, later appends extend
+// it (one insert per row, no membership probe). A nil batch is a no-op.
+func (r *Relation) AppendDistinct(b *Batch) {
+	if b == nil {
+		return
 	}
+	if b.arity != len(r.cols) {
+		panic(fmt.Sprintf("core: batch arity %d does not match schema %v", b.arity, r.cols))
+	}
+	r.appendDistinctVals(b.vals, b.n)
+}
+
+// appendDistinctVals is AppendDistinct over a flat block of n rows.
+func (r *Relation) appendDistinctVals(vals []Value, n int) {
+	if r.readonly {
+		panic("core: insert into a read-only relation view")
+	}
+	if n == 0 {
+		return
+	}
+	if !r.deferred.Load() && r.n > 0 {
+		// A set someone already paid for is extended, not dropped: a caller
+		// interleaving these appends with membership queries would otherwise
+		// rebuild it on every query.
+		a := len(r.cols)
+		for i := 0; i < n; i++ {
+			row := vals[i*a : (i+1)*a]
+			r.data = append(r.data, row...)
+			r.n++
+			r.set.growFor(r.n)
+			r.set.insertFresh(HashValues(row), int32(r.n))
+		}
+		return
+	}
+	r.deferred.Store(true)
+	r.data = append(r.data, vals...)
+	r.n += n
 }
 
 // Remove deletes a row by value (swap-remove: the last row moves into the
@@ -242,23 +292,28 @@ func (r *Relation) Remove(row []Value) bool {
 // Has reports whether the relation contains the row.
 func (r *Relation) Has(row []Value) bool { return r.hasHashed(row, HashValues(row)) }
 
-// hasHashed is Has with a precomputed hash. On relations with a built set
-// it is read-only and safe for concurrent use (the parallel fixpoint step
-// probes the accumulator from many goroutines).
+// hasHashed is Has with a precomputed hash. It is safe for concurrent use
+// with other readers (the parallel fixpoint step probes shared relations
+// from many goroutines); a deferred set is built by the first caller.
 func (r *Relation) hasHashed(row []Value, h uint64) bool {
-	if r.lazySet {
-		r.ensureSet()
-	}
+	r.ensureSet()
 	_, found := r.set.lookup(h, row, r.data, len(r.cols))
 	return found
 }
 
-// ensureSet materializes the dedup set of a lazily-built view.
+// ensureSet builds a deferred dedup set, exactly once: concurrent first
+// readers serialize on setMu and all but one find the set already built.
+// The fast path is one atomic load.
 func (r *Relation) ensureSet() {
-	if !r.lazySet {
+	if !r.deferred.Load() {
 		return
 	}
-	r.lazySet = false
+	r.setMu.Lock()
+	defer r.setMu.Unlock()
+	if !r.deferred.Load() {
+		return
+	}
+	defer r.deferred.Store(false)
 	r.set.reserve(r.n)
 	a := len(r.cols)
 	for i := 0; i < r.n; i++ {
@@ -311,13 +366,18 @@ func (r *Relation) AddTuple(cols []string, vals []Value) bool {
 // of the dedup set, no rehashing.
 func (r *Relation) Clone() *Relation { return r.cloneSized(r.n) }
 
-// cloneSized clones r with backing capacity for about n rows.
+// cloneSized clones r with backing capacity for about n rows. A deferred
+// set stays deferred in the clone.
 func (r *Relation) cloneSized(n int) *Relation {
-	r.ensureSet()
 	if n < r.n {
 		n = r.n
 	}
-	out := &Relation{cols: r.cols, n: r.n, set: r.set.clone()}
+	out := &Relation{cols: r.cols, n: r.n}
+	if r.deferred.Load() {
+		out.deferred.Store(true)
+	} else {
+		out.set = r.set.clone()
+	}
 	out.data = make([]Value, r.n*len(r.cols), n*len(r.cols))
 	copy(out.data, r.data)
 	return out
@@ -588,9 +648,11 @@ func (r *Relation) Rename(from, to string) (*Relation, error) {
 			newCols[i] = c
 		}
 	}
-	out := NewRelationSized(r.n, newCols...)
-	// Row values must be permuted into the new sorted column order.
-	projectRows(out, r, renamePerm(r.cols, out.cols, from, to))
+	out := NewRelation(newCols...)
+	out.ReserveRows(r.n)
+	// Row values must be permuted into the new sorted column order. A
+	// permutation of distinct rows is distinct: nothing is re-hashed.
+	projectRows(out, r, renamePerm(r.cols, out.cols, from, to), true)
 	return out, nil
 }
 
@@ -611,15 +673,21 @@ func renamePerm(oldCols, newCols []string, from, to string) []int {
 // projectRows inserts, for every row of src, the row restricted/permuted
 // to the source positions idx (one output column per entry). Rows are
 // assembled in a single reusable scratch buffer and land directly in out's
-// flat arena — no side slice per row.
-func projectRows(out *Relation, src *Relation, idx []int) {
+// flat arena — no side slice per row. distinct says the projected rows are
+// distinct by construction (idx is a permutation) and are appended without
+// being hashed.
+func projectRows(out *Relation, src *Relation, idx []int, distinct bool) {
 	scratch := make([]Value, len(idx))
 	for i := 0; i < src.n; i++ {
 		row := src.RowAt(i)
 		for j, p := range idx {
 			scratch[j] = row[p]
 		}
-		out.Add(scratch)
+		if distinct {
+			out.appendDistinctVals(scratch, 1)
+		} else {
+			out.Add(scratch)
+		}
 	}
 }
 
@@ -637,7 +705,7 @@ func (r *Relation) Drop(cols ...string) (*Relation, error) {
 		idx[i] = ColIndex(r.cols, c)
 	}
 	out := NewRelationSized(r.n, keep...)
-	projectRows(out, r, idx)
+	projectRows(out, r, idx, false)
 	return out, nil
 }
 

@@ -170,6 +170,55 @@ func TestSliceViews(t *testing.T) {
 	v.Add([]Value{1, 2})
 }
 
+// TestDeferredSetBuiltOnceUnderSharing: a relation filled by
+// AppendDistinct stores rows only; the first membership queries, arriving
+// from many readers at once, build the set exactly once (run under -race),
+// after which Remove, Add and a further AppendDistinct keep the row store
+// and the set consistent.
+func TestDeferredSetBuiltOnceUnderSharing(t *testing.T) {
+	src := chainRelation(5000)
+	rel := NewRelation(ColSrc, ColTrg)
+	rel.AppendDistinct(src.AsBatch())
+	if !rel.deferred.Load() || len(rel.set.slots) != 0 {
+		t.Fatal("AppendDistinct built a dedup set")
+	}
+	if c := rel.Clone(); !c.deferred.Load() || !SameRows(c, src) {
+		t.Fatal("clone of a deferred relation lost rows or built a set")
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; i < src.Len(); i += 8 {
+				if !rel.Has(src.RowAt(i)) {
+					t.Errorf("reader %d: row %d missing", g, i)
+					return
+				}
+			}
+			if rel.Has([]Value{-1, -1}) {
+				t.Errorf("reader %d: absent row found", g)
+			}
+		}(g)
+	}
+	wg.Wait()
+	if rel.deferred.Load() || rel.set.n != src.Len() {
+		t.Fatalf("set holds %d of %d rows after the first probes", rel.set.n, src.Len())
+	}
+	if !rel.Remove(src.RowAt(7)) || rel.Has(src.RowAt(7)) || rel.Add(src.RowAt(8)) || !rel.Add(src.RowAt(7)) {
+		t.Fatal("Remove/Add inconsistent after the deferred build")
+	}
+	// A built set is extended by later appends, not dropped: appends
+	// interleaved with membership queries must not rebuild it per query.
+	rel.AppendDistinct(NewBatchValues(2, 2, []Value{-5, -6, -7, -8}))
+	if rel.deferred.Load() || rel.set.n != rel.Len() {
+		t.Fatalf("AppendDistinct after a built set left %d of %d rows in it", rel.set.n, rel.Len())
+	}
+	if !rel.Has([]Value{-5, -6}) || !rel.Has([]Value{-7, -8}) || !rel.Has(src.RowAt(9)) || rel.Len() != src.Len()+2 {
+		t.Fatal("AppendDistinct after a built set lost rows")
+	}
+}
+
 // TestAddBatchRoundTrip: encode (AsBatch/Sub) → decode (AddBatch)
 // preserves set semantics and insertion order, including via fresh-copied
 // buffers (the transport's path).

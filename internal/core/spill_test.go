@@ -233,14 +233,14 @@ func TestGraceJoinMatchesInMemory(t *testing.T) {
 		t.Fatal("spilled build did not count a spill event")
 	}
 
-	got := Materialize(GraceJoinStream(ScanRelation(probe), ix, build.Cols()))
+	got := Materialize(GraceJoinStream(ScanRelation(probe), ix, build.Cols(), nil))
 	want := probe.Join(build)
 	if !SameRows(got, want) {
 		t.Fatalf("grace join differs: %d vs %d rows", got.Len(), want.Len())
 	}
 
 	probeAt := []int{ColIndex(probe.Cols(), ColTrg)}
-	gotAnti := Materialize(GraceAntijoinStream(ScanRelation(probe), ix, probeAt))
+	gotAnti := Materialize(GraceAntijoinStream(ScanRelation(probe), ix, probeAt, nil))
 	wantAnti := probe.Antijoin(build)
 	if !SameRows(gotAnti, wantAnti) {
 		t.Fatalf("grace antijoin differs: %d vs %d rows", gotAnti.Len(), wantAnti.Len())
@@ -277,7 +277,7 @@ func TestGraceJoinSharedIndexConcurrently(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got := Materialize(GraceJoinStream(ScanRelation(probe), ix, build.Cols()))
+			got := Materialize(GraceJoinStream(ScanRelation(probe), ix, build.Cols(), nil))
 			if !SameRows(got, want) {
 				errs <- fmt.Errorf("concurrent grace join differs: %d vs %d rows", got.Len(), want.Len())
 			}

@@ -4,14 +4,16 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 )
 
-// evictStride is how many rows a budgeted join-output sink accumulates
-// between eviction attempts (core.Accumulator.MaybeEvictStride): coarse
-// enough that run compaction is not rewritten per batch, fine enough that
-// the over-budget excursion stays a few batches deep.
+// evictStride is how many rows a budgeted sink accumulates between eviction
+// attempts while pipelines drain into it (core.Accumulator.MaybeEvictStride
+// and EvictBelowStride): coarse enough that run compaction is not rewritten
+// per batch, fine enough that the over-budget excursion stays a few batches
+// deep.
 const evictStride = 8192
 
 // Stats counts executor work, for benchmarks and tests.
@@ -41,6 +43,9 @@ type Executor struct {
 	// per semi-naive iteration, so a cancelled query stops within one
 	// iteration and returns ctx.Err(). Nil means never cancelled.
 	Ctx context.Context
+	// pool recycles the batch buffers of the pipelines the executor builds
+	// (built and recycled on the executor's goroutine only).
+	pool core.BatchPool
 }
 
 // NewExecutor returns an executor over db.
@@ -176,21 +181,22 @@ func (ex *Executor) evalNode(t core.Term, dyn []binding) (*core.Relation, error)
 	}
 }
 
-// evalJoin picks an index-nested-loop plan when exactly one side is
-// dynamic: the constant side is evaluated once (memoized on the DB) and
-// indexed on the common columns; the dynamic side's rows probe the index.
-func (ex *Executor) evalJoin(j *core.Join, dyn []binding) (*core.Relation, error) {
+// probeJoin is a planned index-nested-loop join: exactly one side is
+// dynamic, the constant side is evaluated once (memoized on the DB) and
+// indexed on the common columns, and the dynamic side's rows probe the
+// index.
+type probeJoin struct {
+	dRel *core.Relation
+	cc   *cachedRel
+	ix   *Index
+}
+
+// planProbeJoin plans j as a probeJoin, or returns nil when it is not one
+// (no dynamic binding, both or neither side dynamic, or a cross product).
+func (ex *Executor) planProbeJoin(j *core.Join, dyn []binding) (*probeJoin, error) {
 	lDyn, rDyn := isDynamic(j.L, dyn), isDynamic(j.R, dyn)
 	if len(dyn) == 0 || lDyn == rDyn {
-		l, err := ex.eval(j.L, dyn)
-		if err != nil {
-			return nil, err
-		}
-		r, err := ex.eval(j.R, dyn)
-		if err != nil {
-			return nil, err
-		}
-		return l.Join(r), nil
+		return nil, nil
 	}
 	dynTerm, constTerm := j.L, j.R
 	if rDyn {
@@ -206,8 +212,7 @@ func (ex *Executor) evalJoin(j *core.Join, dyn []binding) (*core.Relation, error
 	}
 	common := core.ColsIntersect(dRel.Cols(), cc.rel.Cols())
 	if len(common) == 0 {
-		// Cross product; no index helps.
-		return dRel.Join(cc.rel), nil
+		return nil, nil
 	}
 	before := len(cc.indexes)
 	ix, err := ensureIndexOn(cc.rel, cc.indexes, common, ex.DB.gauge)
@@ -217,107 +222,136 @@ func (ex *Executor) evalJoin(j *core.Join, dyn []binding) (*core.Relation, error
 	if len(cc.indexes) > before {
 		ex.Stats.IndexBuilds++
 	}
-	if ix.ix.Spilled() {
-		// Over-budget constant side: probe it partition-at-a-time with the
-		// Grace-hash stream instead of row-at-a-time index lookups. The
-		// output lands in a budgeted sink like the parallel path below —
-		// this branch only runs when memory is already scarce.
-		ex.Stats.IndexProbes += dRel.Len()
-		it := core.GraceJoinStream(core.ScanRelation(dRel), ix.ix, cc.rel.Cols())
-		sink := core.NewAccumulatorBudgeted(ex.DB.gauge, it.Cols()...)
-		defer sink.Close()
-		ab := sink.Absorber()
-		for b := it.Next(); b != nil; b = it.Next() {
-			ab.AbsorbBatch(b, nil)
-			// Stride-gated eviction: each eviction compacts the shard
-			// runs, so per-batch calls would rewrite them quadratically
-			// often on large outputs.
-			sink.MaybeEvictStride(evictStride)
-		}
-		return sink.Materialize(), nil
-	}
-	outCols := core.ColsUnion(dRel.Cols(), cc.rel.Cols())
-	out := core.NewRelation(outCols...)
-	dynAt := make([]int, len(common))
-	for i, c := range common {
-		dynAt[i] = core.ColIndex(dRel.Cols(), c)
-	}
-	// Precompute the recombination: every output column comes from the
-	// dynamic row or the indexed row.
-	fromDyn := make([]int, len(outCols))
-	fromConst := make([]int, len(outCols))
-	for i, c := range outCols {
-		fromDyn[i] = core.ColIndex(dRel.Cols(), c)
-		fromConst[i] = core.ColIndex(cc.rel.Cols(), c)
-	}
-	probeRange := func(lo, hi int, emit func(row []core.Value)) {
-		probe := make([]core.Value, len(common))
-		outRow := make([]core.Value, len(outCols))
-		var scratch [][]core.Value
-		for ri := lo; ri < hi; ri++ {
-			drow := dRel.RowAt(ri)
-			for i, at := range dynAt {
-				probe[i] = drow[at]
-			}
-			scratch = ix.ProbeAppend(scratch[:0], probe)
-			for _, crow := range scratch {
-				for i := range outCols {
-					if fromDyn[i] >= 0 {
-						outRow[i] = drow[fromDyn[i]]
-					} else {
-						outRow[i] = crow[fromConst[i]]
-					}
-				}
-				emit(outRow)
-			}
-		}
-	}
 	ex.Stats.IndexProbes += dRel.Len()
-	// Large dynamic sides are probed in parallel: chunk ranges of the
-	// delta probe the (read-only) index concurrently, deduplicating into a
-	// shared accumulator (membership and insertion fused per shard, no
-	// sequential merge afterwards) — the per-worker local-loop parallelism
-	// of Ppg_plw.
-	if chunk, workers := core.ParallelPlan(dRel.Len(), dRel.Arity(), 0); workers > 1 {
-		// The join-output dedup sink is exactly the memory the estimator
-		// prices per output row, so it runs budgeted too: metered always,
-		// evicted between probe ranges when over.
-		sink := core.NewAccumulatorBudgeted(ex.DB.gauge, outCols...)
-		defer sink.Close()
-		var ranges [][2]int
-		for lo := 0; lo < dRel.Len(); lo += chunk {
-			hi := lo + chunk
-			if hi > dRel.Len() {
-				hi = dRel.Len()
-			}
-			ranges = append(ranges, [2]int{lo, hi})
-		}
-		var wg sync.WaitGroup
-		work := make(chan [2]int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for r := range work {
-					probeRange(r[0], r[1], func(row []core.Value) { sink.Add(row) })
-					// No delta windows exist on this sink, so an
-					// over-budget worker can freeze between ranges
-					// (MaybeEvict is safe against concurrent Adds) — at
-					// stride granularity so run compaction is not
-					// rewritten once per small range.
-					sink.MaybeEvictStride(evictStride)
-				}
-			}()
-		}
-		for _, r := range ranges {
-			work <- r
-		}
-		close(work)
-		wg.Wait()
-		return sink.Materialize(), nil
+	return &probeJoin{dRel: dRel, cc: cc, ix: ix}, nil
+}
+
+// streams returns the join as probe pipelines that together yield every
+// joined row once. A large dynamic side gets one pipeline per worker, all
+// scanning it behind one shared cursor and probing the (read-only) index
+// concurrently — the per-worker local-loop parallelism of Ppg_plw. An
+// over-budget constant side is probed partition-at-a-time by one Grace-hash
+// stream instead of row-at-a-time index lookups.
+func (p *probeJoin) streams(pool *core.BatchPool) []core.Iterator {
+	build := p.cc.rel.Cols()
+	if p.ix.Spilled() {
+		return []core.Iterator{core.GraceJoinStream(core.ScanRelation(p.dRel), p.ix.ix, build, pool)}
 	}
-	probeRange(0, dRel.Len(), func(row []core.Value) { out.Add(row) })
-	return out, nil
+	_, workers := core.ParallelPlan(p.dRel.Len(), p.dRel.Arity(), 0)
+	pipes := core.ScanShared(p.dRel, workers)
+	for i, scan := range pipes {
+		pipes[i] = core.JoinStream(scan, p.ix.ix, build, pool)
+	}
+	return pipes
+}
+
+// drain runs the pipelines into sink, each on a goroutine of its own when
+// there are several, and returns how many rows were new: sink is where the
+// rows are deduplicated, with membership and insertion fused per shard and
+// no sequential merge afterwards. evict is called between batches — the
+// valve of an over-budget sink.
+func drain(pipes []core.Iterator, sink *core.Accumulator, evict func()) int {
+	run := func(it core.Iterator) int {
+		ab, n := sink.Absorber(), 0
+		for b := it.Next(); b != nil; b = it.Next() {
+			n += ab.AbsorbBatch(b, nil)
+			evict()
+		}
+		return n
+	}
+	if len(pipes) == 1 {
+		return run(pipes[0])
+	}
+	var added atomic.Int64
+	var wg sync.WaitGroup
+	for _, it := range pipes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			added.Add(int64(run(it)))
+		}()
+	}
+	wg.Wait()
+	return int(added.Load())
+}
+
+// evalJoin picks an index-nested-loop plan when exactly one side is
+// dynamic (see probeJoin), collecting its output in a budgeted sink of its
+// own — exactly the memory the estimator prices per output row; every other
+// join materializes both sides.
+func (ex *Executor) evalJoin(j *core.Join, dyn []binding) (*core.Relation, error) {
+	p, err := ex.planProbeJoin(j, dyn)
+	if err != nil {
+		return nil, err
+	}
+	if p == nil {
+		l, err := ex.eval(j.L, dyn)
+		if err != nil {
+			return nil, err
+		}
+		r, err := ex.eval(j.R, dyn)
+		if err != nil {
+			return nil, err
+		}
+		return l.Join(r), nil
+	}
+	defer ex.pool.Recycle(ex.pool.Mark())
+	pipes := p.streams(&ex.pool)
+	sink := core.NewAccumulatorBudgeted(ex.DB.gauge, pipes[0].Cols()...)
+	defer sink.Close()
+	// Nothing is windowed out of this sink, so an over-budget run freezes
+	// all of it — at stride granularity, so that run compaction is not
+	// rewritten once per batch.
+	drain(pipes, sink, func() { sink.MaybeEvictStride(evictStride) })
+	return sink.Materialize(), nil
+}
+
+// branchPipes returns the pipelines that together stream the φ branch t
+// into the fixpoint accumulator. The anti-projections, renames and unions
+// at the branch's root are core's streaming operators built without their
+// inline distinct, on top of whatever produces the rows — a probeJoin's
+// probe pipelines, otherwise a scan of the materialized operand — so a
+// derived tuple is deduplicated once, by the accumulator, instead of once
+// per operator on the way up. A union at the root contributes the
+// pipelines of both sides.
+func (ex *Executor) branchPipes(t core.Term, dyn []binding) ([]core.Iterator, error) {
+	over := func(in core.Term, wrap func(core.Iterator) (core.Iterator, error)) ([]core.Iterator, error) {
+		pipes, err := ex.branchPipes(in, dyn)
+		for i := 0; err == nil && i < len(pipes); i++ {
+			pipes[i], err = wrap(pipes[i])
+		}
+		return pipes, err
+	}
+	switch n := t.(type) {
+	case *core.AntiProject:
+		return over(n.T, func(it core.Iterator) (core.Iterator, error) {
+			return core.DropStream(it, n.Cols, false, &ex.pool)
+		})
+	case *core.Rename:
+		return over(n.T, func(it core.Iterator) (core.Iterator, error) {
+			return core.RenameStream(it, n.From, n.To, &ex.pool)
+		})
+	case *core.Union:
+		l, err := ex.branchPipes(n.L, dyn)
+		if err != nil {
+			return nil, err
+		}
+		r, err := ex.branchPipes(n.R, dyn)
+		return append(l, r...), err
+	case *core.Join:
+		p, err := ex.planProbeJoin(n, dyn)
+		if err != nil {
+			return nil, err
+		}
+		if p != nil {
+			return p.streams(&ex.pool), nil
+		}
+	}
+	rel, err := ex.eval(t, dyn)
+	if err != nil {
+		return nil, err
+	}
+	return []core.Iterator{core.ScanRelation(rel)}, nil
 }
 
 // RunFixpoint executes a decomposed fixpoint semi-naively starting from
@@ -325,10 +359,11 @@ func (ex *Executor) evalJoin(j *core.Join, dyn []binding) (*core.Relation, error
 // branches stay cached and indexed across all iterations (and across
 // executor instances, since both caches live on the DB), so each step
 // costs work proportional to the delta. X lives in a core.Accumulator for
-// the whole loop: φ's output is absorbed with the set difference and
-// union fused per shard, the rows an iteration adds become the next delta
-// straight out of the shards, and a Relation is materialized once at
-// exit.
+// the whole loop: the φ branches' rows are absorbed as their pipelines
+// produce them (branchPipes) with the set difference and union fused per
+// shard, the rows an iteration adds become the next delta straight out of
+// the shards, and a Relation is materialized once at exit. The pipelines'
+// batch buffers go back to the executor's pool after every iteration.
 func (ex *Executor) RunFixpoint(d *core.Decomposed, init *core.Relation, dyn []binding) (*core.Relation, error) {
 	if len(d.PhiBranches) == 0 {
 		return init.Clone(), nil
@@ -337,29 +372,35 @@ func (ex *Executor) RunFixpoint(d *core.Decomposed, init *core.Relation, dyn []b
 	acc := core.NewAccumulatorBudgeted(ex.DB.gauge, init.Cols()...)
 	defer acc.Close()
 	acc.Absorb(init)
-	// One absorb handle for the whole loop: the hashing/routing scratch is
-	// reused across every iteration and branch.
-	ab := acc.Absorber()
 	nu := init
 	for nu.Len() > 0 {
 		if err := core.CtxErr(ex.Ctx); err != nil {
 			return nil, err
 		}
 		ex.Stats.FixpointIters++
-		// The delta below is a DeltaRelation *copy*, so when over budget
-		// every already-published row of X can be frozen to disk.
+		// The delta below is a DeltaRelation *copy*, so when over budget all
+		// of X can be frozen to disk here. While the branches absorb, only
+		// the rows below mark can: those above it are this iteration's, the
+		// next delta.
 		acc.MaybeEvict()
 		mark := acc.Mark()
 		step := append(dyn[:len(dyn):len(dyn)], binding{name: d.X, rel: nu})
-		added := 0
+		bmark := ex.pool.Mark()
+		var pipes []core.Iterator
 		for _, br := range d.PhiBranches {
-			out, err := ex.eval(br, step)
+			ps, err := ex.branchPipes(br, step)
 			if err != nil {
 				return nil, err
 			}
-			// Fused diff-then-union: rows new in X become the next delta.
-			added += ab.AbsorbBatch(out.AsBatch(), nil)
+			pipes = append(pipes, ps...)
 		}
+		for _, it := range pipes {
+			if !core.ColsEqual(it.Cols(), acc.Cols()) {
+				return nil, fmt.Errorf("localdb: fixpoint %s: branch schema %v, want %v", d.X, it.Cols(), acc.Cols())
+			}
+		}
+		added := drain(pipes, acc, func() { acc.EvictBelowStride(mark, evictStride) })
+		ex.pool.Recycle(bmark)
 		if added == 0 {
 			break
 		}

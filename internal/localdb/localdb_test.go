@@ -341,3 +341,64 @@ func TestExecutorCancelled(t *testing.T) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 }
+
+// TestBudgetedFixpointLargeDelta runs X = E ∪ X∘E under a budget far below
+// the result, with deltas large enough for the parallel probe path, once
+// with the constant side's index in memory and once with it spilled (the
+// Grace path). The branch rows go straight into the fixpoint accumulator,
+// so an over-budget eviction during an iteration must leave the rows that
+// iteration added — the next delta — in memory.
+func TestBudgetedFixpointLargeDelta(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	e := randomRel(rng, 1800, 150)
+	env := core.NewEnv()
+	env.Bind("E", e)
+	fp := core.ClosureLR("X", &core.Var{Name: "E"})
+	want, err := core.Eval(fp, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		budget int64
+		grace  bool
+	}{
+		{"parallel", 256 << 10, false},
+		{"grace", 16 << 10, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			db := Open()
+			defer db.Close()
+			db.CreateTable("E", e)
+			g := core.NewMemGauge(tc.budget, t.TempDir())
+			if !tc.grace {
+				// Build the index before the budget applies, so that it stays
+				// in memory and only the accumulator is over budget.
+				if _, err := NewExecutor(db).Eval(fp); err != nil {
+					t.Fatal(err)
+				}
+			}
+			db.SetGauge(g)
+			ex := NewExecutor(db)
+			got, err := ex.Eval(fp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !core.SameRows(got, want) {
+				t.Fatalf("budgeted localdb fixpoint: %d rows, want %d", got.Len(), want.Len())
+			}
+			if g.Spills() == 0 {
+				t.Fatal("nothing spilled: the budget does not exercise eviction")
+			}
+			spilled := false
+			for _, c := range db.consts {
+				for _, ix := range c.indexes {
+					spilled = spilled || ix.Spilled()
+				}
+			}
+			if spilled != tc.grace {
+				t.Fatalf("constant-side index spilled = %v, want %v", spilled, tc.grace)
+			}
+		})
+	}
+}

@@ -462,17 +462,15 @@ func (p *Planner) runGld(sess *cluster.Session, pr *prepared) (*core.Relation, F
 				xAcc[w].Absorb(ctx.Partition(xDS))
 			}
 			nu := ctx.Partition(newDS)
-			delta, err := ev.EvalPhiDelta(d, nu, nil)
+			if sent[w] == nil && !p.DisableDeltaShuffleFilter {
+				sent[w] = core.NewAccumulatorBudgeted(ctx.Gauge(), pr.seed.Cols()...)
+			}
+			// φ's rows stream straight into the shuffle filter, which is
+			// where this worker deduplicates them; delta is what was new to
+			// it (without the filter, delta's own set deduplicates).
+			delta, err := ev.EvalPhiDelta(d, nu, nil, sent[w])
 			if err != nil {
 				return err
-			}
-			if !p.DisableDeltaShuffleFilter {
-				s := sent[w]
-				if s == nil {
-					s = core.NewAccumulatorBudgeted(ctx.Gauge(), delta.Cols()...)
-					sent[w] = s
-				}
-				delta = s.AbsorbNew(delta)
 			}
 			// The per-iteration shuffle: candidates meet the partition of X
 			// that owns their row hash, absorbed into that partition's
@@ -501,7 +499,8 @@ func (p *Planner) runGld(sess *cluster.Session, pr *prepared) (*core.Relation, F
 		}
 	}
 	// Materialize each worker's accumulator into its xDS partition for the
-	// collect — the only X merge of the whole loop.
+	// collect — the only X merge of the whole loop. Every row lives on the
+	// worker its row hash names, so the partitions are disjoint.
 	if err := sess.RunPhase(func(ctx *cluster.Ctx) error {
 		if a := xAcc[ctx.WorkerID()]; a != nil {
 			ctx.SetPartition(xDS, a.Materialize())
@@ -510,6 +509,7 @@ func (p *Planner) runGld(sess *cluster.Session, pr *prepared) (*core.Relation, F
 	}); err != nil {
 		return nil, fr, err
 	}
+	xDS.MarkDisjoint()
 	out, err := sess.Collect(xDS)
 	if err != nil {
 		return nil, fr, err
@@ -580,7 +580,11 @@ func (p *Planner) runPlw(sess *cluster.Session, pr *prepared, usePg bool) (*core
 	fr.Iterations = int(maxIters.Load())
 
 	final := resDS
-	if !fr.Partitioned {
+	if fr.Partitioned {
+		// Split on a stable column, the local fixpoints are provably
+		// disjoint (Prop. 3): the collect appends them.
+		resDS.MarkDisjoint()
+	} else {
 		// No stable column: the local fixpoints may overlap; a distinct
 		// shuffle performs the deduplicating union of Prop. 3.
 		dd, err := sess.Distinct(resDS)
@@ -647,10 +651,14 @@ func runLocalPg(ctx *cluster.Ctx, d *core.Decomposed, seed *core.Relation, handl
 // paper attributes P pg_plw's overhead on small data to exactly this
 // marshalling and transfer, §III-D).
 func marshalBoundary(rel *core.Relation) *core.Relation {
-	out := core.NewRelationSized(rel.Len(), rel.Cols()...)
 	arity := rel.Arity()
+	// The round trip is a bijection on rows, so the output is as distinct
+	// as the input and is appended, not re-hashed.
+	out := core.NewRelation(rel.Cols()...)
+	out.ReserveRows(rel.Len())
 	var sb strings.Builder
 	nrow := make([]core.Value, arity)
+	one := core.NewBatchValues(arity, 1, nrow)
 	for ri := 0; ri < rel.Len(); ri++ {
 		row := rel.RowAt(ri)
 		sb.Reset()
@@ -668,7 +676,7 @@ func marshalBoundary(rel *core.Relation) *core.Relation {
 			}
 			nrow[i] = core.Value(n)
 		}
-		out.Add(nrow)
+		out.AppendDistinct(one)
 	}
 	return out
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
 )
 
 // TestDifferentialAllPlans is the bounded differential run wired into
@@ -45,6 +46,44 @@ func TestDifferentialTCPTransport(t *testing.T) {
 	g := RandomGraph(rng, Cycle, 14, 2)
 	if err := RunCase(cluster.TransportTCP, 3, g, "?x,?y <- ?x l0+/l1+ ?y UNION ?x,?y <- ?x (l1/-l0)+ ?y"); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDifferentialBagRootedShapes sends the three root chains a pipeline is
+// built without inline distinct for — an anti-projection over an
+// anti-projection and a rename over an anti-projection as φ branches, a
+// union of overlapping sides as the constant part — through every route on
+// both transports. The fixpoint closes over all labels at once, so dropping
+// the label column merges rows the join column alone keeps apart; src is
+// stable in both branches, so the Pplw routes also take the disjoint
+// collect.
+func TestDifferentialBagRootedShapes(t *testing.T) {
+	x := &core.Var{Name: "X"}
+	g := &core.Var{Name: "G"}
+	hop := func(edges core.Term) core.Term { // (@m, pred, src, trg)
+		return &core.Join{
+			L: &core.Rename{From: core.ColTrg, To: "@m", T: x},
+			R: &core.Rename{From: core.ColSrc, To: "@m", T: edges},
+		}
+	}
+	label := func(v core.Value) core.Term {
+		return core.NewAntiProject(&core.Filter{Cond: core.EqConst{Col: core.ColPred, Val: v}, T: g}, core.ColPred)
+	}
+	for seed, kind := range []GraphKind{Cycle, Random, Clustered} {
+		graph := RandomGraph(rand.New(rand.NewSource(int64(40+seed))), kind, 16, 3)
+		l0, _ := graph.G.Dict.Lookup(graph.Labels[0])
+		l1, _ := graph.G.Dict.Lookup(graph.Labels[1])
+		term := &core.Fixpoint{X: "X", Body: core.UnionOf([]core.Term{
+			label(l0), label(l1),
+			core.NewAntiProject(core.NewAntiProject(hop(g), "@m"), core.ColPred),
+			&core.Rename{From: "u", To: core.ColTrg,
+				T: core.NewAntiProject(hop(&core.Rename{From: core.ColTrg, To: "u", T: g}), "@m", core.ColPred)},
+		})}
+		for _, tr := range []cluster.TransportKind{cluster.TransportChan, cluster.TransportTCP} {
+			if err := RunTermCase(tr, 3, graph, term); err != nil {
+				t.Fatalf("%s, transport %d: %v", graph.Desc(), tr, err)
+			}
+		}
 	}
 }
 

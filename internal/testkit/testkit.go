@@ -328,12 +328,26 @@ func RunCase(transport cluster.TransportKind, workers int, g *Graph, query strin
 	return err
 }
 
-// runCase parses and translates the query, evaluates it along every
-// route, compares all results against the materializing reference, and
-// accounts the checked combinations into rep. It returns the reference
-// relation so extra routes (the fault route) can reuse it.
+// RunTermCase is RunCase for a hand-built µ-RA term over the graph's
+// triple relation "G": plan shapes the UCRPQ translation never emits
+// (anti-projections over anti-projections, unions or renames at the root
+// of a pipeline) go through every route all the same.
+func RunTermCase(transport cluster.TransportKind, workers int, g *Graph, term core.Term) error {
+	c, err := cluster.New(cluster.Config{Workers: workers, Transport: transport})
+	if err != nil {
+		return err
+	}
+	defer c.Close()
+	var rep Report
+	_, err = runRoutes(c, g, term, Options{MaxIter: 2000}, &rep)
+	return err
+}
+
+// runCase parses, translates and certifies the query, then evaluates it
+// along every route (runRoutes), accounting the checked combinations into
+// rep. It returns the reference relation so extra routes (the fault route)
+// can reuse it.
 func runCase(c *cluster.Cluster, g *Graph, query string, opts Options, rep *Report) (*core.Relation, error) {
-	maxIter := opts.MaxIter
 	q, err := ucrpq.ParseUnion(query)
 	if err != nil {
 		return nil, fmt.Errorf("parse: %w", err)
@@ -369,6 +383,13 @@ func runCase(c *cluster.Cluster, g *Graph, query string, opts Options, rep *Repo
 		rep.VerifierViolations += rw.AuditViolations
 		return nil, fmt.Errorf("rewrite audit discarded %d candidates: %v", rw.AuditViolations, rw.LastAudit)
 	}
+	return runRoutes(c, g, term, opts, rep)
+}
+
+// runRoutes evaluates term along every route and compares all results
+// against the materializing reference, which it returns.
+func runRoutes(c *cluster.Cluster, g *Graph, term core.Term, opts Options, rep *Report) (*core.Relation, error) {
+	maxIter := opts.MaxIter
 	env := core.NewEnv()
 	env.Bind("G", g.G.Triples)
 

@@ -179,7 +179,7 @@ func refreshSubResult(ctx context.Context, g *graphgen.Graph, fp *core.Fixpoint,
 		}
 		if len(derived) > 0 {
 			dd := &core.Decomposed{X: d.X, Const: d.Const, PhiBranches: derived}
-			step, err := evOld.EvalPhiDelta(dd, old, envOld)
+			step, err := evOld.EvalPhiDelta(dd, old, envOld, nil)
 			if err != nil {
 				return st, err
 			}
@@ -189,7 +189,7 @@ func refreshSubResult(ctx context.Context, g *graphgen.Graph, fp *core.Fixpoint,
 			if err := core.CtxErr(ctx); err != nil {
 				return st, err
 			}
-			step, err := evOld.EvalPhiDelta(d, frontier, envOld)
+			step, err := evOld.EvalPhiDelta(d, frontier, envOld, nil)
 			if err != nil {
 				return st, err
 			}
@@ -232,7 +232,7 @@ func refreshSubResult(ctx context.Context, g *graphgen.Graph, fp *core.Fixpoint,
 		}
 		resurrect(base, frontier)
 		if dSet.Len() > 0 {
-			step, err := ev.EvalPhiDelta(d, surv, env)
+			step, err := ev.EvalPhiDelta(d, surv, env, nil)
 			if err != nil {
 				return st, err
 			}
@@ -242,7 +242,7 @@ func refreshSubResult(ctx context.Context, g *graphgen.Graph, fp *core.Fixpoint,
 			if err := core.CtxErr(ctx); err != nil {
 				return st, err
 			}
-			step, err := ev.EvalPhiDelta(d, frontier, env)
+			step, err := ev.EvalPhiDelta(d, frontier, env, nil)
 			if err != nil {
 				return st, err
 			}
@@ -287,7 +287,7 @@ func refreshSubResult(ctx context.Context, g *graphgen.Graph, fp *core.Fixpoint,
 			// post-retraction rows — EvalPhiDelta marks X dynamic, so surv
 			// is only streamed and probed, never mutated.
 			dd := &core.Decomposed{X: d.X, Const: d.Const, PhiBranches: derived}
-			step, err := ev.EvalPhiDelta(dd, surv, env)
+			step, err := ev.EvalPhiDelta(dd, surv, env, nil)
 			if err != nil {
 				return st, err
 			}
@@ -299,7 +299,7 @@ func refreshSubResult(ctx context.Context, g *graphgen.Graph, fp *core.Fixpoint,
 			if err := core.CtxErr(ctx); err != nil {
 				return st, err
 			}
-			step, err := ev.EvalPhiDelta(d, nu, env)
+			step, err := ev.EvalPhiDelta(d, nu, env, nil)
 			if err != nil {
 				return st, err
 			}

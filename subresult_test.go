@@ -628,3 +628,80 @@ func TestConcurrentSubResultCancelWait(t *testing.T) {
 		t.Error("entry missing after leader completion")
 	}
 }
+
+// TestSubResultLazySetSharedProbes: a cached fixpoint result leaves
+// Accumulator.Materialize with its dedup set deferred and is shared, as
+// one *core.Relation, by the cache entry and by a maintained Watch
+// established on the same query. A delete then makes two sessions — the
+// watcher's DRed pass and a query's in-place refresh of the entry — ask
+// that relation for membership at the same moment, and DRed's
+// Relation.Remove work on sets cut from it. The set must be built exactly
+// once and both sessions must come out right; the CI race lanes run this.
+func TestSubResultLazySetSharedProbes(t *testing.T) {
+	eng, iso := dredEngines(t, subTestGraph())
+	const q = "?x,?y <- ?x knows+ ?y"
+	w, err := eng.Watch(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	watched := map[string]bool{}
+	for _, row := range recvDelta(t, w).Added {
+		watched[strings.Join(row, "\t")] = true
+	}
+	for round := 0; round < 4; round++ {
+		// Retract a long-lived chain edge: phase 1 of DRed probes the old
+		// rows for every over-deletion candidate.
+		if !eng.DeleteTriple(fmt.Sprintf("n%d", 11+round), "knows", fmt.Sprintf("n%d", 12+round)) {
+			t.Fatalf("round %d: edge missing", round)
+		}
+		const readers = 2
+		var wg sync.WaitGroup
+		rows := make([][]string, readers)
+		for i := 0; i < readers; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				res, err := eng.QueryCollect(context.Background(), q)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for _, r := range res.Rows {
+					rows[i] = append(rows[i], strings.Join(r, "\t"))
+				}
+				sort.Strings(rows[i])
+			}(i)
+		}
+		d := recvDelta(t, w)
+		wg.Wait()
+		if t.Failed() {
+			return
+		}
+		if d.Stats.Plan != "maintained" || d.Stats.Retractions == 0 {
+			t.Fatalf("round %d: watch delta came by %q with %d retractions, want DRed maintenance",
+				round, d.Stats.Plan, d.Stats.Retractions)
+		}
+		for _, row := range d.Added {
+			watched[strings.Join(row, "\t")] = true
+		}
+		for _, row := range d.Removed {
+			delete(watched, strings.Join(row, "\t"))
+		}
+		want, _ := collectSorted(t, iso, q)
+		for i := range rows {
+			sameRows(t, fmt.Sprintf("round %d reader %d", round, i), rows[i], want)
+		}
+		if len(watched) != len(want) {
+			t.Fatalf("round %d: watcher holds %d rows, want %d", round, len(watched), len(want))
+		}
+		for _, row := range want {
+			if !watched[row] {
+				t.Fatalf("round %d: watcher lost row %q", round, row)
+			}
+		}
+	}
+	if cs := eng.SubResultCacheStats(); cs.Retractions == 0 {
+		t.Errorf("the cache entry was never maintained through DRed: %+v", cs)
+	}
+}
