@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -22,130 +23,109 @@ import (
 // Under a memory budget (NewAccumulatorBudgeted) the accumulator degrades
 // to disk instead of OOMing: EvictBelow freezes each shard's already-
 // consumed prefix into a sorted on-disk run, keeping only a 32-bit
-// fingerprint per frozen row in memory. Membership probes consult the
-// fingerprint filter first and touch the run (positioned binary search)
-// only on a filter hit; deltas keep streaming zero-copy because eviction
-// never moves rows above the watermark the caller passes. See
-// ARCHITECTURE.md, "Memory governance".
+// fingerprint per frozen row in memory. The fingerprints are stored in run
+// order, so the filter lookup that answers "may contain" also yields the
+// record's position: a membership probe that reaches disk costs one
+// positioned read. Deltas keep streaming zero-copy because eviction never
+// moves rows above the watermark the caller passes. See ARCHITECTURE.md,
+// "Memory governance".
 
 // accShards is the shard count of an Accumulator. 32 shards keep lock
 // contention negligible for worker pools up to a few dozen goroutines
 // while the per-shard fixed cost stays trivial.
-const accShards = 32
+const (
+	accShardBits = 5
+	accShards    = 1 << accShardBits
+)
 
 // accShard is one lock-striped shard: a tupleSet over its own flat
 // row-major store, plus the per-row hashes in insertion order so delta
 // scans, the final materialization and Pgld's shuffle filter never rehash.
 // data/hashes/set cover only the in-memory rows [frozen, n); rows below
-// frozen live in the shard's sorted runs.
+// frozen live in the shard's sorted run.
 type accShard struct {
 	mu     sync.Mutex
 	set    tupleSet
 	data   []Value
 	hashes []uint64
-	n      int // logical row count, including frozen rows
-	frozen int // rows evicted to runs (a prefix of the shard)
-	runs   []*accRun
+	n      int     // logical row count, including frozen rows
+	frozen int     // rows evicted to the run (a prefix of the shard)
+	run    *accRun // the frozen rows; nil until the first eviction
 	// dead marks retracted rows (Retract/RemoveRows) by value. A dead row
 	// stays physically where it is — in the in-memory store or frozen in a
 	// run, which is never rewritten — and is excluded from Has, Len and
 	// Materialize. Re-adding a dead row resurrects it by dropping the mark.
 	dead *Relation
-	// pad the shard to its own cache line(s) so neighboring shard locks do
-	// not false-share.
-	_ [24]byte
+	// pad the shard to whole cache lines (3 × 64 bytes) so neighboring
+	// shard locks do not false-share.
+	_ [48]byte
 }
 
 // accRun is a shard's frozen rows on disk: records of [rowHash,
 // values...] sorted by (hash, values), plus the in-memory fingerprint
-// filter (sorted low-32-bit hash fingerprints). Every eviction *compacts*:
-// the previous run is merged with the newly frozen rows into one fresh
-// run, so a shard holds at most one run (and one descriptor) no matter
-// how many eviction rounds a long fixpoint goes through, and a membership
-// miss consults at most one filter. mayContain/contains are read-only
-// after construction and safe for concurrent use.
+// filter — fps[i] is the fingerprint of record i. Every eviction
+// *compacts*: the previous run is merged with the newly frozen rows into
+// one fresh run, so a shard holds at most one run no matter how many
+// eviction rounds a long fixpoint goes through, and a membership miss
+// consults at most one filter.
 type accRun struct {
-	run   *spillRun
-	fps   []uint32
-	arity int
-	// Probe scratch, reused across contains calls. Guarded by the owning
-	// shard's lock — contains is only reached through addLocked/Has, both
-	// of which hold it.
-	rec     []Value
+	run *spillRun
+	fps []uint32
+	// Probe scratch, reused across locate calls. Guarded by the owning
+	// shard's lock — locate is only reached through addLocked,
+	// retractLocked and Has, all of which hold it.
 	win     []Value
 	scratch []byte
 }
 
-// mayContain is the fingerprint filter: false means the run definitely
-// does not hold a row with hash h; true means it must be verified on disk.
-// For a run of n rows the false-positive probability of one probe is about
-// n/2^32 (documented in ARCHITECTURE.md).
-func (r *accRun) mayContain(h uint64) bool {
-	fp := uint32(h)
-	i := sort.Search(len(r.fps), func(i int) bool { return r.fps[i] >= fp })
-	return i < len(r.fps) && r.fps[i] == fp
-}
+// runFpShift positions the fingerprint of a frozen row: the 32 hash bits
+// directly below the accShardBits routing bits (bits 27–58). All rows of a
+// shard agree on the routing bits, so within a run — sorted by the full
+// hash — the fingerprints are non-decreasing: the filter is stored in run
+// order, needs no sort of its own, and an index into it is a record
+// position. The fingerprint bits are disjoint from the routing bits, so
+// the per-probe false-positive rate stays about n/2^32 for a run of n rows
+// (documented in ARCHITECTURE.md).
+const runFpShift = 64 - accShardBits - 32
 
-// containsWindow is where the binary search of a run probe switches to
-// one windowed read: narrowing below this costs more syscalls than
-// reading the window outright.
-const containsWindow = 64
+func runFingerprint(h uint64) uint32 { return uint32(h >> runFpShift) }
 
-// contains verifies membership on disk: a positioned binary search over
-// the hash-sorted records down to a containsWindow-sized range, then
-// windowed reads scanning the hash-equal records value-wise. The run's
-// probe scratch is reused across calls (shard lock held by the caller),
-// so a probe allocates nothing after the run's first. Spill I/O failures
-// panic (the accumulator's insert path has no error channel, matching the
-// rest of the data plane).
-func (r *accRun) contains(h uint64, row []Value) bool {
-	rv := 1 + r.arity
-	if r.rec == nil {
-		r.rec = make([]Value, rv)
+// locate is THE membership probe of a frozen run, shared by Add, Retract
+// and Has: a binary search of the in-memory filter finds the range of
+// records whose fingerprint equals the row's — empty means definitely
+// absent, and is answered without touching disk — and one positioned read
+// fetches exactly that range (almost always a single record) for the
+// hash-and-values comparison. The probe scratch is reused across calls
+// (shard lock held by the caller), so a probe allocates nothing after the
+// run's first. Safe on a nil run (a shard never evicted). Spill I/O
+// failures panic (the accumulator's insert path has no error channel,
+// matching the rest of the data plane).
+func (r *accRun) locate(h uint64, row []Value) bool {
+	if r == nil {
+		return false
 	}
-	n := r.run.records()
-	lo, hi := 0, n
-	for hi-lo > containsWindow {
-		mid := int(uint(lo+hi) >> 1)
-		var err error
-		r.scratch, err = r.run.readRangeScratch(mid, mid+1, r.rec, r.scratch)
-		if err != nil {
-			panic(err)
-		}
-		if uint64(r.rec[0]) >= h {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
+	fp := runFingerprint(h)
+	lo, hit := slices.BinarySearch(r.fps, fp) // earliest record carrying fp
+	if !hit {
+		return false
 	}
-	// Scan forward from lo in window-sized reads; records with a smaller
-	// hash are skipped, a larger hash ends the search (the hash-equal
-	// range may extend past the binary search's upper bound).
-	for start := lo; start < n; {
-		end := start + containsWindow
-		if end > n {
-			end = n
+	hi := lo + 1
+	for hi < len(r.fps) && r.fps[hi] == fp {
+		hi++
+	}
+	rv := r.run.recVals
+	if cap(r.win) < (hi-lo)*rv {
+		r.win = make([]Value, (hi-lo)*rv)
+	}
+	buf := r.win[:(hi-lo)*rv]
+	var err error
+	if r.scratch, err = r.run.readRangeScratch(lo, hi, buf, r.scratch); err != nil {
+		panic(err)
+	}
+	for ; len(buf) > 0; buf = buf[rv:] {
+		if uint64(buf[0]) == h && rowsEqual(buf[1:rv], row) {
+			return true
 		}
-		if cap(r.win) < (end-start)*rv {
-			r.win = make([]Value, containsWindow*rv)
-		}
-		buf := r.win[:(end-start)*rv]
-		var err error
-		r.scratch, err = r.run.readRangeScratch(start, end, buf, r.scratch)
-		if err != nil {
-			panic(err)
-		}
-		for i := 0; i < end-start; i++ {
-			rec := buf[i*rv : (i+1)*rv]
-			rh := uint64(rec[0])
-			if rh > h {
-				return false
-			}
-			if rh == h && rowsEqual(rec[1:rv], row) {
-				return true
-			}
-		}
-		start = end
 	}
 	return false
 }
@@ -153,14 +133,21 @@ func (r *accRun) contains(h uint64, row []Value) bool {
 // runScanner streams a finished run's records in order, in chunked
 // positioned reads. Single-owner.
 type runScanner struct {
-	r     *spillRun
-	pos   int
-	chunk []Value
-	lo    int // records [lo, hi) of the run are decoded in chunk
-	hi    int
+	r       *spillRun
+	pos     int
+	chunk   []Value
+	scratch []byte
+	lo      int // records [lo, hi) of the run are decoded in chunk
+	hi      int
 }
 
 const runScanChunk = 2048
+
+// reset points the scanner at the start of another run, keeping its
+// buffers.
+func (s *runScanner) reset(r *spillRun) {
+	s.r, s.pos, s.lo, s.hi = r, 0, 0, 0
+}
 
 // next returns a view of the next record, or nil at end of run.
 func (s *runScanner) next() []Value {
@@ -176,7 +163,9 @@ func (s *runScanner) next() []Value {
 		if cap(s.chunk) < (s.hi-s.lo)*s.r.recVals {
 			s.chunk = make([]Value, runScanChunk*s.r.recVals)
 		}
-		if err := s.r.readRange(s.lo, s.hi, s.chunk[:(s.hi-s.lo)*s.r.recVals]); err != nil {
+		var err error
+		s.scratch, err = s.r.readRangeScratch(s.lo, s.hi, s.chunk[:(s.hi-s.lo)*s.r.recVals], s.scratch)
+		if err != nil {
 			panic(err)
 		}
 	}
@@ -185,27 +174,10 @@ func (s *runScanner) next() []Value {
 	return s.chunk[at : at+s.r.recVals : at+s.r.recVals]
 }
 
-// mergeFps merges two sorted fingerprint filters.
-func mergeFps(a, b []uint32) []uint32 {
-	out := make([]uint32, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i] <= b[j] {
-			out = append(out, a[i])
-			i++
-		} else {
-			out = append(out, b[j])
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
-}
-
 // accShardOf routes a row hash to its shard. The top bits are used so the
 // routing stays uncorrelated with the tupleSet probes (low bits) and the
 // JoinIndex shard routing.
-func accShardOf(h uint64) uint64 { return (h >> 59) % accShards }
+func accShardOf(h uint64) uint64 { return h >> (64 - accShardBits) }
 
 // AccMark is a per-shard row-count watermark of an Accumulator: the rows
 // appended between two marks are one fixpoint delta. The zero value marks
@@ -291,20 +263,12 @@ func (a *Accumulator) addHashed(row []Value, h uint64) bool {
 
 // addLocked is the insertion body of one shard (its lock held by the
 // caller): probe the in-memory set, then — only when absent there — the
-// frozen runs' fingerprint filters (and, on a filter hit, the run itself),
-// then append.
+// frozen run (its filter and, on a filter hit, one read), then append.
 func (a *Accumulator) addLocked(sh *accShard, row []Value, h uint64) bool {
 	inMem := sh.n - sh.frozen
 	sh.set.growFor(inMem + 1)
 	slot, found := sh.set.lookup(h, row, sh.data, a.arity)
-	if !found {
-		for _, run := range sh.runs {
-			if run.mayContain(h) && run.contains(h, row) {
-				found = true
-				break
-			}
-		}
-	}
+	found = found || sh.run.locate(h, row)
 	if found {
 		// Re-adding a retracted row resurrects it: the row is already
 		// physically present, so dropping the dead mark is the insertion.
@@ -327,14 +291,7 @@ func (a *Accumulator) addLocked(sh *accShard, row []Value, h uint64) bool {
 // frozen runs are immutable on disk — the mark is the removal.
 func (a *Accumulator) retractLocked(sh *accShard, row []Value, h uint64) bool {
 	_, found := sh.set.lookup(h, row, sh.data, a.arity)
-	if !found {
-		for _, run := range sh.runs {
-			if run.mayContain(h) && run.contains(h, row) {
-				found = true
-				break
-			}
-		}
-	}
+	found = found || sh.run.locate(h, row)
 	if !found {
 		return false
 	}
@@ -350,7 +307,11 @@ func (a *Accumulator) retractLocked(sh *accShard, row []Value, h uint64) bool {
 // same row resurrects it. Safe for concurrent use with Add/Has; callers
 // must not hold DeltaViews windows spanning retracted rows.
 func (a *Accumulator) Retract(row []Value) bool {
-	h := HashValues(row)
+	return a.retractHashed(row, HashValues(row))
+}
+
+// retractHashed is Retract with a precomputed hash.
+func (a *Accumulator) retractHashed(row []Value, h uint64) bool {
 	sh := &a.shards[accShardOf(h)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -404,26 +365,23 @@ func (a *Accumulator) AddInto(row []Value, fresh *Relation) bool {
 }
 
 // Has reports whether the accumulator contains the row, consulting the
-// in-memory shard first and then any frozen runs (fingerprint filter, then
-// disk). Safe for concurrent use with Add and EvictBelow (the probe takes
+// in-memory shard first and then the frozen run (fingerprint filter, then
+// one read). Safe for concurrent use with Add and EvictBelow (the probe takes
 // the shard lock).
 func (a *Accumulator) Has(row []Value) bool {
-	h := HashValues(row)
+	return a.hasHashed(row, HashValues(row))
+}
+
+// hasHashed is Has with a precomputed hash.
+func (a *Accumulator) hasHashed(row []Value, h uint64) bool {
 	sh := &a.shards[accShardOf(h)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if sh.dead != nil && sh.dead.hasHashed(row, h) {
 		return false
 	}
-	if _, found := sh.set.lookup(h, row, sh.data, a.arity); found {
-		return true
-	}
-	for _, run := range sh.runs {
-		if run.mayContain(h) && run.contains(h, row) {
-			return true
-		}
-	}
-	return false
+	_, found := sh.set.lookup(h, row, sh.data, a.arity)
+	return found || sh.run.locate(h, row)
 }
 
 // Len returns the number of distinct live rows accumulated (retracted rows
@@ -528,17 +486,20 @@ func (a *Accumulator) DeltaRelation(from, to AccMark) *Relation {
 // never touched, so delta windows taken at or after mark stay valid
 // (fixpoint loops pass the watermark of the last fully consumed delta).
 // Frozen rows keep a 32-bit fingerprint in memory; everything else moves
-// to disk. Returns the number of rows evicted. Safe for concurrent use
+// to disk, all of a round's runs into one spill file (one extent per
+// shard). Returns the number of rows evicted. Safe for concurrent use
 // with Add/Has (per-shard locks).
 func (a *Accumulator) EvictBelow(mark AccMark) int {
 	if a.gauge == nil || !a.gauge.Over() {
 		return 0
 	}
+	round := evictRound{seg: spillSegment{gauge: a.gauge}}
+	defer round.seg.close()
 	evicted := 0
 	for i := range a.shards {
 		sh := &a.shards[i]
 		sh.mu.Lock()
-		evicted += a.evictShardLocked(sh, mark[i])
+		evicted += a.evictShardLocked(sh, mark[i], &round)
 		sh.mu.Unlock()
 	}
 	return evicted
@@ -598,87 +559,105 @@ func (a *Accumulator) strideDue(stride int) bool {
 	return true
 }
 
+// evictRound is what one EvictBelow call shares across the shards it
+// freezes: the round's segment file, and the sort and merge scratch.
+type evictRound struct {
+	seg  spillSegment
+	keys []evictKey
+	sc   runScanner
+}
+
+// evictKey is one row of an eviction sort: its hash and its position in
+// the shard's in-memory store.
+type evictKey struct {
+	h uint64
+	i int32
+}
+
 // evictShardLocked freezes the shard's in-memory prefix below upTo (shard
 // lock held): the rows are sorted by (hash, values) and merged with the
-// shard's existing run — if any — into one fresh compacted run, so a
-// shard never holds more than one run however many eviction rounds pass.
-// The surviving suffix is compacted into a *fresh* backing array so
-// outstanding zero-copy views of rows at or above upTo keep aliasing the
-// old one.
-func (a *Accumulator) evictShardLocked(sh *accShard, upTo int) int {
+// shard's existing run — if any — into one fresh compacted run, an extent
+// of the round's segment, so a shard never holds more than one run however
+// many eviction rounds pass. The filter is written in the same pass, in
+// run order. The surviving suffix is compacted into a *fresh* backing
+// array so outstanding zero-copy views of rows at or above upTo keep
+// aliasing the old one.
+func (a *Accumulator) evictShardLocked(sh *accShard, upTo int, round *evictRound) int {
 	k := upTo - sh.frozen
 	if k <= 0 {
 		return 0
 	}
 	arity := a.arity
-	idx := make([]int, k)
-	for i := range idx {
-		idx[i] = i
+	rowOf := func(i int32) []Value { return sh.data[int(i)*arity : (int(i)+1)*arity] }
+	keys := round.keys[:0]
+	for i, h := range sh.hashes[:k] {
+		keys = append(keys, evictKey{h, int32(i)})
 	}
-	rowOf := func(i int) []Value { return sh.data[i*arity : (i+1)*arity] }
-	sort.Slice(idx, func(x, y int) bool {
-		hx, hy := sh.hashes[idx[x]], sh.hashes[idx[y]]
-		if hx != hy {
-			return hx < hy
+	round.keys = keys
+	slices.SortFunc(keys, func(x, y evictKey) int {
+		if c := cmp.Compare(x.h, y.h); c != 0 {
+			return c
 		}
-		return lessRows(rowOf(idx[x]), rowOf(idx[y]))
+		if lessRows(rowOf(x.i), rowOf(y.i)) { // distinct rows, equal hash
+			return -1
+		}
+		return 1
 	})
-	merged, err := newSpillRun(a.gauge.Dir(), 1+arity)
+	old := sh.run
+	total := k
+	if old != nil {
+		total += old.run.records()
+	}
+	// The extent is sized exactly: the two merge inputs are disjoint by
+	// construction (a row is only appended after the run was probed), so
+	// the merge is pure, no dedup.
+	merged, err := round.seg.extent(1+arity, total)
 	if err != nil {
 		panic(err)
 	}
+	fps := make([]uint32, 0, total)
 	rec := make([]Value, 1+arity)
-	writeNew := func(i int) {
-		rec[0] = Value(sh.hashes[i])
-		copy(rec[1:], rowOf(i))
+	write := func(rec []Value) {
 		if err := merged.append(rec); err != nil {
 			panic(err)
 		}
+		fps = append(fps, runFingerprint(uint64(rec[0])))
 	}
-	if len(sh.runs) > 0 {
-		// Two-way merge with the previous compacted run. The two inputs
-		// are disjoint by construction (a row is only appended after the
-		// runs were probed), so this is a pure merge, no dedup.
-		sc := &runScanner{r: sh.runs[0].run}
-		orec := sc.next()
-		ni := 0
-		for orec != nil || ni < k {
-			useOld := orec != nil
-			if useOld && ni < k {
-				i := idx[ni]
-				oh, nh := uint64(orec[0]), sh.hashes[i]
-				if oh > nh || (oh == nh && lessRows(rowOf(i), orec[1:])) {
-					useOld = false
-				}
-			}
-			if useOld {
-				if err := merged.append(orec); err != nil {
-					panic(err)
-				}
-				orec = sc.next()
-			} else {
-				writeNew(idx[ni])
-				ni++
+	var orec []Value
+	sc := &round.sc
+	if old != nil {
+		sc.reset(old.run)
+		orec = sc.next()
+	}
+	for ni := 0; orec != nil || ni < k; {
+		useOld := orec != nil
+		if useOld && ni < k {
+			key := keys[ni]
+			oh := uint64(orec[0])
+			if oh > key.h || (oh == key.h && lessRows(rowOf(key.i), orec[1:])) {
+				useOld = false
 			}
 		}
-	} else {
-		for _, i := range idx {
-			writeNew(i)
+		if useOld {
+			write(orec)
+			orec = sc.next()
+		} else {
+			rec[0] = Value(keys[ni].h)
+			copy(rec[1:], rowOf(keys[ni].i))
+			write(rec)
+			ni++
 		}
 	}
 	if err := merged.finish(); err != nil {
 		panic(err)
 	}
-	fps := make([]uint32, k)
-	for j, i := range idx {
-		fps[j] = uint32(sh.hashes[i])
+	if merged.records() != total {
+		panic(fmt.Sprintf("core: compacted run holds %d records, its extent was sized for %d", merged.records(), total))
 	}
-	sort.Slice(fps, func(x, y int) bool { return fps[x] < fps[y] })
-	if len(sh.runs) > 0 {
-		fps = mergeFps(sh.runs[0].fps, fps)
-		sh.runs[0].run.Close()
+	if old != nil {
+		old.run.Close()
 	}
-	sh.runs = []*accRun{{run: merged, fps: fps, arity: arity}}
+	sh.run = &accRun{run: merged, fps: fps}
 	// Compact the surviving suffix into fresh arrays and rebuild the set
 	// over it (rows are known distinct, so fresh-slot inserts suffice).
 	rem := (sh.n - sh.frozen) - k
@@ -701,16 +680,19 @@ func (a *Accumulator) evictShardLocked(sh *accShard, upTo int) int {
 	return k
 }
 
-// Runs returns how many on-disk runs the accumulator holds. Compaction
-// bounds it by the shard count (each eviction leaves one run per shard),
-// which in turn bounds open descriptors and per-probe filter walks. Safe
+// Runs returns how many on-disk runs the accumulator holds: at most one
+// per shard (every eviction compacts), so a probe consults at most one
+// filter. Runs share files — one per eviction round that still has a live
+// run — so open descriptors are bounded by the rounds, not the runs. Safe
 // for concurrent use.
 func (a *Accumulator) Runs() int {
 	n := 0
 	for i := range a.shards {
 		sh := &a.shards[i]
 		sh.mu.Lock()
-		n += len(sh.runs)
+		if sh.run != nil {
+			n++
+		}
 		sh.mu.Unlock()
 	}
 	return n
@@ -736,10 +718,10 @@ func (a *Accumulator) Close() {
 	for i := range a.shards {
 		sh := &a.shards[i]
 		sh.mu.Lock()
-		for _, run := range sh.runs {
-			run.run.Close()
+		if sh.run != nil {
+			sh.run.run.Close()
+			sh.run = nil
 		}
-		sh.runs = nil
 		sh.mu.Unlock()
 	}
 	if c := a.charged.Swap(0); c != 0 && a.gauge != nil {
@@ -816,7 +798,7 @@ func (a *Accumulator) Materialize() *Relation {
 		sh := &a.shards[i]
 		offs[i] = total
 		total += sh.n
-		spilled = spilled || len(sh.runs) > 0
+		spilled = spilled || sh.run != nil
 		if sh.dead != nil && sh.dead.Len() > 0 {
 			retracted = true
 			total -= sh.dead.Len()
@@ -841,7 +823,8 @@ func (a *Accumulator) Materialize() *Relation {
 		out.deferred.Store(true)
 		return out
 	}
-	// One flush buffer reused across all runs and shards.
+	// One scanner and one flush buffer reused across all runs and shards.
+	var sc runScanner
 	block := make([]Value, 0, runScanChunk*arity)
 	rows := 0
 	flush := func() {
@@ -854,8 +837,8 @@ func (a *Accumulator) Materialize() *Relation {
 		if dead != nil && dead.Len() == 0 {
 			dead = nil
 		}
-		for _, fr := range sh.runs {
-			sc := &runScanner{r: fr.run}
+		if sh.run != nil {
+			sc.reset(sh.run.run)
 			for rec := sc.next(); rec != nil; rec = sc.next() {
 				if dead != nil && dead.hasHashed(rec[1:], uint64(rec[0])) {
 					continue
@@ -947,7 +930,7 @@ func (ad *accAdder) addBatch(a *Accumulator, b *Batch, fresh *Relation) int {
 			if a.addLocked(shd, row, ad.hashes[ri]) {
 				added++
 				if fresh != nil {
-					fresh.addHashed(row, ad.hashes[ri])
+					fresh.appendDistinctVals(row, 1)
 				}
 			}
 		}

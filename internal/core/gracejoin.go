@@ -80,7 +80,7 @@ func (it *graceIter) Cols() []string { return it.cols }
 // partition pair is join-complete on its own.
 func (it *graceIter) prepare() {
 	nparts := len(it.ix.spill.parts)
-	parts, bytes, err := scatterToRuns(it.ix.spill.dir, len(it.probe.Cols()), nparts, it.probeAt,
+	parts, bytes, err := scatterToRuns(it.ix.gauge, len(it.probe.Cols()), nparts, it.probeAt,
 		func(emit func(row []Value) error) error {
 			for b := it.probe.Next(); b != nil; b = it.probe.Next() {
 				for i := 0; i < b.Len(); i++ {

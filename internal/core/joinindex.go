@@ -48,7 +48,6 @@ type JoinIndex struct {
 // after the build and safe for concurrent partition loads.
 type joinSpill struct {
 	parts []*spillRun // records: one build row (arity values) each
-	dir   string
 }
 
 // ixShard is one bucket partition of a JoinIndex. During a parallel build
@@ -163,7 +162,7 @@ func joinSpillParts(rows, arity int, budget int64) int {
 // buildJoinIndexSpilled writes rel's rows into key-hash partitioned runs.
 func buildJoinIndexSpilled(rel *Relation, keyCols []string, at []int, g *MemGauge) (*JoinIndex, error) {
 	nparts := joinSpillParts(rel.Len(), rel.Arity(), g.Budget())
-	parts, bytes, err := scatterToRuns(g.Dir(), rel.Arity(), nparts, at,
+	parts, bytes, err := scatterToRuns(g, rel.Arity(), nparts, at,
 		func(emit func(row []Value) error) error {
 			for i := 0; i < rel.Len(); i++ {
 				if err := emit(rel.RowAt(i)); err != nil {
@@ -177,17 +176,17 @@ func buildJoinIndexSpilled(rel *Relation, keyCols []string, at []int, g *MemGaug
 	}
 	g.noteSpill(bytes)
 	return &JoinIndex{keyCols: keyCols, at: at, arity: rel.Arity(), nrows: rel.Len(),
-		gauge: g, spill: &joinSpill{parts: parts, dir: g.Dir()}}, nil
+		gauge: g, spill: &joinSpill{parts: parts}}, nil
 }
 
 // scatterToRuns is THE Grace-hash scatter: it routes every row the source
-// emits into one of nparts on-disk runs by spillPartition over the key
-// positions at, finishes the runs, and returns them with the total bytes
-// written. Both sides of a spilled join use it — the build side
+// emits into one of nparts on-disk runs (in g's spill directory, reads
+// metered on g) by spillPartition over the key positions at, finishes the
+// runs, and returns them with the total bytes written. Both sides of a spilled join use it — the build side
 // (buildJoinIndexSpilled) and the probe side (graceIter.prepare) — which
 // is exactly what guarantees key-equal rows of the two sides meet in the
 // same partition. On any error every run created so far is closed.
-func scatterToRuns(dir string, arity, nparts int, at []int,
+func scatterToRuns(g *MemGauge, arity, nparts int, at []int,
 	source func(emit func(row []Value) error) error) ([]*spillRun, int64, error) {
 	runs := make([]*spillRun, 0, nparts)
 	fail := func(err error) ([]*spillRun, int64, error) {
@@ -195,7 +194,7 @@ func scatterToRuns(dir string, arity, nparts int, at []int,
 		return nil, 0, err
 	}
 	for p := 0; p < nparts; p++ {
-		run, err := newSpillRun(dir, arity)
+		run, err := newSpillRun(g, arity)
 		if err != nil {
 			return fail(err)
 		}

@@ -61,6 +61,10 @@ type MemGauge struct {
 	peak    atomic.Int64
 	spills  atomic.Int64
 	spilled atomic.Int64 // bytes written to spill runs, cumulative
+	// Read side of the spill accounting: positioned reads issued against
+	// spill runs and the bytes they fetched, cumulative.
+	spillReads     atomic.Int64
+	spillReadBytes atomic.Int64
 }
 
 // NewMemGauge returns a gauge with the given budget in bytes (<= 0 means
@@ -185,6 +189,18 @@ func (g *MemGauge) noteSpill(n int64) {
 	g.parent.noteSpill(n)
 }
 
+// noteSpillRead records one positioned read of n bytes from a spill run —
+// the read-side counterpart of noteSpill, counted where the read happens
+// (spillRun.readRangeScratch).
+func (g *MemGauge) noteSpillRead(n int64) {
+	if g == nil {
+		return
+	}
+	g.spillReads.Add(1)
+	g.spillReadBytes.Add(n)
+	g.parent.noteSpillRead(n)
+}
+
 // Spills returns how many spill events (accumulator shard evictions, join
 // index partition builds) the gauge has seen. Safe on nil (returns 0).
 func (g *MemGauge) Spills() int64 {
@@ -201,4 +217,24 @@ func (g *MemGauge) SpilledBytes() int64 {
 		return 0
 	}
 	return g.spilled.Load()
+}
+
+// SpillReads returns how many positioned reads were issued against spill
+// runs (membership probes of frozen accumulator runs, compaction and
+// materialization scans, Grace-join partition replays). Safe on nil
+// (returns 0).
+func (g *MemGauge) SpillReads() int64 {
+	if g == nil {
+		return 0
+	}
+	return g.spillReads.Load()
+}
+
+// SpillReadBytes returns the cumulative bytes those reads fetched. Safe on
+// nil (returns 0).
+func (g *MemGauge) SpillReadBytes() int64 {
+	if g == nil {
+		return 0
+	}
+	return g.spillReadBytes.Load()
 }

@@ -46,7 +46,8 @@ func TestMemGaugeAccounting(t *testing.T) {
 
 func TestSpillRunRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	run, err := newSpillRun(dir, 3)
+	g := NewMemGauge(0, dir)
+	run, err := newSpillRun(g, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,6 +81,11 @@ func TestSpillRunRoundTrip(t *testing.T) {
 	}
 	if bulk[0] != 100 || bulk[3] != 101 {
 		t.Fatalf("bulk read wrong: %v", bulk[:6])
+	}
+	// Reads are metered where they happen: four single records and one
+	// ten-record range, 24 bytes a record.
+	if g.SpillReads() != 5 || g.SpillReadBytes() != (4+10)*24 {
+		t.Fatalf("spill reads=%d bytes=%d, want 5 reads of %d bytes", g.SpillReads(), g.SpillReadBytes(), (4+10)*24)
 	}
 }
 

@@ -4,35 +4,78 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"sync/atomic"
 )
 
 // This file implements the on-disk run format shared by every spilling
-// operator: a temp file of fixed-width records, each record recVals Values
-// encoded as 8-byte little-endian words. Fixed width keeps records
-// addressable (record i lives at byte i*recVals*8), so frozen accumulator
-// runs can be binary-searched with positioned reads and join partitions
-// can be replayed in bounded chunks.
+// operator: fixed-width records, each record recVals Values encoded as
+// 8-byte little-endian words, laid out from a base offset of a temp file.
+// Fixed width keeps records addressable (record i of a run lives at byte
+// base + i*recVals*8), so a frozen accumulator run can be probed with one
+// positioned read at the record position its in-memory filter yields, and
+// join partitions can be replayed in bounded chunks.
 //
-// Spill files are unlinked immediately after creation: the file lives for
-// exactly as long as its descriptor, so a crash, a panic or a forgotten
-// Close can never leave a spill file behind on disk (the CI leak check
-// asserts this). A finalizer backstops the descriptor itself for owners
-// that go out of scope without closing.
+// A spill file holds one run (a join partition) or many (the segment of an
+// accumulator eviction round: one extent per frozen shard). It is unlinked
+// immediately after creation: the file lives for exactly as long as its
+// descriptor, so a crash, a panic or a forgotten Close can never leave a
+// spill file behind on disk (the CI leak check asserts this). The
+// descriptor closes when the last run in the file does; a finalizer
+// backstops it for owners that go out of scope without closing.
+
+// spillWriteBuf is the write buffer of a run being written.
+const spillWriteBuf = 1 << 16
 
 // SpillFilePattern is the os.CreateTemp pattern of every spill file the
 // engine creates — the name CI's leak check greps for.
 const SpillFilePattern = "mura-spill-*"
+
+// spillFile is one unlinked temp file and the count of holders still using
+// it: every run laid out in it, plus its creator until the creator has
+// finished handing out runs.
+type spillFile struct {
+	f    *os.File
+	refs atomic.Int32
+}
+
+// newSpillFile creates an unlinked temp file in dir, held once by the
+// caller (release).
+func newSpillFile(dir string) (*spillFile, error) {
+	f, err := os.CreateTemp(dir, SpillFilePattern)
+	if err != nil {
+		return nil, fmt.Errorf("core: spill: %w", err)
+	}
+	// Unlink now: the file lives until the descriptor closes and can never
+	// be left behind, whatever happens to the process.
+	os.Remove(f.Name())
+	sf := &spillFile{f: f}
+	sf.refs.Store(1)
+	runtime.SetFinalizer(sf, func(sf *spillFile) { sf.f.Close() })
+	return sf, nil
+}
+
+// release drops one hold; the last one closes the descriptor (and with it
+// the unlinked file).
+func (sf *spillFile) release() error {
+	if sf.refs.Add(-1) != 0 {
+		return nil
+	}
+	runtime.SetFinalizer(sf, nil)
+	return sf.f.Close()
+}
 
 // spillRun is one on-disk run of fixed-width Value records. Writes
 // (append) are single-owner and must finish before any read; reads
 // (readRange) use positioned I/O and are safe for concurrent use after
 // finish — the parallel fixpoint probes frozen runs from many goroutines.
 type spillRun struct {
-	f       *os.File
+	file    *spillFile
+	base    int64 // byte offset of record 0 in file
 	w       *bufio.Writer
+	gauge   *MemGauge // meters reads; nil-safe
 	recVals int
 	n       int
 	bytes   int64
@@ -40,22 +83,64 @@ type spillRun struct {
 	closed  atomic.Bool
 }
 
-// newSpillRun creates an unlinked temp file for records of recVals Values
-// in dir ("" = os.TempDir()).
-func newSpillRun(dir string, recVals int) (*spillRun, error) {
-	if dir == "" {
-		dir = os.TempDir()
-	}
-	f, err := os.CreateTemp(dir, SpillFilePattern)
+// newSpillRun creates a run of recVals-Value records in an unlinked temp
+// file of its own, in g's spill directory, metering its reads on g.
+func newSpillRun(g *MemGauge, recVals int) (*spillRun, error) {
+	sf, err := newSpillFile(g.Dir())
 	if err != nil {
-		return nil, fmt.Errorf("core: spill: %w", err)
+		return nil, err
 	}
-	// Unlink now: the run lives until the descriptor closes and can never
-	// be left behind, whatever happens to the process.
-	os.Remove(f.Name())
-	r := &spillRun{f: f, w: bufio.NewWriterSize(f, 1<<16), recVals: recVals}
-	runtime.SetFinalizer(r, func(r *spillRun) { r.Close() })
+	r := sf.runAt(0, recVals, g, bufio.NewWriterSize(nil, spillWriteBuf))
+	sf.release() // the run is the file's only holder
 	return r, nil
+}
+
+// runAt lays a new run out at byte offset base of the file, written
+// through w (reset onto the extent; the caller may reuse w once the run
+// has finished). Extents of one file must not overlap — the caller sizes
+// them from the record counts it is about to write.
+func (sf *spillFile) runAt(base int64, recVals int, g *MemGauge, w *bufio.Writer) *spillRun {
+	sf.refs.Add(1)
+	w.Reset(io.NewOffsetWriter(sf.f, base))
+	return &spillRun{file: sf, base: base, w: w, gauge: g, recVals: recVals}
+}
+
+// spillSegment lays consecutive runs out in one spill file — the file of an
+// accumulator eviction round, one pre-sized extent per frozen shard. The
+// zero value (plus a gauge) is ready: the file is created by the first
+// extent, so a round that freezes nothing creates nothing. Single-owner;
+// each run must finish before the next extent is taken (they share the
+// write buffer).
+type spillSegment struct {
+	gauge *MemGauge
+	file  *spillFile
+	off   int64 // end of the last extent handed out
+	w     *bufio.Writer
+}
+
+// extent returns a run of exactly records recVals-Value records at the
+// segment's next free offset.
+func (s *spillSegment) extent(recVals, records int) (*spillRun, error) {
+	if s.file == nil {
+		sf, err := newSpillFile(s.gauge.Dir())
+		if err != nil {
+			return nil, err
+		}
+		s.file = sf
+		s.w = bufio.NewWriterSize(nil, spillWriteBuf)
+	}
+	r := s.file.runAt(s.off, recVals, s.gauge, s.w)
+	s.off += int64(records) * int64(recVals) * 8
+	return r, nil
+}
+
+// close drops the segment's own hold on its file, which then lives for as
+// long as the runs handed out of it.
+func (s *spillSegment) close() {
+	if s.file != nil {
+		s.file.release()
+		s.file = nil
+	}
 }
 
 // append writes one record (len must be recVals). Single-owner; must not
@@ -79,9 +164,12 @@ func (r *spillRun) append(rec []Value) error {
 	return nil
 }
 
-// finish flushes buffered writes; reads are valid only after finish.
+// finish flushes buffered writes and lets go of the writer; reads are
+// valid only after finish.
 func (r *spillRun) finish() error {
-	if err := r.w.Flush(); err != nil {
+	err := r.w.Flush()
+	r.w = nil
+	if err != nil {
 		return fmt.Errorf("core: spill flush: %w", err)
 	}
 	return nil
@@ -98,8 +186,9 @@ func (r *spillRun) readRange(lo, hi int, dst []Value) error {
 }
 
 // readRangeScratch is readRange with a caller-owned byte scratch buffer
-// (grown as needed and returned), so repeated small reads — the binary
-// search of a membership probe — allocate nothing per step.
+// (grown as needed and returned), so repeated small reads — one per
+// filter-hit membership probe — allocate nothing. Every call that reaches
+// the file is one read on the run's gauge (SpillReads, SpillReadBytes).
 func (r *spillRun) readRangeScratch(lo, hi int, dst []Value, scratch []byte) ([]byte, error) {
 	nb := (hi - lo) * r.recVals * 8
 	if nb == 0 {
@@ -109,9 +198,10 @@ func (r *spillRun) readRangeScratch(lo, hi int, dst []Value, scratch []byte) ([]
 		scratch = make([]byte, nb)
 	}
 	buf := scratch[:nb]
-	if _, err := r.f.ReadAt(buf, int64(lo*r.recVals*8)); err != nil {
+	if _, err := r.file.f.ReadAt(buf, r.base+int64(lo*r.recVals*8)); err != nil {
 		return scratch, fmt.Errorf("core: spill read: %w", err)
 	}
+	r.gauge.noteSpillRead(int64(nb))
 	for i := 0; i < (hi-lo)*r.recVals; i++ {
 		dst[i] = Value(binary.LittleEndian.Uint64(buf[i*8:]))
 	}
@@ -124,12 +214,11 @@ func (r *spillRun) readRecord(i int, dst []Value) error {
 	return r.readRange(i, i+1, dst)
 }
 
-// Close releases the descriptor (the unlinked file disappears with it).
-// Idempotent and safe to call from the finalizer.
+// Close drops the run's hold on its file; the descriptor (and the
+// unlinked file) goes with the file's last run. Idempotent.
 func (r *spillRun) Close() error {
 	if r.closed.Swap(true) {
 		return nil
 	}
-	runtime.SetFinalizer(r, nil)
-	return r.f.Close()
+	return r.file.release()
 }

@@ -44,7 +44,7 @@ func TestDifferentialAllPlans(t *testing.T) {
 func TestDifferentialTCPTransport(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := RandomGraph(rng, Cycle, 14, 2)
-	if err := RunCase(cluster.TransportTCP, 3, g, "?x,?y <- ?x l0+/l1+ ?y UNION ?x,?y <- ?x (l1/-l0)+ ?y"); err != nil {
+	if _, err := RunCase(Options{Transport: cluster.TransportTCP, Workers: 3}, g, "?x,?y <- ?x l0+/l1+ ?y UNION ?x,?y <- ?x (l1/-l0)+ ?y"); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -88,30 +88,60 @@ func TestDifferentialBagRootedShapes(t *testing.T) {
 }
 
 // TestDifferentialStarvedBudget re-runs a differential slice with a
-// deliberately starved per-task budget: every budgeted route (streaming
-// evaluator, Pgld, Ps_plw, Ppg_plw) must spill its accumulators/indexes to
-// disk and still agree row-for-row with the unbudgeted materializing
-// reference. The Spills guard keeps the run honest — if nothing spilled,
-// the budget wasn't exercising the governance layer at all.
+// deliberately starved per-task budget, over in-process channels and over
+// loopback TCP: every budgeted route (streaming evaluator, Pgld, Ps_plw,
+// Ppg_plw) must degrade to disk and still agree row-for-row with the
+// unbudgeted materializing reference. The fuzzed slice covers operator
+// shapes, on graphs so small that only some routes outgrow even 1 KiB (the
+// Spills guard keeps it honest in total). The closure after it is large
+// enough that every route's shards are frozen again and again, so compacted
+// runs are probed (one read per filter hit) and re-merged; there the guard
+// is per route — a route that froze nothing, or never read a frozen run
+// back, was not exercising the governance layer.
 func TestDifferentialStarvedBudget(t *testing.T) {
-	rep, err := RunDifferential(Options{
-		Seed:            424242,
-		Graphs:          3,
-		QueriesPerGraph: 4,
-		Workers:         3,
-		TaskMemBytes:    1 << 10, // 1 KiB: almost everything is over budget
-		SpillDir:        t.TempDir(),
-	})
-	if err != nil {
-		t.Fatal(err)
+	for _, tr := range []struct {
+		name string
+		kind cluster.TransportKind
+	}{{"chan", cluster.TransportChan}, {"tcp", cluster.TransportTCP}} {
+		rep, err := RunDifferential(Options{
+			Seed:            424242,
+			Graphs:          3,
+			QueriesPerGraph: 4,
+			Workers:         3,
+			Transport:       tr.kind,
+			TaskMemBytes:    1 << 10, // 1 KiB: almost everything is over budget
+			SpillDir:        t.TempDir(),
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", tr.name, err)
+		}
+		if rep.Combos == 0 || rep.ResultRows == 0 {
+			t.Fatalf("%s: degenerate starved run: %+v", tr.name, rep)
+		}
+		if rep.Spills == 0 {
+			t.Fatalf("%s: starved run recorded no spill events: %+v", tr.name, rep)
+		}
+		t.Logf("%s starved differential: %d combos, %d rows, %d spills, by route %v",
+			tr.name, rep.Combos, rep.ResultRows, rep.Spills, rep.RouteSpills)
+
+		g := RandomGraph(rand.New(rand.NewSource(99)), Random, 64, 1)
+		rep, err = RunCase(Options{
+			Workers:      3,
+			Transport:    tr.kind,
+			TaskMemBytes: 4 << 10,
+			SpillDir:     t.TempDir(),
+		}, g, "?x,?y <- ?x l0+ ?y")
+		if err != nil {
+			t.Fatalf("%s: closure on %s: %v", tr.name, g.Desc(), err)
+		}
+		for _, route := range []string{"streaming", "Pgld", "Ps_plw", "Ppg_plw"} {
+			if rs := rep.RouteSpills[route]; rs.Spills == 0 || rs.Reads == 0 {
+				t.Fatalf("%s closure: route %s recorded %d spill events and %d spill reads: %+v",
+					tr.name, route, rs.Spills, rs.Reads, rep)
+			}
+		}
+		t.Logf("%s starved closure: %d rows, %d spills, by route %v", tr.name, rep.ResultRows, rep.Spills, rep.RouteSpills)
 	}
-	if rep.Combos == 0 || rep.ResultRows == 0 {
-		t.Fatalf("degenerate starved run: %+v", rep)
-	}
-	if rep.Spills == 0 {
-		t.Fatalf("starved run recorded no spill events: %+v", rep)
-	}
-	t.Logf("starved differential: %d combos, %d rows, %d spills", rep.Combos, rep.ResultRows, rep.Spills)
 }
 
 // TestDifferentialFaultRoute re-runs a differential slice with the fault

@@ -245,6 +245,11 @@ type Report struct {
 	// Spills counts gauge spill events across all budgeted routes — the
 	// guard that a starved run actually exercised the spill paths.
 	Spills int64
+	// RouteSpills splits that guard by route ("streaming", "Pgld",
+	// "Ps_plw", "Ppg_plw"): a starved run must show every route freezing
+	// rows (Spills) and probing or scanning them back (Reads), not just
+	// one of them on the others' behalf.
+	RouteSpills map[string]SpillCount
 	// FaultRoutes counts queries checked through the fault route, and
 	// FaultRetries how many of those actually retried after the injected
 	// kill — the guard that a fault run exercised the recovery path rather
@@ -260,6 +265,47 @@ type Report struct {
 	VerifierViolations int
 }
 
+// SpillCount is one route's share of a starved run's spill traffic.
+type SpillCount struct {
+	Spills int64 // spill events (core.MemGauge.Spills)
+	Reads  int64 // positioned reads of spill runs (core.MemGauge.SpillReads)
+}
+
+// noteSpills accounts the spill traffic the gauges saw since before into
+// the route's share and the run's total.
+func (rep *Report) noteSpills(route string, before SpillCount, gauges ...*core.MemGauge) {
+	now := spillCount(gauges...)
+	if rep.RouteSpills == nil {
+		rep.RouteSpills = map[string]SpillCount{}
+	}
+	rs := rep.RouteSpills[route]
+	rs.Spills += now.Spills - before.Spills
+	rs.Reads += now.Reads - before.Reads
+	rep.RouteSpills[route] = rs
+	rep.Spills += now.Spills - before.Spills
+}
+
+// spillCount sums the gauges' cumulative spill counters (nil gauges count
+// nothing).
+func spillCount(gauges ...*core.MemGauge) SpillCount {
+	var n SpillCount
+	for _, g := range gauges {
+		n.Spills += g.Spills()
+		n.Reads += g.SpillReads()
+	}
+	return n
+}
+
+// newCluster builds the cluster a run's distributed routes execute on.
+func newCluster(opts Options) (*cluster.Cluster, error) {
+	return cluster.New(cluster.Config{
+		Workers:      opts.Workers,
+		Transport:    opts.Transport,
+		TaskMemBytes: opts.TaskMemBytes,
+		SpillDir:     opts.SpillDir,
+	})
+}
+
 // RunDifferential runs the harness under the given options, returning a
 // summary or the first mismatch as an error. Every generated query is
 // evaluated by the materializing reference, the centralized streaming
@@ -269,12 +315,7 @@ func RunDifferential(opts Options) (Report, error) {
 	opts.fill()
 	rep := Report{}
 	rng := rand.New(rand.NewSource(opts.Seed))
-	c, err := cluster.New(cluster.Config{
-		Workers:      opts.Workers,
-		Transport:    opts.Transport,
-		TaskMemBytes: opts.TaskMemBytes,
-		SpillDir:     opts.SpillDir,
-	})
+	c, err := newCluster(opts)
 	if err != nil {
 		return rep, err
 	}
@@ -307,25 +348,23 @@ func RunDifferential(opts Options) (Report, error) {
 			eng.Close()
 		}
 	}
-	for _, g := range c.Gauges() {
-		rep.Spills += g.Spills()
-	}
 	return rep, nil
 }
 
 // RunCase evaluates one query on one graph through every route on a
-// private cluster — the entry point for single-case variants (e.g. the
-// loopback-TCP differential test).
-func RunCase(transport cluster.TransportKind, workers int, g *Graph, query string) error {
-	c, err := cluster.New(cluster.Config{Workers: workers, Transport: transport})
+// private cluster built from opts (transport, workers, budget) — the entry
+// point for single-case variants: the loopback-TCP differential test, a
+// starved closure big enough to compact its runs.
+func RunCase(opts Options, g *Graph, query string) (Report, error) {
+	opts.fill()
+	var rep Report
+	c, err := newCluster(opts)
 	if err != nil {
-		return err
+		return rep, err
 	}
 	defer c.Close()
-	var rep Report
-	opts := Options{MaxIter: 2000}
 	_, err = runCase(c, g, query, opts, &rep)
-	return err
+	return rep, err
 }
 
 // RunTermCase is RunCase for a hand-built µ-RA term over the graph's
@@ -420,9 +459,7 @@ func runRoutes(c *cluster.Cluster, g *Graph, term core.Term, opts Options, rep *
 	}
 	got, err := streaming.Eval(term)
 	streaming.Close()
-	if gauge != nil {
-		rep.Spills += gauge.Spills()
-	}
+	rep.noteSpills("streaming", SpillCount{}, gauge)
 	if err != nil {
 		return nil, fmt.Errorf("streaming: %w", err)
 	}
@@ -431,10 +468,13 @@ func runRoutes(c *cluster.Cluster, g *Graph, term core.Term, opts Options, rep *
 	}
 
 	// Routes 3–5: the distributed plans.
+	gauges := append(c.Gauges(), c.DriverGauge())
 	for _, kind := range Plans {
 		p := physical.NewPlanner(c, env)
 		p.Force = kind
+		before := spillCount(gauges...)
 		rel, prep, err := p.Execute(term)
+		rep.noteSpills(kind.String(), before, gauges...)
 		if err != nil {
 			return nil, fmt.Errorf("%v: %w", kind, err)
 		}
