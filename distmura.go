@@ -99,8 +99,9 @@ const (
 	// PlanSplw runs parallel local loops with broadcast joins and
 	// partition-wise set operations.
 	PlanSplw
-	// PlanPgplw runs parallel local loops inside each worker's embedded
-	// indexed engine (the PostgreSQL analog).
+	// PlanPgplw is PlanSplw's loop behind the text boundary: each
+	// worker's seed partition and local result cross a textual
+	// marshalling boundary (the paper's Spark↔PostgreSQL transfer).
 	PlanPgplw
 )
 

@@ -28,7 +28,7 @@ var Analyzer = &analysis.Analyzer{
 
 // scoped limits the check to the packages with long-running loops.
 func scoped(pkgPath string) bool {
-	for _, suf := range []string{"core", "physical", "localdb", "cluster"} {
+	for _, suf := range []string{"core", "physical", "cluster"} {
 		if strings.HasSuffix(pkgPath, suf) {
 			return true
 		}

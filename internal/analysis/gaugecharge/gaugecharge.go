@@ -1,7 +1,6 @@
 // Package gaugecharge enforces the memory-governance contract on the
-// execution hot paths: inside internal/physical and internal/localdb,
-// rows may only enter budgeted structures through MemGauge-charging
-// APIs. Concretely:
+// distributed execution path: inside internal/physical, rows may only
+// enter budgeted structures through MemGauge-charging APIs. Concretely:
 //
 //   - core.NewAccumulator is banned (use NewAccumulatorBudgeted);
 //   - core.BuildJoinIndex / BuildJoinIndexParallel are banned (use
@@ -29,9 +28,9 @@ var Analyzer = &analysis.Analyzer{
 	Run:  run,
 }
 
-// scoped reports whether pkgPath is one of the hot-path packages.
+// scoped reports whether pkgPath is the physical-plan package.
 func scoped(pkgPath string) bool {
-	return strings.HasSuffix(pkgPath, "physical") || strings.HasSuffix(pkgPath, "localdb")
+	return strings.HasSuffix(pkgPath, "physical")
 }
 
 // banned maps unbudgeted core constructors to their budgeted

@@ -126,27 +126,16 @@ type Worker struct {
 	dead    atomic.Bool
 	removed atomic.Bool
 	gauge   *core.MemGauge
-	// local holds arbitrary per-worker engines attached by higher layers
-	// (the Ppg_plw plan stores each worker's embedded localdb here).
-	// Values implementing Close() are closed by Cluster.Close. The map is
-	// only reachable through Local/SetLocal/DeleteLocal, which lock
-	// localMu — map *integrity* is always safe under concurrent sessions.
+	// local holds per-worker state attached by higher layers (the pregel
+	// runtime's adjacency lists and vertex states). The map is only
+	// reachable through Local/SetLocal/DeleteLocal, which lock localMu —
+	// map *integrity* is always safe under concurrent sessions.
 	localMu sync.Mutex
 	local   map[string]any
-	// localSem serializes *use* of a shared attachment across concurrent
-	// sessions (held for the whole operation, not just the map access):
-	// the embedded localdb is single-query (its caches are
-	// unsynchronized), so overlapping Ppg_plw fixpoints on one worker take
-	// turns while other workers — and every other plan — stay concurrent.
-	// A channel rather than a mutex so the acquire is context-aware
-	// (AcquireLocal) and Cluster.Close can try-acquire without blocking
-	// behind a long local fixpoint.
-	localSem chan struct{}
 }
 
 // Local returns the attachment under key (nil when absent). Safe for
-// concurrent use; see AcquireLocal for serializing use of what it
-// returns.
+// concurrent use.
 func (w *Worker) Local(key string) any {
 	w.localMu.Lock()
 	defer w.localMu.Unlock()
@@ -165,33 +154,6 @@ func (w *Worker) DeleteLocal(key string) {
 	w.localMu.Lock()
 	delete(w.local, key)
 	w.localMu.Unlock()
-}
-
-// AcquireLocal takes the worker's attachment-use slot, blocking until the
-// current holder releases it or ctx is cancelled — a query queued behind
-// another session's local fixpoint honors its deadline instead of waiting
-// the predecessor out. The caller must ReleaseLocal exactly once after a
-// nil return.
-func (w *Worker) AcquireLocal(ctx context.Context) error {
-	select {
-	case w.localSem <- struct{}{}:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-// ReleaseLocal returns the attachment-use slot.
-func (w *Worker) ReleaseLocal() { <-w.localSem }
-
-// tryAcquireLocal takes the slot only if it is free (Cluster.Close).
-func (w *Worker) tryAcquireLocal() bool {
-	select {
-	case w.localSem <- struct{}{}:
-		return true
-	default:
-		return false
-	}
 }
 
 // New starts a cluster.
@@ -219,12 +181,11 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		w := &Worker{
-			id:       i,
-			cluster:  c,
-			store:    make(map[int64]*core.Relation),
-			bcast:    make(map[int64]*core.Relation),
-			local:    make(map[string]any),
-			localSem: make(chan struct{}, 1),
+			id:      i,
+			cluster: c,
+			store:   make(map[int64]*core.Relation),
+			bcast:   make(map[int64]*core.Relation),
+			local:   make(map[string]any),
 		}
 		if cfg.TaskMemBytes > 0 {
 			// One gauge per worker for the worker's whole lifetime: the
@@ -262,11 +223,8 @@ func (c *Cluster) Config() Config { return c.cfg }
 // sessions. Per-query counters live on each Session.
 func (c *Cluster) Metrics() *Metrics { return &c.metrics }
 
-// Close shuts the cluster down: the transport first (which also stops the
-// demultiplexers and unblocks any session still at a barrier), then every
-// closeable per-worker attachment (e.g. the Ppg_plw plan's embedded
-// localdb, whose cached spilled indexes hold descriptors and gauge
-// charges until closed).
+// Close shuts the cluster down by closing the transport, which also stops
+// the demultiplexers and unblocks any session still at a barrier.
 func (c *Cluster) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -274,27 +232,7 @@ func (c *Cluster) Close() error {
 		return nil
 	}
 	c.closed = true
-	err := c.transport.Close()
-	for _, w := range c.workers {
-		// Close an attachment only if its use slot is free: blocking here
-		// would stall Close behind an in-flight local fixpoint, and
-		// closing underneath one would race its unsynchronized maps. A
-		// busy worker's attachment is skipped — the fixpoint errors at
-		// its next barrier (transport closed) and localdb's finalizers
-		// backstop the spill descriptors.
-		if !w.tryAcquireLocal() {
-			continue
-		}
-		w.localMu.Lock()
-		for _, v := range w.local {
-			if cl, ok := v.(interface{ Close() }); ok {
-				cl.Close()
-			}
-		}
-		w.localMu.Unlock()
-		w.ReleaseLocal()
-	}
-	return err
+	return c.transport.Close()
 }
 
 // KillWorker marks a worker dead (failure injection): subsequent phases
@@ -378,29 +316,15 @@ func (c *Cluster) ReviveWorker(id int) bool {
 }
 
 // clearState discards a worker's partitions, broadcasts and attachments —
-// the state a crashed process loses. Closeable attachments are closed when
-// their use slot is free; a busy attachment is abandoned to its in-flight
-// holder (whose query fails at its next barrier) and the localdb finalizer
-// backstop, exactly like Cluster.Close.
+// the state a crashed process loses.
 func (w *Worker) clearState() {
 	w.mu.Lock()
 	w.store = make(map[int64]*core.Relation)
 	w.bcast = make(map[int64]*core.Relation)
 	w.mu.Unlock()
-	free := w.tryAcquireLocal()
 	w.localMu.Lock()
-	if free {
-		for _, v := range w.local {
-			if cl, ok := v.(interface{ Close() }); ok {
-				cl.Close()
-			}
-		}
-	}
 	w.local = make(map[string]any)
 	w.localMu.Unlock()
-	if free {
-		w.ReleaseLocal()
-	}
 }
 
 // send is the single data-plane choke point: every outbound frame —
@@ -621,7 +545,8 @@ func (ctx *Ctx) BroadcastValue(b *Broadcast) *core.Relation {
 	return core.NewRelation(b.cols...)
 }
 
-// Worker exposes the per-worker attachment map (for embedded engines).
+// Worker exposes the per-worker attachment map (for state that outlives a
+// phase, such as the pregel runtime's vertex states).
 func (ctx *Ctx) Worker() *Worker { return ctx.w }
 
 // Exchange hash-partitions rel by the given columns across all workers and

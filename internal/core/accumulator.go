@@ -192,18 +192,15 @@ type AccMark [accShards]int
 // filtering against a read-only accumulator Relation and merging a side
 // set afterwards.
 //
-// Concurrency: Add/AddInto/Has/Absorb*/Len/Mark/DeltaViews/DeltaRelation
-// and EvictBelow/MaybeEvict are safe for concurrent use (per-shard locks);
+// Concurrency: Add/AddInto/Has/Absorb*/Len/Mark/DeltaViews and
+// EvictBelow/MaybeEvict are safe for concurrent use (per-shard locks);
 // Materialize and Close must not race with any of them.
 type Accumulator struct {
 	cols    []string
 	arity   int
 	gauge   *MemGauge
 	charged atomic.Int64 // bytes currently charged to the gauge
-	// strideMark is the Len() at which MaybeEvictStride last attempted an
-	// eviction (see there); races on it are benign.
-	strideMark atomic.Int64
-	shards     [accShards]accShard
+	shards  [accShards]accShard
 }
 
 // NewAccumulator returns an empty accumulator over the given columns
@@ -453,33 +450,6 @@ func (a *Accumulator) DeltaViews(from, to AccMark) []*Relation {
 	return out
 }
 
-// DeltaRelation copies the rows between two marks into one contiguous
-// read-only relation — the coalesced delta the sequential fixpoint regime
-// binds (a handful of shard windows would otherwise each pay a pipeline).
-// The rows are known distinct, so no dedup set is built (membership, if a
-// consumer ever asks, materializes lazily). Like DeltaViews it captures
-// each shard's slice header under the shard lock, so it is safe while
-// later Adds proceed concurrently.
-func (a *Accumulator) DeltaRelation(from, to AccMark) *Relation {
-	out := newView(a.cols, make([]Value, 0, DeltaRows(from, to)*a.arity), 0)
-	for i := range a.shards {
-		lo, hi := from[i], to[i]
-		if lo == hi {
-			continue
-		}
-		sh := &a.shards[i]
-		sh.mu.Lock()
-		data, base := sh.data, sh.frozen
-		sh.mu.Unlock()
-		if lo < base {
-			panic(fmt.Sprintf("core: delta window [%d,%d) overlaps rows evicted below %d", lo, hi, base))
-		}
-		out.data = append(out.data, data[(lo-base)*a.arity:(hi-base)*a.arity]...)
-		out.n += hi - lo
-	}
-	return out
-}
-
 // EvictBelow freezes, in every shard, the rows below the given watermark
 // into a sorted on-disk run — the accumulator's spill path. It is a no-op
 // unless the accumulator's gauge is over budget. Rows at or above mark are
@@ -507,56 +477,14 @@ func (a *Accumulator) EvictBelow(mark AccMark) int {
 
 // MaybeEvict is EvictBelow at the current watermark: when the gauge is
 // over budget, every in-memory row is frozen. Callers must hold no
-// outstanding DeltaViews windows (DeltaRelation copies are safe) — it is
-// the between-iterations valve of loops that never window the accumulator,
-// such as Pgld's per-worker X partitions and shuffle filters.
+// outstanding DeltaViews windows — it is the between-iterations valve of
+// loops that never window the accumulator, such as Pgld's per-worker X
+// partitions and shuffle filters.
 func (a *Accumulator) MaybeEvict() int {
 	if a.gauge == nil || !a.gauge.Over() {
 		return 0
 	}
 	return a.EvictBelow(a.Mark())
-}
-
-// MaybeEvictStride is the stride-gated MaybeEvict of budgeted sinks that
-// absorb a long stream of rows: it is a no-op until the accumulator has
-// grown by at least stride rows since the last attempt, so each eviction's
-// run compaction is amortized over a stride's worth of input instead of
-// being rewritten once per batch. Like MaybeEvict it requires that no
-// DeltaViews windows are outstanding and that no delta will be taken from
-// below the current watermark (a fixpoint absorbing its own iteration uses
-// EvictBelowStride). Safe for concurrent use.
-func (a *Accumulator) MaybeEvictStride(stride int) int {
-	if !a.strideDue(stride) {
-		return 0
-	}
-	return a.MaybeEvict()
-}
-
-// EvictBelowStride is the stride-gated EvictBelow: the in-iteration valve
-// of a fixpoint whose φ rows land in the accumulator as they are produced.
-// Rows at or above mark — the iteration's own, the next delta — stay in
-// memory. Safe for concurrent use.
-func (a *Accumulator) EvictBelowStride(mark AccMark, stride int) int {
-	if !a.strideDue(stride) {
-		return 0
-	}
-	return a.EvictBelow(mark)
-}
-
-// strideDue reports whether the accumulator grew by stride rows since the
-// last stride-gated eviction attempt, and if so starts the next stride. The
-// read-then-store race is benign (a duplicate eviction is a cheap no-op, a
-// skipped one is retried a stride later).
-func (a *Accumulator) strideDue(stride int) bool {
-	if a.gauge == nil {
-		return false
-	}
-	n := int64(a.Len())
-	if n-a.strideMark.Load() < int64(stride) {
-		return false
-	}
-	a.strideMark.Store(n)
-	return true
 }
 
 // evictRound is what one EvictBelow call shares across the shards it

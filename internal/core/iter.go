@@ -324,20 +324,6 @@ func (it *deltaIter) Next() *Batch {
 	return &it.src.wins[i]
 }
 
-// ScanShared returns n iterators that together stream rel exactly once:
-// its batch-sized windows are handed out from one shared cursor, so n
-// pipelines built over them — one per worker — split the relation between
-// them as they go.
-func ScanShared(rel *Relation, n int) []Iterator {
-	src := newDeltaSource(rel.Cols(), []*Relation{rel})
-	its := make([]Iterator, n)
-	for i := range its {
-		src.nextPipeline()
-		its[i] = src.scan()
-	}
-	return its
-}
-
 // singletonIter yields one constant row (the {c→v} term).
 type singletonIter struct {
 	cols []string

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -213,6 +214,60 @@ func TestSpilledFixpointMatchesUnbudgeted(t *testing.T) {
 		}
 		assertNoSpillFiles(t, dir)
 	}
+
+	// Random edges dense enough for the parallel probe path, once with the
+	// constant side's join index in memory (only the accumulator is over
+	// budget) and once with the index spilled too (the Grace path). φ's
+	// rows go straight into the fixpoint accumulator, so an eviction during
+	// an iteration must leave that iteration's rows — the next delta — in
+	// memory.
+	t.Run("large_delta", func(t *testing.T) {
+		env := NewEnv()
+		env.Bind("E", randomBinaryRelation(rand.New(rand.NewSource(5)), 1800, 150))
+		want, err := Eval(term, env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			name   string
+			budget int64
+			grace  bool
+		}{
+			{"in_memory_index", 256 << 10, false},
+			{"grace", 16 << 10, true},
+		} {
+			t.Run(tc.name, func(t *testing.T) {
+				dir := t.TempDir()
+				g := NewMemGauge(tc.budget, dir)
+				ev := NewEvaluator(env)
+				ev.Gauge = g
+				ev.Parallel = 4
+				defer ev.Close()
+				got, err := ev.Eval(term)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !SameRows(got, want) {
+					t.Fatalf("budgeted fixpoint: %d rows, want %d", got.Len(), want.Len())
+				}
+				if g.Spills() == 0 {
+					t.Fatal("nothing spilled: the budget does not exercise eviction")
+				}
+				if ev.Stats.ParallelSteps == 0 {
+					t.Fatal("no iteration took the parallel probe path")
+				}
+				if len(ev.indexes) == 0 {
+					t.Fatal("no constant-side join index was cached")
+				}
+				for _, ix := range ev.indexes {
+					if ix.Spilled() != tc.grace {
+						t.Fatalf("constant-side index spilled = %v, want %v", ix.Spilled(), tc.grace)
+					}
+				}
+				assertNoSpillFiles(t, dir)
+			})
+		}
+	})
 }
 
 // TestGraceJoinMatchesInMemory checks the over-budget join path: a spilled

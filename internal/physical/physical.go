@@ -16,10 +16,11 @@
 //     during the loop. When the split used a stable column the local
 //     results are provably disjoint and the final distinct is skipped.
 //
-//   - Ppg_plw — same loop placement, but each worker executes its fixpoint
-//     inside its embedded localdb engine (the PostgreSQL stand-in), paying
-//     a marshalling boundary on the way in and out but gaining persistent
-//     indexes and cached constant subplans (§III-D).
+//   - Ppg_plw — Ps_plw's loop behind the text boundary: each worker runs
+//     the same local fixpoint, but its seed partition and its result cross
+//     a textual marshalling boundary on the way in and out — the
+//     Spark↔PostgreSQL iterator boundary the paper charges this plan for
+//     (§III-D).
 //
 // Plan selection follows the paper's heuristic: Ppg_plw when the estimated
 // size of the variable part's constant datasets exceeds the per-task
@@ -36,7 +37,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/localdb"
 )
 
 // Kind selects a physical plan for fixpoints.
@@ -49,7 +49,7 @@ const (
 	Gld
 	// Splw is P s_plw: parallel local loops with broadcast joins.
 	Splw
-	// Pgplw is P pg_plw: parallel local loops inside localdb.
+	// Pgplw is P pg_plw: Splw's local loops behind the text boundary.
 	Pgplw
 )
 
@@ -520,9 +520,10 @@ func (p *Planner) runGld(sess *cluster.Session, pr *prepared) (*core.Relation, F
 // runPlw executes the fixpoint as parallel local loops on the workers
 // (§III-A, Prop. 3): the constant part is split (by stable columns when
 // available), the φ relations are broadcast once, and each worker runs its
-// entire fixpoint without any exchange. usePg selects the localdb-backed
-// variant Ppg_plw; otherwise the worker loops with the in-memory evaluator
-// and partition-wise set semantics (Ps_plw).
+// entire fixpoint without any exchange, on the in-memory evaluator with
+// partition-wise set semantics (Ps_plw). usePg selects Ppg_plw, which runs
+// the same loop but passes the worker's seed partition and its result
+// through marshalBoundary.
 func (p *Planner) runPlw(sess *cluster.Session, pr *prepared, usePg bool) (*core.Relation, FixpointReport, error) {
 	fr := FixpointReport{StableCols: pr.stable}
 	handles, freeB, err := p.broadcastPhiRels(sess, pr)
@@ -545,31 +546,29 @@ func (p *Planner) runPlw(sess *cluster.Session, pr *prepared, usePg bool) (*core
 	defer sess.Free(resDS)
 
 	d := pr.d
-	var maxIters atomic.Int64
-	var mu sync.Mutex
+	var (
+		mu       sync.Mutex
+		maxIters int
+	)
 	phase := func(ctx *cluster.Ctx) error {
 		part := ctx.Partition(seedDS)
-		var local *core.Relation
-		var iters int
-		var err error
 		if usePg {
-			local, iters, err = runLocalPg(ctx, d, part, handles)
-		} else {
-			env := localEnv(ctx, handles)
-			ev := core.NewEvaluator(env)
-			ev.Gauge = ctx.Gauge()
-			ev.Ctx = ctx.Context()
-			defer ev.Close()
-			local, err = ev.RunFixpoint(d, part, env)
-			iters = ev.Stats.FixpointIterations
+			part = marshalBoundary(part)
 		}
+		env := localEnv(ctx, handles)
+		ev := core.NewEvaluator(env)
+		ev.Gauge = ctx.Gauge()
+		ev.Ctx = ctx.Context()
+		defer ev.Close()
+		local, err := ev.RunFixpoint(d, part, env)
 		if err != nil {
 			return err
 		}
-		mu.Lock()
-		if int64(iters) > maxIters.Load() {
-			maxIters.Store(int64(iters))
+		if usePg {
+			local = marshalBoundary(local)
 		}
+		mu.Lock()
+		maxIters = max(maxIters, ev.Stats.FixpointIterations)
 		mu.Unlock()
 		ctx.SetPartition(resDS, local)
 		return nil
@@ -577,7 +576,7 @@ func (p *Planner) runPlw(sess *cluster.Session, pr *prepared, usePg bool) (*core
 	if err := sess.RunPhase(phase); err != nil {
 		return nil, fr, err
 	}
-	fr.Iterations = int(maxIters.Load())
+	fr.Iterations = maxIters
 
 	final := resDS
 	if fr.Partitioned {
@@ -601,55 +600,11 @@ func (p *Planner) runPlw(sess *cluster.Session, pr *prepared, usePg bool) (*core
 	return out, fr, nil
 }
 
-// runLocalPg is the worker body of Ppg_plw: load the broadcast relations
-// as localdb tables (once per worker; reused across fixpoints), marshal the
-// seed partition across the engine boundary, run the fixpoint inside the
-// engine, and marshal the result back — the Spark↔PostgreSQL iterator
-// boundary of the paper. The worker's embedded engine is shared by every
-// session but is single-query (unsynchronized caches), so concurrent
-// Ppg_plw fixpoints on one worker serialize on the attachment slot — like a
-// single-connection PostgreSQL backend; other workers and all other plans
-// stay concurrent.
-func runLocalPg(ctx *cluster.Ctx, d *core.Decomposed, seed *core.Relation, handles map[string]*cluster.Broadcast) (*core.Relation, int, error) {
-	w := ctx.Worker()
-	// Context-aware acquire: a query queued behind another session's
-	// fixpoint returns ctx.Err() the moment it is cancelled instead of
-	// waiting the predecessor out.
-	if err := w.AcquireLocal(ctx.Context()); err != nil {
-		return nil, 0, err
-	}
-	defer w.ReleaseLocal()
-	db, _ := w.Local("localdb").(*localdb.DB)
-	if db == nil {
-		db = localdb.Open()
-		w.SetLocal("localdb", db)
-	}
-	// The gauge is per session: point the database at the current query's
-	// budget for the duration of this (serialized) fixpoint. Indexes built
-	// now charge — and spill against — this query's gauge; charges of
-	// still-cached older indexes were taken on the gauges that built them.
-	db.SetGauge(ctx.Gauge())
-	for name, h := range handles {
-		rel := ctx.BroadcastValue(h)
-		if tab, ok := db.Table(name); !ok || tab.Relation() != rel {
-			db.CreateTable(name, rel)
-		}
-	}
-	ex := localdb.NewExecutor(db)
-	ex.Ctx = ctx.Context()
-	in := marshalBoundary(seed)
-	res, err := ex.RunFixpoint(d, in, nil)
-	if err != nil {
-		return nil, 0, err
-	}
-	return marshalBoundary(res), ex.Stats.FixpointIters, nil
-}
-
 // marshalBoundary serializes and deserializes every row through a textual
-// wire format — the cost of moving tuples between the dataflow layer and
-// the embedded engine (PostgreSQL's client protocol is text-based; the
-// paper attributes P pg_plw's overhead on small data to exactly this
-// marshalling and transfer, §III-D).
+// wire format — the cost Ppg_plw pays to move tuples between the dataflow
+// layer and the paper's per-worker PostgreSQL (its client protocol is
+// text-based; the paper attributes P pg_plw's overhead on small data to
+// exactly this marshalling and transfer, §III-D).
 func marshalBoundary(rel *core.Relation) *core.Relation {
 	arity := rel.Arity()
 	// The round trip is a bijection on rows, so the output is as distinct

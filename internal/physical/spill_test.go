@@ -79,9 +79,11 @@ func TestPgldSpillLoopbackTCP(t *testing.T) {
 }
 
 // TestAllPlansUnderStarvedBudget runs every physical plan with a tiny
-// per-task budget and checks the result sets still match the unbudgeted
-// reference — the spill paths of Ps_plw (in-memory local loops) and
-// Ppg_plw (localdb executor) ride the same governance.
+// per-task budget and with an ample one, and checks the result sets still
+// match the unbudgeted reference — the spill paths of Ps_plw and Ppg_plw
+// (the same local loop) and Pgld ride the same governance. A finished
+// query must also have released its worker budget before the cluster is
+// closed: nothing it built stays charged on a worker.
 func TestAllPlansUnderStarvedBudget(t *testing.T) {
 	edges := core.NewRelation(core.ColSrc, core.ColTrg)
 	for i := 0; i < 60; i++ {
@@ -94,38 +96,38 @@ func TestAllPlansUnderStarvedBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, kind := range []Kind{Gld, Splw, Pgplw} {
-		spillDir := t.TempDir()
-		c, err := cluster.New(cluster.Config{
-			Workers:      2,
-			TaskMemBytes: 1 << 10,
-			SpillDir:     spillDir,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		p := NewPlanner(c, env)
-		p.Force = kind
-		got, _, err := p.Execute(term)
-		if err != nil {
-			c.Close()
-			t.Fatalf("%s: %v", kind, err)
-		}
-		if !core.SameRows(got, want) {
-			c.Close()
-			t.Fatalf("%s under starved budget differs: %d vs %d rows", kind, got.Len(), want.Len())
-		}
-		c.Close()
-		// Every operator path must have returned its gauge charges by
-		// cluster shutdown (evaluator/accumulator Close on all plans,
-		// localdb Close via Cluster.Close).
-		for w, g := range c.Gauges() {
-			if g.Used() != 0 {
-				t.Fatalf("%s: worker %d gauge holds %d bytes after Close", kind, w, g.Used())
+	for _, budget := range []int64{1 << 10, 1 << 30} {
+		for _, kind := range []Kind{Gld, Splw, Pgplw} {
+			spillDir := t.TempDir()
+			c, err := cluster.New(cluster.Config{
+				Workers:      2,
+				TaskMemBytes: budget,
+				SpillDir:     spillDir,
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if matches, _ := filepath.Glob(filepath.Join(spillDir, core.SpillFilePattern)); len(matches) > 0 {
-			t.Fatalf("%s left spill files: %v", kind, matches)
+			p := NewPlanner(c, env)
+			p.Force = kind
+			got, _, err := p.Execute(term)
+			if err != nil {
+				c.Close()
+				t.Fatalf("%s, budget %d: %v", kind, budget, err)
+			}
+			if !core.SameRows(got, want) {
+				c.Close()
+				t.Fatalf("%s, budget %d: %d rows, want %d", kind, budget, got.Len(), want.Len())
+			}
+			for w, g := range c.Gauges() {
+				if used := g.Used(); used != 0 {
+					c.Close()
+					t.Fatalf("%s, budget %d: worker %d gauge holds %d bytes after the query", kind, budget, w, used)
+				}
+			}
+			c.Close()
+			if matches, _ := filepath.Glob(filepath.Join(spillDir, core.SpillFilePattern)); len(matches) > 0 {
+				t.Fatalf("%s, budget %d: left spill files: %v", kind, budget, matches)
+			}
 		}
 	}
 }
