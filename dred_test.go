@@ -3,6 +3,7 @@ package distmura
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"sort"
 	"strings"
 	"sync"
@@ -321,5 +322,98 @@ func TestConcurrentRetractionStress(t *testing.T) {
 	}
 	if cs.Refreshes == 0 {
 		t.Errorf("no in-place refreshes across the rounds: %+v", cs)
+	}
+}
+
+// TestRefreshOutcomeExact pins refreshSubResult's outcome to set algebra,
+// below the engine: on random graphs, rounds of random mixed deltas
+// (deletes, inserts, and deleted edges inserted back) are maintained from
+// the previous round's rows, and every round the maintained relation must
+// equal a from-scratch evaluation over the mutated graph, addedRows must be
+// new \ old, removedRows old \ new, and the counters must agree with
+// them. The second term reads the graph at two φ occurrences, so a removed
+// or added edge is differentiated at each.
+func TestRefreshOutcomeExact(t *testing.T) {
+	retracting := 0 // seeds on which some round over-deleted rows
+	for seed := int64(1); seed <= 6; seed++ {
+		g := graphgen.ErdosRenyi(36, 0.06, []string{"a", "b"}, seed)
+		a, _ := g.Dict.Lookup("a")
+		b, _ := g.Dict.Lookup("b")
+		ea, eb := core.EdgeRel(edgeRel, a), core.EdgeRel(edgeRel, b)
+		terms := []*core.Fixpoint{
+			core.ClosureLR("X", ea),
+			{X: "X", Body: &core.Union{L: ea, R: core.Compose(ea, core.Compose(&core.Var{Name: "X"}, eb))}},
+		}
+		eval := func(fp *core.Fixpoint) *core.Relation {
+			r, err := core.Eval(fp, g.Env(edgeRel))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return r
+		}
+		rels := make([]*core.Relation, len(terms))
+		for i, fp := range terms {
+			rels[i] = eval(fp)
+		}
+		preds := []core.Value{a, b}
+		var nodes []core.Value
+		for i := 0; i < 36; i++ {
+			v, _ := g.Dict.Lookup(fmt.Sprintf("n%d", i))
+			nodes = append(nodes, v)
+		}
+		si := core.ColIndex(g.Triples.Cols(), core.ColSrc)
+		pi := core.ColIndex(g.Triples.Cols(), core.ColPred)
+		ti := core.ColIndex(g.Triples.Cols(), core.ColTrg)
+		rng := rand.New(rand.NewSource(seed))
+		retracted := false
+		for round := 0; round < 4; round++ {
+			gens := g.PredGens(preds)
+			var gone [][3]core.Value
+			for i := 0; i < 3; i++ {
+				row := g.Triples.RowAt(rng.Intn(g.Edges()))
+				e := [3]core.Value{row[si], row[pi], row[ti]}
+				if g.DeleteV(e[0], e[1], e[2]) {
+					gone = append(gone, e)
+				}
+			}
+			for i := 0; i < 3; i++ {
+				g.AddV(nodes[rng.Intn(len(nodes))], preds[rng.Intn(len(preds))], nodes[rng.Intn(len(nodes))])
+			}
+			if len(gone) > 0 && rng.Intn(2) == 0 {
+				e := gone[0]
+				g.AddV(e[0], e[1], e[2])
+			}
+			added, removed, _, ok := g.DeltasSince(preds, gens)
+			if !ok {
+				t.Fatal("change log lost the round's window")
+			}
+			for i, fp := range terms {
+				old := rels[i]
+				st, err := refreshSubResult(context.Background(), g, fp, old, added, removed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := eval(fp)
+				where := fmt.Sprintf("seed %d round %d term %d", seed, round, i)
+				if !core.SameRows(st.rel, want) {
+					t.Fatalf("%s: maintained %d rows, from scratch %d", where, st.rel.Len(), want.Len())
+				}
+				if gained := want.Diff(old); !core.SameRows(st.addedRows, gained) || st.added != int64(gained.Len()) {
+					t.Fatalf("%s: addedRows %v (added=%d), want new \\ old = %v", where, st.addedRows, st.added, gained)
+				}
+				if lost := old.Diff(want); !core.SameRows(st.removedRows, lost) || st.retracted-st.rederived != int64(lost.Len()) {
+					t.Fatalf("%s: removedRows %v (retracted=%d rederived=%d), want old \\ new = %v",
+						where, st.removedRows, st.retracted, st.rederived, lost)
+				}
+				retracted = retracted || st.retracted > 0
+				rels[i] = st.rel
+			}
+		}
+		if retracted {
+			retracting++
+		}
+	}
+	if retracting < 2 {
+		t.Fatalf("only %d seeds over-deleted rows; the DRed phases went unexercised", retracting)
 	}
 }

@@ -1,13 +1,10 @@
 // Package gaugecharge enforces the memory-governance contract on the
-// distributed execution path: inside internal/physical, rows may only
-// enter budgeted structures through MemGauge-charging APIs. Concretely:
-//
-//   - core.NewAccumulator is banned (use NewAccumulatorBudgeted);
-//   - core.BuildJoinIndex / BuildJoinIndexParallel are banned (use
-//     BuildJoinIndexBudgeted);
-//   - a locally constructed core.Evaluator must have its Gauge field
-//     assigned before the first Eval/RunFixpoint call, otherwise every
-//     intermediate it materializes is invisible to admission control.
+// distributed execution path: inside internal/physical, a locally
+// constructed core.Evaluator must have its Gauge field assigned before the
+// first Eval/RunFixpoint call, otherwise every intermediate it
+// materializes is invisible to admission control. (The row containers
+// themselves need no check: core.NewAccumulator and core.BuildJoinIndex
+// take the gauge as an argument, so a caller cannot forget it.)
 //
 // Other packages (tests, benchkit setup, the root engine which owns
 // the gauges) are out of scope: the point is that per-row allocation
@@ -24,7 +21,7 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "gaugecharge",
-	Doc:  "hot-path row containers must be built through MemGauge-charging APIs",
+	Doc:  "hot-path evaluators must have their MemGauge attached before evaluating",
 	Run:  run,
 }
 
@@ -33,27 +30,12 @@ func scoped(pkgPath string) bool {
 	return strings.HasSuffix(pkgPath, "physical")
 }
 
-// banned maps unbudgeted core constructors to their budgeted
-// replacements.
-var banned = map[string]string{
-	"NewAccumulator":         "NewAccumulatorBudgeted",
-	"BuildJoinIndex":         "BuildJoinIndexBudgeted",
-	"BuildJoinIndexParallel": "BuildJoinIndexBudgeted",
-}
-
 func run(pass *analysis.Pass) error {
 	if !scoped(pass.Pkg.Path()) {
 		return nil
 	}
 	for _, file := range pass.SourceFiles() {
 		ast.Inspect(file, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok {
-				if fn := coreCallee(pass, call); fn != "" {
-					if repl, bad := banned[fn]; bad {
-						pass.Reportf(call.Pos(), "unbudgeted core.%s on a hot path: use core.%s so the MemGauge sees these rows", fn, repl)
-					}
-				}
-			}
 			// FuncDecl only: checkEvaluatorGauge descends into nested
 			// function literals itself, so visiting them here would
 			// scan their blocks twice.

@@ -16,14 +16,14 @@ func step() error { return nil }
 
 // leakNever acquires and never closes on any path.
 func leakNever() {
-	acc := core.NewAccumulator() // want `acc is never closed`
+	acc := core.NewAccumulator(nil) // want `acc is never closed`
 	acc.Add(1)
 }
 
 // leakOnError closes on the happy path but not on the early error
 // return.
 func leakOnError() error {
-	acc := core.NewAccumulator()
+	acc := core.NewAccumulator(nil)
 	if err := step(); err != nil {
 		return err // want `acc is not closed on this return path`
 	}
@@ -33,7 +33,7 @@ func leakOnError() error {
 
 // dropResult discards the constructor result outright.
 func dropResult() {
-	core.NewAccumulator() // want `result of NewAccumulator is dropped without Close`
+	core.NewAccumulator(nil) // want `result of NewAccumulator is dropped without Close`
 }
 
 // watchRenderLeak mirrors the engine's watch-establish bug: rows were

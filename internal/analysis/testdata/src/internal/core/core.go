@@ -17,33 +17,15 @@ type Env struct{}
 // Accumulator mirrors the tracked accumulator resource.
 type Accumulator struct{}
 
-// NewAccumulator is the unbudgeted constructor gaugecharge bans on hot
-// paths; closecheck tracks its result.
-func NewAccumulator() *Accumulator { return &Accumulator{} }
-
-// NewAccumulatorBudgeted is the gauge-charging replacement.
-func NewAccumulatorBudgeted(g *MemGauge) *Accumulator { return &Accumulator{} }
+// NewAccumulator constructs an accumulator charged to g; closecheck
+// tracks its result.
+func NewAccumulator(g *MemGauge) *Accumulator { return &Accumulator{} }
 
 // Add inserts one row.
 func (a *Accumulator) Add(v int) {}
 
 // Close releases the accumulator.
 func (a *Accumulator) Close() {}
-
-// JoinIndex mirrors the tracked join-index resource.
-type JoinIndex struct{}
-
-// BuildJoinIndex is the unbudgeted builder gaugecharge bans.
-func BuildJoinIndex(r *Relation) *JoinIndex { return &JoinIndex{} }
-
-// BuildJoinIndexParallel is the unbudgeted parallel builder.
-func BuildJoinIndexParallel(r *Relation) *JoinIndex { return &JoinIndex{} }
-
-// BuildJoinIndexBudgeted is the gauge-charging replacement.
-func BuildJoinIndexBudgeted(r *Relation, g *MemGauge) *JoinIndex { return &JoinIndex{} }
-
-// Close releases the index.
-func (ix *JoinIndex) Close() {}
 
 // Evaluator mirrors the tracked evaluator, whose Gauge field must be
 // assigned before the first Eval.

@@ -4,38 +4,6 @@ package physical
 
 import "fix/internal/core"
 
-// buildIndex uses the unbudgeted builder.
-func buildIndex(rel *core.Relation) {
-	ix := core.BuildJoinIndex(rel) // want `unbudgeted core\.BuildJoinIndex on a hot path`
-	ix.Close()
-}
-
-// buildIndexParallel uses the unbudgeted parallel builder.
-func buildIndexParallel(rel *core.Relation) {
-	ix := core.BuildJoinIndexParallel(rel) // want `unbudgeted core\.BuildJoinIndexParallel on a hot path`
-	ix.Close()
-}
-
-// buildIndexBudgeted is the clean counterpart.
-func buildIndexBudgeted(rel *core.Relation, g *core.MemGauge) {
-	ix := core.BuildJoinIndexBudgeted(rel, g)
-	ix.Close()
-}
-
-// accumulate uses the unbudgeted accumulator constructor.
-func accumulate() {
-	acc := core.NewAccumulator() // want `unbudgeted core\.NewAccumulator on a hot path`
-	defer acc.Close()
-	acc.Add(1)
-}
-
-// accumulateBudgeted is the clean counterpart.
-func accumulateBudgeted(g *core.MemGauge) {
-	acc := core.NewAccumulatorBudgeted(g)
-	defer acc.Close()
-	acc.Add(1)
-}
-
 // evalUnattached calls Eval before any Gauge assignment.
 func evalUnattached(env *core.Env) {
 	ev := core.NewEvaluator(env)

@@ -20,7 +20,7 @@ import (
 // gone; the price is insertion-order determinism, so every consumer of a
 // fixpoint result must compare order-insensitively (SameRows / Equal).
 //
-// Under a memory budget (NewAccumulatorBudgeted) the accumulator degrades
+// Under a memory budget (a non-nil gauge) the accumulator degrades
 // to disk instead of OOMing: EvictBelow freezes each shard's already-
 // consumed prefix into a sorted on-disk run, keeping only a 32-bit
 // fingerprint per frozen row in memory. The fingerprints are stored in run
@@ -51,14 +51,9 @@ type accShard struct {
 	n      int     // logical row count, including frozen rows
 	frozen int     // rows evicted to the run (a prefix of the shard)
 	run    *accRun // the frozen rows; nil until the first eviction
-	// dead marks retracted rows (Retract/RemoveRows) by value. A dead row
-	// stays physically where it is — in the in-memory store or frozen in a
-	// run, which is never rewritten — and is excluded from Has, Len and
-	// Materialize. Re-adding a dead row resurrects it by dropping the mark.
-	dead *Relation
 	// pad the shard to whole cache lines (3 × 64 bytes) so neighboring
 	// shard locks do not false-share.
-	_ [48]byte
+	_ [56]byte
 }
 
 // accRun is a shard's frozen rows on disk: records of [rowHash,
@@ -72,8 +67,8 @@ type accRun struct {
 	run *spillRun
 	fps []uint32
 	// Probe scratch, reused across locate calls. Guarded by the owning
-	// shard's lock — locate is only reached through addLocked,
-	// retractLocked and Has, all of which hold it.
+	// shard's lock — locate is only reached through addLocked and Has,
+	// both of which hold it.
 	win     []Value
 	scratch []byte
 }
@@ -90,9 +85,9 @@ const runFpShift = 64 - accShardBits - 32
 
 func runFingerprint(h uint64) uint32 { return uint32(h >> runFpShift) }
 
-// locate is THE membership probe of a frozen run, shared by Add, Retract
-// and Has: a binary search of the in-memory filter finds the range of
-// records whose fingerprint equals the row's — empty means definitely
+// locate is THE membership probe of a frozen run, shared by Add and Has:
+// a binary search of the in-memory filter finds the range of records
+// whose fingerprint equals the row's — empty means definitely
 // absent, and is answered without touching disk — and one positioned read
 // fetches exactly that range (almost always a single record) for the
 // hash-and-values comparison. The probe scratch is reused across calls
@@ -204,17 +199,11 @@ type Accumulator struct {
 }
 
 // NewAccumulator returns an empty accumulator over the given columns
-// (sorted, like NewRelation; duplicates panic). It is unbudgeted: it never
-// spills and charges no gauge.
-func NewAccumulator(cols ...string) *Accumulator {
-	return NewAccumulatorBudgeted(nil, cols...)
-}
-
-// NewAccumulatorBudgeted is NewAccumulator governed by a memory gauge: the
-// accumulator charges g as it grows (AccRowBytes per row) and EvictBelow/
-// MaybeEvict freeze shards to disk once g is over budget. A nil gauge
-// yields a plain unbudgeted accumulator.
-func NewAccumulatorBudgeted(g *MemGauge, cols ...string) *Accumulator {
+// (sorted, like NewRelation; duplicates panic), governed by the memory
+// gauge g: the accumulator charges g as it grows (AccRowBytes per row) and
+// EvictBelow/MaybeEvict freeze shards to disk once g is over budget. A nil
+// gauge means unbudgeted: it never spills and charges nothing.
+func NewAccumulator(g *MemGauge, cols ...string) *Accumulator {
 	sorted := SortCols(cols)
 	for i := 1; i < len(sorted); i++ {
 		if sorted[i] == sorted[i-1] {
@@ -265,13 +254,7 @@ func (a *Accumulator) addLocked(sh *accShard, row []Value, h uint64) bool {
 	inMem := sh.n - sh.frozen
 	sh.set.growFor(inMem + 1)
 	slot, found := sh.set.lookup(h, row, sh.data, a.arity)
-	found = found || sh.run.locate(h, row)
-	if found {
-		// Re-adding a retracted row resurrects it: the row is already
-		// physically present, so dropping the dead mark is the insertion.
-		if sh.dead != nil && sh.dead.Remove(row) {
-			return true
-		}
+	if found || sh.run.locate(h, row) {
 		return false
 	}
 	sh.data = append(sh.data, row...)
@@ -280,65 +263,6 @@ func (a *Accumulator) addLocked(sh *accShard, row []Value, h uint64) bool {
 	sh.set.claim(slot, h, int32(inMem+1))
 	a.charge(AccRowBytes(a.arity))
 	return true
-}
-
-// retractLocked marks a present, live row dead (shard lock held),
-// returning false when the row is absent or already dead. The row is not
-// physically removed: in-memory stores stay dense for delta views, and
-// frozen runs are immutable on disk — the mark is the removal.
-func (a *Accumulator) retractLocked(sh *accShard, row []Value, h uint64) bool {
-	_, found := sh.set.lookup(h, row, sh.data, a.arity)
-	found = found || sh.run.locate(h, row)
-	if !found {
-		return false
-	}
-	if sh.dead == nil {
-		sh.dead = NewRelation(a.cols...)
-	}
-	return sh.dead.addHashed(row, h)
-}
-
-// Retract marks a row removed (set semantics: absent or already-retracted
-// rows are a no-op), returning true if the row was present and live.
-// Spilled runs are honored by marking, never rewritten. A later Add of the
-// same row resurrects it. Safe for concurrent use with Add/Has; callers
-// must not hold DeltaViews windows spanning retracted rows.
-func (a *Accumulator) Retract(row []Value) bool {
-	return a.retractHashed(row, HashValues(row))
-}
-
-// retractHashed is Retract with a precomputed hash.
-func (a *Accumulator) retractHashed(row []Value, h uint64) bool {
-	sh := &a.shards[accShardOf(h)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return a.retractLocked(sh, row, h)
-}
-
-// RemoveRows retracts every row of r, returning how many were present and
-// live — the bulk phase-1 primitive of DRed retraction maintenance.
-func (a *Accumulator) RemoveRows(r *Relation) int {
-	n := 0
-	for i := 0; i < r.Len(); i++ {
-		if a.Retract(r.RowAt(i)) {
-			n++
-		}
-	}
-	return n
-}
-
-// Dead returns how many rows are currently marked retracted.
-func (a *Accumulator) Dead() int {
-	n := 0
-	for i := range a.shards {
-		sh := &a.shards[i]
-		sh.mu.Lock()
-		if sh.dead != nil {
-			n += sh.dead.Len()
-		}
-		sh.mu.Unlock()
-	}
-	return n
 }
 
 // Add inserts a row (copying its values), returning true if it was new.
@@ -374,25 +298,18 @@ func (a *Accumulator) hasHashed(row []Value, h uint64) bool {
 	sh := &a.shards[accShardOf(h)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if sh.dead != nil && sh.dead.hasHashed(row, h) {
-		return false
-	}
 	_, found := sh.set.lookup(h, row, sh.data, a.arity)
 	return found || sh.run.locate(h, row)
 }
 
-// Len returns the number of distinct live rows accumulated (retracted rows
-// excluded). Under concurrent insertion it is a momentary snapshot
-// (per-shard consistent).
+// Len returns the number of distinct rows accumulated. Under concurrent
+// insertion it is a momentary snapshot (per-shard consistent).
 func (a *Accumulator) Len() int {
 	n := 0
 	for i := range a.shards {
 		sh := &a.shards[i]
 		sh.mu.Lock()
 		n += sh.n
-		if sh.dead != nil {
-			n -= sh.dead.Len()
-		}
 		sh.mu.Unlock()
 	}
 	return n
@@ -664,17 +581,6 @@ func (a *Accumulator) Absorb(r *Relation) int {
 	return ad.addBatch(a, r.AsBatch(), nil)
 }
 
-// AbsorbNew inserts every row of o not already present and returns the
-// relation of newly added rows — the fused diff-then-union of the
-// semi-naive step, one hash per row (the returned delta's dedup set is
-// deferred).
-func (a *Accumulator) AbsorbNew(o *Relation) *Relation {
-	fresh := NewRelation(a.cols...)
-	var ad accAdder
-	ad.addBatch(a, o.AsBatch(), fresh)
-	return fresh
-}
-
 // AbsorbBatch inserts every row of b, appending the new rows to fresh
 // (when non-nil) and returning how many were new. fresh is the caller's
 // private relation; concurrent callers must each pass their own. Callers
@@ -720,22 +626,18 @@ const parallelMaterializeMin = 1 << 15
 // it must not race with Add or EvictBelow.
 func (a *Accumulator) Materialize() *Relation {
 	total := 0
-	spilled, retracted := false, false
+	spilled := false
 	var offs [accShards]int
 	for i := range a.shards {
 		sh := &a.shards[i]
 		offs[i] = total
 		total += sh.n
 		spilled = spilled || sh.run != nil
-		if sh.dead != nil && sh.dead.Len() > 0 {
-			retracted = true
-			total -= sh.dead.Len()
-		}
 	}
 	out := NewRelation(a.cols...)
 	out.ReserveRows(total)
 	arity := a.arity
-	if !spilled && !retracted {
+	if !spilled {
 		// Every shard's rows land at a precomputed offset of the output's
 		// flat backing array, so the copies need no synchronization.
 		workers := 1
@@ -761,16 +663,9 @@ func (a *Accumulator) Materialize() *Relation {
 	}
 	for i := range a.shards {
 		sh := &a.shards[i]
-		dead := sh.dead
-		if dead != nil && dead.Len() == 0 {
-			dead = nil
-		}
 		if sh.run != nil {
 			sc.reset(sh.run.run)
 			for rec := sc.next(); rec != nil; rec = sc.next() {
-				if dead != nil && dead.hasHashed(rec[1:], uint64(rec[0])) {
-					continue
-				}
 				block = append(block, rec[1:]...)
 				if rows++; rows >= runScanChunk {
 					flush()
@@ -779,21 +674,7 @@ func (a *Accumulator) Materialize() *Relation {
 			flush()
 		}
 		inMem := sh.n - sh.frozen
-		if dead == nil {
-			out.appendDistinctVals(sh.data[:inMem*arity], inMem)
-			continue
-		}
-		for r := 0; r < inMem; r++ {
-			row := sh.data[r*arity : (r+1)*arity]
-			if dead.hasHashed(row, sh.hashes[r]) {
-				continue
-			}
-			block = append(block, row...)
-			if rows++; rows >= runScanChunk {
-				flush()
-			}
-		}
-		flush()
+		out.appendDistinctVals(sh.data[:inMem*arity], inMem)
 	}
 	return out
 }

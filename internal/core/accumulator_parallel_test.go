@@ -12,7 +12,7 @@ import (
 // it from the shards' stored hashes rather than rehashing).
 func TestAccumulatorMaterializeParallel(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	a := NewAccumulator(ColSrc, ColTrg)
+	a := NewAccumulator(nil, ColSrc, ColTrg)
 	defer a.Close()
 	seen := NewRelation(ColSrc, ColTrg)
 	for a.Len() <= parallelMaterializeMin {

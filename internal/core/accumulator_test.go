@@ -18,7 +18,7 @@ import (
 // consecutive marks contain exactly the rows that were new in that epoch.
 func TestAccumulatorDeltaEpochs(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	a := NewAccumulator(ColSrc, ColTrg)
+	a := NewAccumulator(nil, ColSrc, ColTrg)
 	seen := NewRelation(ColSrc, ColTrg)
 	prev := AccMark{}
 	for epoch := 0; epoch < 6; epoch++ {
@@ -60,7 +60,7 @@ func TestAccumulatorProbeWhileAdd(t *testing.T) {
 	base := rows[:4000]
 	extra := rows[4000:]
 
-	a := NewAccumulator(ColSrc, ColTrg)
+	a := NewAccumulator(nil, ColSrc, ColTrg)
 	for _, row := range base {
 		a.Add(row)
 	}
@@ -136,7 +136,7 @@ func TestAccumulatorAbsorbBatchConcurrent(t *testing.T) {
 		src.Add(row)
 	}
 	const workers = 6
-	a := NewAccumulator(ColSrc, ColTrg)
+	a := NewAccumulator(nil, ColSrc, ColTrg)
 	fresh := make([]*Relation, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -189,12 +189,12 @@ func TestParallelIndexBuildMatchesSerial(t *testing.T) {
 			rel.Add(row)
 		}
 		keyCols := cols[:1+trial%len(cols)]
-		serial, err := BuildJoinIndex(rel, keyCols)
+		serial, err := BuildJoinIndex(rel, keyCols, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{2, 8} {
-			par, err := BuildJoinIndexParallel(rel, keyCols, workers)
+			par, err := BuildJoinIndex(rel, keyCols, workers, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -250,7 +250,7 @@ func TestParallelIndexConcurrentProbes(t *testing.T) {
 	for _, row := range randomRows(rng, 3*BatchRowsFor(2), 2, 300) {
 		rel.Add(row)
 	}
-	ix, err := BuildJoinIndexParallel(rel, []string{ColSrc}, 4)
+	ix, err := BuildJoinIndex(rel, []string{ColSrc}, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -125,7 +125,7 @@ func TestFixpointReusesBatchBuffers(t *testing.T) {
 	env := NewEnv()
 	env.Bind("E", chainRelation(4*step+1))
 	ev := NewEvaluator(env)
-	filter := NewAccumulator(ColSrc, ColTrg)
+	filter := NewAccumulator(nil, ColSrc, ColTrg)
 	stepAllocs := func(nu *Relation) float64 {
 		return testing.AllocsPerRun(20, func() {
 			out, err := ev.EvalPhiDelta(d, nu, env, filter)
@@ -182,7 +182,7 @@ func BenchmarkJoinIndexBuild(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := BuildJoinIndexParallel(rel, []string{ColSrc}, workers); err != nil {
+				if _, err := BuildJoinIndex(rel, []string{ColSrc}, workers, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -197,7 +197,7 @@ func BenchmarkAccumulatorAbsorb(b *testing.B) {
 	rel := sparseRelation(rand.New(rand.NewSource(13)), 1<<18, 1<<17)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		a := NewAccumulator(ColSrc, ColTrg)
+		a := NewAccumulator(nil, ColSrc, ColTrg)
 		a.Absorb(rel)
 		if out := a.Materialize(); out.Len() != rel.Len() {
 			b.Fatalf("materialized %d rows, want %d", out.Len(), rel.Len())

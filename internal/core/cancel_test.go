@@ -33,7 +33,7 @@ func TestParallelDrainCtxCancelled(t *testing.T) {
 	rel := chainRelation(BatchRowsFor(2) * 6)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	sink := NewAccumulator(ColSrc, ColTrg)
+	sink := NewAccumulator(nil, ColSrc, ColTrg)
 	_, err := ParallelDrainCtx(ctx, []Iterator{ScanRelation(rel)}, 1, sink)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
@@ -43,7 +43,7 @@ func TestParallelDrainCtxCancelled(t *testing.T) {
 	}
 	sink.Close()
 
-	sink2 := NewAccumulator(ColSrc, ColTrg)
+	sink2 := NewAccumulator(nil, ColSrc, ColTrg)
 	defer sink2.Close()
 	added, err := ParallelDrainCtx(nil, []Iterator{ScanRelation(rel)}, 2, sink2)
 	if err != nil || added != rel.Len() {

@@ -224,10 +224,14 @@ func (ev *Evaluator) eval(t Term, env *Env) (*Relation, error) {
 
 // stream builds the iterator pipeline for t under env. root is true while
 // t sits at the root of a pipeline whose sink deduplicates, through any
-// chain of anti-projections, unions and renames: those drops and unions
-// are built without their inline distinct and their rows are deduplicated
-// once, by the sink. Everything below the chain — and every pipeline whose
-// consumer is another operator — streams sets.
+// chain of anti-projections, unions and renames, an antijoin's left
+// operand, and a join's probe operand when the build side adds no column:
+// the drops and unions on that chain are built without their inline
+// distinct and their rows are deduplicated once, by the sink. An antijoin
+// and a column-preserving join only drop probe rows, so a bag probe
+// yields a bag with no row repeated more often. Everything below the
+// chain — and every pipeline whose consumer is another operator —
+// streams sets.
 func (ev *Evaluator) stream(t Term, env *Env, root bool) (Iterator, error) {
 	switch n := t.(type) {
 	case *Var:
@@ -257,9 +261,9 @@ func (ev *Evaluator) stream(t Term, env *Env, root bool) (Iterator, error) {
 		}
 		return UnionStream(l, r, !root), nil
 	case *Join:
-		return ev.streamJoin(n, env)
+		return ev.streamJoin(n, env, root)
 	case *Antijoin:
-		return ev.streamAntijoin(n, env)
+		return ev.streamAntijoin(n, env, root)
 	case *Filter:
 		in, err := ev.stream(n.T, env, false)
 		if err != nil {
@@ -348,7 +352,7 @@ func (ev *Evaluator) indexFor(rel *Relation, cols []string, stable bool) (*JoinI
 			ev.Stats.IndexReuses++
 			return ix, nil
 		}
-		ix, err := BuildJoinIndexBudgeted(rel, cols, ev.Parallel, ev.Gauge)
+		ix, err := BuildJoinIndex(rel, cols, ev.Parallel, ev.Gauge)
 		if err != nil {
 			return nil, err
 		}
@@ -357,7 +361,7 @@ func (ev *Evaluator) indexFor(rel *Relation, cols []string, stable bool) (*JoinI
 		return ix, nil
 	}
 	ev.Stats.IndexBuilds++
-	ix, err := BuildJoinIndexBudgeted(rel, cols, ev.Parallel, ev.Gauge)
+	ix, err := BuildJoinIndex(rel, cols, ev.Parallel, ev.Gauge)
 	if err == nil && ev.Gauge != nil {
 		// Uncached (dynamic-side) indexes have no cache slot to release
 		// them from; park them on the evaluator so Close returns their
@@ -396,7 +400,9 @@ func (ev *Evaluator) releaseEphemeral(base int) {
 // side is the build side so its index is built once and reused across all
 // delta iterations; otherwise bare relation variables are preferred as
 // build sides (their indexes are cacheable), then the smaller relation.
-func (ev *Evaluator) streamJoin(n *Join, env *Env) (Iterator, error) {
+// A build side that adds no column makes the join a semijoin: it streams
+// through SemijoinStream, and its probe stays on the root chain.
+func (ev *Evaluator) streamJoin(n *Join, env *Env, root bool) (Iterator, error) {
 	build, probe := n.R, n.L
 	lDyn, rDyn := ev.isDynamic(n.L), ev.isDynamic(n.R)
 	switch {
@@ -421,9 +427,19 @@ func (ev *Evaluator) streamJoin(n *Join, env *Env) (Iterator, error) {
 	if err != nil {
 		return nil, err
 	}
-	probeIt, err := ev.stream(probe, env, false)
+	if root {
+		probeCols, err := Schema(probe, env.SchemaEnv())
+		if err != nil {
+			return nil, err
+		}
+		root = len(ColsMinus(buildRel.Cols(), probeCols)) == 0
+	}
+	probeIt, err := ev.stream(probe, env, root)
 	if err != nil {
 		return nil, err
+	}
+	if len(ColsMinus(buildRel.Cols(), probeIt.Cols())) == 0 {
+		return SemijoinStream(probeIt, buildRel, true, &ev.pool), nil
 	}
 	common := ColsIntersect(probeIt.Cols(), buildRel.Cols())
 	ix, err := ev.indexFor(buildRel, common, !ev.isDynamic(build))
@@ -439,9 +455,10 @@ func (ev *Evaluator) streamJoin(n *Join, env *Env) (Iterator, error) {
 // streamAntijoin plans l ▷ r: the right side is materialized (constant
 // under Fcond whenever a fixpoint is running, hence cached) and indexed on
 // the common columns; left rows stream and are emitted when no match
-// exists.
-func (ev *Evaluator) streamAntijoin(n *Antijoin, env *Env) (Iterator, error) {
-	l, err := ev.stream(n.L, env, false)
+// exists. The left side stays on the root chain. A right side whose
+// columns all occur on the left streams through SemijoinStream.
+func (ev *Evaluator) streamAntijoin(n *Antijoin, env *Env, root bool) (Iterator, error) {
+	l, err := ev.stream(n.L, env, root)
 	if err != nil {
 		return nil, err
 	}
@@ -455,6 +472,9 @@ func (ev *Evaluator) streamAntijoin(n *Antijoin, env *Env) (Iterator, error) {
 			return l, nil
 		}
 		return &emptyIter{cols: l.Cols()}, nil
+	}
+	if len(common) == right.Arity() {
+		return SemijoinStream(l, right, false, &ev.pool), nil
 	}
 	ix, err := ev.indexFor(right, common, !ev.isDynamic(n.R))
 	if err != nil {
@@ -534,7 +554,7 @@ func (ev *Evaluator) RunFixpoint(d *Decomposed, init *Relation, env *Env) (*Rela
 	restore := ev.markDynamic(d.X)
 	defer restore()
 	ev.warmConstIndexes(d, init, env)
-	acc := NewAccumulatorBudgeted(ev.Gauge, init.Cols()...)
+	acc := NewAccumulator(ev.Gauge, init.Cols()...)
 	defer acc.Close()
 	prev := AccMark{}
 	deltaRows := acc.Absorb(init)
@@ -632,8 +652,8 @@ func (ev *Evaluator) warmConstIndexes(d *Decomposed, init *Relation, env *Env) {
 			return
 		}
 		common := ColsIntersect(probeCols, rel.Cols())
-		if len(common) == 0 {
-			return
+		if len(common) == 0 || len(common) == rel.Arity() {
+			return // no index: a cross product, or a semijoin (SemijoinStream)
 		}
 		k := indexCacheKey{rel: rel, cols: joinIndexKey(common)}
 		if seen[k] {
@@ -683,7 +703,7 @@ func (ev *Evaluator) warmConstIndexes(d *Decomposed, init *Relation, env *Env) {
 	runWorkers(len(jobs), workers, func(_, i int) {
 		// Each job builds sequentially (parallel=1): the concurrency is
 		// across jobs, not within one, so workers never oversubscribe.
-		if ix, err := BuildJoinIndexBudgeted(jobs[i].rel, jobs[i].cols, 1, ev.Gauge); err == nil {
+		if ix, err := BuildJoinIndex(jobs[i].rel, jobs[i].cols, 1, ev.Gauge); err == nil {
 			built[i] = ix
 		}
 	})

@@ -712,19 +712,55 @@ func (it *antijoinIter) Next() *Batch {
 	return it.out
 }
 
-// DiffStream streams the rows of in absent from o (set difference with a
-// materialized right side; schemas must agree).
-func DiffStream(in Iterator, o *Relation) Iterator {
-	return FilterStream(in, notInRelation{o}, nil)
+// semijoinIter streams the probe rows whose values on the build
+// relation's columns form (keep) or do not form (!keep) one of its rows.
+type semijoinIter struct {
+	probe Iterator
+	build *Relation
+	at    []int   // probe positions of the build columns, in build order
+	key   []Value // projection scratch
+	keep  bool
+	out   *Batch
 }
 
-// notInRelation is the membership-complement pseudo-condition DiffStream
-// uses; it is not part of the σ condition language.
-type notInRelation struct{ rel *Relation }
+// SemijoinStream streams probe ⋉ build (keep) or probe ▷ build (!keep)
+// for a build relation whose columns all occur in probe: every build
+// column is a join key, so the build relation's own dedup set answers each
+// probe and no JoinIndex is built. A join whose build side adds no column
+// is such a semijoin (an intersection when the schemas agree).
+func SemijoinStream(probe Iterator, build *Relation, keep bool, pool *BatchPool) Iterator {
+	at := make([]int, build.Arity())
+	for i, c := range build.Cols() {
+		at[i] = ColIndex(probe.Cols(), c)
+	}
+	return &semijoinIter{probe: probe, build: build, at: at, key: make([]Value, len(at)),
+		keep: keep, out: pool.get(len(probe.Cols()))}
+}
 
-func (c notInRelation) Holds(cols []string, row []Value) bool { return !c.rel.Has(row) }
-func (c notInRelation) Columns() []string                     { return c.rel.Cols() }
-func (c notInRelation) String() string                        { return "∉rel" }
+func (it *semijoinIter) Cols() []string { return it.probe.Cols() }
+
+func (it *semijoinIter) Next() *Batch {
+	it.out.reset()
+	for !it.out.full() {
+		b := it.probe.Next()
+		if b == nil {
+			break
+		}
+		for i := 0; i < b.Len(); i++ {
+			row := b.Row(i)
+			for j, p := range it.at {
+				it.key[j] = row[p]
+			}
+			if it.build.Has(it.key) == it.keep {
+				it.out.AppendRow(row)
+			}
+		}
+	}
+	if it.out.Len() == 0 {
+		return nil
+	}
+	return it.out
+}
 
 // --- sinks -------------------------------------------------------------------
 
@@ -746,6 +782,8 @@ func IsSet(it Iterator) bool {
 	case *joinIter:
 		return IsSet(n.probe)
 	case *antijoinIter:
+		return IsSet(n.probe)
+	case *semijoinIter:
 		return IsSet(n.probe)
 	case *graceIter:
 		return IsSet(n.probe)

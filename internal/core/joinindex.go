@@ -14,10 +14,9 @@ import "fmt"
 // slices: buckets map the 64-bit FNV-1a hash of the key values to row
 // indices, and probes verify candidate rows value-wise, so hash collisions
 // cannot produce wrong matches. Buckets are split across 1 or more
-// hash-routed shards: a serial build uses a single shard, the parallel
-// build (BuildJoinIndexParallel) has a worker pool populate per-shard
-// sub-indexes independently — no locks, no merge — and probes route by the
-// same hash bits. Probing is read-only and safe for concurrent use — the
+// hash-routed shards: a serial build uses a single shard, a parallel build
+// has a worker pool populate per-shard sub-indexes independently — no
+// locks, no merge — and probes route by the same hash bits. Probing is read-only and safe for concurrent use — the
 // parallel fixpoint step probes one index from many goroutines.
 type JoinIndex struct {
 	keyCols []string // indexed columns (as given, relation-schema order)
@@ -67,34 +66,28 @@ func (ix *JoinIndex) bucketFor(h uint64) []int32 {
 	return ix.shards[h>>ix.shardShift].buckets[h]
 }
 
-// BuildJoinIndex indexes rel on keyCols, serially. Every keyCol must be in
-// rel's schema. The index snapshots rel's backing array: rows added to rel
+// BuildJoinIndex indexes rel on keyCols. Every keyCol must be in rel's
+// schema. The index snapshots rel's backing array: rows added to rel
 // afterwards are not covered.
-func BuildJoinIndex(rel *Relation, keyCols []string) (*JoinIndex, error) {
-	return BuildJoinIndexParallel(rel, keyCols, 1)
-}
-
-// BuildJoinIndexParallel is BuildJoinIndex with the build-side work spread
-// over a bounded worker pool when the input is large enough to pay off
-// (the ParallelPlan heuristic): the row hashes are computed in
-// batch-granular chunks concurrently, then each bucket shard is populated
-// by one worker scanning the hash array for its own top bits — per-shard
-// sub-indexes built lock-free and probed shard-wise, never merged.
-// maxWorkers 0 means DefaultParallelism, 1 forces the serial build.
-func BuildJoinIndexParallel(rel *Relation, keyCols []string, maxWorkers int) (*JoinIndex, error) {
-	return BuildJoinIndexBudgeted(rel, keyCols, maxWorkers, nil)
-}
-
-// BuildJoinIndexBudgeted is BuildJoinIndexParallel governed by a memory
-// gauge. When the index's estimated in-memory footprint (IndexRowBytes per
-// row) fits the remaining budget, a normal in-memory index is built and
-// its footprint charged to g; otherwise the build rows are hash-
-// partitioned by key into on-disk runs (Grace-hash style) and the returned
-// index is *spilled*: random-access probes panic, and joins must go
-// through GraceJoinStream/GraceAntijoinStream, which probe one partition
-// at a time so the transient in-memory sub-index stays bounded by roughly
-// buildBytes/partitions. A nil gauge never spills.
-func BuildJoinIndexBudgeted(rel *Relation, keyCols []string, maxWorkers int, g *MemGauge) (*JoinIndex, error) {
+//
+// The build-side work is spread over a bounded worker pool when the input
+// is large enough to pay off (the ParallelPlan heuristic): the row hashes
+// are computed in batch-granular chunks concurrently, then each bucket
+// shard is populated by one worker scanning the hash array for its own top
+// bits — per-shard sub-indexes built lock-free and probed shard-wise,
+// never merged. maxWorkers 0 means DefaultParallelism, 1 forces the serial
+// build.
+//
+// g is the memory gauge the index is governed by; nil means unbudgeted
+// (never spills, charges nothing). When the index's estimated in-memory
+// footprint (IndexRowBytes per row) fits the remaining budget, a normal
+// in-memory index is built and its footprint charged to g; otherwise the
+// build rows are hash-partitioned by key into on-disk runs (Grace-hash
+// style) and the returned index is *spilled*: random-access probes panic,
+// and joins must go through GraceJoinStream/GraceAntijoinStream, which
+// probe one partition at a time so the transient in-memory sub-index stays
+// bounded by roughly buildBytes/partitions.
+func BuildJoinIndex(rel *Relation, keyCols []string, maxWorkers int, g *MemGauge) (*JoinIndex, error) {
 	at := make([]int, len(keyCols))
 	for i, c := range keyCols {
 		idx := ColIndex(rel.Cols(), c)

@@ -167,7 +167,7 @@ func (g *MemGauge) Over() bool {
 }
 
 // WouldExceed reports whether charging n more bytes would exceed the
-// budget — the build-or-spill decision of BuildJoinIndexBudgeted. Like
+// budget — the build-or-spill decision of BuildJoinIndex. Like
 // Over it consults the ancestors too. Safe on nil (always false).
 func (g *MemGauge) WouldExceed(n int64) bool {
 	if g == nil {

@@ -300,17 +300,21 @@ func TestQuickStreamingFixpointStats(t *testing.T) {
 	}
 }
 
-// TestQuickDiffStreamMatchesDiff: the streaming set difference agrees
-// with the materializing Relation.Diff on random relations.
+// TestQuickDiffStreamMatchesDiff: the streaming set difference and
+// intersection (SemijoinStream over a build relation of the probe's
+// schema) agree with the materializing Relation.Diff on random relations.
 func TestQuickDiffStreamMatchesDiff(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 80; trial++ {
 		a := randomBinaryRelation(rng, rng.Intn(40), 6)
 		b := randomBinaryRelation(rng, rng.Intn(40), 6)
-		got := Materialize(DiffStream(ScanRelation(a), b))
 		want := a.Diff(b)
-		if !got.Equal(want) {
-			t.Fatalf("trial %d: DiffStream %v ≠ Diff %v", trial, got, want)
+		if got := Materialize(SemijoinStream(ScanRelation(a), b, false, nil)); !got.Equal(want) {
+			t.Fatalf("trial %d: streamed a \\ b %v ≠ Diff %v", trial, got, want)
+		}
+		want = a.Diff(want)
+		if got := Materialize(SemijoinStream(ScanRelation(a), b, true, nil)); !got.Equal(want) {
+			t.Fatalf("trial %d: streamed a ∩ b %v ≠ a \\ (a \\ b) %v", trial, got, want)
 		}
 	}
 }
@@ -419,10 +423,13 @@ func TestQuickDropCommutes(t *testing.T) {
 }
 
 // bagRootedBranches returns φ branches over X(src,trg) whose root chains
-// are the three shapes a bag-rooted pipeline is built for: an
-// anti-projection over an anti-projection, a union, and a rename over an
-// anti-projection. E3 is ternary (src,trg,w) so that dropping w merges
-// tuples that dropping the join column alone would keep apart.
+// are the shapes a bag-rooted pipeline is built for: an anti-projection
+// over an anti-projection, a union, a rename over an anti-projection, and
+// an anti-projection under the two operators that only drop probe rows —
+// an antijoin, and a join whose build side adds no column (an
+// intersection with H(src,trg), a semijoin with K(src)). E3 is ternary
+// (src,trg,w) so that dropping w merges tuples that dropping the join
+// column alone would keep apart.
 func bagRootedBranches() map[string]Term {
 	step := func(edges Term) Term { // (@m,src,trg,w): X ∘ edges, before any projection
 		return &Join{
@@ -431,6 +438,7 @@ func bagRootedBranches() map[string]Term {
 		}
 	}
 	e3 := &Var{Name: "E3"}
+	bag := NewAntiProject(step(e3), "@m", "w")
 	return map[string]Term{
 		"drop-over-drop": NewAntiProject(NewAntiProject(step(e3), "@m"), "w"),
 		"union-rooted": &Union{
@@ -439,7 +447,19 @@ func bagRootedBranches() map[string]Term {
 		},
 		"rename-over-drop": &Rename{From: "u", To: ColTrg,
 			T: NewAntiProject(step(&Rename{From: ColTrg, To: "u", T: e3}), "@m", "w")},
+		"antijoin-rooted":     &Antijoin{L: bag, R: &Var{Name: "H"}},
+		"intersection-rooted": &Join{L: bag, R: &Var{Name: "H"}},
+		"semijoin-rooted":     &Join{L: bag, R: &Var{Name: "K"}},
 	}
+}
+
+// randomUnaryRelation returns up to n random rows over (src).
+func randomUnaryRelation(rng *rand.Rand, n, domain int) *Relation {
+	r := NewRelation(ColSrc)
+	for i := 0; i < n; i++ {
+		r.Add([]Value{Value(rng.Intn(domain))})
+	}
+	return r
 }
 
 func randomTernaryRelation(rng *rand.Rand, n, domain int) *Relation {
@@ -451,7 +471,8 @@ func randomTernaryRelation(rng *rand.Rand, n, domain int) *Relation {
 }
 
 // TestQuickBagRootedSinksMatchReference: a pipeline whose root chain of
-// anti-projections, unions and renames carries no inline distinct, drained
+// anti-projections, unions, renames, antijoins and column-preserving joins
+// carries no inline distinct, drained
 // into each of the sinks that deduplicate — the fixpoint Accumulator, the
 // delta relation of EvalPhiDelta, a shuffle filter, Materialize — yields
 // the rows of the materializing reference.
@@ -462,6 +483,8 @@ func TestQuickBagRootedSinksMatchReference(t *testing.T) {
 			env := NewEnv()
 			env.Bind("E3", randomTernaryRelation(rng, 2+rng.Intn(40), 7))
 			env.Bind("F3", randomTernaryRelation(rng, 1+rng.Intn(20), 7))
+			env.Bind("H", randomBinaryRelation(rng, rng.Intn(30), 7))
+			env.Bind("K", randomUnaryRelation(rng, rng.Intn(6), 7))
 			init := randomBinaryRelation(rng, 1+rng.Intn(10), 7)
 			d := &Decomposed{X: "X", Const: &Var{Name: "S"}, PhiBranches: []Term{branch}}
 			reference := NewEvaluator(env)
@@ -497,7 +520,7 @@ func TestQuickBagRootedSinksMatchReference(t *testing.T) {
 			// Sink 3: a shuffle filter that has already seen part of φ(init)
 			// passes on exactly the rest, and holds all of it afterwards.
 			seenBefore := wantStep.Slice(0, wantStep.Len()/2)
-			filter := NewAccumulator(init.Cols()...)
+			filter := NewAccumulator(nil, init.Cols()...)
 			filter.Absorb(seenBefore)
 			gotNew, err := streaming.EvalPhiDelta(d, init, env, filter)
 			if err != nil {
@@ -528,20 +551,39 @@ func TestQuickBagRootedSinksMatchReference(t *testing.T) {
 }
 
 // TestBagRootKeepsInteriorDistinct: only the root chain loses its inline
-// distinct. Below the first operator that is not an anti-projection, union
-// or rename the stream is a set again, which is what lets Materialize
-// append a set-rooted pipeline without hashing it.
+// distinct. The chain runs through antijoins and through joins whose build
+// side adds no column; below the first other operator — a filter, or a
+// join whose build side adds a column — the stream is a set again, which
+// is what lets Materialize append a set-rooted pipeline without hashing
+// it.
 func TestBagRootKeepsInteriorDistinct(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
 	env := NewEnv()
-	env.Bind("E3", randomTernaryRelation(rand.New(rand.NewSource(3)), 40, 5))
+	env.Bind("E3", randomTernaryRelation(rng, 40, 5))
+	env.Bind("H", randomBinaryRelation(rng, 20, 5))
 	ev := NewEvaluator(env)
 	drop := NewAntiProject(&Var{Name: "E3"}, "w")
-	root, err := ev.stream(drop, env, true)
+	for name, term := range map[string]Term{
+		"anti-projection": drop,
+		"antijoin":        &Antijoin{L: drop, R: &Var{Name: "H"}},
+		"intersection":    &Join{L: drop, R: &Var{Name: "H"}},
+	} {
+		root, err := ev.stream(term, env, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if IsSet(root) {
+			t.Fatalf("a root %s still carries the inline distinct of the anti-projection on its chain", name)
+		}
+	}
+	// E3(src,trg,w) as the build side adds w to drop(src,trg): the probe
+	// leaves the chain and keeps its distinct.
+	widening, err := ev.stream(&Join{L: drop, R: &Var{Name: "E3"}}, env, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if IsSet(root) {
-		t.Fatal("a root anti-projection still carries its inline distinct")
+	if !IsSet(widening) {
+		t.Fatal("an anti-projection probing a join whose build side adds a column lost its inline distinct")
 	}
 	interior, err := ev.stream(&Filter{Cond: NeConst{Col: ColSrc, Val: 0}, T: drop}, env, true)
 	if err != nil {

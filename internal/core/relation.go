@@ -182,24 +182,12 @@ func (r *Relation) Add(row []Value) bool {
 	if len(row) != len(r.cols) {
 		panic(fmt.Sprintf("core: row arity %d does not match schema %v", len(row), r.cols))
 	}
-	return r.addHashed(row, HashValues(row))
-}
-
-// AddCopy is Add. With flat storage every insert copies the row's values
-// into the backing array, so the historical Add/AddCopy ownership split is
-// gone; the name is kept for callers written against it.
-func (r *Relation) AddCopy(row []Value) bool { return r.Add(row) }
-
-// addHashed is the insertion path with a precomputed row hash: dedup via
-// the tuple set, then append the values to the backing array. Callers that
-// insert one row into several relations (the fixpoint accumulator and its
-// delta) hash once and reuse it.
-func (r *Relation) addHashed(row []Value, h uint64) bool {
 	if r.readonly {
 		panic("core: insert into a read-only relation view")
 	}
 	r.ensureSet()
 	r.set.growFor(r.n + 1)
+	h := HashValues(row)
 	slot, found := r.set.lookup(h, row, r.data, len(r.cols))
 	if found {
 		return false
@@ -209,6 +197,11 @@ func (r *Relation) addHashed(row []Value, h uint64) bool {
 	r.set.claim(slot, h, int32(r.n))
 	return true
 }
+
+// AddCopy is Add. With flat storage every insert copies the row's values
+// into the backing array, so the historical Add/AddCopy ownership split is
+// gone; the name is kept for callers written against it.
+func (r *Relation) AddCopy(row []Value) bool { return r.Add(row) }
 
 // AppendDistinct bulk-appends the rows of b, which the caller guarantees
 // are absent from r and distinct among themselves — a duplicate-free
@@ -289,15 +282,13 @@ func (r *Relation) Remove(row []Value) bool {
 	return true
 }
 
-// Has reports whether the relation contains the row.
-func (r *Relation) Has(row []Value) bool { return r.hasHashed(row, HashValues(row)) }
-
-// hasHashed is Has with a precomputed hash. It is safe for concurrent use
-// with other readers (the parallel fixpoint step probes shared relations
-// from many goroutines); a deferred set is built by the first caller.
-func (r *Relation) hasHashed(row []Value, h uint64) bool {
+// Has reports whether the relation contains the row. It is safe for
+// concurrent use with other readers (the parallel fixpoint step probes
+// shared relations from many goroutines); a deferred set is built by the
+// first caller.
+func (r *Relation) Has(row []Value) bool {
 	r.ensureSet()
-	_, found := r.set.lookup(h, row, r.data, len(r.cols))
+	_, found := r.set.lookup(HashValues(row), row, r.data, len(r.cols))
 	return found
 }
 
@@ -487,36 +478,17 @@ func (r *Relation) UnionInPlace(o *Relation) int {
 	return n
 }
 
-// AbsorbNew adds every row of o not already present in r and returns the
-// relation of newly added rows — the fused diff-then-union of the
-// semi-naive step (new = o \ X; X = X ∪ new) in a single pass with one
-// hash per row.
-func (r *Relation) AbsorbNew(o *Relation) *Relation {
-	if !ColsEqual(r.cols, o.cols) {
-		panic(fmt.Sprintf("core: absorb schema mismatch %v vs %v", r.cols, o.cols))
-	}
-	fresh := NewRelation(r.cols...)
-	for i := 0; i < o.n; i++ {
-		row := o.RowAt(i)
-		h := HashValues(row)
-		if r.addHashed(row, h) {
-			fresh.addHashed(row, h)
-		}
-	}
-	return fresh
-}
-
-// Diff returns r \ o. Schemas must be equal.
+// Diff returns r \ o. Schemas must be equal. The rows of a set minus
+// anything are distinct, so they are appended with the result's dedup set
+// deferred: only o is probed.
 func (r *Relation) Diff(o *Relation) *Relation {
 	if !ColsEqual(r.cols, o.cols) {
 		panic(fmt.Sprintf("core: diff schema mismatch %v vs %v", r.cols, o.cols))
 	}
 	out := NewRelation(r.cols...)
 	for i := 0; i < r.n; i++ {
-		row := r.RowAt(i)
-		h := HashValues(row)
-		if !o.hasHashed(row, h) {
-			out.addHashed(row, h)
+		if row := r.RowAt(i); !o.Has(row) {
+			out.appendDistinctVals(row, 1)
 		}
 	}
 	return out

@@ -269,7 +269,7 @@ func TestAccumulatorAgreesWithRelation(t *testing.T) {
 	for _, row := range rows {
 		want.Add(row)
 	}
-	a := NewAccumulator(ColSrc, ColTrg)
+	a := NewAccumulator(nil, ColSrc, ColTrg)
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -290,10 +290,10 @@ func TestAccumulatorAgreesWithRelation(t *testing.T) {
 	}
 }
 
-// TestAccumulatorAbsorb: Absorb seeds the set, AbsorbNew returns exactly
+// TestAccumulatorAbsorb: Absorb seeds the set, AbsorbBatch appends exactly
 // the rows that were new, and membership answers stay consistent.
 func TestAccumulatorAbsorb(t *testing.T) {
-	a := NewAccumulator(ColSrc, ColTrg)
+	a := NewAccumulator(nil, ColSrc, ColTrg)
 	seed := NewRelation(ColSrc, ColTrg)
 	seed.Add([]Value{1, 2})
 	seed.Add([]Value{3, 4})
@@ -309,9 +309,9 @@ func TestAccumulatorAbsorb(t *testing.T) {
 	next := NewRelation(ColSrc, ColTrg)
 	next.Add([]Value{3, 4}) // already in
 	next.Add([]Value{5, 6}) // new
-	fresh := a.AbsorbNew(next)
-	if fresh.Len() != 1 || !fresh.Has([]Value{5, 6}) {
-		t.Fatalf("AbsorbNew returned %v, want exactly {(5,6)}", fresh)
+	fresh := NewRelation(ColSrc, ColTrg)
+	if n := a.AbsorbBatch(next.AsBatch(), fresh); n != 1 || fresh.Len() != 1 || !fresh.Has([]Value{5, 6}) {
+		t.Fatalf("AbsorbBatch added %d rows %v, want exactly {(5,6)}", n, fresh)
 	}
 }
 
@@ -338,7 +338,7 @@ func TestParallelDrainMatchesSequential(t *testing.T) {
 		// Duplicate the first chunk: the sink must deduplicate across
 		// pipelines.
 		pipes = append(pipes, ScanRelation(src.Slice(0, chunk)))
-		sink := NewAccumulator(ColSrc, ColTrg)
+		sink := NewAccumulator(nil, ColSrc, ColTrg)
 		added := ParallelDrain(pipes, workers, sink)
 		if added != src.Len() {
 			t.Fatalf("workers=%d: drained %d distinct rows, want %d", workers, added, src.Len())

@@ -1,15 +1,12 @@
 package core
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 )
 
-// Tests for the deletion primitives under the live graph's retraction
-// path: Relation.Remove (swap-remove + backward-shift set deletion) and
-// the accumulator's dead-row marking (Retract/RemoveRows), including its
-// interaction with spilled runs, which are marked rather than rewritten.
+// Tests for the deletion primitive under the live graph's edge removal:
+// Relation.Remove (swap-remove + backward-shift set deletion).
 
 func TestRelationRemove(t *testing.T) {
 	r := NewRelation(ColSrc, ColTrg)
@@ -81,173 +78,6 @@ func TestRelationRemoveChurn(t *testing.T) {
 	for k := range ref {
 		if !r.Has([]Value{k[0], k[1]}) {
 			t.Fatalf("lost row %v", k)
-		}
-	}
-}
-
-func TestAccumulatorRetract(t *testing.T) {
-	a := NewAccumulator(ColSrc, ColTrg)
-	defer a.Close()
-	for i := 0; i < 50; i++ {
-		a.Add([]Value{Value(i), Value(i + 1)})
-	}
-	if a.Retract([]Value{Value(200), Value(201)}) {
-		t.Fatal("retracted a row never added")
-	}
-	if !a.Retract([]Value{Value(7), Value(8)}) {
-		t.Fatal("failed to retract a present row")
-	}
-	if a.Retract([]Value{Value(7), Value(8)}) {
-		t.Fatal("double retract succeeded")
-	}
-	if a.Has([]Value{Value(7), Value(8)}) {
-		t.Fatal("retracted row still present")
-	}
-	if a.Len() != 49 {
-		t.Fatalf("Len=%d after retract, want 49", a.Len())
-	}
-	if a.Dead() != 1 {
-		t.Fatalf("Dead=%d, want 1", a.Dead())
-	}
-	got := a.Materialize()
-	if got.Len() != 49 || got.Has([]Value{Value(7), Value(8)}) {
-		t.Fatalf("materialization kept the dead row: len=%d", got.Len())
-	}
-	// Re-adding a retracted row resurrects it — and reports it as new.
-	if !a.Add([]Value{Value(7), Value(8)}) {
-		t.Fatal("re-add of a retracted row rejected")
-	}
-	if !a.Has([]Value{Value(7), Value(8)}) || a.Len() != 50 || a.Dead() != 0 {
-		t.Fatalf("resurrection incomplete: has=%v len=%d dead=%d",
-			a.Has([]Value{Value(7), Value(8)}), a.Len(), a.Dead())
-	}
-}
-
-func TestAccumulatorRemoveRows(t *testing.T) {
-	a := NewAccumulator(ColSrc, ColTrg)
-	defer a.Close()
-	for i := 0; i < 30; i++ {
-		a.Add([]Value{Value(i), Value(i)})
-	}
-	batch := NewRelation(ColSrc, ColTrg)
-	for i := 10; i < 25; i++ {
-		batch.Add([]Value{Value(i), Value(i)})
-	}
-	batch.Add([]Value{Value(500), Value(500)}) // absent: must not count
-	if n := a.RemoveRows(batch); n != 15 {
-		t.Fatalf("RemoveRows=%d, want 15", n)
-	}
-	if a.Len() != 15 {
-		t.Fatalf("Len=%d, want 15", a.Len())
-	}
-	got := a.Materialize()
-	for i := 0; i < 30; i++ {
-		want := i < 10 || i >= 25
-		if got.Has([]Value{Value(i), Value(i)}) != want {
-			t.Fatalf("row %d present=%v, want %v", i, !want, want)
-		}
-	}
-}
-
-// TestAccumulatorRetractSpilledRun pins the marking contract for frozen
-// shards: a retraction of a row that already lives in an on-disk run must
-// not rewrite the run, yet Has/Len/Materialize must all exclude the row,
-// and a later Add must resurrect it.
-func TestAccumulatorRetractSpilledRun(t *testing.T) {
-	g := NewMemGauge(256, t.TempDir())
-	a := NewAccumulatorBudgeted(g, ColSrc, ColTrg)
-	defer a.Close()
-	const n = 120
-	for i := 0; i < n; i++ {
-		a.Add([]Value{Value(i), Value(i + 1)})
-	}
-	if evicted := a.MaybeEvict(); evicted == 0 {
-		t.Fatal("expected eviction under a 256-byte budget")
-	}
-	runs := a.Runs()
-	if runs == 0 {
-		t.Fatal("no frozen runs after eviction")
-	}
-	dead := 0
-	for i := 0; i < n; i += 3 {
-		if !a.Retract([]Value{Value(i), Value(i + 1)}) {
-			t.Fatalf("retract of frozen row %d failed", i)
-		}
-		dead++
-	}
-	if a.Runs() != runs {
-		t.Fatalf("retraction rewrote runs: %d -> %d", runs, a.Runs())
-	}
-	if a.Len() != n-dead || a.Dead() != dead {
-		t.Fatalf("Len=%d Dead=%d, want %d/%d", a.Len(), a.Dead(), n-dead, dead)
-	}
-	for i := 0; i < n; i++ {
-		want := i%3 != 0
-		if a.Has([]Value{Value(i), Value(i + 1)}) != want {
-			t.Fatalf("frozen row %d present=%v, want %v", i, !want, want)
-		}
-	}
-	got := a.Materialize()
-	if got.Len() != n-dead {
-		t.Fatalf("materialized %d rows, want %d", got.Len(), n-dead)
-	}
-	for i := 0; i < n; i++ {
-		want := i%3 != 0
-		if got.Has([]Value{Value(i), Value(i + 1)}) != want {
-			t.Fatalf("materialized row %d present=%v, want %v", i, !want, want)
-		}
-	}
-	// Resurrect one frozen-and-retracted row; it must count again.
-	if !a.Add([]Value{Value(0), Value(1)}) {
-		t.Fatal("re-add of a retracted frozen row rejected")
-	}
-	if !a.Has([]Value{Value(0), Value(1)}) || a.Len() != n-dead+1 {
-		t.Fatalf("resurrection of a frozen row incomplete: len=%d", a.Len())
-	}
-}
-
-// TestAccumulatorRetractConcurrent is the -race lane for dead-row
-// marking: concurrent retractors and probers over a shared accumulator
-// (mirroring refresh maintenance racing cached readers).
-func TestAccumulatorRetractConcurrent(t *testing.T) {
-	a := NewAccumulator(ColSrc, ColTrg)
-	defer a.Close()
-	const n = 4000
-	for i := 0; i < n; i++ {
-		a.Add([]Value{Value(i), Value(i + 1)})
-	}
-	done := make(chan error, 4)
-	for w := 0; w < 2; w++ {
-		go func(w int) {
-			for i := w; i < n; i += 2 {
-				if i%4 == 0 {
-					a.Retract([]Value{Value(i), Value(i + 1)})
-				}
-			}
-			done <- nil
-		}(w)
-	}
-	for w := 0; w < 2; w++ {
-		go func(w int) {
-			for i := 0; i < n; i++ {
-				if a.Has([]Value{Value(i), Value(i + 1)}) && i%4 == 0 {
-					continue // racing the retractor: either answer is fine
-				}
-			}
-			done <- nil
-		}(w)
-	}
-	for i := 0; i < 4; i++ {
-		if err := <-done; err != nil {
-			t.Fatal(err)
-		}
-	}
-	if want := n - n/4; a.Len() != want {
-		t.Fatalf("Len=%d after concurrent retraction, want %d", a.Len(), want)
-	}
-	for i := 0; i < n; i++ {
-		if got, want := a.Has([]Value{Value(i), Value(i + 1)}), i%4 != 0; got != want {
-			t.Fatal(fmt.Sprintf("row %d present=%v, want %v", i, got, want))
 		}
 	}
 }

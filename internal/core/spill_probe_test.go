@@ -67,9 +67,7 @@ func naturalUniverse(t *testing.T) []probeRow {
 // values. Two groups of the first kind also contain pairs of the second,
 // so one fingerprint range holds both sorts of neighbor. Every hashed entry
 // point of the accumulator takes the hash from its caller, so a row is
-// consistently filed under the same one — except that resurrecting a
-// retracted row rehashes it (Relation.Remove), so tests never re-add a
-// retracted engineered row.
+// consistently filed under the same one.
 func engineeredUniverse(rng *rand.Rand) []probeRow {
 	var out []probeRow
 	next := 10_000 // clear of the natural universe's values
@@ -163,51 +161,32 @@ func checkAgainstReference(t *testing.T, acc *Accumulator, uni []probeRow, live 
 }
 
 // TestSpillProbeMatchesReference is the property test of frozen-run
-// membership: random Add / Retract / Has, every answer checked against a
-// map, with everything in memory frozen every few hundred operations — a
-// dozen eviction rounds, each a compaction merge into the previous run.
-// Over the natural universe retracted rows are frozen dead and resurrected
-// by a later Add; over the engineered one a retracted row stays retracted.
+// membership: random Add / Has over the natural and the engineered
+// universe, every answer checked against a map, with everything in memory
+// frozen every few hundred operations — a dozen eviction rounds, each a
+// compaction merge into the previous run.
 func TestSpillProbeMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		resurrect := seed%2 == 1
 		uni := engineeredUniverse(rng)
-		if resurrect {
+		if seed%2 == 1 {
 			uni = naturalUniverse(t)
 		}
 		dir := t.TempDir()
 		g := NewMemGauge(1, dir) // always over budget: MaybeEvict freezes all
-		acc := NewAccumulatorBudgeted(g, ColSrc, ColTrg)
+		acc := NewAccumulator(g, ColSrc, ColTrg)
 		live := map[int]bool{}
-		retracted := map[int]bool{} // present but marked dead
-		rounds, resurrected := 0, 0
+		rounds := 0
 		for step := 0; step < 6000; step++ {
 			i := rng.Intn(len(uni))
 			r := uni[i]
-			op := rng.Intn(10)
-			if retracted[i] && !resurrect {
-				op = 9
-			}
-			switch {
-			case op < 5:
+			if rng.Intn(10) < 5 {
 				if got := acc.addHashed(r.row, r.h); got == live[i] {
 					t.Fatalf("seed %d step %d: Add(%v) = %v with the row live=%v", seed, step, r.row, got, live[i])
 				}
-				if retracted[i] {
-					resurrected++
-				}
-				live[i], retracted[i] = true, false
-			case op < 7:
-				if got := acc.retractHashed(r.row, r.h); got != live[i] {
-					t.Fatalf("seed %d step %d: Retract(%v) = %v with the row live=%v", seed, step, r.row, got, live[i])
-				}
-				retracted[i] = retracted[i] || live[i]
-				delete(live, i)
-			default:
-				if got := acc.hasHashed(r.row, r.h); got != live[i] {
-					t.Fatalf("seed %d step %d: Has(%v) = %v with the row live=%v", seed, step, r.row, got, live[i])
-				}
+				live[i] = true
+			} else if got := acc.hasHashed(r.row, r.h); got != live[i] {
+				t.Fatalf("seed %d step %d: Has(%v) = %v with the row live=%v", seed, step, r.row, got, live[i])
 			}
 			if step%500 == 499 {
 				if acc.MaybeEvict() > 0 {
@@ -217,9 +196,8 @@ func TestSpillProbeMatchesReference(t *testing.T) {
 				checkAgainstReference(t, acc, uni, live)
 			}
 		}
-		if rounds < 3 || (resurrect && resurrected == 0) || acc.Dead() == 0 {
-			t.Fatalf("seed %d: %d eviction rounds, %d resurrections, %d rows dead — the run never compacted under retraction",
-				seed, rounds, resurrected, acc.Dead())
+		if rounds < 3 {
+			t.Fatalf("seed %d: %d eviction rounds — the run never compacted", seed, rounds)
 		}
 		acc.Close()
 		assertNoSpillFiles(t, dir)
@@ -234,7 +212,7 @@ func TestSpillProbeMatchesReference(t *testing.T) {
 func TestSpillProbeConcurrentAdders(t *testing.T) {
 	uni := append(naturalUniverse(t), engineeredUniverse(rand.New(rand.NewSource(7)))...)
 	g := NewMemGauge(1, t.TempDir())
-	acc := NewAccumulatorBudgeted(g, ColSrc, ColTrg)
+	acc := NewAccumulator(g, ColSrc, ColTrg)
 	defer acc.Close()
 	const adders = 4
 	var added atomic.Int64
@@ -308,7 +286,7 @@ func spillFDs(dir string) (n int, ok bool) {
 // TestSpillProbeReadAndDescriptorBound asserts the two bounds of the
 // frozen-run layout instead of recording a slowdown: a membership probe
 // that reaches disk costs exactly one positioned read, of exactly the
-// fingerprint-equal records, whichever of Has, Add and Retract issued it —
+// fingerprint-equal records, whether Has or Add issued it —
 // a positioned binary search would cost about ten per probe here — and an
 // eviction round costs one file, so an accumulator holds at most one
 // descriptor per round that still has a live run — a file per frozen
@@ -319,7 +297,7 @@ func TestSpillProbeReadAndDescriptorBound(t *testing.T) {
 		t.Skip("/proc/self/fd is not available")
 	}
 	g := NewMemGauge(1, dir)
-	acc := NewAccumulatorBudgeted(g, ColSrc, ColTrg)
+	acc := NewAccumulator(g, ColSrc, ColTrg)
 	const rounds, perRound = 4, 4096
 	rowOf := func(i int) []Value { return []Value{Value(i), Value(i ^ 0x5a5a)} }
 	fds := func() int { n, _ := spillFDs(dir); return n }
@@ -380,16 +358,6 @@ func TestSpillProbeReadAndDescriptorBound(t *testing.T) {
 	if fp := g.SpillReads() - before; fp > n/100 {
 		t.Fatalf("%d of %d absent-row probes reached disk; the filter is not filtering", fp, n)
 	}
-	probe("Retract of frozen rows", n, func(i int) {
-		if !acc.Retract(rowOf(i)) {
-			t.Fatalf("frozen row %d not retracted", i)
-		}
-	})
-	probe("Has on retracted rows", 0, func(i int) {
-		if acc.Has(rowOf(i)) {
-			t.Fatalf("retracted row %d still present", i)
-		}
-	})
 
 	// A round that freezes rows in only some shards leaves the other
 	// shards' runs where they are: two rounds have live runs, two files.
@@ -416,7 +384,7 @@ func TestSpillProbeReadAndDescriptorBound(t *testing.T) {
 // fixpoint, where most φ output is already in X.
 func BenchmarkAccumulatorFrozenProbe(b *testing.B) {
 	g := NewMemGauge(1, b.TempDir())
-	acc := NewAccumulatorBudgeted(g, ColSrc, ColTrg)
+	acc := NewAccumulator(g, ColSrc, ColTrg)
 	defer acc.Close()
 	const n = 1 << 16
 	for i := 0; i < n; i++ {

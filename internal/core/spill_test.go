@@ -96,9 +96,9 @@ func TestSpillRunRoundTrip(t *testing.T) {
 func spillAndReference(t *testing.T, dir string, rows [][]Value) (*Relation, *Relation) {
 	t.Helper()
 	g := NewMemGauge(1<<10, dir) // 1 KiB: a few dozen binary rows
-	acc := NewAccumulatorBudgeted(g, ColSrc, ColTrg)
+	acc := NewAccumulator(g, ColSrc, ColTrg)
 	defer acc.Close()
-	ref := NewAccumulator(ColSrc, ColTrg)
+	ref := NewAccumulator(nil, ColSrc, ColTrg)
 	for i, row := range rows {
 		a1 := acc.Add(row)
 		a2 := ref.Add(row)
@@ -143,7 +143,7 @@ func TestAccumulatorSpillRoundTrip(t *testing.T) {
 
 func TestAccumulatorHasConsultsFrozenRuns(t *testing.T) {
 	g := NewMemGauge(256, t.TempDir())
-	acc := NewAccumulatorBudgeted(g, ColSrc, ColTrg)
+	acc := NewAccumulator(g, ColSrc, ColTrg)
 	defer acc.Close()
 	for i := 0; i < 100; i++ {
 		acc.Add([]Value{Value(i), Value(i + 1)})
@@ -282,7 +282,7 @@ func TestGraceJoinMatchesInMemory(t *testing.T) {
 	}
 	dir := t.TempDir()
 	g := NewMemGauge(64, dir) // far too small for a 400-row index
-	ix, err := BuildJoinIndexBudgeted(build, []string{ColTrg}, 1, g)
+	ix, err := BuildJoinIndex(build, []string{ColTrg}, 1, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +326,7 @@ func TestGraceJoinSharedIndexConcurrently(t *testing.T) {
 		probe.Add([]Value{Value(i % 29), Value(i % 31)})
 	}
 	g := NewMemGauge(64, t.TempDir())
-	ix, err := BuildJoinIndexBudgeted(build, []string{ColTrg}, 1, g)
+	ix, err := BuildJoinIndex(build, []string{ColTrg}, 1, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +356,7 @@ func TestGraceJoinSharedIndexConcurrently(t *testing.T) {
 // the main goroutine keeps evicting shards to disk.
 func TestAccumulatorConcurrentProbeDuringEviction(t *testing.T) {
 	g := NewMemGauge(1<<9, t.TempDir())
-	acc := NewAccumulatorBudgeted(g, ColSrc, ColTrg)
+	acc := NewAccumulator(g, ColSrc, ColTrg)
 	defer acc.Close()
 	const writers = 3
 	const probers = 2
@@ -408,7 +408,7 @@ func TestAccumulatorConcurrentProbeDuringEviction(t *testing.T) {
 	close(stop)
 	proberWG.Wait()
 
-	ref := NewAccumulator(ColSrc, ColTrg)
+	ref := NewAccumulator(nil, ColSrc, ColTrg)
 	for w := 0; w < writers; w++ {
 		for i := 0; i < perWriter; i++ {
 			ref.Add([]Value{Value((w*perWriter/2 + i) % 500), Value(i % 97)})

@@ -458,12 +458,12 @@ func (p *Planner) runGld(sess *cluster.Session, pr *prepared) (*core.Relation, F
 				ev.Gauge = ctx.Gauge()
 				ev.Ctx = ctx.Context()
 				evals[w] = ev
-				xAcc[w] = core.NewAccumulatorBudgeted(ctx.Gauge(), pr.seed.Cols()...)
+				xAcc[w] = core.NewAccumulator(ctx.Gauge(), pr.seed.Cols()...)
 				xAcc[w].Absorb(ctx.Partition(xDS))
 			}
 			nu := ctx.Partition(newDS)
 			if sent[w] == nil && !p.DisableDeltaShuffleFilter {
-				sent[w] = core.NewAccumulatorBudgeted(ctx.Gauge(), pr.seed.Cols()...)
+				sent[w] = core.NewAccumulator(ctx.Gauge(), pr.seed.Cols()...)
 			}
 			// φ's rows stream straight into the shuffle filter, which is
 			// where this worker deduplicates them; delta is what was new to

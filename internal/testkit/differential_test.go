@@ -49,14 +49,15 @@ func TestDifferentialTCPTransport(t *testing.T) {
 	}
 }
 
-// TestDifferentialBagRootedShapes sends the three root chains a pipeline is
+// TestDifferentialBagRootedShapes sends the root chains a pipeline is
 // built without inline distinct for — an anti-projection over an
-// anti-projection and a rename over an anti-projection as φ branches, a
-// union of overlapping sides as the constant part — through every route on
-// both transports. The fixpoint closes over all labels at once, so dropping
-// the label column merges rows the join column alone keeps apart; src is
-// stable in both branches, so the Pplw routes also take the disjoint
-// collect.
+// anti-projection, a rename over an anti-projection, and an anti-projection
+// of reversed hops under an antijoin and under an intersection join (a
+// build side that adds no column) as φ branches, a union of overlapping sides as the constant
+// part — through every route on both transports. The fixpoint closes over
+// all labels at once, so dropping the label column merges rows the join
+// column alone keeps apart; src is stable in every branch, so the Pplw
+// routes also take the disjoint collect.
 func TestDifferentialBagRootedShapes(t *testing.T) {
 	x := &core.Var{Name: "X"}
 	g := &core.Var{Name: "G"}
@@ -66,6 +67,10 @@ func TestDifferentialBagRootedShapes(t *testing.T) {
 			R: &core.Rename{From: core.ColSrc, To: "@m", T: edges},
 		}
 	}
+	// rev is G with its edges reversed: hops along it reach rows the
+	// forward branches do not derive.
+	rev := &core.Rename{From: "v", To: core.ColTrg, T: &core.Rename{From: core.ColTrg, To: core.ColSrc,
+		T: &core.Rename{From: core.ColSrc, To: "v", T: g}}}
 	label := func(v core.Value) core.Term {
 		return core.NewAntiProject(&core.Filter{Cond: core.EqConst{Col: core.ColPred, Val: v}, T: g}, core.ColPred)
 	}
@@ -73,11 +78,14 @@ func TestDifferentialBagRootedShapes(t *testing.T) {
 		graph := RandomGraph(rand.New(rand.NewSource(int64(40+seed))), kind, 16, 3)
 		l0, _ := graph.G.Dict.Lookup(graph.Labels[0])
 		l1, _ := graph.G.Dict.Lookup(graph.Labels[1])
+		l2, _ := graph.G.Dict.Lookup(graph.Labels[2])
 		term := &core.Fixpoint{X: "X", Body: core.UnionOf([]core.Term{
 			label(l0), label(l1),
 			core.NewAntiProject(core.NewAntiProject(hop(g), "@m"), core.ColPred),
 			&core.Rename{From: "u", To: core.ColTrg,
 				T: core.NewAntiProject(hop(&core.Rename{From: core.ColTrg, To: "u", T: g}), "@m", core.ColPred)},
+			&core.Antijoin{L: core.NewAntiProject(hop(rev), "@m", core.ColPred), R: label(l1)},
+			&core.Join{L: core.NewAntiProject(hop(rev), "@m", core.ColPred), R: label(l2)},
 		})}
 		for _, tr := range []cluster.TransportKind{cluster.TransportChan, cluster.TransportTCP} {
 			if err := RunTermCase(tr, 3, graph, term); err != nil {

@@ -19,7 +19,10 @@ import (
 // pending delta carries removals), one with the cache disabled (every
 // repeat recomputed from scratch). Any divergence between a maintained
 // result and its recompute is a bug in the delete-rederive pass or the
-// delta-seeded semi-naive resume.
+// delta-seeded semi-naive resume. On the plain closure the maintenance
+// counters are checked exactly as well: a round's refresh must report as
+// added exactly the rows the result gained, and as retracted-but-not-
+// rederived exactly the rows it lost.
 
 // IncrementalOptions bounds one incremental differential run.
 type IncrementalOptions struct {
@@ -132,8 +135,9 @@ func RunIncremental(opts IncrementalOptions) (IncrementalReport, error) {
 		}
 		rep.Queries += len(queries)
 
+		var prevClosure []string // the closure's rows after the previous round
 		check := func(round int) error {
-			for _, q := range queries {
+			for qi, q := range queries {
 				got, err := cached.QueryCollect(ctx, q)
 				if err != nil {
 					return fmt.Errorf("cached engine, query %q: %w", q, err)
@@ -150,6 +154,14 @@ func RunIncremental(opts IncrementalOptions) (IncrementalReport, error) {
 					if gs[i] != ws[i] {
 						return fmt.Errorf("round %d, query %q: row %d: refreshed %q, recompute %q", round, q, i, gs[i], ws[i])
 					}
+				}
+				if qi == 0 {
+					if round > 0 {
+						if err := checkNetDelta(got.Stats, prevClosure, gs); err != nil {
+							return fmt.Errorf("round %d, query %q: %w", round, q, err)
+						}
+					}
+					prevClosure = gs
 				}
 				rep.Checks++
 				rep.ResultRows += len(gs)
@@ -235,4 +247,26 @@ func RunIncremental(opts IncrementalOptions) (IncrementalReport, error) {
 		}
 	}
 	return rep, nil
+}
+
+// checkNetDelta asserts that a query's maintenance counters account for
+// its result's net change exactly: RefreshRows = |cur \ prev| and
+// Retractions − RederivedRows = |prev \ cur|.
+func checkNetDelta(st distmura.QueryStats, prev, cur []string) error {
+	gained, lost := len(cur), len(prev)
+	in := make(map[string]bool, len(prev))
+	for _, r := range prev {
+		in[r] = true
+	}
+	for _, r := range cur {
+		if in[r] {
+			gained--
+			lost--
+		}
+	}
+	if st.RefreshRows != int64(gained) || st.Retractions-st.RederivedRows != int64(lost) {
+		return fmt.Errorf("refresh reported %d rows added and %d−%d retracted net, the result gained %d and lost %d",
+			st.RefreshRows, st.Retractions, st.RederivedRows, gained, lost)
+	}
+	return nil
 }

@@ -10,25 +10,21 @@ import (
 
 // This file is the incremental view maintenance behind the sub-result
 // cache's upgrade-in-place path (subresult.go): a cached fixpoint result
-// is brought up to date from the graph's change log instead of being
-// recomputed. Inserts resume the semi-naive evaluation of §IV — the
-// cached rows stand in for X, the new edges are the first delta, and
-// iteration runs until no new rows appear. Deletes run classic DRed
-// (delete-rederive) first: phase 1 over-deletes every cached row whose
-// derivation may have used a removed edge by iterating the delta
-// derivative against the cached fixpoint, phase 2 rederives the
-// over-deleted rows that survive via alternative derivations from the
-// remaining base rows, and phase 3 applies the accompanying inserts via
-// the resume path, seeded from the post-retraction rows. Cost is
+// is brought up to date from the graph's change log — DRed for deletes,
+// then the semi-naive resume for inserts, each phase a guarded µ-RA
+// fixpoint on the evaluator's own loop (refreshSubResult) — at a cost
 // proportional to the delta and its consequences (plus, when rows were
-// deleted, one φ pass over the survivors for rederivation), not to a full
-// from-scratch fixpoint.
+// deleted, one φ pass over the survivors), not to a full recomputation.
 
 // deltaRel is the environment name the refresh binds the changed-edge
-// relation to inside derivative terms. The NUL prefix keeps it outside
-// every parser- or planner-reachable namespace, so it can never collide
-// with a user relation or an optimizer-introduced variable.
-const deltaRel = "\x00deltaG"
+// relation to inside derivative terms, and guardRel the name it binds a
+// phase's guard relation to. The NUL prefix keeps both outside every
+// parser- or planner-reachable namespace, so they can never collide with a
+// user relation or an optimizer-introduced variable.
+const (
+	deltaRel = "\x00deltaG"
+	guardRel = "\x00guard"
+)
 
 // errNotRefreshable reports a refresh attempted on a term that fails the
 // refreshableSubResult gate.
@@ -89,117 +85,62 @@ type refreshOutcome struct {
 	rederived   int64 // over-deleted rows salvaged by phases 2–3
 }
 
-// refreshSubResult maintains one cached fixpoint from its stale rows given
-// the net change-log delta {added, removed} of the edges its term reads.
+// refreshSubResult maintains one cached fixpoint µ(X = Const ∪ φ(X)) from
+// its stale rows old given the net change-log delta {added, removed} of
+// the edges its term reads. With G the guard relation of a phase, b ⋈ G is
+// an intersection and b ▷ G a difference (same schema), and ∂ denotes the
+// edge-derivatives of Const and of φ — one term per G occurrence, with
+// that occurrence bound to the delta. Three guarded fixpoints run:
 //
-// With removals, DRed runs first against the pre-delete graph (current
-// triples plus the removed edges — reconstructing the union is one scan):
+//	D = µ(X = D₀ ∪ φ(X) ⋈ old)   D₀ = ∂(X := old) ⋈ old, Δ = removed,
+//	                              over the pre-delete graph
+//	R = µ(X = R₀ ∪ φ(X) ⋈ D)     R₀ = (Const ∪ φ(X := old \ D)) ⋈ D
+//	N = µ(X = N₀ ∪ φ(X) ▷ S)     N₀ = ∂(X := S) ▷ S, Δ = added,
+//	                              S = (old \ D) ∪ R
 //
-//	D₀   = the one-step derivative of the constant part and each φ branch
-//	       with one G occurrence bound to the removed edges and X bound to
-//	       the old rows, intersected with the old rows — every derivation
-//	       that consumed a removed edge consumed it at some occurrence;
-//	Dn+1 = φ(Dn) ∩ old  (the same derivative iterated at the X position,
-//	       still over the pre-delete graph), until no new rows: D is the
-//	       over-deletion, retracted from the accumulator by marking;
-//	R₀   = D ∩ (Const ∪ φ(old \ D)) over the *current* graph — the
-//	       over-deleted rows with an alternative, well-founded derivation
-//	       from the surviving rows;
-//	Rn+1 = D ∩ φ(Rn), resurrecting transitively until no new rows.
+// D is the over-deletion: every cached row with a derivation that consumed
+// a removed edge at some occurrence. The pre-delete graph is current ∪
+// removed (one scan); binding every G occurrence to it keeps derivations
+// that used two removed edges in view, and the extra derivations the
+// concurrent inserts contribute only enlarge D, which phase 2 repairs. R
+// is the over-deleted rows with an alternative, well-founded derivation
+// from the survivors over the current graph. N is the insert resume:
+// X₀ is the post-retraction rows, so a derivation through a row that just
+// died is not revived by an unrelated insert. The result is S ∪ N, two
+// disjoint sets, appended with no membership probe; the net deltas and
+// counters come from the delta-sized D, R and N alone.
 //
-// Then inserts resume semi-naive evaluation exactly as before, except X₀
-// is the post-retraction rows — a derivation through a row that just died
-// must not be revived by an unrelated insert. Rows the insert delta
-// rederives (an edge deleted and re-added elsewhere restoring a path) are
-// resurrected by the accumulator's Add and leave the removed set.
-//
-// old is shared and read-only (other sessions may be scanning it); the
-// accumulator seeds from it by copy and retractions only mark rows dead.
-// g.Triples is read live — the caller has snapshotted generations
-// *before* computing, so a write racing the refresh re-stales the entry
-// rather than corrupting it.
+// old is shared and read-only (other sessions may be scanning it): it is
+// only scanned and probed. g.Triples is read live — the caller has
+// snapshotted generations *before* computing, so a write racing the
+// refresh re-stales the entry rather than corrupting it.
 func refreshSubResult(ctx context.Context, g *graphgen.Graph, fp *core.Fixpoint, old *core.Relation, added, removed *core.Relation) (refreshOutcome, error) {
-	st := refreshOutcome{
-		addedRows:   core.NewRelation(old.Cols()...),
-		removedRows: core.NewRelation(old.Cols()...),
-	}
 	d, ok := refreshableSubResult(fp)
 	if !ok {
 		// The acquire path gates on the entry's refreshable flag, so this
 		// is unreachable; kept as a cheap invariant for direct callers.
-		return st, errNotRefreshable
+		return refreshOutcome{}, errNotRefreshable
 	}
-
-	acc := core.NewAccumulator(old.Cols()...)
-	defer acc.Close()
-	acc.Absorb(old)
-	dvar := &core.Var{Name: deltaRel}
-
-	// surv is X after retraction: the rows phase 3 may seed derivations
-	// from. Without removals it is the old relation itself, uncopied.
+	none := core.NewRelation(old.Cols()...)
+	dRel, rRel, nRel := none, none, none
+	// surv is S: the rows that survive retraction. Without an
+	// over-deletion it is the old relation itself, uncopied.
 	surv := old
-	dSet := st.removedRows
+	var err error
 
 	if removed.Len() > 0 {
-		// Phase 1: over-delete against the pre-delete graph. Binding other
-		// G occurrences to current ∪ removed (rather than current) keeps
-		// derivations that used two removed edges at different occurrences
-		// in view; any extra derivations the concurrent inserts contribute
-		// only enlarge D, which phase 2 repairs.
 		oldTriples := g.Triples.Clone()
 		oldTriples.UnionInPlace(removed)
-		envOld := core.NewEnv()
-		envOld.Bind(edgeRel, oldTriples)
-		envOld.Bind(deltaRel, removed)
-		evOld := core.NewEvaluator(envOld)
-		evOld.Ctx = ctx
-		defer evOld.Close()
-
-		frontier := core.NewRelation(old.Cols()...)
-		overdelete := func(cand *core.Relation, into *core.Relation) {
-			for i := 0; i < cand.Len(); i++ {
-				row := cand.RowAt(i)
-				if old.Has(row) && dSet.Add(row) {
-					into.Add(row)
-				}
-			}
+		env := core.NewEnv()
+		env.Bind(edgeRel, oldTriples)
+		env.Bind(deltaRel, removed)
+		env.Bind(guardRel, old)
+		ev := core.NewEvaluator(env)
+		ev.Ctx = ctx
+		defer ev.Close()
+		if dRel, err = guardedFixpoint(ev, env, d, derivatives(d), old, within); err != nil {
+			return refreshOutcome{}, err
 		}
-		for i, n := 0, core.CountVarOccurrences(d.Const, edgeRel); i < n; i++ {
-			r, err := evOld.Eval(core.SubstituteOccurrence(d.Const, edgeRel, i, dvar))
-			if err != nil {
-				return st, err
-			}
-			overdelete(r, frontier)
-		}
-		var derived []core.Term
-		for _, br := range d.PhiBranches {
-			for i, n := 0, core.CountVarOccurrences(br, edgeRel); i < n; i++ {
-				derived = append(derived, core.SubstituteOccurrence(br, edgeRel, i, dvar))
-			}
-		}
-		if len(derived) > 0 {
-			dd := &core.Decomposed{X: d.X, Const: d.Const, PhiBranches: derived}
-			step, err := evOld.EvalPhiDelta(dd, old, envOld, nil)
-			if err != nil {
-				return st, err
-			}
-			overdelete(step, frontier)
-		}
-		for frontier.Len() > 0 {
-			if err := core.CtxErr(ctx); err != nil {
-				return st, err
-			}
-			step, err := evOld.EvalPhiDelta(d, frontier, envOld, nil)
-			if err != nil {
-				return st, err
-			}
-			next := core.NewRelation(old.Cols()...)
-			overdelete(step, next)
-			frontier = next
-		}
-		st.retracted = int64(dSet.Len())
-		acc.RemoveRows(dSet)
-		surv = old.Diff(dSet)
 	}
 
 	env := core.NewEnv()
@@ -209,105 +150,78 @@ func refreshSubResult(ctx context.Context, g *graphgen.Graph, fp *core.Fixpoint,
 	ev.Ctx = ctx
 	defer ev.Close()
 
-	if dSet.Len() > 0 {
-		// Phase 2: rederive. Candidates must land in D (anything else is
-		// either already alive or belongs to the insert phase) and must be
-		// derivable from live rows only — the accumulator's Add resurrects
-		// by dropping the dead mark.
-		resurrect := func(cand *core.Relation, into *core.Relation) {
-			for i := 0; i < cand.Len(); i++ {
-				row := cand.RowAt(i)
-				if dSet.Has(row) && acc.Add(row) {
-					dSet.Remove(row)
-					surv.Add(row)
-					st.rederived++
-					into.Add(row)
-				}
-			}
+	if dRel.Len() > 0 {
+		surv = old.Diff(dRel)
+		env.Bind(guardRel, dRel)
+		seed := append([]core.Term{d.Const}, d.PhiBranches...)
+		if rRel, err = guardedFixpoint(ev, env, d, seed, surv, within); err != nil {
+			return refreshOutcome{}, err
 		}
-		frontier := core.NewRelation(old.Cols()...)
-		base, err := ev.Eval(d.Const)
-		if err != nil {
-			return st, err
-		}
-		resurrect(base, frontier)
-		if dSet.Len() > 0 {
-			step, err := ev.EvalPhiDelta(d, surv, env, nil)
-			if err != nil {
-				return st, err
-			}
-			resurrect(step, frontier)
-		}
-		for frontier.Len() > 0 && dSet.Len() > 0 {
-			if err := core.CtxErr(ctx); err != nil {
-				return st, err
-			}
-			step, err := ev.EvalPhiDelta(d, frontier, env, nil)
-			if err != nil {
-				return st, err
-			}
-			next := core.NewRelation(old.Cols()...)
-			resurrect(step, next)
-			frontier = next
-		}
+		surv.AppendDistinct(rRel.AsBatch())
 	}
 
 	if added.Len() > 0 {
-		// Phase 3: the insert resume. AbsorbNew returns resurrections of
-		// still-dead rows alongside genuinely new rows; both feed the next
-		// delta (a revived row derives consequences like any other), and
-		// note splits them for the outcome's exact net deltas.
-		note := func(fresh *core.Relation) {
-			for i := 0; i < fresh.Len(); i++ {
-				row := fresh.RowAt(i)
-				if dSet.Len() > 0 && dSet.Remove(row) {
-					st.rederived++
-				} else {
-					st.addedRows.Add(row)
-					st.added++
-				}
-			}
-		}
-		fresh := core.NewRelation(old.Cols()...)
-		for i, n := 0, core.CountVarOccurrences(d.Const, edgeRel); i < n; i++ {
-			r, err := ev.Eval(core.SubstituteOccurrence(d.Const, edgeRel, i, dvar))
-			if err != nil {
-				return st, err
-			}
-			fresh.UnionInPlace(acc.AbsorbNew(r))
-		}
-		var derived []core.Term
-		for _, br := range d.PhiBranches {
-			for i, n := 0, core.CountVarOccurrences(br, edgeRel); i < n; i++ {
-				derived = append(derived, core.SubstituteOccurrence(br, edgeRel, i, dvar))
-			}
-		}
-		if len(derived) > 0 {
-			// One φ step of the derivative branches with X := the
-			// post-retraction rows — EvalPhiDelta marks X dynamic, so surv
-			// is only streamed and probed, never mutated.
-			dd := &core.Decomposed{X: d.X, Const: d.Const, PhiBranches: derived}
-			step, err := ev.EvalPhiDelta(dd, surv, env, nil)
-			if err != nil {
-				return st, err
-			}
-			fresh.UnionInPlace(acc.AbsorbNew(step))
-		}
-		note(fresh)
-		nu := fresh
-		for nu.Len() > 0 {
-			if err := core.CtxErr(ctx); err != nil {
-				return st, err
-			}
-			step, err := ev.EvalPhiDelta(d, nu, env, nil)
-			if err != nil {
-				return st, err
-			}
-			nu = acc.AbsorbNew(step)
-			note(nu)
+		env.Bind(guardRel, surv)
+		if nRel, err = guardedFixpoint(ev, env, d, derivatives(d), surv, outside); err != nil {
+			return refreshOutcome{}, err
 		}
 	}
 
-	st.rel = acc.Materialize()
+	dead := dRel.Diff(rRel)
+	st := refreshOutcome{
+		rel:         surv,
+		addedRows:   nRel.Diff(dead),
+		removedRows: dead.Diff(nRel),
+		retracted:   int64(dRel.Len()),
+	}
+	st.added = int64(st.addedRows.Len())
+	st.rederived = int64(rRel.Len() + nRel.Len() - st.addedRows.Len())
+	if nRel.Len() > 0 {
+		if surv == old {
+			st.rel = old.Clone() // old is shared: never appended to
+		}
+		st.rel.AppendDistinct(nRel.AsBatch())
+	}
 	return st, nil
+}
+
+// guardedFixpoint runs one maintenance phase on the evaluator's semi-naive
+// loop: µ(X = guard(seed)(X := x) ∪ guard(φ)(X)), where guard wraps every
+// branch against the relation env binds to guardRel. The seed is one φ
+// step of the guarded seed terms.
+func guardedFixpoint(ev *core.Evaluator, env *core.Env, d *core.Decomposed, seed []core.Term, x *core.Relation, guard func(core.Term) core.Term) (*core.Relation, error) {
+	guarded := func(ts []core.Term) *core.Decomposed {
+		out := &core.Decomposed{X: d.X, Const: d.Const, PhiBranches: make([]core.Term, len(ts))}
+		for i, t := range ts {
+			out.PhiBranches[i] = guard(t)
+		}
+		return out
+	}
+	init, err := ev.EvalPhiDelta(guarded(seed), x, env, nil)
+	if err != nil {
+		return nil, err
+	}
+	return ev.RunFixpoint(guarded(d.PhiBranches), init, env)
+}
+
+// within and outside guard a branch against the phase's guard relation:
+// with equal schemas, a join is an intersection and an antijoin a
+// difference, both answered by the guard's own dedup set
+// (core.SemijoinStream) with the branch left on the bag root chain.
+func within(t core.Term) core.Term  { return &core.Join{L: t, R: &core.Var{Name: guardRel}} }
+func outside(t core.Term) core.Term { return &core.Antijoin{L: t, R: &core.Var{Name: guardRel}} }
+
+// derivatives returns the edge-derivatives of the constant part and of
+// every φ branch: one term per occurrence of the edge relation, with that
+// occurrence bound to the delta — every derivation that consumed a changed
+// edge consumed it at some occurrence.
+func derivatives(d *core.Decomposed) []core.Term {
+	dvar := &core.Var{Name: deltaRel}
+	var out []core.Term
+	for _, t := range append([]core.Term{d.Const}, d.PhiBranches...) {
+		for i, n := 0, core.CountVarOccurrences(t, edgeRel); i < n; i++ {
+			out = append(out, core.SubstituteOccurrence(t, edgeRel, i, dvar))
+		}
+	}
+	return out
 }
