@@ -559,10 +559,10 @@ func (e *Engine) optimizeCached(ctx context.Context, text string, cfg queryConfi
 	if err != nil {
 		return nil, 0, cost.MemPlan{}, false, err
 	}
-	// The plan cache only ever holds certified plans: a term the static
-	// verifier rejects here would be replayed on every later execution
+	// The plan cache only ever holds certified plans: a term the plan
+	// checker rejects here would be replayed on every later execution
 	// of this query text.
-	if err := rewrite.VerifyErr(term, core.SchemaEnv{edgeRel: graph.Triples.Cols()}); err != nil {
+	if _, err := core.Schema(term, core.SchemaEnv{edgeRel: graph.Triples.Cols()}); err != nil {
 		return nil, 0, cost.MemPlan{}, false, err
 	}
 	e.plans.put(key, planEntry{term: term, mem: mp, planSpace: planSpace,
@@ -680,14 +680,14 @@ func (e *Engine) run(ctx context.Context, term core.Term, cfg queryConfig, extra
 		ctx = context.Background()
 	}
 	// Every term the engine executes — optimizer output, plan-cache hit,
-	// or a caller-supplied QueryTerm — passes the static verifier first:
+	// or a caller-supplied QueryTerm — passes the plan checker first:
 	// an ill-formed plan fails here with typed diagnostics instead of
 	// a runtime panic or a silently wrong distributed run.
 	senv := core.SchemaEnv{edgeRel: e.graph.Triples.Cols()}
 	for name, rel := range extra {
 		senv = senv.With(name, rel.Cols())
 	}
-	if err := rewrite.VerifyErr(term, senv); err != nil {
+	if _, err := core.Schema(term, senv); err != nil {
 		return nil, err
 	}
 

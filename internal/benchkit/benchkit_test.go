@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/datalog"
 	"repro/internal/graphgen"
@@ -200,15 +201,28 @@ func TestRunMuRAPlanReporting(t *testing.T) {
 	}
 }
 
+// TestBudgetTimeoutProducesTimeout runs a task that only the budget's
+// Close can end — worker 0 gathers from a peer that never sends — so the
+// timer always wins and the run must be reported as a timeout.
 func TestBudgetTimeoutProducesTimeout(t *testing.T) {
-	g := graphgen.Yago(400, 9)
-	b := Budget{Timeout: 1 * time.Millisecond, Workers: 2}
-	res := RunMuRA(g, "?x,?y <- ?x (IsL|dw|rdfs:subClassOf|isConnectedTo)+ ?y", b, MuRAOptions{SkipRewrite: true})
-	if !res.TimedOut && !res.Crashed {
-		t.Fatalf("1ms budget did not time out (%.3fs)", res.Seconds)
+	b := Budget{Timeout: time.Millisecond, Workers: 2}
+	aborted := make(chan error, 1)
+	res := runWithBudget(b, cluster.TransportChan, func(c *cluster.Cluster) (*Result, error) {
+		err := c.RunPhase(func(ctx *cluster.Ctx) error {
+			if ctx.WorkerID() != 0 {
+				return nil
+			}
+			_, err := ctx.AllGather(core.NewRelation(core.ColSrc))
+			return err
+		})
+		aborted <- err
+		return &Result{}, err
+	})
+	if !res.TimedOut || res.Cell() != "T/O" {
+		t.Fatalf("run outliving its budget reported as %q (%+v)", res.Cell(), res)
 	}
-	if res.TimedOut && res.Cell() != "T/O" {
-		t.Fatalf("cell = %q", res.Cell())
+	if err := <-aborted; err == nil {
+		t.Fatal("closing the cluster did not abort the blocked run")
 	}
 }
 

@@ -256,9 +256,6 @@ func (ev *Evaluator) stream(t Term, env *Env, root bool) (Iterator, error) {
 		if err != nil {
 			return nil, err
 		}
-		if !ColsEqual(l.Cols(), r.Cols()) {
-			return nil, fmt.Errorf("core: union schema mismatch %v vs %v", l.Cols(), r.Cols())
-		}
 		return UnionStream(l, r, !root), nil
 	case *Join:
 		return ev.streamJoin(n, env, root)
@@ -268,11 +265,6 @@ func (ev *Evaluator) stream(t Term, env *Env, root bool) (Iterator, error) {
 		in, err := ev.stream(n.T, env, false)
 		if err != nil {
 			return nil, err
-		}
-		for _, c := range n.Cond.Columns() {
-			if ColIndex(in.Cols(), c) < 0 {
-				return nil, fmt.Errorf("core: filter column %q not in schema %v", c, in.Cols())
-			}
 		}
 		return FilterStream(in, n.Cond, &ev.pool), nil
 	case *Rename:

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 )
@@ -84,18 +85,26 @@ func TestFcondViolations(t *testing.T) {
 	cases := []struct {
 		name string
 		fp   *Fixpoint
+		want Code
 	}{
-		{"not positive", &Fixpoint{X: "X", Body: &Union{L: r, R: &Antijoin{L: r, R: x}}}},
-		{"not linear", &Fixpoint{X: "X", Body: &Union{L: r, R: &Join{L: x, R: x}}}},
+		{"not positive", &Fixpoint{X: "X", Body: &Union{L: r, R: &Antijoin{L: r, R: x}}}, CodeFixNonPositive},
+		{"not linear", &Fixpoint{X: "X", Body: &Union{L: r, R: &Join{L: x, R: x}}}, CodeFixNonLinear},
 		{"mutually recursive", &Fixpoint{X: "X", Body: &Union{
 			L: r,
 			R: &Fixpoint{X: "Y", Body: &Union{L: &Join{L: x, R: r}, R: &Var{Name: "Y"}}},
-		}}},
+		}}, CodeFixMutual},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if err := CheckFcond(tc.fp); err == nil {
-				t.Fatalf("CheckFcond accepted %s", tc.fp)
+			var ce *CheckError
+			if err := CheckFcond(tc.fp); !errors.As(err, &ce) {
+				t.Fatalf("CheckFcond(%s) = %v, want a *CheckError", tc.fp, err)
+			}
+			if len(ce.Diags) != 1 || ce.Diags[0].Code != tc.want {
+				t.Fatalf("CheckFcond(%s) diagnostics %v, want one %s", tc.fp, ce.Diags, tc.want)
+			}
+			if _, err := Decompose(tc.fp); !errors.As(err, &ce) || ce.Diags[0].Code != tc.want {
+				t.Fatalf("Decompose(%s) = %v, want %s", tc.fp, err, tc.want)
 			}
 		})
 	}

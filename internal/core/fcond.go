@@ -2,74 +2,6 @@ package core
 
 import "fmt"
 
-// CheckFcond verifies the three conditions of Definition 1 of the paper for
-// the fixpoint µ(X = Ψ):
-//
-//   - positive: for all subterms φ1 ▷ φ2 of Ψ, X does not occur free in φ2;
-//   - linear: for all subterms φ1 ⋈ φ2 and φ1 ▷ φ2 of Ψ, X occurs free in
-//     at most one operand;
-//   - non mutually recursive: X does not occur free inside a nested
-//     fixpoint µ(Y = ψ) of Ψ (occurrences within a rebinding µ(X = γ) are
-//     bound, hence allowed).
-//
-// These conditions guarantee that Ψ distributes over singletons
-// (Proposition 1) and therefore that the fixpoint exists, can be computed
-// semi-naively (Algorithm 1), and can be split (Proposition 3).
-func CheckFcond(fp *Fixpoint) error {
-	return checkFcond(fp.Body, fp.X)
-}
-
-func checkFcond(t Term, x string) error {
-	switch n := t.(type) {
-	case *Antijoin:
-		if ContainsVar(n.R, x) {
-			return fmt.Errorf("core: fixpoint not positive: %s occurs on the right of antijoin %s", x, n)
-		}
-		return checkFcond(n.L, x)
-	case *Join:
-		if ContainsVar(n.L, x) && ContainsVar(n.R, x) {
-			return fmt.Errorf("core: fixpoint not linear: %s occurs on both sides of join %s", x, n)
-		}
-		if err := checkFcond(n.L, x); err != nil {
-			return err
-		}
-		return checkFcond(n.R, x)
-	case *Fixpoint:
-		if n.X == x {
-			return nil // X is shadowed inside; occurrences are bound
-		}
-		if ContainsVar(n, x) {
-			return fmt.Errorf("core: mutually recursive fixpoints: %s occurs free in nested %s", x, n)
-		}
-		return nil
-	default:
-		for _, c := range t.children() {
-			if err := checkFcond(c, x); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-}
-
-// CheckFcondDeep verifies Fcond for t's every fixpoint subterm.
-func CheckFcondDeep(t Term) error {
-	var err error
-	Walk(t, func(s Term) bool {
-		if err != nil {
-			return false
-		}
-		if fp, ok := s.(*Fixpoint); ok {
-			if e := CheckFcond(fp); e != nil {
-				err = e
-				return false
-			}
-		}
-		return true
-	})
-	return err
-}
-
 // Decomposed is a fixpoint in the decomposed form µ(X = R ∪ φ) of
 // Proposition 2: Const is the union of the body's branches that are
 // constant in X (the constant part R), and PhiBranches are the normalized

@@ -105,9 +105,6 @@ func stableOfBranch(t Term, x string, xCols []string, env SchemaEnv) (map[string
 		if err != nil {
 			return nil, false, err
 		}
-		if lOn && rOn {
-			return nil, false, fmt.Errorf("core: non-linear join in φ branch %s", t)
-		}
 		if lOn {
 			return ls, true, nil
 		}

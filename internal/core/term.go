@@ -225,19 +225,22 @@ func ContainsVar(t Term, name string) bool {
 	switch n := t.(type) {
 	case *Var:
 		return n.Name == name
+	case *Union:
+		return ContainsVar(n.L, name) || ContainsVar(n.R, name)
+	case *Join:
+		return ContainsVar(n.L, name) || ContainsVar(n.R, name)
+	case *Antijoin:
+		return ContainsVar(n.L, name) || ContainsVar(n.R, name)
+	case *Filter:
+		return ContainsVar(n.T, name)
+	case *Rename:
+		return ContainsVar(n.T, name)
+	case *AntiProject:
+		return ContainsVar(n.T, name)
 	case *Fixpoint:
-		if n.X == name {
-			return false // shadowed
-		}
-		return ContainsVar(n.Body, name)
-	default:
-		for _, c := range t.children() {
-			if ContainsVar(c, name) {
-				return true
-			}
-		}
-		return false
+		return n.X != name && ContainsVar(n.Body, name) // a rebinding shadows
 	}
+	return false
 }
 
 // Substitute replaces free occurrences of name in t by repl. Fixpoints that
@@ -362,138 +365,14 @@ func (e SchemaEnv) With(name string, cols []string) SchemaEnv {
 	return out
 }
 
-// Schema computes the output columns (sorted) of t under env, verifying
-// schema well-formedness: union operands must agree, renames must not
-// collide, dropped columns must exist, and a fixpoint body must produce the
-// same schema as its constant part.
-func Schema(t Term, env SchemaEnv) ([]string, error) {
-	switch n := t.(type) {
-	case *Var:
-		cols, ok := env[n.Name]
-		if !ok {
-			return nil, fmt.Errorf("core: unbound relation variable %q", n.Name)
-		}
-		return cols, nil
-	case *ConstTuple:
-		return n.Cols, nil
-	case *Union:
-		l, err := Schema(n.L, env)
-		if err != nil {
-			return nil, err
-		}
-		r, err := Schema(n.R, env)
-		if err != nil {
-			return nil, err
-		}
-		if !ColsEqual(l, r) {
-			return nil, fmt.Errorf("core: union schema mismatch %v vs %v in %s", l, r, t)
-		}
-		return l, nil
-	case *Join:
-		l, err := Schema(n.L, env)
-		if err != nil {
-			return nil, err
-		}
-		r, err := Schema(n.R, env)
-		if err != nil {
-			return nil, err
-		}
-		return ColsUnion(l, r), nil
-	case *Antijoin:
-		l, err := Schema(n.L, env)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := Schema(n.R, env); err != nil {
-			return nil, err
-		}
-		return l, nil
-	case *Filter:
-		cols, err := Schema(n.T, env)
-		if err != nil {
-			return nil, err
-		}
-		for _, c := range n.Cond.Columns() {
-			if ColIndex(cols, c) < 0 {
-				return nil, fmt.Errorf("core: filter column %q not in schema %v", c, cols)
-			}
-		}
-		return cols, nil
-	case *Rename:
-		cols, err := Schema(n.T, env)
-		if err != nil {
-			return nil, err
-		}
-		if n.From == n.To {
-			return cols, nil
-		}
-		if ColIndex(cols, n.From) < 0 {
-			return nil, fmt.Errorf("core: rename source %q not in schema %v", n.From, cols)
-		}
-		if ColIndex(cols, n.To) >= 0 {
-			return nil, fmt.Errorf("core: rename target %q already in schema %v", n.To, cols)
-		}
-		out := make([]string, 0, len(cols))
-		for _, c := range cols {
-			if c == n.From {
-				out = append(out, n.To)
-			} else {
-				out = append(out, c)
-			}
-		}
-		sort.Strings(out)
-		return out, nil
-	case *AntiProject:
-		cols, err := Schema(n.T, env)
-		if err != nil {
-			return nil, err
-		}
-		for _, c := range n.Cols {
-			if ColIndex(cols, c) < 0 {
-				return nil, fmt.Errorf("core: anti-projection column %q not in schema %v", c, cols)
-			}
-		}
-		return ColsMinus(cols, n.Cols), nil
-	case *Fixpoint:
-		return fixpointSchema(n, env)
-	default:
-		return nil, fmt.Errorf("core: unknown term %T", t)
-	}
-}
-
-// fixpointSchema infers the schema of µ(X = Body) from the union branches
-// of Body that are constant in X, then verifies the whole body agrees.
-func fixpointSchema(fp *Fixpoint, env SchemaEnv) ([]string, error) {
-	var seed []string
-	for _, br := range UnionBranches(fp.Body) {
-		if !ContainsVar(br, fp.X) {
-			s, err := Schema(br, env)
-			if err != nil {
-				return nil, err
-			}
-			seed = s
-			break
-		}
-	}
-	if seed == nil {
-		return nil, fmt.Errorf("core: fixpoint %s has no branch constant in %s; cannot infer schema", fp, fp.X)
-	}
-	body, err := Schema(fp.Body, env.With(fp.X, seed))
-	if err != nil {
-		return nil, err
-	}
-	if !ColsEqual(body, seed) {
-		return nil, fmt.Errorf("core: fixpoint body schema %v differs from constant part %v in %s", body, seed, fp)
-	}
-	return seed, nil
-}
-
 // UnionBranches flattens nested unions into the list of their operands.
-func UnionBranches(t Term) []Term {
+func UnionBranches(t Term) []Term { return appendBranches(nil, t) }
+
+func appendBranches(dst []Term, t Term) []Term {
 	if u, ok := t.(*Union); ok {
-		return append(UnionBranches(u.L), UnionBranches(u.R)...)
+		return appendBranches(appendBranches(dst, u.L), u.R)
 	}
-	return []Term{t}
+	return append(dst, t)
 }
 
 // UnionOf rebuilds a term from union branches (right-leaning). An empty

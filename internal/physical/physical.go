@@ -168,9 +168,6 @@ func NewSessionPlanner(s *cluster.Session, env *core.Env) *Planner {
 
 // Execute evaluates t and reports how its fixpoints ran.
 func (p *Planner) Execute(t core.Term) (*core.Relation, *Report, error) {
-	if _, err := core.Schema(t, p.Env.SchemaEnv()); err != nil {
-		return nil, nil, err
-	}
 	sess := p.sess
 	if sess == nil {
 		sess = p.C.NewSession(context.Background())

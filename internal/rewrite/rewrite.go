@@ -44,22 +44,19 @@ type Rewriter struct {
 	// Disabled names rules to skip (ablation studies).
 	Disabled map[string]bool
 
-	// AuditViolations counts rule applications whose output failed the
-	// static verifier (see verify.go) and was discarded instead of
-	// entering the plan space. Always zero for a sound rule set; the
-	// testkit asserts on it.
+	// AuditViolations counts rule applications that failed AuditRule
+	// (see audit.go) and were discarded instead of entering the plan
+	// space. Always zero for a sound rule set; the testkit asserts on it.
 	AuditViolations int
 	// DroppedIllFormed counts full candidate terms discarded because,
 	// although each rule application was locally sound, the composed
-	// term fails verification — e.g. a fold rule firing inside a
-	// fixpoint body mints a fresh fixpoint that captures the outer
-	// recursion variable, which the evaluator's Fcond check refuses.
-	// Such candidates used to enter the plan space as inert landmines
-	// (never selected, unevaluable if they were); now they are dropped.
+	// term fails core.Schema — e.g. a rule moving a term that mentions
+	// an enclosing recursion variable into a nested fixpoint. The rules
+	// decline those moves, so this stays zero; it is the net under them.
 	DroppedIllFormed int
 	// LastAudit retains the diagnostics of the most recent discarded
 	// candidate, for debugging a non-zero AuditViolations.
-	LastAudit []Diagnostic
+	LastAudit []core.Diagnostic
 
 	fresh int
 	rules []Rule
@@ -117,9 +114,9 @@ func (rw *Rewriter) Neighbors(t core.Term) []core.Term {
 	rw.rewriteAt(t, rw.Env, func(nt core.Term) {
 		// The per-application audit in rewriteAt checks the rewritten
 		// subterm in its local env; the composed term can still be
-		// globally ill-formed (variable capture across a fixpoint
-		// boundary). Only certified plans enter the plan space.
-		if diags := Verify(nt, rw.Env); len(diags) > 0 {
+		// globally ill-formed (Fcond of an enclosing fixpoint). Only
+		// checked plans enter the plan space.
+		if _, err := core.Schema(nt, rw.Env); err != nil {
 			rw.DroppedIllFormed++
 			return
 		}
@@ -135,7 +132,7 @@ func (rw *Rewriter) rewriteAt(t core.Term, env core.SchemaEnv, emit func(core.Te
 		}
 		for _, nt := range rule.Apply(rw, t, env) {
 			// Certify the application before the candidate may enter the
-			// plan space: the output must verify, preserve the schema,
+			// plan space: the output must check, preserve the schema,
 			// and the rule's side condition must have held on the input.
 			if diags := AuditRule(rule.Name, t, nt, env); len(diags) > 0 {
 				rw.AuditViolations++

@@ -55,21 +55,6 @@ func disjoint(a, b []string) bool {
 	return true
 }
 
-// wellFormed keeps only candidates whose schema still checks out — a
-// defensive net so an over-eager rule can never corrupt the plan space.
-func wellFormed(env core.SchemaEnv, candidates ...core.Term) []core.Term {
-	var out []core.Term
-	for _, c := range candidates {
-		if c == nil {
-			continue
-		}
-		if _, err := core.Schema(c, env); err == nil {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 // --- classical filter pushdown ---------------------------------------------
 
 // σf(a ∪ b) → σf(a) ∪ σf(b)
@@ -82,10 +67,10 @@ func ruleFilterPushUnion(rw *Rewriter, t core.Term, env core.SchemaEnv) []core.T
 	if !ok {
 		return nil
 	}
-	return wellFormed(env, &core.Union{
+	return []core.Term{&core.Union{
 		L: &core.Filter{Cond: f.Cond, T: u.L},
 		R: &core.Filter{Cond: f.Cond, T: u.R},
-	})
+	}}
 }
 
 // σf(a ⋈ b) → σf(a) ⋈ b when cols(f) ⊆ cols(a), and symmetrically.
@@ -106,7 +91,7 @@ func ruleFilterPushJoin(rw *Rewriter, t core.Term, env core.SchemaEnv) []core.Te
 	if subset(fcols, schemaOf(j.R, env)) {
 		out = append(out, &core.Join{L: j.L, R: &core.Filter{Cond: f.Cond, T: j.R}})
 	}
-	return wellFormed(env, out...)
+	return out
 }
 
 // σf(a ▷ b) → σf(a) ▷ b (the antijoin schema is a's schema).
@@ -119,10 +104,10 @@ func ruleFilterPushAntijoin(rw *Rewriter, t core.Term, env core.SchemaEnv) []cor
 	if !ok {
 		return nil
 	}
-	return wellFormed(env, &core.Antijoin{
+	return []core.Term{&core.Antijoin{
 		L: &core.Filter{Cond: f.Cond, T: aj.L},
 		R: aj.R,
-	})
+	}}
 }
 
 // σf(ρ^b_a(t)) → ρ^b_a(σ f[b→a](t))
@@ -136,8 +121,8 @@ func ruleFilterPushRename(rw *Rewriter, t core.Term, env core.SchemaEnv) []core.
 		return nil
 	}
 	cond := renameCondCol(f.Cond, r.To, r.From)
-	return wellFormed(env, &core.Rename{From: r.From, To: r.To,
-		T: &core.Filter{Cond: cond, T: r.T}})
+	return []core.Term{&core.Rename{From: r.From, To: r.To,
+		T: &core.Filter{Cond: cond, T: r.T}}}
 }
 
 // σf(π̃c(t)) → π̃c(σf(t)) when f does not read the dropped columns.
@@ -153,8 +138,8 @@ func ruleFilterPushAntiProject(rw *Rewriter, t core.Term, env core.SchemaEnv) []
 	if !disjoint(f.Cond.Columns(), ap.Cols) {
 		return nil
 	}
-	return wellFormed(env, &core.AntiProject{Cols: ap.Cols,
-		T: &core.Filter{Cond: f.Cond, T: ap.T}})
+	return []core.Term{&core.AntiProject{Cols: ap.Cols,
+		T: &core.Filter{Cond: f.Cond, T: ap.T}}}
 }
 
 // σf(σg(t)) → σ(f∧g)(t): adjacent filters fuse into one pass.
@@ -167,7 +152,7 @@ func ruleFilterMerge(rw *Rewriter, t core.Term, env core.SchemaEnv) []core.Term 
 	if !ok {
 		return nil
 	}
-	return wellFormed(env, &core.Filter{Cond: core.And{f.Cond, g.Cond}, T: g.T})
+	return []core.Term{&core.Filter{Cond: core.And{f.Cond, g.Cond}, T: g.T}}
 }
 
 // --- fixpoint-specific rules ------------------------------------------------
@@ -194,7 +179,7 @@ func ruleFilterIntoFixpoint(rw *Rewriter, t core.Term, env core.SchemaEnv) []cor
 		return nil
 	}
 	nd := &core.Decomposed{X: d.X, Const: &core.Filter{Cond: f.Cond, T: d.Const}, PhiBranches: d.PhiBranches}
-	return wellFormed(env, nd.Fixpoint())
+	return []core.Term{nd.Fixpoint()}
 }
 
 // --- anti-projection pushdown ----------------------------------------------
@@ -219,13 +204,13 @@ func ruleAntiProjectPushRename(rw *Rewriter, t core.Term, env core.SchemaEnv) []
 				ncols = append(ncols, c)
 			}
 		}
-		return wellFormed(env, &core.AntiProject{Cols: core.SortCols(ncols), T: r.T})
+		return []core.Term{&core.AntiProject{Cols: core.SortCols(ncols), T: r.T}}
 	}
 	if core.ColIndex(ap.Cols, r.From) >= 0 {
 		return nil // cannot drop the rename source before renaming
 	}
-	return wellFormed(env, &core.Rename{From: r.From, To: r.To,
-		T: &core.AntiProject{Cols: ap.Cols, T: r.T}})
+	return []core.Term{&core.Rename{From: r.From, To: r.To,
+		T: &core.AntiProject{Cols: ap.Cols, T: r.T}}}
 }
 
 // π̃cols(σf(t)) → σf(π̃cols(t)) when f does not read dropped columns.
@@ -241,8 +226,8 @@ func ruleAntiProjectPushFilter(rw *Rewriter, t core.Term, env core.SchemaEnv) []
 	if !disjoint(ap.Cols, f.Cond.Columns()) {
 		return nil
 	}
-	return wellFormed(env, &core.Filter{Cond: f.Cond,
-		T: &core.AntiProject{Cols: ap.Cols, T: f.T}})
+	return []core.Term{&core.Filter{Cond: f.Cond,
+		T: &core.AntiProject{Cols: ap.Cols, T: f.T}}}
 }
 
 // π̃cols(a ⋈ b) → π̃cols(a) ⋈ b when the dropped columns appear only in a
@@ -267,7 +252,7 @@ func ruleAntiProjectPushJoin(rw *Rewriter, t core.Term, env core.SchemaEnv) []co
 	if subset(ap.Cols, sr) && disjoint(ap.Cols, sl) {
 		out = append(out, &core.Join{L: j.L, R: &core.AntiProject{Cols: ap.Cols, T: j.R}})
 	}
-	return wellFormed(env, out...)
+	return out
 }
 
 // π̃cols(a ∪ b) → π̃cols(a) ∪ π̃cols(b)
@@ -280,10 +265,10 @@ func ruleAntiProjectPushUnion(rw *Rewriter, t core.Term, env core.SchemaEnv) []c
 	if !ok {
 		return nil
 	}
-	return wellFormed(env, &core.Union{
+	return []core.Term{&core.Union{
 		L: &core.AntiProject{Cols: ap.Cols, T: u.L},
 		R: &core.AntiProject{Cols: ap.Cols, T: u.R},
-	})
+	}}
 }
 
 // ruleAntiProjectIntoFixpoint: π̃cols(µ(X = R ∪ φ)) → µ(X = π̃S(R) ∪ φ)
@@ -321,20 +306,23 @@ func ruleAntiProjectIntoFixpoint(rw *Rewriter, t core.Term, env core.SchemaEnv) 
 			pushable = append(pushable, c)
 		}
 	}
-	if len(pushable) == 0 {
+	pushed := core.SortCols(pushable)
+	// Pushing every column would leave the constant part, and so the
+	// fixpoint, with no columns to iterate over.
+	if len(pushed) == 0 || len(core.ColsMinus(xCols, pushed)) == 0 {
 		return nil
 	}
 	nd := &core.Decomposed{
 		X:           d.X,
-		Const:       &core.AntiProject{Cols: core.SortCols(pushable), T: d.Const},
+		Const:       &core.AntiProject{Cols: pushed, T: d.Const},
 		PhiBranches: d.PhiBranches,
 	}
 	inner := core.Term(nd.Fixpoint())
-	rest := core.ColsMinus(ap.Cols, core.SortCols(pushable))
+	rest := core.ColsMinus(ap.Cols, pushed)
 	if len(rest) > 0 {
 		inner = &core.AntiProject{Cols: rest, T: inner}
 	}
-	return wellFormed(env, inner)
+	return []core.Term{inner}
 }
 
 // ruleReverseClosure: µ(X = E ∪ X∘E) ↔ µ(X = E ∪ E∘X) — the fixpoint
@@ -352,9 +340,9 @@ func ruleReverseClosure(rw *Rewriter, t core.Term, env core.SchemaEnv) []core.Te
 	}
 	x := rw.FreshVar()
 	if shape == core.ShapeLR {
-		return wellFormed(env, core.ClosureRL(x, e))
+		return []core.Term{core.ClosureRL(x, e)}
 	}
-	return wellFormed(env, core.ClosureLR(x, e))
+	return []core.Term{core.ClosureLR(x, e)}
 }
 
 // matchFoldableRight matches a fixpoint usable on the right of a
@@ -406,7 +394,7 @@ func ruleFoldComposeRight(rw *Rewriter, t core.Term, env core.SchemaEnv) []core.
 		return nil
 	}
 	r, e, ok := matchFoldableRight(b)
-	if !ok {
+	if !ok || rw.mentionsBinder(a) {
 		return nil
 	}
 	z := rw.FreshVar()
@@ -414,7 +402,7 @@ func ruleFoldComposeRight(rw *Rewriter, t core.Term, env core.SchemaEnv) []core.
 		L: core.Compose(a, r),
 		R: core.Compose(&core.Var{Name: z}, e),
 	}}
-	return wellFormed(env, out)
+	return []core.Term{out}
 }
 
 // ruleFoldComposeLeft: µ(X = R ∪ E∘X) ∘ A → µ(Z = (R∘A) ∪ E∘Z).
@@ -425,7 +413,7 @@ func ruleFoldComposeLeft(rw *Rewriter, t core.Term, env core.SchemaEnv) []core.T
 		return nil
 	}
 	r, e, ok := matchFoldableLeft(b)
-	if !ok {
+	if !ok || rw.mentionsBinder(a) {
 		return nil
 	}
 	z := rw.FreshVar()
@@ -433,7 +421,7 @@ func ruleFoldComposeLeft(rw *Rewriter, t core.Term, env core.SchemaEnv) []core.T
 		L: core.Compose(r, a),
 		R: core.Compose(e, &core.Var{Name: z}),
 	}}
-	return wellFormed(env, out)
+	return []core.Term{out}
 }
 
 // ruleMergeClosures: E1+ ∘ E2+ → µ(Z = E1∘E2 ∪ E1∘Z ∪ Z∘E2) — the paper's
@@ -466,7 +454,7 @@ func ruleMergeClosures(rw *Rewriter, t core.Term, env core.SchemaEnv) []core.Ter
 		core.Compose(e1, zv),
 		core.Compose(zv, e2),
 	})}
-	return wellFormed(env, out)
+	return []core.Term{out}
 }
 
 // ruleJoinIntoFixpoint: B ⋈ µ(X = R ∪ φ) → µ(X = (B⋈R) ∪ φ) when the join
@@ -482,16 +470,16 @@ func ruleJoinIntoFixpoint(rw *Rewriter, t core.Term, env core.SchemaEnv) []core.
 		return nil
 	}
 	var out []core.Term
-	if nt := joinIntoFixpoint(j.L, j.R, env); nt != nil {
+	if nt := joinIntoFixpoint(rw, j.L, j.R, env); nt != nil {
 		out = append(out, nt)
 	}
-	if nt := joinIntoFixpoint(j.R, j.L, env); nt != nil {
+	if nt := joinIntoFixpoint(rw, j.R, j.L, env); nt != nil {
 		out = append(out, nt)
 	}
-	return wellFormed(env, out...)
+	return out
 }
 
-func joinIntoFixpoint(b, fpTerm core.Term, env core.SchemaEnv) core.Term {
+func joinIntoFixpoint(rw *Rewriter, b, fpTerm core.Term, env core.SchemaEnv) core.Term {
 	fp, ok := fpTerm.(*core.Fixpoint)
 	if !ok {
 		return nil
@@ -525,10 +513,21 @@ func joinIntoFixpoint(b, fpTerm core.Term, env core.SchemaEnv) core.Term {
 			}
 		}
 	}
+	if rw.mentionsBinder(b) {
+		return nil
+	}
 	nd := &core.Decomposed{
 		X:           d.X,
 		Const:       &core.Join{L: b, R: d.Const},
 		PhiBranches: d.PhiBranches,
+	}
+	if bindsVar(b, d.X) {
+		// b's own fixpoint reuses the binder; under µ(X) it would shadow X.
+		nd.X = rw.FreshVar()
+		nd.PhiBranches = make([]core.Term, len(d.PhiBranches))
+		for i, br := range d.PhiBranches {
+			nd.PhiBranches[i] = core.Substitute(br, d.X, &core.Var{Name: nd.X})
+		}
 	}
 	return nd.Fixpoint()
 }
@@ -548,10 +547,35 @@ func ruleComposeAssoc(rw *Rewriter, t core.Term, env core.SchemaEnv) []core.Term
 	if il, ir, ok := core.MatchCompose(r); ok {
 		out = append(out, core.Compose(core.Compose(l, il), ir))
 	}
-	return wellFormed(env, out...)
+	return out
 }
 
 // --- helpers -----------------------------------------------------------------
+
+// mentionsBinder reports whether t mentions a recursion variable of an
+// enclosing fixpoint: a free name outside the rewriter's database schema.
+// A rule moving such a t into a fixpoint would leave that variable free
+// inside a nested fixpoint, which Fcond forbids.
+func (rw *Rewriter) mentionsBinder(t core.Term) bool {
+	for _, v := range core.FreeVars(t) {
+		if _, db := rw.Env[v]; !db {
+			return true
+		}
+	}
+	return false
+}
+
+// bindsVar reports whether some fixpoint inside t binds x.
+func bindsVar(t core.Term, x string) bool {
+	found := false
+	core.Walk(t, func(s core.Term) bool {
+		if fp, ok := s.(*core.Fixpoint); ok && fp.X == x {
+			found = true
+		}
+		return !found
+	})
+	return found
+}
 
 // renameCondCol rewrites references to column from into column to.
 func renameCondCol(c core.Condition, from, to string) core.Condition {
@@ -640,9 +664,6 @@ func untouchedWalk(t core.Term, x string, cols []string, env core.SchemaEnv) (on
 		rOn, rOk := untouchedWalk(r, x, cols, env)
 		if !lOk || !rOk {
 			return lOn || rOn, false
-		}
-		if lOn && rOn {
-			return true, false // non-linear; decline
 		}
 		if lOn {
 			rs := schemaOf(r, env)

@@ -256,10 +256,10 @@ type Report struct {
 	// than finishing every query before the kill phase.
 	FaultRoutes  int
 	FaultRetries int
-	// VerifiedPlans counts plans certified by the static verifier
-	// (rewrite.Verify) during the run: the translated term of every fuzzed
+	// VerifiedPlans counts plans certified by the plan checker
+	// (core.Schema) during the run: the translated term of every fuzzed
 	// query plus its explored rewrite space. VerifierViolations counts
-	// verifier diagnostics and rewrite-audit discards; the harness fails
+	// rejected terms and discarded rewrite candidates; the harness fails
 	// on the first one, so a finished run must report it as 0.
 	VerifiedPlans      int
 	VerifierViolations int
@@ -396,31 +396,21 @@ func runCase(c *cluster.Cluster, g *Graph, query string, opts Options, rep *Repo
 		return nil, fmt.Errorf("translate: %w", err)
 	}
 	// Static certification before anything executes: the translated term
-	// and its whole (bounded) rewrite space must pass the µ-RA plan
-	// verifier, and no rule application may be discarded by the rewrite
-	// audit. The engine re-verifies on its own paths; this check covers
-	// the planner routes that bypass the engine.
+	// must pass the µ-RA plan checker, and exploring its (bounded) rewrite
+	// space may discard no candidate — the rewriter admits only checked
+	// plans. The engine re-checks on its own paths; this check covers the
+	// planner routes that bypass the engine.
 	senv := core.SchemaEnv{"G": g.G.Triples.Cols()}
-	if diags := rewrite.Verify(term, senv); len(diags) > 0 {
-		rep.VerifierViolations += len(diags)
-		return nil, fmt.Errorf("verifier rejected translated term: %v", diags)
+	if _, err := core.Schema(term, senv); err != nil {
+		rep.VerifierViolations++
+		return nil, fmt.Errorf("translated term: %w", err)
 	}
-	rep.VerifiedPlans++
 	rw := rewrite.NewRewriter(senv)
 	rw.MaxPlans = 64 // bounded: certification sweep, not plan selection
-	for i, p := range rw.Explore(term) {
-		if i == 0 {
-			continue // the root, verified above
-		}
-		if diags := rewrite.Verify(p, senv); len(diags) > 0 {
-			rep.VerifierViolations += len(diags)
-			return nil, fmt.Errorf("verifier rejected rewritten plan %s: %v", p, diags)
-		}
-		rep.VerifiedPlans++
-	}
-	if rw.AuditViolations > 0 {
-		rep.VerifierViolations += rw.AuditViolations
-		return nil, fmt.Errorf("rewrite audit discarded %d candidates: %v", rw.AuditViolations, rw.LastAudit)
+	rep.VerifiedPlans += len(rw.Explore(term))
+	if discarded := rw.AuditViolations + rw.DroppedIllFormed; discarded > 0 {
+		rep.VerifierViolations += discarded
+		return nil, fmt.Errorf("rewriter discarded %d candidates: %v", discarded, rw.LastAudit)
 	}
 	return runRoutes(c, g, term, opts, rep)
 }
