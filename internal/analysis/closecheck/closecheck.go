@@ -1,6 +1,7 @@
 // Package closecheck reports acquired resources that are not released
-// on every path: core.Accumulator, core.Evaluator, core.JoinIndex and
-// repro.Rows values obtained from a constructor must reach Close (or
+// on every path: core.Accumulator, core.Evaluator, core.FixpointLoop,
+// core.JoinIndex and repro.Rows values obtained from a constructor must
+// reach Close (or
 // escape to an owner) on all paths out of the acquiring function,
 // including early error returns — the fd/gauge-leak class that has
 // bitten the spill and sub-result paths before.
@@ -27,7 +28,7 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "closecheck",
-	Doc:  "acquired Accumulator/Evaluator/JoinIndex/Rows must be Closed on all paths",
+	Doc:  "acquired Accumulator/Evaluator/FixpointLoop/JoinIndex/Rows must be Closed on all paths",
 	Run:  run,
 }
 
@@ -38,6 +39,7 @@ var Analyzer = &analysis.Analyzer{
 var trackedTypes = []struct{ pkgSuffix, name string }{
 	{"internal/core", "Accumulator"},
 	{"internal/core", "Evaluator"},
+	{"internal/core", "FixpointLoop"},
 	{"internal/core", "JoinIndex"},
 	{"repro", "Rows"},
 }

@@ -1,7 +1,7 @@
 // Package gaugecharge enforces the memory-governance contract on the
 // distributed execution path: inside internal/physical, a locally
 // constructed core.Evaluator must have its Gauge field assigned before the
-// first Eval/RunFixpoint call, otherwise every intermediate it
+// first Eval/RunFixpoint/NewFixpointLoop call, otherwise every intermediate it
 // materializes is invisible to admission control. (The row containers
 // themselves need no check: core.NewAccumulator and core.BuildJoinIndex
 // take the gauge as an argument, so a caller cannot forget it.)
@@ -65,10 +65,11 @@ func coreCallee(pass *analysis.Pass, call *ast.CallExpr) string {
 	return fn.Name()
 }
 
-// evalMethods are the Evaluator entry points that materialize rows and
-// therefore require a gauge to be attached first.
+// evalMethods are the Evaluator entry points that materialize rows — or,
+// for NewFixpointLoop, warm join indexes and seed X — and therefore require
+// a gauge to be attached first.
 var evalMethods = map[string]bool{
-	"Eval": true, "RunFixpoint": true, "EvalPhiDelta": true, "EvalDelta": true,
+	"Eval": true, "RunFixpoint": true, "EvalPhiDelta": true, "NewFixpointLoop": true,
 }
 
 // checkEvaluatorGauge scans each statement list for the pattern

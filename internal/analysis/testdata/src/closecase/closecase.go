@@ -31,6 +31,21 @@ func leakOnError() error {
 	return nil
 }
 
+// leakLoop steps a fixpoint loop and never closes it: X and the shuffle
+// filter keep their spill runs and gauge charges.
+func leakLoop(ev *core.Evaluator, init *core.Relation) {
+	loop := ev.NewFixpointLoop(init) // want `loop is never closed`
+	loop.Step()
+}
+
+// loopClosed is the clean counterpart.
+func loopClosed(ev *core.Evaluator, init *core.Relation) error {
+	loop := ev.NewFixpointLoop(init)
+	defer loop.Close()
+	_, err := loop.Step()
+	return err
+}
+
 // dropResult discards the constructor result outright.
 func dropResult() {
 	core.NewAccumulator(nil) // want `result of NewAccumulator is dropped without Close`

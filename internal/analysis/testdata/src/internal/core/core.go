@@ -41,3 +41,16 @@ func (ev *Evaluator) Eval(t any) (*Relation, error) { return &Relation{}, nil }
 
 // Close releases the evaluator.
 func (ev *Evaluator) Close() {}
+
+// FixpointLoop mirrors the tracked semi-naive loop.
+type FixpointLoop struct{}
+
+// NewFixpointLoop seeds a loop on ev: closecheck tracks its result, and
+// gaugecharge requires ev.Gauge to be set first.
+func (ev *Evaluator) NewFixpointLoop(init *Relation) *FixpointLoop { return &FixpointLoop{} }
+
+// Step runs one iteration.
+func (l *FixpointLoop) Step() (int, error) { return 0, nil }
+
+// Close releases the loop.
+func (l *FixpointLoop) Close() {}

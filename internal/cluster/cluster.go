@@ -557,7 +557,7 @@ func (ctx *Ctx) Worker() *Worker { return ctx.w }
 // whole row.
 func (ctx *Ctx) Exchange(rel *core.Relation, byCols []string) (*core.Relation, error) {
 	out := core.NewRelation(rel.Cols()...)
-	err := ctx.exchange(rel, byCols,
+	err := ctx.exchange([]*core.Relation{rel}, rel.Cols(), byCols,
 		func(row []core.Value) { out.Add(row) },
 		func(b *core.Batch) { out.AddBatch(b) })
 	if err != nil {
@@ -566,31 +566,28 @@ func (ctx *Ctx) Exchange(rel *core.Relation, byCols []string) (*core.Relation, e
 	return out, nil
 }
 
-// ExchangeInto is Exchange fused with the receiver's accumulator: every
-// row this worker keeps (its own bucket and the frames arriving from
-// peers) is absorbed straight into acc — the sharded fixpoint accumulator
-// X of the global-loop plan — and the rows that were new to acc are
-// returned as the worker's next delta. The set difference and union of
-// the semi-naive step happen at frame-decode time; no intermediate
-// candidate relation is materialized.
-func (ctx *Ctx) ExchangeInto(rel *core.Relation, byCols []string, acc *core.Accumulator) (*core.Relation, error) {
-	fresh := core.NewRelation(rel.Cols()...)
+// ExchangeInto is the global-loop plan's shuffle, fused with the
+// receiver's fixpoint accumulator x: the candidate rows (windows of one
+// set, all in x's schema) route to the owner of their whole-row hash, and
+// every row this worker owns — its own bucket and the frames arriving from
+// peers — is absorbed straight into x. The set difference and union of
+// the semi-naive step happen at frame-decode time; the rows new to x are
+// its next window, so nothing is copied out. It is the exchange a
+// core.FixpointLoop steps with.
+func (ctx *Ctx) ExchangeInto(cands []*core.Relation, x *core.Accumulator) error {
 	// One absorb handle for the whole shuffle: the routing scratch is
 	// reused across every received frame of a multi-frame transfer.
-	ab := acc.Absorber()
-	err := ctx.exchange(rel, byCols,
-		func(row []core.Value) { acc.AddInto(row, fresh) },
-		func(b *core.Batch) { ab.AbsorbBatch(b, fresh) })
-	if err != nil {
-		return nil, err
-	}
-	return fresh, nil
+	ab := x.Absorber()
+	return ctx.exchange(cands, x.Cols(), nil,
+		func(row []core.Value) { x.Add(row) },
+		func(b *core.Batch) { ab.AbsorbBatch(b) })
 }
 
-// exchange is the shared shuffle body of Exchange and ExchangeInto: rows
-// hash-route to their owner, the local bucket is delivered through
-// keepRow, and every received frame through keepBatch.
-func (ctx *Ctx) exchange(rel *core.Relation, byCols []string,
+// exchange is the shared shuffle body of Exchange and ExchangeInto: the
+// rows of parts (all over cols) hash-route to their owner, the local
+// bucket is delivered through keepRow, and every received frame through
+// keepBatch.
+func (ctx *Ctx) exchange(parts []*core.Relation, cols, byCols []string,
 	keepRow func([]core.Value), keepBatch func(*core.Batch)) error {
 	c := ctx.w.cluster
 	s := ctx.sess
@@ -602,21 +599,21 @@ func (ctx *Ctx) exchange(rel *core.Relation, byCols []string,
 		ctr{&c.metrics.ShufflePhases, &s.m.ShufflePhases}.Add(1)
 	}
 
-	at := make([]int, 0, len(rel.Cols()))
+	at := make([]int, 0, len(cols))
 	if byCols == nil {
-		for i := range rel.Cols() {
+		for i := range cols {
 			at = append(at, i)
 		}
 	} else {
 		for _, col := range byCols {
-			idx := core.ColIndex(rel.Cols(), col)
+			idx := core.ColIndex(cols, col)
 			if idx < 0 {
-				return fmt.Errorf("cluster: exchange column %q not in schema %v", col, rel.Cols())
+				return fmt.Errorf("cluster: exchange column %q not in schema %v", col, cols)
 			}
 			at = append(at, idx)
 		}
 	}
-	arity := rel.Arity()
+	arity := len(cols)
 	buckets := make([]*core.Batch, n)
 	for i := range buckets {
 		if i != ctx.rank {
@@ -624,17 +621,19 @@ func (ctx *Ctx) exchange(rel *core.Relation, byCols []string,
 		}
 	}
 	local := int64(0)
-	for i := 0; i < rel.Len(); i++ {
-		row := rel.RowAt(i)
-		b := int(core.HashValuesAt(row, at) % uint64(n))
-		if b == ctx.rank {
-			// Own bucket stays local: straight to the consumer (one copy,
-			// no network).
-			keepRow(row)
-			local++
-			continue
+	for _, rel := range parts {
+		for i := 0; i < rel.Len(); i++ {
+			row := rel.RowAt(i)
+			b := int(core.HashValuesAt(row, at) % uint64(n))
+			if b == ctx.rank {
+				// Own bucket stays local: straight to the consumer (one
+				// copy, no network).
+				keepRow(row)
+				local++
+				continue
+			}
+			buckets[b].AppendRow(row)
 		}
-		buckets[b].AppendRow(row)
 	}
 	ctr{&c.metrics.LocalRecords, &s.m.LocalRecords}.Add(local)
 	// Ship the buckets from a goroutine while this worker receives: every
@@ -810,6 +809,12 @@ func (s *Session) RunPhase(f func(ctx *Ctx) error) error {
 		return errors.New("cluster: closed")
 	}
 	c.mu.Unlock()
+	// The fault hook counts every phase a plan asks for, before the
+	// refusals below: a scatter or broadcast starts sending before its
+	// phase, so an injected failure can already have failed the session.
+	if p := c.faults.Load(); p != nil {
+		p.phaseStarting(c)
+	}
 	if err := s.ctx.Err(); err != nil {
 		return err
 	}
@@ -817,9 +822,6 @@ func (s *Session) RunPhase(f func(ctx *Ctx) error) error {
 		return err
 	}
 	seq := c.seq.Add(1)
-	if p := c.faults.Load(); p != nil {
-		p.phaseStarting(c)
-	}
 	// A dead member fails the phase before anyone shuffles — with a typed
 	// error naming the worker and phase — so live members are never
 	// stranded at a barrier waiting for its batches.

@@ -59,7 +59,9 @@ func NewFaultPlan() *FaultPlan {
 	return &FaultPlan{KillWorkerID: -1, PartitionWorkerID: -1}
 }
 
-// Phases returns how many phases have started since the plan was armed.
+// Phases returns how many phases have been requested since the plan was
+// armed, including those refused because their session had already
+// failed or been cancelled.
 func (p *FaultPlan) Phases() int64 { return p.phases.Load() }
 
 // Frames returns how many data frames the plan has inspected.

@@ -187,8 +187,8 @@ type AccMark [accShards]int
 // filtering against a read-only accumulator Relation and merging a side
 // set afterwards.
 //
-// Concurrency: Add/AddInto/Has/Absorb*/Len/Mark/DeltaViews and
-// EvictBelow/MaybeEvict are safe for concurrent use (per-shard locks);
+// Concurrency: Add/Has/Absorb*/Len/Mark/DeltaViews and EvictBelow are
+// safe for concurrent use (per-shard locks);
 // Materialize and Close must not race with any of them.
 type Accumulator struct {
 	cols    []string
@@ -201,7 +201,7 @@ type Accumulator struct {
 // NewAccumulator returns an empty accumulator over the given columns
 // (sorted, like NewRelation; duplicates panic), governed by the memory
 // gauge g: the accumulator charges g as it grows (AccRowBytes per row) and
-// EvictBelow/MaybeEvict freeze shards to disk once g is over budget. A nil
+// EvictBelow freezes shards to disk once g is over budget. A nil
 // gauge means unbudgeted: it never spills and charges nothing.
 func NewAccumulator(g *MemGauge, cols ...string) *Accumulator {
 	sorted := SortCols(cols)
@@ -269,20 +269,6 @@ func (a *Accumulator) addLocked(sh *accShard, row []Value, h uint64) bool {
 // Safe for concurrent use.
 func (a *Accumulator) Add(row []Value) bool {
 	return a.addHashed(row, HashValues(row))
-}
-
-// AddInto is Add that also appends the row to fresh when it was new.
-// fresh is the caller's private delta relation — it must hold only rows
-// collected this way, which are distinct by construction, so they are
-// appended with fresh's dedup set deferred — and is not synchronized;
-// concurrent callers must each pass their own.
-func (a *Accumulator) AddInto(row []Value, fresh *Relation) bool {
-	h := HashValues(row)
-	if !a.addHashed(row, h) {
-		return false
-	}
-	fresh.appendDistinctVals(row, 1)
-	return true
 }
 
 // Has reports whether the accumulator contains the row, consulting the
@@ -390,18 +376,6 @@ func (a *Accumulator) EvictBelow(mark AccMark) int {
 		sh.mu.Unlock()
 	}
 	return evicted
-}
-
-// MaybeEvict is EvictBelow at the current watermark: when the gauge is
-// over budget, every in-memory row is frozen. Callers must hold no
-// outstanding DeltaViews windows — it is the between-iterations valve of
-// loops that never window the accumulator, such as Pgld's per-worker X
-// partitions and shuffle filters.
-func (a *Accumulator) MaybeEvict() int {
-	if a.gauge == nil || !a.gauge.Over() {
-		return 0
-	}
-	return a.EvictBelow(a.Mark())
 }
 
 // evictRound is what one EvictBelow call shares across the shards it
@@ -578,16 +552,7 @@ func (a *Accumulator) Close() {
 // rows that were new. It is the accumulator's bulk seed path.
 func (a *Accumulator) Absorb(r *Relation) int {
 	var ad accAdder
-	return ad.addBatch(a, r.AsBatch(), nil)
-}
-
-// AbsorbBatch inserts every row of b, appending the new rows to fresh
-// (when non-nil) and returning how many were new. fresh is the caller's
-// private relation; concurrent callers must each pass their own. Callers
-// absorbing many batches should hold an Absorber instead, which reuses
-// the routing scratch across calls.
-func (a *Accumulator) AbsorbBatch(b *Batch, fresh *Relation) int {
-	return a.Absorber().AbsorbBatch(b, fresh)
+	return ad.addBatch(a, r.AsBatch())
 }
 
 // Absorber is a reusable batched-insert handle onto one accumulator: the
@@ -602,13 +567,12 @@ type Absorber struct {
 // Absorber returns a fresh absorb handle for this accumulator.
 func (a *Accumulator) Absorber() *Absorber { return &Absorber{a: a} }
 
-// AbsorbBatch inserts every row of b, appending the new rows to fresh
-// (when non-nil) and returning how many were new.
-func (ab *Absorber) AbsorbBatch(b *Batch, fresh *Relation) int {
+// AbsorbBatch inserts every row of b and returns how many were new.
+func (ab *Absorber) AbsorbBatch(b *Batch) int {
 	if b == nil {
 		return 0
 	}
-	return ab.ad.addBatch(ab.a, b, fresh)
+	return ab.ad.addBatch(ab.a, b)
 }
 
 // parallelMaterializeMin is the row count below which Materialize stays
@@ -693,9 +657,8 @@ type accAdder struct {
 // addBatch inserts a batch's rows into the accumulator: the hash and
 // shard-routing work happens lock-free, then each shard that received rows
 // is locked exactly once, with the membership probe and insertion fused
-// under that lock. Rows that were new are appended to fresh (when
-// non-nil) with its dedup set deferred — see AddInto.
-func (ad *accAdder) addBatch(a *Accumulator, b *Batch, fresh *Relation) int {
+// under that lock.
+func (ad *accAdder) addBatch(a *Accumulator, b *Batch) int {
 	n := b.Len()
 	if n == 0 {
 		return 0
@@ -735,12 +698,8 @@ func (ad *accAdder) addBatch(a *Accumulator, b *Batch, fresh *Relation) int {
 		shd := &a.shards[sh]
 		shd.mu.Lock()
 		for _, ri := range ad.order[lo:hi] {
-			row := b.Row(int(ri))
-			if a.addLocked(shd, row, ad.hashes[ri]) {
+			if a.addLocked(shd, b.Row(int(ri)), ad.hashes[ri]) {
 				added++
-				if fresh != nil {
-					fresh.appendDistinctVals(row, 1)
-				}
 			}
 		}
 		shd.mu.Unlock()

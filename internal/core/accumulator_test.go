@@ -125,9 +125,9 @@ func TestAccumulatorProbeWhileAdd(t *testing.T) {
 }
 
 // TestAccumulatorAbsorbBatchConcurrent: concurrent batched absorbs (the
-// worker-pool drain path) agree with a sequential reference, and each
-// caller's private fresh relation receives only rows that were globally
-// new, with no row claimed by two callers.
+// worker-pool drain path) agree with a sequential reference, and the
+// callers' new-row counts add up to the distinct rows: no row is claimed
+// by two callers.
 func TestAccumulatorAbsorbBatchConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	rows := randomRows(rng, 16000, 2, 150)
@@ -137,13 +137,13 @@ func TestAccumulatorAbsorbBatchConcurrent(t *testing.T) {
 	}
 	const workers = 6
 	a := NewAccumulator(nil, ColSrc, ColTrg)
-	fresh := make([]*Relation, workers)
+	claimed := make([]int, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		fresh[w] = NewRelation(ColSrc, ColTrg)
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			ab := a.Absorber()
 			// Overlapping windows force cross-worker duplicate claims.
 			step := 1000
 			for lo := 0; lo < src.Len(); lo += step {
@@ -151,22 +151,17 @@ func TestAccumulatorAbsorbBatchConcurrent(t *testing.T) {
 				if hi > src.Len() {
 					hi = src.Len()
 				}
-				a.AbsorbBatch(src.BatchRange(lo, hi), fresh[w])
+				claimed[w] += ab.AbsorbBatch(src.BatchRange(lo, hi))
 			}
 		}(w)
 	}
 	wg.Wait()
-	merged := NewRelation(ColSrc, ColTrg)
 	total := 0
-	for _, f := range fresh {
-		total += f.Len()
-		merged.UnionInPlace(f)
+	for _, n := range claimed {
+		total += n
 	}
-	if total != merged.Len() {
-		t.Fatalf("fresh relations overlap: %d rows claimed, %d distinct", total, merged.Len())
-	}
-	if !SameRows(merged, src) {
-		t.Fatal("union of fresh deltas differs from the source set")
+	if total != src.Len() {
+		t.Fatalf("%d rows claimed as new, %d distinct", total, src.Len())
 	}
 	if got := a.Materialize(); !SameRows(got, src) {
 		t.Fatal("accumulator contents differ from the source set")

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -114,32 +115,46 @@ func TestFixpointReusesBatchBuffers(t *testing.T) {
 		t.Fatalf("batch buffers allocated: %d over 3 iterations, %d over 299; want the same, at most 3", short, long)
 	}
 
-	// A warm φ step allocates per call, not per row: with every candidate
-	// already in the filter, a delta of four batches costs what a delta of
-	// one batch costs. A per-pipeline distinct would grow with the rows.
+	// A warm step allocates per step, not per row: with every candidate
+	// already in X, a delta of four batches costs what a delta of one batch
+	// costs. A per-pipeline distinct would grow with the rows. E is a self
+	// loop on every node, so φ(X) = X ∘ E = X for any delta.
 	d, err := Decompose(term)
 	if err != nil {
 		t.Fatal(err)
 	}
 	step := BatchRowsFor(2)
+	loops := NewRelation(ColSrc, ColTrg)
+	for i := 0; i <= 4*step+1; i++ {
+		loops.Add([]Value{Value(i), Value(i)})
+	}
 	env := NewEnv()
-	env.Bind("E", chainRelation(4*step+1))
+	env.Bind("E", loops)
 	ev := NewEvaluator(env)
-	filter := NewAccumulator(nil, ColSrc, ColTrg)
-	stepAllocs := func(nu *Relation) float64 {
-		return testing.AllocsPerRun(20, func() {
-			out, err := ev.EvalPhiDelta(d, nu, env, filter)
-			if err != nil || out.Len() != 0 {
-				t.Fatalf("warm φ step: %d new rows, err %v", out.Len(), err)
+	ev.Parallel = 1
+	defer ev.Close()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	stepAllocs := func(delta *Relation) float64 {
+		const runs = 20
+		var before, after runtime.MemStats
+		total := uint64(0)
+		for i := 0; i < runs; i++ {
+			loop := ev.NewFixpointLoop(d, delta, env)
+			runtime.ReadMemStats(&before)
+			added, err := loop.Step(nil)
+			runtime.ReadMemStats(&after)
+			loop.Close()
+			if err != nil || added != 0 {
+				t.Fatalf("warm step: %d new rows, err %v", added, err)
 			}
-		})
+			total += after.Mallocs - before.Mallocs
+		}
+		return float64(total) / runs
 	}
-	all, _ := env.Lookup("E")
-	if _, err := ev.EvalPhiDelta(d, all, env, filter); err != nil { // warm: indexes, pool, filter
-		t.Fatal(err)
-	}
-	if one, four := stepAllocs(all.Slice(0, step)), stepAllocs(all.Slice(0, 4*step)); four > one {
-		t.Fatalf("a φ step over 4 batches cost %.0f allocs, over 1 batch %.0f; want no per-batch allocation", four, one)
+	delta := chainRelation(4*step + 1)
+	stepAllocs(delta) // warm: indexes, pool
+	if one, four := stepAllocs(delta.Slice(0, step)), stepAllocs(delta.Slice(0, 4*step)); four > one {
+		t.Fatalf("a step over 4 batches cost %.0f allocs, over 1 batch %.0f; want no per-batch allocation", four, one)
 	}
 }
 

@@ -519,23 +519,10 @@ func (ev *Evaluator) markDynamic(x string) func() {
 // over singletons (Proposition 1). The initial relation may be any subset
 // of (or stand-in for) the fixpoint's constant part, which is exactly what
 // the fixpoint-splitting plans rely on: each worker calls RunFixpoint on
-// its own portion Ri.
-//
-// The streaming implementation keeps X sharded across all iterations in a
-// cross-iteration Accumulator: φ(new) streams into the accumulator with
-// the set difference and union fused under the shard locks — the one hash
-// probe a produced tuple ever pays, since φ's root anti-projections and
-// unions are built without their inline distinct — the rows an iteration
-// appends ARE the next delta (zero-copy shard windows between two marks,
-// scanned through a deltaSource), and a Relation is materialized exactly
-// once, by block copy, at fixpoint exit. Each iteration builds one
-// pipeline per φ branch per pool worker over the shared delta cursor and
-// returns their output batches to the evaluator's free list when the drain
-// returns, so iterations after the first allocate no batch buffers. The
-// constant sides' join indexes are built — in parallel for large inputs —
-// once before the first iteration and reused by every later one. Insertion
-// order of the result is not deterministic under parallelism; consumers
-// must compare order-insensitively (SameRows).
+// its own portion Ri. The loop body is FixpointLoop.Step, stepped locally
+// until a step adds nothing. Insertion order of the result is not
+// deterministic under parallelism; consumers must compare
+// order-insensitively (SameRows).
 func (ev *Evaluator) RunFixpoint(d *Decomposed, init *Relation, env *Env) (*Relation, error) {
 	if ev.Materializing {
 		return ev.runFixpointMat(d, init, env)
@@ -543,72 +530,160 @@ func (ev *Evaluator) RunFixpoint(d *Decomposed, init *Relation, env *Env) (*Rela
 	if len(d.PhiBranches) == 0 {
 		return init.Clone(), nil
 	}
-	restore := ev.markDynamic(d.X)
-	defer restore()
-	ev.warmConstIndexes(d, init, env)
-	acc := NewAccumulator(ev.Gauge, init.Cols()...)
-	defer acc.Close()
-	prev := AccMark{}
-	deltaRows := acc.Absorb(init)
-	iter := 0
-	for deltaRows > 0 {
-		iter++
+	loop := ev.NewFixpointLoop(d, init, env)
+	defer loop.Close()
+	for {
 		if err := CtxErr(ev.Ctx); err != nil {
 			return nil, err
 		}
-		if ev.MaxIter > 0 && iter > ev.MaxIter {
-			return nil, fmt.Errorf("core: fixpoint exceeded %d iterations", ev.MaxIter)
-		}
-		// Over budget, freeze the already-consumed prefix of X (rows below
-		// prev) to disk; the upcoming delta window [prev, mark) is never
-		// touched, so its zero-copy views stay valid.
-		acc.EvictBelow(prev)
-		mark := acc.Mark()
-		// The delta: for the first iteration init itself, afterwards the
-		// shard windows appended since prev.
-		views := []*Relation{init}
-		if iter > 1 {
-			views = acc.DeltaViews(prev, mark)
-		}
-		_, workers := ParallelPlan(deltaRows, acc.Arity(), ev.Parallel)
-		// Ephemeral (dynamic-build-side) indexes and the output batches of
-		// this iteration's pipelines are dead once the drain below
-		// finishes; release them so neither they nor their gauge charges
-		// outlive the iteration.
-		ebase, bmark := len(ev.ephemeral), ev.pool.Mark()
-		pipes := make([]Iterator, 0, len(d.PhiBranches)*workers)
-		for _, br := range d.PhiBranches {
-			// One cursor per branch: its pipelines split the delta between
-			// them, and every branch sees all of it.
-			src := newDeltaSource(acc.Cols(), views)
-			stepEnv := env.withDelta(d.X, src)
-			for w := 0; w < workers; w++ {
-				src.nextPipeline()
-				it, err := ev.stream(br, stepEnv, true)
-				if err != nil {
-					return nil, err
-				}
-				pipes = append(pipes, it)
-			}
-		}
-		added, err := ParallelDrainCtx(ev.Ctx, pipes, workers, acc)
-		ev.releaseEphemeral(ebase)
-		ev.pool.Recycle(bmark)
+		added, err := loop.Step(nil)
 		if err != nil {
 			return nil, err
 		}
-		if workers > 1 {
-			ev.Stats.ParallelSteps++
-		}
-		prev = mark
-		deltaRows = added
-		ev.Stats.FixpointIterations++
-		ev.Stats.TuplesProduced += added
-		if added > ev.Stats.MaxDelta {
-			ev.Stats.MaxDelta = added
+		if added == 0 {
+			return loop.Result(), nil
 		}
 	}
-	return acc.Materialize(), nil
+}
+
+// FixpointLoop is the semi-naive loop body of Algorithm 1 as a stepping
+// object — the one loop every streaming plan runs. X is sharded across all
+// iterations in a cross-iteration Accumulator; the rows a step appends to
+// it ARE the next delta (zero-copy shard windows between two marks,
+// scanned through a deltaSource), and a Relation is materialized exactly
+// once, by block copy, by Result. Where the loop runs is the caller's
+// choice: stepped locally (RunFixpoint: Ps_plw, Ppg_plw, maintenance) or
+// once per driver iteration with an exchange (Pgld).
+//
+// Each step builds one pipeline per φ branch per pool worker over the
+// shared delta cursor and returns their output batches to the evaluator's
+// free list when the drain returns, so steps after the first allocate no
+// batch buffers. The constant sides' join indexes are built — in parallel
+// for large inputs — once, by NewFixpointLoop, and reused by every step.
+// A FixpointLoop is single-owner and must be closed.
+type FixpointLoop struct {
+	ev      *Evaluator
+	d       *Decomposed
+	env     *Env
+	init    *Relation
+	x       *Accumulator
+	filter  *Accumulator // the shuffle filter: every candidate handed to an exchange
+	prev    AccMark      // X's watermark where the upcoming delta window starts
+	delta   int          // rows in the upcoming delta window
+	iter    int
+	restore func()
+}
+
+// NewFixpointLoop seeds X with init (the first delta) and marks the
+// recursion variable dynamic on ev until Close.
+func (ev *Evaluator) NewFixpointLoop(d *Decomposed, init *Relation, env *Env) *FixpointLoop {
+	l := &FixpointLoop{ev: ev, d: d, env: env, init: init, restore: ev.markDynamic(d.X)}
+	ev.warmConstIndexes(d, init, env)
+	l.x = NewAccumulator(ev.Gauge, init.Cols()...)
+	l.filter = NewAccumulator(ev.Gauge, init.Cols()...)
+	l.delta = l.x.Absorb(init)
+	return l
+}
+
+// Step runs one iteration: new = φ(Δ) \ X, X = X ∪ new, and returns
+// |new|, the size of the next delta.
+//
+// With a nil exchange, φ(Δ) drains into X under the shard locks — the set
+// difference and union fused, the one hash probe a produced tuple ever
+// pays, since φ's root anti-projections and unions are built without their
+// inline distinct. A local loop has converged when a step returns 0; a
+// step on an empty delta does nothing.
+//
+// With an exchange — Pgld's per-iteration shuffle — φ(Δ) drains into the
+// loop's shuffle filter instead, the set of every candidate this loop has
+// already handed on (rows route to a fixed owner, which absorbed a
+// re-derived candidate the first time), and the filter's new window goes
+// to exchange(cands, x), which must absorb into x every row this loop
+// owns. The exchange runs on every step, empty delta or not, since it is a
+// barrier its peers wait on; convergence is the driver's call.
+//
+// The caller's loop polls for cancellation between steps; within a step
+// the drain stops within one batch of ev.Ctx being cancelled.
+func (l *FixpointLoop) Step(exchange func(cands []*Relation, x *Accumulator) error) (int, error) {
+	ev := l.ev
+	if exchange == nil && l.delta == 0 {
+		return 0, nil
+	}
+	l.iter++
+	if ev.MaxIter > 0 && l.iter > ev.MaxIter {
+		return 0, fmt.Errorf("core: fixpoint exceeded %d iterations", ev.MaxIter)
+	}
+	// Over budget, freeze the already-consumed prefix of X (rows below
+	// prev) to disk; the upcoming delta window [prev, mark) is never
+	// touched, so its zero-copy views stay valid.
+	l.x.EvictBelow(l.prev)
+	mark := l.x.Mark()
+	sink := l.x
+	var fmark AccMark
+	if exchange != nil {
+		// Every candidate the filter holds has been exchanged: all of it
+		// may freeze.
+		fmark = l.filter.Mark()
+		l.filter.EvictBelow(fmark)
+		sink = l.filter
+	}
+	// The delta: for the first iteration init itself, afterwards the
+	// shard windows appended since prev.
+	views := []*Relation{l.init}
+	if l.iter > 1 {
+		views = l.x.DeltaViews(l.prev, mark)
+	}
+	_, workers := ParallelPlan(l.delta, l.x.Arity(), ev.Parallel)
+	// Ephemeral (dynamic-build-side) indexes and the output batches of
+	// this step's pipelines are dead once the drain below finishes; release
+	// them so neither they nor their gauge charges outlive the step.
+	ebase, bmark := len(ev.ephemeral), ev.pool.Mark()
+	pipes := make([]Iterator, 0, len(l.d.PhiBranches)*workers)
+	for _, br := range l.d.PhiBranches {
+		// One cursor per branch: its pipelines split the delta between
+		// them, and every branch sees all of it.
+		src := newDeltaSource(l.x.Cols(), views)
+		stepEnv := l.env.withDelta(l.d.X, src)
+		for w := 0; w < workers; w++ {
+			src.nextPipeline()
+			it, err := ev.stream(br, stepEnv, true)
+			if err != nil {
+				return 0, err
+			}
+			pipes = append(pipes, it)
+		}
+	}
+	added, err := ParallelDrainCtx(ev.Ctx, pipes, workers, sink)
+	ev.releaseEphemeral(ebase)
+	ev.pool.Recycle(bmark)
+	if err != nil {
+		return 0, err
+	}
+	if exchange != nil {
+		if err := exchange(l.filter.DeltaViews(fmark, l.filter.Mark()), l.x); err != nil {
+			return 0, err
+		}
+		added = DeltaRows(mark, l.x.Mark())
+	}
+	if workers > 1 {
+		ev.Stats.ParallelSteps++
+	}
+	l.prev, l.delta = mark, added
+	ev.Stats.FixpointIterations++
+	ev.Stats.TuplesProduced += added
+	ev.Stats.MaxDelta = max(ev.Stats.MaxDelta, added)
+	return added, nil
+}
+
+// Result materializes X. Call it once, after the last step.
+func (l *FixpointLoop) Result() *Relation { return l.x.Materialize() }
+
+// Close releases X and the shuffle filter (spill runs, gauge charges) and
+// unmarks the recursion variable. Calling it more than once is harmless.
+func (l *FixpointLoop) Close() {
+	l.x.Close()
+	l.filter.Close()
+	l.restore()
 }
 
 // warmConstIndexes pre-builds the constant-side join indexes of φ's
@@ -709,19 +784,12 @@ func (ev *Evaluator) warmConstIndexes(d *Decomposed, init *Relation, env *Env) {
 }
 
 // EvalPhiDelta evaluates φ(nu) — the union of the decomposed fixpoint's
-// recursive branches with X bound to nu — into one materialized delta
-// relation under the given base environment (defaulting to the
-// evaluator's). X is marked dynamic for the evaluation, so the constant
-// sides' join indexes are cached on the evaluator and reused when the
-// caller loops (the driver-side global loop Pgld calls this once per
-// iteration on each worker).
-//
-// The branch pipelines are bag-rooted and the delta's dedup is the one set
-// operation per tuple: with a nil filter the returned relation's own set;
-// with a filter — Pgld's per-sender shuffle filter — the filter's, and the
-// returned relation holds exactly the rows that were new to it, appended
-// as they were absorbed (distinct by construction, set deferred).
-func (ev *Evaluator) EvalPhiDelta(d *Decomposed, nu *Relation, env *Env, filter *Accumulator) (*Relation, error) {
+// recursive branches with X bound to nu — into one materialized relation
+// under the given base environment (defaulting to the evaluator's): a
+// single φ step, such as the seed of a maintenance phase. The branch
+// pipelines are bag-rooted; the returned relation's own set is the one
+// dedup per tuple.
+func (ev *Evaluator) EvalPhiDelta(d *Decomposed, nu *Relation, env *Env) (*Relation, error) {
 	if env == nil {
 		env = ev.env
 	}
@@ -732,18 +800,13 @@ func (ev *Evaluator) EvalPhiDelta(d *Decomposed, nu *Relation, env *Env, filter 
 	defer ev.pool.Recycle(bmark)
 	stepEnv := env.with(d.X, nu)
 	out := NewRelation(nu.Cols()...)
-	sink := func(b *Batch) { out.AddBatch(b) }
-	if filter != nil {
-		ab := filter.Absorber()
-		sink = func(b *Batch) { ab.AbsorbBatch(b, out) }
-	}
 	for _, br := range d.PhiBranches {
 		if ev.Materializing {
 			rel, err := ev.evalMat(br, stepEnv)
 			if err != nil {
 				return nil, err
 			}
-			sink(rel.AsBatch())
+			out.AddBatch(rel.AsBatch())
 			continue
 		}
 		it, err := ev.stream(br, stepEnv, true)
@@ -751,7 +814,7 @@ func (ev *Evaluator) EvalPhiDelta(d *Decomposed, nu *Relation, env *Env, filter 
 			return nil, err
 		}
 		for b := it.Next(); b != nil; b = it.Next() {
-			sink(b)
+			out.AddBatch(b)
 		}
 	}
 	return out, nil

@@ -277,6 +277,11 @@ type deltaSource struct {
 func newDeltaSource(cols []string, views []*Relation) *deltaSource {
 	src := &deltaSource{cols: cols, views: views}
 	step := BatchRowsFor(len(cols))
+	n := 0
+	for _, v := range views {
+		n += (v.Len() + step - 1) / step
+	}
+	src.wins = make([]Batch, 0, n) // one allocation however many windows
 	for _, v := range views {
 		for lo := 0; lo < v.Len(); lo += step {
 			src.wins = append(src.wins, *v.BatchRange(lo, min(lo+step, v.Len())))

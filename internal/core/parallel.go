@@ -167,7 +167,7 @@ func drainToAccumulator(it Iterator, sink *Accumulator, ad *accAdder, done <-cha
 		if cancelled.Load() {
 			return added
 		}
-		added += ad.addBatch(sink, b, nil)
+		added += ad.addBatch(sink, b)
 	}
 	return added
 }

@@ -474,7 +474,7 @@ func randomTernaryRelation(rng *rand.Rand, n, domain int) *Relation {
 // anti-projections, unions, renames, antijoins and column-preserving joins
 // carries no inline distinct, drained
 // into each of the sinks that deduplicate — the fixpoint Accumulator, the
-// delta relation of EvalPhiDelta, a shuffle filter, Materialize — yields
+// relation of EvalPhiDelta, a loop's shuffle filter, Materialize — yields
 // the rows of the materializing reference.
 func TestQuickBagRootedSinksMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260925))
@@ -505,11 +505,11 @@ func TestQuickBagRootedSinksMatchReference(t *testing.T) {
 			}
 
 			// Sink 2: EvalPhiDelta's delta relation.
-			wantStep, err := reference.EvalPhiDelta(d, init, env, nil)
+			wantStep, err := reference.EvalPhiDelta(d, init, env)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotStep, err := streaming.EvalPhiDelta(d, init, env, nil)
+			gotStep, err := streaming.EvalPhiDelta(d, init, env)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -517,21 +517,17 @@ func TestQuickBagRootedSinksMatchReference(t *testing.T) {
 				t.Fatalf("%s trial %d: φ(init) %v ≠ reference %v", name, trial, gotStep, wantStep)
 			}
 
-			// Sink 3: a shuffle filter that has already seen part of φ(init)
-			// passes on exactly the rest, and holds all of it afterwards.
-			seenBefore := wantStep.Slice(0, wantStep.Len()/2)
-			filter := NewAccumulator(nil, init.Cols()...)
-			filter.Absorb(seenBefore)
-			gotNew, err := streaming.EvalPhiDelta(d, init, env, filter)
-			if err != nil {
+			// Sink 3: the loop's shuffle filter. Stepped through a
+			// loopback exchange, which owns every candidate, the loop
+			// reaches the reference fixpoint.
+			loop := streaming.NewFixpointLoop(d, init, env)
+			if err := stepToFixpoint(loop, loopback); err != nil {
 				t.Fatal(err)
 			}
-			if wantNew := wantStep.Diff(seenBefore); !SameRows(gotNew, wantNew) {
-				t.Fatalf("%s trial %d: rows new to the filter %v, want %v", name, trial, gotNew, wantNew)
+			if got := loop.Result(); !SameRows(got, want) {
+				t.Fatalf("%s trial %d: exchange-stepped fixpoint %v ≠ reference %v", name, trial, got, want)
 			}
-			if held := filter.Materialize(); !SameRows(held, wantStep) {
-				t.Fatalf("%s trial %d: filter holds %v, want %v", name, trial, held, wantStep)
-			}
+			loop.Close()
 
 			// Sink 4: Materialize at the root of a plain evaluation.
 			bound := env.with("X", init)
@@ -546,6 +542,24 @@ func TestQuickBagRootedSinksMatchReference(t *testing.T) {
 			if !SameRows(gotRel, wantRel) {
 				t.Fatalf("%s trial %d: materialized %v ≠ reference %v", name, trial, gotRel, wantRel)
 			}
+		}
+	}
+}
+
+// loopback is the exchange of a single worker: it owns every candidate.
+func loopback(cands []*Relation, x *Accumulator) error {
+	for _, c := range cands {
+		x.Absorb(c)
+	}
+	return nil
+}
+
+// stepToFixpoint steps loop with exchange until a step adds nothing.
+func stepToFixpoint(loop *FixpointLoop, exchange func([]*Relation, *Accumulator) error) error {
+	for {
+		added, err := loop.Step(exchange)
+		if err != nil || added == 0 {
+			return err
 		}
 	}
 }

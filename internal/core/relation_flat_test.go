@@ -290,7 +290,7 @@ func TestAccumulatorAgreesWithRelation(t *testing.T) {
 	}
 }
 
-// TestAccumulatorAbsorb: Absorb seeds the set, AbsorbBatch appends exactly
+// TestAccumulatorAbsorb: Absorb seeds the set, AbsorbBatch counts exactly
 // the rows that were new, and membership answers stay consistent.
 func TestAccumulatorAbsorb(t *testing.T) {
 	a := NewAccumulator(nil, ColSrc, ColTrg)
@@ -309,9 +309,8 @@ func TestAccumulatorAbsorb(t *testing.T) {
 	next := NewRelation(ColSrc, ColTrg)
 	next.Add([]Value{3, 4}) // already in
 	next.Add([]Value{5, 6}) // new
-	fresh := NewRelation(ColSrc, ColTrg)
-	if n := a.AbsorbBatch(next.AsBatch(), fresh); n != 1 || fresh.Len() != 1 || !fresh.Has([]Value{5, 6}) {
-		t.Fatalf("AbsorbBatch added %d rows %v, want exactly {(5,6)}", n, fresh)
+	if n := a.Absorber().AbsorbBatch(next.AsBatch()); n != 1 || !a.Has([]Value{5, 6}) || a.Len() != 3 {
+		t.Fatalf("AbsorbBatch added %d rows (Len %d), want exactly (5,6)", n, a.Len())
 	}
 }
 

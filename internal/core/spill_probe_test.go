@@ -173,7 +173,7 @@ func TestSpillProbeMatchesReference(t *testing.T) {
 			uni = naturalUniverse(t)
 		}
 		dir := t.TempDir()
-		g := NewMemGauge(1, dir) // always over budget: MaybeEvict freezes all
+		g := NewMemGauge(1, dir) // always over budget: EvictBelow at the mark freezes all
 		acc := NewAccumulator(g, ColSrc, ColTrg)
 		live := map[int]bool{}
 		rounds := 0
@@ -189,7 +189,7 @@ func TestSpillProbeMatchesReference(t *testing.T) {
 				t.Fatalf("seed %d step %d: Has(%v) = %v with the row live=%v", seed, step, r.row, got, live[i])
 			}
 			if step%500 == 499 {
-				if acc.MaybeEvict() > 0 {
+				if acc.EvictBelow(acc.Mark()) > 0 {
 					rounds++
 				}
 				checkRunLayout(t, acc)
@@ -249,13 +249,13 @@ func TestSpillProbeConcurrentAdders(t *testing.T) {
 		case <-addersDone:
 			evicting = false
 		default:
-			acc.MaybeEvict()
+			acc.EvictBelow(acc.Mark())
 			runtime.Gosched()
 		}
 	}
 	close(stop)
 	<-probed
-	acc.MaybeEvict()
+	acc.EvictBelow(acc.Mark())
 
 	if int(added.Load()) != len(uni) {
 		t.Fatalf("%d adds reported a new row, the universe has %d", added.Load(), len(uni))
@@ -305,7 +305,7 @@ func TestSpillProbeReadAndDescriptorBound(t *testing.T) {
 		for i := r * perRound; i < (r+1)*perRound; i++ {
 			acc.Add(rowOf(i))
 		}
-		if n := acc.MaybeEvict(); n != perRound {
+		if n := acc.EvictBelow(acc.Mark()); n != perRound {
 			t.Fatalf("round %d froze %d rows, want %d", r, n, perRound)
 		}
 		// Every shard froze rows, so every older run was superseded and its
@@ -364,7 +364,7 @@ func TestSpillProbeReadAndDescriptorBound(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		acc.Add(rowOf(2*n + i))
 	}
-	if acc.MaybeEvict() != 3 {
+	if acc.EvictBelow(acc.Mark()) != 3 {
 		t.Fatal("partial round did not freeze its three rows")
 	}
 	if got := fds(); got != 2 {
@@ -390,7 +390,7 @@ func BenchmarkAccumulatorFrozenProbe(b *testing.B) {
 	for i := 0; i < n; i++ {
 		acc.Add([]Value{Value(i), Value(i + 1)})
 	}
-	acc.MaybeEvict()
+	acc.EvictBelow(acc.Mark())
 	row := make([]Value, 2)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -106,7 +106,7 @@ func spillAndReference(t *testing.T, dir string, rows [][]Value) (*Relation, *Re
 			t.Fatalf("row %d %v: budgeted added=%v reference added=%v", i, row, a1, a2)
 		}
 		if i%64 == 63 {
-			acc.MaybeEvict()
+			acc.EvictBelow(acc.Mark())
 		}
 	}
 	if g.Spills() == 0 {
@@ -148,7 +148,7 @@ func TestAccumulatorHasConsultsFrozenRuns(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		acc.Add([]Value{Value(i), Value(i + 1)})
 	}
-	if n := acc.MaybeEvict(); n == 0 {
+	if n := acc.EvictBelow(acc.Mark()); n == 0 {
 		t.Fatal("expected eviction under a 256-byte budget")
 	}
 	for i := 0; i < 100; i++ {
@@ -373,7 +373,7 @@ func TestAccumulatorConcurrentProbeDuringEviction(t *testing.T) {
 				// Overlapping ranges across writers: plenty of duplicate
 				// pressure against frozen rows.
 				b.AppendRow([]Value{Value((w*perWriter/2 + i) % 500), Value(i % 97)})
-				ab.AbsorbBatch(b, nil)
+				ab.AbsorbBatch(b)
 			}
 		}(w)
 	}
@@ -402,7 +402,7 @@ func TestAccumulatorConcurrentProbeDuringEviction(t *testing.T) {
 		case <-writersDone:
 			evicting = false
 		default:
-			acc.MaybeEvict()
+			acc.EvictBelow(acc.Mark())
 		}
 	}
 	close(stop)
@@ -456,4 +456,46 @@ func TestChildGaugeEnforcesParentBudget(t *testing.T) {
 		t.Fatalf("spill mirroring wrong: a=%d b=%d parent=%d/%dB",
 			a.Spills(), b.Spills(), parent.Spills(), parent.SpilledBytes())
 	}
+}
+
+// TestStarvedStepFreezesXAndFilter: a loop stepped through a loopback
+// exchange under a starved gauge freezes rows of both X and its shuffle
+// filter between steps — the two accumulators a Pgld worker holds — still
+// reaches the unbudgeted fixpoint, and returns every charge and spill file
+// once closed.
+func TestStarvedStepFreezesXAndFilter(t *testing.T) {
+	edges := sparseRelation(rand.New(rand.NewSource(5)), 120, 360)
+	env := NewEnv()
+	env.Bind("E", edges)
+	term := ClosureLR("X", &Var{Name: "E"})
+	want, err := Eval(term, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := Decompose(term)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	g := NewMemGauge(1<<10, dir)
+	ev := NewEvaluator(env)
+	ev.Gauge = g
+	loop := ev.NewFixpointLoop(d, edges, env)
+	if err := stepToFixpoint(loop, loopback); err != nil {
+		t.Fatal(err)
+	}
+	if loop.x.Frozen() == 0 || loop.filter.Frozen() == 0 {
+		t.Fatalf("starved loop froze %d rows of X and %d of its filter; want both > 0",
+			loop.x.Frozen(), loop.filter.Frozen())
+	}
+	got := loop.Result()
+	loop.Close()
+	ev.Close()
+	if !SameRows(got, want) {
+		t.Fatalf("starved exchange-stepped fixpoint has %d rows, want %d", got.Len(), want.Len())
+	}
+	if g.Used() != 0 {
+		t.Fatalf("gauge holds %d bytes after Close", g.Used())
+	}
+	assertNoSpillFiles(t, dir)
 }

@@ -107,10 +107,6 @@ type Planner struct {
 	// and fall back to round-robin splitting plus a final distinct shuffle
 	// — the ablation for the §III-B partitioning optimization.
 	DisableStablePartitioning bool
-	// DisableDeltaShuffleFilter turns off Pgld's per-sender seen-filter, so
-	// candidate tuples re-derived in later iterations cross the wire again
-	// — the ablation for the delta-aware shuffle.
-	DisableDeltaShuffleFilter bool
 
 	// SubResults, when set, is consulted before every fixpoint execution:
 	// a hit replaces the whole distributed computation with the cached
@@ -381,16 +377,15 @@ func localEnv(ctx *cluster.Ctx, handles map[string]*cluster.Broadcast) *core.Env
 }
 
 // runGld executes the fixpoint with a global loop on the driver: the
-// recursion variable X and the delta are row-hash-partitioned datasets;
-// each iteration computes φ(delta) on every worker, repartitions the
-// produced tuples by row hash (the per-iteration shuffle of Fig. 3), and
-// applies the set difference and union partition-locally. Each worker
-// keeps one evaluator alive for the whole loop, so the join indexes built
-// over the broadcast (constant) relations in the first iteration are
-// probed — not rebuilt — by every later one; likewise each worker's
-// partition of X lives in a core.Accumulator for the whole loop, absorbing
-// shuffled candidates at frame-decode time (ExchangeInto) and
-// materializing into a relation only once, for the final collect.
+// recursion variable X is a row-hash-partitioned dataset, and each driver
+// iteration is one phase in which every worker takes one step of core's
+// semi-naive loop over its partition. A step computes φ(delta) and
+// repartitions the produced tuples by row hash (the per-iteration shuffle
+// of Fig. 3, ExchangeInto), so the set difference and union apply
+// partition-locally as the frames decode. Each worker keeps its evaluator
+// and loop alive for the whole run: the join indexes over the broadcast
+// (constant) relations are built once, X stays sharded, and it is
+// materialized only once, for the final collect.
 func (p *Planner) runGld(sess *cluster.Session, pr *prepared) (*core.Relation, FixpointReport, error) {
 	fr := FixpointReport{StableCols: pr.stable}
 	handles, freeB, err := p.broadcastPhiRels(sess, pr)
@@ -399,43 +394,22 @@ func (p *Planner) runGld(sess *cluster.Session, pr *prepared) (*core.Relation, F
 	}
 	defer freeB()
 
-	rowHash := pr.seed.Cols()
-	xDS, err := sess.Parallelize(pr.seed, rowHash)
+	xDS, err := sess.Parallelize(pr.seed, pr.seed.Cols())
 	if err != nil {
 		return nil, fr, err
 	}
 	defer sess.Free(xDS)
-	newDS, err := sess.Parallelize(pr.seed, rowHash)
-	if err != nil {
-		return nil, fr, err
-	}
-	defer sess.Free(newDS)
 
-	d := pr.d
-	evals := make([]*core.Evaluator, sess.NumWorkers())
-	// xAcc is each worker's partition of X, sharded across the whole loop.
-	xAcc := make([]*core.Accumulator, sess.NumWorkers())
-	// sent is each worker's delta-aware shuffle filter: every candidate
-	// tuple this worker has already pushed into an Exchange (rows hash to a
-	// fixed owner, so a re-derived candidate would reach the same partition
-	// of X, which absorbed it at the barrier of the earlier iteration) is
-	// remembered and never crosses the wire again. It is an accumulator of
-	// its own, absorbing each iteration's candidates without rebuilding.
-	sent := make([]*core.Accumulator, sess.NumWorkers())
+	type gldWorker struct {
+		ev   *core.Evaluator
+		loop *core.FixpointLoop
+	}
+	tasks := make([]gldWorker, sess.NumWorkers())
 	defer func() {
-		for _, ev := range evals {
-			if ev != nil {
-				ev.Close()
-			}
-		}
-		for _, a := range xAcc {
-			if a != nil {
-				a.Close()
-			}
-		}
-		for _, s := range sent {
-			if s != nil {
-				s.Close()
+		for _, t := range tasks {
+			if t.loop != nil {
+				t.loop.Close()
+				t.ev.Close()
 			}
 		}
 	}()
@@ -449,43 +423,17 @@ func (p *Planner) runGld(sess *cluster.Session, pr *prepared) (*core.Relation, F
 		var added atomic.Int64
 		err := sess.RunPhase(func(ctx *cluster.Ctx) error {
 			w := ctx.WorkerID()
-			ev := evals[w]
-			if ev == nil {
-				ev = core.NewEvaluator(localEnv(ctx, handles))
+			if tasks[w].loop == nil {
+				env := localEnv(ctx, handles)
+				ev := core.NewEvaluator(env)
 				ev.Gauge = ctx.Gauge()
 				ev.Ctx = ctx.Context()
-				evals[w] = ev
-				xAcc[w] = core.NewAccumulator(ctx.Gauge(), pr.seed.Cols()...)
-				xAcc[w].Absorb(ctx.Partition(xDS))
+				loop := ev.NewFixpointLoop(pr.d, ctx.Partition(xDS), env)
+				tasks[w] = gldWorker{ev: ev, loop: loop}
 			}
-			nu := ctx.Partition(newDS)
-			if sent[w] == nil && !p.DisableDeltaShuffleFilter {
-				sent[w] = core.NewAccumulator(ctx.Gauge(), pr.seed.Cols()...)
-			}
-			// φ's rows stream straight into the shuffle filter, which is
-			// where this worker deduplicates them; delta is what was new to
-			// it (without the filter, delta's own set deduplicates).
-			delta, err := ev.EvalPhiDelta(d, nu, nil, sent[w])
-			if err != nil {
-				return err
-			}
-			// The per-iteration shuffle: candidates meet the partition of X
-			// that owns their row hash, absorbed into that partition's
-			// accumulator as their frames decode (fused diff-then-union).
-			fresh, err := ctx.ExchangeInto(delta, nil, xAcc[w])
-			if err != nil {
-				return err
-			}
-			ctx.SetPartition(newDS, fresh)
-			added.Add(int64(fresh.Len()))
-			// Between iterations neither accumulator has outstanding
-			// zero-copy windows (fresh and delta are separate relations),
-			// so an over-budget worker can freeze everything it holds.
-			xAcc[w].MaybeEvict()
-			if s := sent[w]; s != nil {
-				s.MaybeEvict()
-			}
-			return nil
+			n, err := tasks[w].loop.Step(ctx.ExchangeInto)
+			added.Add(int64(n))
+			return err
 		})
 		if err != nil {
 			return nil, fr, err
@@ -495,13 +443,10 @@ func (p *Planner) runGld(sess *cluster.Session, pr *prepared) (*core.Relation, F
 			break
 		}
 	}
-	// Materialize each worker's accumulator into its xDS partition for the
-	// collect — the only X merge of the whole loop. Every row lives on the
-	// worker its row hash names, so the partitions are disjoint.
+	// Every row of X lives on the worker its row hash names, so the
+	// partitions are disjoint.
 	if err := sess.RunPhase(func(ctx *cluster.Ctx) error {
-		if a := xAcc[ctx.WorkerID()]; a != nil {
-			ctx.SetPartition(xDS, a.Materialize())
-		}
+		ctx.SetPartition(xDS, tasks[ctx.WorkerID()].loop.Result())
 		return nil
 	}); err != nil {
 		return nil, fr, err

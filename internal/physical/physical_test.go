@@ -388,43 +388,46 @@ func TestDisableStablePartitioningAblation(t *testing.T) {
 	}
 }
 
-// TestDeltaAwareShuffleCutsRecords: on a cyclic closure workload, Pgld
-// re-derives tuples across iterations; the per-sender seen-filter must
-// keep those repeats off the wire. The filtered run (the default) must
-// produce the same fixpoint as the ablation while shuffling strictly
-// fewer records.
-func TestDeltaAwareShuffleCutsRecords(t *testing.T) {
+// TestPgldShuffleRecordsBound states Pgld's traffic as an asserted bound,
+// in the style of Fan/Wang/Wu's bounds for distributed reachability: each
+// worker hands a candidate to the shuffle at most once (its loop's shuffle
+// filter), every candidate is a row of the fixpoint X, and a row's owner
+// never ships it to itself, so ShuffleRecords ≤ (workers−1)·|X| however
+// often cycles and diamonds re-derive a tuple. One shuffle per iteration.
+func TestPgldShuffleRecordsBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(48))
 	// A dense small-domain graph guarantees many re-derivations (cycles and
 	// diamonds) during transitive closure.
 	edges := randomBinary(rng, 400, 24)
 	seeds := randomBinary(rng, 40, 24)
-
-	run := func(disable bool) (*core.Relation, int64) {
-		c := newTestCluster(t, cluster.TransportChan, 4)
-		env := core.NewEnv()
-		env.Bind("E", edges)
-		env.Bind("S", seeds)
-		p := NewPlanner(c, env)
-		p.Force = Gld
-		p.DisableDeltaShuffleFilter = disable
-		out, _, err := p.Execute(reachTerm())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out, c.Metrics().Snapshot().ShuffleRecords
+	env := core.NewEnv()
+	env.Bind("E", edges)
+	env.Bind("S", seeds)
+	want, err := core.Eval(reachTerm(), env)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	filtered, filteredRecs := run(false)
-	unfiltered, unfilteredRecs := run(true)
-	if !filtered.Equal(unfiltered) {
-		t.Fatalf("delta-aware shuffle changed the fixpoint: %d vs %d rows",
-			filtered.Len(), unfiltered.Len())
+	const workers = 4
+	for name, kind := range map[string]cluster.TransportKind{"chan": cluster.TransportChan, "tcp": cluster.TransportTCP} {
+		t.Run(name, func(t *testing.T) {
+			c := newTestCluster(t, kind, workers)
+			p := NewPlanner(c, env)
+			p.Force = Gld
+			got, rep, err := p.Execute(reachTerm())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Equal(want) {
+				t.Fatalf("Pgld fixpoint has %d rows, want %d", got.Len(), want.Len())
+			}
+			m := c.Metrics().Snapshot()
+			if bound := int64((workers - 1) * want.Len()); m.ShuffleRecords > bound {
+				t.Fatalf("shuffled %d records, bound (workers−1)·|X| = %d", m.ShuffleRecords, bound)
+			}
+			if iters := rep.Iterations(); m.ShufflePhases != int64(iters) {
+				t.Fatalf("%d shuffle phases for %d iterations, want one per iteration", m.ShufflePhases, iters)
+			}
+			t.Logf("shuffle records %d for |X| = %d over %d iterations", m.ShuffleRecords, want.Len(), rep.Iterations())
+		})
 	}
-	if filteredRecs >= unfilteredRecs {
-		t.Fatalf("seen-filter did not cut shuffle records: filtered=%d unfiltered=%d",
-			filteredRecs, unfilteredRecs)
-	}
-	t.Logf("shuffle records: filtered=%d unfiltered=%d (saved %.0f%%)",
-		filteredRecs, unfilteredRecs, 100*float64(unfilteredRecs-filteredRecs)/float64(unfilteredRecs))
 }

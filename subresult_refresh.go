@@ -197,7 +197,7 @@ func guardedFixpoint(ev *core.Evaluator, env *core.Env, d *core.Decomposed, seed
 		}
 		return out
 	}
-	init, err := ev.EvalPhiDelta(guarded(seed), x, env, nil)
+	init, err := ev.EvalPhiDelta(guarded(seed), x, env)
 	if err != nil {
 		return nil, err
 	}
