@@ -613,29 +613,43 @@ func (ctx *Ctx) exchange(parts []*core.Relation, cols, byCols []string,
 			at = append(at, idx)
 		}
 	}
+	// Route every row once, counting rows per owner, so each peer's bucket
+	// is allocated once at its exact size.
+	total := 0
+	for _, rel := range parts {
+		total += rel.Len()
+	}
+	owner := make([]int32, 0, total)
+	count := make([]int, n)
+	for _, rel := range parts {
+		for i := 0; i < rel.Len(); i++ {
+			b := core.HashValuesAt(rel.RowAt(i), at) % uint64(n)
+			owner = append(owner, int32(b))
+			count[b]++
+		}
+	}
 	arity := len(cols)
 	buckets := make([]*core.Batch, n)
 	for i := range buckets {
 		if i != ctx.rank {
-			buckets[i] = core.NewBatch(arity)
+			buckets[i] = core.NewBatchValues(arity, 0, make([]core.Value, 0, count[i]*arity))
 		}
 	}
-	local := int64(0)
+	j := 0
 	for _, rel := range parts {
 		for i := 0; i < rel.Len(); i++ {
 			row := rel.RowAt(i)
-			b := int(core.HashValuesAt(row, at) % uint64(n))
-			if b == ctx.rank {
+			if b := int(owner[j]); b == ctx.rank {
 				// Own bucket stays local: straight to the consumer (one
 				// copy, no network).
 				keepRow(row)
-				local++
-				continue
+			} else {
+				buckets[b].AppendRow(row)
 			}
-			buckets[b].AppendRow(row)
+			j++
 		}
 	}
-	ctr{&c.metrics.LocalRecords, &s.m.LocalRecords}.Add(local)
+	ctr{&c.metrics.LocalRecords, &s.m.LocalRecords}.Add(int64(count[ctx.rank]))
 	// Ship the buckets from a goroutine while this worker receives: every
 	// worker keeps draining its inbox while its own frames trickle out, so
 	// a full inbox can never deadlock the barrier even though a bucket may

@@ -164,6 +164,55 @@ func TestExchangeRepartitions(t *testing.T) {
 		if c.Metrics().Snapshot().ShuffleRecords == 0 {
 			t.Fatal("exchange moved no records over the wire")
 		}
+
+		// ExchangeInto with the shape a shuffle filter hands it: several
+		// windows of one set per worker, large enough that every peer's
+		// bucket spans more than one frame.
+		big := randomRel(rng, 20*core.BatchRowsFor(2), 5000)
+		bigDS, err := c.Parallelize(big, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := c.NumWorkers()
+		owned := make([]*core.Relation, n)
+		before := c.Metrics().Snapshot()
+		if err := c.RunPhase(func(ctx *Ctx) error {
+			p := ctx.Partition(bigDS)
+			third := p.Len() / 3
+			wins := []*core.Relation{p.Slice(0, third), p.Slice(third, 2*third), p.Slice(2*third, p.Len())}
+			x := core.NewAccumulator(nil, core.ColSrc, core.ColTrg)
+			defer x.Close()
+			if err := ctx.ExchangeInto(wins, x); err != nil {
+				return err
+			}
+			owned[ctx.WorkerID()] = x.Materialize()
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		d := c.Metrics().Snapshot().Diff(before)
+		if d.LocalRecords+d.ShuffleRecords != int64(big.Len()) {
+			t.Fatalf("local %d + shuffled %d records ≠ %d input rows", d.LocalRecords, d.ShuffleRecords, big.Len())
+		}
+		received := 0
+		for w, rel := range owned {
+			received += rel.Len()
+			for i := 0; i < rel.Len(); i++ {
+				if owner := int(core.HashValues(rel.RowAt(i)) % uint64(n)); owner != w {
+					t.Fatalf("row %v arrived at worker %d, its hash names %d", rel.RowAt(i), w, owner)
+				}
+			}
+		}
+		if received != big.Len() {
+			t.Fatalf("%d rows arrived, want each of %d exactly once", received, big.Len())
+		}
+		all := core.NewRelation(core.ColSrc, core.ColTrg)
+		for _, rel := range owned {
+			all.AddBatch(rel.AsBatch())
+		}
+		if !all.Equal(big) {
+			t.Fatal("ExchangeInto lost rows")
+		}
 	})
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -14,7 +15,7 @@ import (
 // tuples concurrently (membership test and insertion fused under one shard
 // lock, so X = X ∪ new and new = φ(new) \ X are a single operation), the
 // rows each iteration appends to a shard ARE the next delta (exposed as
-// zero-copy per-shard views between two marks), and a Relation is
+// zero-copy per-segment views between two marks), and a Relation is
 // materialized exactly once, at fixpoint exit. The sequential merge barrier
 // of the earlier design (ShardedSet.AppendTo after every parallel drain) is
 // gone; the price is insertion-order determinism, so every consumer of a
@@ -38,22 +39,90 @@ const (
 	accShards    = 1 << accShardBits
 )
 
-// accShard is one lock-striped shard: a tupleSet over its own flat
-// row-major store, plus the per-row hashes in insertion order so delta
-// scans, the final materialization and Pgld's shuffle filter never rehash.
-// data/hashes/set cover only the in-memory rows [frozen, n); rows below
+// accShard is one lock-striped shard: a tupleSet over its own segmented
+// row store, plus the per-row hashes in insertion order so an eviction
+// sorts and rebuilds without rehashing. segs/set cover only the in-memory
+// rows [frozen, n) — in-memory row i is shard row frozen+i; rows below
 // frozen live in the shard's sorted run.
 type accShard struct {
 	mu     sync.Mutex
 	set    tupleSet
-	data   []Value
-	hashes []uint64
+	segs   accStore
 	n      int     // logical row count, including frozen rows
 	frozen int     // rows evicted to the run (a prefix of the shard)
 	run    *accRun // the frozen rows; nil until the first eviction
-	// pad the shard to whole cache lines (3 × 64 bytes) so neighboring
+	// pad the shard to whole cache lines (2 × 64 bytes) so neighboring
 	// shard locks do not false-share.
-	_ [56]byte
+	_ [40]byte
+}
+
+// accSegBits sizes a shard's store segments: segment k holds
+// 2^(accSegBits+k) rows, so a shard of m rows spans about log2(m/64)
+// segments. A segment is allocated once, at full size, and never
+// reallocated or copied — each stored byte is written once, and the
+// in-memory rows stay where delta views saw them.
+const accSegBits = 6
+
+// accStore is a shard's in-memory row store, a list of segments.
+type accStore []accSeg
+
+// accSeg is one segment of a shard's store: its rows, row-major, and
+// their hashes.
+type accSeg struct {
+	vals   []Value
+	hashes []uint64
+}
+
+// segOf maps an in-memory row index to its segment and its offset there.
+func segOf(i int) (k, off int) {
+	q := i + 1<<accSegBits
+	k = bits.Len(uint(q)) - accSegBits - 1
+	return k, q - 1<<(accSegBits+k)
+}
+
+// row returns a view of in-memory row i.
+func (st accStore) row(i, arity int) []Value {
+	k, off := segOf(i)
+	return st[k].vals[off*arity : (off+1)*arity : (off+1)*arity]
+}
+
+// hash returns the stored hash of in-memory row i.
+func (st accStore) hash(i int) uint64 {
+	k, off := segOf(i)
+	return st[k].hashes[off]
+}
+
+// push stores a row with its hash as the next in-memory row, opening the
+// next segment when the last one is full, and returns the row's in-memory
+// index.
+func (sh *accShard) push(row []Value, h uint64) int {
+	i := sh.n - sh.frozen
+	k, off := segOf(i)
+	if k == len(sh.segs) {
+		rows := 1 << (accSegBits + k)
+		sh.segs = append(sh.segs, accSeg{vals: make([]Value, rows*len(row)), hashes: make([]uint64, rows)})
+	}
+	seg := &sh.segs[k]
+	copy(seg.vals[off*len(row):], row)
+	seg.hashes[off] = h
+	sh.n++
+	return i
+}
+
+// lookup probes the shard's in-memory set for a row with hash h.
+func (sh *accShard) lookup(h uint64, row []Value) (slot int, found bool) {
+	return sh.set.find(h, func(i int) bool { return rowsEqual(sh.segs.row(i, len(row)), row) })
+}
+
+// forSegs calls f on each stretch of in-memory rows [lo, hi) that lies in
+// one segment, in order, with the stretch's values.
+func (sh *accShard) forSegs(lo, hi, arity int, f func(vals []Value, n int)) {
+	for lo < hi {
+		k, off := segOf(lo)
+		n := min(hi-lo, 1<<(accSegBits+k)-off)
+		f(sh.segs[k].vals[off*arity:(off+n)*arity:(off+n)*arity], n)
+		lo += n
+	}
 }
 
 // accRun is a shard's frozen rows on disk: records of [rowHash,
@@ -251,16 +320,12 @@ func (a *Accumulator) addHashed(row []Value, h uint64) bool {
 // caller): probe the in-memory set, then — only when absent there — the
 // frozen run (its filter and, on a filter hit, one read), then append.
 func (a *Accumulator) addLocked(sh *accShard, row []Value, h uint64) bool {
-	inMem := sh.n - sh.frozen
-	sh.set.growFor(inMem + 1)
-	slot, found := sh.set.lookup(h, row, sh.data, a.arity)
+	sh.set.growFor(sh.n - sh.frozen + 1)
+	slot, found := sh.lookup(h, row)
 	if found || sh.run.locate(h, row) {
 		return false
 	}
-	sh.data = append(sh.data, row...)
-	sh.hashes = append(sh.hashes, h)
-	sh.n++
-	sh.set.claim(slot, h, int32(inMem+1))
+	sh.set.claim(slot, h, int32(sh.push(row, h)+1))
 	a.charge(AccRowBytes(a.arity))
 	return true
 }
@@ -284,7 +349,7 @@ func (a *Accumulator) hasHashed(row []Value, h uint64) bool {
 	sh := &a.shards[accShardOf(h)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	_, found := sh.set.lookup(h, row, sh.data, a.arity)
+	_, found := sh.lookup(h, row)
 	return found || sh.run.locate(h, row)
 }
 
@@ -328,12 +393,13 @@ func DeltaRows(from, to AccMark) int {
 }
 
 // DeltaViews returns read-only zero-copy Relation views of the rows
-// appended between two marks, one per non-empty shard window — the next
-// iteration's delta streaming straight out of the shards. Views stay valid
-// while later rows are inserted concurrently: the backing array below the
-// mark is immutable (appends either extend beyond the views' capacity or
-// move to a fresh array), and the slice headers are captured under the
-// shard locks.
+// appended between two marks, one per store segment each non-empty shard
+// window touches — the next iteration's delta streaming straight out of
+// the shards. Views stay valid while later rows are inserted concurrently
+// and across evictions: a segment never moves and its rows below the mark
+// are immutable (later rows land past the views' capacity or in later
+// segments; an eviction moves survivors into fresh segments), and the
+// segment headers are read under the shard locks.
 func (a *Accumulator) DeltaViews(from, to AccMark) []*Relation {
 	var out []*Relation
 	for i := range a.shards {
@@ -343,12 +409,15 @@ func (a *Accumulator) DeltaViews(from, to AccMark) []*Relation {
 		}
 		sh := &a.shards[i]
 		sh.mu.Lock()
-		data, base := sh.data, sh.frozen
-		sh.mu.Unlock()
+		base := sh.frozen
 		if lo < base {
+			sh.mu.Unlock()
 			panic(fmt.Sprintf("core: delta window [%d,%d) overlaps rows evicted below %d", lo, hi, base))
 		}
-		out = append(out, newView(a.cols, data[(lo-base)*a.arity:(hi-base)*a.arity:(hi-base)*a.arity], hi-lo))
+		sh.forSegs(lo-base, hi-base, a.arity, func(vals []Value, n int) {
+			out = append(out, newView(a.cols, vals, n))
+		})
+		sh.mu.Unlock()
 	}
 	return out
 }
@@ -398,19 +467,20 @@ type evictKey struct {
 // shard's existing run — if any — into one fresh compacted run, an extent
 // of the round's segment, so a shard never holds more than one run however
 // many eviction rounds pass. The filter is written in the same pass, in
-// run order. The surviving suffix is compacted into a *fresh* backing
-// array so outstanding zero-copy views of rows at or above upTo keep
-// aliasing the old one.
+// run order. The surviving suffix is compacted into *fresh* segments so
+// outstanding zero-copy views of rows at or above upTo keep aliasing the
+// old ones.
 func (a *Accumulator) evictShardLocked(sh *accShard, upTo int, round *evictRound) int {
 	k := upTo - sh.frozen
 	if k <= 0 {
 		return 0
 	}
 	arity := a.arity
-	rowOf := func(i int32) []Value { return sh.data[int(i)*arity : (int(i)+1)*arity] }
+	segs, live := sh.segs, sh.n-sh.frozen
+	rowOf := func(i int32) []Value { return segs.row(int(i), arity) }
 	keys := round.keys[:0]
-	for i, h := range sh.hashes[:k] {
-		keys = append(keys, evictKey{h, int32(i)})
+	for i := 0; i < k; i++ {
+		keys = append(keys, evictKey{segs.hash(i), int32(i)})
 	}
 	round.keys = keys
 	slices.SortFunc(keys, func(x, y evictKey) int {
@@ -477,20 +547,15 @@ func (a *Accumulator) evictShardLocked(sh *accShard, upTo int, round *evictRound
 		old.run.Close()
 	}
 	sh.run = &accRun{run: merged, fps: fps}
-	// Compact the surviving suffix into fresh arrays and rebuild the set
+	// Compact the surviving suffix into fresh segments and rebuild the set
 	// over it (rows are known distinct, so fresh-slot inserts suffice).
-	rem := (sh.n - sh.frozen) - k
-	data := make([]Value, rem*arity)
-	copy(data, sh.data[k*arity:])
-	hashes := make([]uint64, rem)
-	copy(hashes, sh.hashes[k:])
-	sh.data, sh.hashes = data, hashes
+	sh.segs, sh.n, sh.frozen = nil, upTo, upTo
 	sh.set = tupleSet{}
-	sh.set.reserve(rem)
-	for i := 0; i < rem; i++ {
-		sh.set.insertFresh(hashes[i], int32(i+1))
+	sh.set.reserve(live - k)
+	for i := k; i < live; i++ {
+		h := segs.hash(i)
+		sh.set.insertFresh(h, int32(sh.push(segs.row(i, arity), h)+1))
 	}
-	sh.frozen = upTo
 	a.release(AccRowBytes(arity) * int64(k))
 	a.charge(runFingerprintBytes * int64(k))
 	// Compaction rewrites the previous run, so this counts bytes actually
@@ -582,9 +647,10 @@ const parallelMaterializeMin = 1 << 15
 
 // Materialize copies the accumulated rows into one Relation sized from the
 // shards' row counts: frozen runs are streamed back from disk in chunks,
-// then each shard's in-memory flat store is memcpy'd. Runs and shards are
-// mutually disjoint sets by construction, so nothing is hashed or probed —
-// the result's dedup set is deferred to whoever first asks for it. Large
+// then each shard's in-memory store is memcpy'd segment by segment. Runs
+// and shards are mutually disjoint sets by construction, so nothing is
+// hashed or probed — the result's dedup set is deferred to whoever first
+// asks for it. Large
 // fully-in-memory accumulators scatter their shards concurrently (per-shard
 // output offsets are known up front). It is called once, at fixpoint exit;
 // it must not race with Add or EvictBelow.
@@ -611,7 +677,10 @@ func (a *Accumulator) Materialize() *Relation {
 		out.data = out.data[:total*arity]
 		runWorkers(accShards, workers, func(_, shard int) {
 			sh := &a.shards[shard]
-			copy(out.data[offs[shard]*arity:], sh.data[:sh.n*arity])
+			at := offs[shard] * arity
+			sh.forSegs(0, sh.n, arity, func(vals []Value, _ int) {
+				at += copy(out.data[at:], vals)
+			})
 		})
 		out.n = total
 		out.deferred.Store(true)
@@ -637,8 +706,7 @@ func (a *Accumulator) Materialize() *Relation {
 			}
 			flush()
 		}
-		inMem := sh.n - sh.frozen
-		out.appendDistinctVals(sh.data[:inMem*arity], inMem)
+		sh.forSegs(0, sh.n-sh.frozen, arity, out.appendDistinctVals)
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,15 +15,35 @@ import (
 // exercise probe-while-add, delta scan vs concurrent insert, and
 // concurrent probes of a parallel-built index.
 
+// requireSegmentCrossing fails the test unless every shard's window
+// between two marks of an accumulator that never evicted spans at least
+// two store segments.
+func requireSegmentCrossing(t *testing.T, from, to AccMark) {
+	t.Helper()
+	for i := range from {
+		first, _ := segOf(from[i])
+		last, _ := segOf(to[i] - 1)
+		if to[i] == from[i] || first == last {
+			t.Fatalf("shard %d: window [%d,%d) lies inside one segment", i, from[i], to[i])
+		}
+	}
+}
+
 // TestAccumulatorDeltaEpochs: absorbing rows in epochs, the views between
 // consecutive marks contain exactly the rows that were new in that epoch.
+// The epochs double in size, so every shard's window crosses a store
+// segment boundary and the views of one window span segments.
 func TestAccumulatorDeltaEpochs(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	a := NewAccumulator(nil, ColSrc, ColTrg)
 	seen := NewRelation(ColSrc, ColTrg)
 	prev := AccMark{}
-	for epoch := 0; epoch < 6; epoch++ {
-		batch := randomRows(rng, 300, 2, 60)
+	var last [][]Value
+	for epoch := 0; epoch < 4; epoch++ {
+		// Fresh rows plus a tail of the previous epoch's, which must not
+		// count as new again.
+		batch := append(randomRows(rng, 20000<<epoch, 2, 3000), last[:len(last)/8]...)
+		last = batch
 		wantNew := NewRelation(ColSrc, ColTrg)
 		for _, row := range batch {
 			if !seen.Has(row) {
@@ -32,6 +53,7 @@ func TestAccumulatorDeltaEpochs(t *testing.T) {
 			a.Add(row)
 		}
 		mark := a.Mark()
+		requireSegmentCrossing(t, prev, mark)
 		if n := DeltaRows(prev, mark); n != wantNew.Len() {
 			t.Fatalf("epoch %d: DeltaRows=%d, want %d", epoch, n, wantNew.Len())
 		}
@@ -53,18 +75,21 @@ func TestAccumulatorDeltaEpochs(t *testing.T) {
 // probes and delta scans against one accumulator — the exact overlap the
 // cross-iteration fixpoint creates when workers of iteration i+1 insert
 // while others still stream iteration i's shard windows. Under -race this
-// is the primary data-race test for the accumulator.
+// is the primary data-race test for the accumulator. The base window and
+// the concurrent inserts each cross store segment boundaries in every
+// shard, so producers open segments while scanners read earlier ones.
 func TestAccumulatorProbeWhileAdd(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	rows := randomRows(rng, 12000, 2, 200)
-	base := rows[:4000]
-	extra := rows[4000:]
+	rows := randomRows(rng, 60000, 2, 2000)
+	base := rows[:24000]
+	extra := rows[24000:]
 
 	a := NewAccumulator(nil, ColSrc, ColTrg)
 	for _, row := range base {
 		a.Add(row)
 	}
 	baseMark := a.Mark()
+	requireSegmentCrossing(t, AccMark{}, baseMark)
 
 	var wg sync.WaitGroup
 	var missing atomic.Int64
@@ -114,6 +139,7 @@ func TestAccumulatorProbeWhileAdd(t *testing.T) {
 	if missing.Load() != 0 {
 		t.Fatalf("%d probe/scan inconsistencies during concurrent insertion", missing.Load())
 	}
+	requireSegmentCrossing(t, baseMark, a.Mark())
 
 	want := NewRelation(ColSrc, ColTrg)
 	for _, row := range rows {
@@ -166,6 +192,40 @@ func TestAccumulatorAbsorbBatchConcurrent(t *testing.T) {
 	if got := a.Materialize(); !SameRows(got, src) {
 		t.Fatal("accumulator contents differ from the source set")
 	}
+}
+
+// TestAccumulatorGrowthAllocBound: growing an unbudgeted accumulator
+// allocates each stored byte about once. 200 000 distinct binary rows
+// absorbed in batches may allocate at most 4× their budget-model price
+// (AccRowBytes per row) — room for the half-empty last segment of every
+// shard and the dedup tables' doublings, but not for stores re-copied at
+// every append growth.
+func TestAccumulatorGrowthAllocBound(t *testing.T) {
+	const n, batch = 200_000, 1024
+	vals := make([]Value, 0, 2*n)
+	for i := 0; i < n; i++ {
+		vals = append(vals, Value(i), Value(i*7+1))
+	}
+	src := NewRelation(ColSrc, ColTrg)
+	src.AppendDistinct(NewBatchValues(2, n, vals))
+	a := NewAccumulator(nil, ColSrc, ColTrg)
+	ab := a.Absorber()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	added := 0
+	for lo := 0; lo < n; lo += batch {
+		added += ab.AbsorbBatch(src.BatchRange(lo, min(lo+batch, n)))
+	}
+	runtime.ReadMemStats(&after)
+	if added != n {
+		t.Fatalf("%d rows added, want %d", added, n)
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	if bound := 4 * uint64(AccRowBytes(2)) * n; alloc > bound {
+		t.Fatalf("absorbing %d rows allocated %d bytes (%.1f× their %d-byte price), bound 4×",
+			n, alloc, float64(alloc)/float64(AccRowBytes(2)*n), AccRowBytes(2)*n)
+	}
+	t.Logf("absorbing %d rows allocated %.1f× their price", n, float64(alloc)/float64(AccRowBytes(2)*n))
 }
 
 // TestParallelIndexBuildMatchesSerial: for random relations and key

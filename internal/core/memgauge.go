@@ -20,7 +20,10 @@ import (
 // broadcasts, partitions) are governed by plan selection, not the gauge.
 const (
 	// accSlotBytes is the per-row bookkeeping of an Accumulator beyond the
-	// row's values: the stored 64-bit hash plus the dedup-set slot.
+	// row's values: the stored 64-bit hash plus the dedup-set slot, 8 + 8
+	// bytes since a slot became one word. The price is deliberately kept,
+	// so budgets, spill decisions and cost.PlanMemory do not move with
+	// the table's layout.
 	accSlotBytes = 12
 	// IndexRowBytes prices one indexed row of an in-memory JoinIndex: the
 	// bucket reference plus amortized bucket-map overhead (the row values

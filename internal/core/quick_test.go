@@ -319,44 +319,141 @@ func TestQuickDiffStreamMatchesDiff(t *testing.T) {
 	}
 }
 
+// hashedRows is a tupleSet over a flat store whose rows are filed under
+// caller-chosen hashes, standing in for collisions FNV would take 2^32
+// rows to produce. del is Relation.Remove's swap-remove: the last row
+// moves into the hole and its slot is re-referenced.
+type hashedRows struct {
+	s    tupleSet
+	data []Value
+	hs   []uint64
+}
+
+func (c *hashedRows) add(h uint64, row []Value) bool {
+	c.s.growFor(len(c.hs) + 1)
+	slot, found := c.s.lookup(h, row, c.data, len(row))
+	if found {
+		return false
+	}
+	c.data = append(c.data, row...)
+	c.hs = append(c.hs, h)
+	c.s.claim(slot, h, int32(len(c.hs)))
+	return true
+}
+
+func (c *hashedRows) has(h uint64, row []Value) bool {
+	_, found := c.s.lookup(h, row, c.data, len(row))
+	return found
+}
+
+func (c *hashedRows) del(h uint64, row []Value) bool {
+	a := len(row)
+	slot, found := c.s.lookup(h, row, c.data, a)
+	if !found {
+		return false
+	}
+	idx, last := c.s.rowAt(slot), len(c.hs)-1
+	c.s.remove(slot)
+	if idx != last {
+		lastRow := c.data[last*a : (last+1)*a]
+		lslot, lfound := c.s.lookup(c.hs[last], lastRow, c.data, a)
+		if !lfound {
+			panic("hashedRows: set lost the last row")
+		}
+		copy(c.data[idx*a:], lastRow)
+		c.hs[idx] = c.hs[last]
+		c.s.reref(lslot, int32(idx+1))
+	}
+	c.data, c.hs = c.data[:last*a], c.hs[:last]
+	return true
+}
+
 // TestTupleSetCollisions drives the open-addressing row set through forced
-// hash collisions: distinct rows sharing one hash must all be stored and
-// found, and duplicates must still be rejected.
+// hash collisions: distinct rows sharing one hash, or only the 32-bit tag
+// a slot keeps of it, must all be stored and found, duplicates must still
+// be rejected, and removals, re-references and rehashes inside colliding
+// runs must keep every other row findable.
 func TestTupleSetCollisions(t *testing.T) {
-	const collidingHash = uint64(0xdeadbeef)
-	const arity = 2
-	var (
-		s    tupleSet
-		data []Value
-		n    int
-	)
-	add := func(row []Value) bool {
-		s.growFor(n + 1)
-		slot, found := s.lookup(collidingHash, row, data, arity)
-		if found {
-			return false
+	rowOf := func(i int) []Value { return []Value{Value(i), Value(i * 7)} }
+	// check asserts that exactly rows [0, n) except the gone ones are
+	// present under hash(i), and that re-adding a present one is refused.
+	check := func(t *testing.T, c *hashedRows, n int, hash func(int) uint64, gone map[int]bool) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if c.has(hash(i), rowOf(i)) == gone[i] {
+				t.Fatalf("row %d: present=%v, removed=%v", i, !gone[i], gone[i])
+			}
+			if !gone[i] && c.add(hash(i), rowOf(i)) {
+				t.Fatalf("duplicate row %d accepted", i)
+			}
 		}
-		data = append(data, row...)
-		n++
-		s.claim(slot, collidingHash, int32(n))
-		return true
-	}
-	for i := 0; i < 50; i++ {
-		if !add([]Value{Value(i), Value(i * 7)}) {
-			t.Fatalf("colliding row %d rejected as duplicate", i)
+		if c.has(hash(n), rowOf(n)) {
+			t.Fatal("absent row reported present under a colliding hash")
 		}
 	}
-	for i := 0; i < 50; i++ {
-		if _, found := s.lookup(collidingHash, []Value{Value(i), Value(i * 7)}, data, arity); !found {
-			t.Fatalf("colliding row %d not found", i)
+	fill := func(t *testing.T, n int, hash func(int) uint64) *hashedRows {
+		c := &hashedRows{}
+		for i := 0; i < n; i++ {
+			if !c.add(hash(i), rowOf(i)) {
+				t.Fatalf("colliding row %d rejected as duplicate", i)
+			}
 		}
-		if add([]Value{Value(i), Value(i * 7)}) {
-			t.Fatalf("duplicate row %d accepted", i)
+		return c
+	}
+	t.Run("one full hash", func(t *testing.T) {
+		hash := func(int) uint64 { return 0xdeadbeef }
+		check(t, fill(t, 50, hash), 50, hash, nil)
+	})
+	t.Run("one tag, distinct high bits", func(t *testing.T) {
+		// Same tag and home slot in every slot word; only the row values
+		// tell the entries apart.
+		hash := func(i int) uint64 { return uint64(i+1)<<32 | 0xdeadbeef }
+		check(t, fill(t, 50, hash), 50, hash, nil)
+	})
+	t.Run("remove and reref inside a colliding run", func(t *testing.T) {
+		// Rows 0–11 share home slot 3, half of them one tag too; rows
+		// 12–19 home at slot 4 and continue the run to slot 22; rows
+		// 20–23 sit at their own home slots 23–26, directly behind it,
+		// where a removal in the run must not shift them. The table
+		// stays at 32 slots, so the homes stay put.
+		hash := func(i int) uint64 {
+			switch {
+			case i < 6:
+				return uint64(i+1)<<32 | 3
+			case i < 12:
+				return uint64(i)<<5 | 3
+			case i < 20:
+				return uint64(i)<<5 | 4
+			default:
+				return uint64(i)<<5 | uint64(i+3)
+			}
 		}
-	}
-	if _, found := s.lookup(collidingHash, []Value{99, 99}, data, arity); found {
-		t.Fatal("absent row reported present under colliding hash")
-	}
+		const n = 24
+		c := fill(t, n, hash)
+		gone := map[int]bool{}
+		// Mid-run removals shift later entries back; removing a row other
+		// than the last re-references the last row's slot.
+		for _, i := range []int{19, 2, 7, 0, 13, 11, 5, 21} {
+			if !c.del(hash(i), rowOf(i)) {
+				t.Fatalf("row %d not removed", i)
+			}
+			gone[i] = true
+			check(t, c, n, hash, gone)
+		}
+		if c.s.n != n-len(gone) {
+			t.Fatalf("set counts %d rows, want %d", c.s.n, n-len(gone))
+		}
+	})
+	t.Run("rehash carries colliding words", func(t *testing.T) {
+		// Tag-equal groups of 8 whose tags agree on the low 16 bits too,
+		// so every doubling up to 2^16 slots rehashes whole runs.
+		hash := func(i int) uint64 { return uint64(i%8+1)<<32 | uint64(i/8)<<16 | 0x5a5a }
+		c := fill(t, 400, hash)
+		if len(c.s.slots) < 512 {
+			t.Fatalf("table holds %d slots; the fill should have rehashed past 512", len(c.s.slots))
+		}
+		check(t, c, 400, hash, nil)
+	})
 }
 
 // TestJoinIndexCollisions: a JoinIndex bucket holding rows of distinct

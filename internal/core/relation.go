@@ -18,10 +18,10 @@ import (
 // order is insertion order, which keeps single-threaded evaluation
 // deterministic for a deterministic input.
 //
-// Deduplication is backed by an open-addressing set of 64-bit row hashes
-// (tupleSet) over row indices into the backing array: membership costs one
-// FNV-1a hash and, on a hit, one value-wise comparison, with zero
-// allocation.
+// Deduplication is backed by an open-addressing set (tupleSet) of one-word
+// slots, each a 32-bit tag of the row hash above a row index into the
+// backing array: membership costs one FNV-1a hash and, on a tag hit, one
+// value-wise comparison, with zero allocation.
 //
 // The dedup set may be deferred: a relation filled from rows that are
 // distinct by construction (AppendDistinct — a duplicate-free stream, an
@@ -265,7 +265,7 @@ func (r *Relation) Remove(row []Value) bool {
 	if !found {
 		return false
 	}
-	idx := int(r.set.slots[slot]) - 1
+	idx := r.set.rowAt(slot)
 	r.set.remove(slot)
 	last := r.n - 1
 	if idx != last {

@@ -164,6 +164,71 @@ func TestAccumulatorHasConsultsFrozenRuns(t *testing.T) {
 	}
 }
 
+// TestAccumulatorEvictInsideSegment: an eviction whose watermark falls
+// inside a store segment in every shard, leaving a surviving suffix that
+// spans at least two fresh segments. Delta views taken before the
+// eviction stay valid, views taken after it agree with them, and
+// membership and materialization match the reference across the frozen
+// run, the compacted suffix and rows pushed after it.
+func TestAccumulatorEvictInsideSegment(t *testing.T) {
+	rowOf := func(i int) []Value { return []Value{Value(i), Value(i*7 + 1)} }
+	const part = 20_000
+	acc := NewAccumulator(NewMemGauge(1<<10, t.TempDir()), ColSrc, ColTrg)
+	defer acc.Close()
+	ref := NewRelation(ColSrc, ColTrg)
+	add := func(lo, hi int) AccMark {
+		for i := lo; i < hi; i++ {
+			acc.Add(rowOf(i))
+			ref.Add(rowOf(i))
+		}
+		return acc.Mark()
+	}
+	collect := func(views []*Relation) *Relation {
+		out := NewRelation(ColSrc, ColTrg)
+		for _, v := range views {
+			Drain(ScanRelation(v), out)
+		}
+		return out
+	}
+	m1 := add(0, part)
+	m2 := add(part, 2*part)
+	want := ref.Slice(part, 2*part)
+	before := acc.DeltaViews(m1, m2)
+	if n := acc.EvictBelow(m1); n != part {
+		t.Fatalf("eviction froze %d rows, want %d", n, part)
+	}
+	for i := range acc.shards {
+		sh := &acc.shards[i]
+		if _, off := segOf(m1[i]); off == 0 {
+			t.Fatalf("shard %d: watermark %d is a segment boundary", i, m1[i])
+		}
+		if len(sh.segs) < 2 {
+			t.Fatalf("shard %d: %d surviving rows fit one segment", i, sh.n-sh.frozen)
+		}
+	}
+	if got := collect(before); !SameRows(got, want) {
+		t.Fatal("delta views taken before the eviction changed under it")
+	}
+	if got := collect(acc.DeltaViews(m1, m2)); !SameRows(got, want) {
+		t.Fatal("delta views over the compacted suffix differ from the window's rows")
+	}
+	m3 := add(2*part, 3*part)
+	if got := collect(acc.DeltaViews(m2, m3)); !SameRows(got, ref.Slice(2*part, 3*part)) {
+		t.Fatal("delta views of rows pushed after the eviction differ")
+	}
+	for i := 0; i < 3*part; i++ {
+		if !acc.Has(rowOf(i)) {
+			t.Fatalf("row %d lost", i)
+		}
+	}
+	if acc.Has(rowOf(3*part)) || acc.Add(rowOf(part)) {
+		t.Fatal("membership disagrees with the reference")
+	}
+	if got := acc.Materialize(); !SameRows(got, ref) {
+		t.Fatalf("materialized %d rows, reference %d", got.Len(), ref.Len())
+	}
+}
+
 // TestSpilledFixpointMatchesUnbudgeted is the acceptance check for the
 // local evaluator: a closure forced to a budget smaller than half its
 // measured working set completes with spilling and produces rows
