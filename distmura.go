@@ -263,7 +263,10 @@ func Open(opts Options) (*Engine, error) {
 // transport error; prefer cancelling their contexts first.
 func (e *Engine) Close() error { return e.clust.Close() }
 
-// AddTriple inserts one labeled edge.
+// AddTriple inserts one labeled edge. Cached recursive results that read
+// the edge's predicate are brought up to date by the semi-naive resume on
+// their next use; watchers are notified and re-evaluate through that
+// shared cache.
 func (e *Engine) AddTriple(src, pred, trg string) {
 	e.graph.Add(src, pred, trg)
 	e.notifyWatchers()
@@ -272,8 +275,9 @@ func (e *Engine) AddTriple(src, pred, trg string) {
 // DeleteTriple removes one labeled edge, reporting whether it was
 // present. Cached recursive results that read the edge's predicate are
 // maintained through DRed retraction on their next use (or evicted when
-// their term cannot be maintained); watchers are notified so maintained
-// subscriptions deliver the retracted derived rows as WatchDelta.Removed.
+// their term cannot be maintained); watchers are notified, re-evaluate
+// through that shared cache, and deliver the derived rows that went away
+// as WatchDelta.Removed.
 func (e *Engine) DeleteTriple(src, pred, trg string) bool {
 	if !e.graph.Delete(src, pred, trg) {
 		return false
@@ -526,18 +530,7 @@ func (e *Engine) planSpace(q *ucrpq.UnionQuery, cfg queryConfig) ([]core.Term, e
 	rw := rewrite.NewRewriter(core.SchemaEnv{edgeRel: e.graph.Triples.Cols()})
 	rw.MaxPlans = cfg.maxPlans
 	rw.Disabled = cfg.disabled
-	plans := rw.Explore(ltr)
-	seen := map[string]bool{}
-	for _, p := range plans {
-		seen[p.String()] = true
-	}
-	for _, p := range rw.Explore(rtl) {
-		if !seen[p.String()] {
-			plans = append(plans, p)
-			seen[p.String()] = true
-		}
-	}
-	return plans, nil
+	return rw.ExploreBoth(ltr, rtl), nil
 }
 
 // optimizeCached consults the engine plan cache before running the full

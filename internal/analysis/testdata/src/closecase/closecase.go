@@ -51,8 +51,9 @@ func dropResult() {
 	core.NewAccumulator(nil) // want `result of NewAccumulator is dropped without Close`
 }
 
-// watchRenderLeak mirrors the engine's watch-establish bug: rows were
-// opened, a downstream failure returned early, and the cursor leaked.
+// watchRenderLeak is a cursor opened, then abandoned by an early return
+// on a downstream failure: the shape of a render step that fails after
+// its query succeeded.
 func watchRenderLeak(e *repro.Engine) error {
 	rows, err := e.Query("watch")
 	if err != nil {

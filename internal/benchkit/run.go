@@ -146,17 +146,7 @@ func PrepareMuRA(g *graphgen.Graph, queryText string, b Budget, opts MuRAOptions
 	rw := rewrite.NewRewriter(schemaEnv)
 	rw.MaxPlans = b.maxPlans()
 	rw.Disabled = opts.Disabled
-	plans := rw.Explore(ltr)
-	seen := map[string]bool{}
-	for _, p := range plans {
-		seen[p.String()] = true
-	}
-	for _, p := range rw.Explore(rtl) {
-		if !seen[p.String()] {
-			plans = append(plans, p)
-			seen[p.String()] = true
-		}
-	}
+	plans := rw.ExploreBoth(ltr, rtl)
 	cat := cost.NewCatalog()
 	cat.BindRelation(EdgeRelName, g.Triples)
 	best, _ := cost.SelectBest(plans, cat)

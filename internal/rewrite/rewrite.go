@@ -107,6 +107,26 @@ func (rw *Rewriter) Explore(t core.Term) []core.Term {
 	return plans
 }
 
+// ExploreBoth returns the plan space of a query translated in both
+// directions: the space explored from its left-to-right translation ltr,
+// followed by the plans explored from its right-to-left translation rtl
+// that print differently from every plan before them. Each exploration is
+// capped at MaxPlans on its own.
+func (rw *Rewriter) ExploreBoth(ltr, rtl core.Term) []core.Term {
+	plans := rw.Explore(ltr)
+	seen := make(map[string]bool, len(plans))
+	for _, p := range plans {
+		seen[p.String()] = true
+	}
+	for _, p := range rw.Explore(rtl) {
+		if !seen[p.String()] {
+			plans = append(plans, p)
+			seen[p.String()] = true
+		}
+	}
+	return plans
+}
+
 // Neighbors returns all terms reachable from t by one rule application at
 // any position.
 func (rw *Rewriter) Neighbors(t core.Term) []core.Term {

@@ -387,3 +387,45 @@ func TestExploreCapsPlanSpace(t *testing.T) {
 		t.Fatalf("cap exceeded: %d", len(plans))
 	}
 }
+
+// TestExploreBothMergesDirections: the merged space is the left-to-right
+// space followed by the right-to-left plans that print differently, with
+// no printed plan twice. A recursive query's right-to-left translation
+// adds plans; a non-recursive one translates to the same term both ways
+// and adds none.
+func TestExploreBothMergesDirections(t *testing.T) {
+	dict := core.NewDict()
+	dict.Intern("a")
+	dict.Intern("b")
+	for _, tc := range []struct {
+		query string
+		grows bool
+	}{
+		{"?x <- ?x a+/b+ Const", true},
+		{"?x,?y <- ?x a/b ?y", false},
+	} {
+		ltr, rtl, err := ucrpq.TranslateBoth(ucrpq.MustParse(tc.query), "G", dict)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rw := NewRewriter(tripleSchemaEnv())
+		rw.MaxPlans = 60
+		first := NewRewriter(tripleSchemaEnv())
+		first.MaxPlans = 60
+		both, ltrSpace := rw.ExploreBoth(ltr, rtl), first.Explore(ltr)
+		seen := map[string]bool{}
+		for i, p := range both {
+			s := p.String()
+			if seen[s] {
+				t.Fatalf("%s: plan %d printed twice: %s", tc.query, i, s)
+			}
+			seen[s] = true
+			if i < len(ltrSpace) && s != ltrSpace[i].String() {
+				t.Fatalf("%s: plan %d = %s, want the left-to-right plan %s", tc.query, i, s, ltrSpace[i])
+			}
+		}
+		if grew := len(both) > len(ltrSpace); grew != tc.grows {
+			t.Fatalf("%s: merged space has %d plans, left-to-right space %d", tc.query, len(both), len(ltrSpace))
+		}
+	}
+}

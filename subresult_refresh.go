@@ -73,16 +73,14 @@ func refreshableSubResult(fp *core.Fixpoint) (*core.Decomposed, bool) {
 }
 
 // refreshOutcome reports one maintenance run: the new materialized result
-// plus its exact net delta against the old rows (addedRows appeared,
-// removedRows disappeared — an edge deleted and rederived, or deleted and
-// re-inserted, lands in neither) and the phase counters.
+// and the phase counters. They are exact net counts against the old rows
+// — a row deleted and rederived, or deleted and re-inserted, counts as
+// rederived, not as added — so retracted − rederived rows disappeared.
 type refreshOutcome struct {
-	rel         *core.Relation
-	addedRows   *core.Relation
-	removedRows *core.Relation
-	added       int64 // rows in addedRows
-	retracted   int64 // rows over-deleted by DRed phase 1
-	rederived   int64 // over-deleted rows salvaged by phases 2–3
+	rel       *core.Relation
+	added     int64 // rows in the new result but not the old
+	retracted int64 // rows over-deleted by DRed phase 1
+	rederived int64 // over-deleted rows salvaged by phases 2–3
 }
 
 // refreshSubResult maintains one cached fixpoint µ(X = Const ∪ φ(X)) from
@@ -107,8 +105,8 @@ type refreshOutcome struct {
 // from the survivors over the current graph. N is the insert resume:
 // X₀ is the post-retraction rows, so a derivation through a row that just
 // died is not revived by an unrelated insert. The result is S ∪ N, two
-// disjoint sets, appended with no membership probe; the net deltas and
-// counters come from the delta-sized D, R and N alone.
+// disjoint sets, appended with no membership probe; the net counters come
+// from the delta-sized D, R and N alone.
 //
 // old is shared and read-only (other sessions may be scanning it): it is
 // only scanned and probed. g.Triples is read live — the caller has
@@ -117,8 +115,9 @@ type refreshOutcome struct {
 func refreshSubResult(ctx context.Context, g *graphgen.Graph, fp *core.Fixpoint, old *core.Relation, added, removed *core.Relation) (refreshOutcome, error) {
 	d, ok := refreshableSubResult(fp)
 	if !ok {
-		// The acquire path gates on the entry's refreshable flag, so this
-		// is unreachable; kept as a cheap invariant for direct callers.
+		// The one caller, the cache's refreshLocked, gates on the entry's
+		// refreshable flag, so this is unreachable from the engine; kept as
+		// a cheap invariant for tests that maintain a relation directly.
 		return refreshOutcome{}, errNotRefreshable
 	}
 	none := core.NewRelation(old.Cols()...)
@@ -167,15 +166,13 @@ func refreshSubResult(ctx context.Context, g *graphgen.Graph, fp *core.Fixpoint,
 		}
 	}
 
-	dead := dRel.Diff(rRel)
+	gained := nRel.Diff(dRel.Diff(rRel)).Len()
 	st := refreshOutcome{
-		rel:         surv,
-		addedRows:   nRel.Diff(dead),
-		removedRows: dead.Diff(nRel),
-		retracted:   int64(dRel.Len()),
+		rel:       surv,
+		added:     int64(gained),
+		retracted: int64(dRel.Len()),
+		rederived: int64(rRel.Len() + nRel.Len() - gained),
 	}
-	st.added = int64(st.addedRows.Len())
-	st.rederived = int64(rRel.Len() + nRel.Len() - st.addedRows.Len())
 	if nRel.Len() > 0 {
 		if surv == old {
 			st.rel = old.Clone() // old is shared: never appended to

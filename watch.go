@@ -4,31 +4,20 @@ import (
 	"context"
 	"strings"
 	"sync"
-	"time"
 
-	"repro/internal/core"
-	"repro/internal/graphgen"
 	"repro/internal/ucrpq"
 )
 
 // This file is the standing-query surface over the live graph: a Watch
 // delivers the row-level difference of its query result after every
-// engine mutation. Subscriptions whose optimized plan the incremental
-// maintenance can carry (a rename chain over one refreshable fixpoint —
-// see watchMaintainable) skip re-evaluation entirely: the watcher keeps
-// its own copy of the fixpoint rows and advances them from the graph's
-// change log, insert deltas by semi-naive resume and deletions by DRed
-// retraction (subresult_refresh.go), so WatchDelta.Removed comes straight
-// out of retraction maintenance rather than a snapshot re-diff. Every
-// other query — and any maintained subscription whose delta window is
-// lost (UseGraph swap, snapshot out of range) — re-evaluates through the
-// plan and sub-result caches and diffs against the previous delivery.
-
-// watchRel is the environment name a maintained subscription binds its
-// fixpoint rows (or a delta of them) to when mapping rows through the
-// plan's rename wrappers. Like deltaRel, the NUL prefix keeps it outside
-// every parser- and planner-reachable namespace.
-const watchRel = "\x00watchX"
+// engine mutation. There is one evaluation path. Each wakeup runs the
+// query through the engine (QueryCollect: the plan cache, then the
+// sub-result cache) and diffs the rendered rows against the previous
+// delivery. A watcher keeps no fixpoint state of its own: a cached
+// fixpoint made stale by the mutation is maintained once, in place, by
+// the sub-result cache (DRed for deletions, the semi-naive resume for
+// inserts — subresult_refresh.go), and every watcher and query reading
+// that fixpoint shares the maintained rows.
 
 // WatchDelta is one update from a standing subscription: the result rows
 // that appeared (Added) and disappeared (Removed) since the previous
@@ -36,9 +25,12 @@ const watchRel = "\x00watchX"
 // that produced them. The first delta of a subscription carries the full
 // initial result in Added (possibly empty — it doubles as the "snapshot
 // established" signal). Removed is populated by edge deletions
-// (DeleteTriple), UseGraph swaps, and non-monotone queries; on a
-// maintained subscription its rows are the net retractions DRed computed
-// (Stats.Plan == "maintained", with Retractions/RederivedRows filled in).
+// (DeleteTriple), UseGraph swaps, and non-monotone queries. Stats is the
+// QueryStats of the evaluation behind the delivery: when it served a
+// stale cached fixpoint, Plan reads "[refreshed]" and the maintenance
+// counters (Refreshes, Retractions, RederivedRows) say what the cache's
+// DRed and resume pass did; a fixpoint another session already refreshed
+// reads "[cached]".
 type WatchDelta struct {
 	Added   [][]string
 	Removed [][]string
@@ -51,7 +43,8 @@ type WatchDelta struct {
 type Watch struct {
 	// C delivers one WatchDelta per observed change, coalescing bursts: a
 	// batch of writes arriving while an evaluation runs yields one
-	// re-evaluation, not one per write.
+	// re-evaluation, not one per write, and its delta is the exact net
+	// difference between the two evaluated results.
 	C <-chan WatchDelta
 
 	cancel context.CancelFunc
@@ -79,11 +72,13 @@ func (w *Watch) Err() error {
 // Watch runs text as a standing UCRPQ: the subscription first delivers
 // the full initial result, then after every mutation (AddTriple,
 // DeleteTriple, LoadTSV, UseGraph) delivers the row difference, skipping
-// deltas for mutations that did not change the result. Maintainable
-// plans are advanced incrementally from the change log (insert resume +
-// DRed retraction); the rest re-evaluate and diff. Query options apply
-// to every evaluation. The subscription ends when ctx is cancelled,
-// Close is called, or an evaluation fails (see Watch.Err).
+// deltas for mutations that did not change the result. Every delivery
+// re-evaluates the query through the plan and sub-result caches and
+// diffs the whole result against the previous one; cached fixpoints are
+// brought up to date by the cache's own maintenance, shared with every
+// other reader. Query options apply to every evaluation. The subscription
+// ends when ctx is cancelled, Close is called, or an evaluation fails
+// (see Watch.Err).
 //
 // A parse error fails Watch itself rather than arriving asynchronously.
 func (e *Engine) Watch(ctx context.Context, text string, opts ...QueryOption) (*Watch, error) {
@@ -118,159 +113,6 @@ func (e *Engine) notifyWatchers() {
 	e.watchMu.Unlock()
 }
 
-// watchMaintained is the state of a maintenance-driven subscription. It
-// is deliberately independent of the shared sub-result cache: a cache
-// entry's pending delta is consumed by whichever query refreshes it
-// first, so a watcher that relied on it would find the window already
-// advanced. Instead the watcher owns its rows and its generation
-// snapshot and replays the change log at its own pace.
-type watchMaintained struct {
-	g     *graphgen.Graph
-	fp    *core.Fixpoint // the maintained fixpoint of the optimized plan
-	wrap  core.Term      // the plan's rename chain over Var(watchRel)
-	preds []core.Value
-	gens  []uint64
-	rel   *core.Relation // current fixpoint rows (never mutated in place)
-}
-
-// watchMaintainable reports whether an optimized plan can be maintained
-// incrementally: a chain of renames — bijective on rows, so fixpoint
-// deltas map one-to-one to output deltas — over a single fixpoint that
-// passes the cache's gates (cacheableFixpoint + refreshableSubResult).
-// Projections are excluded deliberately: dropping a column loses the
-// duplicate support a removed row may have, so a retraction below a
-// projection does not imply a retraction of the projected row. The
-// returned wrap term is the rename chain rebuilt over Var(watchRel).
-func watchMaintainable(term core.Term) (*core.Fixpoint, core.Term, bool) {
-	switch t := term.(type) {
-	case *core.Rename:
-		fp, wrap, ok := watchMaintainable(t.T)
-		if !ok {
-			return nil, nil, false
-		}
-		return fp, &core.Rename{From: t.From, To: t.To, T: wrap}, true
-	case *core.Fixpoint:
-		if !cacheableFixpoint(t) {
-			return nil, nil, false
-		}
-		if _, ok := refreshableSubResult(t); !ok {
-			return nil, nil, false
-		}
-		return t, &core.Var{Name: watchRel}, true
-	}
-	return nil, nil, false
-}
-
-// render maps a relation of fixpoint rows through the plan's rename
-// chain and decodes it to result-shaped string rows.
-func (m *watchMaintained) render(rel *core.Relation) ([][]string, error) {
-	if rel.Len() == 0 {
-		return nil, nil
-	}
-	env := core.NewEnv()
-	env.Bind(watchRel, rel)
-	ev := core.NewEvaluator(env)
-	defer ev.Close()
-	out, err := ev.Eval(m.wrap)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([][]string, 0, out.Len())
-	for i := 0; i < out.Len(); i++ {
-		vr := out.RowAt(i)
-		sr := make([]string, len(vr))
-		for j, v := range vr {
-			sr[j] = m.g.Dict.String(v)
-		}
-		rows = append(rows, sr)
-	}
-	return rows, nil
-}
-
-// watchEstablish attempts to (re-)enter maintained mode for a
-// subscription: optimize, check maintainability, snapshot the predicate
-// generations before evaluating (a write racing the evaluation is then
-// replayed — idempotently — on the next wakeup rather than lost), and
-// evaluate the fixpoint through the engine so the sub-result cache is
-// shared with regular queries. ok=false with a nil error means the plan
-// is not maintainable and the caller should re-diff instead.
-func (e *Engine) watchEstablish(ctx context.Context, text string, opts []QueryOption) (m *watchMaintained, full [][]string, stats QueryStats, ok bool, err error) {
-	g := e.graph
-	cfg := e.queryConfig(opts)
-	term, planSpace, _, hit, err := e.optimizeCached(ctx, text, cfg)
-	if err != nil {
-		return nil, nil, QueryStats{}, false, err
-	}
-	fp, wrap, ok := watchMaintainable(term)
-	if !ok {
-		return nil, nil, QueryStats{}, false, nil
-	}
-	fpt := snapshotFootprint(g, fp)
-	if fpt.wildcard || fpt.graphID != g.ID() {
-		return nil, nil, QueryStats{}, false, nil
-	}
-	rows, err := e.run(ctx, fp, cfg, nil)
-	if err != nil {
-		return nil, nil, QueryStats{}, false, err
-	}
-	// The cursor is consumed here, not handed to the subscriber: only
-	// the materialized relation outlives this call. Close it on every
-	// path — including the render-failure return below.
-	defer rows.Close()
-	m = &watchMaintained{g: g, fp: fp, wrap: wrap, preds: fpt.preds, gens: fpt.gens, rel: rows.rel}
-	full, err = m.render(rows.rel)
-	if err != nil {
-		return nil, nil, QueryStats{}, false, err
-	}
-	stats = rows.stats
-	stats.PlanSpace = planSpace
-	stats.PlanCacheHit = hit
-	return m, full, stats, true, nil
-}
-
-// watchStep advances a maintained subscription by the graph's pending
-// change-log delta. applied=false with a nil error means the window was
-// lost (snapshot out of range) or maintenance failed recoverably — the
-// caller must re-establish from a full evaluation. A nil error with
-// applied=true and an empty delta means the wakeup was a no-op.
-func (e *Engine) watchStep(ctx context.Context, m *watchMaintained) (delta WatchDelta, applied bool, err error) {
-	added, removed, cur, ok := m.g.DeltasSince(m.preds, m.gens)
-	if !ok {
-		return WatchDelta{}, false, nil
-	}
-	if added.Len() == 0 && removed.Len() == 0 {
-		m.gens = cur
-		return WatchDelta{}, true, nil
-	}
-	start := time.Now()
-	st, rerr := refreshSubResult(ctx, m.g, m.fp, m.rel, added, removed)
-	if rerr != nil {
-		if ctx.Err() != nil {
-			return WatchDelta{}, false, rerr
-		}
-		// Maintenance failure must not end or stale the subscription;
-		// fall back to a full re-evaluation for this round.
-		return WatchDelta{}, false, nil
-	}
-	m.rel = st.rel
-	m.gens = cur
-	if delta.Added, err = m.render(st.addedRows); err != nil {
-		return WatchDelta{}, false, err
-	}
-	if delta.Removed, err = m.render(st.removedRows); err != nil {
-		return WatchDelta{}, false, err
-	}
-	delta.Stats = QueryStats{
-		Seconds:       time.Since(start).Seconds(),
-		Plan:          "maintained",
-		Refreshes:     1,
-		RefreshRows:   st.added,
-		Retractions:   st.retracted,
-		RederivedRows: st.rederived,
-	}
-	return delta, true, nil
-}
-
 // diffRows diffs rendered rows against the previous delivery's key map,
 // returning the new map and the row-level delta.
 func diffRows(last map[string][]string, rows [][]string) (map[string][]string, WatchDelta) {
@@ -294,9 +136,8 @@ func diffRows(last map[string][]string, rows [][]string) (map[string][]string, W
 	return curr, delta
 }
 
-// loop is the subscription goroutine: establish (maintained when the
-// plan allows, re-diff otherwise), then per wakeup either advance the
-// maintained rows from the change log or re-evaluate and diff.
+// loop is the subscription goroutine: per wakeup, re-evaluate through
+// the engine and deliver the diff against the previous delivery.
 func (w *Watch) loop(e *Engine, ctx context.Context, text string, opts []QueryOption, out chan<- WatchDelta, notify chan struct{}) {
 	defer func() {
 		e.watchMu.Lock()
@@ -305,21 +146,10 @@ func (w *Watch) loop(e *Engine, ctx context.Context, text string, opts []QueryOp
 		close(out)
 		close(w.done)
 	}()
-	fail := func(err error) {
-		if ctx.Err() == nil {
-			w.mu.Lock()
-			w.err = err
-			w.mu.Unlock()
-		}
-	}
 	// last maps a canonical row key to the row itself. Keys are rendered
 	// strings, not interned values: UseGraph swaps dictionaries, and the
-	// diff must stay meaningful across the swap. Maintained mode keeps it
-	// in sync too, so dropping to a full re-diff (after a swap or a lost
-	// delta window) delivers an exact difference, never a reset.
+	// diff must stay meaningful across the swap.
 	last := map[string][]string{}
-	var m *watchMaintained
-	maintainable := true // until an establishment proves otherwise
 	for first := true; ; first = false {
 		if !first {
 			select {
@@ -328,58 +158,18 @@ func (w *Watch) loop(e *Engine, ctx context.Context, text string, opts []QueryOp
 			case <-notify:
 			}
 		}
+		res, err := e.QueryCollect(ctx, text, opts...)
+		if err != nil {
+			if ctx.Err() == nil {
+				w.mu.Lock()
+				w.err = err
+				w.mu.Unlock()
+			}
+			return
+		}
 		var delta WatchDelta
-		if m != nil && m.g != e.graph {
-			m = nil // UseGraph swapped the graph out from under the snapshot
-		}
-		if m != nil {
-			d, applied, err := e.watchStep(ctx, m)
-			if err != nil {
-				fail(err)
-				return
-			}
-			if applied {
-				if len(d.Added) == 0 && len(d.Removed) == 0 {
-					continue
-				}
-				for _, row := range d.Added {
-					last[strings.Join(row, "\x00")] = row
-				}
-				for _, row := range d.Removed {
-					delete(last, strings.Join(row, "\x00"))
-				}
-				select {
-				case out <- d:
-				case <-ctx.Done():
-					return
-				}
-				continue
-			}
-			m = nil // window lost — re-establish below
-		}
-		if maintainable {
-			nm, full, stats, ok, err := e.watchEstablish(ctx, text, opts)
-			if err != nil {
-				fail(err)
-				return
-			}
-			if ok {
-				m = nm
-				last, delta = diffRows(last, full)
-				delta.Stats = stats
-			} else {
-				maintainable = false
-			}
-		}
-		if m == nil {
-			res, err := e.QueryCollect(ctx, text, opts...)
-			if err != nil {
-				fail(err)
-				return
-			}
-			last, delta = diffRows(last, res.Rows)
-			delta.Stats = res.Stats
-		}
+		last, delta = diffRows(last, res.Rows)
+		delta.Stats = res.Stats
 		if !first && len(delta.Added) == 0 && len(delta.Removed) == 0 {
 			continue
 		}

@@ -205,11 +205,28 @@ func TestWatchCancellation(t *testing.T) {
 	w.Close()
 }
 
-// TestWatchMaintainedRemovals is the maintenance-driven deletion test: a
-// subscription on a maintainable plan must deliver retracted derived rows
-// straight out of DRed (Stats.Plan "maintained", retraction counters set)
-// rather than by re-evaluating and diffing — and rows that survive via an
-// alternative path must not be reported removed.
+// checkDRedWindow asserts that the delivery d, covering a removal window
+// that started at cache stats before, was served by the shared cache's
+// in-place maintenance: a sub-result hit, a refresh, no invalidation.
+func checkDRedWindow(t *testing.T, eng *Engine, before SubResultCacheStats, d WatchDelta) {
+	t.Helper()
+	after := eng.SubResultCacheStats()
+	if d.Stats.SubResultHits < 1 {
+		t.Errorf("removal window evaluated without a sub-result hit: %+v", d.Stats)
+	}
+	if after.Refreshes <= before.Refreshes {
+		t.Errorf("removal window did not refresh the cached fixpoint: %d -> %d refreshes", before.Refreshes, after.Refreshes)
+	}
+	if after.Invalidations != before.Invalidations {
+		t.Errorf("removal window invalidated %d cache entries, want DRed maintenance", after.Invalidations-before.Invalidations)
+	}
+}
+
+// TestWatchMaintainedRemovals is the deletion test: a removal window must
+// reach the subscription as the retracted derived rows, computed by the
+// sub-result cache's DRed maintenance of the shared fixpoint (a hit that
+// refreshed the entry, never an invalidation and recompute) — and rows
+// that survive via an alternative path must not be reported removed.
 func TestWatchMaintainedRemovals(t *testing.T) {
 	eng, err := Open(Options{Workers: 2})
 	if err != nil {
@@ -230,13 +247,12 @@ func TestWatchMaintainedRemovals(t *testing.T) {
 	}
 
 	// Deleting b→d kills (b,d) and (b,e); (a,d) and (a,e) survive via c.
+	before := eng.SubResultCacheStats()
 	if !eng.DeleteTriple("b", "knows", "d") {
 		t.Fatal("edge missing")
 	}
 	d := recvDelta(t, w)
-	if d.Stats.Plan != "maintained" {
-		t.Fatalf("removal delivered by %q, want the maintained path", d.Stats.Plan)
-	}
+	checkDRedWindow(t, eng, before, d)
 	if d.Stats.Retractions == 0 || d.Stats.RederivedRows == 0 {
 		t.Errorf("maintenance counters empty on an alternative-path delete: %+v", d.Stats)
 	}
@@ -253,8 +269,10 @@ func TestWatchMaintainedRemovals(t *testing.T) {
 
 	// A mixed window: a delete and an insert, each landing while the
 	// watcher is quiescent (the sleep lets the delete's maintenance
-	// finish before the insert mutates the graph), delivered as
-	// maintained deltas until the state converges on the direct result.
+	// finish before the insert mutates the graph), delivered off the
+	// cached fixpoint until the state converges on the direct result. The
+	// direct query may refresh the entry before the watcher reads it, so
+	// a delivery may say "[cached]" rather than "[refreshed]".
 	eng.DeleteTriple("d", "knows", "e")
 	time.Sleep(200 * time.Millisecond)
 	eng.AddTriple("c", "knows", "f")
@@ -268,7 +286,7 @@ func TestWatchMaintainedRemovals(t *testing.T) {
 	}
 	for !mapsEqual(state, direct) {
 		d = recvDelta(t, w)
-		if d.Stats.Plan != "maintained" {
+		if p := d.Stats.Plan; p != "[refreshed]" && p != "[cached]" {
 			t.Fatalf("mixed window delivered by %q", d.Stats.Plan)
 		}
 		for _, row := range d.Added {
@@ -293,13 +311,13 @@ func mapsEqual(a, b map[string]bool) bool {
 }
 
 // TestWatchMaintainedCoalescesDeletes: a multi-delete window must reach
-// the subscription as ONE maintained delta carrying the net retraction —
-// the watcher replays the whole change-log window on a single wakeup
-// rather than maintaining delete-by-delete. The batch is applied to the
-// graph directly (no per-write notify) and the final delete goes through
-// the engine, which models a burst whose wakeups coalesced in the
-// one-slot notify channel while keeping the mutations quiescent w.r.t.
-// the watcher (the documented write contract).
+// the subscription as ONE delta carrying the net retraction — the
+// watcher's single wakeup has the cache maintain the whole change-log
+// window in one DRed pass rather than delete-by-delete. The batch is
+// applied to the graph directly (no per-write notify) and the final
+// delete goes through the engine, which models a burst whose wakeups
+// coalesced in the one-slot notify channel while keeping the mutations
+// quiescent w.r.t. the watcher (the documented write contract).
 func TestWatchMaintainedCoalescesDeletes(t *testing.T) {
 	eng, err := Open(Options{Workers: 2})
 	if err != nil {
@@ -324,6 +342,7 @@ func TestWatchMaintainedCoalescesDeletes(t *testing.T) {
 	// been received and no notify is pending), so mutating the graph
 	// directly is quiescent. Five deletes land in one change-log window;
 	// only the last goes through the engine and fires the wakeup.
+	before := eng.SubResultCacheStats()
 	for i := 0; i < 4; i++ {
 		if !g.Delete(fmt.Sprintf("n%d", 20+i), "knows", fmt.Sprintf("n%d", 21+i)) {
 			t.Fatalf("batch delete %d failed", i)
@@ -334,9 +353,7 @@ func TestWatchMaintainedCoalescesDeletes(t *testing.T) {
 	}
 
 	d := recvDelta(t, w)
-	if d.Stats.Plan != "maintained" {
-		t.Fatalf("delete window delivered by %q", d.Stats.Plan)
-	}
+	checkDRedWindow(t, eng, before, d)
 	if d.Stats.Retractions == 0 || len(d.Removed) == 0 {
 		t.Fatalf("no retractions in the coalesced window: %+v", d.Stats)
 	}
@@ -418,9 +435,9 @@ func TestWatchTeardownMidRetraction(t *testing.T) {
 }
 
 // TestWatchFallbackForIneligiblePlan: an anchored query's plan contains a
-// projection, which the maintained path refuses (a retraction below a
-// projection does not imply a retraction of the projected row) — the
-// subscription must fall back to re-diff and still deliver exact removals.
+// projection, so a retraction below it does not imply a retraction of
+// the projected row — the subscription's re-diff must still deliver
+// exact removals.
 func TestWatchFallbackForIneligiblePlan(t *testing.T) {
 	eng, err := Open(Options{Workers: 2})
 	if err != nil {
@@ -435,9 +452,6 @@ func TestWatchFallbackForIneligiblePlan(t *testing.T) {
 	}
 	defer w.Close()
 	initial := recvDelta(t, w)
-	if initial.Stats.Plan == "maintained" {
-		t.Fatal("projection plan entered maintained mode")
-	}
 	state := map[string]bool{}
 	for _, row := range initial.Added {
 		state[strings.Join(row, "\t")] = true
@@ -447,11 +461,8 @@ func TestWatchFallbackForIneligiblePlan(t *testing.T) {
 	// from n0 must be removed.
 	eng.DeleteTriple("n4", "knows", "n5")
 	d := recvDelta(t, w)
-	if d.Stats.Plan == "maintained" {
-		t.Fatal("removal on a projection plan claimed the maintained path")
-	}
 	if len(d.Removed) == 0 {
-		t.Fatal("re-diff fallback delivered no removals for a severing delete")
+		t.Fatal("re-diff delivered no removals for a severing delete")
 	}
 	for _, row := range d.Added {
 		state[strings.Join(row, "\t")] = true
@@ -468,9 +479,10 @@ func TestWatchFallbackForIneligiblePlan(t *testing.T) {
 	}
 }
 
-// TestWatchMaintainedSurvivesGraphSwap: UseGraph invalidates a maintained
-// snapshot (generations are per graph object); the subscription must
-// re-establish and deliver the exact cross-graph difference.
+// TestWatchMaintainedSurvivesGraphSwap: UseGraph flushes the cached
+// fixpoint (generations are per graph object); the subscription must
+// deliver the exact cross-graph difference, and DRed maintenance of the
+// entry rebuilt on the new graph must serve the next removal.
 func TestWatchMaintainedSurvivesGraphSwap(t *testing.T) {
 	eng, err := Open(Options{Workers: 2})
 	if err != nil {
@@ -510,11 +522,10 @@ func TestWatchMaintainedSurvivesGraphSwap(t *testing.T) {
 	}
 
 	// Maintenance must resume against the new graph.
+	before := eng.SubResultCacheStats()
 	eng.DeleteTriple("b", "knows", "d")
 	d = recvDelta(t, w)
-	if d.Stats.Plan != "maintained" {
-		t.Fatalf("post-swap removal delivered by %q, want maintained", d.Stats.Plan)
-	}
+	checkDRedWindow(t, eng, before, d)
 	if len(d.Removed) != 2 {
 		t.Fatalf("post-swap delete removed %v, want (b,d),(b,e)", d.Removed)
 	}
