@@ -369,7 +369,7 @@ func BenchmarkFig15CostModel(b *testing.B) {
 	b.Run("explore+rank", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			rw := rewrite.NewRewriter(core.SchemaEnv{benchkit.EdgeRelName: g.Triples.Cols()})
-			rw.MaxPlans = 64
+			rw.MaxPlans = 64 // the Fig. 15 experiment's cap
 			plans := rw.Explore(term)
 			best, ranking := cost.SelectBest(plans, cat)
 			if best == nil || len(ranking) < 2 {

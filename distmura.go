@@ -137,8 +137,8 @@ type Options struct {
 	Workers int
 	// Transport selects the data plane (default in-process channels).
 	Transport Transport
-	// MaxPlans caps the logical plan space the rewriter explores
-	// (default 96).
+	// MaxPlans caps the logical plan space the rewriter explores per
+	// translation direction (default rewrite.DefaultMaxPlans, 96).
 	MaxPlans int
 	// TaskMemRows is the per-task memory budget (rows) driving the
 	// Ppg/Ps heuristic (default 1<<20).
@@ -211,11 +211,22 @@ type Engine struct {
 	plans *planCache
 	subs  *subResultCache // shared sub-result cache; nil when disabled
 	sem   chan struct{}   // admission semaphore; nil = unlimited
+	stats statsCache      // the cost model's edge statistics (edgeStats)
 
 	// watchers holds one coalescing wakeup channel per standing Watch
 	// subscription (watch.go); every mutation entry point signals them.
 	watchMu  sync.Mutex
 	watchers map[chan struct{}]struct{}
+}
+
+// statsCache holds the edge statistics of one graph state, shared by
+// every query optimized at that state.
+type statsCache struct {
+	mu       sync.Mutex
+	graphID  uint64
+	gen      uint64
+	rel      *cost.RelStats
+	computed int // statistics computations so far
 }
 
 // Open starts an engine with an empty graph.
@@ -428,7 +439,7 @@ func (e *Engine) queryConfig(opts []QueryOption) queryConfig {
 		o(&cfg)
 	}
 	if cfg.maxPlans <= 0 {
-		cfg.maxPlans = 96
+		cfg.maxPlans = rewrite.DefaultMaxPlans
 	}
 	return cfg
 }
@@ -482,29 +493,25 @@ type Explanation struct {
 	Alternates []string // a few next-best plans with costs
 }
 
-// Explain optimizes without executing.
+// Explain optimizes without executing. It runs the selection Query runs,
+// so Best is the plan Query executes and PlanSpace the space it chose from.
 func (e *Engine) Explain(ctx context.Context, text string) (*Explanation, error) {
 	if err := core.CtxErr(ctx); err != nil {
 		return nil, err
 	}
-	cfg := e.queryConfig(nil)
 	q, err := ucrpq.ParseUnion(text)
 	if err != nil {
 		return nil, err
 	}
-	plans, err := e.planSpace(q, cfg)
+	best, planSpace, ranking, err := e.selectPlan(q, e.queryConfig(nil))
 	if err != nil {
 		return nil, err
 	}
 	if err := core.CtxErr(ctx); err != nil {
 		return nil, err
 	}
-	cat := cost.NewCatalog()
-	cat.BindRelation(edgeRel, e.graph.Triples)
-	cat.Cached = e.cachedTermPredicate()
-	best, ranking := cost.SelectBest(plans, cat)
-	sort.Slice(ranking, func(i, j int) bool { return ranking[i].Cost < ranking[j].Cost })
-	ex := &Explanation{Query: q.String(), PlanSpace: len(plans), Best: best.String()}
+	sort.SliceStable(ranking, func(i, j int) bool { return ranking[i].Cost < ranking[j].Cost })
+	ex := &Explanation{Query: q.String(), PlanSpace: planSpace, Best: best.String()}
 	if len(ranking) > 0 {
 		ex.BestCost = ranking[0].Cost
 	}
@@ -513,6 +520,41 @@ func (e *Engine) Explain(ctx context.Context, text string) (*Explanation, error)
 			fmt.Sprintf("cost=%.3g %s", ranking[i].Cost, ranking[i].Plan))
 	}
 	return ex, nil
+}
+
+// selectPlan is the optimizer: the plan space of q, ranked by the §IV
+// cost model against the current graph's edge statistics, and its
+// cheapest plan. Query (through optimize) and Explain both run it.
+func (e *Engine) selectPlan(q *ucrpq.UnionQuery, cfg queryConfig) (best core.Term, planSpace int, ranking []cost.Ranked, err error) {
+	plans, err := e.planSpace(q, cfg)
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	cat := cost.NewCatalog()
+	cat.Bind(edgeRel, e.edgeStats())
+	// Plans whose recursive subplans the sub-result cache already holds
+	// (or is computing for another session right now) cost only their
+	// scan, so plan selection converges on shareable shapes.
+	cat.Cached = e.cachedTermPredicate()
+	best, ranking = cost.SelectBest(plans, cat)
+	return best, len(plans), ranking, nil
+}
+
+// edgeStats returns the statistics of the current graph's triple
+// relation, computed once per graph state: (Graph.ID, Generation) changes
+// on UseGraph and on every insert or delete.
+func (e *Engine) edgeStats() *cost.RelStats {
+	g := e.graph
+	id, gen := g.ID(), g.Generation()
+	sc := &e.stats
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	if sc.rel == nil || sc.graphID != id || sc.gen != gen {
+		sc.rel = cost.StatsOf(g.Triples)
+		sc.graphID, sc.gen = id, gen
+		sc.computed++
+	}
+	return sc.rel
 }
 
 func (e *Engine) planSpace(q *ucrpq.UnionQuery, cfg queryConfig) ([]core.Term, error) {
@@ -568,17 +610,10 @@ func (e *Engine) optimize(text string, cfg queryConfig) (core.Term, int, cost.Me
 	if err != nil {
 		return nil, 0, cost.MemPlan{}, err
 	}
-	plans, err := e.planSpace(q, cfg)
+	best, planSpace, ranking, err := e.selectPlan(q, cfg)
 	if err != nil {
 		return nil, 0, cost.MemPlan{}, err
 	}
-	cat := cost.NewCatalog()
-	cat.BindRelation(edgeRel, e.graph.Triples)
-	// Plans whose recursive subplans the sub-result cache already holds
-	// (or is computing for another session right now) cost only their
-	// scan, so plan selection converges on shareable shapes.
-	cat.Cached = e.cachedTermPredicate()
-	best, ranking := cost.SelectBest(plans, cat)
 	// The §III-D estimator also sets the memory expectation for the chosen
 	// plan: the runtime gauges carry Options.TaskMemBytes, and this
 	// prediction says whether they are expected to spill. The winner's
@@ -590,7 +625,7 @@ func (e *Engine) optimize(text string, cfg queryConfig) (core.Term, int, cost.Me
 			break
 		}
 	}
-	return best, len(plans), mp, nil
+	return best, planSpace, mp, nil
 }
 
 // acquire takes an admission slot (when MaxConcurrentQueries caps them),

@@ -488,3 +488,30 @@ func TestUseGraphFlushesPlanCache(t *testing.T) {
 		t.Fatalf("UseGraph left %d cache entries", got)
 	}
 }
+
+// TestConcurrentOptimizationsShareEdgeStats: queries optimized at once on
+// one graph state share one statistics computation.
+func TestConcurrentOptimizationsShareEdgeStats(t *testing.T) {
+	e := openTest(t, Options{Workers: 2, PlanCacheSize: -1})
+	e.UseGraph(graphgen.Yago(150, 19))
+	queries := []string{
+		"?x <- ?x (actedIn/-actedIn)+ Kevin_Bacon",
+		"?x,?y <- ?x isLocatedIn+/dealsWith+ ?y",
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func(q string) {
+			defer wg.Done()
+			if _, err := e.Explain(context.Background(), q); err != nil {
+				t.Error(err)
+			}
+		}(queries[i%len(queries)])
+	}
+	wg.Wait()
+	e.stats.mu.Lock()
+	defer e.stats.mu.Unlock()
+	if e.stats.computed != 1 {
+		t.Fatalf("8 concurrent optimizations computed statistics %d times", e.stats.computed)
+	}
+}

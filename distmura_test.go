@@ -172,6 +172,67 @@ func TestExplain(t *testing.T) {
 	}
 }
 
+// TestEdgeStatsOncePerGraphState: optimizations at one graph state share
+// one statistics computation; an insert, a delete and a graph swap each
+// force a new one.
+func TestEdgeStatsOncePerGraphState(t *testing.T) {
+	e := openTest(t, Options{Workers: 2, PlanCacheSize: -1})
+	e.UseGraph(graphgen.Yago(150, 19))
+	const q = "?x <- ?x (actedIn/-actedIn)+ Kevin_Bacon"
+	computed := func() int {
+		e.stats.mu.Lock()
+		defer e.stats.mu.Unlock()
+		return e.stats.computed
+	}
+	optimize := func() {
+		t.Helper()
+		if _, err := e.Explain(context.Background(), q); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.QueryCollect(context.Background(), q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	optimize()
+	if n := computed(); n != 1 {
+		t.Fatalf("two optimizations at one graph state computed statistics %d times", n)
+	}
+	for i, mutate := range []func(){
+		func() { e.AddTriple("stats-a", "actedIn", "stats-b") },
+		func() { e.DeleteTriple("stats-a", "actedIn", "stats-b") },
+		func() { e.UseGraph(graphgen.Yago(150, 20)) },
+	} {
+		mutate()
+		optimize()
+		if n := computed(); n != i+2 {
+			t.Fatalf("after mutation %d: statistics computed %d times, want %d", i, n, i+2)
+		}
+	}
+}
+
+// TestExplainRunsQuerySelection: Explain reports the plan and plan space
+// Query executes.
+func TestExplainRunsQuerySelection(t *testing.T) {
+	e := openTest(t, Options{Workers: 2, PlanCacheSize: -1})
+	e.UseGraph(graphgen.Yago(150, 19))
+	for _, q := range []string{
+		"?x <- ?x (actedIn/-actedIn)+ Kevin_Bacon",
+		"?x,?y <- ?x isLocatedIn+/dealsWith+ ?y",
+	} {
+		ex, err := e.Explain(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		best, planSpace, _, err := e.optimize(q, e.queryConfig(nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ex.Best != best.String() || ex.PlanSpace != planSpace {
+			t.Fatalf("%s: Explain chose %s of %d plans, Query %s of %d", q, ex.Best, ex.PlanSpace, best, planSpace)
+		}
+	}
+}
+
 func TestLoadTSVAndStats(t *testing.T) {
 	e := openTest(t, Options{Workers: 2})
 	tsv := "a\tp\tb\nb\tp\tc\na\tq\tc\n"

@@ -15,6 +15,8 @@ import (
 )
 
 func main() {
+	// A wider plan space than the default: the demo queries are few and
+	// long, so exploring more of each is cheap.
 	eng, err := distmura.Open(distmura.Options{Workers: 4, MaxPlans: 128})
 	if err != nil {
 		log.Fatal(err)

@@ -32,7 +32,7 @@ func main() {
 	fmt.Printf("naive translation (left-to-right):\n  %s\n\n", naive)
 
 	rw := rewrite.NewRewriter(core.SchemaEnv{"G": g.Triples.Cols()})
-	rw.MaxPlans = 64
+	rw.MaxPlans = 64 // small enough that the space printed below stays readable
 	plans := rw.Explore(naive)
 	fmt.Printf("plan space: %d equivalent logical plans\n\n", len(plans))
 

@@ -388,7 +388,7 @@ func Fig15(s Scale, queryID string) *Table {
 		return &Table{Title: "Fig. 15: error: " + err.Error()}
 	}
 	rw := rewrite.NewRewriter(core.SchemaEnv{EdgeRelName: g.Triples.Cols()})
-	rw.MaxPlans = 64
+	rw.MaxPlans = 64 // one direction only: Fig. 15 ranks a small space
 	plans := rw.Explore(ltr)
 	cat := cost.NewCatalog()
 	cat.BindRelation(EdgeRelName, g.Triples)

@@ -42,7 +42,7 @@ func (b Budget) workers() int {
 
 func (b Budget) maxPlans() int {
 	if b.MaxPlans <= 0 {
-		return 96
+		return rewrite.DefaultMaxPlans
 	}
 	return b.MaxPlans
 }

@@ -120,11 +120,20 @@ func (e *Estimate) clampDistinct() {
 }
 
 // Estimator estimates µ-RA term cardinalities and costs against a catalog.
+//
+// An estimator memoizes the estimate of every subterm that mentions no
+// bound recursion variable, keyed by the subterm's pointer: the plans of
+// one optimize call share their subterms (the rewriter's memo interns
+// them), so each shared subterm is estimated once however many plans
+// contain it. Memoized estimates are shared and never modified.
 type Estimator struct {
 	Cat *Catalog
 	// MaxFixpointIters bounds the simulated geometric growth of fixpoint
 	// estimation (default 64).
 	MaxFixpointIters int
+
+	memo map[core.Term]*Estimate
+	free map[core.Term][]string // free variables, sorted
 }
 
 // NewEstimator returns an estimator over cat.
@@ -134,6 +143,7 @@ func NewEstimator(cat *Catalog) *Estimator {
 
 // Estimate computes the profile of t. Recursion variables of enclosing
 // fixpoints must not occur free (Estimate handles fixpoints internally).
+// The result may be shared with later estimates and must not be modified.
 func (es *Estimator) Estimate(t core.Term) (*Estimate, error) {
 	return es.estimate(t, map[string]*Estimate{})
 }
@@ -149,6 +159,25 @@ func (es *Estimator) EstimateCost(t core.Term) float64 {
 }
 
 func (es *Estimator) estimate(t core.Term, bound map[string]*Estimate) (*Estimate, error) {
+	if es.memo == nil {
+		es.memo, es.free = make(map[core.Term]*Estimate), make(map[core.Term][]string)
+	}
+	if es.mentionsBound(t, bound) {
+		return es.estimateNode(t, bound)
+	}
+	if e, ok := es.memo[t]; ok {
+		return e, nil
+	}
+	e, err := es.estimateNode(t, bound)
+	if err == nil {
+		es.memo[t] = e
+	}
+	return e, err
+}
+
+// estimateNode computes the profile of t from its operands' profiles. It
+// never modifies an operand's estimate.
+func (es *Estimator) estimateNode(t core.Term, bound map[string]*Estimate) (*Estimate, error) {
 	switch n := t.(type) {
 	case *core.Var:
 		if b, ok := bound[n.Name]; ok {
@@ -201,7 +230,7 @@ func (es *Estimator) estimate(t core.Term, bound map[string]*Estimate) (*Estimat
 		// fixpoint the constant side builds whatever its size; outside,
 		// a lone bare-Var operand builds (cacheable index), two bare Vars
 		// build the smaller, and otherwise the right side builds.
-		lDyn, rDyn := mentionsBound(n.L, bound), mentionsBound(n.R, bound)
+		lDyn, rDyn := es.mentionsBound(n.L, bound), es.mentionsBound(n.R, bound)
 		var buildRows float64
 		if lDyn != rDyn {
 			buildRows = r.Rows
@@ -305,7 +334,7 @@ func (es *Estimator) estimate(t core.Term, bound map[string]*Estimate) (*Estimat
 		return out, nil
 	case *core.Fixpoint:
 		est, err := es.estimateFixpoint(n, bound)
-		if err != nil || es.Cat.Cached == nil || mentionsBound(n, bound) || !es.Cat.Cached(n) {
+		if err != nil || es.Cat.Cached == nil || es.mentionsBound(n, bound) || !es.Cat.Cached(n) {
 			return est, err
 		}
 		// The materialized result is already (or will momentarily be) in
@@ -381,13 +410,44 @@ func condSelectivity(c core.Condition, in *Estimate) float64 {
 
 // mentionsBound reports whether t mentions any currently-bound recursion
 // variable (the estimator's analog of the evaluator's isDynamic).
-func mentionsBound(t core.Term, bound map[string]*Estimate) bool {
-	for name := range bound {
-		if core.ContainsVar(t, name) {
+func (es *Estimator) mentionsBound(t core.Term, bound map[string]*Estimate) bool {
+	if len(bound) == 0 {
+		return false
+	}
+	for _, v := range es.freeVars(t) {
+		if _, ok := bound[v]; ok {
 			return true
 		}
 	}
 	return false
+}
+
+// freeVars returns the free variables of t, memoized per subterm.
+func (es *Estimator) freeVars(t core.Term) []string {
+	if fv, ok := es.free[t]; ok {
+		return fv
+	}
+	var fv []string
+	switch n := t.(type) {
+	case *core.Var:
+		fv = []string{n.Name}
+	case *core.Fixpoint:
+		for _, v := range es.freeVars(n.Body) {
+			if v != n.X {
+				fv = append(fv, v)
+			}
+		}
+	default:
+		for _, c := range core.Children(t) {
+			if cv := es.freeVars(c); len(fv) == 0 {
+				fv = cv
+			} else if len(cv) > 0 {
+				fv = core.ColsUnion(fv, cv)
+			}
+		}
+	}
+	es.free[t] = fv
+	return fv
 }
 
 func isEqConstOn(c core.Condition, col string) bool {
@@ -439,7 +499,7 @@ func (es *Estimator) estimateFixpoint(fp *core.Fixpoint, bound map[string]*Estim
 			}
 			stepCost += e.Cost
 			if total == nil {
-				total = e
+				total = e.clone()
 			} else {
 				total.Rows += e.Rows
 				total.Mem = math.Max(total.Mem, e.Mem)

@@ -160,6 +160,7 @@ func TestExplorePlansAllVerify(t *testing.T) {
 	totalPlans := 0
 	for _, root := range roots {
 		rw := NewRewriter(env)
+		rw.MaxPlans = 512
 		plans := rw.Explore(root)
 		totalPlans += len(plans)
 		for _, p := range plans {

@@ -9,17 +9,18 @@ import (
 )
 
 // This file computes canonical fingerprints for µ-RA terms, the key of the
-// engine's multi-query sub-result cache. Two needs distinguish it from
-// alphaKey (plan-space deduplication):
+// engine's multi-query sub-result cache. The operator label (opLabel) is
+// shared with the optimizer memo's node key; a fingerprint adds two kinds
+// of stability the memo does not want:
 //
 //   - stability under operand reordering: the rewriter emits ((A∪B)∪C) and
-//     (A∪(C∪B)) as distinct plans, but as cache keys they must coincide —
-//     union and natural join are associative and commutative, so operand
-//     lists are flattened and sorted before printing;
-//   - stability under bound-variable renaming regardless of visit order:
-//     alphaKey numbers fixpoint variables in visit order, which reordering
-//     perturbs, so fingerprints alias each bound variable by its binder
-//     depth instead (two binders at one depth have disjoint scopes, so the
+//     (A∪(C∪B)) as distinct plans (join operand order picks the build
+//     side), but as cache keys they must coincide — union and natural join
+//     are associative and commutative, so operand lists are flattened and
+//     sorted before printing;
+//   - stability under bound-variable renaming for any input, not only the
+//     memo's canonical terms: fingerprints alias each bound variable by its
+//     binder depth (two binders at one depth have disjoint scopes, so the
 //     shared alias cannot collide).
 //
 // Free (database) variables are printed with a "$" prefix so a free "µ1"
@@ -34,31 +35,51 @@ func Fingerprint(t core.Term) string {
 	return canonTerm(t, nil, 0)
 }
 
+// opLabel renders the operator of t with its parameters: everything that
+// identifies a node except its operands. A variable's label is its name
+// behind a "$", and a fixpoint's names its binder.
+func opLabel(t core.Term) string {
+	switch n := t.(type) {
+	case *core.Var:
+		return "$" + n.Name
+	case *core.Union:
+		return "∪"
+	case *core.Join:
+		return "⋈"
+	case *core.Antijoin:
+		return "▷"
+	case *core.Filter:
+		return "σ[" + n.Cond.String() + "]"
+	case *core.Rename:
+		return "ρ[" + n.From + ">" + n.To + "]"
+	case *core.AntiProject:
+		return "π[" + strings.Join(n.Cols, ",") + "]"
+	case *core.Fixpoint:
+		return "µ(" + n.X + ")"
+	default:
+		return t.String()
+	}
+}
+
 func canonTerm(t core.Term, bound map[string]string, depth int) string {
 	switch n := t.(type) {
 	case *core.Var:
 		if a, ok := bound[n.Name]; ok {
 			return a
 		}
-		return "$" + n.Name
+		return opLabel(n)
 	case *core.Union:
 		var ops []string
 		flattenCanon(t, isUnion, bound, depth, &ops)
 		sort.Strings(ops)
-		return "(" + strings.Join(ops, "∪") + ")"
+		return "(" + strings.Join(ops, opLabel(n)) + ")"
 	case *core.Join:
 		var ops []string
 		flattenCanon(t, isJoin, bound, depth, &ops)
 		sort.Strings(ops)
-		return "(" + strings.Join(ops, "⋈") + ")"
+		return "(" + strings.Join(ops, opLabel(n)) + ")"
 	case *core.Antijoin:
-		return "(" + canonTerm(n.L, bound, depth) + "▷" + canonTerm(n.R, bound, depth) + ")"
-	case *core.Filter:
-		return "σ[" + n.Cond.String() + "](" + canonTerm(n.T, bound, depth) + ")"
-	case *core.Rename:
-		return "ρ[" + n.From + ">" + n.To + "](" + canonTerm(n.T, bound, depth) + ")"
-	case *core.AntiProject:
-		return "π[" + strings.Join(n.Cols, ",") + "](" + canonTerm(n.T, bound, depth) + ")"
+		return "(" + canonTerm(n.L, bound, depth) + opLabel(n) + canonTerm(n.R, bound, depth) + ")"
 	case *core.Fixpoint:
 		alias := fmt.Sprintf("µ@%d", depth)
 		nb := make(map[string]string, len(bound)+1)
@@ -67,8 +88,10 @@ func canonTerm(t core.Term, bound map[string]string, depth int) string {
 		}
 		nb[n.X] = alias
 		return "µ(" + alias + "=" + canonTerm(n.Body, nb, depth+1) + ")"
+	case *core.Filter, *core.Rename, *core.AntiProject:
+		return opLabel(t) + "(" + canonTerm(core.Children(t)[0], bound, depth) + ")"
 	default:
-		return t.String()
+		return opLabel(t)
 	}
 }
 

@@ -15,14 +15,15 @@
 //     which flips which column is stable and therefore which filters and
 //     joins can be pushed).
 //
-// Exploration is a breadth-first saturation with alpha-renaming-aware
-// deduplication, capped by MaxPlans. Individual rules can be disabled for
-// the ablation benchmarks.
+// Exploration is a breadth-first saturation capped by MaxPlans, run over a
+// memo (memo.go) that interns every plan and subterm: alpha-equivalent
+// terms are one node, and rules, audits, plan checks and free variables
+// run once per node. Individual rules can be disabled for the ablation
+// benchmarks.
 package rewrite
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/core"
 )
@@ -35,11 +36,19 @@ type Rule struct {
 	Apply func(rw *Rewriter, t core.Term, env core.SchemaEnv) []core.Term
 }
 
-// Rewriter explores the space of equivalent logical plans.
+// DefaultMaxPlans is the plan-space cap per translation direction when
+// MaxPlans is not set: the engine's, the benchmark harness's and a new
+// Rewriter's.
+const DefaultMaxPlans = 96
+
+// Rewriter explores the space of equivalent logical plans. Its memo lives
+// as long as the rewriter (one optimize call), so Env and Disabled must be
+// set before the first exploration.
 type Rewriter struct {
 	// Env gives the schemas of the free (database) relation variables.
 	Env core.SchemaEnv
-	// MaxPlans caps the size of the explored plan space (default 512).
+	// MaxPlans caps the size of the explored plan space (default
+	// DefaultMaxPlans).
 	MaxPlans int
 	// Disabled names rules to skip (ablation studies).
 	Disabled map[string]bool
@@ -48,7 +57,7 @@ type Rewriter struct {
 	// (see audit.go) and were discarded instead of entering the plan
 	// space. Always zero for a sound rule set; the testkit asserts on it.
 	AuditViolations int
-	// DroppedIllFormed counts full candidate terms discarded because,
+	// DroppedIllFormed counts distinct candidate plans discarded because,
 	// although each rule application was locally sound, the composed
 	// term fails core.Schema — e.g. a rule moving a term that mentions
 	// an enclosing recursion variable into a nested fixpoint. The rules
@@ -60,11 +69,12 @@ type Rewriter struct {
 
 	fresh int
 	rules []Rule
+	m     *memo
 }
 
 // NewRewriter returns a rewriter with the full Dist-µ-RA rule set.
 func NewRewriter(env core.SchemaEnv) *Rewriter {
-	return &Rewriter{Env: env, MaxPlans: 512, rules: AllRules()}
+	return &Rewriter{Env: env, MaxPlans: DefaultMaxPlans, rules: AllRules()}
 }
 
 // FreshVar returns a recursion-variable name unused by any rule-generated
@@ -76,29 +86,46 @@ func (rw *Rewriter) FreshVar() string {
 
 func (rw *Rewriter) maxPlans() int {
 	if rw.MaxPlans <= 0 {
-		return 512
+		return DefaultMaxPlans
 	}
 	return rw.MaxPlans
 }
 
+func (rw *Rewriter) memo() *memo {
+	if rw.m == nil {
+		rw.m = newMemo(rw)
+	}
+	return rw.m
+}
+
 // Explore returns the plan space of t: t itself followed by every distinct
 // term reachable through rule applications, in BFS order, capped at
-// MaxPlans. Terms differing only in bound-variable names are identified.
+// MaxPlans. Terms differing only in bound-variable names are one plan, and
+// every returned term binds canonical names (see memo.go).
 func (rw *Rewriter) Explore(t core.Term) []core.Term {
-	seen := map[string]bool{alphaKey(t): true}
-	plans := []core.Term{t}
-	queue := []core.Term{t}
-	for len(queue) > 0 && len(plans) < rw.maxPlans() {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, next := range rw.Neighbors(cur) {
-			k := alphaKey(next)
-			if seen[k] {
+	m := rw.memo()
+	return m.terms(rw.explore(m, t))
+}
+
+func (rw *Rewriter) explore(m *memo, t core.Term) []nodeID {
+	root := m.intern(t)
+	seen := map[nodeID]bool{root: true}
+	plans := []nodeID{root}
+	for next := 0; next < len(plans) && len(plans) < rw.maxPlans(); next++ {
+		for _, id := range m.rewrites(plans[next], nil) {
+			if seen[id] {
 				continue
 			}
-			seen[k] = true
-			plans = append(plans, next)
-			queue = append(queue, next)
+			seen[id] = true
+			// The per-application audit checks the rewritten subterm in
+			// its local env; the composed plan can still be globally
+			// ill-formed (Fcond of an enclosing fixpoint). Only checked
+			// plans enter the plan space.
+			if _, ok := m.check(id, nil); !ok {
+				rw.DroppedIllFormed++
+				continue
+			}
+			plans = append(plans, id)
 			if len(plans) >= rw.maxPlans() {
 				break
 			}
@@ -110,141 +137,35 @@ func (rw *Rewriter) Explore(t core.Term) []core.Term {
 // ExploreBoth returns the plan space of a query translated in both
 // directions: the space explored from its left-to-right translation ltr,
 // followed by the plans explored from its right-to-left translation rtl
-// that print differently from every plan before them. Each exploration is
-// capped at MaxPlans on its own.
+// that are not alpha-equivalent to a plan before them. Both explorations
+// share the memo, and each is capped at MaxPlans on its own.
 func (rw *Rewriter) ExploreBoth(ltr, rtl core.Term) []core.Term {
-	plans := rw.Explore(ltr)
-	seen := make(map[string]bool, len(plans))
-	for _, p := range plans {
-		seen[p.String()] = true
+	m := rw.memo()
+	plans := rw.explore(m, ltr)
+	seen := make(map[nodeID]bool, len(plans))
+	for _, id := range plans {
+		seen[id] = true
 	}
-	for _, p := range rw.Explore(rtl) {
-		if !seen[p.String()] {
-			plans = append(plans, p)
-			seen[p.String()] = true
+	for _, id := range rw.explore(m, rtl) {
+		if !seen[id] {
+			plans = append(plans, id)
+			seen[id] = true
 		}
 	}
-	return plans
+	return m.terms(plans)
 }
 
-// Neighbors returns all terms reachable from t by one rule application at
-// any position.
+// Neighbors returns all well-formed terms reachable from t by one rule
+// application at any position.
 func (rw *Rewriter) Neighbors(t core.Term) []core.Term {
-	var out []core.Term
-	rw.rewriteAt(t, rw.Env, func(nt core.Term) {
-		// The per-application audit in rewriteAt checks the rewritten
-		// subterm in its local env; the composed term can still be
-		// globally ill-formed (Fcond of an enclosing fixpoint). Only
-		// checked plans enter the plan space.
-		if _, err := core.Schema(nt, rw.Env); err != nil {
+	m := rw.memo()
+	var out []nodeID
+	for _, id := range m.rewrites(m.intern(t), nil) {
+		if _, ok := m.check(id, nil); !ok {
 			rw.DroppedIllFormed++
-			return
-		}
-		out = append(out, nt)
-	})
-	return out
-}
-
-func (rw *Rewriter) rewriteAt(t core.Term, env core.SchemaEnv, emit func(core.Term)) {
-	for _, rule := range rw.rules {
-		if rw.Disabled[rule.Name] {
 			continue
 		}
-		for _, nt := range rule.Apply(rw, t, env) {
-			// Certify the application before the candidate may enter the
-			// plan space: the output must check, preserve the schema,
-			// and the rule's side condition must have held on the input.
-			if diags := AuditRule(rule.Name, t, nt, env); len(diags) > 0 {
-				rw.AuditViolations++
-				rw.LastAudit = diags
-				continue
-			}
-			emit(nt)
-		}
+		out = append(out, id)
 	}
-	ch := core.Children(t)
-	if len(ch) == 0 {
-		return
-	}
-	childEnv := env
-	if fp, ok := t.(*core.Fixpoint); ok {
-		cols, err := core.Schema(fp, env)
-		if err != nil {
-			return // ill-formed below here; no rewrites
-		}
-		childEnv = env.With(fp.X, cols)
-	}
-	for i, c := range ch {
-		i := i
-		rw.rewriteAt(c, childEnv, func(nc core.Term) {
-			nch := make([]core.Term, len(ch))
-			copy(nch, ch)
-			nch[i] = nc
-			emit(core.WithChildren(t, nch))
-		})
-	}
-}
-
-// alphaKey prints a term with bound fixpoint variables renamed in visit
-// order, so alpha-equivalent plans deduplicate.
-func alphaKey(t core.Term) string {
-	var sb strings.Builder
-	var n int
-	var visit func(t core.Term, bound map[string]string)
-	visit = func(t core.Term, bound map[string]string) {
-		switch node := t.(type) {
-		case *core.Var:
-			if b, ok := bound[node.Name]; ok {
-				sb.WriteString(b)
-			} else {
-				sb.WriteString(node.Name)
-			}
-		case *core.Fixpoint:
-			n++
-			alias := fmt.Sprintf("µ%d", n)
-			nb := map[string]string{node.X: alias}
-			for k, v := range bound {
-				if k != node.X {
-					nb[k] = v
-				}
-			}
-			sb.WriteString("µ(" + alias + "=")
-			visit(node.Body, nb)
-			sb.WriteString(")")
-		case *core.Union:
-			sb.WriteString("(")
-			visit(node.L, bound)
-			sb.WriteString("∪")
-			visit(node.R, bound)
-			sb.WriteString(")")
-		case *core.Join:
-			sb.WriteString("(")
-			visit(node.L, bound)
-			sb.WriteString("⋈")
-			visit(node.R, bound)
-			sb.WriteString(")")
-		case *core.Antijoin:
-			sb.WriteString("(")
-			visit(node.L, bound)
-			sb.WriteString("▷")
-			visit(node.R, bound)
-			sb.WriteString(")")
-		case *core.Filter:
-			sb.WriteString("σ[" + node.Cond.String() + "](")
-			visit(node.T, bound)
-			sb.WriteString(")")
-		case *core.Rename:
-			sb.WriteString("ρ[" + node.From + ">" + node.To + "](")
-			visit(node.T, bound)
-			sb.WriteString(")")
-		case *core.AntiProject:
-			sb.WriteString("π[" + strings.Join(node.Cols, ",") + "](")
-			visit(node.T, bound)
-			sb.WriteString(")")
-		default:
-			sb.WriteString(t.String())
-		}
-	}
-	visit(t, map[string]string{})
-	return sb.String()
+	return m.terms(out)
 }

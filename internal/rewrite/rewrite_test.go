@@ -368,18 +368,6 @@ func TestAblationDisablesRules(t *testing.T) {
 	}
 }
 
-func TestAlphaKeyIdentifiesRenamedBinders(t *testing.T) {
-	a := core.ClosureLR("X", &core.Var{Name: "E"})
-	b := core.ClosureLR("Zq", &core.Var{Name: "E"})
-	if alphaKey(a) != alphaKey(b) {
-		t.Fatalf("alpha keys differ:\n%s\n%s", alphaKey(a), alphaKey(b))
-	}
-	c := core.ClosureRL("X", &core.Var{Name: "E"})
-	if alphaKey(a) == alphaKey(c) {
-		t.Fatal("alpha key conflates LR and RL closures")
-	}
-}
-
 func TestExploreCapsPlanSpace(t *testing.T) {
 	dict := core.NewDict()
 	plans := exploreQuery(t, "?x,?y <- ?x a+/b+/c+ ?y", dict, 25)
@@ -389,39 +377,42 @@ func TestExploreCapsPlanSpace(t *testing.T) {
 }
 
 // TestExploreBothMergesDirections: the merged space is the left-to-right
-// space followed by the right-to-left plans that print differently, with
-// no printed plan twice. A recursive query's right-to-left translation
-// adds plans; a non-recursive one translates to the same term both ways
-// and adds none.
+// space followed by the right-to-left plans that are not alpha-equivalent
+// to a plan before them, with no two merged plans alpha-equivalent. A
+// recursive query's right-to-left translation adds plans when the cap
+// stops the left-to-right exploration short of the plans it reaches; a
+// non-recursive one translates to the same term both ways and adds none.
 func TestExploreBothMergesDirections(t *testing.T) {
 	dict := core.NewDict()
 	dict.Intern("a")
 	dict.Intern("b")
 	for _, tc := range []struct {
-		query string
-		grows bool
+		query    string
+		maxPlans int
+		grows    bool
 	}{
-		{"?x <- ?x a+/b+ Const", true},
-		{"?x,?y <- ?x a/b ?y", false},
+		{"?x <- ?x a+/b+ Const", 12, true},
+		{"?x,?y <- ?x a/b ?y", 60, false},
 	} {
 		ltr, rtl, err := ucrpq.TranslateBoth(ucrpq.MustParse(tc.query), "G", dict)
 		if err != nil {
 			t.Fatal(err)
 		}
 		rw := NewRewriter(tripleSchemaEnv())
-		rw.MaxPlans = 60
+		rw.MaxPlans = tc.maxPlans
 		first := NewRewriter(tripleSchemaEnv())
-		first.MaxPlans = 60
+		first.MaxPlans = tc.maxPlans
 		both, ltrSpace := rw.ExploreBoth(ltr, rtl), first.Explore(ltr)
-		seen := map[string]bool{}
+		canon := newMemo(first)
+		seen := map[nodeID]bool{}
 		for i, p := range both {
-			s := p.String()
-			if seen[s] {
-				t.Fatalf("%s: plan %d printed twice: %s", tc.query, i, s)
+			id := canon.intern(p)
+			if seen[id] {
+				t.Fatalf("%s: plan %d is alpha-equivalent to an earlier one: %s", tc.query, i, p)
 			}
-			seen[s] = true
-			if i < len(ltrSpace) && s != ltrSpace[i].String() {
-				t.Fatalf("%s: plan %d = %s, want the left-to-right plan %s", tc.query, i, s, ltrSpace[i])
+			seen[id] = true
+			if i < len(ltrSpace) && p.String() != ltrSpace[i].String() {
+				t.Fatalf("%s: plan %d = %s, want the left-to-right plan %s", tc.query, i, p, ltrSpace[i])
 			}
 		}
 		if grew := len(both) > len(ltrSpace); grew != tc.grows {

@@ -557,6 +557,11 @@ func ruleComposeAssoc(rw *Rewriter, t core.Term, env core.SchemaEnv) []core.Term
 // A rule moving such a t into a fixpoint would leave that variable free
 // inside a nested fixpoint, which Fcond forbids.
 func (rw *Rewriter) mentionsBinder(t core.Term) bool {
+	if rw.m != nil {
+		if id, ok := rw.m.byTerm[t]; ok {
+			return rw.m.mentionsRec(id)
+		}
+	}
 	for _, v := range core.FreeVars(t) {
 		if _, db := rw.Env[v]; !db {
 			return true
