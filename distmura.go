@@ -86,50 +86,25 @@ const (
 	TransportTCP
 )
 
-// Plan selects the physical strategy for fixpoints.
-type Plan int
+// Plan selects the physical strategy for fixpoints. It is the physical
+// planner's Kind, so both layers share one enum and one String.
+type Plan = physical.Kind
 
 const (
-	// PlanAuto applies the paper's §III-D heuristic between PlanSplw and
-	// PlanPgplw.
-	PlanAuto Plan = iota
+	// PlanAuto runs PlanSplw. Spill (Options.TaskMemBytes) handles data
+	// larger than memory, so PlanPgplw is only ever a forced baseline.
+	PlanAuto = physical.Auto
 	// PlanGld is the global-loop-on-driver baseline (one shuffle per
 	// fixpoint iteration).
-	PlanGld
+	PlanGld = physical.Gld
 	// PlanSplw runs parallel local loops with broadcast joins and
 	// partition-wise set operations.
-	PlanSplw
+	PlanSplw = physical.Splw
 	// PlanPgplw is PlanSplw's loop behind the text boundary: each
 	// worker's seed partition and local result cross a textual
 	// marshalling boundary (the paper's Spark↔PostgreSQL transfer).
-	PlanPgplw
+	PlanPgplw = physical.Pgplw
 )
-
-func (p Plan) String() string {
-	switch p {
-	case PlanGld:
-		return "Pgld"
-	case PlanSplw:
-		return "Ps_plw"
-	case PlanPgplw:
-		return "Ppg_plw"
-	default:
-		return "auto"
-	}
-}
-
-func (p Plan) kind() physical.Kind {
-	switch p {
-	case PlanGld:
-		return physical.Gld
-	case PlanSplw:
-		return physical.Splw
-	case PlanPgplw:
-		return physical.Pgplw
-	default:
-		return physical.Auto
-	}
-}
 
 // Options configures an Engine.
 type Options struct {
@@ -140,9 +115,6 @@ type Options struct {
 	// MaxPlans caps the logical plan space the rewriter explores per
 	// translation direction (default rewrite.DefaultMaxPlans, 96).
 	MaxPlans int
-	// TaskMemRows is the per-task memory budget (rows) driving the
-	// Ppg/Ps heuristic (default 1<<20).
-	TaskMemRows int
 	// TaskMemBytes is the per-task memory budget in bytes governing
 	// operator state at run time: over-budget fixpoint accumulators and
 	// join indexes spill to disk instead of OOMing (0 disables). Each
@@ -238,7 +210,6 @@ func Open(opts Options) (*Engine, error) {
 	c, err := cluster.New(cluster.Config{
 		Workers:           opts.Workers,
 		Transport:         kind,
-		TaskMemRows:       opts.TaskMemRows,
 		TaskMemBytes:      opts.TaskMemBytes,
 		SpillDir:          opts.SpillDir,
 		HeartbeatInterval: opts.HeartbeatInterval,
@@ -579,8 +550,8 @@ func (e *Engine) planSpace(q *ucrpq.UnionQuery, cfg queryConfig) ([]core.Term, e
 // optimizer. Cached entries carry the footprint of the predicates their
 // plan reads and stay valid while exactly those predicates are unchanged:
 // a write to an unrelated predicate no longer re-optimizes this query
-// (its statistics drift marginally, but the paper's §III-D choice is
-// driven by the relations the plan actually touches).
+// (its statistics drift marginally, but the paper's §IV cost-based choice
+// is driven by the relations the plan actually touches).
 func (e *Engine) optimizeCached(ctx context.Context, text string, cfg queryConfig) (core.Term, int, cost.MemPlan, bool, error) {
 	if err := core.CtxErr(ctx); err != nil {
 		return nil, 0, cost.MemPlan{}, false, err
@@ -614,7 +585,7 @@ func (e *Engine) optimize(text string, cfg queryConfig) (core.Term, int, cost.Me
 	if err != nil {
 		return nil, 0, cost.MemPlan{}, err
 	}
-	// The §III-D estimator also sets the memory expectation for the chosen
+	// The §IV cost estimator also sets the memory expectation for the chosen
 	// plan: the runtime gauges carry Options.TaskMemBytes, and this
 	// prediction says whether they are expected to spill. The winner's
 	// estimate is already in the ranking; no re-estimation.
@@ -771,7 +742,7 @@ func (e *Engine) runOnce(ctx context.Context, term core.Term, cfg queryConfig, e
 	sess := e.clust.NewSession(ctx)
 	defer sess.Close()
 	planner := physical.NewSessionPlanner(sess, env)
-	planner.Force = cfg.plan.kind()
+	planner.Force = cfg.plan
 	// Wire the shared sub-result cache, unless this call rebinds the
 	// triple relation itself (QueryTerm may shadow "G" with an arbitrary
 	// relation the cache knows nothing about) or forces a physical plan —

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/graphgen"
 )
 
@@ -135,6 +136,31 @@ func TestQueryPlansAgree(t *testing.T) {
 	res := collect(t, e, query, WithoutOptimization())
 	if len(res.Rows) != counts[0] {
 		t.Fatalf("unoptimized rows %d ≠ %d", len(res.Rows), counts[0])
+	}
+}
+
+// TestFixpointWithoutPhiReportsItsPlan pins that a fixpoint with no φ
+// branch reports the plan Auto ran, never "auto" itself.
+func TestFixpointWithoutPhiReportsItsPlan(t *testing.T) {
+	e := openTest(t, Options{Workers: 2})
+	addChain(e, "knows", "alice", "bob")
+	rows, err := e.QueryTerm(context.Background(), &core.Fixpoint{X: "X", Body: &core.Var{Name: "G"}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rows.Close()
+	if got := rows.Stats().Plan; got != "[Ps_plw]" {
+		t.Fatalf("plan = %q, want [Ps_plw]", got)
+	}
+}
+
+// TestPlanNames pins the names the plans print as.
+func TestPlanNames(t *testing.T) {
+	want := map[Plan]string{PlanAuto: "auto", PlanGld: "Pgld", PlanSplw: "Ps_plw", PlanPgplw: "Ppg_plw"}
+	for p, name := range want {
+		if p.String() != name {
+			t.Fatalf("Plan(%d).String() = %q, want %q", int(p), p.String(), name)
+		}
 	}
 }
 

@@ -114,7 +114,8 @@ func runWithBudget(b Budget, transport cluster.TransportKind, f func(c *cluster.
 
 // MuRAOptions tunes the Dist-µ-RA pipeline.
 type MuRAOptions struct {
-	// Force pins the physical fixpoint plan (Auto = §III-D heuristic).
+	// Force pins the physical fixpoint plan (Auto runs Ps_plw; spill
+	// handles data larger than memory and Ppg_plw is a forced baseline).
 	Force physical.Kind
 	// SkipRewrite evaluates the naive translation (for ablations).
 	SkipRewrite bool

@@ -96,7 +96,7 @@ func Spill(s Scale) *Table {
 
 	// Step 2: the same closure under a third of the measured working set —
 	// the workload is >2× the budget, so governance must spill. The gauge
-	// is materialized from the estimator's MemPlan: the §III-D estimator
+	// is materialized from the estimator's MemPlan: the §IV cost estimator
 	// setting the budget the operators will charge against. A fresh gauge
 	// per repetition keeps the recorded spill counters (and the byte cap
 	// below) the cost of ONE run, not the sum over repetitions.

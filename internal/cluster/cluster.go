@@ -47,18 +47,14 @@ type Config struct {
 	Workers int
 	// Transport selects the data plane (default TransportChan).
 	Transport TransportKind
-	// TaskMemRows is the per-task memory budget, in rows, used by the
-	// physical planner's Ppg/Ps selection heuristic (§III-D). Default 1<<20.
-	TaskMemRows int
 	// TaskMemBytes is the per-task memory budget, in bytes, governing
 	// operator-owned state at run time: each session (each in-flight
 	// query) gets a child MemGauge with this budget on every worker, and
 	// its fixpoint accumulators and join indexes spill to disk instead of
 	// OOMing once over it — or once the worker's cumulative gauge (the
 	// sum over concurrent sessions) is over, so overlap cannot multiply a
-	// worker's memory. 0 (the default) disables governance. Where
-	// TaskMemRows picks the plan before execution, TaskMemBytes bounds
-	// whatever plan runs.
+	// worker's memory. 0 (the default) disables governance. It bounds
+	// whatever plan runs, so every plan works out of core.
 	TaskMemBytes int64
 	// SpillDir is where over-budget operators write their temp-file runs
 	// ("" = os.TempDir()). Spill files are unlinked on creation and can
@@ -160,9 +156,6 @@ func (w *Worker) DeleteLocal(key string) {
 func New(cfg Config) (*Cluster, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 4
-	}
-	if cfg.TaskMemRows <= 0 {
-		cfg.TaskMemRows = 1 << 20
 	}
 	var tr Transport
 	var err error
@@ -474,9 +467,6 @@ func (ctx *Ctx) NodeID() int { return ctx.w.id }
 // NumWorkers returns the number of members in this session — the size of
 // the rank space, not the cluster's physical capacity.
 func (ctx *Ctx) NumWorkers() int { return len(ctx.sess.members) }
-
-// TaskMemRows exposes the per-task memory budget to plan code.
-func (ctx *Ctx) TaskMemRows() int { return ctx.w.cluster.cfg.TaskMemRows }
 
 // Context returns the session's cancellation context: worker-side loops
 // hand it to the evaluators they run so a cancelled query stops iterating.

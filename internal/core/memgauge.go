@@ -5,19 +5,18 @@ import (
 	"sync/atomic"
 )
 
-// This file is the memory-governance surface of the data plane. The §III-D
-// heuristic decides *which plan* to run before execution; the MemGauge
-// governs what happens when an operator nevertheless outgrows its task's
-// memory budget at run time: instead of OOMing, the two unbounded operator
-// structures — the fixpoint Accumulator and the join build JoinIndex —
-// degrade to disk (shard eviction and Grace-hash partitioning; see
+// This file is the memory-governance surface of the data plane. The
+// MemGauge governs what happens when an operator outgrows its task's
+// memory budget at run time, whichever plan runs: instead of OOMing, the
+// two unbounded operator structures — the fixpoint Accumulator and the
+// join build JoinIndex — degrade to disk (shard eviction and Grace-hash partitioning; see
 // accumulator.go, joinindex.go and gracejoin.go). ARCHITECTURE.md
 // ("Memory governance") documents the budget model: what is charged, what
 // is not, and the over-budget behavior of every structure.
 
 // Accounting constants of the budget model. They price the *operator-owned*
 // state per row; input relations owned by the storage layer (tables,
-// broadcasts, partitions) are governed by plan selection, not the gauge.
+// broadcasts, partitions) are not charged to the gauge.
 const (
 	// accSlotBytes is the per-row bookkeeping of an Accumulator beyond the
 	// row's values: the stored 64-bit hash plus the dedup-set slot, 8 + 8

@@ -6,11 +6,10 @@ import (
 	"repro/internal/core"
 )
 
-// This file closes the loop between the §III-D estimator and the runtime
-// memory governor: the estimator no longer only *switches plans* when the
-// variable part outgrows the task budget — it also sets the MemGauge the
-// chosen plan's operators will charge and spill against, and predicts
-// whether spilling is expected at all. The estimate and the gauge share
+// This file closes the loop between the §IV cost estimator and the runtime
+// memory governor: the estimator sets the MemGauge the chosen plan's
+// operators will charge and spill against, and predicts whether spilling
+// is expected at all. The estimate and the gauge share
 // one set of per-row accounting constants (core.AccRowBytes,
 // core.IndexRowBytes), so "estimated peak" and "measured peak" are in the
 // same units; ARCHITECTURE.md ("Memory governance") documents the flow.
@@ -24,9 +23,8 @@ type MemPlan struct {
 	PeakBytes float64
 	// BudgetBytes is the per-task budget (<= 0 means unlimited).
 	BudgetBytes int64
-	// ExpectSpill is true when PeakBytes exceeds the budget — the paper's
-	// heuristic would have preferred another plan; the gauge makes this one
-	// degrade to disk instead of failing.
+	// ExpectSpill is true when PeakBytes exceeds the budget: the gauge
+	// makes the plan degrade to disk instead of failing.
 	ExpectSpill bool
 }
 

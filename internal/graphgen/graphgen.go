@@ -94,7 +94,7 @@ type predLogEntry struct {
 
 // Generation returns the mutation counter: it changes whenever a triple is
 // inserted or removed. Plan caches key their entries by it and treat any
-// change as an invalidation (the paper's §III-D plan choice is
+// change as an invalidation (the paper's §IV cost-based plan choice is
 // deterministic per (query, graph statistics), so an unchanged generation
 // makes a cached plan safe to reuse).
 func (g *Graph) Generation() uint64 {

@@ -22,9 +22,11 @@
 //     Spark↔PostgreSQL iterator boundary the paper charges this plan for
 //     (§III-D).
 //
-// Plan selection follows the paper's heuristic: Ppg_plw when the estimated
-// size of the variable part's constant datasets exceeds the per-task
-// memory budget, Ps_plw otherwise.
+// Under Auto every fixpoint runs Ps_plw. The paper (§III-D) picks Ppg_plw
+// when φ's constant data exceeds task memory, because PostgreSQL works out
+// of core; here core's spill (cluster.Config.TaskMemBytes) lets every plan
+// work out of core, so Ppg_plw — Ps_plw plus a text round trip — would
+// only be slower. It stays a plan you can force, as the Fig. 5 baseline.
 package physical
 
 import (
@@ -43,7 +45,8 @@ import (
 type Kind int
 
 const (
-	// Auto applies the §III-D heuristic between Splw and Pgplw.
+	// Auto runs Splw: spill handles data larger than memory, and Pgplw
+	// is only ever a forced baseline.
 	Auto Kind = iota
 	// Gld is the global-loop-on-driver baseline Pgld.
 	Gld
@@ -101,7 +104,8 @@ func (r *Report) Iterations() int {
 type Planner struct {
 	C   *cluster.Cluster
 	Env *core.Env
-	// Force pins the fixpoint plan; Auto applies the heuristic.
+	// Force pins the fixpoint plan; Auto runs Splw. Pgplw runs only
+	// when forced.
 	Force Kind
 	// DisableStablePartitioning makes the Pplw plans ignore stable columns
 	// and fall back to round-robin splitting plus a final distinct shuffle
@@ -202,7 +206,7 @@ type prepared struct {
 	seed     *core.Relation
 	phiRels  map[string]*core.Relation // name → relation to broadcast
 	stable   []string
-	phiConst int // total rows of the φ constant relations
+	phiConst int // total rows of the φ constant relations (FixpointReport.BroadcastRows)
 }
 
 func (p *Planner) prepare(sess *cluster.Session, fp *core.Fixpoint, rep *Report) (*prepared, error) {
@@ -277,13 +281,10 @@ func (p *Planner) prepare(sess *cluster.Session, fp *core.Fixpoint, rep *Report)
 	return &prepared{d: pd, seed: seed, phiRels: phiRels, stable: stable, phiConst: total}, nil
 }
 
-// choose applies the §III-D heuristic.
-func (p *Planner) choose(pr *prepared) Kind {
+// choose returns the plan a fixpoint runs: Force, or Splw under Auto.
+func (p *Planner) choose() Kind {
 	if p.Force != Auto {
 		return p.Force
-	}
-	if pr.phiConst > p.C.Config().TaskMemRows {
-		return Pgplw
 	}
 	return Splw
 }
@@ -319,11 +320,11 @@ func (p *Planner) computeFixpoint(sess *cluster.Session, fp *core.Fixpoint, rep 
 	}
 	if len(pr.d.PhiBranches) == 0 {
 		rep.Fixpoints = append(rep.Fixpoints, FixpointReport{
-			Kind: p.Force, ConstPartRows: pr.seed.Len(), ResultRows: pr.seed.Len(),
+			Kind: p.choose(), ConstPartRows: pr.seed.Len(), ResultRows: pr.seed.Len(),
 		})
 		return pr.seed, nil
 	}
-	kind := p.choose(pr)
+	kind := p.choose()
 	var (
 		out *core.Relation
 		fr  FixpointReport

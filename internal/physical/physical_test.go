@@ -202,40 +202,26 @@ func TestGldShufflesEveryIteration(t *testing.T) {
 	}
 }
 
-func TestAutoHeuristic(t *testing.T) {
-	rng := rand.New(rand.NewSource(47))
+// TestAutoRunsSplwOnLargeConstPart pins that Auto never picks the
+// dominated Ppg_plw: a φ constant part larger than any row budget still
+// runs Ps_plw, since spill, not a plan switch, handles data beyond memory.
+func TestAutoRunsSplwOnLargeConstPart(t *testing.T) {
+	e := core.NewRelation(core.ColSrc, core.ColTrg)
+	for i := 0; i <= 1<<20; i++ {
+		e.Add([]core.Value{core.Value(10 + i), core.Value(i)})
+	}
+	s := core.NewRelation(core.ColSrc, core.ColTrg)
+	s.Add([]core.Value{0, 1}) // joins nothing in E
 	env := core.NewEnv()
-	env.Bind("E", randomBinary(rng, 100, 20))
-	env.Bind("S", randomBinary(rng, 10, 20))
-
-	// Large budget → Ps_plw.
-	cBig, err := cluster.New(cluster.Config{Workers: 2, TaskMemRows: 1 << 20})
+	env.Bind("E", e)
+	env.Bind("S", s)
+	c := newTestCluster(t, cluster.TransportChan, 2)
+	_, rep, err := NewPlanner(c, env).Execute(reachTerm())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cBig.Close()
-	p := NewPlanner(cBig, env)
-	_, rep, err := p.Execute(reachTerm())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Fixpoints[0].Kind != Splw {
-		t.Fatalf("auto chose %s with big budget, want Ps_plw", rep.Fixpoints[0].Kind)
-	}
-
-	// Tiny budget → Ppg_plw (variable-part data exceeds task memory).
-	cSmall, err := cluster.New(cluster.Config{Workers: 2, TaskMemRows: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cSmall.Close()
-	p2 := NewPlanner(cSmall, env)
-	_, rep2, err := p2.Execute(reachTerm())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep2.Fixpoints[0].Kind != Pgplw {
-		t.Fatalf("auto chose %s with tiny budget, want Ppg_plw", rep2.Fixpoints[0].Kind)
+	if got := rep.Fixpoints[0].Kind; got != Splw {
+		t.Fatalf("auto chose %s for a %d-row constant part, want Ps_plw", got, e.Len())
 	}
 }
 

@@ -16,9 +16,9 @@ import (
 // This file is the engine's plan cache: parse → rewrite-space exploration
 // → cost-based selection is by far the most expensive driver-side step of
 // a query (Fejza & Genevès, PAPERS.md, measure recursive plan enumeration
-// as the dominating optimizer cost), and the paper's §III-D selection is
-// deterministic per (query text, options, graph statistics) — so its
-// outcome can be reused until the graph changes. Entries are validated
+// as the dominating optimizer cost), and the paper's §IV cost-based
+// selection is deterministic per (query text, options, graph statistics)
+// — so its outcome can be reused until the graph changes. Entries are validated
 // per predicate on every hit: each carries the footprint of the
 // predicates its plan reads (see subresult.go), so a write to `follows`
 // no longer invalidates a `cites+` plan. An LRU bound keeps the cache

@@ -13,8 +13,8 @@ import (
 // space explored and the cheapest logical plan pinned, so every Run skips
 // the optimizer — the expensive driver-side step worth amortizing across
 // calls. A Stmt revalidates its plan against the graph's per-predicate
-// generation counters on each Run: the §III-D choice is deterministic per
-// (query, graph statistics), so the pinned plan stays valid exactly until
+// generation counters on each Run: the §IV cost-based choice is
+// deterministic per (query, graph statistics), so the pinned plan stays valid exactly until
 // a predicate the plan reads mutates, at which point the statement
 // transparently re-prepares (through the engine plan cache, so several
 // statements on one query text re-optimize once, not each). Writes to
