@@ -1,6 +1,6 @@
 // Package ctxloop flags unbounded loops that never look at their
 // cancellation signal. In the engine's long-running paths — semi-naive
-// fixpoint iteration, ParallelDrain, mailbox demux, the Watch wake-up
+// fixpoint iteration, ParallelDrainCtx, mailbox demux, the Watch wake-up
 // loop — a `for {}` or `for cond {}` loop that neither selects on a
 // done channel nor polls ctx.Err()/sess.Err() keeps running after the
 // query is cancelled, pinning goroutines and gauge budget.

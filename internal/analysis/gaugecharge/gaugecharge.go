@@ -66,8 +66,8 @@ func coreCallee(pass *analysis.Pass, call *ast.CallExpr) string {
 }
 
 // evalMethods are the Evaluator entry points that materialize rows — or,
-// for NewFixpointLoop, warm join indexes and seed X — and therefore require
-// a gauge to be attached first.
+// for NewFixpointLoop, seed X — and therefore require a gauge to be
+// attached first.
 var evalMethods = map[string]bool{
 	"Eval": true, "RunFixpoint": true, "EvalPhiDelta": true, "NewFixpointLoop": true,
 }

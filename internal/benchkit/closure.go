@@ -89,12 +89,12 @@ func Closure(s Scale) *Table {
 	sparse := closureSparse(1200, 3600, 7)
 	bench("closure sparse seq", 1, sparse, 0)
 	bench("closure sparse par", 0, sparse, 0)
-	// A forced 4-worker pool exercises the concurrent accumulator and the
-	// parallel index build even on runners whose CPU budget is 1 (where
+	// A forced 4-worker pool exercises the parallel delta drain into the
+	// concurrent accumulator even on runners whose CPU budget is 1 (where
 	// "par" degrades to the sequential path).
 	bench("closure sparse par4", 4, sparse, 0)
 	t.Notes = append(t.Notes,
 		"chain=256 is the per-iteration overhead probe (255 tiny deltas); sparse engages the parallel drain",
-		"par4 forces a 4-worker pool (concurrent accumulator + parallel index build) regardless of GOMAXPROCS")
+		"par4 forces a 4-worker delta drain (concurrent accumulator) regardless of GOMAXPROCS")
 	return t
 }

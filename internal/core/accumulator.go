@@ -640,48 +640,30 @@ func (ab *Absorber) AbsorbBatch(b *Batch) int {
 	return ab.ad.addBatch(ab.a, b)
 }
 
-// parallelMaterializeMin is the row count below which Materialize stays
-// sequential: scattering a few thousand rows across workers costs more in
-// coordination than the copies save.
-const parallelMaterializeMin = 1 << 15
-
 // Materialize copies the accumulated rows into one Relation sized from the
 // shards' row counts: frozen runs are streamed back from disk in chunks,
 // then each shard's in-memory store is memcpy'd segment by segment. Runs
 // and shards are mutually disjoint sets by construction, so nothing is
 // hashed or probed — the result's dedup set is deferred to whoever first
-// asks for it. Large
-// fully-in-memory accumulators scatter their shards concurrently (per-shard
-// output offsets are known up front). It is called once, at fixpoint exit;
-// it must not race with Add or EvictBelow.
+// asks for it. The shards are copied one after another; it is called
+// once, at fixpoint exit, and must not race with Add or EvictBelow.
 func (a *Accumulator) Materialize() *Relation {
 	total := 0
 	spilled := false
-	var offs [accShards]int
 	for i := range a.shards {
-		sh := &a.shards[i]
-		offs[i] = total
-		total += sh.n
-		spilled = spilled || sh.run != nil
+		total += a.shards[i].n
+		spilled = spilled || a.shards[i].run != nil
 	}
 	out := NewRelation(a.cols...)
 	out.ReserveRows(total)
 	arity := a.arity
 	if !spilled {
-		// Every shard's rows land at a precomputed offset of the output's
-		// flat backing array, so the copies need no synchronization.
-		workers := 1
-		if total >= parallelMaterializeMin {
-			workers = DefaultParallelism()
-		}
-		out.data = out.data[:total*arity]
-		runWorkers(accShards, workers, func(_, shard int) {
-			sh := &a.shards[shard]
-			at := offs[shard] * arity
+		for i := range a.shards {
+			sh := &a.shards[i]
 			sh.forSegs(0, sh.n, arity, func(vals []Value, _ int) {
-				at += copy(out.data[at:], vals)
+				out.data = append(out.data, vals...)
 			})
-		})
+		}
 		out.n = total
 		out.deferred.Store(true)
 		return out

@@ -5,28 +5,29 @@ import (
 	"testing"
 )
 
-// TestAccumulatorMaterializeParallel pushes the accumulator past the
-// parallel-materialize threshold and checks the scattered copy against the
-// sequential reference: same rows, and a membership set that answers
-// correctly for both present and absent rows (the parallel path rebuilds
-// it from the shards' stored hashes rather than rehashing).
+// TestAccumulatorMaterializeParallel materializes a large accumulator
+// (more than 32 768 rows, spread over every shard and several segments
+// per shard) and checks the block copy against the
+// reference set: same rows, and a deferred membership set that answers
+// correctly for both present and absent rows.
 func TestAccumulatorMaterializeParallel(t *testing.T) {
+	const minRows = 1 << 15
 	rng := rand.New(rand.NewSource(11))
 	a := NewAccumulator(nil, ColSrc, ColTrg)
 	defer a.Close()
 	seen := NewRelation(ColSrc, ColTrg)
-	for a.Len() <= parallelMaterializeMin {
+	for a.Len() <= minRows {
 		for _, row := range randomRows(rng, 4096, 2, 1<<20) {
 			a.Add(row)
 			seen.Add(row)
 		}
 	}
 	got := a.Materialize()
-	if got.Len() <= parallelMaterializeMin {
-		t.Fatalf("materialized %d rows, need > %d to exercise the parallel path", got.Len(), parallelMaterializeMin)
+	if got.Len() <= minRows {
+		t.Fatalf("materialized %d rows, need > %d", got.Len(), minRows)
 	}
 	if !SameRows(got, seen) {
-		t.Fatal("parallel materialize differs from reference set")
+		t.Fatal("materialize differs from reference set")
 	}
 	for i := 0; i < 1000; i++ {
 		row := seen.RowAt(rng.Intn(seen.Len()))

@@ -228,84 +228,16 @@ func TestAccumulatorGrowthAllocBound(t *testing.T) {
 	t.Logf("absorbing %d rows allocated %.1f× their price", n, float64(alloc)/float64(AccRowBytes(2)*n))
 }
 
-// TestParallelIndexBuildMatchesSerial: for random relations and key
-// subsets, the parallel two-phase build answers every probe exactly like
-// the serial build — same distinct-key count, same matches per key, same
-// misses.
-func TestParallelIndexBuildMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	schemas := [][]string{{ColSrc, ColTrg}, {"a", "b", "c"}}
-	for trial := 0; trial < 10; trial++ {
-		cols := schemas[trial%len(schemas)]
-		rel := NewRelation(cols...)
-		// Big enough (and distinct enough) to clear the ParallelPlan
-		// threshold for every arity.
-		for _, row := range randomRows(rng, 3*BatchRowsFor(len(cols)), len(cols), 5000) {
-			rel.Add(row)
-		}
-		keyCols := cols[:1+trial%len(cols)]
-		serial, err := BuildJoinIndex(rel, keyCols, 1, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{2, 8} {
-			par, err := BuildJoinIndex(rel, keyCols, workers, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if par.Shards() < 2 {
-				t.Fatalf("trial %d workers=%d: parallel build fell back to %d shard(s)",
-					trial, workers, par.Shards())
-			}
-			if par.Len() != serial.Len() || par.Rows() != serial.Rows() {
-				t.Fatalf("trial %d workers=%d: keys/rows %d/%d, serial %d/%d",
-					trial, workers, par.Len(), par.Rows(), serial.Len(), serial.Rows())
-			}
-			key := make([]Value, len(keyCols))
-			at := make([]int, len(keyCols))
-			for i, c := range keyCols {
-				at[i] = ColIndex(rel.Cols(), c)
-			}
-			probe := func(row []Value) {
-				for i := range at {
-					key[i] = row[at[i]]
-				}
-				want := serial.Matches(nil, key)
-				got := par.Matches(nil, key)
-				if len(got) != len(want) {
-					t.Fatalf("trial %d workers=%d: key %v matched %d rows, serial %d",
-						trial, workers, key, len(got), len(want))
-				}
-				for i := range got {
-					if !rowsEqual(got[i], want[i]) {
-						t.Fatalf("trial %d workers=%d: key %v match %d differs", trial, workers, key, i)
-					}
-				}
-				if par.Contains(key) != serial.Contains(key) {
-					t.Fatalf("trial %d workers=%d: Contains(%v) disagrees", trial, workers, key)
-				}
-			}
-			for i := 0; i < rel.Len(); i += 97 {
-				probe(rel.RowAt(i))
-			}
-			for i := 0; i < 200; i++ {
-				probe(randomRows(rng, 1, len(cols), 400)[0])
-			}
-		}
-	}
-}
-
-// TestParallelIndexConcurrentProbes: a parallel-built index serves
-// concurrent probes from many goroutines (read-only sharing, the fixpoint
-// drain's access pattern). Under -race this guards the build/probe
-// hand-off.
+// TestParallelIndexConcurrentProbes: one index serves concurrent probes
+// from many goroutines (read-only sharing, the fixpoint drain's access
+// pattern). Under -race this guards the build/probe hand-off.
 func TestParallelIndexConcurrentProbes(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	rel := NewRelation(ColSrc, ColTrg)
 	for _, row := range randomRows(rng, 3*BatchRowsFor(2), 2, 300) {
 		rel.Add(row)
 	}
-	ix, err := BuildJoinIndex(rel, []string{ColSrc}, 4, nil)
+	ix, err := BuildJoinIndex(rel, []string{ColSrc}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

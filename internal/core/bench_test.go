@@ -185,23 +185,14 @@ func BenchmarkParallelFixpoint(b *testing.B) {
 }
 
 // BenchmarkJoinIndexBuild measures the build side of the hash join — the
-// serial single-shard build against the two-phase parallel build the
-// first iteration of a large fixpoint pays.
+// index the first iteration of a large fixpoint pays for.
 func BenchmarkJoinIndexBuild(b *testing.B) {
 	rel := sparseRelation(rand.New(rand.NewSource(3)), 1<<18, 1<<17)
-	for _, workers := range []int{1, 4} {
-		name := "serial"
-		if workers > 1 {
-			name = fmt.Sprintf("parallel=%d", workers)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := BuildJoinIndex(rel, []string{ColSrc}, nil); err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := BuildJoinIndex(rel, []string{ColSrc}, workers, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

@@ -344,7 +344,7 @@ func (ev *Evaluator) indexFor(rel *Relation, cols []string, stable bool) (*JoinI
 			ev.Stats.IndexReuses++
 			return ix, nil
 		}
-		ix, err := BuildJoinIndex(rel, cols, ev.Parallel, ev.Gauge)
+		ix, err := BuildJoinIndex(rel, cols, ev.Gauge)
 		if err != nil {
 			return nil, err
 		}
@@ -353,7 +353,7 @@ func (ev *Evaluator) indexFor(rel *Relation, cols []string, stable bool) (*JoinI
 		return ix, nil
 	}
 	ev.Stats.IndexBuilds++
-	ix, err := BuildJoinIndex(rel, cols, ev.Parallel, ev.Gauge)
+	ix, err := BuildJoinIndex(rel, cols, ev.Gauge)
 	if err == nil && ev.Gauge != nil {
 		// Uncached (dynamic-side) indexes have no cache slot to release
 		// them from; park them on the evaluator so Close returns their
@@ -558,8 +558,9 @@ func (ev *Evaluator) RunFixpoint(d *Decomposed, init *Relation, env *Env) (*Rela
 // Each step builds one pipeline per φ branch per pool worker over the
 // shared delta cursor and returns their output batches to the evaluator's
 // free list when the drain returns, so steps after the first allocate no
-// batch buffers. The constant sides' join indexes are built — in parallel
-// for large inputs — once, by NewFixpointLoop, and reused by every step.
+// batch buffers. The constant sides' join indexes are built lazily, the
+// first time a step's pipeline reaches its join (so a loop whose delta is
+// empty from the start builds none), and reused by every later step.
 // A FixpointLoop is single-owner and must be closed.
 type FixpointLoop struct {
 	ev      *Evaluator
@@ -578,7 +579,6 @@ type FixpointLoop struct {
 // recursion variable dynamic on ev until Close.
 func (ev *Evaluator) NewFixpointLoop(d *Decomposed, init *Relation, env *Env) *FixpointLoop {
 	l := &FixpointLoop{ev: ev, d: d, env: env, init: init, restore: ev.markDynamic(d.X)}
-	ev.warmConstIndexes(d, init, env)
 	l.x = NewAccumulator(ev.Gauge, init.Cols()...)
 	l.filter = NewAccumulator(ev.Gauge, init.Cols()...)
 	l.delta = l.x.Absorb(init)
@@ -633,7 +633,7 @@ func (l *FixpointLoop) Step(exchange func(cands []*Relation, x *Accumulator) err
 	if l.iter > 1 {
 		views = l.x.DeltaViews(l.prev, mark)
 	}
-	_, workers := ParallelPlan(l.delta, l.x.Arity(), ev.Parallel)
+	workers := ParallelPlan(l.delta, l.x.Arity(), ev.Parallel)
 	// Ephemeral (dynamic-build-side) indexes and the output batches of
 	// this step's pipelines are dead once the drain below finishes; release
 	// them so neither they nor their gauge charges outlive the step.
@@ -684,103 +684,6 @@ func (l *FixpointLoop) Close() {
 	l.x.Close()
 	l.filter.Close()
 	l.restore()
-}
-
-// warmConstIndexes pre-builds the constant-side join indexes of φ's
-// branches concurrently, before the first iteration. The lazy path builds
-// them one by one as each branch's pipeline first reaches its join; a
-// multi-branch fixpoint (or one branch with several constant operands)
-// serializes what are independent scans. The walk mirrors streamJoin's
-// build-side choice exactly — only sides that are constant while exactly
-// the other side is dynamic (and antijoin right sides) are warmed — so a
-// warmed index is always the one the pipeline would have built. Discovery
-// errors and build failures are skipped silently: the lazy path retries
-// and surfaces them with full context. Must be called with d.X already
-// marked dynamic.
-func (ev *Evaluator) warmConstIndexes(d *Decomposed, init *Relation, env *Env) {
-	workers := ev.Parallel
-	if workers == 0 {
-		workers = DefaultParallelism()
-	}
-	if workers <= 1 {
-		return
-	}
-	senv := env.SchemaEnv()
-	senv[d.X] = init.Cols()
-	type warmJob struct {
-		rel  *Relation
-		cols []string
-	}
-	var jobs []warmJob
-	seen := map[indexCacheKey]bool{}
-	add := func(build Term, probeCols []string) {
-		rel, err := ev.evalOperand(build, env)
-		if err != nil {
-			return
-		}
-		common := ColsIntersect(probeCols, rel.Cols())
-		if len(common) == 0 || len(common) == rel.Arity() {
-			return // no index: a cross product, or a semijoin (SemijoinStream)
-		}
-		k := indexCacheKey{rel: rel, cols: joinIndexKey(common)}
-		if seen[k] {
-			return
-		}
-		if _, ok := ev.indexes[k]; ok {
-			return
-		}
-		seen[k] = true
-		jobs = append(jobs, warmJob{rel: rel, cols: common})
-	}
-	var walk func(t Term)
-	walk = func(t Term) {
-		switch n := t.(type) {
-		case *Fixpoint:
-			// A nested fixpoint warms its own branches when it runs.
-			return
-		case *Join:
-			lDyn, rDyn := ev.isDynamic(n.L), ev.isDynamic(n.R)
-			if lDyn && !rDyn {
-				if pc, err := Schema(n.L, senv); err == nil {
-					add(n.R, pc)
-				}
-			} else if rDyn && !lDyn {
-				if pc, err := Schema(n.R, senv); err == nil {
-					add(n.L, pc)
-				}
-			}
-		case *Antijoin:
-			if !ev.isDynamic(n.R) {
-				if pc, err := Schema(n.L, senv); err == nil {
-					add(n.R, pc)
-				}
-			}
-		}
-		for _, c := range Children(t) {
-			walk(c)
-		}
-	}
-	for _, br := range d.PhiBranches {
-		walk(br)
-	}
-	if len(jobs) < 2 {
-		return // a single build gains nothing over the lazy path
-	}
-	built := make([]*JoinIndex, len(jobs))
-	runWorkers(len(jobs), workers, func(_, i int) {
-		// Each job builds sequentially (parallel=1): the concurrency is
-		// across jobs, not within one, so workers never oversubscribe.
-		if ix, err := BuildJoinIndex(jobs[i].rel, jobs[i].cols, 1, ev.Gauge); err == nil {
-			built[i] = ix
-		}
-	})
-	for i, ix := range built {
-		if ix == nil {
-			continue
-		}
-		ev.Stats.IndexBuilds++
-		ev.indexes[indexCacheKey{rel: jobs[i].rel, cols: joinIndexKey(jobs[i].cols)}] = ix
-	}
 }
 
 // EvalPhiDelta evaluates φ(nu) — the union of the decomposed fixpoint's

@@ -419,6 +419,52 @@ func TestFixpointReusesConstIndex(t *testing.T) {
 	}
 }
 
+// TestEmptyDeltaLoopBuildsNoIndex: a fixpoint loop seeded with nothing —
+// a Ps_plw worker whose seed partition is empty — neither evaluates φ's
+// constant operands nor indexes them. Indexes are built lazily by the
+// first step that probes them, and a step on an empty delta probes
+// nothing.
+func TestEmptyDeltaLoopBuildsNoIndex(t *testing.T) {
+	const n = 3000
+	rng := rand.New(rand.NewSource(7))
+	env := NewEnv()
+	for _, name := range []string{"E", "F"} {
+		r := NewRelation(ColSrc, ColTrg)
+		for r.Len() < n {
+			r.Add([]Value{Value(rng.Intn(n)), Value(rng.Intn(n))})
+		}
+		env.Bind(name, r)
+	}
+	x := &Var{Name: "X"}
+	fp := &Fixpoint{X: "X", Body: &Union{L: &Var{Name: "E"}, R: &Union{
+		L: Compose(x, &Var{Name: "E"}),
+		R: Compose(x, &Var{Name: "F"}),
+	}}}
+	d, err := Decompose(fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(d.PhiBranches) != 2 {
+		t.Fatalf("φ has %d branches, want 2", len(d.PhiBranches))
+	}
+	ev := NewEvaluator(env)
+	ev.Parallel = 2
+	defer ev.Close()
+	loop := ev.NewFixpointLoop(d, NewRelation(ColSrc, ColTrg), env)
+	defer loop.Close()
+	added, err := loop.Step(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if added != 0 {
+		t.Fatalf("a step on an empty delta added %d rows", added)
+	}
+	if ev.Stats.IndexBuilds != 0 || ev.Stats.OpTuples != 0 {
+		t.Fatalf("empty-delta loop paid %d index builds, %d operand rows; want none",
+			ev.Stats.IndexBuilds, ev.Stats.OpTuples)
+	}
+}
+
 // TestIndexedFixpointBeatsRescan: on a long chain with a large step
 // relation, the tuples the loop materializes stay proportional to the
 // output, far below the |E| × iterations a plan rescanning E would touch.

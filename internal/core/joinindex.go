@@ -13,10 +13,8 @@ import "fmt"
 // row-major backing array (captured at build time), not by per-row
 // slices: buckets map the 64-bit FNV-1a hash of the key values to row
 // indices, and probes verify candidate rows value-wise, so hash collisions
-// cannot produce wrong matches. Buckets are split across 1 or more
-// hash-routed shards: a serial build uses a single shard, a parallel build
-// has a worker pool populate per-shard sub-indexes independently — no
-// locks, no merge — and probes route by the same hash bits. Probing is read-only and safe for concurrent use — the
+// cannot produce wrong matches. The build is a single serial pass into
+// one bucket map. Probing is read-only and safe for concurrent use — the
 // parallel fixpoint step probes one index from many goroutines.
 type JoinIndex struct {
 	keyCols []string // indexed columns (as given, relation-schema order)
@@ -24,12 +22,8 @@ type JoinIndex struct {
 	data    []Value  // flat row-major snapshot of the indexed rows
 	arity   int
 	nrows   int
-	// shards holds the hash-partitioned bucket maps; len is a power of two
-	// (1 for serially built indexes). shardShift routes a key hash to its
-	// shard by top bits: shard = h >> shardShift (shift 64 ⇒ always 0).
-	shards     []ixShard
-	shardShift uint
-	keys       int // number of distinct keys
+	buckets map[uint64][]int32 // key hash → candidate rows
+	keys    int                // number of distinct keys
 
 	// gauge/memBytes account the index's in-memory footprint against the
 	// task budget; Close returns the charge.
@@ -49,34 +43,9 @@ type joinSpill struct {
 	parts []*spillRun // records: one build row (arity values) each
 }
 
-// ixShard is one bucket partition of a JoinIndex. During a parallel build
-// each shard is owned by exactly one worker.
-type ixShard struct {
-	buckets map[uint64][]int32
-	keys    int
-}
-
-// ixMaxShards bounds the shard count of a parallel build: enough to feed a
-// few dozen workers, small enough that per-shard map overhead stays
-// trivial.
-const ixMaxShards = 16
-
-// bucketFor returns the candidate row list for a key hash.
-func (ix *JoinIndex) bucketFor(h uint64) []int32 {
-	return ix.shards[h>>ix.shardShift].buckets[h]
-}
-
 // BuildJoinIndex indexes rel on keyCols. Every keyCol must be in rel's
 // schema. The index snapshots rel's backing array: rows added to rel
 // afterwards are not covered.
-//
-// The build-side work is spread over a bounded worker pool when the input
-// is large enough to pay off (the ParallelPlan heuristic): the row hashes
-// are computed in batch-granular chunks concurrently, then each bucket
-// shard is populated by one worker scanning the hash array for its own top
-// bits — per-shard sub-indexes built lock-free and probed shard-wise,
-// never merged. maxWorkers 0 means DefaultParallelism, 1 forces the serial
-// build.
 //
 // g is the memory gauge the index is governed by; nil means unbudgeted
 // (never spills, charges nothing). When the index's estimated in-memory
@@ -87,7 +56,7 @@ func (ix *JoinIndex) bucketFor(h uint64) []int32 {
 // and joins must go through GraceJoinStream/GraceAntijoinStream, which
 // probe one partition at a time so the transient in-memory sub-index stays
 // bounded by roughly buildBytes/partitions.
-func BuildJoinIndex(rel *Relation, keyCols []string, maxWorkers int, g *MemGauge) (*JoinIndex, error) {
+func BuildJoinIndex(rel *Relation, keyCols []string, g *MemGauge) (*JoinIndex, error) {
 	at := make([]int, len(keyCols))
 	for i, c := range keyCols {
 		idx := ColIndex(rel.Cols(), c)
@@ -100,13 +69,7 @@ func BuildJoinIndex(rel *Relation, keyCols []string, maxWorkers int, g *MemGauge
 	if g != nil && memNeed > spillIndexFloor && g.WouldExceed(memNeed) && len(keyCols) > 0 {
 		return buildJoinIndexSpilled(rel, keyCols, at, g)
 	}
-	chunk, workers := ParallelPlan(rel.Len(), rel.Arity(), maxWorkers)
-	var ix *JoinIndex
-	if workers > 1 {
-		ix = buildJoinIndexParallel(rel.Data(), rel.Arity(), rel.Len(), at, chunk, workers)
-	} else {
-		ix = buildJoinIndex(rel.Data(), rel.Arity(), rel.Len(), at)
-	}
+	ix := buildJoinIndex(rel.Data(), rel.Arity(), rel.Len(), at)
 	ix.keyCols = keyCols
 	if g != nil {
 		ix.gauge = g
@@ -258,93 +221,31 @@ func (ix *JoinIndex) loadPartition(p int) *JoinIndex {
 	return sub
 }
 
-// newJoinIndexShell allocates an index header with nShards empty bucket
-// shards (nShards must be a power of two).
-func newJoinIndexShell(data []Value, arity, nrows, nShards int) *JoinIndex {
-	ix := &JoinIndex{at: nil, data: data, arity: arity, nrows: nrows,
-		shards: make([]ixShard, nShards)}
-	shift := uint(64)
-	for s := nShards; s > 1; s >>= 1 {
-		shift--
-	}
-	ix.shardShift = shift
-	for i := range ix.shards {
-		ix.shards[i].buckets = make(map[uint64][]int32, nrows/nShards)
-	}
-	return ix
-}
-
-// buildJoinIndex indexes a flat row-major store on the given positions,
-// serially, into a single bucket shard.
+// buildJoinIndex indexes a flat row-major store on the given positions.
+// The distinct-key count is kept exact across hash collisions: a bucket
+// can mix several distinct keys under one 64-bit collision, and a row
+// counts as a new key only when no earlier bucket row shares it.
 func buildJoinIndex(data []Value, arity, nrows int, at []int) *JoinIndex {
-	ix := newJoinIndexShell(data, arity, nrows, 1)
-	ix.at = at
-	sh := &ix.shards[0]
+	ix := &JoinIndex{at: at, data: data, arity: arity, nrows: nrows,
+		buckets: make(map[uint64][]int32, nrows)}
 	for i := 0; i < nrows; i++ {
-		ix.insertRow(sh, int32(i), HashValuesAt(ix.rowAt(int32(i)), at))
-	}
-	ix.keys = sh.keys
-	return ix
-}
-
-// buildJoinIndexParallel is the two-phase parallel build: phase 1 hashes
-// the key columns of all rows in chunk-granular tasks; phase 2 gives each
-// bucket shard to one worker, which scans the (read-only) hash array and
-// inserts exactly the rows routed to it. Shards never share buckets, so
-// phase 2 needs no locks and no merge; the resulting index is probed
-// shard-wise by the same routing.
-func buildJoinIndexParallel(data []Value, arity, nrows int, at []int, chunk, workers int) *JoinIndex {
-	nShards := 1
-	for nShards < workers && nShards < ixMaxShards {
-		nShards <<= 1
-	}
-	ix := newJoinIndexShell(data, arity, nrows, nShards)
-	ix.at = at
-	hashes := make([]uint64, nrows)
-	tasks := (nrows + chunk - 1) / chunk
-	runWorkers(tasks, workers, func(_, task int) {
-		lo := task * chunk
-		hi := lo + chunk
-		if hi > nrows {
-			hi = nrows
-		}
-		for i := lo; i < hi; i++ {
-			hashes[i] = HashValuesAt(ix.rowAt(int32(i)), at)
-		}
-	})
-	runWorkers(nShards, workers, func(_, s int) {
-		sh := &ix.shards[s]
-		want := uint64(s)
-		for i := 0; i < nrows; i++ {
-			if h := hashes[i]; h>>ix.shardShift == want {
-				ix.insertRow(sh, int32(i), h)
+		ri := int32(i)
+		row := ix.rowAt(ri)
+		h := HashValuesAt(row, at)
+		b := ix.buckets[h]
+		newKey := true
+		for _, prev := range b {
+			if ix.sameKeyAs(ix.rowAt(prev), row) {
+				newKey = false
+				break
 			}
 		}
-	})
-	for i := range ix.shards {
-		ix.keys += ix.shards[i].keys
+		if newKey {
+			ix.keys++
+		}
+		ix.buckets[h] = append(b, ri)
 	}
 	return ix
-}
-
-// insertRow appends row ri under hash h into a shard, maintaining the
-// distinct-key count across hash collisions (a bucket can mix several
-// distinct keys under one 64-bit collision; a new key is counted only when
-// no earlier bucket row shares it).
-func (ix *JoinIndex) insertRow(sh *ixShard, ri int32, h uint64) {
-	b := sh.buckets[h]
-	row := ix.rowAt(ri)
-	newKey := true
-	for _, prev := range b {
-		if ix.sameKeyAs(ix.rowAt(prev), row) {
-			newKey = false
-			break
-		}
-	}
-	if newKey {
-		sh.keys++
-	}
-	sh.buckets[h] = append(b, ri)
 }
 
 // rowAt returns a view of indexed row ri in the flat snapshot.
@@ -362,10 +263,6 @@ func (ix *JoinIndex) Len() int { return ix.keys }
 
 // Rows returns how many rows the index covers.
 func (ix *JoinIndex) Rows() int { return ix.nrows }
-
-// Shards returns the bucket-shard count (1 for serially built indexes, 0
-// for spilled indexes).
-func (ix *JoinIndex) Shards() int { return len(ix.shards) }
 
 // mustInMemory guards the random-access probe surface against spilled
 // indexes, whose rows live partition-wise on disk.
@@ -401,7 +298,7 @@ func (ix *JoinIndex) keyMatches(row, key []Value) bool {
 // colliding hash buckets are filtered by value comparison.
 func (ix *JoinIndex) Matches(dst [][]Value, key []Value) [][]Value {
 	ix.mustInMemory()
-	for _, ri := range ix.bucketFor(HashValues(key)) {
+	for _, ri := range ix.buckets[HashValues(key)] {
 		row := ix.rowAt(ri)
 		if ix.keyMatches(row, key) {
 			dst = append(dst, row)
@@ -413,7 +310,7 @@ func (ix *JoinIndex) Matches(dst [][]Value, key []Value) [][]Value {
 // Contains reports whether any indexed row has the given key.
 func (ix *JoinIndex) Contains(key []Value) bool {
 	ix.mustInMemory()
-	for _, ri := range ix.bucketFor(HashValues(key)) {
+	for _, ri := range ix.buckets[HashValues(key)] {
 		if ix.keyMatches(ix.rowAt(ri), key) {
 			return true
 		}
@@ -425,7 +322,7 @@ func (ix *JoinIndex) Contains(key []Value) bool {
 // avoiding a key copy on the hot path.
 func (ix *JoinIndex) matchesAt(dst [][]Value, probe []Value, at []int) [][]Value {
 	ix.mustInMemory()
-	for _, ri := range ix.bucketFor(HashValuesAt(probe, at)) {
+	for _, ri := range ix.buckets[HashValuesAt(probe, at)] {
 		row := ix.rowAt(ri)
 		if ix.keyMatchesAt(row, probe, at) {
 			dst = append(dst, row)
@@ -437,7 +334,7 @@ func (ix *JoinIndex) matchesAt(dst [][]Value, probe []Value, at []int) [][]Value
 // containsAt is Contains with the key read from probe's positions at.
 func (ix *JoinIndex) containsAt(probe []Value, at []int) bool {
 	ix.mustInMemory()
-	for _, ri := range ix.bucketFor(HashValuesAt(probe, at)) {
+	for _, ri := range ix.buckets[HashValuesAt(probe, at)] {
 		if ix.keyMatchesAt(ix.rowAt(ri), probe, at) {
 			return true
 		}

@@ -17,7 +17,7 @@ func CtxErr(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// This file is the worker pool of the parallel data plane: it drains many
+// This file is the one worker pool inside an evaluator: it drains many
 // iterator pipelines at once into the shared fixpoint Accumulator (see
 // accumulator.go). The semi-naive fixpoint uses it to split an iteration's
 // delta into batch-granular chunks and probe the (read-only, reusable)
@@ -25,31 +25,33 @@ func CtxErr(ctx context.Context) error {
 // loops of Ps_plw/Ppg_plw overlap their probe streams across cores instead
 // of walking the delta single-threaded. The drained rows land in the
 // accumulator with membership and insertion fused, so there is no
-// sequential merge step after the pool finishes.
+// sequential merge step after the pool finishes. Index builds and the
+// fixpoint's exit Materialize stay serial: a pool there measured within
+// spread on every bench workload (docs/ablation.md).
 
 // DefaultParallelism is the worker count used when an Evaluator's Parallel
 // field is zero: the scheduler's CPU budget.
 func DefaultParallelism() int { return runtime.GOMAXPROCS(0) }
 
-// ParallelPlan is the engine-wide chunking heuristic for parallel probe
-// work over rows of the given arity: batch-granular chunks
-// (BatchRowsFor), engaged only when the input spans at least two chunks
-// and more than one worker is available, with the worker count clamped to
-// the chunk count. maxWorkers 0 means DefaultParallelism; workers <= 1 in
-// the result means run sequentially.
-func ParallelPlan(rows, arity, maxWorkers int) (chunk, workers int) {
-	workers = maxWorkers
+// ParallelPlan is the worker count of a fixpoint step's delta drain over
+// rows of the given arity: the delta is probed in batch-granular chunks
+// (BatchRowsFor), so the pool engages only when it spans at least two
+// chunks and more than one worker is available, and the worker count is
+// clamped to the chunk count. maxWorkers 0 means DefaultParallelism; a
+// result of 1 means drain sequentially.
+func ParallelPlan(rows, arity, maxWorkers int) int {
+	workers := maxWorkers
 	if workers == 0 {
 		workers = DefaultParallelism()
 	}
-	chunk = BatchRowsFor(arity)
+	chunk := BatchRowsFor(arity)
 	if workers <= 1 || rows < 2*chunk {
-		return chunk, 1
+		return 1
 	}
 	if chunks := (rows + chunk - 1) / chunk; workers > chunks {
 		workers = chunks
 	}
-	return chunk, workers
+	return workers
 }
 
 // runWorkers runs fn(worker, task) for every task index in [0, tasks) on
@@ -95,22 +97,17 @@ func runWorkers(tasks, workers int, fn func(worker, task int)) {
 	}
 }
 
-// ParallelDrain drains every iterator into the accumulator with a bounded
-// worker pool and returns the number of rows that were new. Iterators must
-// be independent (each owns its pipeline state); the indexes and relations
-// they probe are only read, while the accumulator absorbs rows from all
-// workers concurrently. With one worker (or one iterator) it degrades to a
-// plain sequential drain with no goroutines.
-func ParallelDrain(its []Iterator, workers int, sink *Accumulator) int {
-	added, _ := ParallelDrainCtx(nil, its, workers, sink)
-	return added
-}
-
-// ParallelDrainCtx is ParallelDrain under a cancellation context: every
-// worker probes ctx between batches, so a cancelled query stops draining
-// within one batch and the call returns ctx.Err() (with however many rows
-// made it into the accumulator — the caller is expected to unwind and
-// discard). A nil ctx never cancels.
+// ParallelDrainCtx drains every iterator into the accumulator with a
+// bounded worker pool and returns the number of rows that were new.
+// Iterators must be independent (each owns its pipeline state); the
+// indexes and relations they probe are only read, while the accumulator
+// absorbs rows from all workers concurrently. With one worker (or one
+// iterator) it degrades to a plain sequential drain with no goroutines.
+//
+// Every worker probes ctx between batches, so a cancelled query stops
+// draining within one batch and the call returns ctx.Err() (with however
+// many rows made it into the accumulator — the caller is expected to
+// unwind and discard). A nil ctx never cancels.
 func ParallelDrainCtx(ctx context.Context, its []Iterator, workers int, sink *Accumulator) (int, error) {
 	var cancelled atomic.Bool
 	done := ctxDoneChan(ctx)

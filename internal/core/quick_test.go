@@ -463,13 +463,12 @@ func TestJoinIndexCollisions(t *testing.T) {
 	// Hand-build an index whose single bucket mixes keys 1 and 2, as a
 	// real 64-bit collision would.
 	ix := &JoinIndex{
-		keyCols:    []string{ColSrc},
-		at:         []int{0},
-		data:       []Value{1, 10, 2, 20, 1, 11},
-		arity:      2,
-		nrows:      3,
-		shards:     []ixShard{{buckets: map[uint64][]int32{HashValues([]Value{1}): {0, 1, 2}}}},
-		shardShift: 64,
+		keyCols: []string{ColSrc},
+		at:      []int{0},
+		data:    []Value{1, 10, 2, 20, 1, 11},
+		arity:   2,
+		nrows:   3,
+		buckets: map[uint64][]int32{HashValues([]Value{1}): {0, 1, 2}},
 	}
 	got := ix.Matches(nil, []Value{1})
 	if len(got) != 2 || got[0][1] != 10 || got[1][1] != 11 {

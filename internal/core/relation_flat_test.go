@@ -317,7 +317,7 @@ func TestAccumulatorAbsorb(t *testing.T) {
 // TestParallelDrainMatchesSequential: draining chunked scans of one
 // relation through the worker pool yields exactly the relation (dedup
 // across chunks), no matter the worker count. Run with -race this is also
-// the concurrency test for ParallelDrain.
+// the concurrency test for ParallelDrainCtx.
 func TestParallelDrainMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	src := NewRelation(ColSrc, ColTrg)
@@ -338,7 +338,10 @@ func TestParallelDrainMatchesSequential(t *testing.T) {
 		// pipelines.
 		pipes = append(pipes, ScanRelation(src.Slice(0, chunk)))
 		sink := NewAccumulator(nil, ColSrc, ColTrg)
-		added := ParallelDrain(pipes, workers, sink)
+		added, err := ParallelDrainCtx(nil, pipes, workers, sink)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if added != src.Len() {
 			t.Fatalf("workers=%d: drained %d distinct rows, want %d", workers, added, src.Len())
 		}

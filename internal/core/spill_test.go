@@ -347,7 +347,7 @@ func TestGraceJoinMatchesInMemory(t *testing.T) {
 	}
 	dir := t.TempDir()
 	g := NewMemGauge(64, dir) // far too small for a 400-row index
-	ix, err := BuildJoinIndex(build, []string{ColTrg}, 1, g)
+	ix, err := BuildJoinIndex(build, []string{ColTrg}, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +391,7 @@ func TestGraceJoinSharedIndexConcurrently(t *testing.T) {
 		probe.Add([]Value{Value(i % 29), Value(i % 31)})
 	}
 	g := NewMemGauge(64, t.TempDir())
-	ix, err := BuildJoinIndex(build, []string{ColTrg}, 1, g)
+	ix, err := BuildJoinIndex(build, []string{ColTrg}, g)
 	if err != nil {
 		t.Fatal(err)
 	}

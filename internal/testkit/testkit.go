@@ -435,9 +435,9 @@ func runRoutes(c *cluster.Cluster, g *Graph, term core.Term, opts Options, rep *
 	rep.ResultRows += want.Len()
 
 	// Route 2: the centralized streaming pipeline with the concurrent
-	// accumulator. Parallel is forced above 1 so the worker-pool path is
-	// eligible even on a 1-CPU runner (deltas must still clear the
-	// ParallelPlan chunk threshold to engage it). Under a starved run it
+	// accumulator. Parallel is forced above 1 so the delta drain's worker
+	// pool is eligible even on a 1-CPU runner (deltas must still span two
+	// ParallelPlan chunks to engage it). Under a starved run it
 	// gets its own budget gauge and must spill its way to the same rows.
 	streaming := core.NewEvaluator(env)
 	streaming.MaxIter = maxIter
