@@ -281,11 +281,14 @@ func (e *Engine) LoadTSV(r io.Reader) error {
 
 // UseGraph replaces the engine's graph with a pre-built one (generator
 // output) and flushes the plan and sub-result caches (cached plans and
-// relations embed constants interned in the old graph's dictionary).
+// relations embed constants interned in the old graph's dictionary). The
+// workers drop their resident copy of the old graph once no query holds
+// it.
 func (e *Engine) UseGraph(g *graphgen.Graph) {
 	e.graph = g
 	e.plans.flush()
 	e.subs.flush()
+	e.clust.RetireResidentBroadcasts()
 	e.notifyWatchers()
 }
 
@@ -318,7 +321,12 @@ type QueryStats struct {
 	Iterations     int    // fixpoint iterations (driver or max local)
 	ShufflePhases  int64
 	ShuffleRecords int64
-	NetworkBytes   int64
+	// NetworkBytes counts every byte this query put on the wire. The
+	// graph's broadcast is not among them once it is resident on the
+	// workers: only the first query after a graph change (a mutation,
+	// UseGraph) or a membership change (a recovery, a revived worker)
+	// pays it; concurrent queries that wait for that send do not.
+	NetworkBytes int64
 	// PlanCacheHit is true when the optimizer was skipped because the
 	// engine plan cache held a plan costed at the current graph
 	// generation. Prepared is true for Stmt.Run executions (which skip the

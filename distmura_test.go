@@ -16,7 +16,10 @@ func openTest(t *testing.T, opts Options) *Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { e.Close() })
+	t.Cleanup(func() {
+		checkBroadcastResidency(t, e)
+		e.Close()
+	})
 	return e
 }
 

@@ -90,6 +90,8 @@ type Cluster struct {
 	// into a retry.
 	epoch atomic.Int64
 
+	residents residents // worker-resident broadcasts of bound relations
+
 	faults atomic.Pointer[FaultPlan] // armed fault-injection plan (nil = none)
 	health *health                   // heartbeat prober (nil when disabled)
 
@@ -169,6 +171,8 @@ func New(cfg Config) (*Cluster, error) {
 		return nil, err
 	}
 	c := &Cluster{cfg: cfg, transport: tr, sessions: make(map[int64]*Session)}
+	c.residents.byName = make(map[string]*resident)
+	c.residents.byID = make(map[int64]*resident)
 	if cfg.TaskMemBytes > 0 {
 		c.driverGauge = core.NewMemGauge(cfg.TaskMemBytes, cfg.SpillDir)
 	}
@@ -259,9 +263,10 @@ func (c *Cluster) LiveWorkers() []int {
 // Recover excludes every dead worker from the membership, discards its
 // state (its partitions are gone with it — callers re-partition their
 // driver-held data onto the survivors), and bumps the epoch if anything
-// changed. It returns the ids removed by this call and the live count
-// remaining, so callers can fail fast when the cluster has degraded below
-// their minimum instead of retrying into a hang.
+// changed, retiring the resident broadcasts of the old epoch. It returns
+// the ids removed by this call and the live count remaining, so callers
+// can fail fast when the cluster has degraded below their minimum instead
+// of retrying into a hang.
 func (c *Cluster) Recover() (removed []int, live int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -278,16 +283,17 @@ func (c *Cluster) Recover() (removed []int, live int) {
 		live++
 	}
 	if len(removed) > 0 {
-		c.epoch.Add(1)
+		c.residents.retireAll(c, c.epoch.Add(1))
 	}
 	return removed, live
 }
 
 // ReviveWorker re-admits a dead or removed worker with a clean slate — a
-// restarted process rejoining the cluster — and bumps the epoch. New
-// sessions include it; sessions opened before the revival never route to
-// it (their membership is fixed at open). Returns false when id is out of
-// range or the worker is already live.
+// restarted process rejoining the cluster — and bumps the epoch, retiring
+// the resident broadcasts of the old epoch (the revived worker holds none
+// of them). New sessions include it; sessions opened before the revival
+// never route to it (their membership is fixed at open). Returns false
+// when id is out of range or the worker is already live.
 func (c *Cluster) ReviveWorker(id int) bool {
 	if id < 0 || id >= len(c.workers) {
 		return false
@@ -304,7 +310,7 @@ func (c *Cluster) ReviveWorker(id int) bool {
 	if c.health != nil {
 		c.health.reset(id)
 	}
-	c.epoch.Add(1)
+	c.residents.retireAll(c, c.epoch.Add(1))
 	return true
 }
 
@@ -395,13 +401,8 @@ func (d *Dataset) MarkDisjoint() { d.disjoint.Store(true) }
 
 // Broadcast is a handle to a relation replicated on every worker.
 type Broadcast struct {
-	id   int64
-	cols []string
-	rows int
+	id int64
 }
-
-// Cols returns the broadcast relation's schema.
-func (b *Broadcast) Cols() []string { return b.cols }
 
 // Ctx is the worker-side view during a phase: partition access, broadcast
 // access and the shuffle primitive. Phases are SPMD: every worker runs the
@@ -522,17 +523,6 @@ func (ctx *Ctx) SetPartition(ds *Dataset, rel *core.Relation) {
 	ctx.w.mu.Lock()
 	ctx.w.store[ds.id] = rel
 	ctx.w.mu.Unlock()
-}
-
-// BroadcastValue returns the replicated relation of a broadcast handle.
-func (ctx *Ctx) BroadcastValue(b *Broadcast) *core.Relation {
-	ctx.w.mu.Lock()
-	r, ok := ctx.w.bcast[b.id]
-	ctx.w.mu.Unlock()
-	if ok {
-		return r
-	}
-	return core.NewRelation(b.cols...)
 }
 
 // Worker exposes the per-worker attachment map (for state that outlives a
@@ -804,7 +794,9 @@ func (ctx *Ctx) AllGather(rel *core.Relation) (*core.Relation, error) {
 // of them; the first error aborts the phase. Exchange calls inside the
 // phase are synchronized shuffles, isolated to this session. A phase does
 // not start — and its barriers abort — once the session's context is
-// cancelled or the session has recorded a member failure.
+// cancelled or the session has recorded a member failure. A member error
+// that classifies as a worker failure records one, so peers blocked at a
+// barrier on that member's frames return instead of hanging.
 func (s *Session) RunPhase(f func(ctx *Ctx) error) error {
 	c := s.c
 	c.mu.Lock()
@@ -848,6 +840,13 @@ func (s *Session) RunPhase(f func(ctx *Ctx) error) error {
 				}
 			}()
 			errs[rank] = f(&Ctx{w: w, rank: rank, sess: s, phaseSeq: seq})
+			if errs[rank] != nil && Classify(s.ctx, errs[rank]) == WorkerFailure {
+				// A member that failed like a lost worker (say, it no
+				// longer holds a broadcast) sends nothing more: fail the
+				// session now, so peers waiting at a barrier for its
+				// frames abort instead of hanging.
+				s.detectFailure(s.wrapWorkerErr(w.id, seq, errs[rank]))
+			}
 		}(rank, w)
 	}
 	wg.Wait()
@@ -950,7 +949,7 @@ func (c *Cluster) Parallelize(rel *core.Relation, byCols []string) (*Dataset, er
 // pattern of P s_plw) and returns a handle.
 func (s *Session) BroadcastRel(rel *core.Relation) (*Broadcast, error) {
 	c := s.c
-	b := &Broadcast{id: c.nextID.Add(1), cols: rel.Cols(), rows: rel.Len()}
+	b := &Broadcast{id: c.nextID.Add(1)}
 	seq := c.seq.Add(1) << 20
 	sendErr := make(chan error, 1)
 	go func() {
@@ -997,6 +996,7 @@ func (s *Session) BroadcastRel(rel *core.Relation) (*Broadcast, error) {
 		}); err != nil {
 			return err
 		}
+		r.Seal()
 		ctx.w.mu.Lock()
 		ctx.w.bcast[b.id] = r
 		ctx.w.mu.Unlock()

@@ -102,7 +102,10 @@ func TestBroadcast(t *testing.T) {
 			t.Fatal(err)
 		}
 		if err := c.RunPhase(func(ctx *Ctx) error {
-			got := ctx.BroadcastValue(b)
+			got, err := ctx.BroadcastValue(b)
+			if err != nil {
+				return err
+			}
 			if !got.Equal(rel) {
 				t.Errorf("worker %d: broadcast mismatch", ctx.WorkerID())
 			}
@@ -512,8 +515,8 @@ func TestEmptyRelationOps(t *testing.T) {
 			t.Fatal(err)
 		}
 		if err := c.RunPhase(func(ctx *Ctx) error {
-			if ctx.BroadcastValue(b).Len() != 0 {
-				t.Error("empty broadcast has rows")
+			if bv, err := ctx.BroadcastValue(b); err != nil || bv.Len() != 0 {
+				t.Errorf("empty broadcast: err %v, or it has rows", err)
 			}
 			out, err := ctx.Exchange(ctx.Partition(ds), nil)
 			if err != nil {
@@ -633,7 +636,11 @@ func TestMultiFrameTransfers(t *testing.T) {
 			t.Fatal(err)
 		}
 		if err := c.RunPhase(func(ctx *Ctx) error {
-			if bv := ctx.BroadcastValue(b); !bv.Equal(rel) {
+			bv, err := ctx.BroadcastValue(b)
+			if err != nil {
+				return err
+			}
+			if !bv.Equal(rel) {
 				t.Errorf("worker %d: broadcast across frames lost rows: %d vs %d",
 					ctx.WorkerID(), bv.Len(), rel.Len())
 			}

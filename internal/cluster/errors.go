@@ -111,10 +111,11 @@ func Classify(ctx context.Context, err error) FailureClass {
 }
 
 // isWorkerFailure recognizes the error shapes a dead peer produces on a
-// real data plane: closed/reset connections, truncated reads, and the
-// fault injector's simulated connection failures.
+// real data plane: closed/reset connections, truncated reads, the fault
+// injector's simulated connection failures, and a worker that lost a
+// broadcast it was sent.
 func isWorkerFailure(err error) bool {
-	if errors.Is(err, errWorkerDead) || errors.Is(err, ErrInjectedDrop) {
+	if errors.Is(err, errWorkerDead) || errors.Is(err, ErrInjectedDrop) || errors.Is(err, ErrBroadcastLost) {
 		return true
 	}
 	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {

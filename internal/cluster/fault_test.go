@@ -228,7 +228,11 @@ func TestDuplicatedFrameDroppedByOrdinal(t *testing.T) {
 			}
 			c.InjectFaults(nil)
 			if err := c.RunPhase(func(ctx *Ctx) error {
-				if r := ctx.BroadcastValue(b); r.Len() != half.Len() || !core.SameRows(r, half) {
+				r, err := ctx.BroadcastValue(b)
+				if err != nil {
+					return err
+				}
+				if r.Len() != half.Len() || !core.SameRows(r, half) {
 					return fmt.Errorf("worker %d holds %d broadcast rows, want %d", ctx.WorkerID(), r.Len(), half.Len())
 				}
 				return nil

@@ -303,7 +303,10 @@ func (ev *Evaluator) isDynamic(t Term) bool {
 
 // evalOperand materializes an operand term, memoizing results for terms
 // that are constant with respect to the running fixpoints (φ's constant
-// operands are evaluated once per fixpoint, not once per iteration).
+// operands are evaluated once per fixpoint, not once per iteration). A
+// constant term whose one free variable is bound to a sealed relation is
+// also memoized on that relation, so evaluators of later fixpoints that
+// read the same relation reuse it.
 func (ev *Evaluator) evalOperand(t Term, env *Env) (*Relation, error) {
 	if v, ok := t.(*Var); ok {
 		r, ok := env.Lookup(v.Name)
@@ -312,11 +315,17 @@ func (ev *Evaluator) evalOperand(t Term, env *Env) (*Relation, error) {
 		}
 		return r, nil
 	}
-	cacheable := len(ev.dynamic) > 0 && !ev.isDynamic(t)
-	var key string
-	if cacheable {
-		key = t.String()
-		if r, ok := ev.consts[key]; ok {
+	if len(ev.dynamic) == 0 || ev.isDynamic(t) {
+		return ev.eval(t, env)
+	}
+	key := t.String()
+	if r, ok := ev.consts[key]; ok {
+		return r, nil
+	}
+	memo := sealedMemo(t, env)
+	if memo != nil {
+		if r := memo.get(key); r != nil {
+			ev.consts[key] = r
 			return r, nil
 		}
 	}
@@ -324,10 +333,24 @@ func (ev *Evaluator) evalOperand(t Term, env *Env) (*Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cacheable {
-		ev.consts[key] = r
+	ev.consts[key] = r
+	if memo != nil {
+		memo.put(key, r)
 	}
 	return r, nil
+}
+
+// sealedMemo returns the operand memo of the sealed relation t reads, or
+// nil when t reads anything else as well.
+func sealedMemo(t Term, env *Env) *operandMemo {
+	fv := FreeVars(t)
+	if len(fv) != 1 {
+		return nil
+	}
+	if r, ok := env.Rels[fv[0]]; ok {
+		return r.memo
+	}
+	return nil
 }
 
 func joinIndexKey(cols []string) string { return strings.Join(cols, "\x00") }

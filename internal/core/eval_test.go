@@ -568,3 +568,65 @@ func TestClosureBothDirectionsAgree(t *testing.T) {
 		}
 	}
 }
+
+// TestSealedRelationSharesConstantOperands: a constant operand read from
+// one sealed relation is evaluated once and served to every later
+// evaluator that reads the relation, within a cap of the relation's own
+// row count; an unsealed relation's operands are evaluated per
+// evaluator, and a sealed relation refuses mutation.
+func TestSealedRelationSharesConstantOperands(t *testing.T) {
+	const n = 200
+	chain := func() *Relation {
+		e := NewRelation(ColSrc, ColTrg)
+		for i := 0; i < n; i++ {
+			e.Add([]Value{Value(i), Value(i + 1)})
+		}
+		return e
+	}
+	// Two constant operands of E: ρ_src(E) on the left of X, ρ_trg(E) on
+	// its right. Together they hold 2n rows, above the cap of n.
+	e := &Var{Name: "E"}
+	x := &Var{Name: "X"}
+	fp := &Fixpoint{X: "X", Body: &Union{L: e, R: &Union{L: Compose(x, e), R: Compose(e, x)}}}
+	run := func(env *Env) (*Relation, int) {
+		t.Helper()
+		ev := NewEvaluator(env)
+		defer ev.Close()
+		got, err := ev.Eval(fp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got, ev.Stats.OpTuples
+	}
+
+	plain := NewEnv()
+	plain.Bind("E", chain())
+	want, first := run(plain)
+	if _, again := run(plain); again != first {
+		t.Fatalf("unsealed relation: operand rows %d then %d, want equal", first, again)
+	}
+
+	sealed := chain()
+	sealed.Seal()
+	env := NewEnv()
+	env.Bind("E", sealed)
+	got1, rows1 := run(env)
+	got2, rows2 := run(env)
+	if !got1.Equal(want) || !got2.Equal(want) {
+		t.Fatalf("sealed relation changed the result: %d and %d rows, want %d", got1.Len(), got2.Len(), want.Len())
+	}
+	if rows1 != first || rows2 != first-n {
+		t.Fatalf("operand rows %d then %d, want %d then %d (one operand of %d rows served from the memo)",
+			rows1, rows2, first, first-n, n)
+	}
+	if len(sealed.memo.m) != 1 || sealed.memo.rows > sealed.Len() {
+		t.Fatalf("memo holds %d operands, %d rows; want 1 within the cap of %d", len(sealed.memo.m), sealed.memo.rows, sealed.Len())
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Add to a sealed relation did not panic")
+		}
+	}()
+	sealed.Add([]Value{-1, -2})
+}

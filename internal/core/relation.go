@@ -42,14 +42,20 @@ type Relation struct {
 	data []Value // row-major backing array, len = n*arity
 	n    int     // number of rows
 	set  tupleSet
-	// readonly marks views produced by Slice: they share a window of
+	// readonly marks views produced by Slice, which share a window of
 	// another relation's backing array, so insertion must never touch them
-	// (an append could clobber the parent's rows through shared capacity).
+	// (an append could clobber the parent's rows through shared capacity),
+	// and sealed relations (Seal).
 	readonly bool
+	// memo holds the operands derived from a sealed relation alone; nil
+	// until Seal.
+	memo *operandMemo
 	// deferred is true while the dedup set has not been built over the
 	// stored rows; setMu serializes the one build (see ensureSet).
 	deferred atomic.Bool
 	setMu    sync.Mutex
+	// version counts the mutations that changed the rows (see Version).
+	version uint64
 }
 
 // NewRelation returns an empty relation over the given columns.
@@ -88,6 +94,52 @@ func (r *Relation) ReserveRows(n int) {
 		copy(grown, r.data)
 		r.data = grown
 	}
+}
+
+// Version returns the relation's mutation counter: it advances on every
+// insertion of a new row and every removal of a present row, and nothing
+// else moves it (a duplicate insert, an absent remove, a membership query
+// that builds the deferred set). Together with the relation's identity it
+// names one state of its rows; the cluster keys worker-resident broadcast
+// copies by it. Like every accessor it follows the single-writer rule.
+func (r *Relation) Version() uint64 { return r.version }
+
+// Seal declares that r's rows never change again: from now on inserting
+// into or removing from r panics, and the constant operands evaluators
+// derive from r alone are memoized on r and shared by every evaluator
+// that reads it, for as long as r lives. The cluster seals each worker's
+// copy of a broadcast as it arrives, so a copy that stays resident across
+// fixpoints and queries also keeps its filtered and joined forms. The
+// memo holds at most as many rows as r itself.
+func (r *Relation) Seal() {
+	r.readonly = true
+	r.memo = &operandMemo{m: make(map[string]*Relation), limit: r.n}
+}
+
+// operandMemo maps the canonical text of a term over one sealed relation
+// to its value. Evaluators on any goroutine share it.
+type operandMemo struct {
+	mu    sync.Mutex
+	m     map[string]*Relation
+	rows  int // rows held across entries
+	limit int // cap on rows
+}
+
+func (m *operandMemo) get(key string) *Relation {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.m[key]
+}
+
+// put keeps r under key unless the memo would then exceed its row cap.
+func (m *operandMemo) put(key string, r *Relation) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if _, ok := m.m[key]; ok || m.rows+r.Len() > m.limit {
+		return
+	}
+	m.m[key] = r
+	m.rows += r.Len()
 }
 
 // Cols returns the relation's schema (sorted). The returned slice must not
@@ -194,6 +246,7 @@ func (r *Relation) Add(row []Value) bool {
 	}
 	r.data = append(r.data, row...)
 	r.n++
+	r.version++
 	r.set.claim(slot, h, int32(r.n))
 	return true
 }
@@ -227,6 +280,7 @@ func (r *Relation) appendDistinctVals(vals []Value, n int) {
 	if n == 0 {
 		return
 	}
+	r.version++
 	if !r.deferred.Load() && r.n > 0 {
 		// A set someone already paid for is extended, not dropped: a caller
 		// interleaving these appends with membership queries would otherwise
@@ -279,6 +333,7 @@ func (r *Relation) Remove(row []Value) bool {
 	}
 	r.data = r.data[:last*a]
 	r.n = last
+	r.version++
 	return true
 }
 

@@ -329,3 +329,59 @@ func TestSortedPairsHelper(t *testing.T) {
 		t.Fatalf("sortedPairs = %v", got)
 	}
 }
+
+// TestRelationVersion pins what moves Version: every mutator that changes
+// the rows advances it, and no-ops and reads leave it where it was.
+func TestRelationVersion(t *testing.T) {
+	cols := []string{ColSrc, ColTrg}
+	// base holds rows (1,2) and (3,4), its dedup set deferred.
+	base := func() *Relation {
+		r := NewRelation(cols...)
+		r.AppendDistinct(NewBatchValues(2, 2, []Value{1, 2, 3, 4}))
+		return r
+	}
+	other := NewRelation(cols...)
+	other.Add([]Value{5, 6})
+	other.Add([]Value{1, 2})
+	cases := []struct {
+		name    string
+		op      func(r *Relation)
+		changes bool
+	}{
+		{"Add of a new row", func(r *Relation) { r.Add([]Value{5, 6}) }, true},
+		{"AddBatch", func(r *Relation) { r.AddBatch(NewBatchValues(2, 2, []Value{1, 2, 7, 8})) }, true},
+		{"AddTuple", func(r *Relation) { r.AddTuple([]string{ColTrg, ColSrc}, []Value{6, 5}) }, true},
+		{"UnionInPlace", func(r *Relation) { r.UnionInPlace(other) }, true},
+		{"AppendDistinct", func(r *Relation) { r.AppendDistinct(NewBatchValues(2, 1, []Value{9, 9})) }, true},
+		{"Remove of a present row", func(r *Relation) { r.Remove([]Value{1, 2}) }, true},
+		{"duplicate Add", func(r *Relation) { r.Add([]Value{3, 4}) }, false},
+		{"duplicate AddBatch", func(r *Relation) { r.AddBatch(NewBatchValues(2, 1, []Value{1, 2})) }, false},
+		{"absent Remove", func(r *Relation) { r.Remove([]Value{4, 3}) }, false},
+		{"empty AppendDistinct", func(r *Relation) { r.AppendDistinct(NewBatch(2)) }, false},
+		{"nil AppendDistinct", func(r *Relation) { r.AppendDistinct(nil) }, false},
+		{"Has, building the deferred set", func(r *Relation) { r.Has([]Value{1, 2}) }, false},
+		{"Clone", func(r *Relation) { r.Clone().Add([]Value{5, 6}) }, false},
+		{"Slice", func(r *Relation) { r.Slice(0, 1).Has([]Value{1, 2}) }, false},
+		{"Union", func(r *Relation) { r.Union(other) }, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r := base()
+			before, rows := r.Version(), r.Len()
+			tc.op(r)
+			if moved := r.Version() != before; moved != tc.changes {
+				t.Errorf("version %d -> %d (rows %d -> %d), want changed=%v", before, r.Version(), rows, r.Len(), tc.changes)
+			}
+		})
+	}
+	// Versions strictly increase, so a relation never returns to a state
+	// it was observed at.
+	r := base()
+	v0 := r.Version()
+	r.Add([]Value{5, 6})
+	v1 := r.Version()
+	r.Remove([]Value{5, 6})
+	if v1 <= v0 || r.Version() <= v1 {
+		t.Errorf("versions %d, %d, %d: want strictly increasing across add and remove", v0, v1, r.Version())
+	}
+}

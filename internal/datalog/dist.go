@@ -211,12 +211,16 @@ func (de *DistEngine) runRecursiveSCC(rules []Rule, scc map[string]bool, db DB, 
 }
 
 // localDB rebuilds the worker-side database from broadcasts.
-func localDB(ctx *cluster.Ctx, handles map[string]*cluster.Broadcast, bcCols map[string][]string) DB {
+func localDB(ctx *cluster.Ctx, handles map[string]*cluster.Broadcast, bcCols map[string][]string) (DB, error) {
 	db := DB{}
 	for name, h := range handles {
-		db[name] = FromRelation(ctx.BroadcastValue(h), bcCols[name])
+		r, err := ctx.BroadcastValue(h)
+		if err != nil {
+			return nil, err
+		}
+		db[name] = FromRelation(r, bcCols[name])
 	}
-	return db
+	return db, nil
 }
 
 // runDecomposable executes the stratum as parallel local loops: each
@@ -249,7 +253,10 @@ func (de *DistEngine) runDecomposable(rules []Rule, scc map[string]bool, db DB,
 	var mu sync.Mutex
 	maxIters := 0
 	err := de.C.RunPhase(func(ctx *cluster.Ctx) error {
-		wdb := localDB(ctx, handles, bcCols)
+		wdb, err := localDB(ctx, handles, bcCols)
+		if err != nil {
+			return err
+		}
 		for pred, ds := range seedDS {
 			wdb[pred] = FromRelation(ctx.Partition(ds), PosCols(db[pred].Arity()))
 		}
@@ -323,11 +330,18 @@ func (de *DistEngine) runGlobalLoop(rules []Rule, scc map[string]bool, db DB,
 	states := make([]*workerState, de.C.NumWorkers())
 	// Initialize worker state.
 	if err := de.C.RunPhase(func(ctx *cluster.Ctx) error {
-		wdb := localDB(ctx, handles, bcCols)
+		wdb, err := localDB(ctx, handles, bcCols)
+		if err != nil {
+			return err
+		}
 		delta := map[string]*Rel{}
 		for _, pred := range preds {
 			cols := PosCols(db[pred].Arity())
-			seed := FromRelation(ctx.BroadcastValue(seedHandles[pred]), cols)
+			r, err := ctx.BroadcastValue(seedHandles[pred])
+			if err != nil {
+				return err
+			}
+			seed := FromRelation(r, cols)
 			wdb[pred] = seed.Clone()
 			delta[pred] = seed
 		}

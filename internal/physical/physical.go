@@ -205,6 +205,7 @@ type prepared struct {
 	d        *core.Decomposed
 	seed     *core.Relation
 	phiRels  map[string]*core.Relation // name → relation to broadcast
+	derived  map[string]*core.Relation // the phiRels computed by nested fixpoints
 	stable   []string
 	phiConst int // total rows of the φ constant relations (FixpointReport.BroadcastRows)
 }
@@ -278,7 +279,7 @@ func (p *Planner) prepare(sess *cluster.Session, fp *core.Fixpoint, rep *Report)
 	if err != nil {
 		return nil, err
 	}
-	return &prepared{d: pd, seed: seed, phiRels: phiRels, stable: stable, phiConst: total}, nil
+	return &prepared{d: pd, seed: seed, phiRels: phiRels, derived: extra, stable: stable, phiConst: total}, nil
 }
 
 // choose returns the plan a fixpoint runs: Force, or Splw under Auto.
@@ -349,32 +350,45 @@ func (p *Planner) computeFixpoint(sess *cluster.Session, fp *core.Fixpoint, rep 
 }
 
 // broadcastPhiRels ships the φ constant relations to all workers and
-// returns handles keyed by relation name.
+// returns handles keyed by relation name. A relation the environment
+// binds stays resident on the workers for later fixpoints and queries
+// while its version and the membership hold (Session.AcquireBroadcast);
+// one a nested fixpoint derived is sent for this fixpoint alone.
 func (p *Planner) broadcastPhiRels(sess *cluster.Session, pr *prepared) (map[string]*cluster.Broadcast, func(), error) {
 	handles := map[string]*cluster.Broadcast{}
-	free := func() {
-		for _, h := range handles {
-			sess.FreeBroadcast(h)
+	var releases []func()
+	release := func() {
+		for _, r := range releases {
+			r()
 		}
 	}
 	for name, rel := range pr.phiRels {
-		h, err := sess.BroadcastRel(rel)
+		bound := name
+		if _, ok := pr.derived[name]; ok {
+			bound = ""
+		}
+		h, done, err := sess.AcquireBroadcast(bound, rel)
 		if err != nil {
-			free()
+			release()
 			return nil, nil, err
 		}
 		handles[name] = h
+		releases = append(releases, done)
 	}
-	return handles, free, nil
+	return handles, release, nil
 }
 
 // localEnv rebuilds a core.Env on a worker from the broadcast handles.
-func localEnv(ctx *cluster.Ctx, handles map[string]*cluster.Broadcast) *core.Env {
+func localEnv(ctx *cluster.Ctx, handles map[string]*cluster.Broadcast) (*core.Env, error) {
 	env := core.NewEnv()
 	for name, h := range handles {
-		env.Bind(name, ctx.BroadcastValue(h))
+		r, err := ctx.BroadcastValue(h)
+		if err != nil {
+			return nil, err
+		}
+		env.Bind(name, r)
 	}
-	return env
+	return env, nil
 }
 
 // runGld executes the fixpoint with a global loop on the driver: the
@@ -425,7 +439,10 @@ func (p *Planner) runGld(sess *cluster.Session, pr *prepared) (*core.Relation, F
 		err := sess.RunPhase(func(ctx *cluster.Ctx) error {
 			w := ctx.WorkerID()
 			if tasks[w].loop == nil {
-				env := localEnv(ctx, handles)
+				env, err := localEnv(ctx, handles)
+				if err != nil {
+					return err
+				}
 				ev := core.NewEvaluator(env)
 				ev.Gauge = ctx.Gauge()
 				ev.Ctx = ctx.Context()
@@ -498,7 +515,10 @@ func (p *Planner) runPlw(sess *cluster.Session, pr *prepared, usePg bool) (*core
 		if usePg {
 			part = marshalBoundary(part)
 		}
-		env := localEnv(ctx, handles)
+		env, err := localEnv(ctx, handles)
+		if err != nil {
+			return err
+		}
 		ev := core.NewEvaluator(env)
 		ev.Gauge = ctx.Gauge()
 		ev.Ctx = ctx.Context()

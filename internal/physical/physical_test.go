@@ -16,8 +16,28 @@ func newTestCluster(t *testing.T, kind cluster.TransportKind, workers int) *clus
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { c.Close() })
+	t.Cleanup(func() {
+		checkBroadcasts(t, c)
+		c.Close()
+	})
 	return c
+}
+
+// checkBroadcasts asserts what a planner leaves on the workers once its
+// Executes have returned: no per-fixpoint or superseded copy, and at most
+// one resident copy per bound name per worker, sent under the current
+// epoch.
+func checkBroadcasts(t *testing.T, c *cluster.Cluster) {
+	t.Helper()
+	seen := map[[2]any]bool{}
+	for _, bc := range c.BroadcastCopies() {
+		key := [2]any{bc.Worker, bc.Name}
+		if bc.Name == "" || bc.Retired || bc.Epoch != c.Epoch() || seen[key] {
+			t.Errorf("worker %d holds broadcast %d (name %q, epoch %d of %d, retired %v, duplicate %v)",
+				bc.Worker, bc.ID, bc.Name, bc.Epoch, c.Epoch(), bc.Retired, seen[key])
+		}
+		seen[key] = true
+	}
 }
 
 func randomBinary(rng *rand.Rand, n, domain int) *core.Relation {
