@@ -448,8 +448,7 @@ func (ctx *Ctx) recvSeq(seq int64) (*DataMsg, error) {
 			ctx.pending = append(ctx.pending, msg)
 			continue
 		}
-		return nil, fmt.Errorf("cluster: protocol violation: got kind=%d seq=%d while waiting for seq=%d",
-			msg.Kind, msg.Seq, seq)
+		return nil, protocolViolation(msg, "frame of another exchange while waiting for seq=%d", seq)
 	}
 }
 
@@ -536,49 +535,7 @@ func (ctx *Ctx) Worker() *Worker { return ctx.w }
 // crossing the network counted in the metrics). byCols nil means hash the
 // whole row.
 func (ctx *Ctx) Exchange(rel *core.Relation, byCols []string) (*core.Relation, error) {
-	out := core.NewRelation(rel.Cols()...)
-	err := ctx.exchange([]*core.Relation{rel}, rel.Cols(), byCols,
-		func(row []core.Value) { out.Add(row) },
-		func(b *core.Batch) { out.AddBatch(b) })
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ExchangeInto is the global-loop plan's shuffle, fused with the
-// receiver's fixpoint accumulator x: the candidate rows (windows of one
-// set, all in x's schema) route to the owner of their whole-row hash, and
-// every row this worker owns — its own bucket and the frames arriving from
-// peers — is absorbed straight into x. The set difference and union of
-// the semi-naive step happen at frame-decode time; the rows new to x are
-// its next window, so nothing is copied out. It is the exchange a
-// core.FixpointLoop steps with.
-func (ctx *Ctx) ExchangeInto(cands []*core.Relation, x *core.Accumulator) error {
-	// One absorb handle for the whole shuffle: the routing scratch is
-	// reused across every received frame of a multi-frame transfer.
-	ab := x.Absorber()
-	return ctx.exchange(cands, x.Cols(), nil,
-		func(row []core.Value) { x.Add(row) },
-		func(b *core.Batch) { ab.AbsorbBatch(b) })
-}
-
-// exchange is the shared shuffle body of Exchange and ExchangeInto: the
-// rows of parts (all over cols) hash-route to their owner, the local
-// bucket is delivered through keepRow, and every received frame through
-// keepBatch.
-func (ctx *Ctx) exchange(parts []*core.Relation, cols, byCols []string,
-	keepRow func([]core.Value), keepBatch func(*core.Batch)) error {
-	c := ctx.w.cluster
-	s := ctx.sess
-	n := len(s.members)
-	ctx.calls++
-	seq := ctx.phaseSeq<<20 | int64(ctx.calls)
-	if ctx.rank == 0 {
-		// One barrier per SPMD Exchange call; count it once.
-		ctr{&c.metrics.ShufflePhases, &s.m.ShufflePhases}.Add(1)
-	}
-
+	cols := rel.Cols()
 	at := make([]int, 0, len(cols))
 	if byCols == nil {
 		for i := range cols {
@@ -588,48 +545,82 @@ func (ctx *Ctx) exchange(parts []*core.Relation, cols, byCols []string,
 		for _, col := range byCols {
 			idx := core.ColIndex(cols, col)
 			if idx < 0 {
-				return fmt.Errorf("cluster: exchange column %q not in schema %v", col, cols)
+				return nil, fmt.Errorf("cluster: exchange column %q not in schema %v", col, cols)
 			}
 			at = append(at, idx)
 		}
 	}
 	// Route every row once, counting rows per owner, so each peer's bucket
 	// is allocated once at its exact size.
-	total := 0
-	for _, rel := range parts {
-		total += rel.Len()
-	}
-	owner := make([]int32, 0, total)
+	n := ctx.NumWorkers()
+	owner := make([]int32, rel.Len())
 	count := make([]int, n)
-	for _, rel := range parts {
-		for i := 0; i < rel.Len(); i++ {
-			b := core.HashValuesAt(rel.RowAt(i), at) % uint64(n)
-			owner = append(owner, int32(b))
-			count[b]++
-		}
+	for i := range owner {
+		o := core.Owner(core.HashValuesAt(rel.RowAt(i), at), n)
+		owner[i] = int32(o)
+		count[o]++
 	}
 	arity := len(cols)
-	buckets := make([]*core.Batch, n)
-	for i := range buckets {
-		if i != ctx.rank {
-			buckets[i] = core.NewBatchValues(arity, 0, make([]core.Value, 0, count[i]*arity))
+	buckets := make([][]*core.Batch, n)
+	for p := range buckets {
+		if p != ctx.rank {
+			buckets[p] = []*core.Batch{core.NewBatchValues(arity, 0, make([]core.Value, 0, count[p]*arity))}
 		}
 	}
-	j := 0
-	for _, rel := range parts {
-		for i := 0; i < rel.Len(); i++ {
-			row := rel.RowAt(i)
-			if b := int(owner[j]); b == ctx.rank {
-				// Own bucket stays local: straight to the consumer (one
-				// copy, no network).
-				keepRow(row)
-			} else {
-				buckets[b].AppendRow(row)
-			}
-			j++
+	out := core.NewRelation(cols...)
+	for i, o := range owner {
+		if row := rel.RowAt(i); int(o) == ctx.rank {
+			// Own bucket stays local: straight into the result (one copy,
+			// no network).
+			out.Add(row)
+		} else {
+			buckets[o][0].AppendRow(row)
 		}
 	}
-	ctr{&c.metrics.LocalRecords, &s.m.LocalRecords}.Add(int64(count[ctx.rank]))
+	c := ctx.w.cluster
+	ctr{&c.metrics.LocalRecords, &ctx.sess.m.LocalRecords}.Add(int64(count[ctx.rank]))
+	if err := ctx.shuffle(arity, buckets, func(b *core.Batch) { out.AddBatch(b) }); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// ShipInto is the global-loop plan's shuffle of rows the sender has
+// already routed (core.Exchange): wins[p] holds the rows owned by peer p,
+// windows of the sender's shuffle filter for p, and every frame arriving
+// from a peer is absorbed straight into the receiver's fixpoint
+// accumulator x — the set difference and union of the semi-naive step
+// happen at frame-decode time, and the rows new to x are its next window.
+// The sender's own rows are already in x (wins[WorkerID()] is nil); they
+// never reach the shuffle and are not counted as LocalRecords.
+func (ctx *Ctx) ShipInto(wins [][]*core.Relation, x *core.Accumulator) error {
+	out := make([][]*core.Batch, len(wins))
+	for p, ws := range wins {
+		for _, w := range ws {
+			out[p] = append(out[p], w.AsBatch())
+		}
+	}
+	// One absorb handle for the whole shuffle: the routing scratch is
+	// reused across every received frame.
+	ab := x.Absorber()
+	return ctx.shuffle(x.Arity(), out, func(b *core.Batch) { ab.AbsorbBatch(b) })
+}
+
+// shuffle is the barrier of one SPMD shuffle call, shared by Exchange and
+// ShipInto: out[p] holds this worker's rows for peer rank p (nil at its
+// own rank), shipped from a goroutine while this worker receives; every
+// frame arriving from a peer is checked against arity, handed to keep,
+// which copies its rows out, and released.
+func (ctx *Ctx) shuffle(arity int, out [][]*core.Batch, keep func(*core.Batch)) error {
+	c := ctx.w.cluster
+	s := ctx.sess
+	n := len(s.members)
+	ctx.calls++
+	seq := ctx.phaseSeq<<20 | int64(ctx.calls)
+	if ctx.rank == 0 {
+		// One barrier per SPMD shuffle call; count it once.
+		ctr{&c.metrics.ShufflePhases, &s.m.ShufflePhases}.Add(1)
+	}
 	// Ship the buckets from a goroutine while this worker receives: every
 	// worker keeps draining its inbox while its own frames trickle out, so
 	// a full inbox can never deadlock the barrier even though a bucket may
@@ -644,7 +635,7 @@ func (ctx *Ctx) exchange(parts []*core.Relation, cols, byCols []string,
 			if peer == ctx.rank {
 				continue
 			}
-			if err := c.sendFrames(s.members[peer], KindShuffle, s.tag, seq, ctx.w.id, 0, buckets[peer],
+			if err := c.sendFrames(s.members[peer], KindShuffle, s.tag, seq, ctx.w.id, 0, arity, out[peer],
 				ctr{&c.metrics.ShuffleRecords, &s.m.ShuffleRecords},
 				ctr{&c.metrics.ShuffleBytes, &s.m.ShuffleBytes}); err != nil && firstErr == nil {
 				firstErr = err
@@ -652,54 +643,101 @@ func (ctx *Ctx) exchange(parts []*core.Relation, cols, byCols []string,
 		}
 		sendErr <- firstErr
 	}()
-	// Barrier: frames arrive until every peer's Last frame is in. Received
-	// batch buffers are fresh copies; their values feed the consumer
-	// directly. A cancelled session context aborts the wait.
+	// Barrier: frames arrive until every peer's Last frame is in. A
+	// cancelled session context aborts the wait.
 	for done := 0; done < n-1; {
 		msg, err := ctx.recvSeq(seq)
 		if err != nil {
 			return err
 		}
-		keepBatch(msg.Batch)
+		if err := checkArity(msg, arity); err != nil {
+			return err
+		}
+		keep(msg.Batch)
 		if msg.Last {
 			done++
 		}
+		msg.Release()
 	}
 	return <-sendErr
 }
 
-// sendFrames ships one logical batch to a node as a sequence of
-// budget-sized wire frames (core.BatchRowsFor rows each), numbered from
-// ordinal 0 and flagging the final one. An empty batch still sends one empty Last frame so barrier
-// receivers can count completed senders. Record/byte metrics are added per
-// frame.
+// sendFrames ships the rows of wins — the windows of one logical
+// transfer, in order, all of the given arity — to a node as a sequence of
+// budget-sized wire frames of core.BatchRowsFor(arity) rows, numbered from
+// ordinal 0, the final one flagged Last. A stretch of a window that fills
+// a frame, or ends the transfer, leaves as a zero-copy view; the other
+// rows are gathered into a pooled frame buffer, so a transfer costs the
+// frames its row count needs however many small windows it comes in. An
+// empty transfer still sends one empty Last frame so barrier receivers
+// can count completed senders. Record/byte metrics are added per frame.
 func (c *Cluster) sendFrames(to int, kind MsgKind, tag, seq int64, from int, id int64,
-	b *core.Batch, recs, bytes ctr) error {
-	step := core.BatchRowsFor(b.Arity())
-	n := b.Len()
-	lo := 0
-	for ord := uint32(0); ; ord++ {
-		hi := lo + step
-		if hi > n {
-			hi = n
-		}
-		msg := &DataMsg{Kind: kind, Tag: tag, Seq: seq, From: from, ID: id, Ord: ord,
-			Batch: b.Sub(lo, hi), Last: hi == n}
-		recs.Add(int64(hi - lo))
-		bytes.Add(msg.wireBytes())
-		if err := c.send(to, msg); err != nil {
-			return err
-		}
-		if hi == n {
-			return nil
-		}
-		lo = hi
+	arity int, wins []*core.Batch, recs, bytes ctr) error {
+	step := core.BatchRowsFor(arity)
+	total := 0
+	for _, w := range wins {
+		total += w.Len()
 	}
+	sent, ord := 0, uint32(0)
+	emit := func(b *core.Batch) error {
+		sent += b.Len()
+		msg := &DataMsg{Kind: kind, Tag: tag, Seq: seq, From: from, ID: id, Ord: ord,
+			Batch: b, Last: sent == total}
+		ord++
+		recs.Add(int64(b.Len()))
+		bytes.Add(msg.wireBytes())
+		return c.send(to, msg)
+	}
+	if total == 0 {
+		return emit(core.NewBatch(arity))
+	}
+	var buf *[]core.Value // the gather frame's pooled buffer
+	defer func() {
+		if buf != nil {
+			framePool.Put(buf)
+		}
+	}()
+	var gather *core.Batch
+	for i, w := range wins {
+		lo, n := 0, w.Len()
+		if gather != nil && gather.Len() > 0 {
+			// Top up the partly gathered frame first.
+			lo = min(n, step-gather.Len())
+			gather.AppendBatch(w.Sub(0, lo))
+			if gather.Len() < step {
+				continue
+			}
+			if err := emit(gather); err != nil {
+				return err
+			}
+			gather = core.NewBatchValues(arity, 0, (*buf)[:0])
+		}
+		for ; n-lo >= step; lo += step {
+			if err := emit(w.Sub(lo, lo+step)); err != nil {
+				return err
+			}
+		}
+		if lo == n {
+			continue
+		}
+		if i == len(wins)-1 {
+			return emit(w.Sub(lo, n))
+		}
+		if gather == nil {
+			buf = frameVals(0)
+			gather = core.NewBatchValues(arity, 0, (*buf)[:0])
+		}
+		gather.AppendBatch(w.Sub(lo, n))
+	}
+	if gather != nil && gather.Len() > 0 {
+		return emit(gather)
+	}
+	return nil
 }
 
 // recvFrames receives the driver's frame sequence for a scatter or
-// broadcast, validating each frame with check and appending the payloads
-// to dst, until the Last frame. The frames are disjoint windows of a set
+// broadcast, validating each frame with check and against dst's arity and
+// appending the payloads to dst, until the Last frame. The frames are disjoint windows of a set
 // and each arrives at most once (mailbox.put), so nothing is re-hashed.
 func recvFrames(ctx *Ctx, dst *core.Relation, check func(*DataMsg) error) error {
 	for {
@@ -715,8 +753,13 @@ func recvFrames(ctx *Ctx, dst *core.Relation, check func(*DataMsg) error) error 
 		if err := check(msg); err != nil {
 			return err
 		}
+		if err := checkArity(msg, dst.Arity()); err != nil {
+			return err
+		}
 		dst.AppendDistinct(msg.Batch)
-		if msg.Last {
+		last := msg.Last
+		msg.Release()
+		if last {
 			return nil
 		}
 	}
@@ -779,10 +822,14 @@ func (ctx *Ctx) AllGather(rel *core.Relation) (*core.Relation, error) {
 		if err != nil {
 			return nil, err
 		}
+		if err := checkArity(msg, rel.Arity()); err != nil {
+			return nil, err
+		}
 		out.AddBatch(msg.Batch)
 		if msg.Last {
 			done++
 		}
+		msg.Release()
 	}
 	if err := <-sendErr; err != nil {
 		return nil, err
@@ -906,7 +953,7 @@ func (s *Session) Parallelize(rel *core.Relation, byCols []string) (*Dataset, er
 	go func() {
 		var firstErr error
 		for i, p := range parts {
-			if err := c.sendFrames(s.members[i], KindScatter, s.tag, seq, DriverNode, ds.id, p.AsBatch(),
+			if err := c.sendFrames(s.members[i], KindScatter, s.tag, seq, DriverNode, ds.id, p.Arity(), []*core.Batch{p.AsBatch()},
 				ctr{&c.metrics.ScatterRecords, &s.m.ScatterRecords},
 				ctr{&c.metrics.ScatterBytes, &s.m.ScatterBytes}); err != nil && firstErr == nil {
 				firstErr = err
@@ -919,7 +966,7 @@ func (s *Session) Parallelize(rel *core.Relation, byCols []string) (*Dataset, er
 		part.ReserveRows(rel.Len() / len(s.members))
 		if err := recvFrames(ctx, part, func(msg *DataMsg) error {
 			if msg.Kind != KindScatter || msg.Seq != seq || msg.ID != ds.id {
-				return fmt.Errorf("cluster: protocol violation during scatter (kind=%d)", msg.Kind)
+				return protocolViolation(msg, "unexpected frame during scatter")
 			}
 			return nil
 		}); err != nil {
@@ -990,7 +1037,7 @@ func (s *Session) BroadcastRel(rel *core.Relation) (*Broadcast, error) {
 		r.ReserveRows(rel.Len())
 		if err := recvFrames(ctx, r, func(msg *DataMsg) error {
 			if msg.Kind != KindBroadcast || msg.Seq != seq || msg.ID != b.id {
-				return fmt.Errorf("cluster: protocol violation during broadcast (kind=%d)", msg.Kind)
+				return protocolViolation(msg, "unexpected frame during broadcast")
 			}
 			return nil
 		}); err != nil {
@@ -1044,7 +1091,11 @@ func (s *Session) Collect(ds *Dataset) (*core.Relation, error) {
 				return
 			}
 			if msg.Kind != KindCollect || msg.Seq != seq {
-				done <- fmt.Errorf("cluster: protocol violation during collect (kind=%d)", msg.Kind)
+				done <- protocolViolation(msg, "unexpected frame during collect")
+				return
+			}
+			if err := checkArity(msg, len(ds.cols)); err != nil {
+				done <- err
 				return
 			}
 			if disjoint {
@@ -1056,13 +1107,14 @@ func (s *Session) Collect(ds *Dataset) (*core.Relation, error) {
 			if msg.Last {
 				lastSeen++
 			}
+			msg.Release()
 		}
 		done <- nil
 	}()
 	phaseErr := s.RunPhase(func(ctx *Ctx) error {
 		part := ctx.Partition(ds)
 		rows.Add(int64(part.Len()))
-		return c.sendFrames(DriverNode, KindCollect, s.tag, seq, ctx.w.id, ds.id, part.AsBatch(),
+		return c.sendFrames(DriverNode, KindCollect, s.tag, seq, ctx.w.id, ds.id, part.Arity(), []*core.Batch{part.AsBatch()},
 			ctr{&c.metrics.CollectRecords, &s.m.CollectRecords},
 			ctr{&c.metrics.CollectBytes, &s.m.CollectBytes})
 	})

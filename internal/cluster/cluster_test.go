@@ -3,6 +3,7 @@ package cluster
 import (
 	"math/rand"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -168,9 +169,10 @@ func TestExchangeRepartitions(t *testing.T) {
 			t.Fatal("exchange moved no records over the wire")
 		}
 
-		// ExchangeInto with the shape a shuffle filter hands it: several
-		// windows of one set per worker, large enough that every peer's
-		// bucket spans more than one frame.
+		// ShipInto with the shape a Pgld step hands it: each worker's own
+		// rows already in its X, and for every peer several windows of the
+		// peer's shuffle filter — one of a single row, the rest large
+		// enough that the transfer spans several frames.
 		big := randomRel(rng, 20*core.BatchRowsFor(2), 5000)
 		bigDS, err := c.Parallelize(big, nil)
 		if err != nil {
@@ -178,14 +180,27 @@ func TestExchangeRepartitions(t *testing.T) {
 		}
 		n := c.NumWorkers()
 		owned := make([]*core.Relation, n)
+		var shipped, wantBytes atomic.Int64
 		before := c.Metrics().Snapshot()
 		if err := c.RunPhase(func(ctx *Ctx) error {
-			p := ctx.Partition(bigDS)
-			third := p.Len() / 3
-			wins := []*core.Relation{p.Slice(0, third), p.Slice(third, 2*third), p.Slice(2*third, p.Len())}
+			parts := core.SplitRelation(ctx.Partition(bigDS), n, []string{core.ColSrc, core.ColTrg})
 			x := core.NewAccumulator(nil, core.ColSrc, core.ColTrg)
 			defer x.Close()
-			if err := ctx.ExchangeInto(wins, x); err != nil {
+			x.Absorb(parts[ctx.WorkerID()])
+			wins := make([][]*core.Relation, n)
+			for p, part := range parts {
+				if p == ctx.WorkerID() {
+					continue
+				}
+				third := part.Len() / 3
+				wins[p] = []*core.Relation{part.Slice(0, 1), part.Slice(1, third), part.Slice(third, 2*third), part.Slice(2*third, part.Len())}
+				shipped.Add(int64(part.Len()))
+				// One transfer of part's rows: the frames one batch of them
+				// would need, whatever windows they arrive in.
+				frames := max(1, (part.Len()+core.BatchRowsFor(2)-1)/core.BatchRowsFor(2))
+				wantBytes.Add(int64(frames*msgHeaderSize + uvarintSize(part.AsBatch().Values())))
+			}
+			if err := ctx.ShipInto(wins, x); err != nil {
 				return err
 			}
 			owned[ctx.WorkerID()] = x.Materialize()
@@ -194,14 +209,17 @@ func TestExchangeRepartitions(t *testing.T) {
 			t.Fatal(err)
 		}
 		d := c.Metrics().Snapshot().Diff(before)
-		if d.LocalRecords+d.ShuffleRecords != int64(big.Len()) {
-			t.Fatalf("local %d + shuffled %d records ≠ %d input rows", d.LocalRecords, d.ShuffleRecords, big.Len())
+		if d.ShuffleRecords != shipped.Load() || d.LocalRecords != 0 {
+			t.Fatalf("shuffled %d records (local %d), want the %d rows shipped (0 local)", d.ShuffleRecords, d.LocalRecords, shipped.Load())
+		}
+		if d.ShuffleBytes != wantBytes.Load() {
+			t.Fatalf("shuffled %d bytes, want %d: small windows must be gathered into budget-sized frames", d.ShuffleBytes, wantBytes.Load())
 		}
 		received := 0
 		for w, rel := range owned {
 			received += rel.Len()
 			for i := 0; i < rel.Len(); i++ {
-				if owner := int(core.HashValues(rel.RowAt(i)) % uint64(n)); owner != w {
+				if owner := core.Owner(core.HashValues(rel.RowAt(i)), n); owner != w {
 					t.Fatalf("row %v arrived at worker %d, its hash names %d", rel.RowAt(i), w, owner)
 				}
 			}
@@ -214,7 +232,7 @@ func TestExchangeRepartitions(t *testing.T) {
 			all.AddBatch(rel.AsBatch())
 		}
 		if !all.Equal(big) {
-			t.Fatal("ExchangeInto lost rows")
+			t.Fatal("ShipInto lost rows")
 		}
 	})
 }

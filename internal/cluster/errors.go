@@ -80,6 +80,41 @@ func (e *FailureError) Error() string {
 
 func (e *FailureError) Unwrap() error { return e.Err }
 
+// ProtocolError is a frame that breaks the data-plane protocol: the wrong
+// kind or phase for the receive waiting on it, or rows of another arity
+// than the schema they would be received into. The receive site rejects
+// the frame before absorbing any of its rows and fails its phase with this
+// error, which classifies as Fatal.
+type ProtocolError struct {
+	From   int // sending node (DriverNode for the driver)
+	Kind   MsgKind
+	Seq    int64
+	Reason string
+}
+
+func (e *ProtocolError) Error() string {
+	return fmt.Sprintf("cluster: protocol violation: %s (from node %d, kind=%d, seq=%d)",
+		e.Reason, e.From, e.Kind, e.Seq)
+}
+
+// protocolViolation builds the ProtocolError for msg.
+func protocolViolation(msg *DataMsg, format string, args ...any) error {
+	return &ProtocolError{From: msg.From, Kind: msg.Kind, Seq: msg.Seq, Reason: fmt.Sprintf(format, args...)}
+}
+
+// checkArity rejects a frame unless it carries rows of the given arity —
+// the check every receive site makes before copying a frame's rows into
+// its schema.
+func checkArity(msg *DataMsg, arity int) error {
+	if msg.Batch == nil {
+		return protocolViolation(msg, "data frame without rows")
+	}
+	if got := msg.Batch.Arity(); got != arity {
+		return protocolViolation(msg, "rows of arity %d, want %d", got, arity)
+	}
+	return nil
+}
+
 // errWorkerDead is the barrier-path error for a member known dead before
 // the phase started (killed, heartbeat-timed-out, or crashed earlier).
 var errWorkerDead = errors.New("worker is dead (membership not yet recovered)")

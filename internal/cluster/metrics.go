@@ -6,9 +6,11 @@ import "sync/atomic"
 // Pgld/Pplw comparison is about. Shuffle traffic is worker↔worker data
 // exchanged during repartitioning; broadcast traffic is driver→worker
 // replication of constant relations; scatter and collect are the initial
-// partitioning and final gathering. Local records are rows that stayed on
-// their worker during a shuffle (no network cost, like Spark's local
-// bucket).
+// partitioning and final gathering. Local records are the rows an
+// Exchange or AllGather kept on their own worker (no network cost, like
+// Spark's local bucket). A Pgld step's own rows are not among them: the
+// step's drain puts them straight into the worker's X, so they never reach
+// the shuffle (ShipInto ships pre-routed rows only).
 type Metrics struct {
 	ShufflePhases    atomic.Int64
 	ShuffleRecords   atomic.Int64

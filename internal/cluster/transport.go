@@ -50,10 +50,46 @@ type DataMsg struct {
 	ID    int64  // dataset / broadcast identifier
 	Batch *core.Batch
 
+	// vals is the pooled buffer behind a received frame's Batch (nil for
+	// a frame built by a sender); Release hands it back.
+	vals *[]core.Value
+
 	// encSize caches the varint-encoded value size so the metrics pass and
 	// the TCP frame writer scan the batch once, not twice.
 	encSize int
 }
+
+// Release hands a received frame's value buffer back to the transport's
+// pool. A consumer calls it once it has copied the frame's rows out; the
+// frame's Batch is cleared, so a late read fails loudly instead of seeing
+// another frame's values. A frame without values, or one a transport did
+// not deliver, has no buffer: releasing it only clears its Batch.
+func (m *DataMsg) Release() {
+	if m.vals != nil {
+		framePool.Put(m.vals)
+		m.vals = nil
+	}
+	m.Batch = nil
+}
+
+// framePool recycles frame value buffers (*[]core.Value). A frame holds at
+// most core.BatchRowsFor(arity) rows, so for every arity up to 128 its
+// values fit in core.BatchBudgetValues and one size class serves every
+// frame; frameVals sizes new buffers to that class.
+var framePool sync.Pool
+
+// frameVals returns a pooled buffer of n values.
+func frameVals(n int) *[]core.Value {
+	if p, _ := framePool.Get().(*[]core.Value); p != nil && cap(*p) >= n {
+		*p = (*p)[:n]
+		return p
+	}
+	v := make([]core.Value, n, max(n, core.BatchBudgetValues))
+	return &v
+}
+
+// wirePool recycles the byte buffers writeFrame encodes into (*[]byte).
+var wirePool sync.Pool
 
 // rows returns the batch row count (nil batch = 0 rows).
 func (m *DataMsg) rows() int {
@@ -92,8 +128,10 @@ func uvarintSize(vals []core.Value) int {
 
 // Transport moves data-plane messages between nodes. Node ids 0..n-1 are
 // workers; DriverNode is the driver. Implementations must be safe for
-// concurrent Send from multiple nodes. Received batches are fresh copies;
-// receivers may alias their rows.
+// concurrent Send from multiple nodes. A received batch is the receiver's
+// own copy, in a buffer from the transport's frame pool: the consumer
+// copies its rows out and then calls DataMsg.Release, after which the
+// buffer serves a later frame. No receiver keeps a frame's rows.
 type Transport interface {
 	// Send delivers msg to node `to`. It blocks until the message is
 	// handed to the target's inbox (chan) or written to the socket (TCP).
@@ -119,8 +157,8 @@ const flagLast = 1 << 0
 
 // ChanTransport delivers messages over Go channels. Batches are copied on
 // send so that workers cannot share memory through messages — the same
-// isolation a real network gives — but the copy is one flat buffer per
-// batch, not one allocation per row.
+// isolation a real network gives — but the copy is one pooled flat buffer
+// per batch, not one allocation per row.
 type ChanTransport struct {
 	inboxes map[int]chan *DataMsg
 	closed  chan struct{}
@@ -149,8 +187,12 @@ func (t *ChanTransport) Send(to int, msg *DataMsg) error {
 	}
 	cp := &DataMsg{Kind: msg.Kind, Last: msg.Last, Ord: msg.Ord, Tag: msg.Tag, Seq: msg.Seq, From: msg.From, ID: msg.ID}
 	if msg.Batch != nil {
-		vals := make([]core.Value, len(msg.Batch.Values()))
-		copy(vals, msg.Batch.Values())
+		var vals []core.Value
+		if n := len(msg.Batch.Values()); n > 0 {
+			cp.vals = frameVals(n)
+			vals = *cp.vals
+			copy(vals, msg.Batch.Values())
+		}
 		cp.Batch = core.NewBatchValues(msg.Batch.Arity(), msg.Batch.Len(), vals)
 	}
 	select {
@@ -247,8 +289,9 @@ func (t *TCPTransport) acceptLoop(node int, l net.Listener) {
 func (t *TCPTransport) readLoop(node int, conn net.Conn) {
 	defer t.wg.Done()
 	defer conn.Close()
+	var buf []byte // the connection's frame bytes, reused frame after frame
 	for {
-		msg, err := readFrame(conn)
+		msg, err := readFrame(conn, &buf)
 		if err != nil {
 			return
 		}
@@ -315,8 +358,8 @@ func (t *TCPTransport) Close() error {
 
 // writeFrame encodes msg as a length-prefixed binary batch frame: the
 // fixed header followed by the batch's values varint-packed in row-major
-// order. Frames from a given (from,to) pair are serialized by the
-// connection pool.
+// order, encoded into a pooled buffer. Frames from a given (from,to) pair
+// are serialized by the connection pool.
 func writeFrame(w io.Writer, msg *DataMsg) error {
 	arity, nRows := 0, 0
 	var vals []core.Value
@@ -324,9 +367,18 @@ func writeFrame(w io.Writer, msg *DataMsg) error {
 		arity, nRows, vals = msg.Batch.Arity(), msg.Batch.Len(), msg.Batch.Values()
 	}
 	payload := msgHeaderSize + msg.valueBytes()
-	buf := make([]byte, 4+payload)
+	bp, _ := wirePool.Get().(*[]byte)
+	if bp == nil {
+		bp = new([]byte)
+	}
+	defer wirePool.Put(bp)
+	if cap(*bp) < 4+payload {
+		*bp = make([]byte, 4+payload)
+	}
+	buf := (*bp)[:4+payload]
 	binary.LittleEndian.PutUint32(buf[0:], uint32(payload))
 	buf[4] = byte(msg.Kind)
+	buf[5] = 0 // the pooled buffer may hold an earlier frame's flags
 	if msg.Last {
 		buf[5] = flagLast
 	}
@@ -348,31 +400,38 @@ func writeFrame(w io.Writer, msg *DataMsg) error {
 	return err
 }
 
-// readFrame decodes one frame.
-func readFrame(r io.Reader) (*DataMsg, error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
+// readFrame decodes one frame, reading its bytes into *buf (grown as
+// needed and kept for the next frame) and its values into a pooled buffer
+// the consumer releases.
+func readFrame(r io.Reader, buf *[]byte) (*DataMsg, error) {
+	if cap(*buf) < 4 {
+		*buf = make([]byte, 4+msgHeaderSize)
+	}
+	if _, err := io.ReadFull(r, (*buf)[:4]); err != nil {
 		return nil, err
 	}
-	payload := binary.LittleEndian.Uint32(lenBuf[:])
+	payload := binary.LittleEndian.Uint32((*buf)[:4])
 	if payload < msgHeaderSize || payload > 1<<30 {
 		return nil, fmt.Errorf("cluster: bad frame length %d", payload)
 	}
-	buf := make([]byte, payload)
-	if _, err := io.ReadFull(r, buf); err != nil {
+	if cap(*buf) < int(payload) {
+		*buf = make([]byte, payload)
+	}
+	b := (*buf)[:payload]
+	if _, err := io.ReadFull(r, b); err != nil {
 		return nil, err
 	}
 	msg := &DataMsg{
-		Kind: MsgKind(buf[0]),
-		Last: buf[1]&flagLast != 0,
-		Ord:  binary.LittleEndian.Uint32(buf[2:]),
-		Tag:  int64(binary.LittleEndian.Uint64(buf[6:])),
-		Seq:  int64(binary.LittleEndian.Uint64(buf[14:])),
-		From: int(int32(binary.LittleEndian.Uint32(buf[22:]))),
-		ID:   int64(binary.LittleEndian.Uint64(buf[26:])),
+		Kind: MsgKind(b[0]),
+		Last: b[1]&flagLast != 0,
+		Ord:  binary.LittleEndian.Uint32(b[2:]),
+		Tag:  int64(binary.LittleEndian.Uint64(b[6:])),
+		Seq:  int64(binary.LittleEndian.Uint64(b[14:])),
+		From: int(int32(binary.LittleEndian.Uint32(b[22:]))),
+		ID:   int64(binary.LittleEndian.Uint64(b[26:])),
 	}
-	arity := int(binary.LittleEndian.Uint32(buf[34:]))
-	nRows := int(binary.LittleEndian.Uint32(buf[38:]))
+	arity := int(binary.LittleEndian.Uint32(b[34:]))
+	nRows := int(binary.LittleEndian.Uint32(b[38:]))
 	// Every value costs at least one varint byte, so the header's claimed
 	// value count is bounded by the payload actually received — reject
 	// inconsistent frames before allocating for them.
@@ -380,10 +439,14 @@ func readFrame(r io.Reader) (*DataMsg, error) {
 		arity*nRows > int(payload)-msgHeaderSize {
 		return nil, fmt.Errorf("cluster: inconsistent frame (arity=%d rows=%d payload=%d)", arity, nRows, payload)
 	}
-	vals := make([]core.Value, arity*nRows)
+	var vals []core.Value
+	if n := arity * nRows; n > 0 {
+		msg.vals = frameVals(n)
+		vals = *msg.vals
+	}
 	off := msgHeaderSize
 	for i := range vals {
-		v, n := binary.Uvarint(buf[off:])
+		v, n := binary.Uvarint(b[off:])
 		if n <= 0 {
 			return nil, fmt.Errorf("cluster: truncated frame (value %d of %d)", i, len(vals))
 		}

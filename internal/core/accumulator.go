@@ -702,6 +702,20 @@ type accAdder struct {
 	shard  []uint8
 	order  []int32 // row indices grouped by shard
 	start  [accShards + 1]int32
+	// The routed insert (more than one destination) groups rows by bucket
+	// = owner<<accShardBits | shard instead: the bucket of each row and the
+	// buckets' boundaries in order.
+	bucket []int32
+	bstart []int32
+}
+
+// grow sizes the per-row scratch for a batch of n rows.
+func (ad *accAdder) grow(n int) {
+	if cap(ad.hashes) < n {
+		ad.hashes = make([]uint64, n)
+		ad.shard = make([]uint8, n)
+		ad.order = make([]int32, n)
+	}
 }
 
 // addBatch inserts a batch's rows into the accumulator: the hash and
@@ -713,11 +727,7 @@ func (ad *accAdder) addBatch(a *Accumulator, b *Batch) int {
 	if n == 0 {
 		return 0
 	}
-	if cap(ad.hashes) < n {
-		ad.hashes = make([]uint64, n)
-		ad.shard = make([]uint8, n)
-		ad.order = make([]int32, n)
-	}
+	ad.grow(n)
 	// Pass 1 (lock-free): hash and route to a shard.
 	var count [accShards]int32
 	for i := 0; i < n; i++ {
@@ -741,18 +751,88 @@ func (ad *accAdder) addBatch(a *Accumulator, b *Batch) int {
 	// Pass 2: one lock per non-empty shard, probe+insert fused.
 	added := 0
 	for sh := 0; sh < accShards; sh++ {
-		lo, hi := ad.start[sh], ad.start[sh+1]
+		if lo, hi := ad.start[sh], ad.start[sh+1]; lo < hi {
+			added += ad.insertShard(a, sh, b, ad.order[lo:hi])
+		}
+	}
+	return added
+}
+
+// insertShard inserts the given rows of b, all routed to shard sh of a,
+// under one acquisition of the shard's lock, and returns how many were
+// new.
+func (ad *accAdder) insertShard(a *Accumulator, sh int, b *Batch, rows []int32) int {
+	shd := &a.shards[sh]
+	added := 0
+	shd.mu.Lock()
+	for _, ri := range rows {
+		if a.addLocked(shd, b.Row(int(ri)), ad.hashes[ri]) {
+			added++
+		}
+	}
+	shd.mu.Unlock()
+	return added
+}
+
+// routeBatch inserts every row of b into the accumulator of its owner,
+// dst[Owner(h, len(dst))], and returns how many rows were new to
+// dst[self]. One hash per row picks both the owner and the shard there.
+// With a single destination it is addBatch: no owner is computed and the
+// grouping stays one count per shard. With several, rows are grouped by
+// (owner, shard), so each shard of each destination that receives rows is
+// locked once per batch.
+func (ad *accAdder) routeBatch(dst []*Accumulator, self int, b *Batch) int {
+	if len(dst) == 1 {
+		return ad.addBatch(dst[0], b)
+	}
+	n := b.Len()
+	if n == 0 {
+		return 0
+	}
+	ad.grow(n)
+	if cap(ad.bucket) < n {
+		ad.bucket = make([]int32, n)
+	}
+	buckets := len(dst) << accShardBits
+	if cap(ad.bstart) < buckets+1 {
+		ad.bstart = make([]int32, buckets+1)
+	}
+	start := ad.bstart[:buckets+1]
+	clear(start)
+	// Pass 1 (lock-free): hash, then route to an owner and a shard there;
+	// start[k+1] counts bucket k.
+	for i := 0; i < n; i++ {
+		h := HashValues(b.Row(i))
+		k := int32(Owner(h, len(dst))<<accShardBits) | int32(accShardOf(h))
+		ad.hashes[i] = h
+		ad.bucket[i] = k
+		start[k+1]++
+	}
+	for k := 1; k <= buckets; k++ {
+		start[k] += start[k-1]
+	}
+	// Counting sort the rows by bucket, filling each bucket from its
+	// start; afterwards start[k] is bucket k's end, i.e. bucket k+1's
+	// start, and bucket k spans [start[k-1], start[k]) (0 for k = 0).
+	for i := 0; i < n; i++ {
+		k := ad.bucket[i]
+		ad.order[start[k]] = int32(i)
+		start[k]++
+	}
+	// Pass 2: one lock per non-empty (owner, shard), probe+insert fused.
+	added := 0
+	lo := int32(0)
+	for k := 0; k < buckets; k++ {
+		hi := start[k]
 		if lo == hi {
 			continue
 		}
-		shd := &a.shards[sh]
-		shd.mu.Lock()
-		for _, ri := range ad.order[lo:hi] {
-			if a.addLocked(shd, b.Row(int(ri)), ad.hashes[ri]) {
-				added++
-			}
+		owner := k >> accShardBits
+		got := ad.insertShard(dst[owner], k&(accShards-1), b, ad.order[lo:hi])
+		if owner == self {
+			added += got
 		}
-		shd.mu.Unlock()
+		lo = hi
 	}
 	return added
 }

@@ -34,7 +34,7 @@ func TestParallelDrainCtxCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	sink := NewAccumulator(nil, ColSrc, ColTrg)
-	_, err := ParallelDrainCtx(ctx, []Iterator{ScanRelation(rel)}, 1, sink)
+	_, err := ParallelDrainCtx(ctx, []Iterator{ScanRelation(rel)}, 1, []*Accumulator{sink}, 0)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -45,7 +45,7 @@ func TestParallelDrainCtxCancelled(t *testing.T) {
 
 	sink2 := NewAccumulator(nil, ColSrc, ColTrg)
 	defer sink2.Close()
-	added, err := ParallelDrainCtx(nil, []Iterator{ScanRelation(rel)}, 2, sink2)
+	added, err := ParallelDrainCtx(nil, []Iterator{ScanRelation(rel)}, 2, []*Accumulator{sink2}, 0)
 	if err != nil || added != rel.Len() {
 		t.Fatalf("nil-ctx drain: added=%d err=%v, want %d rows", added, err, rel.Len())
 	}

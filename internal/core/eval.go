@@ -576,7 +576,7 @@ func (ev *Evaluator) RunFixpoint(d *Decomposed, init *Relation, env *Env) (*Rela
 // scanned through a deltaSource), and a Relation is materialized exactly
 // once, by block copy, by Result. Where the loop runs is the caller's
 // choice: stepped locally (RunFixpoint: Ps_plw, Ppg_plw, maintenance) or
-// once per driver iteration with an exchange (Pgld).
+// once per driver iteration through an Exchange (Pgld).
 //
 // Each step builds one pipeline per φ branch per pool worker over the
 // shared delta cursor and returns their output batches to the evaluator's
@@ -586,16 +586,36 @@ func (ev *Evaluator) RunFixpoint(d *Decomposed, init *Relation, env *Env) (*Rela
 // empty from the start builds none), and reused by every later step.
 // A FixpointLoop is single-owner and must be closed.
 type FixpointLoop struct {
-	ev      *Evaluator
-	d       *Decomposed
-	env     *Env
-	init    *Relation
-	x       *Accumulator
-	filter  *Accumulator // the shuffle filter: every candidate handed to an exchange
-	prev    AccMark      // X's watermark where the upcoming delta window starts
-	delta   int          // rows in the upcoming delta window
+	ev   *Evaluator
+	d    *Decomposed
+	env  *Env
+	init *Relation
+	x    *Accumulator
+	// dst holds the step drain's destinations by owner: X at self, and on
+	// a loop stepped through an Exchange of n > 1 workers the per-owner
+	// shuffle filters at every other index — dst[p] is the set of every
+	// candidate this loop has routed to peer p. A local loop has dst = [X].
+	dst     []*Accumulator
+	self    int
+	fmarks  []AccMark     // the filters' watermarks at the start of the step
+	wins    [][]*Relation // the filters' new windows, by owner
+	prev    AccMark       // X's watermark where the upcoming delta window starts
+	delta   int           // rows in the upcoming delta window
 	iter    int
 	restore func()
+}
+
+// Exchange is the shuffle a FixpointLoop step ships its candidates
+// through: Pgld's per-iteration repartitioning by row hash. The loop is
+// the worker WorkerID of NumWorkers owners.
+type Exchange interface {
+	WorkerID() int
+	NumWorkers() int
+	// ShipInto sends wins[p] — the rows this step routed to peer p, all of
+	// them new to p's filter — to peer p, and absorbs into x every row the
+	// peers routed to this worker. wins[WorkerID()] is nil: this worker's
+	// own rows are already in x. It is a barrier every peer's step takes.
+	ShipInto(wins [][]*Relation, x *Accumulator) error
 }
 
 // NewFixpointLoop seeds X with init (the first delta) and marks the
@@ -603,33 +623,52 @@ type FixpointLoop struct {
 func (ev *Evaluator) NewFixpointLoop(d *Decomposed, init *Relation, env *Env) *FixpointLoop {
 	l := &FixpointLoop{ev: ev, d: d, env: env, init: init, restore: ev.markDynamic(d.X)}
 	l.x = NewAccumulator(ev.Gauge, init.Cols()...)
-	l.filter = NewAccumulator(ev.Gauge, init.Cols()...)
+	l.dst = []*Accumulator{l.x}
 	l.delta = l.x.Absorb(init)
 	return l
+}
+
+// route opens the per-owner shuffle filters of a loop stepped through ex,
+// on its first such step.
+func (l *FixpointLoop) route(ex Exchange) {
+	if n := ex.NumWorkers(); len(l.dst) != n {
+		l.self = ex.WorkerID()
+		l.dst = make([]*Accumulator, n)
+		for p := range l.dst {
+			if p == l.self {
+				l.dst[p] = l.x
+			} else {
+				l.dst[p] = NewAccumulator(l.ev.Gauge, l.x.Cols()...)
+			}
+		}
+		l.fmarks = make([]AccMark, n)
+		l.wins = make([][]*Relation, n)
+	}
 }
 
 // Step runs one iteration: new = φ(Δ) \ X, X = X ∪ new, and returns
 // |new|, the size of the next delta.
 //
-// With a nil exchange, φ(Δ) drains into X under the shard locks — the set
-// difference and union fused, the one hash probe a produced tuple ever
-// pays, since φ's root anti-projections and unions are built without their
-// inline distinct. A local loop has converged when a step returns 0; a
-// step on an empty delta does nothing.
+// φ(Δ) drains under the shard locks, the set difference and union fused:
+// the one hash probe a produced tuple ever pays, since φ's root
+// anti-projections and unions are built without their inline distinct.
+// With a nil exchange every tuple drains into X. A local loop has
+// converged when a step returns 0; a step on an empty delta does nothing.
 //
-// With an exchange — Pgld's per-iteration shuffle — φ(Δ) drains into the
-// loop's shuffle filter instead, the set of every candidate this loop has
-// already handed on (rows route to a fixed owner, which absorbed a
-// re-derived candidate the first time), and the filter's new window goes
-// to exchange(cands, x), which must absorb into x every row this loop
-// owns. The exchange runs on every step, empty delta or not, since it is a
-// barrier its peers wait on; convergence is the driver's call.
+// With an exchange — Pgld's per-iteration shuffle — the drain routes each
+// tuple by its row hash (Owner): a tuple this worker owns drains straight
+// into X, one owned by peer p into p's shuffle filter, which holds every
+// candidate this loop has already handed p (p absorbed a re-derived
+// candidate the first time). Each filter's new window goes to
+// ex.ShipInto, which absorbs into X the rows the peers route here. The
+// exchange runs on every step, empty delta or not, since it is a barrier
+// its peers wait on; convergence is the driver's call.
 //
 // The caller's loop polls for cancellation between steps; within a step
 // the drain stops within one batch of ev.Ctx being cancelled.
-func (l *FixpointLoop) Step(exchange func(cands []*Relation, x *Accumulator) error) (int, error) {
+func (l *FixpointLoop) Step(ex Exchange) (int, error) {
 	ev := l.ev
-	if exchange == nil && l.delta == 0 {
+	if ex == nil && l.delta == 0 {
 		return 0, nil
 	}
 	l.iter++
@@ -641,14 +680,16 @@ func (l *FixpointLoop) Step(exchange func(cands []*Relation, x *Accumulator) err
 	// touched, so its zero-copy views stay valid.
 	l.x.EvictBelow(l.prev)
 	mark := l.x.Mark()
-	sink := l.x
-	var fmark AccMark
-	if exchange != nil {
-		// Every candidate the filter holds has been exchanged: all of it
-		// may freeze.
-		fmark = l.filter.Mark()
-		l.filter.EvictBelow(fmark)
-		sink = l.filter
+	if ex != nil {
+		l.route(ex)
+		// Every candidate a filter holds has been shipped: all of it may
+		// freeze.
+		for p, f := range l.dst {
+			if p != l.self {
+				l.fmarks[p] = f.Mark()
+				f.EvictBelow(l.fmarks[p])
+			}
+		}
 	}
 	// The delta: for the first iteration init itself, afterwards the
 	// shard windows appended since prev.
@@ -676,14 +717,19 @@ func (l *FixpointLoop) Step(exchange func(cands []*Relation, x *Accumulator) err
 			pipes = append(pipes, it)
 		}
 	}
-	added, err := ParallelDrainCtx(ev.Ctx, pipes, workers, sink)
+	added, err := ParallelDrainCtx(ev.Ctx, pipes, workers, l.dst, l.self)
 	ev.releaseEphemeral(ebase)
 	ev.pool.Recycle(bmark)
 	if err != nil {
 		return 0, err
 	}
-	if exchange != nil {
-		if err := exchange(l.filter.DeltaViews(fmark, l.filter.Mark()), l.x); err != nil {
+	if ex != nil {
+		for p, f := range l.dst {
+			if p != l.self {
+				l.wins[p] = f.DeltaViews(l.fmarks[p], f.Mark())
+			}
+		}
+		if err := ex.ShipInto(l.wins, l.x); err != nil {
 			return 0, err
 		}
 		added = DeltaRows(mark, l.x.Mark())
@@ -701,11 +747,13 @@ func (l *FixpointLoop) Step(exchange func(cands []*Relation, x *Accumulator) err
 // Result materializes X. Call it once, after the last step.
 func (l *FixpointLoop) Result() *Relation { return l.x.Materialize() }
 
-// Close releases X and the shuffle filter (spill runs, gauge charges) and
-// unmarks the recursion variable. Calling it more than once is harmless.
+// Close releases X and the shuffle filters (spill runs, gauge charges)
+// and unmarks the recursion variable. Calling it more than once is
+// harmless.
 func (l *FixpointLoop) Close() {
-	l.x.Close()
-	l.filter.Close()
+	for _, a := range l.dst {
+		a.Close()
+	}
 	l.restore()
 }
 
@@ -881,6 +929,14 @@ func (ev *Evaluator) runFixpointMat(d *Decomposed, init *Relation, env *Env) (*R
 	return x, nil
 }
 
+// Owner is the partition among n that owns a row whose partitioning hash
+// is h. It is the one hash partitioner of the engine: the seed scatter
+// (SplitRelation), the cluster shuffle (Ctx.Exchange), a Pgld step's
+// routed drain and the distributed Datalog stand-in all route through it,
+// so a row a step routes to a worker is a row the scatter would have put
+// there.
+func Owner(h uint64, n int) int { return int(h % uint64(n)) }
+
 // SplitRelation partitions r into n parts. When byCols is non-empty the
 // split hashes on those columns (every tuple sharing the byCols values
 // lands in the same part — the stable-column partitioning of §III-B);
@@ -906,8 +962,7 @@ func SplitRelation(r *Relation, n int, byCols []string) []*Relation {
 		}
 		for i := 0; i < r.Len(); i++ {
 			row := r.RowAt(i)
-			h := HashValuesAt(row, at)
-			parts[int(h%uint64(n))].appendDistinctVals(row, 1)
+			parts[Owner(HashValuesAt(row, at), n)].appendDistinctVals(row, 1)
 		}
 		return parts
 	}

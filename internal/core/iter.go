@@ -132,6 +132,16 @@ func (b *Batch) AppendRow(row []Value) {
 	b.n++
 }
 
+// AppendBatch appends a copy of o's rows; o's arity must equal the
+// batch's.
+func (b *Batch) AppendBatch(o *Batch) {
+	if o.arity != b.arity {
+		panic(fmt.Sprintf("core: batch arity %d does not match appended arity %d", b.arity, o.arity))
+	}
+	b.vals = append(b.vals, o.vals...)
+	b.n += o.n
+}
+
 // appendEmptyRow extends the batch by one uninitialized row (a reused
 // buffer's previous contents) and returns a writable view of it; callers
 // write every position.

@@ -19,7 +19,8 @@ func CtxErr(ctx context.Context) error {
 
 // This file is the one worker pool inside an evaluator: it drains many
 // iterator pipelines at once into the shared fixpoint Accumulator (see
-// accumulator.go). The semi-naive fixpoint uses it to split an iteration's
+// accumulator.go) — and, on a Pgld step, into the per-owner shuffle
+// filters beside it. The semi-naive fixpoint uses it to split an iteration's
 // delta into batch-granular chunks and probe the (read-only, reusable)
 // JoinIndexes concurrently — the driver-side loop and the per-worker local
 // loops of Ps_plw/Ppg_plw overlap their probe streams across cores instead
@@ -97,18 +98,24 @@ func runWorkers(tasks, workers int, fn func(worker, task int)) {
 	}
 }
 
-// ParallelDrainCtx drains every iterator into the accumulator with a
-// bounded worker pool and returns the number of rows that were new.
-// Iterators must be independent (each owns its pipeline state); the
-// indexes and relations they probe are only read, while the accumulator
-// absorbs rows from all workers concurrently. With one worker (or one
-// iterator) it degrades to a plain sequential drain with no goroutines.
+// ParallelDrainCtx drains every iterator with a bounded worker pool into
+// dst, each row into the accumulator of its owner, and returns the number
+// of rows that were new to dst[self]. With one destination — a local
+// fixpoint step — every row goes to dst[0] through the batched shard
+// insert and no owner is computed. With several — a Pgld step — row r goes
+// to dst[Owner(HashValues(r), len(dst))]: the hash that picks the owner
+// also picks the shard there, so a row is hashed once on its way to X or
+// to a peer's shuffle filter. Iterators must be independent (each owns its
+// pipeline state); the indexes and relations they probe are only read,
+// while the accumulators absorb rows from all workers concurrently. With
+// one worker (or one iterator) it degrades to a plain sequential drain
+// with no goroutines.
 //
 // Every worker probes ctx between batches, so a cancelled query stops
 // draining within one batch and the call returns ctx.Err() (with however
-// many rows made it into the accumulator — the caller is expected to
+// many rows made it into the accumulators — the caller is expected to
 // unwind and discard). A nil ctx never cancels.
-func ParallelDrainCtx(ctx context.Context, its []Iterator, workers int, sink *Accumulator) (int, error) {
+func ParallelDrainCtx(ctx context.Context, its []Iterator, workers int, dst []*Accumulator, self int) (int, error) {
 	var cancelled atomic.Bool
 	done := ctxDoneChan(ctx)
 	if workers > len(its) {
@@ -118,7 +125,7 @@ func ParallelDrainCtx(ctx context.Context, its []Iterator, workers int, sink *Ac
 		added := 0
 		var ad accAdder
 		for _, it := range its {
-			added += drainToAccumulator(it, sink, &ad, done, &cancelled)
+			added += drainRouted(it, dst, self, &ad, done, &cancelled)
 			if cancelled.Load() {
 				return added, ctx.Err()
 			}
@@ -131,7 +138,7 @@ func ParallelDrainCtx(ctx context.Context, its []Iterator, workers int, sink *Ac
 		if cancelled.Load() {
 			return
 		}
-		added.Add(int64(drainToAccumulator(its[i], sink, &adders[w], done, &cancelled)))
+		added.Add(int64(drainRouted(its[i], dst, self, &adders[w], done, &cancelled)))
 	})
 	if cancelled.Load() {
 		return int(added.Load()), ctx.Err()
@@ -148,11 +155,12 @@ func ctxDoneChan(ctx context.Context) <-chan struct{} {
 	return ctx.Done()
 }
 
-// drainToAccumulator feeds one iterator's batches into the accumulator
-// through the batched adder, so a shard's lock is taken once per batch
-// instead of once per row. Between batches it probes the done channel and
-// flags cancellation for its pool siblings.
-func drainToAccumulator(it Iterator, sink *Accumulator, ad *accAdder, done <-chan struct{}, cancelled *atomic.Bool) int {
+// drainRouted feeds one iterator's batches into the destination
+// accumulators through the batched adder, so a shard's lock is taken once
+// per batch instead of once per row, and returns the rows new to
+// dst[self]. Between batches it probes the done channel and flags
+// cancellation for its pool siblings.
+func drainRouted(it Iterator, dst []*Accumulator, self int, ad *accAdder, done <-chan struct{}, cancelled *atomic.Bool) int {
 	added := 0
 	for b := it.Next(); b != nil; b = it.Next() {
 		select {
@@ -164,7 +172,7 @@ func drainToAccumulator(it Iterator, sink *Accumulator, ad *accAdder, done <-cha
 		if cancelled.Load() {
 			return added
 		}
-		added += ad.addBatch(sink, b)
+		added += ad.routeBatch(dst, self, b)
 	}
 	return added
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -570,8 +571,8 @@ func randomTernaryRelation(rng *rand.Rand, n, domain int) *Relation {
 // anti-projections, unions, renames, antijoins and column-preserving joins
 // carries no inline distinct, drained
 // into each of the sinks that deduplicate — the fixpoint Accumulator, the
-// relation of EvalPhiDelta, a loop's shuffle filter, Materialize — yields
-// the rows of the materializing reference.
+// relation of EvalPhiDelta, a Pgld step's per-owner shuffle filters,
+// Materialize — yields the rows of the materializing reference.
 func TestQuickBagRootedSinksMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260925))
 	for name, branch := range bagRootedBranches() {
@@ -613,17 +614,17 @@ func TestQuickBagRootedSinksMatchReference(t *testing.T) {
 				t.Fatalf("%s trial %d: φ(init) %v ≠ reference %v", name, trial, gotStep, wantStep)
 			}
 
-			// Sink 3: the loop's shuffle filter. Stepped through a
-			// loopback exchange, which owns every candidate, the loop
-			// reaches the reference fixpoint.
-			loop := streaming.NewFixpointLoop(d, init, env)
-			if err := stepToFixpoint(loop, loopback); err != nil {
-				t.Fatal(err)
+			// Sink 3: the per-owner shuffle filters. Stepped as Pgld steps,
+			// on one worker (every candidate its own) and on three (most
+			// candidates routed through a filter to a peer), the loops
+			// reach the reference fixpoint.
+			for _, w := range []int{1, 3} {
+				got, loops, evs := lockstepFixpoint(t, d, init, env, w, nil)
+				closeLockstep(loops, evs)
+				if !SameRows(got, want) {
+					t.Fatalf("%s trial %d: %d-worker exchange-stepped fixpoint %v ≠ reference %v", name, trial, w, got, want)
+				}
 			}
-			if got := loop.Result(); !SameRows(got, want) {
-				t.Fatalf("%s trial %d: exchange-stepped fixpoint %v ≠ reference %v", name, trial, got, want)
-			}
-			loop.Close()
 
 			// Sink 4: Materialize at the root of a plain evaluation.
 			bound := env.with("X", init)
@@ -642,21 +643,122 @@ func TestQuickBagRootedSinksMatchReference(t *testing.T) {
 	}
 }
 
-// loopback is the exchange of a single worker: it owns every candidate.
-func loopback(cands []*Relation, x *Accumulator) error {
-	for _, c := range cands {
-		x.Absorb(c)
+// lockstep is an in-memory Exchange among n FixpointLoops stepped
+// together, one goroutine each, as Pgld's workers are: ShipInto deposits a
+// worker's windows for its peers, waits until every worker has deposited,
+// absorbs the windows addressed to it, and waits again, so no worker's
+// next step evicts from a filter whose windows a peer still reads.
+type lockstep struct {
+	n       int
+	mu      sync.Mutex
+	cond    *sync.Cond
+	arrived int
+	gen     int
+	inbox   [][]*Relation // by receiver: the windows routed to it this round
+}
+
+// barrier returns once all n workers have called it in the current round.
+func (ls *lockstep) barrier() {
+	ls.mu.Lock()
+	defer ls.mu.Unlock()
+	gen := ls.gen
+	if ls.arrived++; ls.arrived == ls.n {
+		ls.arrived = 0
+		ls.gen++
+		ls.cond.Broadcast()
+		return
 	}
+	for gen == ls.gen {
+		ls.cond.Wait()
+	}
+}
+
+// lockstepWorker is one worker's view of a lockstep exchange.
+type lockstepWorker struct {
+	ls   *lockstep
+	rank int
+}
+
+func (w lockstepWorker) WorkerID() int   { return w.rank }
+func (w lockstepWorker) NumWorkers() int { return w.ls.n }
+
+func (w lockstepWorker) ShipInto(wins [][]*Relation, x *Accumulator) error {
+	ls := w.ls
+	ls.mu.Lock()
+	for p, win := range wins {
+		if p == w.rank && len(win) > 0 {
+			ls.mu.Unlock()
+			return fmt.Errorf("worker %d shipped %d windows to itself", p, len(win))
+		}
+		ls.inbox[p] = append(ls.inbox[p], win...)
+	}
+	ls.mu.Unlock()
+	ls.barrier()
+	ls.mu.Lock()
+	mine := ls.inbox[w.rank]
+	ls.inbox[w.rank] = nil
+	ls.mu.Unlock()
+	for _, r := range mine {
+		x.Absorb(r)
+	}
+	ls.barrier()
 	return nil
 }
 
-// stepToFixpoint steps loop with exchange until a step adds nothing.
-func stepToFixpoint(loop *FixpointLoop, exchange func([]*Relation, *Accumulator) error) error {
+// lockstepFixpoint evaluates the fixpoint d from init as Pgld does, on w
+// in-memory workers: init is split by row hash, each worker steps its own
+// FixpointLoop on its own evaluator (under gauge g) through a lockstep
+// exchange, and rounds go on until one adds nothing on any worker. It
+// returns the union of the workers' X, and the loops and evaluators, still
+// open, for the caller to inspect and close (closeLockstep).
+func lockstepFixpoint(t *testing.T, d *Decomposed, init *Relation, env *Env, w int, g *MemGauge) (*Relation, []*FixpointLoop, []*Evaluator) {
+	t.Helper()
+	ls := &lockstep{n: w, inbox: make([][]*Relation, w)}
+	ls.cond = sync.NewCond(&ls.mu)
+	parts := SplitRelation(init, w, init.Cols())
+	loops := make([]*FixpointLoop, w)
+	evs := make([]*Evaluator, w)
+	for i := range loops {
+		evs[i] = NewEvaluator(env)
+		evs[i].Gauge = g
+		loops[i] = evs[i].NewFixpointLoop(d, parts[i], env)
+	}
 	for {
-		added, err := loop.Step(exchange)
-		if err != nil || added == 0 {
-			return err
+		added := make([]int, w)
+		errs := make([]error, w)
+		var wg sync.WaitGroup
+		for i := range loops {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				added[i], errs[i] = loops[i].Step(lockstepWorker{ls: ls, rank: i})
+			}(i)
 		}
+		wg.Wait()
+		total := 0
+		for i := range loops {
+			if errs[i] != nil {
+				closeLockstep(loops, evs)
+				t.Fatal(errs[i])
+			}
+			total += added[i]
+		}
+		if total == 0 {
+			break
+		}
+	}
+	out := NewRelation(init.Cols()...)
+	for _, l := range loops {
+		out.AddBatch(l.Result().AsBatch())
+	}
+	return out, loops, evs
+}
+
+// closeLockstep closes the loops and evaluators of a lockstep run.
+func closeLockstep(loops []*FixpointLoop, evs []*Evaluator) {
+	for i := range loops {
+		loops[i].Close()
+		evs[i].Close()
 	}
 }
 

@@ -316,37 +316,50 @@ func TestAccumulatorAbsorb(t *testing.T) {
 
 // TestParallelDrainMatchesSequential: draining chunked scans of one
 // relation through the worker pool yields exactly the relation (dedup
-// across chunks), no matter the worker count. Run with -race this is also
-// the concurrency test for ParallelDrainCtx.
+// across chunks), no matter the worker count; routed over three owners,
+// as a Pgld step drains, every row lands in exactly its owner's
+// accumulator and the count is of rows new to the drain's own. Run with
+// -race this is also the concurrency test for ParallelDrainCtx.
 func TestParallelDrainMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	src := NewRelation(ColSrc, ColTrg)
 	for _, row := range randomRows(rng, 20000, 2, 120) {
 		src.Add(row)
 	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		var pipes []Iterator
-		const chunk = 512
-		for lo := 0; lo < src.Len(); lo += chunk {
-			hi := lo + chunk
-			if hi > src.Len() {
-				hi = src.Len()
+	for _, owners := range []int{1, 3} {
+		want := SplitRelation(src, owners, src.Cols())
+		self := owners - 1
+		for _, workers := range []int{1, 2, 4, 8} {
+			var pipes []Iterator
+			const chunk = 512
+			for lo := 0; lo < src.Len(); lo += chunk {
+				hi := lo + chunk
+				if hi > src.Len() {
+					hi = src.Len()
+				}
+				pipes = append(pipes, ScanRelation(src.Slice(lo, hi)))
 			}
-			pipes = append(pipes, ScanRelation(src.Slice(lo, hi)))
-		}
-		// Duplicate the first chunk: the sink must deduplicate across
-		// pipelines.
-		pipes = append(pipes, ScanRelation(src.Slice(0, chunk)))
-		sink := NewAccumulator(nil, ColSrc, ColTrg)
-		added, err := ParallelDrainCtx(nil, pipes, workers, sink)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if added != src.Len() {
-			t.Fatalf("workers=%d: drained %d distinct rows, want %d", workers, added, src.Len())
-		}
-		if got := sink.Materialize(); !SameRows(got, src) {
-			t.Fatalf("workers=%d: drained contents differ", workers)
+			// Duplicate the first chunk: the sinks must deduplicate
+			// across pipelines.
+			pipes = append(pipes, ScanRelation(src.Slice(0, chunk)))
+			dst := make([]*Accumulator, owners)
+			for p := range dst {
+				dst[p] = NewAccumulator(nil, ColSrc, ColTrg)
+			}
+			added, err := ParallelDrainCtx(nil, pipes, workers, dst, self)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if added != want[self].Len() {
+				t.Fatalf("owners=%d workers=%d: drained %d distinct rows into its own sink, want %d",
+					owners, workers, added, want[self].Len())
+			}
+			for p, a := range dst {
+				if got := a.Materialize(); !SameRows(got, want[p]) {
+					t.Fatalf("owners=%d workers=%d: owner %d holds %d rows, want its %d", owners, workers, p, got.Len(), want[p].Len())
+				}
+				a.Close()
+			}
 		}
 	}
 }

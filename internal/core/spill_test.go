@@ -523,10 +523,11 @@ func TestChildGaugeEnforcesParentBudget(t *testing.T) {
 	}
 }
 
-// TestStarvedStepFreezesXAndFilter: a loop stepped through a loopback
-// exchange under a starved gauge freezes rows of both X and its shuffle
-// filter between steps — the two accumulators a Pgld worker holds — still
-// reaches the unbudgeted fixpoint, and returns every charge and spill file
+// TestStarvedStepFreezesXAndFilter: loops stepped as Pgld steps them —
+// through a lockstep exchange among one and among three workers — under a
+// starved gauge freeze rows of X and, with peers, of the per-owner shuffle
+// filters between steps (the accumulators a Pgld worker holds), still
+// reach the unbudgeted fixpoint, and return every charge and spill file
 // once closed.
 func TestStarvedStepFreezesXAndFilter(t *testing.T) {
 	edges := sparseRelation(rand.New(rand.NewSource(5)), 120, 360)
@@ -541,26 +542,31 @@ func TestStarvedStepFreezesXAndFilter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	g := NewMemGauge(1<<10, dir)
-	ev := NewEvaluator(env)
-	ev.Gauge = g
-	loop := ev.NewFixpointLoop(d, edges, env)
-	if err := stepToFixpoint(loop, loopback); err != nil {
-		t.Fatal(err)
+	for _, w := range []int{1, 3} {
+		dir := t.TempDir()
+		g := NewMemGauge(1<<10, dir)
+		got, loops, evs := lockstepFixpoint(t, d, edges, env, w, g)
+		xFrozen, filterFrozen := 0, 0
+		for _, l := range loops {
+			for p, a := range l.dst {
+				if p == l.self {
+					xFrozen += a.Frozen()
+				} else {
+					filterFrozen += a.Frozen()
+				}
+			}
+		}
+		closeLockstep(loops, evs)
+		if xFrozen == 0 || (w > 1 && filterFrozen == 0) {
+			t.Fatalf("%d workers: starved loops froze %d rows of X and %d of their filters; want both > 0 (filters only with peers)",
+				w, xFrozen, filterFrozen)
+		}
+		if !SameRows(got, want) {
+			t.Fatalf("%d workers: starved exchange-stepped fixpoint has %d rows, want %d", w, got.Len(), want.Len())
+		}
+		if g.Used() != 0 {
+			t.Fatalf("%d workers: gauge holds %d bytes after Close", w, g.Used())
+		}
+		assertNoSpillFiles(t, dir)
 	}
-	if loop.x.Frozen() == 0 || loop.filter.Frozen() == 0 {
-		t.Fatalf("starved loop froze %d rows of X and %d of its filter; want both > 0",
-			loop.x.Frozen(), loop.filter.Frozen())
-	}
-	got := loop.Result()
-	loop.Close()
-	ev.Close()
-	if !SameRows(got, want) {
-		t.Fatalf("starved exchange-stepped fixpoint has %d rows, want %d", got.Len(), want.Len())
-	}
-	if g.Used() != 0 {
-		t.Fatalf("gauge holds %d bytes after Close", g.Used())
-	}
-	assertNoSpillFiles(t, dir)
 }

@@ -377,7 +377,7 @@ func (de *DistEngine) runGlobalLoop(rules []Rule, scc map[string]bool, db DB,
 						for j := range at {
 							at[j] = j
 						}
-						if int(core.HashValuesAt(row, at)%uint64(ctx.NumWorkers())) == ctx.WorkerID() {
+						if core.Owner(core.HashValuesAt(row, at), ctx.NumWorkers()) == ctx.WorkerID() {
 							slice.Add(row)
 						}
 					}

@@ -394,10 +394,11 @@ func localEnv(ctx *cluster.Ctx, handles map[string]*cluster.Broadcast) (*core.En
 // runGld executes the fixpoint with a global loop on the driver: the
 // recursion variable X is a row-hash-partitioned dataset, and each driver
 // iteration is one phase in which every worker takes one step of core's
-// semi-naive loop over its partition. A step computes φ(delta) and
-// repartitions the produced tuples by row hash (the per-iteration shuffle
-// of Fig. 3, ExchangeInto), so the set difference and union apply
-// partition-locally as the frames decode. Each worker keeps its evaluator
+// semi-naive loop over its partition. A step computes φ(delta) and routes
+// each produced tuple by its row hash as it drains: a tuple the worker
+// owns goes straight into its X, any other into the owner's shuffle
+// filter, whose new rows ship to the owner (the per-iteration shuffle of
+// Fig. 3, Ctx.ShipInto) and are absorbed into its X as the frames decode. Each worker keeps its evaluator
 // and loop alive for the whole run: the join indexes over the broadcast
 // (constant) relations are built once, X stays sharded, and it is
 // materialized only once, for the final collect.
@@ -449,7 +450,7 @@ func (p *Planner) runGld(sess *cluster.Session, pr *prepared) (*core.Relation, F
 				loop := ev.NewFixpointLoop(pr.d, ctx.Partition(xDS), env)
 				tasks[w] = gldWorker{ev: ev, loop: loop}
 			}
-			n, err := tasks[w].loop.Step(ctx.ExchangeInto)
+			n, err := tasks[w].loop.Step(ctx)
 			added.Add(int64(n))
 			return err
 		})

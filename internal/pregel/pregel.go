@@ -112,7 +112,7 @@ func LoadGraph(c *cluster.Cluster, triples *core.Relation) (*Graph, error) {
 // owner must agree with the stable-column hash partitioner of the cluster
 // (Parallelize hashes single columns with core.HashValuesAt).
 func owner(v core.Value, n uint64) int {
-	return int(core.HashValuesAt([]core.Value{v}, []int{0}) % n)
+	return core.Owner(core.HashValuesAt([]core.Value{v}, []int{0}), int(n))
 }
 
 // Vertices returns the number of distinct vertices loaded.

@@ -3,9 +3,11 @@ package testkit
 import (
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/physical"
 )
 
 // TestDifferentialAllPlans is the bounded differential run wired into
@@ -40,7 +42,7 @@ func TestDifferentialAllPlans(t *testing.T) {
 
 // TestDifferentialTCPTransport runs one differential case over real
 // loopback TCP sockets, so the wire encode/decode path of the shuffle
-// (including ExchangeInto's absorb-at-decode) is exercised in CI.
+// (including ShipInto's absorb-at-decode) is exercised in CI.
 func TestDifferentialTCPTransport(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := RandomGraph(rng, Cycle, 14, 2)
@@ -193,5 +195,58 @@ func TestDifferentialSeeds(t *testing.T) {
 		if rep.Combos == 0 {
 			t.Fatalf("seed %d: no combos checked", seed)
 		}
+	}
+}
+
+// TestDifferentialPgldRecycledFrames runs Pgld over loopback TCP while one
+// shuffle frame is sent twice and the next is delayed, at several points
+// of the run, and checks each run against the reference. Received frames
+// decode into pooled buffers that are recycled once absorbed; a consumer
+// still reading a released buffer would see another frame's rows (and,
+// under -race, a data race).
+func TestDifferentialPgldRecycledFrames(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	edges := core.NewRelation(core.ColSrc, core.ColTrg)
+	for edges.Len() < 700 {
+		edges.Add([]core.Value{core.Value(rng.Intn(300)), core.Value(rng.Intn(300))})
+	}
+	env := core.NewEnv()
+	env.Bind("E", edges)
+	term := core.ClosureLR("X", &core.Var{Name: "E"})
+	want, err := core.Eval(term, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := cluster.New(cluster.Config{Workers: 3, Transport: cluster.TransportTCP})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	p := physical.NewPlanner(c, env)
+	p.Force = physical.Gld
+	// A clean run counts the frames the faults below aim at.
+	count := cluster.NewFaultPlan()
+	c.InjectFaults(count)
+	if _, _, err := p.Execute(term); err != nil {
+		t.Fatal(err)
+	}
+	frames := count.Frames()
+	for _, at := range []int64{frames / 5, frames / 2, frames * 4 / 5} {
+		plan := cluster.NewFaultPlan()
+		plan.DuplicateFrameAt = at
+		plan.DelayFrameAt = at + 1
+		plan.Delay = 2 * time.Millisecond
+		c.InjectFaults(plan)
+		got, _, err := p.Execute(term)
+		if err != nil {
+			t.Fatalf("frame %d of %d duplicated: %v", at, frames, err)
+		}
+		if !core.SameRows(got, want) {
+			t.Fatalf("frame %d of %d duplicated: Pgld has %d rows, the reference %d", at, frames, got.Len(), want.Len())
+		}
+	}
+	c.InjectFaults(nil)
+	if want.Len() < 10*core.BatchRowsFor(2) {
+		t.Fatalf("closure of %d rows is too small for multi-frame shuffles", want.Len())
 	}
 }
