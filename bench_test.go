@@ -214,9 +214,8 @@ func BenchmarkFig11NonRegular(b *testing.B) {
 	g := graphgen.SGGraph("AcTree", s.SGNodes, s.Seed)
 	env := g.Env(benchkit.EdgeRelName)
 	env.Bind("P", benchkit.PredSetRelation(g.Dict, []string{"a", "b"}))
-	edb := datalog.EdgeDB(benchkit.EdgeRelName, g.Triples)
-	edb["pset"] = datalog.FromRelation(
-		benchkit.PredSetRelation(g.Dict, []string{"a", "b"}), []string{core.ColPred})
+	edbCols := datalog.EdgeCols(benchkit.EdgeRelName)
+	edbCols["P"] = []string{core.ColPred}
 
 	terms := map[string]core.Term{
 		"anbn":       benchkit.AnBnTerm(benchkit.EdgeRelName, g.Dict, "a", "b"),
@@ -243,18 +242,17 @@ func BenchmarkFig11NonRegular(b *testing.B) {
 			return benchkit.SGProgram(benchkit.EdgeRelName)
 		},
 		"JoinedSG": func() (*datalog.Program, datalog.Atom) {
-			return benchkit.JoinedSGProgram(benchkit.EdgeRelName, g.Dict)
+			return benchkit.JoinedSGProgram(benchkit.EdgeRelName, "P")
 		},
 	}
 	for _, name := range []string{"anbn", "SG", "JoinedSG"} {
 		mk := progs[name]
 		b.Run(name+"/BigDatalog", func(b *testing.B) {
 			c := mustCluster(b, 2)
-			de := datalog.NewDistEngine(c)
 			prog, atom := mk()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := de.Run(prog, edb, atom); err != nil {
+				if _, _, err := datalog.Run(c, env, edbCols, prog, atom); err != nil {
 					b.Fatal(err)
 				}
 			}

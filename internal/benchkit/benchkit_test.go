@@ -202,7 +202,7 @@ func TestRunMuRAPlanReporting(t *testing.T) {
 }
 
 // TestBudgetTimeoutProducesTimeout runs a task that only the budget's
-// Close can end — worker 0 gathers from a peer that never sends — so the
+// Close can end — worker 0 exchanges with a peer that never sends — so the
 // timer always wins and the run must be reported as a timeout.
 func TestBudgetTimeoutProducesTimeout(t *testing.T) {
 	b := Budget{Timeout: time.Millisecond, Workers: 2}
@@ -212,7 +212,7 @@ func TestBudgetTimeoutProducesTimeout(t *testing.T) {
 			if ctx.WorkerID() != 0 {
 				return nil
 			}
-			_, err := ctx.AllGather(core.NewRelation(core.ColSrc))
+			_, err := ctx.Exchange(core.NewRelation(core.ColSrc), nil)
 			return err
 		})
 		aborted <- err

@@ -217,15 +217,15 @@ func runC7(g *graphgen.Graph, query string, s Scale) (mu, bd, gx *Result) {
 	env := g.Env(EdgeRelName)
 	pset := []string{"a", "b"}
 	env.Bind("P", PredSetRelation(dict, pset))
-	edb := datalog.EdgeDB(EdgeRelName, g.Triples)
-	edb["pset"] = datalog.FromRelation(PredSetRelation(dict, pset), []string{core.ColPred})
+	edbCols := datalog.EdgeCols(EdgeRelName)
+	edbCols["P"] = []string{core.ColPred}
 	la, lb := dict.Intern("a"), dict.Intern("b")
 
 	switch query {
 	case "anbn":
 		mu = RunMuRATerm(env, AnBnTerm(EdgeRelName, dict, "a", "b"), s.Budget(), MuRAOptions{})
 		prog, atom := AnBnProgram(EdgeRelName, dict, "a", "b")
-		bd = RunDatalogProgram(prog, edb, atom, s.Budget())
+		bd = RunDatalogProgram(env, edbCols, prog, atom, s.Budget())
 		gx = runPregelC7(g, s, func(pg *pregel.Graph) (int, error) {
 			r, err := pg.RunAnBn(la, lb, pregel.RPQOptions{MaxMessages: s.MaxMessages})
 			if err != nil {
@@ -236,7 +236,7 @@ func runC7(g *graphgen.Graph, query string, s Scale) (mu, bd, gx *Result) {
 	case "SG":
 		mu = RunMuRATerm(env, SGTerm(EdgeRelName), s.Budget(), MuRAOptions{})
 		prog, atom := SGProgram(EdgeRelName)
-		bd = RunDatalogProgram(prog, edb, atom, s.Budget())
+		bd = RunDatalogProgram(env, edbCols, prog, atom, s.Budget())
 		gx = runPregelC7(g, s, func(pg *pregel.Graph) (int, error) {
 			total := 0
 			for _, l := range []core.Value{la, lb, dict.Intern("c")} {
@@ -256,7 +256,7 @@ func runC7(g *graphgen.Graph, query string, s Scale) (mu, bd, gx *Result) {
 		if err != nil {
 			bd = &Result{System: "BigDatalog", Crashed: true, Err: err}
 		} else {
-			bd = RunDatalogProgram(mp, edb, mq, s.Budget())
+			bd = RunDatalogProgram(env, edbCols, mp, mq, s.Budget())
 		}
 		gx = runPregelC7(g, s, func(pg *pregel.Graph) (int, error) {
 			r, err := pg.RunSameGeneration(la, pregel.RPQOptions{MaxMessages: s.MaxMessages})
@@ -267,8 +267,8 @@ func runC7(g *graphgen.Graph, query string, s Scale) (mu, bd, gx *Result) {
 		})
 	case "JoinedSG":
 		mu = RunMuRATerm(env, JoinedSGTerm(EdgeRelName, "P"), s.Budget(), MuRAOptions{})
-		prog, atom := JoinedSGProgram(EdgeRelName, dict)
-		bd = RunDatalogProgram(prog, edb, atom, s.Budget())
+		prog, atom := JoinedSGProgram(EdgeRelName, "P")
+		bd = RunDatalogProgram(env, edbCols, prog, atom, s.Budget())
 		gx = runPregelC7(g, s, func(pg *pregel.Graph) (int, error) {
 			total := 0
 			for _, l := range []core.Value{la, lb} {

@@ -134,16 +134,17 @@ func FilteredSGQuery(dict *core.Dict, label string) datalog.Atom {
 	return datalog.NewAtom("sg", datalog.C(dict.Intern(label)), datalog.V("X"), datalog.V("Y"))
 }
 
-// JoinedSGProgram adds the P-set join rule:
+// JoinedSGProgram adds the join rule with the unary predicate set pName
+// (the EDB relation JoinedSGTerm joins):
 //
-//	jsg(P,X,Y) :- pset(P), sg(P,X,Y).
-func JoinedSGProgram(edge string, dict *core.Dict) (*datalog.Program, datalog.Atom) {
+//	jsg(P,X,Y) :- pName(P), sg(P,X,Y).
+func JoinedSGProgram(edge, pName string) (*datalog.Program, datalog.Atom) {
 	prog, _ := SGProgram(edge)
 	v := datalog.V
 	prog.Rules = append(prog.Rules, datalog.Rule{
 		Head: datalog.NewAtom("jsg", v("P"), v("X"), v("Y")),
 		Body: []datalog.Atom{
-			datalog.NewAtom("pset", v("P")),
+			datalog.NewAtom(pName, v("P")),
 			datalog.NewAtom("sg", v("P"), v("X"), v("Y")),
 		},
 	})

@@ -182,27 +182,33 @@ func runMuRATerm(env *core.Env, term core.Term, b Budget, opts MuRAOptions) *Res
 		if err != nil {
 			return nil, err
 		}
-		info := ""
-		if len(rep.Fixpoints) > 0 {
-			kinds := map[string]bool{}
-			for _, f := range rep.Fixpoints {
-				kinds[f.Kind.String()] = true
-			}
-			var ks []string
-			for k := range kinds {
-				ks = append(ks, k)
-			}
-			sort.Strings(ks)
-			info = fmt.Sprintf("%s iters=%d", strings.Join(ks, "+"), rep.Iterations())
-		}
-		return &Result{Rows: rel.Len(), Info: info}, nil
+		return &Result{Rows: rel.Len(), Info: planInfo(rep)}, nil
 	})
 	res.System = "Dist-µ-RA"
 	return res
 }
 
+// planInfo renders a run's fixpoint plan kinds and total iterations, e.g.
+// "Ps_plw iters=12"; empty when the run had no fixpoint.
+func planInfo(rep *physical.Report) string {
+	if len(rep.Fixpoints) == 0 {
+		return ""
+	}
+	kinds := map[string]bool{}
+	for _, f := range rep.Fixpoints {
+		kinds[f.Kind.String()] = true
+	}
+	var ks []string
+	for k := range kinds {
+		ks = append(ks, k)
+	}
+	sort.Strings(ks)
+	return fmt.Sprintf("%s iters=%d", strings.Join(ks, "+"), rep.Iterations())
+}
+
 // RunBigDatalog executes a UCRPQ with the BigDatalog stand-in: translate
-// left-to-right, apply magic sets, evaluate distributively.
+// left-to-right, apply magic sets, run the program as written on the
+// engine (datalog.Run).
 func RunBigDatalog(g *graphgen.Graph, queryText string, b Budget) *Result {
 	q, err := ucrpq.Parse(queryText)
 	if err != nil {
@@ -217,30 +223,27 @@ func RunBigDatalog(g *graphgen.Graph, queryText string, b Budget) *Result {
 	if err != nil {
 		return &Result{System: "BigDatalog", Crashed: true, Err: err}
 	}
-	edb := datalog.EdgeDB(EdgeRelName, g.Triples)
-	res := runDatalogProgram(mp, edb, mq, b)
+	res := runDatalogProgram(g.Env(EdgeRelName), datalog.EdgeCols(EdgeRelName), mp, mq, b)
 	recordRun(queryText, res)
 	return res
 }
 
-// RunDatalogProgram executes a prepared Datalog program distributively.
-func RunDatalogProgram(prog *datalog.Program, edb datalog.DB, query datalog.Atom, b Budget) *Result {
-	res := runDatalogProgram(prog, edb, query, b)
+// RunDatalogProgram executes a prepared Datalog program on the engine over
+// the EDB relations env binds (edbCols gives their columns in argument
+// order).
+func RunDatalogProgram(env *core.Env, edbCols map[string][]string, prog *datalog.Program, query datalog.Atom, b Budget) *Result {
+	res := runDatalogProgram(env, edbCols, prog, query, b)
 	recordRun(query.String(), res)
 	return res
 }
 
-func runDatalogProgram(prog *datalog.Program, edb datalog.DB, query datalog.Atom, b Budget) *Result {
+func runDatalogProgram(env *core.Env, edbCols map[string][]string, prog *datalog.Program, query datalog.Atom, b Budget) *Result {
 	res := runWithBudget(b, cluster.TransportChan, func(c *cluster.Cluster) (*Result, error) {
-		de := datalog.NewDistEngine(c)
-		rel, rep, err := de.Run(prog, edb, query)
+		rel, rep, err := datalog.Run(c, env, edbCols, prog, query)
 		if err != nil {
 			return nil, err
 		}
-		return &Result{
-			Rows: rel.Len(),
-			Info: fmt.Sprintf("decomp=%d/%d globalIters=%d", rep.DecomposableSCCs, rep.RecursiveSCCs, rep.GlobalIterations),
-		}, nil
+		return &Result{Rows: rel.Len(), Info: planInfo(rep)}, nil
 	})
 	res.System = "BigDatalog"
 	return res

@@ -765,78 +765,6 @@ func recvFrames(ctx *Ctx, dst *core.Relation, check func(*DataMsg) error) error 
 	}
 }
 
-// AllGather replicates rel to every peer and returns the union of all
-// workers' relations — the heavyweight exchange a non-co-partitionable
-// distributed join needs. Like Exchange it is an SPMD barrier; traffic is
-// counted as shuffle bytes ((n-1)× the input volume).
-func (ctx *Ctx) AllGather(rel *core.Relation) (*core.Relation, error) {
-	c := ctx.w.cluster
-	s := ctx.sess
-	n := len(s.members)
-	ctx.calls++
-	seq := ctx.phaseSeq<<20 | int64(ctx.calls)
-	if ctx.rank == 0 {
-		ctr{&c.metrics.ShufflePhases, &s.m.ShufflePhases}.Add(1)
-	}
-	out := rel.Clone()
-	ctr{&c.metrics.LocalRecords, &s.m.LocalRecords}.Add(int64(rel.Len()))
-	// Encode straight from the relation's backing array, window by window;
-	// each window's varint size is scanned once and shared by all peers.
-	// Sending happens concurrently with receiving (see Exchange).
-	sendErr := make(chan error, 1)
-	go func() {
-		whole := rel.AsBatch()
-		step := core.BatchRowsFor(rel.Arity())
-		total := rel.Len()
-		var firstErr error
-		for lo, ord := 0, uint32(0); ; ord++ {
-			hi := lo + step
-			if hi > total {
-				hi = total
-			}
-			window := whole.Sub(lo, hi)
-			encSize := uvarintSize(window.Values())
-			for peer := 0; peer < n; peer++ {
-				if peer == ctx.rank {
-					continue
-				}
-				msg := &DataMsg{Kind: KindShuffle, Tag: s.tag, Seq: seq, From: ctx.w.id, Ord: ord,
-					Batch: window, encSize: encSize, Last: hi == total}
-				ctr{&c.metrics.ShuffleRecords, &s.m.ShuffleRecords}.Add(int64(window.Len()))
-				ctr{&c.metrics.ShuffleBytes, &s.m.ShuffleBytes}.Add(msg.wireBytes())
-				if err := c.send(s.members[peer], msg); err != nil && firstErr == nil {
-					firstErr = err
-				}
-			}
-			// Keep sending after an error so reachable peers still see
-			// their Last frame (see Exchange).
-			if hi == total {
-				break
-			}
-			lo = hi
-		}
-		sendErr <- firstErr
-	}()
-	for done := 0; done < n-1; {
-		msg, err := ctx.recvSeq(seq)
-		if err != nil {
-			return nil, err
-		}
-		if err := checkArity(msg, rel.Arity()); err != nil {
-			return nil, err
-		}
-		out.AddBatch(msg.Batch)
-		if msg.Last {
-			done++
-		}
-		msg.Release()
-	}
-	if err := <-sendErr; err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // RunPhase runs f on every session member in parallel and waits for all
 // of them; the first error aborts the phase. Exchange calls inside the
 // phase are synchronized shuffles, isolated to this session. A phase does

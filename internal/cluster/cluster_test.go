@@ -571,36 +571,6 @@ func TestSingleWorkerCluster(t *testing.T) {
 	}
 }
 
-func TestAllGather(t *testing.T) {
-	transports(t, 3, func(t *testing.T, c *Cluster) {
-		ds := c.NewDataset(core.ColSrc, core.ColTrg)
-		if err := c.RunPhase(func(ctx *Ctx) error {
-			p := core.NewRelation(core.ColSrc, core.ColTrg)
-			p.Add([]core.Value{core.Value(ctx.WorkerID()), core.Value(100 + ctx.WorkerID())})
-			gathered, err := ctx.AllGather(p)
-			if err != nil {
-				return err
-			}
-			if gathered.Len() != ctx.NumWorkers() {
-				t.Errorf("worker %d gathered %d rows, want %d",
-					ctx.WorkerID(), gathered.Len(), ctx.NumWorkers())
-			}
-			ctx.SetPartition(ds, gathered)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		// All workers hold identical gathered sets.
-		got, err := c.Collect(ds)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Len() != c.NumWorkers() {
-			t.Fatalf("collected %d distinct rows, want %d", got.Len(), c.NumWorkers())
-		}
-	})
-}
-
 func TestWideRowsOverTCP(t *testing.T) {
 	c := newTestCluster(t, TransportTCP, 2)
 	cols := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
@@ -684,20 +654,6 @@ func TestMultiFrameTransfers(t *testing.T) {
 		}
 		if !union.Equal(rel) {
 			t.Fatalf("exchange across frames lost rows: %d vs %d", union.Len(), rel.Len())
-		}
-		// AllGather: every worker ends with the full relation.
-		if err := c.RunPhase(func(ctx *Ctx) error {
-			all, err := ctx.AllGather(ctx.Partition(ds))
-			if err != nil {
-				return err
-			}
-			if !all.Equal(rel) {
-				t.Errorf("worker %d: all-gather across frames lost rows: %d vs %d",
-					ctx.WorkerID(), all.Len(), rel.Len())
-			}
-			return nil
-		}); err != nil {
-			t.Fatal(err)
 		}
 	})
 }

@@ -7,8 +7,8 @@ import "sync/atomic"
 // exchanged during repartitioning; broadcast traffic is driver→worker
 // replication of constant relations; scatter and collect are the initial
 // partitioning and final gathering. Local records are the rows an
-// Exchange or AllGather kept on their own worker (no network cost, like
-// Spark's local bucket). A Pgld step's own rows are not among them: the
+// Exchange kept on their own worker (no network cost, like Spark's local
+// bucket). A Pgld step's own rows are not among them: the
 // step's drain puts them straight into the worker's X, so they never reach
 // the shuffle (ShipInto ships pre-routed rows only).
 type Metrics struct {

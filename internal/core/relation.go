@@ -218,15 +218,6 @@ func RowKey(row []Value) string {
 	return string(b)
 }
 
-// UnpackRowKey reverses RowKey given the arity of the packed row.
-func UnpackRowKey(key string, arity int) []Value {
-	row := make([]Value, arity)
-	for i := range row {
-		row[i] = Value(binary.BigEndian.Uint64([]byte(key[i*8 : i*8+8])))
-	}
-	return row
-}
-
 // Add inserts a row (aligned with Cols()), returning true if it was new.
 // The values are copied into the backing array; the caller keeps ownership
 // of the slice.

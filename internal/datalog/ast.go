@@ -1,19 +1,17 @@
-// Package datalog is a from-scratch Datalog engine standing in for
-// BigDatalog (Shkapsky et al., SIGMOD 2016), the paper's main baseline. It
-// provides positive Datalog with semi-naive (differential) evaluation, the
-// magic-sets transformation with left-to-right sideways information
-// passing, a UCRPQ→Datalog translation that (like BigDatalog) evaluates
-// regular expressions left to right, and distributed evaluation on the
-// cluster substrate using generalized-pivoting decomposability analysis
-// (the GPS technique of Seib & Lausen that BigDatalog uses): decomposable
-// programs get partitioned local evaluation, everything else runs a global
-// semi-naive loop with one shuffle per iteration.
+// Package datalog is the BigDatalog stand-in (Shkapsky et al., SIGMOD
+// 2016), the paper's main baseline: positive Datalog, magic sets with
+// left-to-right sideways information passing, and a UCRPQ translation
+// that (like BigDatalog) reads regular expressions left to right. Run
+// executes a program as written on the engine, one compiled µ-RA term per
+// SCC: Ps_plw when a recursive SCC passes a column through unchanged (the
+// GPS pivot of Seib & Lausen), Pgld otherwise. Eval, which shares no code
+// with the engine, is the reference tests compare against.
 //
-// The engine deliberately reproduces the structural limitations the paper
-// attributes to Datalog engines (§VI): programs are optimized in the
-// direction they are written (no fixpoint reversal), and concatenated
-// closures are evaluated as separate recursive predicates that are fully
-// materialized before being joined (no fixpoint merging).
+// The stand-in keeps the structural limitations the paper attributes to
+// Datalog engines (§VI): programs are optimized in the direction they are
+// written (no fixpoint reversal), and concatenated closures are separate
+// recursive predicates, fully materialized before being joined (no
+// fixpoint merging).
 package datalog
 
 import (

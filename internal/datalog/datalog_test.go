@@ -1,11 +1,15 @@
 package datalog
 
 import (
+	"errors"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/physical"
 	"repro/internal/rpq"
 	"repro/internal/ucrpq"
 )
@@ -17,6 +21,80 @@ func edgeRel(pairs [][2]core.Value) *Rel {
 		r.Add([]core.Value{p[0], p[1]})
 	}
 	return r
+}
+
+// evalCompiled runs compiled strata on the centralized core evaluator,
+// binding each stratum's result in env, and returns the query's rows.
+func evalCompiled(strata []Stratum, query core.Term, env *core.Env) (*core.Relation, error) {
+	for _, st := range strata {
+		if st.Term == nil {
+			env.Bind(st.Pred, core.NewRelation(st.Cols...))
+			continue
+		}
+		rel, err := core.Eval(st.Term, env)
+		if err != nil {
+			return nil, err
+		}
+		env.Bind(st.Pred, rel)
+	}
+	return core.Eval(query, env)
+}
+
+// sortedRows renders rows (positional for Rel, sorted-column order for a
+// Relation over PosCols, which is the same) as a sorted list.
+func sortedRows(rows [][]core.Value) [][]core.Value {
+	out := append([][]core.Value{}, rows...)
+	sort.Slice(out, func(i, j int) bool { return core.RowKey(out[i]) < core.RowKey(out[j]) })
+	return out
+}
+
+func relationRows(r *core.Relation) [][]core.Value {
+	out := make([][]core.Value, r.Len())
+	for i := range out {
+		out[i] = append([]core.Value{}, r.RowAt(i)...)
+	}
+	return out
+}
+
+// sameRows reports whether the reference answer and a compiled one hold
+// the same rows.
+func sameRows(want *Rel, got *core.Relation) bool {
+	if want.Len() != got.Len() {
+		return false
+	}
+	return reflect.DeepEqual(sortedRows(want.Rows()), sortedRows(relationRows(got)))
+}
+
+// edgeEnv binds the pairs as relation e(src, trg) and returns the env with
+// the matching EDB columns.
+func edgeEnv(pairs [][2]core.Value) (*core.Env, map[string][]string) {
+	e := core.NewRelation(core.ColSrc, core.ColTrg)
+	for _, p := range pairs {
+		e.Add([]core.Value{p[0], p[1]})
+	}
+	env := core.NewEnv()
+	env.Bind("e", e)
+	return env, map[string][]string{"e": {core.ColSrc, core.ColTrg}}
+}
+
+func rightLinearTC() *Program {
+	return &Program{Rules: []Rule{
+		{Head: NewAtom("tc", V("X"), V("Y")), Body: []Atom{NewAtom("e", V("X"), V("Y"))}},
+		{Head: NewAtom("tc", V("X"), V("Y")), Body: []Atom{
+			NewAtom("e", V("X"), V("Z")), NewAtom("tc", V("Z"), V("Y")),
+		}},
+	}}
+}
+
+func sgProgram() *Program {
+	return &Program{Rules: []Rule{
+		{Head: NewAtom("sg", V("X"), V("Y")), Body: []Atom{
+			NewAtom("e", V("P"), V("X")), NewAtom("e", V("P"), V("Y")),
+		}},
+		{Head: NewAtom("sg", V("X"), V("Y")), Body: []Atom{
+			NewAtom("e", V("P"), V("X")), NewAtom("sg", V("P"), V("Q")), NewAtom("e", V("Q"), V("Y")),
+		}},
+	}}
 }
 
 // tcProgram is the left-linear transitive closure of e.
@@ -258,30 +336,37 @@ func TestUCRPQTranslation(t *testing.T) {
 	}
 }
 
+// TestDecomposablePivot checks that the engine's stable-column analysis
+// on compiled terms finds the GPS pivot: the argument every recursive rule
+// passes through unchanged.
 func TestDecomposablePivot(t *testing.T) {
-	scc := map[string]bool{"tc": true}
-	if k, ok := DecomposablePivot(tcProgram().Rules, scc); !ok || k != 0 {
-		t.Fatalf("left-linear TC: pivot=%d ok=%v, want 0 true", k, ok)
-	}
-	rightLinear := &Program{Rules: []Rule{
-		{Head: NewAtom("tc", V("X"), V("Y")), Body: []Atom{NewAtom("e", V("X"), V("Y"))}},
-		{Head: NewAtom("tc", V("X"), V("Y")), Body: []Atom{
-			NewAtom("e", V("X"), V("Z")), NewAtom("tc", V("Z"), V("Y")),
-		}},
-	}}
-	if k, ok := DecomposablePivot(rightLinear.Rules, scc); !ok || k != 1 {
-		t.Fatalf("right-linear TC: pivot=%d ok=%v, want 1 true", k, ok)
-	}
-	sg := &Program{Rules: []Rule{
-		{Head: NewAtom("sg", V("X"), V("Y")), Body: []Atom{
-			NewAtom("e", V("P"), V("X")), NewAtom("e", V("P"), V("Y")),
-		}},
-		{Head: NewAtom("sg", V("X"), V("Y")), Body: []Atom{
-			NewAtom("e", V("P"), V("X")), NewAtom("sg", V("P"), V("Q")), NewAtom("e", V("Q"), V("Y")),
-		}},
-	}}
-	if _, ok := DecomposablePivot(sg.Rules, map[string]bool{"sg": true}); ok {
-		t.Fatal("same-generation must not be decomposable")
+	_, cols := edgeEnv(nil)
+	schema := core.SchemaEnv{"e": core.SortCols(cols["e"])}
+	for _, tc := range []struct {
+		name   string
+		prog   *Program
+		stable []string
+	}{
+		{"left-linear TC", tcProgram(), []string{"p00"}},
+		{"right-linear TC", rightLinearTC(), []string{"p01"}},
+		{"same generation", sgProgram(), nil},
+	} {
+		head := tc.prog.Rules[0].Head
+		strata, _, err := Compile(tc.prog, head, cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fp, ok := strata[0].Term.(*core.Fixpoint)
+		if !ok {
+			t.Fatalf("%s: stratum is %s, want a fixpoint", tc.name, strata[0].Term)
+		}
+		stable, err := core.StableColsOf(fp, schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(stable, tc.stable) {
+			t.Fatalf("%s: stable columns %v, want %v", tc.name, stable, tc.stable)
+		}
 	}
 }
 
@@ -292,7 +377,6 @@ func TestDistributedMatchesCentralized(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	de := NewDistEngine(c)
 
 	for trial := 0; trial < 8; trial++ {
 		var pairs [][2]core.Value
@@ -300,47 +384,29 @@ func TestDistributedMatchesCentralized(t *testing.T) {
 			pairs = append(pairs, [2]core.Value{core.Value(rng.Intn(9)), core.Value(rng.Intn(9))})
 		}
 		edb := DB{"e": edgeRel(pairs)}
-
-		// Decomposable: left-linear TC.
-		query := NewAtom("tc", V("X"), V("Y"))
-		want, _, err := Query(tcProgram(), edb, query)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, rep, err := de.Run(tcProgram(), edb, query)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Len() != want.Len() {
-			t.Fatalf("trial %d: distributed %d ≠ central %d", trial, got.Len(), want.Len())
-		}
-		if rep.DecomposableSCCs != 1 {
-			t.Fatalf("TC should be decomposable: %+v", rep)
-		}
-
-		// Non-decomposable: same generation.
-		sg := &Program{Rules: []Rule{
-			{Head: NewAtom("sg", V("X"), V("Y")), Body: []Atom{
-				NewAtom("e", V("P"), V("X")), NewAtom("e", V("P"), V("Y")),
-			}},
-			{Head: NewAtom("sg", V("X"), V("Y")), Body: []Atom{
-				NewAtom("e", V("P"), V("X")), NewAtom("sg", V("P"), V("Q")), NewAtom("e", V("Q"), V("Y")),
-			}},
-		}}
-		sgQuery := NewAtom("sg", V("X"), V("Y"))
-		wantSG, _, err := Query(sg, edb, sgQuery)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotSG, repSG, err := de.Run(sg, edb, sgQuery)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotSG.Len() != wantSG.Len() {
-			t.Fatalf("trial %d: SG distributed %d ≠ central %d", trial, gotSG.Len(), wantSG.Len())
-		}
-		if repSG.DecomposableSCCs != 0 || repSG.GlobalIterations == 0 {
-			t.Fatalf("SG should use the global loop: %+v", repSG)
+		env, cols := edgeEnv(pairs)
+		for _, tc := range []struct {
+			prog *Program
+			kind physical.Kind
+		}{
+			{tcProgram(), physical.Splw}, // decomposable
+			{sgProgram(), physical.Gld},  // no pivot: the global loop
+		} {
+			query := tc.prog.Rules[0].Head
+			want, _, err := Query(tc.prog, edb, query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, rep, err := Run(c, env, cols, tc.prog, query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameRows(want, got) {
+				t.Fatalf("trial %d %s: distributed %d rows ≠ central %d", trial, query.Pred, got.Len(), want.Len())
+			}
+			if len(rep.Fixpoints) != 1 || rep.Fixpoints[0].Kind != tc.kind {
+				t.Fatalf("trial %d %s: fixpoints %+v, want one %s", trial, query.Pred, rep.Fixpoints, tc.kind)
+			}
 		}
 	}
 }
@@ -351,49 +417,71 @@ func TestDistributedShuffleAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	de := NewDistEngine(c)
 	var pairs [][2]core.Value
 	for i := core.Value(0); i < 30; i++ {
 		pairs = append(pairs, [2]core.Value{i, i + 1})
 	}
-	edb := DB{"e": edgeRel(pairs)}
+	env, cols := edgeEnv(pairs)
 
-	// Decomposable TC: no shuffle barriers during the loop.
+	// Decomposable TC under Ps_plw: no shuffle barriers.
 	c.Metrics().Reset()
-	if _, _, err := de.Run(tcProgram(), edb, NewAtom("tc", V("X"), V("Y"))); err != nil {
+	if _, _, err := Run(c, env, cols, tcProgram(), NewAtom("tc", V("X"), V("Y"))); err != nil {
 		t.Fatal(err)
 	}
 	if ph := c.Metrics().Snapshot().ShufflePhases; ph != 0 {
 		t.Fatalf("decomposable TC used %d shuffle phases, want 0", ph)
 	}
 
-	// Non-decomposable SG: one barrier per predicate per iteration.
-	sg := &Program{Rules: []Rule{
-		{Head: NewAtom("sg", V("X"), V("Y")), Body: []Atom{
-			NewAtom("e", V("P"), V("X")), NewAtom("e", V("P"), V("Y")),
-		}},
-		{Head: NewAtom("sg", V("X"), V("Y")), Body: []Atom{
-			NewAtom("e", V("P"), V("X")), NewAtom("sg", V("P"), V("Q")), NewAtom("e", V("Q"), V("Y")),
-		}},
-	}}
+	// Pivot-less SG under Pgld: one barrier per iteration.
 	c.Metrics().Reset()
-	_, rep, err := de.Run(sg, edb, NewAtom("sg", V("X"), V("Y")))
+	_, rep, err := Run(c, env, cols, sgProgram(), NewAtom("sg", V("X"), V("Y")))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ph := c.Metrics().Snapshot().ShufflePhases
-	if int(ph) != rep.GlobalIterations {
-		t.Fatalf("SG: %d shuffle phases for %d iterations", ph, rep.GlobalIterations)
+	if rep.Iterations() == 0 || int(ph) != rep.Iterations() {
+		t.Fatalf("SG: %d shuffle phases for %d Pgld iterations", ph, rep.Iterations())
 	}
 }
 
-func TestPosColsRoundTrip(t *testing.T) {
-	r := NewRel(3)
-	r.Add([]core.Value{3, 1, 2})
-	r.Add([]core.Value{9, 8, 7})
-	cols := PosCols(3)
-	back := FromRelation(r.ToRelation(cols), cols)
-	if back.Len() != 2 || !back.Has([]core.Value{3, 1, 2}) || !back.Has([]core.Value{9, 8, 7}) {
-		t.Fatalf("round trip failed: %v", back.Rows())
+func TestRunRejectsUnsupportedSCCs(t *testing.T) {
+	_, cols := edgeEnv(nil)
+	evenOdd := &Program{Rules: []Rule{
+		{Head: NewAtom("even", V("X")), Body: []Atom{NewAtom("e", V("X"), V("X"))}},
+		{Head: NewAtom("odd", V("Y")), Body: []Atom{NewAtom("even", V("X")), NewAtom("e", V("X"), V("Y"))}},
+		{Head: NewAtom("even", V("Y")), Body: []Atom{NewAtom("odd", V("X")), NewAtom("e", V("X"), V("Y"))}},
+	}}
+	nonLinear := &Program{Rules: []Rule{
+		{Head: NewAtom("tc", V("X"), V("Y")), Body: []Atom{NewAtom("e", V("X"), V("Y"))}},
+		{Head: NewAtom("tc", V("X"), V("Y")), Body: []Atom{
+			NewAtom("tc", V("X"), V("Z")), NewAtom("tc", V("Z"), V("Y")),
+		}},
+	}}
+	for _, prog := range []*Program{evenOdd, nonLinear} {
+		if _, _, err := Compile(prog, prog.Rules[0].Head, cols); !errors.Is(err, ErrUnsupportedSCC) {
+			t.Fatalf("program\n%s compiled with err=%v, want ErrUnsupportedSCC", prog, err)
+		}
+	}
+}
+
+func TestRunLeavesCallerEnvUnchanged(t *testing.T) {
+	c, err := cluster.New(cluster.Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	env, cols := edgeEnv([][2]core.Value{{1, 2}, {2, 3}})
+	e, _ := env.Lookup("e")
+	prog := tcProgram()
+	prog.Rules = append(prog.Rules, Rule{Head: NewAtom("q", V("X")), Body: []Atom{NewAtom("tc", V("X"), C(3))}})
+	got, _, err := Run(c, env, cols, prog, NewAtom("q", V("X")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Len() != 2 {
+		t.Fatalf("q has %d rows, want 2", got.Len())
+	}
+	if len(env.Rels) != 1 || env.Rels["e"] != e || e.Len() != 2 {
+		t.Fatalf("Run changed the caller's env: %v", env.Rels)
 	}
 }

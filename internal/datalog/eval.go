@@ -2,6 +2,7 @@ package datalog
 
 import (
 	"fmt"
+	"maps"
 
 	"repro/internal/core"
 )
@@ -24,7 +25,8 @@ func Eval(prog *Program, edb DB) (DB, *EvalStats, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	db := edb.Clone()
+	db := DB{}
+	maps.Copy(db, edb) // the EDB relations are shared
 	for pred, arity := range arities {
 		if _, ok := db[pred]; !ok {
 			db[pred] = NewRel(arity)
@@ -116,19 +118,6 @@ func SCCs(prog *Program) []map[string]bool {
 	return out
 }
 
-// IsRecursive reports whether the SCC containing pred has a rule whose body
-// mentions an SCC predicate.
-func IsRecursive(rules []Rule, scc map[string]bool) bool {
-	for _, r := range rules {
-		for _, a := range r.Body {
-			if scc[a.Pred] {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // runSemiNaive evaluates the rules of one SCC against db (which already
 // holds all lower strata and the EDB), mutating db. Iteration 0 fires every
 // rule with the SCC predicates empty (deriving the base cases); subsequent
@@ -148,7 +137,7 @@ func runSemiNaive(rules []Rule, scc map[string]bool, db DB) (iters, derived int,
 		if recursive {
 			continue
 		}
-		rows, err := evalRule(r, db, "", nil)
+		rows, err := evalRule(r, db, nil)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -176,7 +165,7 @@ func runSemiNaive(rules []Rule, scc map[string]bool, db DB) (iters, derived int,
 				if !ok || d.Len() == 0 {
 					continue
 				}
-				rows, err := evalRule(r, db, "", map[int]*Rel{i: d})
+				rows, err := evalRule(r, db, map[int]*Rel{i: d})
 				if err != nil {
 					return 0, 0, err
 				}
@@ -201,7 +190,7 @@ func runSemiNaive(rules []Rule, scc map[string]bool, db DB) (iters, derived int,
 // evalRule computes the head tuples derivable from one rule by joining its
 // body left-to-right with index lookups. overrides replaces the relation
 // used for specific body atom positions (the semi-naive delta).
-func evalRule(r Rule, db DB, _ string, overrides map[int]*Rel) ([][]core.Value, error) {
+func evalRule(r Rule, db DB, overrides map[int]*Rel) ([][]core.Value, error) {
 	var out [][]core.Value
 	bind := map[string]core.Value{}
 	var step func(i int) error

@@ -2,7 +2,6 @@ package datalog
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -199,11 +198,4 @@ func adornAllFree(prog *Program, pred string, idb map[string]bool, emitted map[s
 			}
 		}
 	}
-}
-
-// sortRules orders rules deterministically for stable printing (testing).
-func sortRules(p *Program) {
-	sort.SliceStable(p.Rules, func(i, j int) bool {
-		return p.Rules[i].String() < p.Rules[j].String()
-	})
 }

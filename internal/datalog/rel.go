@@ -46,15 +46,6 @@ func (r *Rel) Has(row []core.Value) bool {
 	return ok
 }
 
-// Clone copies the relation (rows shared).
-func (r *Rel) Clone() *Rel {
-	out := NewRel(r.arity)
-	for _, row := range r.rows {
-		out.Add(row)
-	}
-	return out
-}
-
 func maskKey(row []core.Value, positions []int) string {
 	b := make([]byte, 8*len(positions))
 	for i, p := range positions {
@@ -92,36 +83,6 @@ func (r *Rel) Match(positions []int, vals []core.Value) [][]core.Value {
 	return ix[string(b)]
 }
 
-// ToRelation converts to a named-column core.Relation with columns
-// c0..c{n-1} (for transporting through the cluster substrate).
-func (r *Rel) ToRelation(cols []string) *core.Relation {
-	out := core.NewRelationSized(r.Len(), cols...)
-	perm := permFor(cols)
-	for _, row := range r.rows {
-		nrow := make([]core.Value, len(row))
-		for i, j := range perm {
-			nrow[i] = row[j]
-		}
-		out.Add(nrow)
-	}
-	return out
-}
-
-// FromRelation converts a core.Relation built by ToRelation back.
-func FromRelation(rel *core.Relation, cols []string) *Rel {
-	out := NewRel(len(cols))
-	perm := permFor(cols)
-	for ri := 0; ri < rel.Len(); ri++ {
-		row := rel.RowAt(ri)
-		nrow := make([]core.Value, len(row))
-		for i, j := range perm {
-			nrow[j] = row[i]
-		}
-		out.Add(nrow)
-	}
-	return out
-}
-
 // PosCols returns canonical column names for a positional relation of the
 // given arity: p00, p01, ... (sorted order equals positional order for
 // arity ≤ 100).
@@ -137,26 +98,5 @@ func posColName(i int) string {
 	return "p" + string(rune('0'+i/10)) + string(rune('0'+i%10))
 }
 
-// permFor maps sorted-column index → positional index. With PosCols names
-// the sorted order equals positional order, so this is the identity; it is
-// computed anyway to stay correct for any column naming.
-func permFor(cols []string) []int {
-	sorted := core.SortCols(cols)
-	perm := make([]int, len(cols))
-	for i, c := range sorted {
-		perm[i] = core.ColIndex(cols, c)
-	}
-	return perm
-}
-
 // DB maps predicate names to relations.
 type DB map[string]*Rel
-
-// Clone deep-copies the map (relations shared for EDB reuse).
-func (db DB) Clone() DB {
-	out := make(DB, len(db))
-	for k, v := range db {
-		out[k] = v
-	}
-	return out
-}

@@ -90,7 +90,9 @@ func (tr *Translator) pathBody(e rpq.Expr, from, to Arg) []Atom {
 
 // Translate compiles a UCRPQ into a Datalog program and query atom. Head
 // variables become the query predicate's arguments; constants appear
-// directly in the rule bodies (subject constants become magic seeds).
+// directly in the rule bodies. The query atom has no bound argument, so
+// MagicTransform returns the program unchanged and an anchored query
+// still derives each closure in full.
 func (tr *Translator) Translate(q *ucrpq.Query) (*Program, Atom, error) {
 	tr.rules = nil
 	endpointArg := func(e ucrpq.Endpoint) Arg {
@@ -116,6 +118,13 @@ func (tr *Translator) Translate(q *ucrpq.Query) (*Program, Atom, error) {
 	}
 	queryAtom := NewAtom("query", headArgs...)
 	return prog, queryAtom, nil
+}
+
+// EdgeCols maps the triple predicate edgePred(src, label, trg) to the
+// columns of the labeled-edge relation bound under the same name, the
+// edbCols Compile and Run take.
+func EdgeCols(edgePred string) map[string][]string {
+	return map[string][]string{edgePred: {core.ColSrc, core.ColPred, core.ColTrg}}
 }
 
 // EdgeDB builds the EDB for a labeled triple relation.
