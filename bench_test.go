@@ -2,7 +2,7 @@
 // (§V). Each BenchmarkFigNN corresponds to one figure; sub-benchmarks give
 // the series the figure plots (per query, per system, per size). The
 // companion tool cmd/murabench prints the same experiments as tables at a
-// larger scale. Paper-vs-measured outcomes are recorded in EXPERIMENTS.md.
+// larger scale. Paper-vs-measured outcomes are recorded in docs/paper-map.md §V.
 package distmura_test
 
 import (
@@ -377,9 +377,9 @@ func BenchmarkFig15CostModel(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationRewriteRules measures the design choices DESIGN.md
-// calls out: the naive plan versus the optimized plan, and the optimized
-// plan with the fixpoint-specific rules disabled.
+// BenchmarkAblationRewriteRules measures the fixpoint rewrite rules that
+// docs/paper-map.md §II maps: the naive plan versus the optimized plan,
+// and the optimized plan with the fixpoint-specific rules disabled.
 func BenchmarkAblationRewriteRules(b *testing.B) {
 	s := benchScale()
 	g := graphgen.Yago(s.YagoScale, s.Seed)
@@ -397,38 +397,6 @@ func BenchmarkAblationRewriteRules(b *testing.B) {
 		b.Run(v.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				failIfBad(b, benchkit.RunMuRA(g, query, s.Budget(), v.opts))
-			}
-		})
-	}
-}
-
-// BenchmarkAblationStablePartitioning measures the §III-B design choice:
-// splitting the constant part by the stable column (local results
-// provably disjoint, no final distinct) versus round-robin splitting plus
-// the distinct shuffle.
-func BenchmarkAblationStablePartitioning(b *testing.B) {
-	g := graphgen.Yago(600, 1)
-	prep, err := benchkit.PrepareMuRA(g, "?x,?y <- ?x hasChild+ ?y",
-		benchkit.Budget{MaxPlans: 32}, benchkit.MuRAOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	env := g.Env(benchkit.EdgeRelName)
-	for _, disable := range []bool{false, true} {
-		name := "stable-partitioned"
-		if disable {
-			name = "round-robin+distinct"
-		}
-		b.Run(name, func(b *testing.B) {
-			c := mustCluster(b, 2)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				p := physical.NewPlanner(c, env)
-				p.Force = physical.Splw
-				p.DisableStablePartitioning = disable
-				if _, _, err := p.Execute(prep.Best); err != nil {
-					b.Fatal(err)
-				}
 			}
 		})
 	}

@@ -1,6 +1,6 @@
 // Command murabench regenerates every figure of the Dist-µ-RA paper's
 // evaluation section (§V) as a text table, on synthetic laptop-scale
-// datasets (see DESIGN.md for the scale substitutions).
+// datasets (README "Benchmarks and CI" gives the scale substitutions).
 //
 // Usage:
 //
@@ -12,7 +12,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -25,44 +24,13 @@ import (
 func main() {
 	var (
 		experiment = flag.String("experiment", "all",
-			"closure | spill | faults | incremental | retract | concurrent | fig5 | fig9 | fig10 | fig11 | fig12 | fig13 | fig14 | fig15 | queries | all")
+			"fig5 | fig9 | fig10 | fig11 | fig12 | fig13 | fig14 | fig15 | queries | all")
 		scaleName = flag.String("scale", "default", "default | test")
 		queryID   = flag.String("query", "Q24", "query for fig15")
 		workers   = flag.Int("workers", 0, "override worker count")
 		timeout   = flag.Duration("timeout", 0, "override per-query timeout")
-		jsonPath  = flag.String("json", "BENCH_results.json",
-			"write machine-readable results (query, plan, seconds, shuffle records, network bytes) to this file; empty disables")
-		baseline = flag.String("baseline", "",
-			"compare this run's closure records against a previous BENCH_results.json and fail on regression")
-		regressPct = flag.Float64("regress", 25,
-			"with -baseline: maximum tolerated closure slowdown in percent")
 	)
 	flag.Parse()
-
-	// Read the baseline before anything can write to -json: pointing
-	// -baseline and -json at the same file must compare against the
-	// committed state, not this run's own output.
-	var baselineRecords []benchkit.Record
-	if *baseline != "" {
-		data, err := os.ReadFile(*baseline)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "murabench: baseline: %v\n", err)
-			os.Exit(1)
-		}
-		if err := json.Unmarshal(data, &baselineRecords); err != nil {
-			fmt.Fprintf(os.Stderr, "murabench: baseline %s: %v\n", *baseline, err)
-			os.Exit(1)
-		}
-		if baselineRecords == nil {
-			baselineRecords = []benchkit.Record{}
-		}
-	}
-
-	var rec *benchkit.Recorder
-	if *jsonPath != "" {
-		rec = &benchkit.Recorder{}
-		benchkit.SetRecorder(rec)
-	}
 
 	scale := benchkit.DefaultScale()
 	if *scaleName == "test" {
@@ -76,7 +44,6 @@ func main() {
 	}
 
 	run := func(name string, f func() *benchkit.Table) {
-		rec.SetExperiment(name)
 		start := time.Now()
 		t := f()
 		t.Print(os.Stdout)
@@ -95,25 +62,6 @@ func main() {
 
 	if want("queries") {
 		printQueries()
-	}
-	if want("closure") {
-		run("closure", func() *benchkit.Table { return benchkit.Closure(scale) })
-	}
-	if want("spill") {
-		run("spill", func() *benchkit.Table { return benchkit.Spill(scale) })
-	}
-	if want("faults") {
-		run("faults", func() *benchkit.Table { return benchkit.Faults(scale) })
-	}
-	if want("incremental") {
-		run("incremental", func() *benchkit.Table { return benchkit.Incremental(scale) })
-	}
-	if want("retract") {
-		run("retract", func() *benchkit.Table { return benchkit.Retract(scale) })
-	}
-	if want("concurrent") {
-		run("concurrent", func() *benchkit.Table { return benchkit.Concurrent(scale) })
-		run("concurrent-overlap", func() *benchkit.Table { return benchkit.ConcurrentOverlap(scale) })
 	}
 	if want("fig5") {
 		run("fig5-left", func() *benchkit.Table { return benchkit.Fig5Left(scale) })
@@ -140,110 +88,6 @@ func main() {
 	if want("fig15") {
 		run("fig15", func() *benchkit.Table { return benchkit.Fig15(scale, *queryID) })
 	}
-
-	if rec != nil && len(rec.Records()) == 0 {
-		// Nothing ran (e.g. a typo'd -experiment): don't clobber a
-		// previous run's results with an empty array.
-		fmt.Fprintf(os.Stderr, "murabench: no records collected; leaving %s untouched\n", *jsonPath)
-		rec = nil
-	}
-	if rec != nil {
-		merged := mergeRecords(*jsonPath, rec.Records())
-		if err := writeRecords(*jsonPath, merged); err != nil {
-			fmt.Fprintf(os.Stderr, "murabench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %d records (%d new) to %s\n", len(merged), len(rec.Records()), *jsonPath)
-	}
-	if baselineRecords != nil {
-		if err := checkRegression(baselineRecords, rec.Records(), *regressPct); err != nil {
-			fmt.Fprintf(os.Stderr, "murabench: %v\n", err)
-			os.Exit(1)
-		}
-	}
-}
-
-// checkRegression compares this run's closure records against the
-// baseline records (read before any output file was written, so pointing
-// -baseline and -json at the same file still compares against the
-// committed state): any closure workload whose median time regressed by
-// more than pct percent fails the run — the perf gate CI applies against
-// the committed BENCH_results.json.
-func checkRegression(old, fresh []benchkit.Record, pct float64) error {
-	base := map[string]float64{}
-	for _, r := range old {
-		if r.Experiment == "closure" && r.System == "Dist-µ-RA" && !r.Crashed && !r.TimedOut {
-			base[r.Query] = r.Seconds
-		}
-	}
-	compared := 0
-	var failures []string
-	for _, r := range fresh {
-		if r.Experiment != "closure" || r.System != "Dist-µ-RA" {
-			continue
-		}
-		if r.Crashed || r.TimedOut {
-			failures = append(failures, fmt.Sprintf("%s: crashed or timed out", r.Query))
-			continue
-		}
-		want, ok := base[r.Query]
-		if !ok || want <= 0 {
-			fmt.Printf("baseline: no record for %q, skipping\n", r.Query)
-			continue
-		}
-		compared++
-		change := 100 * (r.Seconds - want) / want
-		fmt.Printf("baseline: %-24s %.4fs -> %.4fs (%+.1f%%)\n", r.Query, want, r.Seconds, change)
-		if change > pct {
-			failures = append(failures, fmt.Sprintf("%s regressed %.1f%% (%.4fs -> %.4fs, limit %.0f%%)",
-				r.Query, change, want, r.Seconds, pct))
-		}
-	}
-	if len(failures) > 0 {
-		return fmt.Errorf("closure perf regression:\n  %s", strings.Join(failures, "\n  "))
-	}
-	if compared == 0 {
-		fmt.Println("baseline: no comparable closure records (run -experiment closure to generate them)")
-	}
-	return nil
-}
-
-// mergeRecords combines this run's records with an existing results file:
-// experiments re-run now replace their old records, experiments not
-// selected this time are kept, so a partial run never erases the rest of
-// the perf trajectory. An unreadable or non-JSON existing file is
-// ignored (fresh start).
-func mergeRecords(path string, fresh []benchkit.Record) []benchkit.Record {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fresh
-	}
-	var old []benchkit.Record
-	if json.Unmarshal(data, &old) != nil {
-		return fresh
-	}
-	reran := map[string]bool{}
-	for _, r := range fresh {
-		reran[r.Experiment] = true
-	}
-	var merged []benchkit.Record
-	for _, r := range old {
-		if !reran[r.Experiment] {
-			merged = append(merged, r)
-		}
-	}
-	return append(merged, fresh...)
-}
-
-func writeRecords(path string, recs []benchkit.Record) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	return enc.Encode(recs)
 }
 
 // printQueries reproduces the workload tables (Fig. 7 and Fig. 8).

@@ -20,7 +20,7 @@ import (
 
 // Scale configures experiment sizes. The defaults reproduce the shape of
 // the paper's figures at laptop scale (the paper used a 4×40 GB Spark
-// cluster; see DESIGN.md for the substitution rationale).
+// cluster; README "Benchmarks and CI" gives the substitution).
 type Scale struct {
 	Seed         int64
 	Workers      int

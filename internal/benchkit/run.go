@@ -1,7 +1,6 @@
 package benchkit
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -98,9 +97,6 @@ func runWithBudget(b Budget, transport cluster.TransportKind, f func(c *cluster.
 	case out := <-done:
 		c.Close()
 		if out.err != nil {
-			if errors.Is(out.err, pregel.ErrMessageBudget) {
-				return &Result{Crashed: true, Err: out.err, Seconds: time.Since(start).Seconds()}
-			}
 			return &Result{Crashed: true, Err: out.err, Seconds: time.Since(start).Seconds()}
 		}
 		out.res.Seconds = time.Since(start).Seconds()
@@ -160,21 +156,14 @@ func RunMuRA(g *graphgen.Graph, queryText string, b Budget, opts MuRAOptions) *R
 	if err != nil {
 		return &Result{System: "Dist-µ-RA", Crashed: true, Err: err}
 	}
-	res := runMuRATerm(g.Env(EdgeRelName), prep.Best, b, opts)
+	res := RunMuRATerm(g.Env(EdgeRelName), prep.Best, b, opts)
 	res.Info = fmt.Sprintf("%s plans=%d", res.Info, prep.PlanSpace)
-	recordRun(queryText, res)
 	return res
 }
 
 // RunMuRATerm executes an already-chosen µ-RA term distributively (used
 // for the C7 queries and the plan-comparison experiments).
 func RunMuRATerm(env *core.Env, term core.Term, b Budget, opts MuRAOptions) *Result {
-	res := runMuRATerm(env, term, b, opts)
-	recordRun(term.String(), res)
-	return res
-}
-
-func runMuRATerm(env *core.Env, term core.Term, b Budget, opts MuRAOptions) *Result {
 	res := runWithBudget(b, cluster.TransportChan, func(c *cluster.Cluster) (*Result, error) {
 		planner := physical.NewPlanner(c, env)
 		planner.Force = opts.Force
@@ -223,21 +212,13 @@ func RunBigDatalog(g *graphgen.Graph, queryText string, b Budget) *Result {
 	if err != nil {
 		return &Result{System: "BigDatalog", Crashed: true, Err: err}
 	}
-	res := runDatalogProgram(g.Env(EdgeRelName), datalog.EdgeCols(EdgeRelName), mp, mq, b)
-	recordRun(queryText, res)
-	return res
+	return RunDatalogProgram(g.Env(EdgeRelName), datalog.EdgeCols(EdgeRelName), mp, mq, b)
 }
 
 // RunDatalogProgram executes a prepared Datalog program on the engine over
 // the EDB relations env binds (edbCols gives their columns in argument
 // order).
 func RunDatalogProgram(env *core.Env, edbCols map[string][]string, prog *datalog.Program, query datalog.Atom, b Budget) *Result {
-	res := runDatalogProgram(env, edbCols, prog, query, b)
-	recordRun(query.String(), res)
-	return res
-}
-
-func runDatalogProgram(env *core.Env, edbCols map[string][]string, prog *datalog.Program, query datalog.Atom, b Budget) *Result {
 	res := runWithBudget(b, cluster.TransportChan, func(c *cluster.Cluster) (*Result, error) {
 		rel, rep, err := datalog.Run(c, env, edbCols, prog, query)
 		if err != nil {
@@ -312,7 +293,6 @@ func RunGraphX(g *graphgen.Graph, queryText string, b Budget) *Result {
 		return &Result{Rows: joined.Len(), Info: fmt.Sprintf("supersteps=%d", supersteps)}, nil
 	})
 	res.System = "GraphX"
-	recordRun(queryText, res)
 	return res
 }
 

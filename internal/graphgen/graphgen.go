@@ -15,7 +15,7 @@
 // Real Yago/SNAP data cannot ship with this reproduction; the generators
 // preserve what the experiments depend on — predicate vocabulary,
 // heavy-tailed degree distributions, hierarchy depths and reachability —
-// as documented in DESIGN.md.
+// as README "Benchmarks and CI" states for the scale substitution.
 package graphgen
 
 import (

@@ -107,10 +107,6 @@ type Planner struct {
 	// Force pins the fixpoint plan; Auto runs Splw. Pgplw runs only
 	// when forced.
 	Force Kind
-	// DisableStablePartitioning makes the Pplw plans ignore stable columns
-	// and fall back to round-robin splitting plus a final distinct shuffle
-	// — the ablation for the §III-B partitioning optimization.
-	DisableStablePartitioning bool
 
 	// SubResults, when set, is consulted before every fixpoint execution:
 	// a hit replaces the whole distributed computation with the cached
@@ -494,7 +490,7 @@ func (p *Planner) runPlw(sess *cluster.Session, pr *prepared, usePg bool) (*core
 	defer freeB()
 
 	byCols := pr.stable
-	if len(byCols) == 0 || p.DisableStablePartitioning {
+	if len(byCols) == 0 {
 		byCols = nil
 	}
 	fr.Partitioned = byCols != nil

@@ -93,7 +93,8 @@ func TestAllPlansMatchCentralizedEval(t *testing.T) {
 
 func TestMergedFixpointOnAllPlans(t *testing.T) {
 	// The merged a+∘b+ fixpoint has no stable column: Pplw must fall back
-	// to round-robin split + final distinct and stay correct.
+	// to round-robin split + final distinct and stay correct, paying
+	// exactly the one distinct shuffle for it.
 	rng := rand.New(rand.NewSource(43))
 	c := newTestCluster(t, cluster.TransportChan, 4)
 	env := core.NewEnv()
@@ -112,6 +113,7 @@ func TestMergedFixpointOnAllPlans(t *testing.T) {
 	for _, kind := range []Kind{Gld, Splw, Pgplw} {
 		p := NewPlanner(c, env)
 		p.Force = kind
+		c.Metrics().Reset()
 		got, rep, err := p.Execute(merged)
 		if err != nil {
 			t.Fatal(err)
@@ -119,8 +121,14 @@ func TestMergedFixpointOnAllPlans(t *testing.T) {
 		if !got.Equal(want) {
 			t.Fatalf("%s: got %d rows, want %d", kind, got.Len(), want.Len())
 		}
-		if kind != Gld && rep.Fixpoints[0].Partitioned {
+		if kind == Gld {
+			continue
+		}
+		if rep.Fixpoints[0].Partitioned {
 			t.Fatalf("%s: merged fixpoint reported stable partitioning", kind)
+		}
+		if ph := c.Metrics().Snapshot().ShufflePhases; ph != 1 {
+			t.Fatalf("%s: unpartitioned run used %d shuffle phases, want 1", kind, ph)
 		}
 	}
 }
@@ -361,36 +369,6 @@ func TestPropertyPlansAgreeOnRandomQueries(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestDisableStablePartitioningAblation(t *testing.T) {
-	rng := rand.New(rand.NewSource(51))
-	c := newTestCluster(t, cluster.TransportChan, 4)
-	env := core.NewEnv()
-	env.Bind("E", randomBinary(rng, 50, 12))
-	env.Bind("S", randomBinary(rng, 10, 12))
-	want, err := core.Eval(reachTerm(), env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := NewPlanner(c, env)
-	p.Force = Splw
-	p.DisableStablePartitioning = true
-	c.Metrics().Reset()
-	got, rep, err := p.Execute(reachTerm())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(want) {
-		t.Fatal("ablated partitioning changed the result")
-	}
-	if rep.Fixpoints[0].Partitioned {
-		t.Fatal("ablation did not disable partitioning")
-	}
-	// The fallback must pay exactly the final distinct shuffle.
-	if ph := c.Metrics().Snapshot().ShufflePhases; ph != 1 {
-		t.Fatalf("ablated run used %d shuffle phases, want 1", ph)
 	}
 }
 

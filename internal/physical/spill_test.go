@@ -81,9 +81,10 @@ func TestPgldSpillLoopbackTCP(t *testing.T) {
 // TestAllPlansUnderStarvedBudget runs every physical plan with a tiny
 // per-task budget and with an ample one, and checks the result sets still
 // match the unbudgeted reference — the spill paths of Ps_plw and Ppg_plw
-// (the same local loop) and Pgld ride the same governance. A finished
-// query must also have released its worker budget before the cluster is
-// closed: nothing it built stays charged on a worker.
+// (the same local loop) and Pgld ride the same governance. The starved
+// run must complete by spilling and the ample one must not spill at all.
+// A finished query must also have released its worker budget before the
+// cluster is closed: nothing it built stays charged on a worker.
 func TestAllPlansUnderStarvedBudget(t *testing.T) {
 	edges := core.NewRelation(core.ColSrc, core.ColTrg)
 	for i := 0; i < 60; i++ {
@@ -118,13 +119,18 @@ func TestAllPlansUnderStarvedBudget(t *testing.T) {
 				c.Close()
 				t.Fatalf("%s, budget %d: %d rows, want %d", kind, budget, got.Len(), want.Len())
 			}
+			var spills int64
 			for w, g := range c.Gauges() {
 				if used := g.Used(); used != 0 {
 					c.Close()
 					t.Fatalf("%s, budget %d: worker %d gauge holds %d bytes after the query", kind, budget, w, used)
 				}
+				spills += g.Spills()
 			}
 			c.Close()
+			if starved := budget == 1<<10; starved != (spills > 0) {
+				t.Fatalf("%s, budget %d: %d spills, want spilling only under the starved budget", kind, budget, spills)
+			}
 			if matches, _ := filepath.Glob(filepath.Join(spillDir, core.SpillFilePattern)); len(matches) > 0 {
 				t.Fatalf("%s, budget %d: left spill files: %v", kind, budget, matches)
 			}
