@@ -54,7 +54,9 @@ type Config struct {
 	// OOMing once over it — or once the worker's cumulative gauge (the
 	// sum over concurrent sessions) is over, so overlap cannot multiply a
 	// worker's memory. 0 (the default) disables governance. It bounds
-	// whatever plan runs, so every plan works out of core.
+	// whatever plan runs, so every plan works out of core. Spill runs are
+	// read through memory mappings, so a positive budget needs a unix
+	// platform; elsewhere New rejects it (errors.ErrUnsupported).
 	TaskMemBytes int64
 	// SpillDir is where over-budget operators write their temp-file runs
 	// ("" = os.TempDir()). Spill files are unlinked on creation and can
@@ -158,6 +160,11 @@ func (w *Worker) DeleteLocal(key string) {
 func New(cfg Config) (*Cluster, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 4
+	}
+	if cfg.TaskMemBytes > 0 {
+		if err := core.SpillSupported(); err != nil {
+			return nil, fmt.Errorf("cluster: TaskMemBytes needs spill runs: %w", err)
+		}
 	}
 	var tr Transport
 	var err error

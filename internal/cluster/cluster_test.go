@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"math/rand"
 	"strings"
 	"sync/atomic"
@@ -31,6 +32,25 @@ func newTestCluster(t *testing.T, kind TransportKind, workers int) *Cluster {
 func transports(t *testing.T, workers int, f func(t *testing.T, c *Cluster)) {
 	t.Run("chan", func(t *testing.T) { f(t, newTestCluster(t, TransportChan, workers)) })
 	t.Run("tcp", func(t *testing.T) { f(t, newTestCluster(t, TransportTCP, workers)) })
+}
+
+// TestNewRejectsBudgetWithoutSpill checks the platform rule of a task
+// budget: where spill runs cannot be mapped, New refuses TaskMemBytes > 0
+// with errors.ErrUnsupported; where they can, it accepts it. An
+// unbudgeted cluster starts on every platform.
+func TestNewRejectsBudgetWithoutSpill(t *testing.T) {
+	c, err := New(Config{Workers: 1, TaskMemBytes: 1 << 20, SpillDir: t.TempDir()})
+	switch {
+	case core.SpillSupported() != nil:
+		if !errors.Is(err, errors.ErrUnsupported) {
+			t.Fatalf("budgeted New on a platform without spill runs: err = %v, want ErrUnsupported", err)
+		}
+	case err != nil:
+		t.Fatalf("budgeted New: %v", err)
+	default:
+		c.Close()
+	}
+	newTestCluster(t, TransportChan, 1)
 }
 
 func TestParallelizeCollectRoundTrip(t *testing.T) {

@@ -26,10 +26,10 @@ import (
 // consumed prefix into a sorted on-disk run, keeping only a 32-bit
 // fingerprint per frozen row in memory. The fingerprints are stored in run
 // order, so the filter lookup that answers "may contain" also yields the
-// record's position: a membership probe that reaches disk costs one
-// positioned read. Deltas keep streaming zero-copy because eviction never
-// moves rows above the watermark the caller passes. See ARCHITECTURE.md,
-// "Memory governance".
+// record's position: a membership probe that passes the filter compares
+// those records in place on the run's mapping. Deltas keep streaming
+// zero-copy because eviction never moves rows above the watermark the
+// caller passes. See ARCHITECTURE.md, "Memory governance".
 
 // accShards is the shard count of an Accumulator. 32 shards keep lock
 // contention negligible for worker pools up to a few dozen goroutines
@@ -135,11 +135,6 @@ func (sh *accShard) forSegs(lo, hi, arity int, f func(vals []Value, n int)) {
 type accRun struct {
 	run *spillRun
 	fps []uint32
-	// Probe scratch, reused across locate calls. Guarded by the owning
-	// shard's lock — locate is only reached through addLocked and Has,
-	// both of which hold it.
-	win     []Value
-	scratch []byte
 }
 
 // runFpShift positions the fingerprint of a frozen row: the 32 hash bits
@@ -156,14 +151,11 @@ func runFingerprint(h uint64) uint32 { return uint32(h >> runFpShift) }
 
 // locate is THE membership probe of a frozen run, shared by Add and Has:
 // a binary search of the in-memory filter finds the range of records
-// whose fingerprint equals the row's — empty means definitely
-// absent, and is answered without touching disk — and one positioned read
-// fetches exactly that range (almost always a single record) for the
-// hash-and-values comparison. The probe scratch is reused across calls
-// (shard lock held by the caller), so a probe allocates nothing after the
-// run's first. Safe on a nil run (a shard never evicted). Spill I/O
-// failures panic (the accumulator's insert path has no error channel,
-// matching the rest of the data plane).
+// whose fingerprint equals the row's — empty means definitely absent, and
+// is answered without touching the run — and that range (almost always a
+// single record) is compared by hash and values in place on the run's
+// mapping. A probe allocates nothing and makes no system call. Safe on a
+// nil run (a shard never evicted).
 func (r *accRun) locate(h uint64, row []Value) bool {
 	if r == nil {
 		return false
@@ -177,38 +169,23 @@ func (r *accRun) locate(h uint64, row []Value) bool {
 	for hi < len(r.fps) && r.fps[hi] == fp {
 		hi++
 	}
-	rv := r.run.recVals
-	if cap(r.win) < (hi-lo)*rv {
-		r.win = make([]Value, (hi-lo)*rv)
-	}
-	buf := r.win[:(hi-lo)*rv]
-	var err error
-	if r.scratch, err = r.run.readRangeScratch(lo, hi, buf, r.scratch); err != nil {
-		panic(err)
-	}
-	for ; len(buf) > 0; buf = buf[rv:] {
-		if uint64(buf[0]) == h && rowsEqual(buf[1:rv], row) {
-			return true
-		}
-	}
-	return false
+	return r.run.holds(lo, hi, Value(h), row)
 }
 
-// runScanner streams a finished run's records in order, in chunked
-// positioned reads. Single-owner.
+// runScanner streams a finished run's records in order, decoding them
+// from the mapping a chunk at a time. Single-owner.
 type runScanner struct {
-	r       *spillRun
-	pos     int
-	chunk   []Value
-	scratch []byte
-	lo      int // records [lo, hi) of the run are decoded in chunk
-	hi      int
+	r     *spillRun
+	pos   int
+	chunk []Value
+	lo    int // records [lo, hi) of the run are decoded in chunk
+	hi    int
 }
 
 const runScanChunk = 2048
 
 // reset points the scanner at the start of another run, keeping its
-// buffers.
+// buffer.
 func (s *runScanner) reset(r *spillRun) {
 	s.r, s.pos, s.lo, s.hi = r, 0, 0, 0
 }
@@ -227,11 +204,7 @@ func (s *runScanner) next() []Value {
 		if cap(s.chunk) < (s.hi-s.lo)*s.r.recVals {
 			s.chunk = make([]Value, runScanChunk*s.r.recVals)
 		}
-		var err error
-		s.scratch, err = s.r.readRangeScratch(s.lo, s.hi, s.chunk[:(s.hi-s.lo)*s.r.recVals], s.scratch)
-		if err != nil {
-			panic(err)
-		}
+		s.r.readRange(s.lo, s.hi, s.chunk[:(s.hi-s.lo)*s.r.recVals])
 	}
 	at := (s.pos - s.lo) * s.r.recVals
 	s.pos++
@@ -318,7 +291,8 @@ func (a *Accumulator) addHashed(row []Value, h uint64) bool {
 
 // addLocked is the insertion body of one shard (its lock held by the
 // caller): probe the in-memory set, then — only when absent there — the
-// frozen run (its filter and, on a filter hit, one read), then append.
+// frozen run (its filter and, on a filter hit, the records it points at),
+// then append.
 func (a *Accumulator) addLocked(sh *accShard, row []Value, h uint64) bool {
 	sh.set.growFor(sh.n - sh.frozen + 1)
 	slot, found := sh.lookup(h, row)
@@ -338,8 +312,8 @@ func (a *Accumulator) Add(row []Value) bool {
 
 // Has reports whether the accumulator contains the row, consulting the
 // in-memory shard first and then the frozen run (fingerprint filter, then
-// one read). Safe for concurrent use with Add and EvictBelow (the probe takes
-// the shard lock).
+// the records it points at). Safe for concurrent use with Add and
+// EvictBelow (the probe takes the shard lock).
 func (a *Accumulator) Has(row []Value) bool {
 	return a.hasHashed(row, HashValues(row))
 }

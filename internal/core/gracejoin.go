@@ -19,8 +19,8 @@ package core
 // the build side's common columns, partition-at-a-time. buildCols is the
 // build side's schema. The iterator owns its pipeline state and is not
 // safe for concurrent use, but several GraceJoinStreams may share one
-// spilled index (partition reads are positioned). The output batch comes
-// from pool (nil allocates).
+// spilled index (partition reads only decode the run's mapping). The
+// output batch comes from pool (nil allocates).
 func GraceJoinStream(probe Iterator, ix *JoinIndex, buildCols []string, pool *BatchPool) Iterator {
 	plan := newJoinPlan(probe.Cols(), buildCols)
 	return &graceIter{
@@ -118,9 +118,7 @@ func (it *graceIter) nextChunk() bool {
 				it.chunk = make([]Value, step*arity)
 			}
 			buf := it.chunk[:(hi-it.rec)*arity]
-			if err := it.parts[it.p].readRange(it.rec, hi, buf); err != nil {
-				panic(err)
-			}
+			it.parts[it.p].readRange(it.rec, hi, buf)
 			it.chunkN = hi - it.rec
 			it.rec = hi
 			it.ci = 0

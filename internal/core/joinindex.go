@@ -201,16 +201,14 @@ func (ix *JoinIndex) Close() {
 // sub-index (partition data copy + buckets) is charged to the spilled
 // index's gauge; the caller must Close the returned sub-index when done
 // with the partition to return the charge. Safe for concurrent use
-// (partition reads are positioned); note that concurrent Grace streams
-// each load their own partition copy, and each copy is charged, so the
-// gauge sees the full transient pressure.
+// (partition reads only decode the run's read-only mapping); note that
+// concurrent Grace streams each load their own partition copy, and each
+// copy is charged, so the gauge sees the full transient pressure.
 func (ix *JoinIndex) loadPartition(p int) *JoinIndex {
 	run := ix.spill.parts[p]
 	n := run.records()
 	data := make([]Value, n*ix.arity)
-	if err := run.readRange(0, n, data); err != nil {
-		panic(err)
-	}
+	run.readRange(0, n, data)
 	sub := buildJoinIndex(data, ix.arity, n, ix.at)
 	sub.keyCols = ix.keyCols
 	if ix.gauge != nil {

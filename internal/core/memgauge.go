@@ -63,8 +63,8 @@ type MemGauge struct {
 	peak    atomic.Int64
 	spills  atomic.Int64
 	spilled atomic.Int64 // bytes written to spill runs, cumulative
-	// Read side of the spill accounting: positioned reads issued against
-	// spill runs and the bytes they fetched, cumulative.
+	// Read side of the spill accounting: accesses to spill runs and the
+	// bytes they covered, cumulative.
 	spillReads     atomic.Int64
 	spillReadBytes atomic.Int64
 }
@@ -191,9 +191,10 @@ func (g *MemGauge) noteSpill(n int64) {
 	g.parent.noteSpill(n)
 }
 
-// noteSpillRead records one positioned read of n bytes from a spill run —
-// the read-side counterpart of noteSpill, counted where the read happens
-// (spillRun.readRangeScratch).
+// noteSpillRead records one run access covering n bytes of a spill run —
+// a filter-hit probe or a decoded range, the read-side counterpart of
+// noteSpill — counted where the access happens (spillRun.holds and
+// spillRun.readRange).
 func (g *MemGauge) noteSpillRead(n int64) {
 	if g == nil {
 		return
@@ -221,9 +222,10 @@ func (g *MemGauge) SpilledBytes() int64 {
 	return g.spilled.Load()
 }
 
-// SpillReads returns how many positioned reads were issued against spill
-// runs (membership probes of frozen accumulator runs, compaction and
-// materialization scans, Grace-join partition replays). Safe on nil
+// SpillReads returns how many run accesses were made on spill runs
+// (filter-hit membership probes of frozen accumulator runs, compaction
+// and materialization scan chunks, Grace-join partition loads and
+// replays). Safe on nil
 // (returns 0).
 func (g *MemGauge) SpillReads() int64 {
 	if g == nil {
@@ -232,8 +234,8 @@ func (g *MemGauge) SpillReads() int64 {
 	return g.spillReads.Load()
 }
 
-// SpillReadBytes returns the cumulative bytes those reads fetched. Safe on
-// nil (returns 0).
+// SpillReadBytes returns the cumulative bytes those run accesses covered.
+// Safe on nil (returns 0).
 func (g *MemGauge) SpillReadBytes() int64 {
 	if g == nil {
 		return 0

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -12,9 +13,10 @@ import (
 )
 
 // This file tests the frozen-run probe path of the budgeted Accumulator:
-// the position-bearing fingerprint filter (one positioned read per
-// filter-hit probe) and the segment files (one spill file per eviction
-// round). The read and descriptor bounds are asserted, not recorded.
+// the position-bearing fingerprint filter (one in-place compare on the
+// mapped run per filter-hit probe) and the segment files (one spill file
+// per eviction round). The read, descriptor and mapping bounds are
+// asserted, not recorded.
 
 // probeRow is a row with the hash the tests insert and probe it under.
 type probeRow struct {
@@ -283,24 +285,46 @@ func spillFDs(dir string) (n int, ok bool) {
 	return n, true
 }
 
-// TestSpillProbeReadAndDescriptorBound asserts the two bounds of the
+// spillMaps counts this process's memory mappings of (unlinked) files
+// under dir, through /proc/self/maps; ok is false where that is
+// unavailable.
+func spillMaps(dir string) (n int, ok bool) {
+	maps, err := os.ReadFile("/proc/self/maps")
+	if err != nil {
+		return 0, false
+	}
+	return strings.Count(string(maps), " "+dir+string(filepath.Separator)), true
+}
+
+// TestSpillProbeReadAndDescriptorBound asserts the bounds of the
 // frozen-run layout instead of recording a slowdown: a membership probe
-// that reaches disk costs exactly one positioned read, of exactly the
-// fingerprint-equal records, whether Has or Add issued it —
-// a positioned binary search would cost about ten per probe here — and an
+// that passes the filter costs exactly one run access, of exactly the
+// fingerprint-equal records, whether Has or Add issued it — a binary
+// search of the run would cost about ten per probe here — and an
 // eviction round costs one file, so an accumulator holds at most one
 // descriptor per round that still has a live run — a file per frozen
-// shard would hold 32.
+// shard would hold 32. Each live run is mapped once (the kernel may
+// merge adjacent mappings of one file, hence at most), and Close unmaps
+// them all.
 func TestSpillProbeReadAndDescriptorBound(t *testing.T) {
 	dir := t.TempDir()
 	if _, ok := spillFDs(dir); !ok {
 		t.Skip("/proc/self/fd is not available")
+	}
+	if _, ok := spillMaps(dir); !ok {
+		t.Skip("/proc/self/maps is not available")
 	}
 	g := NewMemGauge(1, dir)
 	acc := NewAccumulator(g, ColSrc, ColTrg)
 	const rounds, perRound = 4, 4096
 	rowOf := func(i int) []Value { return []Value{Value(i), Value(i ^ 0x5a5a)} }
 	fds := func() int { n, _ := spillFDs(dir); return n }
+	checkMaps := func(when string) {
+		t.Helper()
+		if n, _ := spillMaps(dir); n < 1 || n > acc.Runs() {
+			t.Fatalf("%s: %d spill mappings for %d runs, want 1 to %d", when, n, acc.Runs(), acc.Runs())
+		}
+	}
 	for r := 0; r < rounds; r++ {
 		for i := r * perRound; i < (r+1)*perRound; i++ {
 			acc.Add(rowOf(i))
@@ -316,6 +340,7 @@ func TestSpillProbeReadAndDescriptorBound(t *testing.T) {
 		if g.Spills() != int64(accShards*(r+1)) {
 			t.Fatalf("round %d: %d spill events, want one per shard per round (%d)", r, g.Spills(), accShards*(r+1))
 		}
+		checkMaps(fmt.Sprintf("round %d", r))
 	}
 	assertNoSpillFiles(t, dir)
 	checkRunLayout(t, acc)
@@ -370,9 +395,13 @@ func TestSpillProbeReadAndDescriptorBound(t *testing.T) {
 	if got := fds(); got != 2 {
 		t.Fatalf("%d spill descriptors after a full and a partial round, want 2", got)
 	}
+	checkMaps("partial round")
 	acc.Close()
 	if got := fds(); got != 0 {
 		t.Fatalf("%d spill descriptors survive Close", got)
+	}
+	if got, _ := spillMaps(dir); got != 0 {
+		t.Fatalf("%d spill mappings survive Close", got)
 	}
 	if g.Used() != 0 {
 		t.Fatalf("gauge still holds %d bytes after Close", g.Used())

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -68,18 +69,14 @@ func TestSpillRunRoundTrip(t *testing.T) {
 	}
 	got := make([]Value, 3)
 	for _, i := range []int{0, 1, 499, n - 1} {
-		if err := run.readRecord(i, got); err != nil {
-			t.Fatal(err)
-		}
+		run.readRange(i, i+1, got)
 		want := []Value{Value(i), Value(-i), Value(i * i)}
 		if !rowsEqual(got, want) {
 			t.Fatalf("record %d = %v, want %v", i, got, want)
 		}
 	}
 	bulk := make([]Value, 3*10)
-	if err := run.readRange(100, 110, bulk); err != nil {
-		t.Fatal(err)
-	}
+	run.readRange(100, 110, bulk)
 	if bulk[0] != 100 || bulk[3] != 101 {
 		t.Fatalf("bulk read wrong: %v", bulk[:6])
 	}
@@ -87,6 +84,40 @@ func TestSpillRunRoundTrip(t *testing.T) {
 	// ten-record range, 24 bytes a record.
 	if g.SpillReads() != 5 || g.SpillReadBytes() != (4+10)*24 {
 		t.Fatalf("spill reads=%d bytes=%d, want 5 reads of %d bytes", g.SpillReads(), g.SpillReadBytes(), (4+10)*24)
+	}
+
+	// Two extents of one segment file: the second run starts at byte
+	// 1000*24 = 24000, inside a page, so its mapping starts at the page
+	// boundary below and its records must be found at the right offset.
+	seg := spillSegment{gauge: g}
+	defer seg.close()
+	var runs []*spillRun
+	for e, recs := range []int{n, 700} {
+		r, err := seg.extent(3, recs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		for i := 0; i < recs; i++ {
+			if err := r.append([]Value{Value(e), Value(i), Value(-i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := r.finish(); err != nil {
+			t.Fatal(err)
+		}
+		runs = append(runs, r)
+	}
+	if runs[1].base%int64(os.Getpagesize()) == 0 {
+		t.Fatalf("second extent starts at page-aligned byte %d", runs[1].base)
+	}
+	for e, r := range runs {
+		for i := 0; i < r.records(); i++ {
+			r.readRange(i, i+1, got)
+			if want := []Value{Value(e), Value(i), Value(-i)}; !rowsEqual(got, want) {
+				t.Fatalf("extent %d record %d = %v, want %v", e, i, got, want)
+			}
+		}
 	}
 }
 

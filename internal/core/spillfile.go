@@ -3,6 +3,7 @@ package core
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -14,17 +15,21 @@ import (
 // operator: fixed-width records, each record recVals Values encoded as
 // 8-byte little-endian words, laid out from a base offset of a temp file.
 // Fixed width keeps records addressable (record i of a run lives at byte
-// base + i*recVals*8), so a frozen accumulator run can be probed with one
-// positioned read at the record position its in-memory filter yields, and
-// join partitions can be replayed in bounded chunks.
+// base + i*recVals*8). A finished run is read through a read-only mapping
+// of its extent, so a frozen accumulator run is probed by comparing the
+// records at the position its in-memory filter yields in place, with no
+// system call, and join partitions are decoded from it in bounded chunks.
+// No slice of a mapping leaves a run's methods: callers get a bool or
+// decoded copies, so nothing outlives the unmap in Close.
 //
 // A spill file holds one run (a join partition) or many (the segment of an
 // accumulator eviction round: one extent per frozen shard). It is unlinked
 // immediately after creation: the file lives for exactly as long as its
-// descriptor, so a crash, a panic or a forgotten Close can never leave a
-// spill file behind on disk (the CI leak check asserts this). The
-// descriptor closes when the last run in the file does; a finalizer
-// backstops it for owners that go out of scope without closing.
+// descriptor and its runs' mappings, so a crash, a panic or a forgotten
+// Close can never leave a spill file behind on disk (the CI leak check
+// asserts this). The descriptor closes when the last run in the file
+// does; finalizers backstop the descriptor and the mappings for owners
+// that go out of scope without closing.
 
 // spillWriteBuf is the write buffer of a run being written.
 const spillWriteBuf = 1 << 16
@@ -69,8 +74,9 @@ func (sf *spillFile) release() error {
 
 // spillRun is one on-disk run of fixed-width Value records. Writes
 // (append) are single-owner and must finish before any read; reads
-// (readRange) use positioned I/O and are safe for concurrent use after
-// finish — the parallel fixpoint probes frozen runs from many goroutines.
+// (readRange, holds) go through the mapping finish makes and are safe for
+// concurrent use until Close — the parallel fixpoint probes frozen runs
+// from many goroutines.
 type spillRun struct {
 	file    *spillFile
 	base    int64 // byte offset of record 0 in file
@@ -79,7 +85,9 @@ type spillRun struct {
 	recVals int
 	n       int
 	bytes   int64
-	scratch []byte
+	scratch []byte // append's encode buffer
+	mapping []byte // the pages mapped by finish; nil for an empty run
+	data    []byte // the run's records, within mapping
 	closed  atomic.Bool
 }
 
@@ -164,61 +172,78 @@ func (r *spillRun) append(rec []Value) error {
 	return nil
 }
 
-// finish flushes buffered writes and lets go of the writer; reads are
-// valid only after finish.
+// finish flushes buffered writes, lets go of the writer and maps the
+// run's extent; reads are valid only after finish.
 func (r *spillRun) finish() error {
 	err := r.w.Flush()
 	r.w = nil
 	if err != nil {
 		return fmt.Errorf("core: spill flush: %w", err)
 	}
+	if r.bytes == 0 {
+		return nil
+	}
+	m, at, err := mapExtent(r.file.f, r.base, int(r.bytes))
+	if err != nil {
+		return fmt.Errorf("core: spill map: %w", err)
+	}
+	r.mapping, r.data = m, m[at:at+int(r.bytes)]
+	runtime.SetFinalizer(r, (*spillRun).Close)
 	return nil
 }
 
 // records returns how many records the run holds.
 func (r *spillRun) records() int { return r.n }
 
-// readRange decodes records [lo, hi) into dst (len >= (hi-lo)*recVals)
-// with one positioned read. Safe for concurrent use after finish.
-func (r *spillRun) readRange(lo, hi int, dst []Value) error {
-	_, err := r.readRangeScratch(lo, hi, dst, nil)
-	return err
-}
-
-// readRangeScratch is readRange with a caller-owned byte scratch buffer
-// (grown as needed and returned), so repeated small reads — one per
-// filter-hit membership probe — allocate nothing. Every call that reaches
-// the file is one read on the run's gauge (SpillReads, SpillReadBytes).
-func (r *spillRun) readRangeScratch(lo, hi int, dst []Value, scratch []byte) ([]byte, error) {
-	nb := (hi - lo) * r.recVals * 8
-	if nb == 0 {
-		return scratch, nil
-	}
-	if cap(scratch) < nb {
-		scratch = make([]byte, nb)
-	}
-	buf := scratch[:nb]
-	if _, err := r.file.f.ReadAt(buf, r.base+int64(lo*r.recVals*8)); err != nil {
-		return scratch, fmt.Errorf("core: spill read: %w", err)
-	}
-	r.gauge.noteSpillRead(int64(nb))
-	for i := 0; i < (hi-lo)*r.recVals; i++ {
-		dst[i] = Value(binary.LittleEndian.Uint64(buf[i*8:]))
-	}
-	return scratch, nil
-}
-
-// readRecord decodes record i into dst (len >= recVals). Safe for
+// readRange decodes records [lo, hi) into dst (len >= (hi-lo)*recVals):
+// one run access on the gauge (SpillReads, SpillReadBytes). Safe for
 // concurrent use after finish.
-func (r *spillRun) readRecord(i int, dst []Value) error {
-	return r.readRange(i, i+1, dst)
+func (r *spillRun) readRange(lo, hi int, dst []Value) {
+	src := r.data[lo*r.recVals*8 : hi*r.recVals*8]
+	if len(src) == 0 {
+		return
+	}
+	for i := range dst[:len(src)/8] {
+		dst[i] = Value(binary.LittleEndian.Uint64(src[i*8:]))
+	}
+	r.gauge.noteSpillRead(int64(len(src)))
 }
 
-// Close drops the run's hold on its file; the descriptor (and the
-// unlinked file) goes with the file's last run. Idempotent.
+// holds reports whether one of records [lo, hi) is head followed by tail
+// (len recVals-1), comparing in place on the mapping: one run access on
+// the gauge, of the whole range. Safe for concurrent use after finish.
+func (r *spillRun) holds(lo, hi int, head Value, tail []Value) bool {
+	w := r.recVals * 8
+	src := r.data[lo*w : hi*w]
+	found := false
+	for rec := src; len(rec) >= w && !found; rec = rec[w:] {
+		found = Value(binary.LittleEndian.Uint64(rec)) == head && wordsEqual(rec[8:w], tail)
+	}
+	r.gauge.noteSpillRead(int64(len(src)))
+	return found
+}
+
+// wordsEqual reports whether b encodes vals (8 little-endian bytes each).
+func wordsEqual(b []byte, vals []Value) bool {
+	for j, v := range vals {
+		if Value(binary.LittleEndian.Uint64(b[8*j:])) != v {
+			return false
+		}
+	}
+	return true
+}
+
+// Close unmaps the run and drops its hold on its file; the descriptor
+// (and the unlinked file) goes with the file's last run. Idempotent.
 func (r *spillRun) Close() error {
 	if r.closed.Swap(true) {
 		return nil
 	}
-	return r.file.release()
+	runtime.SetFinalizer(r, nil)
+	var err error
+	if r.mapping != nil {
+		err = unmapExtent(r.mapping)
+		r.mapping, r.data = nil, nil
+	}
+	return errors.Join(err, r.file.release())
 }

@@ -6,11 +6,11 @@ import (
 	"repro/internal/core"
 )
 
-// This file closes the loop between the §IV cost estimator and the runtime
-// memory governor: the estimator sets the MemGauge the chosen plan's
-// operators will charge and spill against, and predicts whether spilling
-// is expected at all. The estimate and the gauge share
-// one set of per-row accounting constants (core.AccRowBytes,
+// This file pairs the §IV cost estimator with the runtime memory governor:
+// the estimator predicts the chosen plan's peak operator-owned memory and
+// whether it will spill under the per-task budget that the cluster's
+// gauges enforce (cluster.Config.TaskMemBytes). The estimate and the gauge
+// share one set of per-row accounting constants (core.AccRowBytes,
 // core.IndexRowBytes), so "estimated peak" and "measured peak" are in the
 // same units; ARCHITECTURE.md ("Memory governance") documents the flow.
 
@@ -50,11 +50,4 @@ func MemPlanFromEstimate(est *Estimate, taskBudgetBytes int64) MemPlan {
 	}
 	mp.ExpectSpill = taskBudgetBytes > 0 && mp.PeakBytes > float64(taskBudgetBytes)
 	return mp
-}
-
-// NewGauge materializes the plan as a runtime gauge spilling into dir
-// ("" = os.TempDir()). The returned gauge carries the plan's budget; a
-// non-positive budget yields a metering-only gauge that never spills.
-func (mp MemPlan) NewGauge(dir string) *core.MemGauge {
-	return core.NewMemGauge(mp.BudgetBytes, dir)
 }

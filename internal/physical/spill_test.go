@@ -1,7 +1,9 @@
 package physical
 
 import (
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -78,13 +80,21 @@ func TestPgldSpillLoopbackTCP(t *testing.T) {
 	}
 }
 
+// spillMaps counts this process's memory mappings of spill files under
+// dir, through /proc/self/maps (0 where that is unavailable).
+func spillMaps(dir string) int {
+	maps, _ := os.ReadFile("/proc/self/maps")
+	return strings.Count(string(maps), " "+dir+string(filepath.Separator))
+}
+
 // TestAllPlansUnderStarvedBudget runs every physical plan with a tiny
 // per-task budget and with an ample one, and checks the result sets still
 // match the unbudgeted reference — the spill paths of Ps_plw and Ppg_plw
 // (the same local loop) and Pgld ride the same governance. The starved
 // run must complete by spilling and the ample one must not spill at all.
-// A finished query must also have released its worker budget before the
-// cluster is closed: nothing it built stays charged on a worker.
+// A finished query must also have released its worker budget and unmapped
+// its spill runs before the cluster is closed: nothing it built stays
+// charged or mapped on a worker.
 func TestAllPlansUnderStarvedBudget(t *testing.T) {
 	edges := core.NewRelation(core.ColSrc, core.ColTrg)
 	for i := 0; i < 60; i++ {
@@ -126,6 +136,10 @@ func TestAllPlansUnderStarvedBudget(t *testing.T) {
 					t.Fatalf("%s, budget %d: worker %d gauge holds %d bytes after the query", kind, budget, w, used)
 				}
 				spills += g.Spills()
+			}
+			if n := spillMaps(spillDir); n != 0 {
+				c.Close()
+				t.Fatalf("%s, budget %d: %d spill mappings survive the query", kind, budget, n)
 			}
 			c.Close()
 			if starved := budget == 1<<10; starved != (spills > 0) {

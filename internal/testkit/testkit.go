@@ -268,7 +268,7 @@ type Report struct {
 // SpillCount is one route's share of a starved run's spill traffic.
 type SpillCount struct {
 	Spills int64 // spill events (core.MemGauge.Spills)
-	Reads  int64 // positioned reads of spill runs (core.MemGauge.SpillReads)
+	Reads  int64 // run accesses on spill runs (core.MemGauge.SpillReads)
 }
 
 // noteSpills accounts the spill traffic the gauges saw since before into
