@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // Value is the domain of µ-RA tuples. Graph node identifiers and interned
@@ -29,10 +30,18 @@ type Value = int64
 // predicate labels such as "isLocatedIn") enter the engine: generators and
 // loaders intern every string once, and query frontends intern constants at
 // parse time so that the evaluator only ever compares int64s.
+//
+// The read side takes no lock and writes no shared memory. Intern is
+// serialized under mu, which also guards ids for Intern and Lookup; it
+// appends to the interned strings and then publishes the new slice header
+// in strs. String, Len and Strings read that snapshot with one atomic
+// load. That is safe because append only writes past every length already
+// published: an element below a snapshot's length is never written again,
+// and a grown backing array is a copy.
 type Dict struct {
 	mu   sync.RWMutex
 	ids  map[string]Value
-	strs []string
+	strs atomic.Pointer[[]string]
 }
 
 // NewDict returns an empty dictionary.
@@ -53,9 +62,10 @@ func (d *Dict) Intern(s string) Value {
 	if v, ok := d.ids[s]; ok {
 		return v
 	}
-	v := Value(len(d.strs))
+	strs := append(d.snapshot(), s)
+	d.strs.Store(&strs)
+	v := Value(len(strs) - 1)
 	d.ids[s] = v
-	d.strs = append(d.strs, s)
 	return v
 }
 
@@ -67,30 +77,34 @@ func (d *Dict) Lookup(s string) (Value, bool) {
 	return v, ok
 }
 
+// snapshot returns the interned strings as last published by Intern. The
+// caller must not write to it.
+func (d *Dict) snapshot() []string {
+	if p := d.strs.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
 // String returns the string interned as v, or a numeric placeholder if v
-// was never interned (e.g. raw node ids from a synthetic graph).
+// was never interned (e.g. raw node ids from a synthetic graph). It takes
+// no lock: every Value an Intern call has returned is in the snapshot it
+// loads.
 func (d *Dict) String(v Value) string {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if v >= 0 && int(v) < len(d.strs) {
-		return d.strs[v]
+	if strs := d.snapshot(); v >= 0 && v < Value(len(strs)) {
+		return strs[v]
 	}
 	return fmt.Sprintf("#%d", v)
 }
 
 // Len reports how many distinct strings have been interned.
-func (d *Dict) Len() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return len(d.strs)
-}
+func (d *Dict) Len() int { return len(d.snapshot()) }
 
 // Strings returns a copy of all interned strings ordered by Value.
 func (d *Dict) Strings() []string {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	out := make([]string, len(d.strs))
-	copy(out, d.strs)
+	strs := d.snapshot()
+	out := make([]string, len(strs))
+	copy(out, strs)
 	return out
 }
 

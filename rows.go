@@ -38,7 +38,9 @@ type Rows struct {
 	it    core.Iterator
 	batch *core.Batch
 	bi    int
+	pos   int // rows Next has returned, counting the current one
 	cur   []core.Value
+	block []string // what Strings has not yet handed out of its render block
 	stats QueryStats
 	err   error
 	done  bool
@@ -73,6 +75,7 @@ func (r *Rows) Next() bool {
 	}
 	r.cur = r.batch.Row(r.bi)
 	r.bi++
+	r.pos++
 	return true
 }
 
@@ -98,13 +101,35 @@ func (r *Rows) Scan(dest ...any) error {
 	return nil
 }
 
+// renderBlockRows is how many rows one Strings block holds. At arity 2 a
+// block of 255 rows is 8 160 bytes and fits the 8 KiB size class; 256 rows
+// would not, because the allocator adds a header to pointer-bearing
+// objects over 512 bytes.
+const renderBlockRows = 255
+
 // Strings returns the current row decoded to strings (a fresh slice the
 // caller may keep).
+//
+// Rows are cut from one block of strings per renderBlockRows rows instead
+// of being allocated one by one; each row's slice has its capacity capped,
+// so appending to it copies and never clobbers another row. The block is
+// sized by the rows left after the cursor's position, never by the number
+// of Strings calls: a row asked for twice, or rows visited with Scan only,
+// can cost an extra block or leave part of one unused, but never get a
+// block too small for the row. The trade-off is retention: a row the
+// caller keeps pins its whole block, at most 255 rows of strings.
 func (r *Rows) Strings() []string {
 	if r.cur == nil {
 		return nil
 	}
-	out := make([]string, len(r.cur))
+	arity := len(r.cur)
+	if len(r.block) < arity {
+		// Rows left from the current one on, this one included.
+		n := min(renderBlockRows, r.rel.Len()-r.pos+1)
+		r.block = make([]string, n*arity)
+	}
+	out := r.block[:arity:arity]
+	r.block = r.block[arity:]
 	for i, v := range r.cur {
 		out[i] = r.dict.String(v)
 	}
@@ -127,6 +152,7 @@ func (r *Rows) Close() error {
 	r.done = true
 	r.cur = nil
 	r.batch = nil
+	r.block = nil
 	return r.err
 }
 
@@ -139,6 +165,9 @@ func (r *Rows) Stats() QueryStats { return r.stats }
 // returns only the rows not yet visited.
 func (r *Rows) Collect() (*Result, error) {
 	res := &Result{Columns: r.rel.Cols(), Stats: r.stats}
+	if n := r.rel.Len() - r.pos; n > 0 {
+		res.Rows = make([][]string, 0, n)
+	}
 	for r.Next() {
 		res.Rows = append(res.Rows, r.Strings())
 	}

@@ -268,13 +268,26 @@ func TestWatchMaintainedRemovals(t *testing.T) {
 	}
 
 	// A mixed window: a delete and an insert, each landing while the
-	// watcher is quiescent (the sleep lets the delete's maintenance
-	// finish before the insert mutates the graph), delivered off the
-	// cached fixpoint until the state converges on the direct result. The
+	// watcher is quiescent, delivered off the cached fixpoint until the
+	// state converges on the direct result. The insert waits for the
+	// delete's delivery, which orders the watcher's maintenance reads of
+	// the graph before the insert writes it; graphgen.Graph's write
+	// contract forbids the overlap, and a sleep would order nothing. The
 	// direct query may refresh the entry before the watcher reads it, so
 	// a delivery may say "[cached]" rather than "[refreshed]".
+	apply := func(d WatchDelta) {
+		if p := d.Stats.Plan; p != "[refreshed]" && p != "[cached]" {
+			t.Fatalf("mixed window delivered by %q", d.Stats.Plan)
+		}
+		for _, row := range d.Added {
+			state[strings.Join(row, "\t")] = true
+		}
+		for _, row := range d.Removed {
+			delete(state, strings.Join(row, "\t"))
+		}
+	}
 	eng.DeleteTriple("d", "knows", "e")
-	time.Sleep(200 * time.Millisecond)
+	apply(recvDelta(t, w))
 	eng.AddTriple("c", "knows", "f")
 	res, err := eng.QueryCollect(context.Background(), "?x,?y <- ?x knows+ ?y")
 	if err != nil {
@@ -285,16 +298,7 @@ func TestWatchMaintainedRemovals(t *testing.T) {
 		direct[strings.Join(row, "\t")] = true
 	}
 	for !mapsEqual(state, direct) {
-		d = recvDelta(t, w)
-		if p := d.Stats.Plan; p != "[refreshed]" && p != "[cached]" {
-			t.Fatalf("mixed window delivered by %q", d.Stats.Plan)
-		}
-		for _, row := range d.Added {
-			state[strings.Join(row, "\t")] = true
-		}
-		for _, row := range d.Removed {
-			delete(state, strings.Join(row, "\t"))
-		}
+		apply(recvDelta(t, w))
 	}
 }
 
