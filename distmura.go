@@ -116,11 +116,12 @@ type Options struct {
 	// translation direction (default rewrite.DefaultMaxPlans, 96).
 	MaxPlans int
 	// TaskMemBytes is the per-task memory budget in bytes governing
-	// operator state at run time: over-budget fixpoint accumulators and
-	// join indexes spill to disk instead of OOMing (0 disables). Each
-	// in-flight query gets its own gauge per worker with this budget —
-	// exact per-query spill accounting — while the worker's cumulative
-	// gauge enforces the same bound across concurrent queries. See
+	// operator state at run time: over-budget fixpoint accumulators spill
+	// to disk instead of OOMing, while join indexes are charged and stay
+	// in memory (0 disables). Each in-flight query gets its own gauge per
+	// worker with this budget — exact per-query spill accounting — while
+	// the worker's cumulative gauge enforces the same bound across
+	// concurrent queries. See
 	// ARCHITECTURE.md, "Memory governance" and "Query lifecycle &
 	// concurrency".
 	TaskMemBytes int64
@@ -233,7 +234,7 @@ func Open(opts Options) (*Engine, error) {
 		if budget == 0 {
 			budget = opts.TaskMemBytes
 		}
-		e.subs = newSubResultCache(budget, opts.SpillDir)
+		e.subs = newSubResultCache(budget)
 	}
 	if opts.MaxConcurrentQueries > 0 {
 		e.sem = make(chan struct{}, opts.MaxConcurrentQueries)
@@ -397,9 +398,6 @@ func WithPlan(p Plan) QueryOption { return func(c *queryConfig) { c.plan = p } }
 // WithoutOptimization evaluates the naive left-to-right translation
 // (useful for ablation and debugging).
 func WithoutOptimization() QueryOption { return func(c *queryConfig) { c.noOptimize = true } }
-
-// WithMaxPlans overrides the plan-space cap for this query.
-func WithMaxPlans(n int) QueryOption { return func(c *queryConfig) { c.maxPlans = n } }
 
 // WithoutRule disables a named rewrite rule (ablation).
 func WithoutRule(name string) QueryOption {

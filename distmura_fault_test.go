@@ -240,7 +240,7 @@ func countFDs(t *testing.T) int {
 }
 
 // TestCloseNotNeededForPgplwSpillDescriptors: a Ppg_plw query under a
-// starved budget spills join indexes and accumulator runs, and every spill
+// starved budget spills accumulator runs, and every spill
 // descriptor it opened is closed by the time QueryCollect returns — before
 // Engine.Close and without waiting for a garbage collection to run
 // finalizers. Nothing the query built outlives it on a worker.

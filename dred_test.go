@@ -184,7 +184,7 @@ func TestDRedDeleteDuringInFlightRefresh(t *testing.T) {
 	g.Add("a", "p", "b")
 	g.Add("b", "p", "c")
 	p, _ := g.Dict.Lookup("p")
-	c := newSubResultCache(0, t.TempDir())
+	c := newSubResultCache(0)
 	term := core.ClosureLR("X", core.EdgeRel(edgeRel, p))
 
 	_, complete, _, err := c.acquire(context.Background(), g, "k", term)
@@ -222,7 +222,7 @@ func TestDRedDeleteDuringInFlightRefresh(t *testing.T) {
 func TestDRedStaleByDeletionNeverServed(t *testing.T) {
 	g := graphgen.NewGraph("stale-del")
 	g.Add("a", "p", "b")
-	c := newSubResultCache(0, t.TempDir())
+	c := newSubResultCache(0)
 	term := &core.Var{Name: edgeRel} // wildcard footprint: not maintainable
 
 	_, complete, _, err := c.acquire(context.Background(), g, "k", term)

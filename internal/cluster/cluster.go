@@ -50,11 +50,12 @@ type Config struct {
 	// TaskMemBytes is the per-task memory budget, in bytes, governing
 	// operator-owned state at run time: each session (each in-flight
 	// query) gets a child MemGauge with this budget on every worker, and
-	// its fixpoint accumulators and join indexes spill to disk instead of
-	// OOMing once over it — or once the worker's cumulative gauge (the
-	// sum over concurrent sessions) is over, so overlap cannot multiply a
-	// worker's memory. 0 (the default) disables governance. It bounds
-	// whatever plan runs, so every plan works out of core. Spill runs are
+	// its fixpoint accumulators spill to disk instead of OOMing once over
+	// it — or once the worker's cumulative gauge (the sum over concurrent
+	// sessions) is over, so overlap cannot multiply a worker's memory.
+	// Join indexes are charged to it but stay in memory. 0 (the default)
+	// disables governance. It bounds whatever plan runs, so every plan
+	// works out of core. Spill runs are
 	// read through memory mappings, so a positive budget needs a unix
 	// platform; elsewhere New rejects it (errors.ErrUnsupported).
 	TaskMemBytes int64

@@ -128,11 +128,11 @@ type Evaluator struct {
 	// batches always run sequentially regardless.
 	Parallel int
 	// Gauge, when non-nil, is the task memory budget this evaluator's
-	// operators charge and spill against: fixpoint accumulators evict
-	// frozen shards to disk and join indexes fall back to Grace-hash
-	// partitioning once the gauge is over budget. Nil means unbudgeted.
-	// Call Close when done with a budgeted evaluator to release cached
-	// spilled indexes.
+	// operators charge and spill against: join indexes charge their
+	// buckets and stay in memory, and fixpoint accumulators evict frozen
+	// shards to disk once the gauge is over budget. Nil means unbudgeted.
+	// Call Close when done with a budgeted evaluator to return its
+	// indexes' charges.
 	Gauge *MemGauge
 	// Ctx, when non-nil, cancels evaluation: fixpoint loops check it once
 	// per iteration and the parallel drain once per batch, so a cancelled
@@ -380,15 +380,14 @@ func (ev *Evaluator) indexFor(rel *Relation, cols []string, stable bool) (*JoinI
 	if err == nil && ev.Gauge != nil {
 		// Uncached (dynamic-side) indexes have no cache slot to release
 		// them from; park them on the evaluator so Close returns their
-		// gauge charge and spill partitions at query end.
+		// gauge charge at query end.
 		ev.ephemeral = append(ev.ephemeral, ix)
 	}
 	return ix, err
 }
 
-// Close releases gauge charges and spill files held by the evaluator's
-// join indexes (cached and ephemeral). Only budgeted evaluators need it (a
-// finalizer backstops forgotten spill descriptors); the evaluator must not
+// Close returns the gauge charges of the evaluator's join indexes (cached
+// and ephemeral). Only budgeted evaluators need it; the evaluator must not
 // be used afterwards.
 func (ev *Evaluator) Close() {
 	for k, ix := range ev.indexes {
@@ -461,9 +460,6 @@ func (ev *Evaluator) streamJoin(n *Join, env *Env, root bool) (Iterator, error) 
 	if err != nil {
 		return nil, err
 	}
-	if ix.Spilled() {
-		return GraceJoinStream(probeIt, ix, buildRel.Cols(), &ev.pool), nil
-	}
 	return JoinStream(probeIt, ix, buildRel.Cols(), &ev.pool), nil
 }
 
@@ -498,9 +494,6 @@ func (ev *Evaluator) streamAntijoin(n *Antijoin, env *Env, root bool) (Iterator,
 	probeAt := make([]int, len(common))
 	for i, c := range common {
 		probeAt[i] = ColIndex(l.Cols(), c)
-	}
-	if ix.Spilled() {
-		return GraceAntijoinStream(l, ix, probeAt, &ev.pool), nil
 	}
 	return AntijoinStream(l, ix, probeAt, &ev.pool), nil
 }

@@ -800,8 +800,6 @@ func IsSet(it Iterator) bool {
 		return IsSet(n.probe)
 	case *semijoinIter:
 		return IsSet(n.probe)
-	case *graceIter:
-		return IsSet(n.probe)
 	}
 	return false
 }

@@ -8,11 +8,13 @@ import (
 // This file is the memory-governance surface of the data plane. The
 // MemGauge governs what happens when an operator outgrows its task's
 // memory budget at run time, whichever plan runs: instead of OOMing, the
-// two unbounded operator structures — the fixpoint Accumulator and the
-// join build JoinIndex — degrade to disk (shard eviction and Grace-hash partitioning; see
-// accumulator.go, joinindex.go and gracejoin.go). ARCHITECTURE.md
-// ("Memory governance") documents the budget model: what is charged, what
-// is not, and the over-budget behavior of every structure.
+// fixpoint Accumulator — the one operator structure that grows without
+// bound — evicts frozen shards to disk (see accumulator.go). Join indexes
+// are charged but never spilled: their rows alias a resident relation,
+// so the charge only pushes the task's accumulators toward eviction.
+// ARCHITECTURE.md ("Memory governance") documents the budget model: what
+// is charged, what is not, and the over-budget behavior of every
+// structure.
 
 // Accounting constants of the budget model. They price the *operator-owned*
 // state per row; input relations owned by the storage layer (tables,
@@ -88,14 +90,6 @@ func NewMemGaugeChild(parent *MemGauge) *MemGauge {
 	return &MemGauge{budget: parent.budget, dir: parent.dir, parent: parent}
 }
 
-// Budget returns the configured budget in bytes (<= 0 means unlimited).
-func (g *MemGauge) Budget() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.budget
-}
-
 // Dir returns the spill directory ("" means os.TempDir()). Safe on nil.
 func (g *MemGauge) Dir() string {
 	if g == nil {
@@ -168,19 +162,6 @@ func (g *MemGauge) Over() bool {
 	return g.parent.Over()
 }
 
-// WouldExceed reports whether charging n more bytes would exceed the
-// budget — the build-or-spill decision of BuildJoinIndex. Like
-// Over it consults the ancestors too. Safe on nil (always false).
-func (g *MemGauge) WouldExceed(n int64) bool {
-	if g == nil {
-		return false
-	}
-	if g.budget > 0 && g.used.Load()+n > g.budget {
-		return true
-	}
-	return g.parent.WouldExceed(n)
-}
-
 // noteSpill records one spill event that moved n bytes to disk.
 func (g *MemGauge) noteSpill(n int64) {
 	if g == nil {
@@ -204,8 +185,8 @@ func (g *MemGauge) noteSpillRead(n int64) {
 	g.parent.noteSpillRead(n)
 }
 
-// Spills returns how many spill events (accumulator shard evictions, join
-// index partition builds) the gauge has seen. Safe on nil (returns 0).
+// Spills returns how many spill events (accumulator shard evictions) the
+// gauge has seen. Safe on nil (returns 0).
 func (g *MemGauge) Spills() int64 {
 	if g == nil {
 		return 0
@@ -224,9 +205,7 @@ func (g *MemGauge) SpilledBytes() int64 {
 
 // SpillReads returns how many run accesses were made on spill runs
 // (filter-hit membership probes of frozen accumulator runs, compaction
-// and materialization scan chunks, Grace-join partition loads and
-// replays). Safe on nil
-// (returns 0).
+// and materialization scan chunks). Safe on nil (returns 0).
 func (g *MemGauge) SpillReads() int64 {
 	if g == nil {
 		return 0

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -25,16 +24,13 @@ func assertNoSpillFiles(t *testing.T, dir string) {
 
 func TestMemGaugeAccounting(t *testing.T) {
 	var nilGauge *MemGauge
-	if nilGauge.Over() || nilGauge.WouldExceed(1<<40) || nilGauge.Used() != 0 {
+	if nilGauge.Over() || nilGauge.Used() != 0 {
 		t.Fatal("nil gauge must be inert")
 	}
 	g := NewMemGauge(100, t.TempDir())
 	g.Charge(60)
 	if g.Over() {
 		t.Fatal("60/100 should not be over budget")
-	}
-	if !g.WouldExceed(50) {
-		t.Fatal("60+50 should exceed 100")
 	}
 	g.Charge(50)
 	if !g.Over() || g.Used() != 110 || g.Peak() != 110 {
@@ -49,13 +45,15 @@ func TestMemGaugeAccounting(t *testing.T) {
 func TestSpillRunRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	g := NewMemGauge(0, dir)
-	run, err := newSpillRun(g, 3)
+	const n = 1000
+	one := spillSegment{gauge: g}
+	run, err := one.extent(3, n)
+	one.close() // the run holds the file on its own
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer run.Close()
 	assertNoSpillFiles(t, dir) // unlinked immediately, even while open
-	const n = 1000
 	for i := 0; i < n; i++ {
 		if err := run.append([]Value{Value(i), Value(-i), Value(i * i)}); err != nil {
 			t.Fatal(err)
@@ -311,9 +309,10 @@ func TestSpilledFixpointMatchesUnbudgeted(t *testing.T) {
 		assertNoSpillFiles(t, dir)
 	}
 
-	// Random edges dense enough for the parallel probe path, once with the
-	// constant side's join index in memory (only the accumulator is over
-	// budget) and once with the index spilled too (the Grace path). φ's
+	// Random edges dense enough for the parallel probe path, once with a
+	// budget the constant side's join index fits and once with a budget
+	// below the index's own charge. Either way the index stays in memory
+	// with its charge on the gauge, and only the accumulator spills. φ's
 	// rows go straight into the fixpoint accumulator, so an eviction during
 	// an iteration must leave that iteration's rows — the next delta — in
 	// memory.
@@ -325,12 +324,12 @@ func TestSpilledFixpointMatchesUnbudgeted(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, tc := range []struct {
-			name   string
-			budget int64
-			grace  bool
+			name       string
+			budget     int64
+			overBudget bool // the index alone charges more than the budget
 		}{
 			{"in_memory_index", 256 << 10, false},
-			{"grace", 16 << 10, true},
+			{"index_over_budget", 16 << 10, true},
 		} {
 			t.Run(tc.name, func(t *testing.T) {
 				dir := t.TempDir()
@@ -355,96 +354,24 @@ func TestSpilledFixpointMatchesUnbudgeted(t *testing.T) {
 				if len(ev.indexes) == 0 {
 					t.Fatal("no constant-side join index was cached")
 				}
+				var charged int64
 				for _, ix := range ev.indexes {
-					if ix.Spilled() != tc.grace {
-						t.Fatalf("constant-side index spilled = %v, want %v", ix.Spilled(), tc.grace)
+					if ix.buckets == nil || ix.memBytes != int64(ix.Rows())*IndexRowBytes {
+						t.Fatalf("constant-side index of %d rows: in memory = %v, charge %d B",
+							ix.Rows(), ix.buckets != nil, ix.memBytes)
 					}
+					charged += ix.memBytes
+				}
+				if g.Used() < charged {
+					t.Fatalf("gauge holds %d B, below the cached indexes' %d B", g.Used(), charged)
+				}
+				if tc.overBudget != (charged > tc.budget) {
+					t.Fatalf("indexes charge %d B against a %d B budget, want over = %v", charged, tc.budget, tc.overBudget)
 				}
 				assertNoSpillFiles(t, dir)
 			})
 		}
 	})
-}
-
-// TestGraceJoinMatchesInMemory checks the over-budget join path: a spilled
-// build index probed partition-at-a-time must produce the same set as the
-// in-memory hash join, for both join and antijoin.
-func TestGraceJoinMatchesInMemory(t *testing.T) {
-	build := NewRelation("b", ColTrg)
-	probe := NewRelation(ColSrc, ColTrg)
-	for i := 0; i < 400; i++ {
-		build.Add([]Value{Value(i % 37), Value(i % 53)})
-		probe.Add([]Value{Value(i % 41), Value(i % 53)})
-	}
-	dir := t.TempDir()
-	g := NewMemGauge(64, dir) // far too small for a 400-row index
-	ix, err := BuildJoinIndex(build, []string{ColTrg}, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ix.Close()
-	if !ix.Spilled() {
-		t.Fatal("64-byte budget must spill the index build")
-	}
-	if g.Spills() == 0 {
-		t.Fatal("spilled build did not count a spill event")
-	}
-
-	got := Materialize(GraceJoinStream(ScanRelation(probe), ix, build.Cols(), nil))
-	want := probe.Join(build)
-	if !SameRows(got, want) {
-		t.Fatalf("grace join differs: %d vs %d rows", got.Len(), want.Len())
-	}
-
-	probeAt := []int{ColIndex(probe.Cols(), ColTrg)}
-	gotAnti := Materialize(GraceAntijoinStream(ScanRelation(probe), ix, probeAt, nil))
-	wantAnti := probe.Antijoin(build)
-	if !SameRows(gotAnti, wantAnti) {
-		t.Fatalf("grace antijoin differs: %d vs %d rows", gotAnti.Len(), wantAnti.Len())
-	}
-
-	defer func() {
-		if recover() == nil {
-			t.Fatal("random-access probe of a spilled index must panic")
-		}
-	}()
-	ix.Contains([]Value{0})
-}
-
-// TestGraceJoinSharedIndexConcurrently has several pipelines probe one
-// spilled index at once (the parallel fixpoint shape): partition loads use
-// positioned reads, so sharing must be race-free.
-func TestGraceJoinSharedIndexConcurrently(t *testing.T) {
-	build := NewRelation("b", ColTrg)
-	probe := NewRelation(ColSrc, ColTrg)
-	for i := 0; i < 300; i++ {
-		build.Add([]Value{Value(i % 23), Value(i % 31)})
-		probe.Add([]Value{Value(i % 29), Value(i % 31)})
-	}
-	g := NewMemGauge(64, t.TempDir())
-	ix, err := BuildJoinIndex(build, []string{ColTrg}, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ix.Close()
-	want := probe.Join(build)
-	var wg sync.WaitGroup
-	errs := make(chan error, 4)
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			got := Materialize(GraceJoinStream(ScanRelation(probe), ix, build.Cols(), nil))
-			if !SameRows(got, want) {
-				errs <- fmt.Errorf("concurrent grace join differs: %d vs %d rows", got.Len(), want.Len())
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
 }
 
 // TestAccumulatorConcurrentProbeDuringEviction is the -race stress for the
@@ -537,12 +464,9 @@ func TestChildGaugeEnforcesParentBudget(t *testing.T) {
 	if !a.Over() || !b.Over() || !c.Over() {
 		t.Fatal("children ignore the over-budget parent")
 	}
-	if !c.WouldExceed(1) {
-		t.Fatal("WouldExceed ignores the over-budget parent")
-	}
 	a.Release(600)
 	b.Release(600)
-	if parent.Used() != 0 || a.Over() || c.WouldExceed(100) {
+	if parent.Used() != 0 || a.Over() || c.Over() {
 		t.Fatalf("release did not propagate: parent used=%d", parent.Used())
 	}
 	// Spill events mirror upward with exact per-child attribution.

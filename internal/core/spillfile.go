@@ -11,25 +11,25 @@ import (
 	"sync/atomic"
 )
 
-// This file implements the on-disk run format shared by every spilling
-// operator: fixed-width records, each record recVals Values encoded as
+// This file implements the on-disk run format of the spilling
+// accumulator: fixed-width records, each record recVals Values encoded as
 // 8-byte little-endian words, laid out from a base offset of a temp file.
 // Fixed width keeps records addressable (record i of a run lives at byte
 // base + i*recVals*8). A finished run is read through a read-only mapping
 // of its extent, so a frozen accumulator run is probed by comparing the
 // records at the position its in-memory filter yields in place, with no
-// system call, and join partitions are decoded from it in bounded chunks.
-// No slice of a mapping leaves a run's methods: callers get a bool or
-// decoded copies, so nothing outlives the unmap in Close.
+// system call, and compaction and materialization decode it in bounded
+// chunks. No slice of a mapping leaves a run's methods: callers get a
+// bool or decoded copies, so nothing outlives the unmap in Close.
 //
-// A spill file holds one run (a join partition) or many (the segment of an
-// accumulator eviction round: one extent per frozen shard). It is unlinked
-// immediately after creation: the file lives for exactly as long as its
-// descriptor and its runs' mappings, so a crash, a panic or a forgotten
-// Close can never leave a spill file behind on disk (the CI leak check
-// asserts this). The descriptor closes when the last run in the file
-// does; finalizers backstop the descriptor and the mappings for owners
-// that go out of scope without closing.
+// A spill file holds the runs of one accumulator eviction round, one
+// extent per frozen shard. It is unlinked immediately after creation: the
+// file lives for exactly as long as its descriptor and its runs'
+// mappings, so a crash, a panic or a forgotten Close can never leave a
+// spill file behind on disk (the CI leak check asserts this). The
+// descriptor closes when the last run in the file does; finalizers
+// backstop the descriptor and the mappings for owners that go out of
+// scope without closing.
 
 // spillWriteBuf is the write buffer of a run being written.
 const spillWriteBuf = 1 << 16
@@ -89,18 +89,6 @@ type spillRun struct {
 	mapping []byte // the pages mapped by finish; nil for an empty run
 	data    []byte // the run's records, within mapping
 	closed  atomic.Bool
-}
-
-// newSpillRun creates a run of recVals-Value records in an unlinked temp
-// file of its own, in g's spill directory, metering its reads on g.
-func newSpillRun(g *MemGauge, recVals int) (*spillRun, error) {
-	sf, err := newSpillFile(g.Dir())
-	if err != nil {
-		return nil, err
-	}
-	r := sf.runAt(0, recVals, g, bufio.NewWriterSize(nil, spillWriteBuf))
-	sf.release() // the run is the file's only holder
-	return r, nil
 }
 
 // runAt lays a new run out at byte offset base of the file, written

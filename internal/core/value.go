@@ -33,15 +33,19 @@ type Value = int64
 //
 // The read side takes no lock and writes no shared memory. Intern is
 // serialized under mu, which also guards ids for Intern and Lookup; it
-// appends to the interned strings and then publishes the new slice header
-// in strs. String, Len and Strings read that snapshot with one atomic
-// load. That is safe because append only writes past every length already
-// published: an element below a snapshot's length is never written again,
-// and a grown backing array is a copy.
+// appends to the interned strings, publishes the slice header in strs
+// only when append moved the backing array, and then publishes the new
+// length in n. String, Len and Strings load n, then strs, and reslice the
+// header to n. That is safe because append only writes past every length
+// already published: an element below a published length is never written
+// again, a grown backing array is a copy, and the array strs holds once n
+// is loaded has at least n entries. A fresh string therefore costs no
+// allocation of its own beyond the array's geometric growth.
 type Dict struct {
 	mu   sync.RWMutex
 	ids  map[string]Value
 	strs atomic.Pointer[[]string]
+	n    atomic.Int64
 }
 
 // NewDict returns an empty dictionary.
@@ -62,8 +66,14 @@ func (d *Dict) Intern(s string) Value {
 	if v, ok := d.ids[s]; ok {
 		return v
 	}
-	strs := append(d.snapshot(), s)
-	d.strs.Store(&strs)
+	old := d.snapshot()
+	strs := append(old, s)
+	if len(old) == cap(old) { // append moved the array
+		p := new([]string)
+		*p = strs
+		d.strs.Store(p)
+	}
+	d.n.Store(int64(len(strs)))
 	v := Value(len(strs) - 1)
 	d.ids[s] = v
 	return v
@@ -80,10 +90,11 @@ func (d *Dict) Lookup(s string) (Value, bool) {
 // snapshot returns the interned strings as last published by Intern. The
 // caller must not write to it.
 func (d *Dict) snapshot() []string {
-	if p := d.strs.Load(); p != nil {
-		return *p
+	n := d.n.Load()
+	if n == 0 {
+		return nil
 	}
-	return nil
+	return (*d.strs.Load())[:n]
 }
 
 // String returns the string interned as v, or a numeric placeholder if v

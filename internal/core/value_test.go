@@ -91,6 +91,26 @@ func TestDictConcurrentInternString(t *testing.T) {
 	}
 }
 
+// TestDictInternAllocs: publishing a fresh string must not allocate per
+// string. Only the map's and the array's geometric growth allocate, so
+// 100 000 fresh strings take a few hundred allocations, not one each.
+func TestDictInternAllocs(t *testing.T) {
+	const n = 100000
+	strs := make([]string, n)
+	for i := range strs {
+		strs[i] = fmt.Sprintf("s%d", i)
+	}
+	allocs := testing.AllocsPerRun(1, func() {
+		d := NewDict()
+		for _, s := range strs {
+			d.Intern(s)
+		}
+	})
+	if allocs >= 1000 {
+		t.Fatalf("interning %d fresh strings made %.0f allocations, want < 1000", n, allocs)
+	}
+}
+
 var dictStringSink atomic.Int64
 
 // BenchmarkDictStringParallel decodes Values of a 10 000-string dictionary

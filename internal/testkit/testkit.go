@@ -202,8 +202,8 @@ type Options struct {
 	// MaxIter caps reference fixpoints as a hang guard (default 2000).
 	MaxIter int
 	// TaskMemBytes, when > 0, starves every budgeted route (the streaming
-	// evaluator and all three distributed plans) so their accumulators and
-	// join indexes must spill to disk — the differential check of the
+	// evaluator and all three distributed plans) so their accumulators
+	// must spill to disk — the differential check of the
 	// memory-governance layer. The materializing reference always runs
 	// unbudgeted.
 	TaskMemBytes int64

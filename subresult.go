@@ -151,10 +151,11 @@ type subResultCache struct {
 // eviction pressure). The gauge is deliberately standalone rather than a
 // child of the cluster's driver gauge: a child mirrors its charges into
 // the parent, so long-lived cache residency would permanently push every
-// query's own budget over the line and force needless spilling.
-func newSubResultCache(budgetBytes int64, dir string) *subResultCache {
+// query's own budget over the line and force needless spilling. Nothing
+// spills through it: it is only charged, released and asked Over.
+func newSubResultCache(budgetBytes int64) *subResultCache {
 	return &subResultCache{
-		gauge:   core.NewMemGauge(budgetBytes, dir),
+		gauge:   core.NewMemGauge(budgetBytes, ""),
 		entries: make(map[string]*subEntry),
 		lru:     list.New(),
 	}

@@ -349,7 +349,7 @@ func TestSubResultRefreshGate(t *testing.T) {
 func TestSubResultHasValidatesInFlight(t *testing.T) {
 	g := graphgen.NewGraph("hasflight")
 	g.Add("a", "p", "b")
-	c := newSubResultCache(0, t.TempDir())
+	c := newSubResultCache(0)
 	term := &core.Var{Name: edgeRel} // wildcard footprint
 
 	_, complete, _, err := c.acquire(context.Background(), g, "k", term)
@@ -523,7 +523,7 @@ func TestSubResultEviction(t *testing.T) {
 func TestConcurrentSubResultCache(t *testing.T) {
 	g := graphgen.NewGraph("stress")
 	g.Add("a", "p", "b")
-	c := newSubResultCache(1<<16, t.TempDir())
+	c := newSubResultCache(1 << 16)
 	term := &core.Var{Name: edgeRel} // wildcard footprint
 	ctx := context.Background()
 
@@ -592,7 +592,7 @@ func TestConcurrentSubResultCache(t *testing.T) {
 func TestConcurrentSubResultCancelWait(t *testing.T) {
 	g := graphgen.NewGraph("cancel")
 	g.Add("a", "p", "b")
-	c := newSubResultCache(0, t.TempDir())
+	c := newSubResultCache(0)
 	term := &core.Var{Name: edgeRel}
 
 	_, complete, _, err := c.acquire(context.Background(), g, "k", term)
