@@ -1,6 +1,6 @@
 // Command muralint is the repository's invariant multichecker. It runs
-// the four analyzers under internal/analysis (closecheck, gaugecharge,
-// ctxloop, locksend) in two modes:
+// the two analyzers under internal/analysis (ctxloop, locksend) in two
+// modes:
 //
 //	go run ./cmd/muralint ./...          # direct: load, check, report
 //	go vet -vettool=$(muralint) ./...    # unitchecker: driven by cmd/go
@@ -28,16 +28,12 @@ import (
 	"strings"
 
 	"repro/internal/analysis"
-	"repro/internal/analysis/closecheck"
 	"repro/internal/analysis/ctxloop"
-	"repro/internal/analysis/gaugecharge"
 	"repro/internal/analysis/locksend"
 )
 
 func analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		closecheck.Analyzer,
-		gaugecharge.Analyzer,
 		ctxloop.Analyzer,
 		locksend.Analyzer,
 	}

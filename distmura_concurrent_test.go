@@ -170,7 +170,8 @@ func TestInterleavedStatsExact(t *testing.T) {
 // TestInterleavedSpillAttribution runs a spilling query concurrently with
 // a query whose working set is trivially in budget: the small query must
 // report zero spills even while its neighbor spills heavily — exact
-// per-query gauge deltas, the other half of the misattribution fix.
+// per-query gauge deltas, the other half of the misattribution fix. Once
+// both return, every worker gauge and the driver gauge are back to zero.
 func TestInterleavedSpillAttribution(t *testing.T) {
 	dir := t.TempDir()
 	e := openTest(t, Options{Workers: 2, TaskMemBytes: 1 << 15, SpillDir: dir})
@@ -203,6 +204,13 @@ func TestInterleavedSpillAttribution(t *testing.T) {
 	}
 	if small.Stats.Spills != 0 || small.Stats.SpilledBytes != 0 {
 		t.Fatalf("tiny query charged with a neighbor's spills: %+v", small.Stats)
+	}
+	// Both queries returned, so everything they built was released: no
+	// worker gauge and not the driver's still holds a charge.
+	for i, g := range append(e.clust.Gauges(), e.clust.DriverGauge()) {
+		if n := g.Used(); n != 0 {
+			t.Fatalf("gauge %d holds %d B after both queries returned", i, n)
+		}
 	}
 	// Spill files are unlinked at creation: the dir must stay clean.
 	if left, _ := filepath.Glob(filepath.Join(dir, core.SpillFilePattern)); len(left) > 0 {

@@ -4,9 +4,11 @@
 // without pulling x/tools into the module.
 //
 // The analyzers under this directory encode invariants the codebase has
-// historically re-learned the hard way at runtime (leaked accumulators,
-// unbudgeted hot-path allocation, drain loops that outlive their
-// context, channel sends under a mutex). They run in two modes:
+// historically re-learned the hard way at runtime (drain loops that
+// outlive their context, channel sends under a mutex). Resource
+// lifetimes (accumulators, evaluators, gauge charges, spill mappings)
+// are checked at runtime by the differential harness instead (see
+// internal/testkit). The analyzers run in two modes:
 //
 //   - directly, via `go run ./cmd/muralint ./...`, which loads and
 //     type-checks packages itself (see load.go); and
@@ -86,14 +88,6 @@ func (p *Pass) SourceFiles() []*ast.File {
 // TypeOf returns the static type of e, or nil.
 func (p *Pass) TypeOf(e ast.Expr) types.Type {
 	return p.TypesInfo.TypeOf(e)
-}
-
-// ObjectOf returns the object denoted by ident, or nil.
-func (p *Pass) ObjectOf(id *ast.Ident) types.Object {
-	if o := p.TypesInfo.ObjectOf(id); o != nil {
-		return o
-	}
-	return nil
 }
 
 // Run applies every analyzer to one type-checked package and returns

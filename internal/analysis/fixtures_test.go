@@ -8,22 +8,18 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/analysistest"
-	"repro/internal/analysis/closecheck"
 	"repro/internal/analysis/ctxloop"
-	"repro/internal/analysis/gaugecharge"
 	"repro/internal/analysis/locksend"
 )
 
 func allAnalyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		closecheck.Analyzer,
-		gaugecharge.Analyzer,
 		ctxloop.Analyzer,
 		locksend.Analyzer,
 	}
 }
 
-// TestFixtures runs all four analyzers over the seeded fixture module
+// TestFixtures runs both analyzers over the seeded fixture module
 // and checks their diagnostics against the want comments — in both
 // directions: every seeded violation fires, every clean counterpart
 // (and the stub packages themselves) stays silent.
@@ -33,7 +29,7 @@ func TestFixtures(t *testing.T) {
 
 // TestMuralintBinaryFlagsFixtures builds the real multichecker binary
 // and points it at the fixture module: it must exit 2 (diagnostics
-// found) and report through all four analyzers. This is the end-to-end
+// found) and report through both analyzers. This is the end-to-end
 // proof behind the CI gate — the same binary exiting 0 on the main
 // module is what keeps the repository invariant-clean.
 func TestMuralintBinaryFlagsFixtures(t *testing.T) {
@@ -51,7 +47,7 @@ func TestMuralintBinaryFlagsFixtures(t *testing.T) {
 	if !ok || ee.ExitCode() != 2 {
 		t.Fatalf("muralint on seeded fixtures: err=%v, want exit status 2\noutput:\n%s", err, out)
 	}
-	for _, name := range []string{"closecheck", "gaugecharge", "ctxloop", "locksend"} {
+	for _, name := range []string{"ctxloop", "locksend"} {
 		if !strings.Contains(string(out), name+":") {
 			t.Errorf("muralint output has no %s diagnostics:\n%s", name, out)
 		}

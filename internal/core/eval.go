@@ -132,7 +132,9 @@ type Evaluator struct {
 	// buckets and stay in memory, and fixpoint accumulators evict frozen
 	// shards to disk once the gauge is over budget. Nil means unbudgeted.
 	// Call Close when done with a budgeted evaluator to return its
-	// indexes' charges.
+	// indexes' charges. An evaluator never given its task's gauge charges
+	// nothing: the starved differential (internal/testkit) fails when the
+	// driver evaluator leaves its gauge uncharged.
 	Gauge *MemGauge
 	// Ctx, when non-nil, cancels evaluation: fixpoint loops check it once
 	// per iteration and the parallel drain once per batch, so a cancelled
@@ -367,7 +369,7 @@ func (ev *Evaluator) indexFor(rel *Relation, cols []string, stable bool) (*JoinI
 			ev.Stats.IndexReuses++
 			return ix, nil
 		}
-		ix, err := BuildJoinIndex(rel, cols, ev.Gauge)
+		ix, err := newJoinIndex(rel, cols, ev.Gauge)
 		if err != nil {
 			return nil, err
 		}
@@ -376,7 +378,7 @@ func (ev *Evaluator) indexFor(rel *Relation, cols []string, stable bool) (*JoinI
 		return ix, nil
 	}
 	ev.Stats.IndexBuilds++
-	ix, err := BuildJoinIndex(rel, cols, ev.Gauge)
+	ix, err := newJoinIndex(rel, cols, ev.Gauge)
 	if err == nil && ev.Gauge != nil {
 		// Uncached (dynamic-side) indexes have no cache slot to release
 		// them from; park them on the evaluator so Close returns their
@@ -388,10 +390,12 @@ func (ev *Evaluator) indexFor(rel *Relation, cols []string, stable bool) (*JoinI
 
 // Close returns the gauge charges of the evaluator's join indexes (cached
 // and ephemeral). Only budgeted evaluators need it; the evaluator must not
-// be used afterwards.
+// be used afterwards. A missed Close is caught at runtime: the
+// differential harness (internal/testkit) fails any route that leaves a
+// gauge holding a charge once its query returns.
 func (ev *Evaluator) Close() {
 	for k, ix := range ev.indexes {
-		ix.Close()
+		ix.release()
 		delete(ev.indexes, k)
 	}
 	ev.releaseEphemeral(0)
@@ -403,7 +407,7 @@ func (ev *Evaluator) Close() {
 // indexes — and their gauge charges — never accumulate across iterations.
 func (ev *Evaluator) releaseEphemeral(base int) {
 	for _, ix := range ev.ephemeral[base:] {
-		ix.Close()
+		ix.release()
 	}
 	ev.ephemeral = ev.ephemeral[:base]
 }

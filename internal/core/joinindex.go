@@ -26,21 +26,21 @@ type JoinIndex struct {
 	keys    int                // number of distinct keys
 
 	// gauge/memBytes account the index's in-memory footprint against the
-	// task budget; Close returns the charge.
+	// task budget; release returns the charge.
 	gauge    *MemGauge
 	memBytes int64
 }
 
-// BuildJoinIndex indexes rel on keyCols. Every keyCol must be in rel's
+// newJoinIndex indexes rel on keyCols. Every keyCol must be in rel's
 // schema. The index snapshots rel's backing array: rows added to rel
 // afterwards are not covered.
 //
 // g is the memory gauge the index is charged to; nil means unbudgeted.
 // The index always stays in memory: it charges IndexRowBytes per row to g
 // (its rows alias rel, which is resident and not charged), so a large
-// index pushes its task's accumulators toward eviction, and Close returns
-// the charge.
-func BuildJoinIndex(rel *Relation, keyCols []string, g *MemGauge) (*JoinIndex, error) {
+// index pushes its task's accumulators toward eviction, and release
+// returns the charge.
+func newJoinIndex(rel *Relation, keyCols []string, g *MemGauge) (*JoinIndex, error) {
 	at := make([]int, len(keyCols))
 	for i, c := range keyCols {
 		idx := ColIndex(rel.Cols(), c)
@@ -59,9 +59,9 @@ func BuildJoinIndex(rel *Relation, keyCols []string, g *MemGauge) (*JoinIndex, e
 	return ix, nil
 }
 
-// Close releases the index's gauge charge. The index must not be probed
-// afterwards; calling Close more than once is harmless.
-func (ix *JoinIndex) Close() {
+// release returns the index's gauge charge. The index must not be probed
+// afterwards; calling release more than once is harmless.
+func (ix *JoinIndex) release() {
 	if ix.memBytes != 0 && ix.gauge != nil {
 		ix.gauge.Release(ix.memBytes)
 		ix.memBytes = 0

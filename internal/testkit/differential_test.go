@@ -107,7 +107,9 @@ func TestDifferentialBagRootedShapes(t *testing.T) {
 // enough that every route's shards are frozen again and again, so compacted
 // runs are probed (one read per filter hit) and re-merged; there the guard
 // is per route — a route that froze nothing, or never read a frozen run
-// back, was not exercising the governance layer.
+// back, was not exercising the governance layer. Every route must also
+// leave every gauge at zero and no spill run mapped (runRoutes), and a
+// conjunction over the closure must charge the driver gauge at all.
 func TestDifferentialStarvedBudget(t *testing.T) {
 	for _, tr := range []struct {
 		name string
@@ -135,14 +137,34 @@ func TestDifferentialStarvedBudget(t *testing.T) {
 			tr.name, rep.Combos, rep.ResultRows, rep.Spills, rep.RouteSpills)
 
 		g := RandomGraph(rand.New(rand.NewSource(99)), Random, 64, 1)
-		rep, err = RunCase(Options{
+		opts := Options{
 			Workers:      3,
 			Transport:    tr.kind,
 			TaskMemBytes: 4 << 10,
 			SpillDir:     t.TempDir(),
-		}, g, "?x,?y <- ?x l0+ ?y")
+		}
+		opts.fill()
+		c, err := newCluster(opts)
 		if err != nil {
+			t.Fatal(err)
+		}
+		rep = Report{}
+		_, err = runCase(c, g, "?x,?y <- ?x l0+ ?y", opts, &rep)
+		if err != nil {
+			c.Close()
 			t.Fatalf("%s: closure on %s: %v", tr.name, g.Desc(), err)
+		}
+		// The leak checks in runRoutes read the driver gauge back at zero;
+		// that proves something only if the driver evaluator charged it,
+		// which the join of two fixpoint results on the driver does.
+		_, err = runCase(c, g, "?x,?y <- ?x l0+ ?z, ?z l0+ ?y", opts, &Report{})
+		driverPeak := c.DriverGauge().Peak()
+		c.Close()
+		if err != nil {
+			t.Fatalf("%s: conjunction on %s: %v", tr.name, g.Desc(), err)
+		}
+		if driverPeak == 0 {
+			t.Fatalf("%s: the driver gauge was never charged", tr.name)
 		}
 		for _, route := range []string{"streaming", "Pgld", "Ps_plw", "Ppg_plw"} {
 			if rs := rep.RouteSpills[route]; rs.Spills == 0 || rs.Reads == 0 {

@@ -17,6 +17,8 @@ package testkit
 import (
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 
 	distmura "repro"
@@ -353,8 +355,8 @@ func RunDifferential(opts Options) (Report, error) {
 
 // RunCase evaluates one query on one graph through every route on a
 // private cluster built from opts (transport, workers, budget) — the entry
-// point for single-case variants: the loopback-TCP differential test, a
-// starved closure big enough to compact its runs.
+// point for single-case variants such as the loopback-TCP differential
+// test.
 func RunCase(opts Options, g *Graph, query string) (Report, error) {
 	opts.fill()
 	var rep Report
@@ -456,9 +458,12 @@ func runRoutes(c *cluster.Cluster, g *Graph, term core.Term, opts Options, rep *
 	if !core.SameRows(got, want) {
 		return nil, mismatch("streaming", got, want)
 	}
+	gauges := append(c.Gauges(), c.DriverGauge())
+	if err := checkReleased("streaming", opts.SpillDir, append(gauges, gauge)...); err != nil {
+		return nil, err
+	}
 
 	// Routes 3–5: the distributed plans.
-	gauges := append(c.Gauges(), c.DriverGauge())
 	for _, kind := range Plans {
 		p := physical.NewPlanner(c, env)
 		p.Force = kind
@@ -468,6 +473,9 @@ func runRoutes(c *cluster.Cluster, g *Graph, term core.Term, opts Options, rep *
 		if err != nil {
 			return nil, fmt.Errorf("%v: %w", kind, err)
 		}
+		if err := checkReleased(kind.String(), opts.SpillDir, gauges...); err != nil {
+			return nil, err
+		}
 		rep.Combos++
 		rep.Iterations += prep.Iterations()
 		if !core.SameRows(rel, want) {
@@ -475,6 +483,30 @@ func runRoutes(c *cluster.Cluster, g *Graph, term core.Term, opts Options, rep *
 		}
 	}
 	return want, nil
+}
+
+// checkReleased is the runtime leak check behind every route: once a
+// query has returned, each gauge must be back to zero — every
+// accumulator, join index and evaluator the query built was closed — and
+// no spill run under spillDir may still be mapped. The mapping check is
+// skipped for an unnamed spillDir and where /proc/self/maps is absent.
+func checkReleased(route, spillDir string, gauges ...*core.MemGauge) error {
+	for i, g := range gauges {
+		if n := g.Used(); n != 0 {
+			return fmt.Errorf("%s: gauge %d holds %d B after the query", route, i, n)
+		}
+	}
+	if spillDir == "" {
+		return nil
+	}
+	maps, err := os.ReadFile("/proc/self/maps")
+	if err != nil {
+		return nil
+	}
+	if n := strings.Count(string(maps), " "+spillDir+string(filepath.Separator)); n != 0 {
+		return fmt.Errorf("%s: %d spill mappings under %s after the query", route, n, spillDir)
+	}
+	return nil
 }
 
 // mismatch renders a compact row-set diff for a failed comparison.
