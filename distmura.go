@@ -344,10 +344,11 @@ type QueryStats struct {
 	Spills       int64
 	SpilledBytes int64
 	// SubResultHits counts this query's fixpoints served straight from the
-	// engine's shared sub-result cache; SubResultWaits counts fixpoints
-	// that joined another session's in-flight computation (single-flight)
-	// instead of recomputing. See Engine.SubResultCacheStats for the
-	// engine-wide view.
+	// engine's shared sub-result cache, including each fixpoint inside a
+	// driver operand the cache's operand memo served; SubResultWaits
+	// counts fixpoints that joined another session's in-flight
+	// computation (single-flight) instead of recomputing. See
+	// Engine.SubResultCacheStats for the engine-wide view.
 	SubResultHits  int64
 	SubResultWaits int64
 	// Refreshes counts this query's cached fixpoints that were stale from
@@ -791,8 +792,10 @@ func (e *Engine) runOnce(ctx context.Context, term core.Term, cfg queryConfig, e
 
 	kinds := map[string]bool{}
 	partitioned := false
+	var hits int64
 	for _, f := range rep.Fixpoints {
 		if f.Cached {
+			hits++
 			if f.Refreshed {
 				kinds["refreshed"] = true
 			} else {
@@ -824,7 +827,7 @@ func (e *Engine) runOnce(ctx context.Context, term core.Term, cfg queryConfig, e
 		SpilledBytes:   spilled,
 	}
 	if prov != nil {
-		stats.SubResultHits = prov.hits
+		stats.SubResultHits = hits
 		stats.SubResultWaits = prov.waits
 		stats.Refreshes = prov.refreshes
 		stats.RefreshRows = prov.refreshRows

@@ -237,7 +237,7 @@ func TestParallelIndexConcurrentProbes(t *testing.T) {
 	for _, row := range randomRows(rng, 3*BatchRowsFor(2), 2, 300) {
 		rel.Add(row)
 	}
-	ix, err := newJoinIndex(rel, []string{ColSrc}, nil)
+	ix, err := newJoinIndex(rel, []string{ColSrc})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -190,7 +190,7 @@ func BenchmarkJoinIndexBuild(b *testing.B) {
 	rel := sparseRelation(rand.New(rand.NewSource(3)), 1<<18, 1<<17)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := newJoinIndex(rel, []string{ColSrc}, nil); err != nil {
+		if _, err := newJoinIndex(rel, []string{ColSrc}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"strings"
 )
 
 // Env binds free relation variables to database relations. Bind must not
@@ -105,10 +104,12 @@ type EvalStats struct {
 // flow through join/filter/rename/anti-projection/union in column-aligned
 // batches and are only materialized (and deduplicated, exactly once — see
 // iter.go) at pipeline sinks.
-// Joins and antijoins probe JoinIndexes; indexes over relations that are
-// constant with respect to the running fixpoints are cached on the
-// evaluator, so a fixpoint builds them once and every semi-naive delta
-// iteration reuses them. Setting Materializing restores the seed's
+// Joins and antijoins probe JoinIndexes; operands that are constant with
+// respect to the running fixpoints are kept with their indexes in the
+// evaluator's memo (see Operand), so a fixpoint derives and indexes them
+// once and every semi-naive delta iteration reuses them, and an operand a
+// sealed relation or the OperandStore keeps is derived and indexed once
+// for every evaluator that reads it. Setting Materializing restores the seed's
 // stage-by-stage materializing evaluation — the reference semantics the
 // property tests compare against, and the ablation baseline.
 //
@@ -152,22 +153,22 @@ type Evaluator struct {
 	// iterated: terms mentioning them change every iteration and are never
 	// cached or used as join build sides when avoidable.
 	dynamic map[string]bool
-	// indexes caches JoinIndexes keyed by (relation identity, columns).
-	indexes map[indexCacheKey]*JoinIndex
-	// consts memoizes materialized subterms that are constant w.r.t. the
-	// running fixpoints, so φ's constant operands are evaluated once per
-	// fixpoint instead of once per iteration.
-	consts map[string]*Relation
-	// ephemeral holds uncached budgeted indexes until Close.
-	ephemeral []*JoinIndex
+	// memo holds the operands this evaluator probes, with their join
+	// indexes (see Operand): the relations bound in its environment, keyed
+	// by name, and the subterms constant with respect to the running
+	// fixpoints, keyed by their text, so φ's constant operands are
+	// evaluated and indexed once per fixpoint instead of once per
+	// iteration. Its operands charge Gauge; Close returns the charge.
+	memo *operandMemo
+	// Operands, when set, is the shared memo consulted for constant
+	// operands outside any running fixpoint: the driver's, across queries.
+	Operands OperandStore
+	// ephemeral holds the operands of uncached budgeted indexes until
+	// their step ends or Close.
+	ephemeral []*Operand
 	// pool is the free list the pipelines' output batches come from; every
 	// sink recycles what its pipelines took once they are drained.
 	pool BatchPool
-}
-
-type indexCacheKey struct {
-	rel  *Relation
-	cols string
 }
 
 // NewEvaluator returns an evaluator over env.
@@ -175,8 +176,7 @@ func NewEvaluator(env *Env) *Evaluator {
 	return &Evaluator{
 		env:     env,
 		dynamic: make(map[string]bool),
-		indexes: make(map[indexCacheKey]*JoinIndex),
-		consts:  make(map[string]*Relation),
+		memo:    newOperandMemo(-1),
 	}
 }
 
@@ -282,7 +282,7 @@ func (ev *Evaluator) stream(t Term, env *Env, root bool) (Iterator, error) {
 		}
 		return DropStream(in, n.Cols, !root, &ev.pool)
 	case *Fixpoint:
-		rel, err := ev.evalOperand(t, env)
+		rel, _, err := ev.evalOperand(t, env)
 		if err != nil {
 			return nil, err
 		}
@@ -303,101 +303,127 @@ func (ev *Evaluator) isDynamic(t Term) bool {
 	return false
 }
 
-// evalOperand materializes an operand term, memoizing results for terms
-// that are constant with respect to the running fixpoints (φ's constant
-// operands are evaluated once per fixpoint, not once per iteration). A
-// constant term whose one free variable is bound to a sealed relation is
-// also memoized on that relation, so evaluators of later fixpoints that
-// read the same relation reuse it.
-func (ev *Evaluator) evalOperand(t Term, env *Env) (*Relation, error) {
+// evalOperand materializes an operand term and returns it with the memo
+// entry that holds its join indexes, or with a nil entry when the operand
+// is not memoized: it mentions a running fixpoint's recursion variable, or
+// no fixpoint runs and no shared memo keeps it. A bound relation is kept
+// under its name for as long as the name binds it. A subterm constant with
+// respect to the running fixpoints is kept under its text, so φ's constant
+// operands are evaluated once per fixpoint, not once per iteration. An
+// operand that a shared memo keeps — the memo of the sealed relation that
+// is the operand's one free variable, or the evaluator's OperandStore — is
+// evaluated and indexed once for every evaluator that reads it.
+func (ev *Evaluator) evalOperand(t Term, env *Env) (*Relation, *Operand, error) {
 	if v, ok := t.(*Var); ok {
 		r, ok := env.Lookup(v.Name)
 		if !ok {
-			return nil, fmt.Errorf("core: unbound relation variable %q", v.Name)
+			return nil, nil, fmt.Errorf("core: unbound relation variable %q", v.Name)
 		}
-		return r, nil
+		if ev.dynamic[v.Name] {
+			return r, nil, nil
+		}
+		if op := ev.memo.get(v.Name); op != nil && op.rel == r {
+			return r, op, nil
+		}
+		var shared *Operand
+		if r.memo != nil {
+			shared = r.memo.get("")
+		}
+		return r, ev.hold(v.Name, r, shared), nil
 	}
-	if len(ev.dynamic) == 0 || ev.isDynamic(t) {
-		return ev.eval(t, env)
+	if ev.isDynamic(t) {
+		r, err := ev.eval(t, env)
+		return r, nil, err
 	}
 	key := t.String()
-	if r, ok := ev.consts[key]; ok {
-		return r, nil
-	}
-	memo := sealedMemo(t, env)
-	if memo != nil {
-		if r := memo.get(key); r != nil {
-			ev.consts[key] = r
-			return r, nil
+	if len(ev.dynamic) > 0 {
+		if op := ev.memo.get(key); op != nil {
+			return op.rel, op, nil
 		}
 	}
+	shared, err := ev.sharedOperand(t, key, env)
+	if err != nil {
+		return nil, nil, err
+	}
+	if shared != nil {
+		if op := ev.memo.get(key); op != nil && op.parent == shared {
+			return op.rel, op, nil
+		}
+		return shared.rel, ev.hold(key, shared.rel, shared), nil
+	}
 	r, err := ev.eval(t, env)
+	if err != nil || len(ev.dynamic) == 0 {
+		return r, nil, err
+	}
+	return r, ev.hold(key, r, nil), nil
+}
+
+// hold keeps rel under key in the evaluator's memo, as an operand charged
+// to the evaluator's gauge that takes its indexes from shared when set.
+func (ev *Evaluator) hold(key string, rel *Relation, shared *Operand) *Operand {
+	op := &Operand{rel: rel, parent: shared, gauge: ev.Gauge}
+	ev.memo.replace(key, op)
+	return op
+}
+
+// sharedOperand returns the shared operand for a constant term t: from the
+// memo of the sealed relation that is t's one free variable (evaluated and
+// kept there on a miss, within the memo's cap), or from the evaluator's
+// OperandStore outside any running fixpoint. It returns nil when neither
+// keeps t.
+func (ev *Evaluator) sharedOperand(t Term, key string, env *Env) (*Operand, error) {
+	if fv := FreeVars(t); len(fv) == 1 {
+		if r, ok := env.Rels[fv[0]]; ok && r.memo != nil {
+			if op := r.memo.get(key); op != nil {
+				return op, nil
+			}
+			rel, err := ev.eval(t, env)
+			if err != nil {
+				return nil, err
+			}
+			return r.memo.put(key, NewOperand(rel, nil)), nil
+		}
+	}
+	if ev.Operands == nil || len(ev.dynamic) > 0 {
+		return nil, nil
+	}
+	return ev.Operands.Operand(t, func() (*Relation, error) { return ev.eval(t, env) })
+}
+
+// indexFor returns a JoinIndex over rel's cols. With a memo entry op the
+// index is op's: built the first time any holder of op (or of its shared
+// parent) asks, and reused by every later probe — across every iteration
+// of a fixpoint whose constant side it indexes, and across evaluators for
+// a shared operand. Without one the index is built for this use alone.
+func (ev *Evaluator) indexFor(rel *Relation, op *Operand, cols []string) (*JoinIndex, error) {
+	if op == nil {
+		// Uncached (dynamic-side) indexes have no memo entry to release
+		// them from; park them on the evaluator so the step's end, or
+		// Close, returns their gauge charge.
+		op = &Operand{rel: rel, gauge: ev.Gauge}
+		if ev.Gauge != nil {
+			ev.ephemeral = append(ev.ephemeral, op)
+		}
+	}
+	ix, built, err := op.index(cols)
 	if err != nil {
 		return nil, err
 	}
-	ev.consts[key] = r
-	if memo != nil {
-		memo.put(key, r)
-	}
-	return r, nil
-}
-
-// sealedMemo returns the operand memo of the sealed relation t reads, or
-// nil when t reads anything else as well.
-func sealedMemo(t Term, env *Env) *operandMemo {
-	fv := FreeVars(t)
-	if len(fv) != 1 {
-		return nil
-	}
-	if r, ok := env.Rels[fv[0]]; ok {
-		return r.memo
-	}
-	return nil
-}
-
-func joinIndexKey(cols []string) string { return strings.Join(cols, "\x00") }
-
-// indexFor builds (or fetches from the evaluator cache) a JoinIndex over
-// rel's cols. Only indexes over stable relations are cached: a cached
-// entry is keyed by relation identity, so it is reused for as long as the
-// same relation object keeps being probed — in particular across every
-// iteration of a fixpoint whose constant side it indexes.
-func (ev *Evaluator) indexFor(rel *Relation, cols []string, stable bool) (*JoinIndex, error) {
-	if stable {
-		k := indexCacheKey{rel: rel, cols: joinIndexKey(cols)}
-		if ix, ok := ev.indexes[k]; ok {
-			ev.Stats.IndexReuses++
-			return ix, nil
-		}
-		ix, err := newJoinIndex(rel, cols, ev.Gauge)
-		if err != nil {
-			return nil, err
-		}
+	if built {
 		ev.Stats.IndexBuilds++
-		ev.indexes[k] = ix
-		return ix, nil
+	} else {
+		ev.Stats.IndexReuses++
 	}
-	ev.Stats.IndexBuilds++
-	ix, err := newJoinIndex(rel, cols, ev.Gauge)
-	if err == nil && ev.Gauge != nil {
-		// Uncached (dynamic-side) indexes have no cache slot to release
-		// them from; park them on the evaluator so Close returns their
-		// gauge charge at query end.
-		ev.ephemeral = append(ev.ephemeral, ix)
-	}
-	return ix, err
+	return ix, nil
 }
 
-// Close returns the gauge charges of the evaluator's join indexes (cached
+// Close returns the gauge charges of the evaluator's join indexes (memoized
 // and ephemeral). Only budgeted evaluators need it; the evaluator must not
 // be used afterwards. A missed Close is caught at runtime: the
 // differential harness (internal/testkit) fails any route that leaves a
 // gauge holding a charge once its query returns.
 func (ev *Evaluator) Close() {
-	for k, ix := range ev.indexes {
-		ix.release()
-		delete(ev.indexes, k)
-	}
+	ev.memo.release()
 	ev.releaseEphemeral(0)
 }
 
@@ -406,8 +432,8 @@ func (ev *Evaluator) Close() {
 // iteration's pipelines are drained, so per-iteration dynamic-side
 // indexes — and their gauge charges — never accumulate across iterations.
 func (ev *Evaluator) releaseEphemeral(base int) {
-	for _, ix := range ev.ephemeral[base:] {
-		ix.release()
+	for _, op := range ev.ephemeral[base:] {
+		op.Release()
 	}
 	ev.ephemeral = ev.ephemeral[:base]
 }
@@ -432,8 +458,8 @@ func (ev *Evaluator) streamJoin(n *Join, env *Env, root bool) (Iterator, error) 
 		_, lVar := n.L.(*Var)
 		_, rVar := n.R.(*Var)
 		if lVar && rVar {
-			lr, _ := ev.evalOperand(n.L, env)
-			rr, _ := ev.evalOperand(n.R, env)
+			lr, _, _ := ev.evalOperand(n.L, env)
+			rr, _, _ := ev.evalOperand(n.R, env)
 			if lr != nil && rr != nil && lr.Len() < rr.Len() {
 				build, probe = n.L, n.R
 			}
@@ -441,7 +467,7 @@ func (ev *Evaluator) streamJoin(n *Join, env *Env, root bool) (Iterator, error) 
 			build, probe = n.L, n.R
 		}
 	}
-	buildRel, err := ev.evalOperand(build, env)
+	buildRel, buildOp, err := ev.evalOperand(build, env)
 	if err != nil {
 		return nil, err
 	}
@@ -460,7 +486,7 @@ func (ev *Evaluator) streamJoin(n *Join, env *Env, root bool) (Iterator, error) 
 		return SemijoinStream(probeIt, buildRel, true, &ev.pool), nil
 	}
 	common := ColsIntersect(probeIt.Cols(), buildRel.Cols())
-	ix, err := ev.indexFor(buildRel, common, !ev.isDynamic(build))
+	ix, err := ev.indexFor(buildRel, buildOp, common)
 	if err != nil {
 		return nil, err
 	}
@@ -477,7 +503,7 @@ func (ev *Evaluator) streamAntijoin(n *Antijoin, env *Env, root bool) (Iterator,
 	if err != nil {
 		return nil, err
 	}
-	right, err := ev.evalOperand(n.R, env)
+	right, rightOp, err := ev.evalOperand(n.R, env)
 	if err != nil {
 		return nil, err
 	}
@@ -491,7 +517,7 @@ func (ev *Evaluator) streamAntijoin(n *Antijoin, env *Env, root bool) (Iterator,
 	if len(common) == right.Arity() {
 		return SemijoinStream(l, right, false, &ev.pool), nil
 	}
-	ix, err := ev.indexFor(right, common, !ev.isDynamic(n.R))
+	ix, err := ev.indexFor(right, rightOp, common)
 	if err != nil {
 		return nil, err
 	}

@@ -570,10 +570,11 @@ func TestClosureBothDirectionsAgree(t *testing.T) {
 }
 
 // TestSealedRelationSharesConstantOperands: a constant operand read from
-// one sealed relation is evaluated once and served to every later
-// evaluator that reads the relation, within a cap of the relation's own
-// row count; an unsealed relation's operands are evaluated per
-// evaluator, and a sealed relation refuses mutation.
+// one sealed relation is evaluated and indexed once and served to every
+// later evaluator that reads the relation, within a cap of the relation's
+// own row count; an evaluator probing the shared index charges its gauge
+// as a builder would until Close; an unsealed relation's operands are
+// evaluated per evaluator, and a sealed relation refuses mutation.
 func TestSealedRelationSharesConstantOperands(t *testing.T) {
 	const n = 200
 	chain := func() *Relation {
@@ -619,8 +620,63 @@ func TestSealedRelationSharesConstantOperands(t *testing.T) {
 		t.Fatalf("operand rows %d then %d, want %d then %d (one operand of %d rows served from the memo)",
 			rows1, rows2, first, first-n, n)
 	}
-	if len(sealed.memo.m) != 1 || sealed.memo.rows > sealed.Len() {
-		t.Fatalf("memo holds %d operands, %d rows; want 1 within the cap of %d", len(sealed.memo.m), sealed.memo.rows, sealed.Len())
+	// The memo holds E itself under "" and one derived operand.
+	if len(sealed.memo.m) != 2 || sealed.memo.rows > sealed.Len() {
+		t.Fatalf("memo holds %d operands, %d rows; want E and 1 derived within the cap of %d", len(sealed.memo.m), sealed.memo.rows, sealed.Len())
+	}
+
+	// A closure reads one constant operand of E, which the memo keeps with
+	// its index: an evaluator after the first builds no index, and its
+	// gauge carries the charge a builder's carries while the loop runs and
+	// nothing after Close.
+	closure := ClosureLR("X", e)
+	d, err := Decompose(closure)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := chain()
+	shared.Seal()
+	cenv := NewEnv()
+	cenv.Bind("E", shared)
+	step := func() (EvalStats, int64, *MemGauge) {
+		t.Helper()
+		g := NewMemGauge(0, "")
+		ev := NewEvaluator(cenv)
+		ev.Gauge = g
+		ev.Parallel = 1
+		loop := ev.NewFixpointLoop(d, shared, cenv)
+		for {
+			added, err := loop.Step(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if added == 0 {
+				break
+			}
+		}
+		if got := loop.Result(); got.Len() != n*(n+1)/2 {
+			t.Fatalf("closure of a %d-edge chain: %d rows, want %d", n, got.Len(), n*(n+1)/2)
+		}
+		held := g.Used()
+		loop.Close()
+		ev.Close()
+		return ev.Stats, held, g
+	}
+	builder, builderHeld, _ := step()
+	prober, proberHeld, g := step()
+	if builder.IndexBuilds != 1 {
+		t.Fatalf("first evaluator built %d indexes, want 1", builder.IndexBuilds)
+	}
+	if prober.IndexBuilds != 0 || prober.IndexReuses == 0 {
+		t.Fatalf("second evaluator: %d index builds, %d reuses; want 0 builds and the shared index reused",
+			prober.IndexBuilds, prober.IndexReuses)
+	}
+	if proberHeld != builderHeld || proberHeld < int64(n)*IndexRowBytes {
+		t.Fatalf("gauge holds %d B while probing the shared index, %d B while building it; want equal, with the index's %d B",
+			proberHeld, builderHeld, int64(n)*IndexRowBytes)
+	}
+	if g.Used() != 0 {
+		t.Fatalf("gauge holds %d B after Close", g.Used())
 	}
 
 	defer func() {

@@ -4,10 +4,11 @@ import "fmt"
 
 // JoinIndex is a hash index over a column subset of a relation: key values
 // → matching rows. It is the build side of every streaming hash join and
-// antijoin in the engine, and the unit of reuse across semi-naive fixpoint
-// iterations: a fixpoint builds the index over the constant part once and
-// every delta iteration probes it, instead of re-hashing the constant
-// relation per iteration (§III-D's "persistent indexes").
+// antijoin in the engine. An Operand holds the indexes over a constant
+// operand: a fixpoint builds the index over its constant part once and
+// every delta iteration — and every later evaluator sharing the operand —
+// probes it, instead of re-hashing the constant relation per iteration
+// (§III-D's "persistent indexes").
 //
 // The index addresses rows by offset into the indexed relation's flat
 // row-major backing array (captured at build time), not by per-row
@@ -24,23 +25,15 @@ type JoinIndex struct {
 	nrows   int
 	buckets map[uint64][]int32 // key hash → candidate rows
 	keys    int                // number of distinct keys
-
-	// gauge/memBytes account the index's in-memory footprint against the
-	// task budget; release returns the charge.
-	gauge    *MemGauge
-	memBytes int64
 }
 
 // newJoinIndex indexes rel on keyCols. Every keyCol must be in rel's
 // schema. The index snapshots rel's backing array: rows added to rel
-// afterwards are not covered.
-//
-// g is the memory gauge the index is charged to; nil means unbudgeted.
-// The index always stays in memory: it charges IndexRowBytes per row to g
-// (its rows alias rel, which is resident and not charged), so a large
-// index pushes its task's accumulators toward eviction, and release
-// returns the charge.
-func newJoinIndex(rel *Relation, keyCols []string, g *MemGauge) (*JoinIndex, error) {
+// afterwards are not covered. The index always stays in memory; whoever
+// holds it (an Operand) charges IndexRowBytes per row to its gauge — its
+// rows alias rel, which is resident and not charged — so a large index
+// pushes its task's accumulators toward eviction.
+func newJoinIndex(rel *Relation, keyCols []string) (*JoinIndex, error) {
 	at := make([]int, len(keyCols))
 	for i, c := range keyCols {
 		idx := ColIndex(rel.Cols(), c)
@@ -51,21 +44,7 @@ func newJoinIndex(rel *Relation, keyCols []string, g *MemGauge) (*JoinIndex, err
 	}
 	ix := buildJoinIndex(rel.Data(), rel.Arity(), rel.Len(), at)
 	ix.keyCols = keyCols
-	if g != nil {
-		ix.gauge = g
-		ix.memBytes = int64(rel.Len()) * IndexRowBytes
-		g.Charge(ix.memBytes)
-	}
 	return ix, nil
-}
-
-// release returns the index's gauge charge. The index must not be probed
-// afterwards; calling release more than once is harmless.
-func (ix *JoinIndex) release() {
-	if ix.memBytes != 0 && ix.gauge != nil {
-		ix.gauge.Release(ix.memBytes)
-		ix.memBytes = 0
-	}
 }
 
 // buildJoinIndex indexes a flat row-major store on the given positions.

@@ -47,8 +47,8 @@ type Relation struct {
 	// (an append could clobber the parent's rows through shared capacity),
 	// and sealed relations (Seal).
 	readonly bool
-	// memo holds the operands derived from a sealed relation alone; nil
-	// until Seal.
+	// memo holds the operands derived from a sealed relation alone, under
+	// the key "" the relation itself; nil until Seal.
 	memo *operandMemo
 	// deferred is true while the dedup set has not been built over the
 	// stored rows; setMu serializes the one build (see ensureSet).
@@ -106,40 +106,16 @@ func (r *Relation) Version() uint64 { return r.version }
 
 // Seal declares that r's rows never change again: from now on inserting
 // into or removing from r panics, and the constant operands evaluators
-// derive from r alone are memoized on r and shared by every evaluator
-// that reads it, for as long as r lives. The cluster seals each worker's
-// copy of a broadcast as it arrives, so a copy that stays resident across
-// fixpoints and queries also keeps its filtered and joined forms. The
-// memo holds at most as many rows as r itself.
+// derive from r alone, r itself included, are memoized on r with their
+// join indexes and shared by every evaluator that reads it, for as long as
+// r lives. The cluster seals each worker's copy of a broadcast as it
+// arrives, so a copy that stays resident across fixpoints and queries also
+// keeps its filtered and joined forms and every index built over them. The
+// derived operands hold at most as many rows as r itself.
 func (r *Relation) Seal() {
 	r.readonly = true
-	r.memo = &operandMemo{m: make(map[string]*Relation), limit: r.n}
-}
-
-// operandMemo maps the canonical text of a term over one sealed relation
-// to its value. Evaluators on any goroutine share it.
-type operandMemo struct {
-	mu    sync.Mutex
-	m     map[string]*Relation
-	rows  int // rows held across entries
-	limit int // cap on rows
-}
-
-func (m *operandMemo) get(key string) *Relation {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.m[key]
-}
-
-// put keeps r under key unless the memo would then exceed its row cap.
-func (m *operandMemo) put(key string, r *Relation) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, ok := m.m[key]; ok || m.rows+r.Len() > m.limit {
-		return
-	}
-	m.m[key] = r
-	m.rows += r.Len()
+	r.memo = newOperandMemo(r.n)
+	r.memo.m[""] = NewOperand(r, nil)
 }
 
 // Cols returns the relation's schema (sorted). The returned slice must not

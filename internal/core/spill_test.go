@@ -351,16 +351,22 @@ func TestSpilledFixpointMatchesUnbudgeted(t *testing.T) {
 				if ev.Stats.ParallelSteps == 0 {
 					t.Fatal("no iteration took the parallel probe path")
 				}
-				if len(ev.indexes) == 0 {
-					t.Fatal("no constant-side join index was cached")
-				}
 				var charged int64
-				for _, ix := range ev.indexes {
-					if ix.buckets == nil || ix.memBytes != int64(ix.Rows())*IndexRowBytes {
-						t.Fatalf("constant-side index of %d rows: in memory = %v, charge %d B",
-							ix.Rows(), ix.buckets != nil, ix.memBytes)
+				indexes := 0
+				for _, op := range ev.memo.m {
+					for _, ix := range op.ixs {
+						indexes++
+						if ix.buckets == nil {
+							t.Fatalf("constant-side index of %d rows is not in memory", ix.Rows())
+						}
 					}
-					charged += ix.memBytes
+					if want := int64(op.rel.Len()*len(op.ixs)) * IndexRowBytes; op.bytes != want {
+						t.Fatalf("operand of %d rows with %d indexes charges %d B, want %d", op.rel.Len(), len(op.ixs), op.bytes, want)
+					}
+					charged += op.bytes
+				}
+				if indexes == 0 {
+					t.Fatal("no constant-side join index was cached")
 				}
 				if g.Used() < charged {
 					t.Fatalf("gauge holds %d B, below the cached indexes' %d B", g.Used(), charged)

@@ -74,7 +74,7 @@ type FixpointReport struct {
 	Kind          Kind
 	StableCols    []string
 	Partitioned   bool // true when split on stable columns (distinct skipped)
-	Cached        bool // true when served from the engine's sub-result cache
+	Cached        bool // true when served from the engine's sub-result cache or covered by an operand memo hit (ResultRows then 0)
 	Refreshed     bool // true when the cached entry was first upgraded in place from a graph delta
 	Iterations    int  // driver loop count (Gld) or max local iterations (Pplw)
 	ConstPartRows int
@@ -112,7 +112,8 @@ type Planner struct {
 	// a hit replaces the whole distributed computation with the cached
 	// materialized relation (injected as if it were a base-relation scan),
 	// and a single-flight lease makes this planner the one that computes
-	// and publishes the result other sessions are waiting on.
+	// and publishes the result other sessions are waiting on. Its operand
+	// memo serves the driver's constant operands with their join indexes.
 	SubResults SubResultProvider
 
 	sess        *cluster.Session // pinned session (NewSessionPlanner), else per-Execute
@@ -135,8 +136,38 @@ type Planner struct {
 //   - (nil, _, nil, err): the wait for another session's in-flight
 //     computation (or this session's refresh) was aborted (context
 //     cancelled); fail the query.
+//
+// Operand is the engine's operand memo, consulted for every constant
+// operand of the driver's glue evaluation (the sides of its joins and
+// antijoins): it returns the memoized operand for t with its join indexes,
+// calling derive to compute the relation on a miss, and reports whether
+// it hit. A nil operand means the engine does not keep t. A hit stands in
+// for every outermost fixpoint inside t, and each is reported as served
+// from the cache.
 type SubResultProvider interface {
 	Lookup(fp *core.Fixpoint) (rel *core.Relation, refreshed bool, complete func(*core.Relation, error), err error)
+	Operand(t core.Term, derive func() (*core.Relation, error)) (op *core.Operand, hit bool, err error)
+}
+
+// operandStore is the driver evaluator's view of the provider's operand
+// memo: it reports the fixpoints a memo hit covers.
+type operandStore struct {
+	subs SubResultProvider
+	rep  *Report
+}
+
+func (s operandStore) Operand(t core.Term, derive func() (*core.Relation, error)) (*core.Operand, error) {
+	op, hit, err := s.subs.Operand(t, derive)
+	if hit {
+		core.Walk(t, func(n core.Term) bool {
+			if _, ok := n.(*core.Fixpoint); ok {
+				s.rep.Fixpoints = append(s.rep.Fixpoints, FixpointReport{Cached: true})
+				return false
+			}
+			return true
+		})
+	}
+	return op, err
 }
 
 // DriverGauge returns the gauge of the driver-side glue evaluator of the
@@ -182,6 +213,9 @@ func (p *Planner) Execute(t core.Term) (*core.Relation, *Report, error) {
 		p.ev.Gauge = p.driverGauge
 	}
 	defer p.ev.Close()
+	if p.SubResults != nil {
+		p.ev.Operands = operandStore{subs: p.SubResults, rep: rep}
+	}
 	p.ev.FixpointHandler = func(fp *core.Fixpoint, _ *core.Env) (*core.Relation, error) {
 		return p.runFixpoint(sess, fp, rep)
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"strings"
 	"time"
 
 	distmura "repro"
@@ -65,26 +64,7 @@ func runFaultCase(e *distmura.Engine, rng *rand.Rand, g *Graph, query string, wa
 	rep.FaultRoutes++
 	rep.FaultRetries += res.Stats.RetryCount
 
-	// Result rows are sets on both sides (RPQ semantics), so equal
-	// cardinality plus got ⊆ want is row-set equality.
-	if len(res.Rows) != want.Len() {
-		return fmt.Errorf("fault route (kill worker %d at phase %d, %d retries): %d rows, reference %d",
-			victim, kill.KillAtPhase, res.Stats.RetryCount, len(res.Rows), want.Len())
-	}
-	seen := make(map[string]bool, want.Len())
-	for i := 0; i < want.Len(); i++ {
-		row := want.RowAt(i)
-		parts := make([]string, len(row))
-		for j, v := range row {
-			parts[j] = g.G.Dict.String(v)
-		}
-		seen[strings.Join(parts, "\x00")] = true
-	}
-	for _, r := range res.Rows {
-		if !seen[strings.Join(r, "\x00")] {
-			return fmt.Errorf("fault route (kill worker %d at phase %d, %d retries): extra row %v",
-				victim, kill.KillAtPhase, res.Stats.RetryCount, r)
-		}
-	}
-	return nil
+	route := fmt.Sprintf("fault route (kill worker %d at phase %d, %d retries)",
+		victim, kill.KillAtPhase, res.Stats.RetryCount)
+	return sameRendered(route, g, res.Rows, want)
 }

@@ -1,10 +1,11 @@
 // Package testkit is the engine's differential test harness: it generates
 // random labeled graphs and random RPQ/UCRPQ queries, evaluates every
-// query along five independent routes — the seed's materializing
-// reference evaluator, the centralized streaming evaluator, and the three
+// query along six independent routes — the seed's materializing
+// reference evaluator, the centralized streaming evaluator, the three
 // distributed fixpoint plans (Pgld on the cluster substrate, Ps_plw,
-// Ppg_plw) — and asserts that all routes produce the same result set,
-// order-insensitively (core.SameRows).
+// Ppg_plw), and the engine with its caches on, run cold then warm — and
+// asserts that all routes produce the same result set, order-insensitively
+// (core.SameRows).
 //
 // The harness exists because the fixpoint data plane is deliberately
 // nondeterministic: X lives in a sharded cross-iteration accumulator whose
@@ -15,6 +16,7 @@
 package testkit
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
@@ -482,7 +484,74 @@ func runRoutes(c *cluster.Cluster, g *Graph, term core.Term, opts Options, rep *
 			return nil, mismatch(kind.String(), rel, want)
 		}
 	}
+	if err := runCachedRoute(g, term, opts, want); err != nil {
+		return nil, err
+	}
 	return want, nil
+}
+
+// runCachedRoute is route 6: the engine with its sub-result cache and
+// operand memo on runs term twice. The first run fills them; the second
+// is served from them — cached fixpoints, derived operands and their join
+// indexes — and both must match the reference row for row, with every
+// gauge of the engine's cluster back to zero after each.
+func runCachedRoute(g *Graph, term core.Term, opts Options, want *core.Relation) error {
+	tk := distmura.TransportChan
+	if opts.Transport == cluster.TransportTCP {
+		tk = distmura.TransportTCP
+	}
+	e, err := distmura.Open(distmura.Options{
+		Workers:      opts.Workers,
+		Transport:    tk,
+		TaskMemBytes: opts.TaskMemBytes,
+		SpillDir:     opts.SpillDir,
+	})
+	if err != nil {
+		return err
+	}
+	defer e.Close()
+	e.UseGraph(g.G)
+	gauges := append(e.Cluster().Gauges(), e.Cluster().DriverGauge())
+	for _, route := range []string{"cached (cold)", "cached (warm)"} {
+		rows, err := e.QueryTerm(context.Background(), term, nil)
+		if err != nil {
+			return fmt.Errorf("%s: %w", route, err)
+		}
+		res, err := rows.Collect()
+		if err != nil {
+			return fmt.Errorf("%s: %w", route, err)
+		}
+		if err := sameRendered(route, g, res.Rows, want); err != nil {
+			return err
+		}
+		if err := checkReleased(route, opts.SpillDir, gauges...); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// sameRendered reports whether the rendered rows are the reference's rows.
+// Both are sets, so equal cardinality plus rows ⊆ want is equality.
+func sameRendered(route string, g *Graph, rows [][]string, want *core.Relation) error {
+	if len(rows) != want.Len() {
+		return fmt.Errorf("%s: %d rows, reference %d", route, len(rows), want.Len())
+	}
+	seen := make(map[string]bool, want.Len())
+	for i := 0; i < want.Len(); i++ {
+		row := want.RowAt(i)
+		parts := make([]string, len(row))
+		for j, v := range row {
+			parts[j] = g.G.Dict.String(v)
+		}
+		seen[strings.Join(parts, "\x00")] = true
+	}
+	for _, r := range rows {
+		if !seen[strings.Join(r, "\x00")] {
+			return fmt.Errorf("%s: extra row %v", route, r)
+		}
+	}
+	return nil
 }
 
 // checkReleased is the runtime leak check behind every route: once a

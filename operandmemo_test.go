@@ -1,0 +1,216 @@
+package distmura
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"sort"
+	"strings"
+	"sync"
+	"testing"
+
+	"repro/internal/benchkit"
+	"repro/internal/graphgen"
+)
+
+// memoQuery's plan joins ρ(knows) with ρ(knows+) on the driver: the
+// build side of that one glue join is the µ-containing operand
+// ρ[src→@m](µ…), which the operand memo keeps with its index.
+const memoQuery = "?x,?y <- ?x knows/knows+ ?y"
+
+// memoEngines opens an engine with the caches on and a cache-disabled
+// reference over the same graph.
+func memoEngines(t *testing.T, opts Options) (*Engine, *Engine) {
+	t.Helper()
+	g := subTestGraph()
+	eng, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { eng.Close() })
+	eng.UseGraph(g)
+	ref, err := Open(Options{Workers: 2, DisableSubResultCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ref.Close() })
+	ref.UseGraph(g)
+	return eng, ref
+}
+
+// TestOperandMemoWarmQuery: the second identical query derives no
+// operand and builds no driver index — every index over a memoized
+// operand charges the cache gauge as it is built, so an unchanged gauge
+// means none was — and still reads as a sub-result hit.
+func TestOperandMemoWarmQuery(t *testing.T) {
+	eng, ref := memoEngines(t, Options{Workers: 2})
+	want, _ := collectSorted(t, ref, memoQuery)
+	cold, _ := collectSorted(t, eng, memoQuery)
+	sameRows(t, "cold", cold, want)
+	before := eng.SubResultCacheStats()
+	if before.OperandMisses == 0 {
+		t.Fatalf("cold query published no operand: %+v", before)
+	}
+	warm, stats := collectSorted(t, eng, memoQuery)
+	sameRows(t, "warm", warm, want)
+	after := eng.SubResultCacheStats()
+	if after.OperandMisses != before.OperandMisses || after.OperandHits <= before.OperandHits {
+		t.Errorf("warm query derived operands again: before %+v, after %+v", before, after)
+	}
+	if after.Bytes != before.Bytes || after.Entries != before.Entries {
+		t.Errorf("warm query built driver indexes or entries: %d B in %d entries, then %d B in %d",
+			before.Bytes, before.Entries, after.Bytes, after.Entries)
+	}
+	if stats.Plan != "[cached]" || stats.SubResultHits == 0 {
+		t.Errorf("warm query reads plan %q with %d sub-result hits, want [cached] and > 0", stats.Plan, stats.SubResultHits)
+	}
+}
+
+// TestOperandMemoFootprint: a write to a predicate the operand reads
+// drops the entry, and the next query returns the new rows; a write to an
+// unrelated predicate keeps it.
+func TestOperandMemoFootprint(t *testing.T) {
+	eng, ref := memoEngines(t, Options{Workers: 2})
+	collectSorted(t, eng, memoQuery)
+
+	eng.AddTriple("m40", "likes", "m41")
+	before := eng.SubResultCacheStats()
+	got, _ := collectSorted(t, eng, memoQuery)
+	want, _ := collectSorted(t, ref, memoQuery)
+	sameRows(t, "after an unrelated write", got, want)
+	after := eng.SubResultCacheStats()
+	if after.OperandMisses != before.OperandMisses || after.OperandHits == before.OperandHits {
+		t.Errorf("a write to likes dropped a knows operand: before %+v, after %+v", before, after)
+	}
+
+	eng.AddTriple("n40", "knows", "fresh")
+	before = after
+	got, _ = collectSorted(t, eng, memoQuery)
+	want, _ = collectSorted(t, ref, memoQuery)
+	sameRows(t, "after a knows write", got, want)
+	if !strings.Contains(strings.Join(got, "\n"), "fresh") {
+		t.Error("the rows after the write do not reach the new edge")
+	}
+	after = eng.SubResultCacheStats()
+	if after.OperandMisses == before.OperandMisses {
+		t.Errorf("a write to knows left its operand in the memo: before %+v, after %+v", before, after)
+	}
+}
+
+// TestOperandMemoFlushedByUseGraph: replacing the graph empties the memo.
+func TestOperandMemoFlushedByUseGraph(t *testing.T) {
+	eng, ref := memoEngines(t, Options{Workers: 2})
+	collectSorted(t, eng, memoQuery)
+	if st := eng.SubResultCacheStats(); st.Entries == 0 || st.OperandMisses == 0 {
+		t.Fatalf("nothing cached before UseGraph: %+v", st)
+	}
+	eng.UseGraph(ref.Graph())
+	if st := eng.SubResultCacheStats(); st.Entries != 0 || st.Bytes != 0 {
+		t.Fatalf("UseGraph left %d entries, %d B", st.Entries, st.Bytes)
+	}
+	before := eng.SubResultCacheStats()
+	got, _ := collectSorted(t, eng, memoQuery)
+	want, _ := collectSorted(t, ref, memoQuery)
+	sameRows(t, "after UseGraph", got, want)
+	if after := eng.SubResultCacheStats(); after.OperandMisses == before.OperandMisses {
+		t.Errorf("an operand survived UseGraph: before %+v, after %+v", before, after)
+	}
+}
+
+// TestOperandMemoEviction: under a one-byte budget every operand entry is
+// evicted as it is published, with its index charges, and each run
+// derives it again with the same rows.
+func TestOperandMemoEviction(t *testing.T) {
+	eng, ref := memoEngines(t, Options{Workers: 2, SubResultCacheBytes: 1})
+	want, _ := collectSorted(t, ref, memoQuery)
+	const runs = 3
+	for i := 0; i < runs; i++ {
+		got, _ := collectSorted(t, eng, memoQuery)
+		sameRows(t, fmt.Sprintf("evicted run %d", i), got, want)
+	}
+	st := eng.SubResultCacheStats()
+	if st.OperandMisses < runs || st.Evictions == 0 {
+		t.Errorf("operands were not evicted: %+v", st)
+	}
+	if st.Bytes != 0 || st.Entries != 0 {
+		t.Errorf("over-budget cache retained %d B in %d entries", st.Bytes, st.Entries)
+	}
+}
+
+// TestOperandMemoConcurrentReaders: four clients run the Yago pool in
+// their own orders against one engine, sharing operand entries and their
+// indexes, and every result equals a cache-disabled engine's.
+func TestOperandMemoConcurrentReaders(t *testing.T) {
+	skip := map[string]bool{"Q5": true, "Q11": true, "Q12": true, "Q13": true, "Q14": true, "Q15": true, "Q20": true}
+	var pool []string
+	for _, q := range benchkit.YagoQueries {
+		if !skip[q.ID] {
+			pool = append(pool, q.Text)
+		}
+	}
+	g := graphgen.Yago(300, 11)
+	ref, err := Open(Options{Workers: 2, DisableSubResultCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	ref.UseGraph(g)
+	want := make(map[string][]string, len(pool))
+	for _, q := range pool {
+		want[q], _ = collectSorted(t, ref, q)
+	}
+
+	eng, err := Open(Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	eng.UseGraph(g)
+	// Round 0 runs the pool in pool order on every client, released
+	// together, so the clients derive the same operands at once and probe
+	// the entry that wins; round 1 runs it in each client's own order.
+	const clients = 4
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	errs := make(chan error, clients)
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			<-start
+			inOrder := make([]int, len(pool))
+			for i := range inOrder {
+				inOrder[i] = i
+			}
+			shuffled := rand.New(rand.NewSource(int64(c))).Perm(len(pool))
+			for round, order := range [][]int{inOrder, shuffled} {
+				for _, i := range order {
+					q := pool[i]
+					res, err := eng.QueryCollect(context.Background(), q)
+					if err != nil {
+						errs <- fmt.Errorf("client %d, %q: %w", c, q, err)
+						return
+					}
+					got := make([]string, 0, len(res.Rows))
+					for _, r := range res.Rows {
+						got = append(got, strings.Join(r, "\t"))
+					}
+					sort.Strings(got)
+					if strings.Join(got, "\n") != strings.Join(want[q], "\n") {
+						errs <- fmt.Errorf("client %d, round %d, %q: %d rows, want %d", c, round, q, len(got), len(want[q]))
+						return
+					}
+				}
+			}
+		}(c)
+	}
+	close(start)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if st := eng.SubResultCacheStats(); st.OperandHits == 0 {
+		t.Errorf("the clients shared no operand: %+v", st)
+	}
+}

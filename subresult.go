@@ -47,6 +47,17 @@ import (
 // entries keep the old behavior: evicted on sight at lookup, recomputed
 // from scratch — a deletion can therefore never serve a stale entry, it
 // is either maintained through DRed or evicted.
+//
+// The same store is the driver's operand memo: the constant operands of
+// the driver's glue evaluation — the join and antijoin sides derived by
+// σ/π̃/ρ/⋈ from the graph and from cached fixpoints — are kept as
+// core.Operands with their join indexes, so a later query at the same
+// graph state neither re-derives nor re-indexes them. An operand entry is
+// keyed by the operand's fingerprint and validated by its footprint, like
+// a fixpoint entry; it is charged to the same gauge (its rows, then each
+// index as it is built) and evicted from the same LRU. A stale operand is
+// dropped on sight, never refreshed, and re-derived from whatever the
+// cache then serves for the fixpoints inside it.
 
 // footprint identifies the graph state a cached artifact (plan or
 // sub-result) was derived from: the graph's identity plus the generation
@@ -114,10 +125,14 @@ func (f footprint) valid(g *graphgen.Graph) bool {
 // refreshable caches the upgrade gate (refreshableSubResult) decided once
 // at entry creation from the term, so later lookups — including has(),
 // which only sees the fingerprint — don't re-derive it.
+//
+// An operand entry (op != nil) holds a memoized operand, whose relation is
+// rel: it is always complete, never pinned and never refreshed.
 type subEntry struct {
 	key         string
 	fp          footprint
 	rel         *core.Relation
+	op          *core.Operand
 	bytes       int64
 	refs        int
 	gone        bool
@@ -134,7 +149,6 @@ type subResultCache struct {
 	entries map[string]*subEntry
 	lru     *list.List // completed resident entries; front = MRU
 
-	resident      atomic.Int64 // bytes currently charged to the gauge
 	hits          atomic.Int64
 	misses        atomic.Int64
 	waits         atomic.Int64
@@ -144,6 +158,8 @@ type subResultCache struct {
 	refreshRows   atomic.Int64
 	retractions   atomic.Int64
 	rederived     atomic.Int64
+	operandHits   atomic.Int64
+	operandMisses atomic.Int64
 }
 
 // newSubResultCache returns a cache whose residency is budgeted at
@@ -327,11 +343,9 @@ func (c *subResultCache) refreshLocked(ctx context.Context, g *graphgen.Graph, e
 	// keep reading it unharmed (relations are immutable once published);
 	// the cache simply accounts for the new resident rows.
 	c.gauge.Release(en.bytes)
-	c.resident.Add(-en.bytes)
 	en.rel = st.rel
 	en.bytes = subResultBytes(st.rel)
 	c.gauge.Charge(en.bytes)
-	c.resident.Add(en.bytes)
 	en.elem = c.lru.PushFront(en)
 	c.refreshes.Add(1)
 	c.refreshRows.Add(st.added)
@@ -366,10 +380,48 @@ func (c *subResultCache) completer(en *subEntry) func(*core.Relation, error) {
 		en.rel = rel
 		en.bytes = subResultBytes(rel)
 		c.gauge.Charge(en.bytes)
-		c.resident.Add(en.bytes)
 		en.elem = c.lru.PushFront(en)
 		c.evictOverBudgetLocked()
 	}
+}
+
+// operand returns the operand kept under key if it is still valid for g.
+// A stale one is dropped on sight.
+func (c *subResultCache) operand(g *graphgen.Graph, key string) *core.Operand {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	en, ok := c.entries[key]
+	if !ok || en.op == nil {
+		return nil
+	}
+	if !en.fp.valid(g) {
+		c.removeLocked(en)
+		return nil
+	}
+	c.lru.MoveToFront(en.elem)
+	return en.op
+}
+
+// putOperand publishes rel, derived at the graph state fp, as the operand
+// under key and returns the operand to use: the one another query
+// published meanwhile at a valid state, else the new one. The operand's
+// rows are charged now and its indexes as they are built; colder entries
+// are evicted over budget, the new one included.
+func (c *subResultCache) putOperand(g *graphgen.Graph, key string, fp footprint, rel *core.Relation) *core.Operand {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if cur, ok := c.entries[key]; ok {
+		if cur.op != nil && cur.fp.valid(g) {
+			return cur.op
+		}
+		c.removeLocked(cur)
+	}
+	en := &subEntry{key: key, fp: fp, rel: rel, op: core.NewOperand(rel, c.gauge), bytes: subResultBytes(rel)}
+	c.entries[key] = en
+	c.gauge.Charge(en.bytes)
+	en.elem = c.lru.PushFront(en)
+	c.evictOverBudgetLocked()
+	return en.op
 }
 
 // evictOverBudgetLocked walks the LRU from the cold end releasing
@@ -392,6 +444,7 @@ func (c *subResultCache) evictOverBudgetLocked() {
 // removeLocked unlinks en from the map and LRU. The gauge charge is
 // released now when unpinned, else deferred to the last release() — the
 // rows are still feeding a running query, so the bytes are still real.
+// An operand's index charges go with it; queries still probing it go on.
 func (c *subResultCache) removeLocked(en *subEntry) {
 	if en.gone {
 		return
@@ -404,8 +457,10 @@ func (c *subResultCache) removeLocked(en *subEntry) {
 	}
 	if en.rel != nil && en.refs == 0 && en.bytes > 0 {
 		c.gauge.Release(en.bytes)
-		c.resident.Add(-en.bytes)
 		en.bytes = 0
+	}
+	if en.op != nil {
+		en.op.Release()
 	}
 }
 
@@ -418,7 +473,6 @@ func (c *subResultCache) release(en *subEntry) {
 		if en.gone {
 			if en.bytes > 0 {
 				c.gauge.Release(en.bytes)
-				c.resident.Add(-en.bytes)
 				en.bytes = 0
 			}
 		} else if c.gauge.Over() {
@@ -479,7 +533,10 @@ func (c *subResultCache) flush() {
 // DRed phase 1 over-deleted when maintaining entries through edge
 // removals, and RederivedRows how many of those rederivation salvaged —
 // their difference is the net rows deletion maintenance removed.
-// Bytes/Entries describe current residency.
+// OperandHits counts driver operands served from the operand memo with
+// their join indexes, OperandMisses those derived and published (the
+// other counters above count fixpoints only). Bytes/Entries describe
+// current residency, operands included.
 type SubResultCacheStats struct {
 	Hits          int64
 	Misses        int64
@@ -490,6 +547,8 @@ type SubResultCacheStats struct {
 	RefreshRows   int64
 	Retractions   int64
 	RederivedRows int64
+	OperandHits   int64
+	OperandMisses int64
 	Bytes         int64
 	Entries       int
 }
@@ -514,7 +573,9 @@ func (e *Engine) SubResultCacheStats() SubResultCacheStats {
 		RefreshRows:   c.refreshRows.Load(),
 		Retractions:   c.retractions.Load(),
 		RederivedRows: c.rederived.Load(),
-		Bytes:         c.resident.Load(),
+		OperandHits:   c.operandHits.Load(),
+		OperandMisses: c.operandMisses.Load(),
+		Bytes:         c.gauge.Used(),
 		Entries:       entries,
 	}
 }
@@ -548,7 +609,6 @@ type subResultProvider struct {
 	ctx         context.Context
 	cache       *subResultCache
 	graph       *graphgen.Graph
-	hits        int64
 	waits       int64
 	refreshes   int64
 	refreshRows int64
@@ -577,11 +637,41 @@ func (p *subResultProvider) Lookup(fp *core.Fixpoint) (*core.Relation, bool, fun
 		return nil, false, nil, err
 	}
 	if en != nil {
-		p.hits++
 		p.pinned = append(p.pinned, en)
 		return en.rel, out.refreshed, nil, nil
 	}
 	return nil, false, complete, nil
+}
+
+// Operand implements physical.SubResultProvider: the driver's operand
+// memo. Only an operand whose one free variable is the triple relation,
+// with a footprint of exact predicates, is kept; a bare fixpoint is left
+// to Lookup. The footprint is snapshotted before derive runs, so a write
+// landing during the derivation leaves the entry stale, never wrong. An
+// operand containing fixpoints is kept like any other: its value depends
+// only on the predicates it reads, whatever the cache served for them.
+func (p *subResultProvider) Operand(t core.Term, derive func() (*core.Relation, error)) (*core.Operand, bool, error) {
+	if _, ok := t.(*core.Fixpoint); ok {
+		return nil, false, nil
+	}
+	if fv := core.FreeVars(t); len(fv) != 1 || fv[0] != edgeRel {
+		return nil, false, nil
+	}
+	fp := snapshotFootprint(p.graph, t)
+	if fp.wildcard {
+		return nil, false, nil
+	}
+	key := rewrite.Fingerprint(t)
+	if op := p.cache.operand(p.graph, key); op != nil {
+		p.cache.operandHits.Add(1)
+		return op, true, nil
+	}
+	rel, err := derive()
+	if err != nil {
+		return nil, false, err
+	}
+	p.cache.operandMisses.Add(1)
+	return p.cache.putOperand(p.graph, key, fp, rel), false, nil
 }
 
 // releaseAll drops every pin this query holds.

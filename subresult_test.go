@@ -579,7 +579,7 @@ func TestConcurrentSubResultCache(t *testing.T) {
 	}
 	wg.Wait()
 	c.flush()
-	if got := c.resident.Load(); got != 0 {
+	if got := c.gauge.Used(); got != 0 {
 		t.Errorf("resident bytes after final flush = %d, want 0", got)
 	}
 	if c.lru.Len() != 0 || len(c.entries) != 0 {
