@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -154,9 +153,11 @@ func runFingerprint(h uint64) uint32 { return uint32(h >> runFpShift) }
 // whose fingerprint equals the row's — empty means definitely absent, and
 // is answered without touching the run — and that range (almost always a
 // single record) is compared by hash and values in place on the run's
-// mapping. A probe allocates nothing and makes no system call. Safe on a
-// nil run (a shard never evicted).
-func (r *accRun) locate(h uint64, row []Value) bool {
+// mapping. A probe allocates nothing and makes no system call. The run
+// access is noted on the gauge at once, or — with a non-nil tally — added
+// to the tally for its owner to note. Safe on a nil run (a shard never
+// evicted).
+func (r *accRun) locate(h uint64, row []Value, t *readTally) bool {
 	if r == nil {
 		return false
 	}
@@ -169,8 +170,19 @@ func (r *accRun) locate(h uint64, row []Value) bool {
 	for hi < len(r.fps) && r.fps[hi] == fp {
 		hi++
 	}
-	return r.run.holds(lo, hi, Value(h), row)
+	if t == nil {
+		return r.run.holds(lo, hi, Value(h), row)
+	}
+	found, n := r.run.match(lo, hi, Value(h), row)
+	t.reads++
+	t.bytes += n
+	return found
 }
+
+// readTally counts the frozen-run accesses of one shard batch and the
+// bytes they covered, noted on the gauge once the batch is done
+// (insertShard).
+type readTally struct{ reads, bytes int64 }
 
 // runScanner streams a finished run's records in order, decoding them
 // from the mapping a chunk at a time. Single-owner.
@@ -284,23 +296,27 @@ func (a *Accumulator) Arity() int { return a.arity }
 func (a *Accumulator) addHashed(row []Value, h uint64) bool {
 	sh := &a.shards[accShardOf(h)]
 	sh.mu.Lock()
-	added := a.addLocked(sh, row, h)
+	added := a.addLocked(sh, row, h, nil)
 	sh.mu.Unlock()
+	if added {
+		a.charge(AccRowBytes(a.arity))
+	}
 	return added
 }
 
 // addLocked is the insertion body of one shard (its lock held by the
 // caller): probe the in-memory set, then — only when absent there — the
 // frozen run (its filter and, on a filter hit, the records it points at),
-// then append.
-func (a *Accumulator) addLocked(sh *accShard, row []Value, h uint64) bool {
+// then append. It charges nothing: the caller charges for the rows it
+// added once the lock is released. A non-nil t tallies the run accesses
+// for the caller to note; with a nil one each is noted as it happens.
+func (a *Accumulator) addLocked(sh *accShard, row []Value, h uint64, t *readTally) bool {
 	sh.set.growFor(sh.n - sh.frozen + 1)
 	slot, found := sh.lookup(h, row)
-	if found || sh.run.locate(h, row) {
+	if found || sh.run.locate(h, row, t) {
 		return false
 	}
 	sh.set.claim(slot, h, int32(sh.push(row, h)+1))
-	a.charge(AccRowBytes(a.arity))
 	return true
 }
 
@@ -324,7 +340,7 @@ func (a *Accumulator) hasHashed(row []Value, h uint64) bool {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	_, found := sh.lookup(h, row)
-	return found || sh.run.locate(h, row)
+	return found || sh.run.locate(h, row, nil)
 }
 
 // Len returns the number of distinct rows accumulated. Under concurrent
@@ -426,6 +442,7 @@ func (a *Accumulator) EvictBelow(mark AccMark) int {
 type evictRound struct {
 	seg  spillSegment
 	keys []evictKey
+	tmp  []evictKey // the radix sort's other buffer
 	sc   runScanner
 }
 
@@ -434,6 +451,66 @@ type evictRound struct {
 type evictKey struct {
 	h uint64
 	i int32
+}
+
+// sortEvictKeys orders keys by (hash, row values), the run order, and
+// returns them sorted in keys or in tmp (len(tmp) >= len(keys)). The hash
+// order is an LSD radix sort, 8 bits a pass, that skips a pass whose digit
+// is the same for every key: a shard's keys share their routing bits, so
+// a small round skips the top pass. Each run of equal hashes — distinct
+// rows by construction, and rare — is then ordered by lessRows.
+func sortEvictKeys(keys, tmp []evictKey, rowOf func(int32) []Value) []evictKey {
+	n := len(keys)
+	if n < 2 {
+		return keys
+	}
+	var count [8][256]int32 // per digit, then per digit value
+	for _, k := range keys {
+		h := k.h
+		count[0][byte(h)]++
+		count[1][byte(h>>8)]++
+		count[2][byte(h>>16)]++
+		count[3][byte(h>>24)]++
+		count[4][byte(h>>32)]++
+		count[5][byte(h>>40)]++
+		count[6][byte(h>>48)]++
+		count[7][byte(h>>56)]++
+	}
+	src, dst := keys, tmp[:n]
+	for d := range count {
+		c := &count[d]
+		shift := 8 * d
+		if c[byte(src[0].h>>shift)] == int32(n) {
+			continue
+		}
+		at := int32(0)
+		for b, m := range c {
+			c[b] = at
+			at += m
+		}
+		for _, k := range src {
+			b := byte(k.h >> shift)
+			dst[c[b]] = k
+			c[b]++
+		}
+		src, dst = dst, src
+	}
+	for lo := 0; lo < n; {
+		hi := lo + 1
+		for hi < n && src[hi].h == src[lo].h {
+			hi++
+		}
+		if hi-lo > 1 {
+			slices.SortFunc(src[lo:hi], func(x, y evictKey) int {
+				if lessRows(rowOf(x.i), rowOf(y.i)) {
+					return -1
+				}
+				return 1
+			})
+		}
+		lo = hi
+	}
+	return src
 }
 
 // evictShardLocked freezes the shard's in-memory prefix below upTo (shard
@@ -452,20 +529,17 @@ func (a *Accumulator) evictShardLocked(sh *accShard, upTo int, round *evictRound
 	arity := a.arity
 	segs, live := sh.segs, sh.n-sh.frozen
 	rowOf := func(i int32) []Value { return segs.row(int(i), arity) }
-	keys := round.keys[:0]
-	for i := 0; i < k; i++ {
-		keys = append(keys, evictKey{segs.hash(i), int32(i)})
+	if len(round.tmp) < k {
+		// Room for the round's later shards, whose prefixes are about as
+		// long.
+		n := k + k/4
+		round.keys, round.tmp = make([]evictKey, n), make([]evictKey, n)
 	}
-	round.keys = keys
-	slices.SortFunc(keys, func(x, y evictKey) int {
-		if c := cmp.Compare(x.h, y.h); c != 0 {
-			return c
-		}
-		if lessRows(rowOf(x.i), rowOf(y.i)) { // distinct rows, equal hash
-			return -1
-		}
-		return 1
-	})
+	keys := round.keys[:k]
+	for i := range keys {
+		keys[i] = evictKey{segs.hash(i), int32(i)}
+	}
+	keys = sortEvictKeys(keys, round.tmp, rowOf)
 	old := sh.run
 	total := k
 	if old != nil {
@@ -734,17 +808,25 @@ func (ad *accAdder) addBatch(a *Accumulator, b *Batch) int {
 
 // insertShard inserts the given rows of b, all routed to shard sh of a,
 // under one acquisition of the shard's lock, and returns how many were
-// new.
+// new. The batch's gauge charge and its filter-hit reads are settled once,
+// after the lock is released: the gauge is only consulted for eviction at
+// EvictBelow, between batches, so every total it reports there is the one
+// per-row charging left.
 func (ad *accAdder) insertShard(a *Accumulator, sh int, b *Batch, rows []int32) int {
 	shd := &a.shards[sh]
 	added := 0
+	var t readTally
 	shd.mu.Lock()
 	for _, ri := range rows {
-		if a.addLocked(shd, b.Row(int(ri)), ad.hashes[ri]) {
+		if a.addLocked(shd, b.Row(int(ri)), ad.hashes[ri], &t) {
 			added++
 		}
 	}
 	shd.mu.Unlock()
+	if added > 0 {
+		a.charge(AccRowBytes(a.arity) * int64(added))
+	}
+	a.gauge.noteSpillReads(t.reads, t.bytes)
 	return added
 }
 

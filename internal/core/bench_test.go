@@ -211,6 +211,29 @@ func BenchmarkAccumulatorAbsorb(b *testing.B) {
 	}
 }
 
+// BenchmarkAccumulatorEvict measures one eviction round of a budgeted
+// accumulator: about 50 000 binary rows over its 32 shards, each shard
+// sorted into a run of the round's spill file and its survivors' set
+// rebuilt. Filling the accumulator and closing it are not timed.
+func BenchmarkAccumulatorEvict(b *testing.B) {
+	rel := sparseRelation(rand.New(rand.NewSource(17)), 1<<16, 50_000)
+	g := NewMemGauge(1, b.TempDir())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		a := NewAccumulator(g, ColSrc, ColTrg)
+		a.Absorb(rel)
+		b.StartTimer()
+		if n := a.EvictBelow(a.Mark()); n != rel.Len() {
+			b.Fatalf("evicted %d rows, want %d", n, rel.Len())
+		}
+		b.StopTimer()
+		a.Close()
+		b.StartTimer()
+	}
+}
+
 // BenchmarkFixpointPipelines compares the two evaluators the engine
 // carries on the same deep-closure hot path: the streaming iterator
 // pipeline with reusable join indexes (the default) against the seed's

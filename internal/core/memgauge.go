@@ -176,13 +176,18 @@ func (g *MemGauge) noteSpill(n int64) {
 // a filter-hit probe or a decoded range, the read-side counterpart of
 // noteSpill — counted where the access happens (spillRun.holds and
 // spillRun.readRange).
-func (g *MemGauge) noteSpillRead(n int64) {
-	if g == nil {
+func (g *MemGauge) noteSpillRead(n int64) { g.noteSpillReads(1, n) }
+
+// noteSpillReads records n run accesses covering bytes in all: the
+// accumulator's batched insert tallies its filter-hit probes under the
+// shard lock and notes them once per shard batch.
+func (g *MemGauge) noteSpillReads(n, bytes int64) {
+	if g == nil || n == 0 {
 		return
 	}
-	g.spillReads.Add(1)
-	g.spillReadBytes.Add(n)
-	g.parent.noteSpillRead(n)
+	g.spillReads.Add(n)
+	g.spillReadBytes.Add(bytes)
+	g.parent.noteSpillReads(n, bytes)
 }
 
 // Spills returns how many spill events (accumulator shard evictions) the

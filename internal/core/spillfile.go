@@ -201,14 +201,21 @@ func (r *spillRun) readRange(lo, hi int, dst []Value) {
 // (len recVals-1), comparing in place on the mapping: one run access on
 // the gauge, of the whole range. Safe for concurrent use after finish.
 func (r *spillRun) holds(lo, hi int, head Value, tail []Value) bool {
+	found, n := r.match(lo, hi, head, tail)
+	r.gauge.noteSpillRead(n)
+	return found
+}
+
+// match is holds without the gauge note: it also returns the bytes the
+// access covered, for a caller that tallies its reads and notes them
+// itself.
+func (r *spillRun) match(lo, hi int, head Value, tail []Value) (found bool, bytes int64) {
 	w := r.recVals * 8
 	src := r.data[lo*w : hi*w]
-	found := false
 	for rec := src; len(rec) >= w && !found; rec = rec[w:] {
 		found = Value(binary.LittleEndian.Uint64(rec)) == head && wordsEqual(rec[8:w], tail)
 	}
-	r.gauge.noteSpillRead(int64(len(src)))
-	return found
+	return found, int64(len(src))
 }
 
 // wordsEqual reports whether b encodes vals (8 little-endian bytes each).
