@@ -154,9 +154,8 @@ func runFingerprint(h uint64) uint32 { return uint32(h >> runFpShift) }
 // is answered without touching the run — and that range (almost always a
 // single record) is compared by hash and values in place on the run's
 // mapping. A probe allocates nothing and makes no system call. The run
-// access is noted on the gauge at once, or — with a non-nil tally — added
-// to the tally for its owner to note. Safe on a nil run (a shard never
-// evicted).
+// access is added to t for its owner to note once the shard lock is
+// released. Safe on a nil run (a shard never evicted).
 func (r *accRun) locate(h uint64, row []Value, t *readTally) bool {
 	if r == nil {
 		return false
@@ -170,18 +169,15 @@ func (r *accRun) locate(h uint64, row []Value, t *readTally) bool {
 	for hi < len(r.fps) && r.fps[hi] == fp {
 		hi++
 	}
-	if t == nil {
-		return r.run.holds(lo, hi, Value(h), row)
-	}
-	found, n := r.run.match(lo, hi, Value(h), row)
+	found, n := r.run.holds(lo, hi, Value(h), row)
 	t.reads++
 	t.bytes += n
 	return found
 }
 
-// readTally counts the frozen-run accesses of one shard batch and the
-// bytes they covered, noted on the gauge once the batch is done
-// (insertShard).
+// readTally counts the frozen-run accesses made under one acquisition of a
+// shard lock and the bytes they covered, noted on the gauge once the lock
+// is released.
 type readTally struct{ reads, bytes int64 }
 
 // runScanner streams a finished run's records in order, decoding them
@@ -295,12 +291,14 @@ func (a *Accumulator) Arity() int { return a.arity }
 // concurrent use.
 func (a *Accumulator) addHashed(row []Value, h uint64) bool {
 	sh := &a.shards[accShardOf(h)]
+	var t readTally
 	sh.mu.Lock()
-	added := a.addLocked(sh, row, h, nil)
+	added := a.addLocked(sh, row, h, &t)
 	sh.mu.Unlock()
 	if added {
 		a.charge(AccRowBytes(a.arity))
 	}
+	a.gauge.noteSpillReads(t.reads, t.bytes)
 	return added
 }
 
@@ -308,8 +306,7 @@ func (a *Accumulator) addHashed(row []Value, h uint64) bool {
 // caller): probe the in-memory set, then — only when absent there — the
 // frozen run (its filter and, on a filter hit, the records it points at),
 // then append. It charges nothing: the caller charges for the rows it
-// added once the lock is released. A non-nil t tallies the run accesses
-// for the caller to note; with a nil one each is noted as it happens.
+// added once the lock is released, and notes the run accesses t tallies.
 func (a *Accumulator) addLocked(sh *accShard, row []Value, h uint64, t *readTally) bool {
 	sh.set.growFor(sh.n - sh.frozen + 1)
 	slot, found := sh.lookup(h, row)
@@ -337,10 +334,13 @@ func (a *Accumulator) Has(row []Value) bool {
 // hasHashed is Has with a precomputed hash.
 func (a *Accumulator) hasHashed(row []Value, h uint64) bool {
 	sh := &a.shards[accShardOf(h)]
+	var t readTally
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
 	_, found := sh.lookup(h, row)
-	return found || sh.run.locate(h, row, nil)
+	found = found || sh.run.locate(h, row, &t)
+	sh.mu.Unlock()
+	a.gauge.noteSpillReads(t.reads, t.bytes)
+	return found
 }
 
 // Len returns the number of distinct rows accumulated. Under concurrent
@@ -529,13 +529,9 @@ func (a *Accumulator) evictShardLocked(sh *accShard, upTo int, round *evictRound
 	arity := a.arity
 	segs, live := sh.segs, sh.n-sh.frozen
 	rowOf := func(i int32) []Value { return segs.row(int(i), arity) }
-	if len(round.tmp) < k {
-		// Room for the round's later shards, whose prefixes are about as
-		// long.
-		n := k + k/4
-		round.keys, round.tmp = make([]evictKey, n), make([]evictKey, n)
-	}
-	keys := round.keys[:k]
+	round.keys = slices.Grow(round.keys[:0], k)[:k]
+	round.tmp = slices.Grow(round.tmp[:0], k)[:k]
+	keys := round.keys
 	for i := range keys {
 		keys[i] = evictKey{segs.hash(i), int32(i)}
 	}

@@ -173,14 +173,14 @@ func (g *MemGauge) noteSpill(n int64) {
 }
 
 // noteSpillRead records one run access covering n bytes of a spill run —
-// a filter-hit probe or a decoded range, the read-side counterpart of
-// noteSpill — counted where the access happens (spillRun.holds and
-// spillRun.readRange).
+// a decoded range, the read-side counterpart of noteSpill — counted where
+// the access happens (spillRun.readRange).
 func (g *MemGauge) noteSpillRead(n int64) { g.noteSpillReads(1, n) }
 
 // noteSpillReads records n run accesses covering bytes in all: the
-// accumulator's batched insert tallies its filter-hit probes under the
-// shard lock and notes them once per shard batch.
+// accumulator tallies its filter-hit probes under a shard lock and notes
+// them once the lock is released — once per shard batch for a batched
+// insert, once per call for Add and Has.
 func (g *MemGauge) noteSpillReads(n, bytes int64) {
 	if g == nil || n == 0 {
 		return

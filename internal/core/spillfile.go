@@ -198,18 +198,11 @@ func (r *spillRun) readRange(lo, hi int, dst []Value) {
 }
 
 // holds reports whether one of records [lo, hi) is head followed by tail
-// (len recVals-1), comparing in place on the mapping: one run access on
-// the gauge, of the whole range. Safe for concurrent use after finish.
-func (r *spillRun) holds(lo, hi int, head Value, tail []Value) bool {
-	found, n := r.match(lo, hi, head, tail)
-	r.gauge.noteSpillRead(n)
-	return found
-}
-
-// match is holds without the gauge note: it also returns the bytes the
-// access covered, for a caller that tallies its reads and notes them
-// itself.
-func (r *spillRun) match(lo, hi int, head Value, tail []Value) (found bool, bytes int64) {
+// (len recVals-1), comparing in place on the mapping, and returns the bytes
+// the access covered: one run access, of the whole range, which the caller
+// notes on the gauge (accRun.locate tallies it under the shard lock). Safe
+// for concurrent use after finish.
+func (r *spillRun) holds(lo, hi int, head Value, tail []Value) (found bool, bytes int64) {
 	w := r.recVals * 8
 	src := r.data[lo*w : hi*w]
 	for rec := src; len(rec) >= w && !found; rec = rec[w:] {
