@@ -30,20 +30,24 @@ func benchScale() benchkit.Scale {
 	return s
 }
 
-func mustCluster(b *testing.B, workers int) *cluster.Cluster {
+// mustSession opens a session on a fresh cluster; both close when the
+// benchmark ends.
+func mustSession(b *testing.B, workers int) *cluster.Session {
 	b.Helper()
 	c, err := cluster.New(cluster.Config{Workers: workers})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { c.Close() })
-	return c
+	s := c.NewSession(nil)
+	b.Cleanup(s.Close)
+	return s
 }
 
 // runTerm executes a µ-RA term once on a fresh planner.
-func runTerm(b *testing.B, c *cluster.Cluster, env *core.Env, term core.Term, kind physical.Kind) {
+func runTerm(b *testing.B, s *cluster.Session, env *core.Env, term core.Term, kind physical.Kind) {
 	b.Helper()
-	p := physical.NewPlanner(c, env)
+	p := physical.NewSessionPlanner(s, env)
 	p.Force = kind
 	if _, _, err := p.Execute(term); err != nil {
 		b.Fatal(err)
@@ -68,11 +72,11 @@ func BenchmarkClosureKnowsDeep(b *testing.B) {
 	env := g.Env(benchkit.EdgeRelName)
 	for _, kind := range []physical.Kind{physical.Splw, physical.Pgplw, physical.Gld} {
 		b.Run(kind.String(), func(b *testing.B) {
-			c := mustCluster(b, 2)
+			sess := mustSession(b, 2)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				runTerm(b, c, env, prep.Best, kind)
+				runTerm(b, sess, env, prep.Best, kind)
 			}
 		})
 	}
@@ -100,10 +104,10 @@ func BenchmarkFig05ConstantPartSweep(b *testing.B) {
 		env.Bind("S", seed)
 		for _, kind := range []physical.Kind{physical.Pgplw, physical.Splw} {
 			b.Run(fmt.Sprintf("R=%d/%s", size, kind), func(b *testing.B) {
-				c := mustCluster(b, 2)
+				sess := mustSession(b, 2)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					runTerm(b, c, env, term, kind)
+					runTerm(b, sess, env, term, kind)
 				}
 			})
 		}
@@ -130,10 +134,10 @@ func BenchmarkFig05PhiSizeSweep(b *testing.B) {
 		env := g.Env(benchkit.EdgeRelName)
 		for _, kind := range []physical.Kind{physical.Pgplw, physical.Splw} {
 			b.Run(tc.name+"/"+kind.String(), func(b *testing.B) {
-				c := mustCluster(b, 2)
+				sess := mustSession(b, 2)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					runTerm(b, c, env, prep.Best, kind)
+					runTerm(b, sess, env, prep.Best, kind)
 				}
 			})
 		}
@@ -160,10 +164,10 @@ func BenchmarkFig09PlwVsGld(b *testing.B) {
 				name = "Pgld"
 			}
 			b.Run(q.ID+"/"+name, func(b *testing.B) {
-				c := mustCluster(b, 2)
+				sess := mustSession(b, 2)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					runTerm(b, c, env, prep.Best, kind)
+					runTerm(b, sess, env, prep.Best, kind)
 				}
 			})
 		}
@@ -226,11 +230,11 @@ func BenchmarkFig11NonRegular(b *testing.B) {
 	for _, name := range []string{"anbn", "SG", "FilteredSG", "JoinedSG"} {
 		term := terms[name]
 		b.Run(name+"/DistMuRA", func(b *testing.B) {
-			c := mustCluster(b, 2)
+			sess := mustSession(b, 2)
 			env := env
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				runTerm(b, c, env, term, physical.Auto)
+				runTerm(b, sess, env, term, physical.Auto)
 			}
 		})
 	}
@@ -248,19 +252,19 @@ func BenchmarkFig11NonRegular(b *testing.B) {
 	for _, name := range []string{"anbn", "SG", "JoinedSG"} {
 		mk := progs[name]
 		b.Run(name+"/BigDatalog", func(b *testing.B) {
-			c := mustCluster(b, 2)
+			sess := mustSession(b, 2)
 			prog, atom := mk()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := datalog.Run(c, env, edbCols, prog, atom); err != nil {
+				if _, _, err := datalog.Run(sess, env, edbCols, prog, atom); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 	}
 	b.Run("FilteredSG/GraphX", func(b *testing.B) {
-		c := mustCluster(b, 2)
-		pg, err := pregel.LoadGraph(c, g.Triples)
+		sess := mustSession(b, 2)
+		pg, err := pregel.LoadGraph(sess, g.Triples)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -423,9 +427,11 @@ func BenchmarkTransports(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer c.Close()
+			sess := c.NewSession(nil)
+			defer sess.Close()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				runTerm(b, c, env, prep.Best, physical.Splw)
+				runTerm(b, sess, env, prep.Best, physical.Splw)
 			}
 		})
 	}

@@ -387,7 +387,6 @@ type queryConfig struct {
 	plan       Plan
 	noOptimize bool
 	maxPlans   int
-	disabled   map[string]bool
 }
 
 // QueryOption customizes one Query call.
@@ -399,16 +398,6 @@ func WithPlan(p Plan) QueryOption { return func(c *queryConfig) { c.plan = p } }
 // WithoutOptimization evaluates the naive left-to-right translation
 // (useful for ablation and debugging).
 func WithoutOptimization() QueryOption { return func(c *queryConfig) { c.noOptimize = true } }
-
-// WithoutRule disables a named rewrite rule (ablation).
-func WithoutRule(name string) QueryOption {
-	return func(c *queryConfig) {
-		if c.disabled == nil {
-			c.disabled = map[string]bool{}
-		}
-		c.disabled[name] = true
-	}
-}
 
 // queryConfig folds the options over the engine defaults.
 func (e *Engine) queryConfig(opts []QueryOption) queryConfig {
@@ -549,7 +538,6 @@ func (e *Engine) planSpace(q *ucrpq.UnionQuery, cfg queryConfig) ([]core.Term, e
 	}
 	rw := rewrite.NewRewriter(core.SchemaEnv{edgeRel: e.graph.Triples.Cols()})
 	rw.MaxPlans = cfg.maxPlans
-	rw.Disabled = cfg.disabled
 	return rw.ExploreBoth(ltr, rtl), nil
 }
 

@@ -330,30 +330,6 @@ func TestTCPEngine(t *testing.T) {
 	}
 }
 
-func TestWithoutRuleAblation(t *testing.T) {
-	e := openTest(t, Options{Workers: 2, MaxPlans: 200})
-	g := graphgen.Yago(150, 20)
-	e.UseGraph(g)
-	full, err := e.Explain(context.Background(), "?x,?y <- ?x IsL+/dw+ ?y")
-	if err != nil {
-		t.Fatal(err)
-	}
-	eAblate := openTest(t, Options{Workers: 2, MaxPlans: 200})
-	eAblate.UseGraph(g)
-	res, err := eAblate.QueryCollect(context.Background(), "?x,?y <- ?x IsL+/dw+ ?y",
-		WithoutRule("merge-closures"), WithoutRule("fold-compose-right"), WithoutRule("fold-compose-left"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resFull := collect(t, e, "?x,?y <- ?x IsL+/dw+ ?y")
-	if len(res.Rows) != len(resFull.Rows) {
-		t.Fatalf("ablated run changed answers: %d vs %d", len(res.Rows), len(resFull.Rows))
-	}
-	if res.Stats.PlanSpace >= full.PlanSpace {
-		t.Fatalf("ablation did not shrink plan space: %d vs %d", res.Stats.PlanSpace, full.PlanSpace)
-	}
-}
-
 func TestUnionQueries(t *testing.T) {
 	e := openTest(t, Options{Workers: 2})
 	addChain(e, "a", "n1", "n2", "n3")

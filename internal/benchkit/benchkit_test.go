@@ -2,6 +2,10 @@ package benchkit
 
 import (
 	"bytes"
+	"context"
+	"errors"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -202,13 +206,14 @@ func TestRunMuRAPlanReporting(t *testing.T) {
 }
 
 // TestBudgetTimeoutProducesTimeout runs a task that only the budget's
-// Close can end — worker 0 exchanges with a peer that never sends — so the
-// timer always wins and the run must be reported as a timeout.
+// deadline can end — worker 0 exchanges with a peer that never sends — so
+// the session's context always wins and the run must be reported as a
+// timeout.
 func TestBudgetTimeoutProducesTimeout(t *testing.T) {
 	b := Budget{Timeout: time.Millisecond, Workers: 2}
 	aborted := make(chan error, 1)
-	res := runWithBudget(b, cluster.TransportChan, func(c *cluster.Cluster) (*Result, error) {
-		err := c.RunPhase(func(ctx *cluster.Ctx) error {
+	res := runWithBudget(b, cluster.TransportChan, func(s *cluster.Session) (*Result, error) {
+		err := s.RunPhase(func(ctx *cluster.Ctx) error {
 			if ctx.WorkerID() != 0 {
 				return nil
 			}
@@ -221,8 +226,67 @@ func TestBudgetTimeoutProducesTimeout(t *testing.T) {
 	if !res.TimedOut || res.Cell() != "T/O" {
 		t.Fatalf("run outliving its budget reported as %q (%+v)", res.Cell(), res)
 	}
-	if err := <-aborted; err == nil {
-		t.Fatal("closing the cluster did not abort the blocked run")
+	if err := <-aborted; !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("blocked run aborted with %v, want the session's deadline", err)
+	}
+}
+
+// TestBudgetTimeoutStopsEverySystem: a Dist-µ-RA, BigDatalog or GraphX run
+// that outlives its budget stops at its session's next barrier, fixpoint
+// iteration or superstep, and the call that ran it reports the timeout.
+// Nothing of the run is left behind: every memory gauge is back at zero
+// and, once the cluster is closed, no goroutine of the run is alive.
+func TestBudgetTimeoutStopsEverySystem(t *testing.T) {
+	if core.SpillSupported() != nil {
+		t.Skip("a memory budget needs spill runs")
+	}
+	// The closure of a 300-edge chain takes one iteration or superstep per
+	// edge: far more than the budget's 2 ms.
+	g := graphgen.NewGraph("chain")
+	for i := 0; i < 300; i++ {
+		g.Add(fmt.Sprintf("n%d", i), "a", fmt.Sprintf("n%d", i+1))
+	}
+	const query = "?x,?y <- ?x a+ ?y"
+	q := ucrpq.MustParse(query)
+	prep, err := PrepareMuRA(g, query, smallBudget(), MuRAOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, atom, err := datalog.NewTranslator(EdgeRelName, g.Dict).Translate(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := g.Env(EdgeRelName)
+	for _, sys := range []struct {
+		name string
+		f    run
+	}{
+		{"Dist-µ-RA", muraRun(env, prep.Best, MuRAOptions{Force: physical.Gld})},
+		{"BigDatalog", datalogRun(env, datalog.EdgeCols(EdgeRelName), prog, atom)},
+		{"GraphX", graphXRun(g, q, 0)},
+	} {
+		t.Run(sys.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			c, err := cluster.New(cluster.Config{Workers: 2, TaskMemBytes: 1 << 16, SpillDir: t.TempDir()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := runOn(c, Budget{Timeout: 2 * time.Millisecond}, sys.f)
+			if !res.TimedOut || res.Err != nil {
+				t.Errorf("run past its budget reported as %q (err %v)", res.Cell(), res.Err)
+			}
+			for i, gauge := range append(c.Gauges(), c.DriverGauge()) {
+				if used := gauge.Used(); used != 0 {
+					t.Errorf("gauge %d holds %d B after the timed-out run", i, used)
+				}
+			}
+			c.Close()
+			for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines outlive the run, %d before it", runtime.NumGoroutine(), before)
+				}
+			}
+		})
 	}
 }
 

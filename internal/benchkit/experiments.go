@@ -287,8 +287,8 @@ func runC7(g *graphgen.Graph, query string, s Scale) (mu, bd, gx *Result) {
 }
 
 func runPregelC7(g *graphgen.Graph, s Scale, f func(pg *pregel.Graph) (int, error)) *Result {
-	res := runWithBudget(s.Budget(), cluster.TransportChan, func(c *cluster.Cluster) (*Result, error) {
-		pg, err := pregel.LoadGraph(c, g.Triples)
+	res := runWithBudget(s.Budget(), cluster.TransportChan, func(sess *cluster.Session) (*Result, error) {
+		pg, err := pregel.LoadGraph(sess, g.Triples)
 		if err != nil {
 			return nil, err
 		}

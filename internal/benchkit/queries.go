@@ -110,13 +110,3 @@ func InstantiateUniprot(q Query) Query {
 	}
 	return Query{ID: q.ID, Text: text, Classes: q.Classes}
 }
-
-// InClass reports whether q belongs to the given class label.
-func (q Query) InClass(c string) bool {
-	for _, x := range q.Classes {
-		if x == c {
-			return true
-		}
-	}
-	return false
-}

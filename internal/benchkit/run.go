@@ -1,6 +1,7 @@
 package benchkit
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sort"
@@ -22,9 +23,9 @@ import (
 // EdgeRelName is the relation/predicate name the triple table is bound to.
 const EdgeRelName = "G"
 
-// Budget bounds one query run. Timeout closes the run's (private) cluster,
-// which aborts in-flight phases; MaxMessages bounds Pregel message volume
-// (simulated memory).
+// Budget bounds one query run. Timeout is the deadline of the run's
+// session, which aborts its barriers, fixpoint iterations and supersteps;
+// MaxMessages bounds Pregel message volume (simulated memory).
 type Budget struct {
 	Timeout     time.Duration
 	MaxMessages int64
@@ -71,41 +72,43 @@ func (r Result) Cell() string {
 	}
 }
 
-// runWithBudget executes f against a private cluster under the budget.
-// On timeout the cluster is closed, which makes the abandoned run fail
-// fast instead of leaking work.
-func runWithBudget(b Budget, transport cluster.TransportKind, f func(c *cluster.Cluster) (*Result, error)) *Result {
+// run is one system's work on a query, run inside one session.
+type run func(s *cluster.Session) (*Result, error)
+
+// runWithBudget executes f on a private cluster under the budget.
+func runWithBudget(b Budget, transport cluster.TransportKind, f run) *Result {
 	c, err := cluster.New(cluster.Config{Workers: b.workers(), Transport: transport})
 	if err != nil {
 		return &Result{Crashed: true, Err: err}
 	}
-	type outcome struct {
-		res *Result
-		err error
-	}
-	done := make(chan outcome, 1)
-	start := time.Now()
-	go func() {
-		res, err := f(c)
-		done <- outcome{res, err}
-	}()
+	defer c.Close()
+	return runOn(c, b, f)
+}
+
+// runOn executes f in one session of c whose context carries the budget's
+// timeout. A run past it stops at its next barrier, fixpoint iteration or
+// superstep and returns here as a timeout, so nothing of it outlives the
+// call.
+func runOn(c *cluster.Cluster, b Budget, f run) *Result {
 	timeout := b.Timeout
 	if timeout <= 0 {
 		timeout = 5 * time.Minute
 	}
-	select {
-	case out := <-done:
-		c.Close()
-		if out.err != nil {
-			return &Result{Crashed: true, Err: out.err, Seconds: time.Since(start).Seconds()}
-		}
-		out.res.Seconds = time.Since(start).Seconds()
-		out.res.Metrics = c.Metrics().Snapshot()
-		return out.res
-	case <-time.After(timeout):
-		c.Close() // aborts the in-flight phases; the goroutine exits
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	s := c.NewSession(ctx)
+	defer s.Close()
+	start := time.Now()
+	res, err := f(s)
+	switch {
+	case err != nil && ctx.Err() != nil:
 		return &Result{TimedOut: true, Seconds: timeout.Seconds()}
+	case err != nil:
+		return &Result{Crashed: true, Err: err, Seconds: time.Since(start).Seconds()}
 	}
+	res.Seconds = time.Since(start).Seconds()
+	res.Metrics = s.Metrics().Snapshot()
+	return res
 }
 
 // MuRAOptions tunes the Dist-µ-RA pipeline.
@@ -164,17 +167,21 @@ func RunMuRA(g *graphgen.Graph, queryText string, b Budget, opts MuRAOptions) *R
 // RunMuRATerm executes an already-chosen µ-RA term distributively (used
 // for the C7 queries and the plan-comparison experiments).
 func RunMuRATerm(env *core.Env, term core.Term, b Budget, opts MuRAOptions) *Result {
-	res := runWithBudget(b, cluster.TransportChan, func(c *cluster.Cluster) (*Result, error) {
-		planner := physical.NewPlanner(c, env)
+	res := runWithBudget(b, cluster.TransportChan, muraRun(env, term, opts))
+	res.System = "Dist-µ-RA"
+	return res
+}
+
+func muraRun(env *core.Env, term core.Term, opts MuRAOptions) run {
+	return func(s *cluster.Session) (*Result, error) {
+		planner := physical.NewSessionPlanner(s, env)
 		planner.Force = opts.Force
 		rel, rep, err := planner.Execute(term)
 		if err != nil {
 			return nil, err
 		}
 		return &Result{Rows: rel.Len(), Info: planInfo(rep)}, nil
-	})
-	res.System = "Dist-µ-RA"
-	return res
+	}
 }
 
 // planInfo renders a run's fixpoint plan kinds and total iterations, e.g.
@@ -219,15 +226,19 @@ func RunBigDatalog(g *graphgen.Graph, queryText string, b Budget) *Result {
 // the EDB relations env binds (edbCols gives their columns in argument
 // order).
 func RunDatalogProgram(env *core.Env, edbCols map[string][]string, prog *datalog.Program, query datalog.Atom, b Budget) *Result {
-	res := runWithBudget(b, cluster.TransportChan, func(c *cluster.Cluster) (*Result, error) {
-		rel, rep, err := datalog.Run(c, env, edbCols, prog, query)
+	res := runWithBudget(b, cluster.TransportChan, datalogRun(env, edbCols, prog, query))
+	res.System = "BigDatalog"
+	return res
+}
+
+func datalogRun(env *core.Env, edbCols map[string][]string, prog *datalog.Program, query datalog.Atom) run {
+	return func(s *cluster.Session) (*Result, error) {
+		rel, rep, err := datalog.Run(s, env, edbCols, prog, query)
 		if err != nil {
 			return nil, err
 		}
 		return &Result{Rows: rel.Len(), Info: planInfo(rep)}, nil
-	})
-	res.System = "BigDatalog"
-	return res
+	}
 }
 
 // RunGraphX executes a UCRPQ with the GraphX stand-in: every atom's path
@@ -239,8 +250,14 @@ func RunGraphX(g *graphgen.Graph, queryText string, b Budget) *Result {
 	if err != nil {
 		return &Result{System: "GraphX", Crashed: true, Err: err}
 	}
-	res := runWithBudget(b, cluster.TransportChan, func(c *cluster.Cluster) (*Result, error) {
-		pg, err := pregel.LoadGraph(c, g.Triples)
+	res := runWithBudget(b, cluster.TransportChan, graphXRun(g, q, b.MaxMessages))
+	res.System = "GraphX"
+	return res
+}
+
+func graphXRun(g *graphgen.Graph, q *ucrpq.Query, maxMessages int64) run {
+	return func(s *cluster.Session) (*Result, error) {
+		pg, err := pregel.LoadGraph(s, g.Triples)
 		if err != nil {
 			return nil, err
 		}
@@ -248,7 +265,7 @@ func RunGraphX(g *graphgen.Graph, queryText string, b Budget) *Result {
 		supersteps := 0
 		for _, atom := range q.Atoms {
 			nfa := rpq.CompileNFA(atom.Path, g.Dict)
-			opts := pregel.RPQOptions{MaxMessages: b.MaxMessages}
+			opts := pregel.RPQOptions{MaxMessages: maxMessages}
 			if !atom.Subj.IsVar {
 				v, ok := g.Dict.Lookup(atom.Subj.Name)
 				if !ok {
@@ -291,9 +308,7 @@ func RunGraphX(g *graphgen.Graph, queryText string, b Budget) *Result {
 			}
 		}
 		return &Result{Rows: joined.Len(), Info: fmt.Sprintf("supersteps=%d", supersteps)}, nil
-	})
-	res.System = "GraphX"
-	return res
+	}
 }
 
 // atomPairsToRel renames/filters the (src,trg) pair relation of one atom

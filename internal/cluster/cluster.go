@@ -14,8 +14,8 @@
 // Session (see session.go) whose tag travels on every frame, so two
 // queries' exchanges can never interleave, each query's metrics and spill
 // counters are exact, and cancelling one query's context aborts only its
-// own barriers. The Cluster-level copies of the Session primitives run
-// under a private throwaway session per call.
+// own barriers. Every data-plane call is a Session method; Parallelize is
+// the one Cluster-level copy left.
 package cluster
 
 import (
@@ -80,7 +80,6 @@ type Cluster struct {
 	cfg       Config
 	transport Transport
 	workers   []*Worker
-	metrics   Metrics
 
 	seq     atomic.Int64 // exchange-phase sequence
 	nextID  atomic.Int64 // dataset / broadcast ids
@@ -127,34 +126,6 @@ type Worker struct {
 	dead    atomic.Bool
 	removed atomic.Bool
 	gauge   *core.MemGauge
-	// local holds per-worker state attached by higher layers (the pregel
-	// runtime's adjacency lists and vertex states). The map is only
-	// reachable through Local/SetLocal/DeleteLocal, which lock localMu —
-	// map *integrity* is always safe under concurrent sessions.
-	localMu sync.Mutex
-	local   map[string]any
-}
-
-// Local returns the attachment under key (nil when absent). Safe for
-// concurrent use.
-func (w *Worker) Local(key string) any {
-	w.localMu.Lock()
-	defer w.localMu.Unlock()
-	return w.local[key]
-}
-
-// SetLocal stores an attachment under key. Safe for concurrent use.
-func (w *Worker) SetLocal(key string, v any) {
-	w.localMu.Lock()
-	w.local[key] = v
-	w.localMu.Unlock()
-}
-
-// DeleteLocal removes the attachment under key. Safe for concurrent use.
-func (w *Worker) DeleteLocal(key string) {
-	w.localMu.Lock()
-	delete(w.local, key)
-	w.localMu.Unlock()
 }
 
 // New starts a cluster.
@@ -190,7 +161,6 @@ func New(cfg Config) (*Cluster, error) {
 			cluster: c,
 			store:   make(map[int64]*core.Relation),
 			bcast:   make(map[int64]*core.Relation),
-			local:   make(map[string]any),
 		}
 		if cfg.TaskMemBytes > 0 {
 			// One gauge per worker for the worker's whole lifetime: the
@@ -223,10 +193,6 @@ func (c *Cluster) NumWorkers() int { return len(c.workers) }
 
 // Config returns the cluster configuration.
 func (c *Cluster) Config() Config { return c.cfg }
-
-// Metrics returns the live cluster-wide counters, aggregated across all
-// sessions. Per-query counters live on each Session.
-func (c *Cluster) Metrics() *Metrics { return &c.metrics }
 
 // Close shuts the cluster down by closing the transport, which also stops
 // the demultiplexers and unblocks any session still at a barrier.
@@ -322,16 +288,13 @@ func (c *Cluster) ReviveWorker(id int) bool {
 	return true
 }
 
-// clearState discards a worker's partitions, broadcasts and attachments —
-// the state a crashed process loses.
+// clearState discards a worker's partitions and broadcasts — the state a
+// crashed process loses.
 func (w *Worker) clearState() {
 	w.mu.Lock()
 	w.store = make(map[int64]*core.Relation)
 	w.bcast = make(map[int64]*core.Relation)
 	w.mu.Unlock()
-	w.localMu.Lock()
-	w.local = make(map[string]any)
-	w.localMu.Unlock()
 }
 
 // send is the single data-plane choke point: every outbound frame —
@@ -532,10 +495,6 @@ func (ctx *Ctx) SetPartition(ds *Dataset, rel *core.Relation) {
 	ctx.w.mu.Unlock()
 }
 
-// Worker exposes the per-worker attachment map (for state that outlives a
-// phase, such as the pregel runtime's vertex states).
-func (ctx *Ctx) Worker() *Worker { return ctx.w }
-
 // Exchange hash-partitions rel by the given columns across all workers and
 // returns the rows this worker receives, merged with set semantics. All
 // workers of the phase must call Exchange the same number of times in the
@@ -585,8 +544,7 @@ func (ctx *Ctx) Exchange(rel *core.Relation, byCols []string) (*core.Relation, e
 			buckets[o][0].AppendRow(row)
 		}
 	}
-	c := ctx.w.cluster
-	ctr{&c.metrics.LocalRecords, &ctx.sess.m.LocalRecords}.Add(int64(count[ctx.rank]))
+	ctx.sess.m.LocalRecords.Add(int64(count[ctx.rank]))
 	if err := ctx.shuffle(arity, buckets, func(b *core.Batch) { out.AddBatch(b) }); err != nil {
 		return nil, err
 	}
@@ -627,7 +585,7 @@ func (ctx *Ctx) shuffle(arity int, out [][]*core.Batch, keep func(*core.Batch)) 
 	seq := ctx.phaseSeq<<20 | int64(ctx.calls)
 	if ctx.rank == 0 {
 		// One barrier per SPMD shuffle call; count it once.
-		ctr{&c.metrics.ShufflePhases, &s.m.ShufflePhases}.Add(1)
+		s.m.ShufflePhases.Add(1)
 	}
 	// Ship the buckets from a goroutine while this worker receives: every
 	// worker keeps draining its inbox while its own frames trickle out, so
@@ -644,8 +602,7 @@ func (ctx *Ctx) shuffle(arity int, out [][]*core.Batch, keep func(*core.Batch)) 
 				continue
 			}
 			if err := c.sendFrames(s.members[peer], KindShuffle, s.tag, seq, ctx.w.id, 0, arity, out[peer],
-				ctr{&c.metrics.ShuffleRecords, &s.m.ShuffleRecords},
-				ctr{&c.metrics.ShuffleBytes, &s.m.ShuffleBytes}); err != nil && firstErr == nil {
+				&s.m.ShuffleRecords, &s.m.ShuffleBytes); err != nil && firstErr == nil {
 				firstErr = err
 			}
 		}
@@ -680,7 +637,7 @@ func (ctx *Ctx) shuffle(arity int, out [][]*core.Batch, keep func(*core.Batch)) 
 // empty transfer still sends one empty Last frame so barrier receivers
 // can count completed senders. Record/byte metrics are added per frame.
 func (c *Cluster) sendFrames(to int, kind MsgKind, tag, seq int64, from int, id int64,
-	arity int, wins []*core.Batch, recs, bytes ctr) error {
+	arity int, wins []*core.Batch, recs, bytes *atomic.Int64) error {
 	step := core.BatchRowsFor(arity)
 	total := 0
 	for _, w := range wins {
@@ -857,14 +814,6 @@ func (s *Session) wrapWorkerErr(id int, seq int64, err error) error {
 		Session: s.tag, Epoch: s.epoch, Phase: seq, Err: err}
 }
 
-// RunPhase runs f on every worker under a private single-use session; see
-// Session.RunPhase for the concurrent form.
-func (c *Cluster) RunPhase(f func(ctx *Ctx) error) error {
-	s := c.NewSession(nil)
-	defer s.Close()
-	return s.RunPhase(f)
-}
-
 // NewDataset registers an empty dataset handle with the given schema.
 func (c *Cluster) NewDataset(cols ...string) *Dataset {
 	return &Dataset{c: c, id: c.nextID.Add(1), cols: core.SortCols(cols)}
@@ -890,8 +839,7 @@ func (s *Session) Parallelize(rel *core.Relation, byCols []string) (*Dataset, er
 		var firstErr error
 		for i, p := range parts {
 			if err := c.sendFrames(s.members[i], KindScatter, s.tag, seq, DriverNode, ds.id, p.Arity(), []*core.Batch{p.AsBatch()},
-				ctr{&c.metrics.ScatterRecords, &s.m.ScatterRecords},
-				ctr{&c.metrics.ScatterBytes, &s.m.ScatterBytes}); err != nil && firstErr == nil {
+				&s.m.ScatterRecords, &s.m.ScatterBytes); err != nil && firstErr == nil {
 				firstErr = err
 			}
 		}
@@ -921,7 +869,9 @@ func (s *Session) Parallelize(rel *core.Relation, byCols []string) (*Dataset, er
 	return ds, nil
 }
 
-// Parallelize scatters rel under a private single-use session.
+// Parallelize scatters rel under a private single-use session. It is the
+// one session-less data-plane call left, kept for the benchmark rig's
+// exchange probe (bench/trace.go), which scatters once outside any query.
 func (c *Cluster) Parallelize(rel *core.Relation, byCols []string) (*Dataset, error) {
 	s := c.NewSession(nil)
 	defer s.Close()
@@ -952,8 +902,8 @@ func (s *Session) BroadcastRel(rel *core.Relation) (*Broadcast, error) {
 			for _, id := range s.members {
 				msg := &DataMsg{Kind: KindBroadcast, Tag: s.tag, Seq: seq, From: DriverNode, ID: b.id, Ord: ord,
 					Batch: window, encSize: encSize, Last: hi == total}
-				ctr{&c.metrics.BroadcastRecords, &s.m.BroadcastRecords}.Add(int64(window.Len()))
-				ctr{&c.metrics.BroadcastBytes, &s.m.BroadcastBytes}.Add(msg.wireBytes())
+				s.m.BroadcastRecords.Add(int64(window.Len()))
+				s.m.BroadcastBytes.Add(msg.wireBytes())
 				if err := c.send(id, msg); err != nil && firstErr == nil {
 					firstErr = err
 				}
@@ -992,13 +942,6 @@ func (s *Session) BroadcastRel(rel *core.Relation) (*Broadcast, error) {
 		return nil, err
 	}
 	return b, nil
-}
-
-// BroadcastRel replicates rel under a private single-use session.
-func (c *Cluster) BroadcastRel(rel *core.Relation) (*Broadcast, error) {
-	s := c.NewSession(nil)
-	defer s.Close()
-	return s.BroadcastRel(rel)
 }
 
 // Collect gathers all partitions of ds on the driver. The frames of a
@@ -1051,8 +994,7 @@ func (s *Session) Collect(ds *Dataset) (*core.Relation, error) {
 		part := ctx.Partition(ds)
 		rows.Add(int64(part.Len()))
 		return c.sendFrames(DriverNode, KindCollect, s.tag, seq, ctx.w.id, ds.id, part.Arity(), []*core.Batch{part.AsBatch()},
-			ctr{&c.metrics.CollectRecords, &s.m.CollectRecords},
-			ctr{&c.metrics.CollectBytes, &s.m.CollectBytes})
+			&s.m.CollectRecords, &s.m.CollectBytes)
 	})
 	if phaseErr != nil {
 		return nil, phaseErr
@@ -1061,30 +1003,6 @@ func (s *Session) Collect(ds *Dataset) (*core.Relation, error) {
 		return nil, recvErr
 	}
 	return out, nil
-}
-
-// Collect gathers ds under a private single-use session.
-func (c *Cluster) Collect(ds *Dataset) (*core.Relation, error) {
-	s := c.NewSession(nil)
-	defer s.Close()
-	return s.Collect(ds)
-}
-
-// Count sums partition sizes.
-func (s *Session) Count(ds *Dataset) (int, error) {
-	var total atomic.Int64
-	err := s.RunPhase(func(ctx *Ctx) error {
-		total.Add(int64(ctx.Partition(ds).Len()))
-		return nil
-	})
-	return int(total.Load()), err
-}
-
-// Count sums partition sizes under a private single-use session.
-func (c *Cluster) Count(ds *Dataset) (int, error) {
-	s := c.NewSession(nil)
-	defer s.Close()
-	return s.Count(ds)
 }
 
 // Distinct repartitions ds by full row hash so that duplicates meet on the
@@ -1106,19 +1024,13 @@ func (s *Session) Distinct(ds *Dataset) (*Dataset, error) {
 	return out, nil
 }
 
-// Distinct deduplicates ds under a private single-use session.
-func (c *Cluster) Distinct(ds *Dataset) (*Dataset, error) {
-	s := c.NewSession(nil)
-	defer s.Close()
-	return s.Distinct(ds)
-}
-
 // Free drops a dataset's partitions on all workers. Unlike the exchange
 // primitives it needs no barrier and ignores the session context: a
 // cancelled query must still release its partitions on the way out.
 func (s *Session) Free(ds *Dataset) error { return s.c.Free(ds) }
 
-// Free drops a dataset's partitions on all workers.
+// Free drops a dataset's partitions on all workers. It pairs with
+// Cluster.Parallelize, for the same caller.
 func (c *Cluster) Free(ds *Dataset) error {
 	for _, w := range c.workers {
 		w.mu.Lock()
@@ -1130,14 +1042,18 @@ func (c *Cluster) Free(ds *Dataset) error {
 
 // FreeBroadcast drops a broadcast from all workers; like Free it works
 // even after the session's context is cancelled.
-func (s *Session) FreeBroadcast(b *Broadcast) error { return s.c.FreeBroadcast(b) }
+func (s *Session) FreeBroadcast(b *Broadcast) error {
+	s.c.freeBroadcast(b)
+	return nil
+}
 
-// FreeBroadcast drops a broadcast from all workers.
-func (c *Cluster) FreeBroadcast(b *Broadcast) error {
+// freeBroadcast drops a broadcast from all workers: the body of
+// Session.FreeBroadcast, and how the resident registry frees a retired
+// copy, which no session owns.
+func (c *Cluster) freeBroadcast(b *Broadcast) {
 	for _, w := range c.workers {
 		w.mu.Lock()
 		delete(w.bcast, b.id)
 		w.mu.Unlock()
 	}
-	return nil
 }

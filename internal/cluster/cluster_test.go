@@ -29,6 +29,25 @@ func newTestCluster(t *testing.T, kind TransportKind, workers int) *Cluster {
 	return c
 }
 
+// session opens a session on c, closed when the test ends: every call on
+// the cluster runs inside one.
+func session(t *testing.T, c *Cluster) *Session {
+	t.Helper()
+	s := c.NewSession(nil)
+	t.Cleanup(s.Close)
+	return s
+}
+
+// count sums the partition sizes of ds.
+func count(s *Session, ds *Dataset) (int, error) {
+	var total atomic.Int64
+	err := s.RunPhase(func(ctx *Ctx) error {
+		total.Add(int64(ctx.Partition(ds).Len()))
+		return nil
+	})
+	return int(total.Load()), err
+}
+
 func transports(t *testing.T, workers int, f func(t *testing.T, c *Cluster)) {
 	t.Run("chan", func(t *testing.T) { f(t, newTestCluster(t, TransportChan, workers)) })
 	t.Run("tcp", func(t *testing.T) { f(t, newTestCluster(t, TransportTCP, workers)) })
@@ -55,21 +74,24 @@ func TestNewRejectsBudgetWithoutSpill(t *testing.T) {
 
 func TestParallelizeCollectRoundTrip(t *testing.T) {
 	transports(t, 4, func(t *testing.T, c *Cluster) {
+		s := session(t, c)
 		rng := rand.New(rand.NewSource(1))
 		rel := randomRel(rng, 500, 100)
 		for _, byCols := range [][]string{nil, {core.ColSrc}} {
+			// Cluster.Parallelize scatters under a throwaway session; the
+			// dataset outlives it.
 			ds, err := c.Parallelize(rel, byCols)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := c.Collect(ds)
+			got, err := s.Collect(ds)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !got.Equal(rel) {
 				t.Fatalf("byCols=%v: round trip lost rows: %d vs %d", byCols, got.Len(), rel.Len())
 			}
-			n, err := c.Count(ds)
+			n, err := count(s, ds)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -82,15 +104,16 @@ func TestParallelizeCollectRoundTrip(t *testing.T) {
 
 func TestPartitionsAreDisjointAndComplete(t *testing.T) {
 	transports(t, 3, func(t *testing.T, c *Cluster) {
+		s := session(t, c)
 		rng := rand.New(rand.NewSource(2))
 		rel := randomRel(rng, 300, 60)
-		ds, err := c.Parallelize(rel, []string{core.ColSrc})
+		ds, err := s.Parallelize(rel, []string{core.ColSrc})
 		if err != nil {
 			t.Fatal(err)
 		}
 		// Gather partition contents through a phase into per-worker slots.
 		parts := make([]*core.Relation, c.NumWorkers())
-		if err := c.RunPhase(func(ctx *Ctx) error {
+		if err := s.RunPhase(func(ctx *Ctx) error {
 			parts[ctx.WorkerID()] = ctx.Partition(ds).Clone()
 			return nil
 		}); err != nil {
@@ -116,13 +139,14 @@ func TestPartitionsAreDisjointAndComplete(t *testing.T) {
 
 func TestBroadcast(t *testing.T) {
 	transports(t, 4, func(t *testing.T, c *Cluster) {
+		s := session(t, c)
 		rng := rand.New(rand.NewSource(3))
 		rel := randomRel(rng, 120, 40)
-		b, err := c.BroadcastRel(rel)
+		b, err := s.BroadcastRel(rel)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := c.RunPhase(func(ctx *Ctx) error {
+		if err := s.RunPhase(func(ctx *Ctx) error {
 			got, err := ctx.BroadcastValue(b)
 			if err != nil {
 				return err
@@ -134,7 +158,7 @@ func TestBroadcast(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		m := c.Metrics().Snapshot()
+		m := s.Metrics().Snapshot()
 		if m.BroadcastRecords != int64(rel.Len()*c.NumWorkers()) {
 			t.Fatalf("broadcast records = %d, want %d", m.BroadcastRecords, rel.Len()*c.NumWorkers())
 		}
@@ -143,14 +167,15 @@ func TestBroadcast(t *testing.T) {
 
 func TestExchangeRepartitions(t *testing.T) {
 	transports(t, 4, func(t *testing.T, c *Cluster) {
+		s := session(t, c)
 		rng := rand.New(rand.NewSource(4))
 		rel := randomRel(rng, 400, 50)
-		ds, err := c.Parallelize(rel, nil) // round robin: srcs scattered
+		ds, err := s.Parallelize(rel, nil) // round robin: srcs scattered
 		if err != nil {
 			t.Fatal(err)
 		}
 		out := c.NewDataset(core.ColSrc, core.ColTrg)
-		if err := c.RunPhase(func(ctx *Ctx) error {
+		if err := s.RunPhase(func(ctx *Ctx) error {
 			merged, err := ctx.Exchange(ctx.Partition(ds), []string{core.ColSrc})
 			if err != nil {
 				return err
@@ -162,7 +187,7 @@ func TestExchangeRepartitions(t *testing.T) {
 		}
 		// After exchange on src, each src lives on exactly one worker.
 		parts := make([]*core.Relation, c.NumWorkers())
-		if err := c.RunPhase(func(ctx *Ctx) error {
+		if err := s.RunPhase(func(ctx *Ctx) error {
 			parts[ctx.WorkerID()] = ctx.Partition(out).Clone()
 			return nil
 		}); err != nil {
@@ -178,14 +203,14 @@ func TestExchangeRepartitions(t *testing.T) {
 				owner[src] = i
 			}
 		}
-		got, err := c.Collect(out)
+		got, err := s.Collect(out)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !got.Equal(rel) {
 			t.Fatal("exchange lost rows")
 		}
-		if c.Metrics().Snapshot().ShuffleRecords == 0 {
+		if s.Metrics().Snapshot().ShuffleRecords == 0 {
 			t.Fatal("exchange moved no records over the wire")
 		}
 
@@ -194,15 +219,16 @@ func TestExchangeRepartitions(t *testing.T) {
 		// peer's shuffle filter — one of a single row, the rest large
 		// enough that the transfer spans several frames.
 		big := randomRel(rng, 20*core.BatchRowsFor(2), 5000)
-		bigDS, err := c.Parallelize(big, nil)
+		bigDS, err := s.Parallelize(big, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		n := c.NumWorkers()
 		owned := make([]*core.Relation, n)
 		var shipped, wantBytes atomic.Int64
-		before := c.Metrics().Snapshot()
-		if err := c.RunPhase(func(ctx *Ctx) error {
+		// A session of its own, so its counters hold the ShipInto alone.
+		ship := session(t, c)
+		if err := ship.RunPhase(func(ctx *Ctx) error {
 			parts := core.SplitRelation(ctx.Partition(bigDS), n, []string{core.ColSrc, core.ColTrg})
 			x := core.NewAccumulator(nil, core.ColSrc, core.ColTrg)
 			defer x.Close()
@@ -228,7 +254,7 @@ func TestExchangeRepartitions(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		d := c.Metrics().Snapshot().Diff(before)
+		d := ship.Metrics().Snapshot()
 		if d.ShuffleRecords != shipped.Load() || d.LocalRecords != 0 {
 			t.Fatalf("shuffled %d records (local %d), want the %d rows shipped (0 local)", d.ShuffleRecords, d.LocalRecords, shipped.Load())
 		}
@@ -259,9 +285,10 @@ func TestExchangeRepartitions(t *testing.T) {
 
 func TestDistinctMergesDuplicatesAcrossWorkers(t *testing.T) {
 	transports(t, 4, func(t *testing.T, c *Cluster) {
+		s := session(t, c)
 		// Build per-worker partitions that all contain the same rows.
 		ds := c.NewDataset(core.ColSrc, core.ColTrg)
-		if err := c.RunPhase(func(ctx *Ctx) error {
+		if err := s.RunPhase(func(ctx *Ctx) error {
 			p := core.NewRelation(core.ColSrc, core.ColTrg)
 			for i := 0; i < 50; i++ {
 				p.Add([]core.Value{core.Value(i), core.Value(i + 1)})
@@ -271,18 +298,18 @@ func TestDistinctMergesDuplicatesAcrossWorkers(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		n, err := c.Count(ds)
+		n, err := count(s, ds)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if n != 50*c.NumWorkers() {
 			t.Fatalf("pre-distinct count = %d", n)
 		}
-		dd, err := c.Distinct(ds)
+		dd, err := s.Distinct(ds)
 		if err != nil {
 			t.Fatal(err)
 		}
-		n2, err := c.Count(dd)
+		n2, err := count(s, dd)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -294,14 +321,15 @@ func TestDistinctMergesDuplicatesAcrossWorkers(t *testing.T) {
 
 func TestMultipleExchangesInOnePhase(t *testing.T) {
 	transports(t, 3, func(t *testing.T, c *Cluster) {
+		s := session(t, c)
 		rng := rand.New(rand.NewSource(5))
 		rel := randomRel(rng, 200, 30)
-		ds, err := c.Parallelize(rel, nil)
+		ds, err := s.Parallelize(rel, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		out := c.NewDataset(core.ColSrc, core.ColTrg)
-		if err := c.RunPhase(func(ctx *Ctx) error {
+		if err := s.RunPhase(func(ctx *Ctx) error {
 			a, err := ctx.Exchange(ctx.Partition(ds), []string{core.ColSrc})
 			if err != nil {
 				return err
@@ -315,7 +343,7 @@ func TestMultipleExchangesInOnePhase(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		got, err := c.Collect(out)
+		got, err := s.Collect(out)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -329,21 +357,22 @@ func TestWorkerIsolationNoSharedMemory(t *testing.T) {
 	// Mutating a collected relation must not affect worker partitions:
 	// rows are copied/serialized through the transport.
 	transports(t, 2, func(t *testing.T, c *Cluster) {
+		s := session(t, c)
 		rel := core.NewRelation(core.ColSrc, core.ColTrg)
 		rel.Add([]core.Value{1, 2})
 		rel.Add([]core.Value{3, 4})
-		ds, err := c.Parallelize(rel, nil)
+		ds, err := s.Parallelize(rel, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := c.Collect(ds)
+		got, err := s.Collect(ds)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, row := range got.Rows() {
 			row[0] = 999 // vandalize the driver copy
 		}
-		again, err := c.Collect(ds)
+		again, err := s.Collect(ds)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -355,17 +384,18 @@ func TestWorkerIsolationNoSharedMemory(t *testing.T) {
 
 func TestKillWorkerFailsCleanly(t *testing.T) {
 	transports(t, 3, func(t *testing.T, c *Cluster) {
+		s := session(t, c)
 		rel := core.NewRelation(core.ColSrc, core.ColTrg)
 		rel.Add([]core.Value{1, 2})
-		ds, err := c.Parallelize(rel, nil)
+		ds, err := s.Parallelize(rel, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		c.KillWorker(1)
-		if _, err := c.Collect(ds); err == nil {
+		if _, err := s.Collect(ds); err == nil {
 			t.Fatal("collect with a dead worker should fail")
 		}
-		if err := c.RunPhase(func(ctx *Ctx) error { return nil }); err == nil {
+		if err := s.RunPhase(func(ctx *Ctx) error { return nil }); err == nil {
 			t.Fatal("phase with a dead worker should fail")
 		}
 	})
@@ -373,31 +403,33 @@ func TestKillWorkerFailsCleanly(t *testing.T) {
 
 func TestTransportCloseMidUse(t *testing.T) {
 	c := newTestCluster(t, TransportTCP, 3)
+	s := session(t, c)
 	rel := core.NewRelation(core.ColSrc, core.ColTrg)
 	for i := 0; i < 100; i++ {
 		rel.Add([]core.Value{core.Value(i), core.Value(i + 1)})
 	}
-	ds, err := c.Parallelize(rel, nil)
+	ds, err := s.Parallelize(rel, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Collect(ds); err == nil {
+	if _, err := s.Collect(ds); err == nil {
 		t.Fatal("collect after close should fail")
 	}
 }
 
 func TestExchangeBadColumn(t *testing.T) {
 	c := newTestCluster(t, TransportChan, 2)
+	s := session(t, c)
 	rel := core.NewRelation(core.ColSrc, core.ColTrg)
 	rel.Add([]core.Value{1, 2})
-	ds, err := c.Parallelize(rel, nil)
+	ds, err := s.Parallelize(rel, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = c.RunPhase(func(ctx *Ctx) error {
+	err = s.RunPhase(func(ctx *Ctx) error {
 		_, err := ctx.Exchange(ctx.Partition(ds), []string{"nope"})
 		return err
 	})
@@ -408,24 +440,27 @@ func TestExchangeBadColumn(t *testing.T) {
 
 func TestMetricsAccounting(t *testing.T) {
 	c := newTestCluster(t, TransportChan, 4)
+	s := session(t, c)
 	rng := rand.New(rand.NewSource(6))
 	rel := randomRel(rng, 300, 40)
-	before := c.Metrics().Snapshot()
-	ds, err := c.Parallelize(rel, nil)
+	ds, err := s.Parallelize(rel, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	afterScatter := c.Metrics().Snapshot().Diff(before)
+	afterScatter := s.Metrics().Snapshot()
 	if afterScatter.ScatterRecords != int64(rel.Len()) {
 		t.Fatalf("scatter records = %d, want %d", afterScatter.ScatterRecords, rel.Len())
 	}
 	if afterScatter.ShuffleRecords != 0 {
 		t.Fatal("scatter should not count as shuffle")
 	}
-	if _, err := c.Distinct(ds); err != nil {
+	// The distinct runs in a session of its own: its counters are that
+	// one shuffle's, whatever the scatter's session counted.
+	dist := session(t, c)
+	if _, err := dist.Distinct(ds); err != nil {
 		t.Fatal(err)
 	}
-	d := c.Metrics().Snapshot().Diff(before)
+	d := dist.Metrics().Snapshot()
 	if d.ShufflePhases != 1 {
 		t.Fatalf("shuffle phases = %d, want 1", d.ShufflePhases)
 	}
@@ -435,27 +470,26 @@ func TestMetricsAccounting(t *testing.T) {
 	if d.ShuffleBytes <= 0 {
 		t.Fatal("no shuffle bytes counted")
 	}
-	c.Metrics().Reset()
-	if c.Metrics().Snapshot().NetworkBytes() != 0 {
-		t.Fatal("reset did not zero counters")
+	if d.ScatterRecords != 0 || s.Metrics().Snapshot() != afterScatter {
+		t.Fatal("one session's traffic was counted in another's")
 	}
 }
 
 func TestTCPWireBytesAreReal(t *testing.T) {
 	c := newTestCluster(t, TransportTCP, 2)
+	s := session(t, c)
 	rel := core.NewRelation(core.ColSrc, core.ColTrg)
 	for i := 0; i < 64; i++ {
 		rel.Add([]core.Value{core.Value(i), core.Value(i)})
 	}
-	before := c.Metrics().Snapshot()
-	ds, err := c.Parallelize(rel, nil)
+	ds, err := s.Parallelize(rel, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Collect(ds); err != nil {
+	if _, err := s.Collect(ds); err != nil {
 		t.Fatal(err)
 	}
-	d := c.Metrics().Snapshot().Diff(before)
+	d := s.Metrics().Snapshot()
 	// 64 rows × 2 cols, every value < 128 → exactly 1 varint byte per
 	// value plus one frame header per message. Each direction must carry
 	// at least the 128 value bytes, and strictly less than the 8-byte-per-
@@ -471,16 +505,17 @@ func TestTCPWireBytesAreReal(t *testing.T) {
 
 func TestFreeDataset(t *testing.T) {
 	c := newTestCluster(t, TransportChan, 2)
+	s := session(t, c)
 	rel := core.NewRelation(core.ColSrc, core.ColTrg)
 	rel.Add([]core.Value{1, 2})
-	ds, err := c.Parallelize(rel, nil)
+	ds, err := s.Parallelize(rel, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Free(ds); err != nil {
+	if err := s.Free(ds); err != nil {
 		t.Fatal(err)
 	}
-	n, err := c.Count(ds)
+	n, err := count(s, ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -495,14 +530,15 @@ func TestFreeDataset(t *testing.T) {
 // collect barrier k.
 func TestManyChainedExchangesWithSkew(t *testing.T) {
 	transports(t, 4, func(t *testing.T, c *Cluster) {
+		s := session(t, c)
 		rng := rand.New(rand.NewSource(9))
 		rel := randomRel(rng, 120, 25)
-		ds, err := c.Parallelize(rel, nil)
+		ds, err := s.Parallelize(rel, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		out := c.NewDataset(core.ColSrc, core.ColTrg)
-		if err := c.RunPhase(func(ctx *Ctx) error {
+		if err := s.RunPhase(func(ctx *Ctx) error {
 			cur := ctx.Partition(ds)
 			for i := 0; i < 40; i++ {
 				// Skew: some workers burn time before each barrier.
@@ -524,7 +560,7 @@ func TestManyChainedExchangesWithSkew(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		got, err := c.Collect(out)
+		got, err := s.Collect(out)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -536,23 +572,24 @@ func TestManyChainedExchangesWithSkew(t *testing.T) {
 
 func TestEmptyRelationOps(t *testing.T) {
 	transports(t, 3, func(t *testing.T, c *Cluster) {
+		s := session(t, c)
 		empty := core.NewRelation(core.ColSrc, core.ColTrg)
-		ds, err := c.Parallelize(empty, []string{core.ColSrc})
+		ds, err := s.Parallelize(empty, []string{core.ColSrc})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := c.Collect(ds)
+		got, err := s.Collect(ds)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got.Len() != 0 {
 			t.Fatalf("collect of empty = %d rows", got.Len())
 		}
-		b, err := c.BroadcastRel(empty)
+		b, err := s.BroadcastRel(empty)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := c.RunPhase(func(ctx *Ctx) error {
+		if err := s.RunPhase(func(ctx *Ctx) error {
 			if bv, err := ctx.BroadcastValue(b); err != nil || bv.Len() != 0 {
 				t.Errorf("empty broadcast: err %v, or it has rows", err)
 			}
@@ -572,17 +609,18 @@ func TestEmptyRelationOps(t *testing.T) {
 
 func TestSingleWorkerCluster(t *testing.T) {
 	c := newTestCluster(t, TransportChan, 1)
+	s := session(t, c)
 	rng := rand.New(rand.NewSource(8))
 	rel := randomRel(rng, 50, 10)
-	ds, err := c.Parallelize(rel, []string{core.ColSrc})
+	ds, err := s.Parallelize(rel, []string{core.ColSrc})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dd, err := c.Distinct(ds)
+	dd, err := s.Distinct(ds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Collect(dd)
+	got, err := s.Collect(dd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -593,6 +631,7 @@ func TestSingleWorkerCluster(t *testing.T) {
 
 func TestWideRowsOverTCP(t *testing.T) {
 	c := newTestCluster(t, TransportTCP, 2)
+	s := session(t, c)
 	cols := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
 	rel := core.NewRelation(cols...)
 	for i := 0; i < 200; i++ {
@@ -602,11 +641,11 @@ func TestWideRowsOverTCP(t *testing.T) {
 		}
 		rel.Add(row)
 	}
-	ds, err := c.Parallelize(rel, []string{"a"})
+	ds, err := s.Parallelize(rel, []string{"a"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Collect(ds)
+	got, err := s.Collect(ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -621,6 +660,7 @@ func TestWideRowsOverTCP(t *testing.T) {
 // budget-sized frames (core.BatchRowsFor rows each, Last-flagged final).
 func TestMultiFrameTransfers(t *testing.T) {
 	transports(t, 3, func(t *testing.T, c *Cluster) {
+		s := session(t, c)
 		rng := rand.New(rand.NewSource(44))
 		// ~5 frames at arity 2.
 		n := core.BatchRowsFor(2)*4 + 123
@@ -628,22 +668,22 @@ func TestMultiFrameTransfers(t *testing.T) {
 		if rel.Len() <= core.BatchRowsFor(2) {
 			t.Fatalf("test relation too small to force multiple frames")
 		}
-		ds, err := c.Parallelize(rel, nil)
+		ds, err := s.Parallelize(rel, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := c.Collect(ds)
+		got, err := s.Collect(ds)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !got.Equal(rel) {
 			t.Fatalf("scatter/collect across frames lost rows: %d vs %d", got.Len(), rel.Len())
 		}
-		b, err := c.BroadcastRel(rel)
+		b, err := s.BroadcastRel(rel)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := c.RunPhase(func(ctx *Ctx) error {
+		if err := s.RunPhase(func(ctx *Ctx) error {
 			bv, err := ctx.BroadcastValue(b)
 			if err != nil {
 				return err
@@ -658,7 +698,7 @@ func TestMultiFrameTransfers(t *testing.T) {
 		}
 		// Exchange: repartition by src; the union of results must equal rel.
 		parts := make([]*core.Relation, c.NumWorkers())
-		if err := c.RunPhase(func(ctx *Ctx) error {
+		if err := s.RunPhase(func(ctx *Ctx) error {
 			merged, err := ctx.Exchange(ctx.Partition(ds), []string{core.ColSrc})
 			if err != nil {
 				return err

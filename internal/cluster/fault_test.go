@@ -39,7 +39,7 @@ func TestDeadWorkerErrorIsTyped(t *testing.T) {
 		if !c.KillWorker(2) {
 			t.Fatal("kill did not land")
 		}
-		err := c.RunPhase(func(ctx *Ctx) error { return nil })
+		err := session(t, c).RunPhase(func(ctx *Ctx) error { return nil })
 		var fe *FailureError
 		if !errors.As(err, &fe) {
 			t.Fatalf("expected *FailureError, got %T: %v", err, err)
@@ -116,7 +116,8 @@ func TestInjectedDropFailsBothEnds(t *testing.T) {
 	transports(t, 3, func(t *testing.T, c *Cluster) {
 		rng := rand.New(rand.NewSource(7))
 		rel := randomRel(rng, 300, 50)
-		ds, err := c.Parallelize(rel, nil)
+		s := session(t, c)
+		ds, err := s.Parallelize(rel, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,7 +127,7 @@ func TestInjectedDropFailsBothEnds(t *testing.T) {
 		defer c.InjectFaults(nil)
 		done := make(chan error, 1)
 		go func() {
-			done <- c.RunPhase(func(ctx *Ctx) error {
+			done <- s.RunPhase(func(ctx *Ctx) error {
 				_, err := ctx.Exchange(ctx.Partition(ds), nil)
 				return err
 			})
@@ -151,11 +152,12 @@ func TestDelayAndDuplicateAreHarmless(t *testing.T) {
 	transports(t, 3, func(t *testing.T, c *Cluster) {
 		rng := rand.New(rand.NewSource(11))
 		rel := randomRel(rng, 400, 60)
-		ds, err := c.Parallelize(rel, nil)
+		s := session(t, c)
+		ds, err := s.Parallelize(rel, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		baseline, err := c.Collect(ds)
+		baseline, err := s.Collect(ds)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,11 +166,11 @@ func TestDelayAndDuplicateAreHarmless(t *testing.T) {
 			"duplicate": {KillWorkerID: -1, PartitionWorkerID: -1, DuplicateFrameAt: 2},
 		} {
 			c.InjectFaults(plan)
-			out, err := c.Distinct(ds)
+			out, err := s.Distinct(ds)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			got, err := c.Collect(out)
+			got, err := s.Collect(out)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -202,18 +204,19 @@ func TestDuplicatedFrameDroppedByOrdinal(t *testing.T) {
 		}
 		defer c.InjectFaults(nil)
 		for frame := int64(1); frame <= 6; frame++ {
+			s := session(t, c)
 			dup(frame)
-			ds, err := c.Parallelize(rel, nil)
+			ds, err := s.Parallelize(rel, nil)
 			if err != nil {
 				t.Fatalf("scatter, frame %d duplicated: %v", frame, err)
 			}
 			c.InjectFaults(nil)
-			if n, err := c.Count(ds); err != nil || n != rel.Len() {
+			if n, err := count(s, ds); err != nil || n != rel.Len() {
 				t.Fatalf("scatter, frame %d duplicated: partitions hold %d rows, want %d (err %v)", frame, n, rel.Len(), err)
 			}
 
 			dup(frame)
-			got, err := c.Collect(ds)
+			got, err := s.Collect(ds)
 			if err != nil {
 				t.Fatalf("collect, frame %d duplicated: %v", frame, err)
 			}
@@ -222,12 +225,12 @@ func TestDuplicatedFrameDroppedByOrdinal(t *testing.T) {
 			}
 
 			dup(frame)
-			b, err := c.BroadcastRel(half)
+			b, err := s.BroadcastRel(half)
 			if err != nil {
 				t.Fatalf("broadcast, frame %d duplicated: %v", frame, err)
 			}
 			c.InjectFaults(nil)
-			if err := c.RunPhase(func(ctx *Ctx) error {
+			if err := s.RunPhase(func(ctx *Ctx) error {
 				r, err := ctx.BroadcastValue(b)
 				if err != nil {
 					return err
@@ -239,8 +242,8 @@ func TestDuplicatedFrameDroppedByOrdinal(t *testing.T) {
 			}); err != nil {
 				t.Fatalf("broadcast, frame %d duplicated: %v", frame, err)
 			}
-			c.Free(ds)
-			c.FreeBroadcast(b)
+			s.Free(ds)
+			s.FreeBroadcast(b)
 		}
 	})
 }
@@ -271,13 +274,12 @@ func TestRecoverShrinksMembership(t *testing.T) {
 
 		rng := rand.New(rand.NewSource(3))
 		rel := randomRel(rng, 500, 80)
-		ds, err := c.Parallelize(rel, nil)
+		s := session(t, c)
+		ds, err := s.Parallelize(rel, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// Ranks must be dense 0..2 even though physical ids are {0,1,3}.
-		s := c.NewSession(nil)
-		defer s.Close()
 		seen := make([]bool, s.NumWorkers())
 		nodes := make([]int, s.NumWorkers())
 		err = s.RunPhase(func(ctx *Ctx) error {
@@ -299,11 +301,11 @@ func TestRecoverShrinksMembership(t *testing.T) {
 				t.Fatal("removed worker 2 ran a phase")
 			}
 		}
-		out, err := c.Distinct(ds)
+		out, err := s.Distinct(ds)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := c.Collect(out)
+		got, err := s.Collect(out)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -351,7 +353,8 @@ func TestHeartbeatDetectsPartition(t *testing.T) {
 			t.Cleanup(func() { c.Close() })
 			rng := rand.New(rand.NewSource(5))
 			rel := randomRel(rng, 200, 40)
-			ds, err := c.Parallelize(rel, nil)
+			s := session(t, c)
+			ds, err := s.Parallelize(rel, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -362,7 +365,7 @@ func TestHeartbeatDetectsPartition(t *testing.T) {
 			defer c.InjectFaults(nil)
 			done := make(chan error, 1)
 			go func() {
-				done <- c.RunPhase(func(ctx *Ctx) error {
+				done <- s.RunPhase(func(ctx *Ctx) error {
 					_, err := ctx.Exchange(ctx.Partition(ds), nil)
 					return err
 				})

@@ -19,7 +19,7 @@ func TestShipIntoRejectsWrongArityFrame(t *testing.T) {
 		seed := randomRel(rand.New(rand.NewSource(9)), 50, 20)
 		var got error
 		var before, after *core.Relation
-		err := c.RunPhase(func(ctx *Ctx) error {
+		err := session(t, c).RunPhase(func(ctx *Ctx) error {
 			if ctx.WorkerID() == 1 {
 				// The peer's step ships one frame of ternary rows, with the
 				// sequence number worker 0's exchange waits on.

@@ -2,7 +2,7 @@ package cluster
 
 import "sync/atomic"
 
-// Metrics counts the data movement of a cluster — the quantity the paper's
+// Metrics counts the data movement of one session — the quantity the paper's
 // Pgld/Pplw comparison is about. Shuffle traffic is worker↔worker data
 // exchanged during repartitioning; broadcast traffic is driver→worker
 // replication of constant relations; scatter and collect are the initial
@@ -56,35 +56,5 @@ func (m *Metrics) Snapshot() Snapshot {
 		ScatterBytes:     m.ScatterBytes.Load(),
 		CollectRecords:   m.CollectRecords.Load(),
 		CollectBytes:     m.CollectBytes.Load(),
-	}
-}
-
-// Reset zeroes all counters.
-func (m *Metrics) Reset() {
-	m.ShufflePhases.Store(0)
-	m.ShuffleRecords.Store(0)
-	m.ShuffleBytes.Store(0)
-	m.LocalRecords.Store(0)
-	m.BroadcastRecords.Store(0)
-	m.BroadcastBytes.Store(0)
-	m.ScatterRecords.Store(0)
-	m.ScatterBytes.Store(0)
-	m.CollectRecords.Store(0)
-	m.CollectBytes.Store(0)
-}
-
-// Diff returns s - prev, counter-wise.
-func (s Snapshot) Diff(prev Snapshot) Snapshot {
-	return Snapshot{
-		ShufflePhases:    s.ShufflePhases - prev.ShufflePhases,
-		ShuffleRecords:   s.ShuffleRecords - prev.ShuffleRecords,
-		ShuffleBytes:     s.ShuffleBytes - prev.ShuffleBytes,
-		LocalRecords:     s.LocalRecords - prev.LocalRecords,
-		BroadcastRecords: s.BroadcastRecords - prev.BroadcastRecords,
-		BroadcastBytes:   s.BroadcastBytes - prev.BroadcastBytes,
-		ScatterRecords:   s.ScatterRecords - prev.ScatterRecords,
-		ScatterBytes:     s.ScatterBytes - prev.ScatterBytes,
-		CollectRecords:   s.CollectRecords - prev.CollectRecords,
-		CollectBytes:     s.CollectBytes - prev.CollectBytes,
 	}
 }

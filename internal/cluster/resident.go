@@ -101,7 +101,7 @@ func (s *Session) privateBroadcast(rel *core.Relation) (*Broadcast, func(), erro
 	if err != nil {
 		return nil, nil, err
 	}
-	return b, func() { s.c.FreeBroadcast(b) }, nil
+	return b, func() { s.FreeBroadcast(b) }, nil
 }
 
 // lease takes a lease on the servable copy of name for rel, or registers
@@ -143,7 +143,7 @@ func (s *Session) fill(e *resident) (*Broadcast, func(), error) {
 		// Rows moved under the send: the copy may mix two states, so it
 		// is this caller's alone and the waiters send their own.
 		reg.abandon(e, errChangedInFlight)
-		return b, func() { s.c.FreeBroadcast(b) }, nil
+		return b, func() { s.FreeBroadcast(b) }, nil
 	}
 	e.b = b
 	reg.byID[b.id] = e
@@ -179,11 +179,11 @@ func (reg *residents) retire(c *Cluster, e *resident) {
 }
 
 // freeIfIdle frees a retired, filled copy nobody holds. Called with
-// reg.mu held; FreeBroadcast takes only worker locks.
+// reg.mu held; freeBroadcast takes only worker locks.
 func (reg *residents) freeIfIdle(c *Cluster, e *resident) {
 	if e.retired && e.leases == 0 && e.b != nil {
 		delete(reg.byID, e.b.id)
-		c.FreeBroadcast(e.b)
+		c.freeBroadcast(e.b)
 	}
 }
 

@@ -17,12 +17,13 @@ import (
 func TestBroadcastValueLostHandle(t *testing.T) {
 	transports(t, 3, func(t *testing.T, c *Cluster) {
 		rel := randomRel(rand.New(rand.NewSource(5)), 60, 20)
-		b, err := c.BroadcastRel(rel)
+		first := session(t, c)
+		b, err := first.BroadcastRel(rel)
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.FreeBroadcast(b)
-		err = c.RunPhase(func(ctx *Ctx) error {
+		first.FreeBroadcast(b)
+		err = first.RunPhase(func(ctx *Ctx) error {
 			r, err := ctx.BroadcastValue(b)
 			if err == nil {
 				t.Errorf("worker %d: freed broadcast served %d of %d rows", ctx.WorkerID(), r.Len(), rel.Len())
@@ -181,12 +182,14 @@ func TestResidentBroadcastSingleSend(t *testing.T) {
 		const holders = 8
 		var wg sync.WaitGroup
 		errs := make([]error, holders)
+		sent := make([]int64, holders)
 		for i := 0; i < holders; i++ {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
 				s := c.NewSession(nil)
 				defer s.Close()
+				defer func() { sent[i] = s.Metrics().Snapshot().BroadcastRecords }()
 				b, release, err := s.AcquireBroadcast("G", rel)
 				if err != nil {
 					errs[i] = err
@@ -205,7 +208,11 @@ func TestResidentBroadcastSingleSend(t *testing.T) {
 				t.Fatalf("holder %d: %v", i, err)
 			}
 		}
-		if got, want := c.Metrics().Snapshot().BroadcastRecords, int64(rel.Len()*c.NumWorkers()); got != want {
+		var got int64
+		for _, n := range sent {
+			got += n
+		}
+		if want := int64(rel.Len() * c.NumWorkers()); got != want {
 			t.Fatalf("%d holders shipped %d broadcast records, want one send of %d", holders, got, want)
 		}
 		for w, ids := range residentCopies(c, "G") {

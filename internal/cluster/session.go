@@ -15,10 +15,12 @@ import (
 // arriving frames into per-session mailboxes, and each session owns its
 // own Metrics and per-worker memory gauges — so any number of queries can
 // run phases on one cluster concurrently without their frames, counters or
-// spill attribution interleaving. The driver-facing primitives (RunPhase,
-// Parallelize, BroadcastRel, Collect, Distinct, …) live on the Session;
-// the same-named Cluster methods remain as thin wrappers that run under a
-// private throwaway session, so single-query callers are unaffected.
+// spill attribution interleaving. The session is the only way to run on
+// the cluster: the driver-facing primitives (RunPhase, Parallelize,
+// BroadcastRel, Collect, Distinct, Free, …) are Session methods, and the
+// session's Metrics are the one traffic ledger — each frame is counted
+// once, in the session that sent it. Cluster.Parallelize, a scatter under
+// a throwaway session, is the one exception.
 
 // errSessionClosed is returned by receives on a closed session.
 var errSessionClosed = errors.New("cluster: session closed")
@@ -146,15 +148,15 @@ func (m *mailbox) get(ctx context.Context, transportDone, fail, stop <-chan stru
 
 // Session is one query's execution epoch on a cluster: a unique exchange
 // tag (frames of concurrent sessions are demultiplexed by it and can never
-// interleave), a cancellation context consulted at every barrier, private
+// interleave), a cancellation context consulted at every barrier, the
 // Metrics counting exactly this session's traffic, and — under memory
 // governance — one child gauge per worker, so the session's spill events
 // are attributable to it alone while the worker's own gauge keeps the
 // cumulative view.
 //
-// A session is not itself a synchronization domain: like the Cluster
-// methods it mirrors, one Session serves one query's driver goroutine at a
-// time. Run concurrent queries on separate Sessions.
+// A session is not itself a synchronization domain: one Session serves
+// one query's driver goroutine at a time. Run concurrent queries on
+// separate Sessions.
 type Session struct {
 	c   *Cluster
 	ctx context.Context
@@ -346,18 +348,5 @@ func (c *Cluster) demuxLoop(node int) {
 		case <-done:
 			return
 		}
-	}
-}
-
-// ctr pairs the cluster-wide counter with the session-local one so every
-// metered event lands in both views with a single call.
-type ctr struct{ global, sess *atomic.Int64 }
-
-func (c ctr) Add(n int64) {
-	if c.global != nil {
-		c.global.Add(n)
-	}
-	if c.sess != nil {
-		c.sess.Add(n)
 	}
 }

@@ -154,10 +154,11 @@ func TestSessionMetricsExact(t *testing.T) {
 	if qm.ScatterRecords != int64(5*rel.Len()) {
 		t.Fatalf("quiet scatter records = %d, want %d", qm.ScatterRecords, 5*rel.Len())
 	}
-	// The cluster-wide view aggregates both sessions.
-	g := c.Metrics().Snapshot()
-	if g.ShufflePhases < nm.ShufflePhases || g.ScatterRecords < qm.ScatterRecords+nm.ScatterRecords {
-		t.Fatalf("global metrics do not cover the sessions: global=%+v", g)
+	if nm.ScatterRecords != int64(5*rel.Len()) || nm.CollectRecords != 0 {
+		t.Fatalf("noisy session: %d scatter and %d collect records, want %d and 0", nm.ScatterRecords, nm.CollectRecords, 5*rel.Len())
+	}
+	if qm.CollectRecords != int64(5*rel.Len()) {
+		t.Fatalf("quiet collect records = %d, want %d", qm.CollectRecords, 5*rel.Len())
 	}
 }
 
@@ -199,7 +200,7 @@ func TestSessionCancelAbortsBarrier(t *testing.T) {
 			t.Fatalf("cancelled barrier took %v to unblock", elapsed)
 		}
 		// The cluster stays usable for later sessions.
-		if _, err := c.Collect(ds); err != nil {
+		if _, err := session(t, c).Collect(ds); err != nil {
 			t.Fatalf("cluster unusable after cancelled session: %v", err)
 		}
 	})

@@ -127,7 +127,3 @@ func (o Or) String() string {
 	}
 	return "(" + strings.Join(parts, " or ") + ")"
 }
-
-// CondEqual reports whether two conditions are structurally equal; used by
-// the rewriter to deduplicate plans.
-func CondEqual(a, b Condition) bool { return a.String() == b.String() }

@@ -13,15 +13,6 @@ type Decomposed struct {
 	PhiBranches []Term // branches of φ, each containing X; may be empty
 }
 
-// Phi returns the variable part as a single term, or nil when the fixpoint
-// has no recursive branch (µ(X = R) = R).
-func (d *Decomposed) Phi() Term {
-	if len(d.PhiBranches) == 0 {
-		return nil
-	}
-	return UnionOf(d.PhiBranches)
-}
-
 // Fixpoint reassembles the decomposed term µ(X = R ∪ φ).
 func (d *Decomposed) Fixpoint() *Fixpoint {
 	branches := append([]Term{d.Const}, d.PhiBranches...)

@@ -18,9 +18,8 @@ import "fmt"
 // one bucket map. Probing is read-only and safe for concurrent use — the
 // parallel fixpoint step probes one index from many goroutines.
 type JoinIndex struct {
-	keyCols []string // indexed columns (as given, relation-schema order)
-	at      []int    // positions of keyCols in the indexed rows
-	data    []Value  // flat row-major snapshot of the indexed rows
+	at      []int   // positions of the key columns in the indexed rows
+	data    []Value // flat row-major snapshot of the indexed rows
 	arity   int
 	nrows   int
 	buckets map[uint64][]int32 // key hash → candidate rows
@@ -42,9 +41,7 @@ func newJoinIndex(rel *Relation, keyCols []string) (*JoinIndex, error) {
 		}
 		at[i] = idx
 	}
-	ix := buildJoinIndex(rel.Data(), rel.Arity(), rel.Len(), at)
-	ix.keyCols = keyCols
-	return ix, nil
+	return buildJoinIndex(rel.Data(), rel.Arity(), rel.Len(), at), nil
 }
 
 // buildJoinIndex indexes a flat row-major store on the given positions.
@@ -80,9 +77,6 @@ func (ix *JoinIndex) rowAt(ri int32) []Value {
 	return ix.data[at : at+ix.arity : at+ix.arity]
 }
 
-// KeyCols returns the indexed columns (empty for position-built indexes).
-func (ix *JoinIndex) KeyCols() []string { return ix.keyCols }
-
 // Len returns the number of distinct keys in the index.
 func (ix *JoinIndex) Len() int { return ix.keys }
 
@@ -110,7 +104,7 @@ func (ix *JoinIndex) keyMatches(row, key []Value) bool {
 }
 
 // Matches appends to dst every indexed row whose key columns equal key
-// (aligned with KeyCols) and returns the extended slice. The appended rows
+// (aligned with the indexed columns) and returns the extended slice. The appended rows
 // are zero-copy views into the index's flat snapshot. Candidate rows from
 // colliding hash buckets are filtered by value comparison.
 func (ix *JoinIndex) Matches(dst [][]Value, key []Value) [][]Value {

@@ -476,7 +476,6 @@ func TestJoinIndexCollisions(t *testing.T) {
 	// Hand-build an index whose single bucket mixes keys 1 and 2, as a
 	// real 64-bit collision would.
 	ix := &JoinIndex{
-		keyCols: []string{ColSrc},
 		at:      []int{0},
 		data:    []Value{1, 10, 2, 20, 1, 11},
 		arity:   2,

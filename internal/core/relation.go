@@ -218,11 +218,6 @@ func (r *Relation) Add(row []Value) bool {
 	return true
 }
 
-// AddCopy is Add. With flat storage every insert copies the row's values
-// into the backing array, so the historical Add/AddCopy ownership split is
-// gone; the name is kept for callers written against it.
-func (r *Relation) AddCopy(row []Value) bool { return r.Add(row) }
-
 // AppendDistinct bulk-appends the rows of b, which the caller guarantees
 // are absent from r and distinct among themselves — a duplicate-free
 // stream, a frame of a disjoint dataset, a window of accumulator rows. It

@@ -248,13 +248,13 @@ func renameAll(t core.Term, rename map[string]string) core.Term {
 
 // Run evaluates prog on the engine the way BigDatalog runs a program on
 // Spark, as written (after MagicTransform, if the caller applied it): the
-// compiled strata execute in order on a physical.Planner, a recursive one
+// compiled strata execute in order on a physical.Planner in session s, a recursive one
 // under Ps_plw when core.StableColsOf finds a column it passes through
 // unchanged (the decomposable case) and under Pgld otherwise. Each
 // stratum's result is bound for the strata after it in a private copy of
 // env, which Run never changes. It returns the rows matching the query
 // atom and the report of every fixpoint run.
-func Run(c *cluster.Cluster, env *core.Env, edbCols map[string][]string, prog *Program, query Atom) (*core.Relation, *physical.Report, error) {
+func Run(s *cluster.Session, env *core.Env, edbCols map[string][]string, prog *Program, query Atom) (*core.Relation, *physical.Report, error) {
 	strata, q, err := Compile(prog, query, edbCols)
 	if err != nil {
 		return nil, nil, err
@@ -263,7 +263,7 @@ func Run(c *cluster.Cluster, env *core.Env, edbCols map[string][]string, prog *P
 	for name, rel := range env.Rels {
 		priv.Bind(name, rel)
 	}
-	planner := physical.NewPlanner(c, priv)
+	planner := physical.NewSessionPlanner(s, priv)
 	rep := &physical.Report{}
 	for _, st := range strata {
 		if st.Term == nil {

@@ -377,6 +377,8 @@ func TestDistributedMatchesCentralized(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	s := c.NewSession(nil)
+	defer s.Close()
 
 	for trial := 0; trial < 8; trial++ {
 		var pairs [][2]core.Value
@@ -397,7 +399,7 @@ func TestDistributedMatchesCentralized(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, rep, err := Run(c, env, cols, tc.prog, query)
+			got, rep, err := Run(s, env, cols, tc.prog, query)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -424,21 +426,23 @@ func TestDistributedShuffleAccounting(t *testing.T) {
 	env, cols := edgeEnv(pairs)
 
 	// Decomposable TC under Ps_plw: no shuffle barriers.
-	c.Metrics().Reset()
-	if _, _, err := Run(c, env, cols, tcProgram(), NewAtom("tc", V("X"), V("Y"))); err != nil {
+	tc := c.NewSession(nil)
+	defer tc.Close()
+	if _, _, err := Run(tc, env, cols, tcProgram(), NewAtom("tc", V("X"), V("Y"))); err != nil {
 		t.Fatal(err)
 	}
-	if ph := c.Metrics().Snapshot().ShufflePhases; ph != 0 {
+	if ph := tc.Metrics().Snapshot().ShufflePhases; ph != 0 {
 		t.Fatalf("decomposable TC used %d shuffle phases, want 0", ph)
 	}
 
 	// Pivot-less SG under Pgld: one barrier per iteration.
-	c.Metrics().Reset()
-	_, rep, err := Run(c, env, cols, sgProgram(), NewAtom("sg", V("X"), V("Y")))
+	sg := c.NewSession(nil)
+	defer sg.Close()
+	_, rep, err := Run(sg, env, cols, sgProgram(), NewAtom("sg", V("X"), V("Y")))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ph := c.Metrics().Snapshot().ShufflePhases
+	ph := sg.Metrics().Snapshot().ShufflePhases
 	if rep.Iterations() == 0 || int(ph) != rep.Iterations() {
 		t.Fatalf("SG: %d shuffle phases for %d Pgld iterations", ph, rep.Iterations())
 	}
@@ -470,11 +474,13 @@ func TestRunLeavesCallerEnvUnchanged(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	s := c.NewSession(nil)
+	defer s.Close()
 	env, cols := edgeEnv([][2]core.Value{{1, 2}, {2, 3}})
 	e, _ := env.Lookup("e")
 	prog := tcProgram()
 	prog.Rules = append(prog.Rules, Rule{Head: NewAtom("q", V("X")), Body: []Atom{NewAtom("tc", V("X"), C(3))}})
-	got, _, err := Run(c, env, cols, prog, NewAtom("q", V("X")))
+	got, _, err := Run(s, env, cols, prog, NewAtom("q", V("X")))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -98,6 +98,8 @@ func TestRunMatchesQueryOnPaperPrograms(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	s := c.NewSession(nil)
+	defer s.Close()
 	progs := paperPrograms(t)
 	if len(progs) != 67 {
 		t.Fatalf("%d programs, want 67", len(progs))
@@ -118,7 +120,7 @@ func TestRunMatchesQueryOnPaperPrograms(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", p.name, err)
 		}
-		got, _, err := datalog.Run(c, env, cols, p.prog, p.query)
+		got, _, err := datalog.Run(s, env, cols, p.prog, p.query)
 		if err != nil {
 			t.Fatalf("%s: %v\n%s", p.name, err, p.prog)
 		}

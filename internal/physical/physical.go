@@ -30,7 +30,6 @@
 package physical
 
 import (
-	"context"
 	"fmt"
 	"strconv"
 	"strings"
@@ -102,7 +101,6 @@ func (r *Report) Iterations() int {
 // distributively on the cluster with the selected plan (hooked into the
 // pipeline via the evaluator's FixpointHandler).
 type Planner struct {
-	C   *cluster.Cluster
 	Env *core.Env
 	// Force pins the fixpoint plan; Auto runs Splw. Pgplw runs only
 	// when forced.
@@ -116,7 +114,7 @@ type Planner struct {
 	// memo serves the driver's constant operands with their join indexes.
 	SubResults SubResultProvider
 
-	sess        *cluster.Session // pinned session (NewSessionPlanner), else per-Execute
+	sess        *cluster.Session
 	fresh       atomic.Int64
 	ev          *core.Evaluator
 	driverGauge *core.MemGauge
@@ -177,33 +175,22 @@ func (s operandStore) Operand(t core.Term, derive func() (*core.Relation, error)
 // the driver gauge too.
 func (p *Planner) DriverGauge() *core.MemGauge { return p.driverGauge }
 
-// NewPlanner returns a planner over a cluster and a driver-side database.
-// Each Execute runs under a private, non-cancellable session; use
-// NewSessionPlanner to execute inside a caller-owned session (per-query
-// metrics, gauges and cancellation).
-func NewPlanner(c *cluster.Cluster, env *core.Env) *Planner {
-	return &Planner{C: c, Env: env}
-}
-
-// NewSessionPlanner returns a planner whose Executes run inside s: every
-// phase, exchange and broadcast carries s's tag, its metrics and gauges
-// count exactly this planner's work, and cancelling s's context aborts the
-// driver loop, the workers' local loops and every barrier in flight.
+// NewSessionPlanner returns a planner over a driver-side database whose
+// Executes run inside s: every phase, exchange and broadcast carries s's
+// tag, its metrics and gauges count exactly this planner's work, and
+// cancelling s's context aborts the driver loop, the workers' local loops
+// and every barrier in flight.
 func NewSessionPlanner(s *cluster.Session, env *core.Env) *Planner {
-	return &Planner{C: s.Cluster(), Env: env, sess: s}
+	return &Planner{Env: env, sess: s}
 }
 
 // Execute evaluates t and reports how its fixpoints ran.
 func (p *Planner) Execute(t core.Term) (*core.Relation, *Report, error) {
 	sess := p.sess
-	if sess == nil {
-		sess = p.C.NewSession(context.Background())
-		defer sess.Close()
-	}
 	rep := &Report{}
 	p.ev = core.NewEvaluator(p.Env)
 	p.ev.Ctx = sess.Context()
-	if root := p.C.DriverGauge(); root != nil {
+	if root := sess.Cluster().DriverGauge(); root != nil {
 		// The driver-side glue evaluator runs under the same per-task
 		// budget a worker gets. The gauge is a child of the cluster's
 		// driver-lifetime gauge, so concurrent queries share one

@@ -23,6 +23,14 @@ func newTestCluster(t *testing.T, kind cluster.TransportKind, workers int) *clus
 	return c
 }
 
+// planner returns a planner over env whose Executes run in a session of
+// its own on c, closed when the test ends.
+func planner(t *testing.T, c *cluster.Cluster, env *core.Env) *Planner {
+	s := c.NewSession(nil)
+	t.Cleanup(s.Close)
+	return NewSessionPlanner(s, env)
+}
+
 // checkBroadcasts asserts what a planner leaves on the workers once its
 // Executes have returned: no per-fixpoint or superseded copy, and at most
 // one resident copy per bound name per worker, sent under the current
@@ -74,7 +82,7 @@ func TestAllPlansMatchCentralizedEval(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, kind := range []Kind{Gld, Splw, Pgplw} {
-				p := NewPlanner(c, env)
+				p := planner(t, c, env)
 				p.Force = kind
 				got, rep, err := p.Execute(term)
 				if err != nil {
@@ -111,9 +119,8 @@ func TestMergedFixpointOnAllPlans(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, kind := range []Kind{Gld, Splw, Pgplw} {
-		p := NewPlanner(c, env)
+		p := planner(t, c, env)
 		p.Force = kind
-		c.Metrics().Reset()
 		got, rep, err := p.Execute(merged)
 		if err != nil {
 			t.Fatal(err)
@@ -127,7 +134,7 @@ func TestMergedFixpointOnAllPlans(t *testing.T) {
 		if rep.Fixpoints[0].Partitioned {
 			t.Fatalf("%s: merged fixpoint reported stable partitioning", kind)
 		}
-		if ph := c.Metrics().Snapshot().ShufflePhases; ph != 1 {
+		if ph := p.sess.Metrics().Snapshot().ShufflePhases; ph != 1 {
 			t.Fatalf("%s: unpartitioned run used %d shuffle phases, want 1", kind, ph)
 		}
 	}
@@ -149,7 +156,7 @@ func TestNestedFixpointMaterialization(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, kind := range []Kind{Gld, Splw, Pgplw} {
-		p := NewPlanner(c, env)
+		p := planner(t, c, env)
 		p.Force = kind
 		got, rep, err := p.Execute(outer)
 		if err != nil {
@@ -174,14 +181,13 @@ func TestPlwShufflesOnlyWhenUnstable(t *testing.T) {
 
 	// Stable case: µ(X = S ∪ X∘E) has stable src; the loop and the final
 	// union need zero shuffle barriers.
-	c.Metrics().Reset()
-	p := NewPlanner(c, env)
+	p := planner(t, c, env)
 	p.Force = Splw
 	_, rep, err := p.Execute(reachTerm())
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := c.Metrics().Snapshot()
+	m := p.sess.Metrics().Snapshot()
 	if !rep.Fixpoints[0].Partitioned {
 		t.Fatal("stable fixpoint not partition-split")
 	}
@@ -197,11 +203,12 @@ func TestPlwShufflesOnlyWhenUnstable(t *testing.T) {
 		core.Compose(&core.Var{Name: "E"}, zv),
 		core.Compose(zv, &core.Var{Name: "E"}),
 	})}
-	c.Metrics().Reset()
+	p = planner(t, c, env)
+	p.Force = Splw
 	if _, _, err := p.Execute(merged); err != nil {
 		t.Fatal(err)
 	}
-	m = c.Metrics().Snapshot()
+	m = p.sess.Metrics().Snapshot()
 	if m.ShufflePhases != 1 {
 		t.Fatalf("Ps_plw without stable column: %d shuffle phases, want 1", m.ShufflePhases)
 	}
@@ -213,14 +220,13 @@ func TestGldShufflesEveryIteration(t *testing.T) {
 	env := core.NewEnv()
 	env.Bind("E", randomBinary(rng, 60, 15))
 	env.Bind("S", randomBinary(rng, 12, 15))
-	c.Metrics().Reset()
-	p := NewPlanner(c, env)
+	p := planner(t, c, env)
 	p.Force = Gld
 	_, rep, err := p.Execute(reachTerm())
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := c.Metrics().Snapshot()
+	m := p.sess.Metrics().Snapshot()
 	if int(m.ShufflePhases) != rep.Fixpoints[0].Iterations {
 		t.Fatalf("Pgld: %d shuffle phases for %d iterations (want one per iteration)",
 			m.ShufflePhases, rep.Fixpoints[0].Iterations)
@@ -244,7 +250,7 @@ func TestAutoRunsSplwOnLargeConstPart(t *testing.T) {
 	env.Bind("E", e)
 	env.Bind("S", s)
 	c := newTestCluster(t, cluster.TransportChan, 2)
-	_, rep, err := NewPlanner(c, env).Execute(reachTerm())
+	_, rep, err := planner(t, c, env).Execute(reachTerm())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +285,7 @@ func TestUCRPQOverTCPCluster(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, kind := range []Kind{Gld, Splw, Pgplw} {
-		p := NewPlanner(c, env)
+		p := planner(t, c, env)
 		p.Force = kind
 		got, _, err := p.Execute(term)
 		if err != nil {
@@ -309,7 +315,7 @@ func TestAnbnOnAllPlans(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, kind := range []Kind{Gld, Splw, Pgplw} {
-		p := NewPlanner(c, env)
+		p := planner(t, c, env)
 		p.Force = kind
 		got, _, err := p.Execute(anbn)
 		if err != nil {
@@ -358,7 +364,7 @@ func TestPropertyPlansAgreeOnRandomQueries(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, kind := range []Kind{Gld, Splw, Pgplw} {
-				p := NewPlanner(c, env)
+				p := planner(t, c, env)
 				p.Force = kind
 				got, _, err := p.Execute(term)
 				if err != nil {
@@ -395,7 +401,7 @@ func TestPgldShuffleRecordsBound(t *testing.T) {
 	for name, kind := range map[string]cluster.TransportKind{"chan": cluster.TransportChan, "tcp": cluster.TransportTCP} {
 		t.Run(name, func(t *testing.T) {
 			c := newTestCluster(t, kind, workers)
-			p := NewPlanner(c, env)
+			p := planner(t, c, env)
 			p.Force = Gld
 			got, rep, err := p.Execute(reachTerm())
 			if err != nil {
@@ -404,7 +410,7 @@ func TestPgldShuffleRecordsBound(t *testing.T) {
 			if !got.Equal(want) {
 				t.Fatalf("Pgld fixpoint has %d rows, want %d", got.Len(), want.Len())
 			}
-			m := c.Metrics().Snapshot()
+			m := p.sess.Metrics().Snapshot()
 			if bound := int64((workers - 1) * want.Len()); m.ShuffleRecords > bound {
 				t.Fatalf("shuffled %d records, bound (workers−1)·|X| = %d", m.ShuffleRecords, bound)
 			}

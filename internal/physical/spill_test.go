@@ -51,7 +51,7 @@ func TestPgldSpillLoopbackTCP(t *testing.T) {
 	}
 	defer c.Close()
 
-	p := NewPlanner(c, env)
+	p := planner(t, c, env)
 	p.Force = Gld
 	got, rep, err := p.Execute(term)
 	if err != nil {
@@ -118,7 +118,7 @@ func TestAllPlansUnderStarvedBudget(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			p := NewPlanner(c, env)
+			p := planner(t, c, env)
 			p.Force = kind
 			got, _, err := p.Execute(term)
 			if err != nil {

@@ -27,12 +27,7 @@ type SGResult struct {
 // holding the same token are in the same generation. The final grouping
 // joins tokens across workers with one extra shuffle.
 func (g *Graph) RunSameGeneration(label core.Value, opts RPQOptions) (*SGResult, error) {
-	c := g.c
-	stateKey := g.key + ":sg"
-	defer c.RunPhase(func(ctx *cluster.Ctx) error {
-		ctx.Worker().DeleteLocal(stateKey)
-		return nil
-	})
+	s := g.s
 	// token rows: (dst, origin, depth)
 	cols := []string{"depth", "dst", "origin"}
 	type sgState struct {
@@ -40,15 +35,16 @@ func (g *Graph) RunSameGeneration(label core.Value, opts RPQOptions) (*SGResult,
 		tokens  *core.Relation                        // (origin, depth, v) accumulated
 		outbox  *core.Relation
 	}
+	states := make([]*sgState, len(g.adj)) // by worker rank
 	var total atomic.Int64
-	err := c.RunPhase(func(ctx *cluster.Ctx) error {
-		adj := ctx.Worker().Local(g.key).(*adjacency)
+	err := s.RunPhase(func(ctx *cluster.Ctx) error {
+		adj := g.adj[ctx.WorkerID()]
 		st := &sgState{
 			visited: map[[2]core.Value]map[core.Value]bool{},
 			tokens:  core.NewRelation("origin", "depth", "v"),
 			outbox:  core.NewRelation(cols...),
 		}
-		ctx.Worker().SetLocal(stateKey, st)
+		states[ctx.WorkerID()] = st
 		// Seed: every vertex is an ancestor at depth 0 of its children.
 		for _, v := range adj.vertices {
 			for _, e := range adj.out[v] {
@@ -69,9 +65,8 @@ func (g *Graph) RunSameGeneration(label core.Value, opts RPQOptions) (*SGResult,
 			return nil, fmt.Errorf("%w: %d messages", ErrMessageBudget, total.Load())
 		}
 		var pending atomic.Int64
-		err := c.RunPhase(func(ctx *cluster.Ctx) error {
-			adj := ctx.Worker().Local(g.key).(*adjacency)
-			st := ctx.Worker().Local(stateKey).(*sgState)
+		err := s.RunPhase(func(ctx *cluster.Ctx) error {
+			adj, st := g.adj[ctx.WorkerID()], states[ctx.WorkerID()]
 			inbox, err := ctx.Exchange(st.outbox, []string{"dst"})
 			if err != nil {
 				return err
@@ -117,11 +112,10 @@ func (g *Graph) RunSameGeneration(label core.Value, opts RPQOptions) (*SGResult,
 	}
 	res.Messages = total.Load()
 	// Group tokens by (origin, depth) with one shuffle and emit pairs.
-	pairDS := c.NewDataset(core.ColSrc, core.ColTrg)
-	defer c.Free(pairDS)
-	err = c.RunPhase(func(ctx *cluster.Ctx) error {
-		st := ctx.Worker().Local(stateKey).(*sgState)
-		grouped, err := ctx.Exchange(st.tokens, []string{"origin", "depth"})
+	pairDS := s.NewDataset(core.ColSrc, core.ColTrg)
+	defer s.Free(pairDS)
+	err = s.RunPhase(func(ctx *cluster.Ctx) error {
+		grouped, err := ctx.Exchange(states[ctx.WorkerID()].tokens, []string{"origin", "depth"})
 		if err != nil {
 			return err
 		}
@@ -148,7 +142,7 @@ func (g *Graph) RunSameGeneration(label core.Value, opts RPQOptions) (*SGResult,
 	if err != nil {
 		return nil, err
 	}
-	pairs, err := c.Collect(pairDS)
+	pairs, err := s.Collect(pairDS)
 	if err != nil {
 		return nil, err
 	}
@@ -162,12 +156,7 @@ func (g *Graph) RunSameGeneration(label core.Value, opts RPQOptions) (*SGResult,
 // counter grows without bound, so runs on such graphs exhaust the message
 // budget exactly like GraphX runs out of memory in the paper.
 func (g *Graph) RunAnBn(labelA, labelB core.Value, opts RPQOptions) (*RPQResult, error) {
-	c := g.c
-	stateKey := g.key + ":anbn"
-	defer c.RunPhase(func(ctx *cluster.Ctx) error {
-		ctx.Worker().DeleteLocal(stateKey)
-		return nil
-	})
+	s := g.s
 	// message rows: (balance, dst, origin, phase) — phase 0 = reading a's,
 	// phase 1 = reading b's; balance = #a − #b so far.
 	cols := []string{"balance", "dst", "origin", "phase"}
@@ -176,15 +165,16 @@ func (g *Graph) RunAnBn(labelA, labelB core.Value, opts RPQOptions) (*RPQResult,
 		results *core.Relation
 		outbox  *core.Relation
 	}
+	states := make([]*abState, len(g.adj)) // by worker rank
 	var total atomic.Int64
-	err := c.RunPhase(func(ctx *cluster.Ctx) error {
-		adj := ctx.Worker().Local(g.key).(*adjacency)
+	err := s.RunPhase(func(ctx *cluster.Ctx) error {
+		adj := g.adj[ctx.WorkerID()]
 		st := &abState{
 			visited: map[[4]core.Value]bool{},
 			results: core.NewRelation(core.ColSrc, core.ColTrg),
 			outbox:  core.NewRelation(cols...),
 		}
-		ctx.Worker().SetLocal(stateKey, st)
+		states[ctx.WorkerID()] = st
 		for _, v := range adj.vertices {
 			for _, e := range adj.out[v] {
 				if e.label == labelA {
@@ -204,9 +194,8 @@ func (g *Graph) RunAnBn(labelA, labelB core.Value, opts RPQOptions) (*RPQResult,
 			return nil, fmt.Errorf("%w: %d messages", ErrMessageBudget, total.Load())
 		}
 		var pending atomic.Int64
-		err := c.RunPhase(func(ctx *cluster.Ctx) error {
-			adj := ctx.Worker().Local(g.key).(*adjacency)
-			st := ctx.Worker().Local(stateKey).(*abState)
+		err := s.RunPhase(func(ctx *cluster.Ctx) error {
+			adj, st := g.adj[ctx.WorkerID()], states[ctx.WorkerID()]
 			inbox, err := ctx.Exchange(st.outbox, []string{"dst"})
 			if err != nil {
 				return err
@@ -260,16 +249,7 @@ func (g *Graph) RunAnBn(labelA, labelB core.Value, opts RPQOptions) (*RPQResult,
 		}
 	}
 	res.Messages = total.Load()
-	resultDS := c.NewDataset(core.ColSrc, core.ColTrg)
-	defer c.Free(resultDS)
-	if err := c.RunPhase(func(ctx *cluster.Ctx) error {
-		st := ctx.Worker().Local(stateKey).(*abState)
-		ctx.SetPartition(resultDS, st.results)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	pairs, err := c.Collect(resultDS)
+	pairs, err := g.gather(func(rank int) *core.Relation { return states[rank].results })
 	if err != nil {
 		return nil, err
 	}

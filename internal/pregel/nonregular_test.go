@@ -30,10 +30,10 @@ func dagEdges(dict *core.Dict) []rpq.LabeledEdge {
 }
 
 func TestAnBnMatchesDatalog(t *testing.T) {
-	c := newCluster(t, cluster.TransportChan)
+	s := newSession(t, cluster.TransportChan)
 	dict := core.NewDict()
 	edges := dagEdges(dict)
-	g, err := LoadGraph(c, triplesOf(edges))
+	g, err := LoadGraph(s, triplesOf(edges))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestAnBnMatchesDatalog(t *testing.T) {
 }
 
 func TestAnBnDivergesOnACycle(t *testing.T) {
-	c := newCluster(t, cluster.TransportChan)
+	s := newSession(t, cluster.TransportChan)
 	dict := core.NewDict()
 	la, lb := dict.Intern("a"), dict.Intern("b")
 	edges := []rpq.LabeledEdge{
@@ -87,7 +87,7 @@ func TestAnBnDivergesOnACycle(t *testing.T) {
 		{Src: 2, Trg: 1, Label: la}, // a-cycle: unbounded balance
 		{Src: 2, Trg: 3, Label: lb},
 	}
-	g, err := LoadGraph(c, triplesOf(edges))
+	g, err := LoadGraph(s, triplesOf(edges))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,10 +98,10 @@ func TestAnBnDivergesOnACycle(t *testing.T) {
 }
 
 func TestSameGenerationMatchesDatalog(t *testing.T) {
-	c := newCluster(t, cluster.TransportChan)
+	s := newSession(t, cluster.TransportChan)
 	dict := core.NewDict()
 	edges := dagEdges(dict)
-	g, err := LoadGraph(c, triplesOf(edges))
+	g, err := LoadGraph(s, triplesOf(edges))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestSameGenerationMatchesDatalog(t *testing.T) {
 }
 
 func TestSameGenerationBudget(t *testing.T) {
-	c := newCluster(t, cluster.TransportChan)
+	s := newSession(t, cluster.TransportChan)
 	dict := core.NewDict()
 	la := dict.Intern("a")
 	// Cycle → unbounded depth tokens.
@@ -150,7 +150,7 @@ func TestSameGenerationBudget(t *testing.T) {
 		{Src: 2, Trg: 3, Label: la},
 		{Src: 3, Trg: 1, Label: la},
 	}
-	g, err := LoadGraph(c, triplesOf(edges))
+	g, err := LoadGraph(s, triplesOf(edges))
 	if err != nil {
 		t.Fatal(err)
 	}

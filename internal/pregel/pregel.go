@@ -43,32 +43,32 @@ type adjacency struct {
 	vertices []core.Value
 }
 
-// Graph is a vertex-partitioned labeled graph resident on the cluster.
+// Graph is a vertex-partitioned labeled graph resident on the workers of
+// one session. Its runs are phases of that session, so cancelling the
+// session's context stops a run at its next superstep.
 type Graph struct {
-	c        *cluster.Cluster
-	key      string
+	s        *cluster.Session
+	adj      []*adjacency // by worker rank
 	vertices int
 }
 
-var graphCounter atomic.Int64
-
 // LoadGraph distributes a triple relation (src, pred, trg) onto the
-// cluster: every vertex is owned by hash(vertex) mod workers; its worker
-// stores both its outgoing and incoming labeled edges.
-func LoadGraph(c *cluster.Cluster, triples *core.Relation) (*Graph, error) {
-	g := &Graph{c: c, key: fmt.Sprintf("pregel:%d", graphCounter.Add(1))}
-	bysrc, err := c.Parallelize(triples, []string{core.ColSrc})
+// session's workers: every vertex is owned by hash(vertex) mod workers;
+// its worker stores both its outgoing and incoming labeled edges.
+func LoadGraph(s *cluster.Session, triples *core.Relation) (*Graph, error) {
+	g := &Graph{s: s, adj: make([]*adjacency, s.NumWorkers())}
+	bysrc, err := s.Parallelize(triples, []string{core.ColSrc})
 	if err != nil {
 		return nil, err
 	}
-	defer c.Free(bysrc)
-	bytrg, err := c.Parallelize(triples, []string{core.ColTrg})
+	defer s.Free(bysrc)
+	bytrg, err := s.Parallelize(triples, []string{core.ColTrg})
 	if err != nil {
 		return nil, err
 	}
-	defer c.Free(bytrg)
+	defer s.Free(bytrg)
 	var vcount atomic.Int64
-	err = c.RunPhase(func(ctx *cluster.Ctx) error {
+	err = s.RunPhase(func(ctx *cluster.Ctx) error {
 		adj := &adjacency{out: map[core.Value][]edge{}, in: map[core.Value][]edge{}}
 		outPart := ctx.Partition(bysrc)
 		si := core.ColIndex(outPart.Cols(), core.ColSrc)
@@ -99,7 +99,7 @@ func LoadGraph(c *cluster.Cluster, triples *core.Relation) (*Graph, error) {
 			addVertex(inPart.RowAt(i)[ti])
 		}
 		vcount.Add(int64(len(adj.vertices)))
-		ctx.Worker().SetLocal(g.key, adj)
+		g.adj[me] = adj
 		return nil
 	})
 	if err != nil {
@@ -151,13 +151,9 @@ type rpqState struct {
 
 // RunRPQ evaluates the automaton over the distributed graph.
 func (g *Graph) RunRPQ(nfa *rpq.NFA, opts RPQOptions) (*RPQResult, error) {
-	c := g.c
-	n := uint64(c.NumWorkers())
-	stateKey := g.key + ":rpq"
-	defer c.RunPhase(func(ctx *cluster.Ctx) error {
-		ctx.Worker().DeleteLocal(stateKey)
-		return nil
-	})
+	s := g.s
+	n := uint64(s.NumWorkers())
+	states := make([]*rpqState, len(g.adj)) // by worker rank
 
 	var totalMsgs atomic.Int64
 	startSet := map[core.Value]bool{}
@@ -167,14 +163,14 @@ func (g *Graph) RunRPQ(nfa *rpq.NFA, opts RPQOptions) (*RPQResult, error) {
 
 	// Superstep 0: seed (origin, start-state closure) at the origins and
 	// emit the first messages.
-	err := c.RunPhase(func(ctx *cluster.Ctx) error {
-		adj := ctx.Worker().Local(g.key).(*adjacency)
+	err := s.RunPhase(func(ctx *cluster.Ctx) error {
+		adj := g.adj[ctx.WorkerID()]
 		st := &rpqState{
 			visited: map[[2]core.Value]map[int]bool{},
 			results: core.NewRelation(core.ColSrc, core.ColTrg),
 			outbox:  core.NewRelation(msgCols...),
 		}
-		ctx.Worker().SetLocal(stateKey, st)
+		states[ctx.WorkerID()] = st
 		startStates := nfa.EpsClosure(map[int]bool{nfa.Start: true})
 		for _, v := range adj.vertices {
 			if opts.StartNodes != nil && !startSet[v] {
@@ -197,9 +193,8 @@ func (g *Graph) RunRPQ(nfa *rpq.NFA, opts RPQOptions) (*RPQResult, error) {
 			return nil, fmt.Errorf("%w: %d messages", ErrMessageBudget, totalMsgs.Load())
 		}
 		var pending atomic.Int64
-		err := c.RunPhase(func(ctx *cluster.Ctx) error {
-			adj := ctx.Worker().Local(g.key).(*adjacency)
-			st := ctx.Worker().Local(stateKey).(*rpqState)
+		err := s.RunPhase(func(ctx *cluster.Ctx) error {
+			adj, st := g.adj[ctx.WorkerID()], states[ctx.WorkerID()]
 			inbox, err := ctx.Exchange(st.outbox, []string{"dst"})
 			if err != nil {
 				return err
@@ -233,21 +228,26 @@ func (g *Graph) RunRPQ(nfa *rpq.NFA, opts RPQOptions) (*RPQResult, error) {
 	res.Messages = totalMsgs.Load()
 
 	// Gather the per-worker result fragments.
-	resultDS := c.NewDataset(core.ColSrc, core.ColTrg)
-	defer c.Free(resultDS)
-	if err := c.RunPhase(func(ctx *cluster.Ctx) error {
-		st := ctx.Worker().Local(stateKey).(*rpqState)
-		ctx.SetPartition(resultDS, st.results)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	pairs, err := c.Collect(resultDS)
+	pairs, err := g.gather(func(rank int) *core.Relation { return states[rank].results })
 	if err != nil {
 		return nil, err
 	}
 	res.Pairs = pairs
 	return res, nil
+}
+
+// gather collects the per-worker result fragments part(rank) on the
+// driver.
+func (g *Graph) gather(part func(rank int) *core.Relation) (*core.Relation, error) {
+	ds := g.s.NewDataset(core.ColSrc, core.ColTrg)
+	defer g.s.Free(ds)
+	if err := g.s.RunPhase(func(ctx *cluster.Ctx) error {
+		ctx.SetPartition(ds, part(ctx.WorkerID()))
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	return g.s.Collect(ds)
 }
 
 // deliver processes one (origin, state) arrival at vertex v: expand the

@@ -1,8 +1,10 @@
 package pregel
 
 import (
+	"context"
 	"errors"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/cluster"
@@ -10,14 +12,22 @@ import (
 	"repro/internal/rpq"
 )
 
-func newCluster(t *testing.T, kind cluster.TransportKind) *cluster.Cluster {
+// newSession opens a session on a fresh 3-worker cluster; both close
+// when the test ends.
+func newSession(t *testing.T, kind cluster.TransportKind) *cluster.Session {
+	return newSessionCtx(t, kind, context.Background())
+}
+
+func newSessionCtx(t *testing.T, kind cluster.TransportKind, ctx context.Context) *cluster.Session {
 	t.Helper()
 	c, err := cluster.New(cluster.Config{Workers: 3, Transport: kind})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
-	return c
+	s := c.NewSession(ctx)
+	t.Cleanup(s.Close)
+	return s
 }
 
 func triplesOf(edges []rpq.LabeledEdge) *core.Relation {
@@ -41,7 +51,7 @@ func pairsSet(rel *core.Relation) map[[2]core.Value]bool {
 
 func TestRPQMatchesNFAReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
-	c := newCluster(t, cluster.TransportChan)
+	s := newSession(t, cluster.TransportChan)
 	dict := core.NewDict()
 	labels := []core.Value{dict.Intern("a"), dict.Intern("b"), dict.Intern("c")}
 	exprs := []string{"a+", "a/b", "(a|b)+", "a+/b", "(a/-a)+", "-a+", "(a|b)+/c"}
@@ -54,7 +64,7 @@ func TestRPQMatchesNFAReference(t *testing.T) {
 				Label: labels[rng.Intn(len(labels))],
 			})
 		}
-		g, err := LoadGraph(c, triplesOf(edges))
+		g, err := LoadGraph(s, triplesOf(edges))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,7 +89,7 @@ func TestRPQMatchesNFAReference(t *testing.T) {
 }
 
 func TestRPQAnchoredStart(t *testing.T) {
-	c := newCluster(t, cluster.TransportChan)
+	s := newSession(t, cluster.TransportChan)
 	dict := core.NewDict()
 	la := dict.Intern("a")
 	edges := []rpq.LabeledEdge{
@@ -87,7 +97,7 @@ func TestRPQAnchoredStart(t *testing.T) {
 		{Src: 2, Trg: 3, Label: la},
 		{Src: 10, Trg: 11, Label: la},
 	}
-	g, err := LoadGraph(c, triplesOf(edges))
+	g, err := LoadGraph(s, triplesOf(edges))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +122,7 @@ func TestRPQAnchoredStart(t *testing.T) {
 }
 
 func TestRPQMessageBudget(t *testing.T) {
-	c := newCluster(t, cluster.TransportChan)
+	s := newSession(t, cluster.TransportChan)
 	dict := core.NewDict()
 	la := dict.Intern("a")
 	var edges []rpq.LabeledEdge
@@ -121,7 +131,7 @@ func TestRPQMessageBudget(t *testing.T) {
 			Src: core.Value(i), Trg: core.Value((i + 1) % 40), Label: la,
 		})
 	}
-	g, err := LoadGraph(c, triplesOf(edges))
+	g, err := LoadGraph(s, triplesOf(edges))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,14 +143,14 @@ func TestRPQMessageBudget(t *testing.T) {
 }
 
 func TestRPQSuperstepsTrackPathLength(t *testing.T) {
-	c := newCluster(t, cluster.TransportChan)
+	s := newSession(t, cluster.TransportChan)
 	dict := core.NewDict()
 	la := dict.Intern("a")
 	var edges []rpq.LabeledEdge
 	for i := 0; i < 12; i++ {
 		edges = append(edges, rpq.LabeledEdge{Src: core.Value(i), Trg: core.Value(i + 1), Label: la})
 	}
-	g, err := LoadGraph(c, triplesOf(edges))
+	g, err := LoadGraph(s, triplesOf(edges))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +169,7 @@ func TestRPQSuperstepsTrackPathLength(t *testing.T) {
 }
 
 func TestRPQOverTCP(t *testing.T) {
-	c := newCluster(t, cluster.TransportTCP)
+	s := newSession(t, cluster.TransportTCP)
 	dict := core.NewDict()
 	la, lb := dict.Intern("a"), dict.Intern("b")
 	rng := rand.New(rand.NewSource(62))
@@ -173,7 +183,7 @@ func TestRPQOverTCP(t *testing.T) {
 			Src: core.Value(rng.Intn(8)), Trg: core.Value(rng.Intn(8)), Label: l,
 		})
 	}
-	g, err := LoadGraph(c, triplesOf(edges))
+	g, err := LoadGraph(s, triplesOf(edges))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,13 +197,13 @@ func TestRPQOverTCP(t *testing.T) {
 		t.Fatalf("TCP run: %d pairs, want %d", len(got), len(want))
 	}
 	// Superstep messages must have crossed the wire.
-	if c.Metrics().Snapshot().ShufflePhases == 0 {
+	if s.Metrics().Snapshot().ShufflePhases == 0 {
 		t.Fatal("no superstep shuffles recorded")
 	}
 }
 
 func TestLoadGraphVertexCount(t *testing.T) {
-	c := newCluster(t, cluster.TransportChan)
+	s := newSession(t, cluster.TransportChan)
 	dict := core.NewDict()
 	la := dict.Intern("a")
 	edges := []rpq.LabeledEdge{
@@ -201,11 +211,71 @@ func TestLoadGraphVertexCount(t *testing.T) {
 		{Src: 2, Trg: 3, Label: la},
 		{Src: 3, Trg: 1, Label: la},
 	}
-	g, err := LoadGraph(c, triplesOf(edges))
+	g, err := LoadGraph(s, triplesOf(edges))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if g.Vertices() != 3 {
 		t.Fatalf("vertices = %d, want 3", g.Vertices())
+	}
+}
+
+// cancelAfter is a context that cancels itself on the nth call of its
+// Err. A session consults Err before every phase and at every barrier,
+// so the cancel lands mid-run at a point that does not depend on timing.
+type cancelAfter struct {
+	context.Context
+	n      atomic.Int64
+	cancel context.CancelFunc
+}
+
+func (c *cancelAfter) Err() error {
+	if c.n.Add(-1) == 0 {
+		c.cancel()
+	}
+	return c.Context.Err()
+}
+
+// TestRPQStopsOnCancel: an RPQ whose session context is cancelled stops
+// at its next superstep and reports context.Canceled, where the same run
+// on a live session takes one superstep per edge of the chain.
+func TestRPQStopsOnCancel(t *testing.T) {
+	dict := core.NewDict()
+	la := dict.Intern("a")
+	const chain = 200
+	var edges []rpq.LabeledEdge
+	for i := 0; i < chain; i++ {
+		edges = append(edges, rpq.LabeledEdge{Src: core.Value(i), Trg: core.Value(i + 1), Label: la})
+	}
+	nfa := rpq.CompileNFA(rpq.MustParse("a+"), dict)
+	opts := RPQOptions{StartNodes: []core.Value{0}}
+
+	g, err := LoadGraph(newSession(t, cluster.TransportChan), triplesOf(edges))
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := g.RunRPQ(nfa, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.Supersteps < chain {
+		t.Fatalf("live run took %d supersteps, want at least %d", full.Supersteps, chain)
+	}
+
+	parent, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ctx := &cancelAfter{Context: parent, cancel: cancel}
+	g, err = LoadGraph(newSessionCtx(t, cluster.TransportChan, ctx), triplesOf(edges))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Armed after the load, the cancel lands a few supersteps into the run.
+	ctx.n.Store(20)
+	res, err := g.RunRPQ(nfa, opts)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled run: got (%v, %v), want context.Canceled", res, err)
+	}
+	if ctx.n.Load() > 0 {
+		t.Fatal("the run returned before its context was cancelled")
 	}
 }

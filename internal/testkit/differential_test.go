@@ -244,7 +244,9 @@ func TestDifferentialPgldRecycledFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	p := physical.NewPlanner(c, env)
+	s := c.NewSession(nil)
+	defer s.Close()
+	p := physical.NewSessionPlanner(s, env)
 	p.Force = physical.Gld
 	// A clean run counts the frames the faults below aim at.
 	count := cluster.NewFaultPlan()

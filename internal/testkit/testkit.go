@@ -467,10 +467,12 @@ func runRoutes(c *cluster.Cluster, g *Graph, term core.Term, opts Options, rep *
 
 	// Routes 3–5: the distributed plans.
 	for _, kind := range Plans {
-		p := physical.NewPlanner(c, env)
+		sess := c.NewSession(nil)
+		p := physical.NewSessionPlanner(sess, env)
 		p.Force = kind
 		before := spillCount(gauges...)
 		rel, prep, err := p.Execute(term)
+		sess.Close()
 		rep.noteSpills(kind.String(), before, gauges...)
 		if err != nil {
 			return nil, fmt.Errorf("%v: %w", kind, err)

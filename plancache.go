@@ -3,8 +3,6 @@ package distmura
 import (
 	"container/list"
 	"fmt"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -140,17 +138,9 @@ func (e *Engine) PlanCacheStats() PlanCacheStats {
 
 // cacheKey normalizes the option set that affects logical optimization:
 // the forced physical plan is deliberately excluded (it picks the fixpoint
-// strategy at execution time, not the logical plan), while rewrite
-// ablations, the plan-space cap and the no-optimize flag all change the
-// optimizer's outcome and so key separate entries.
+// strategy at execution time, not the logical plan), while the plan-space
+// cap and the no-optimize flag both change the optimizer's outcome and so
+// key separate entries.
 func (c *queryConfig) cacheKey(text string) string {
-	var disabled []string
-	for name, on := range c.disabled {
-		if on {
-			disabled = append(disabled, name)
-		}
-	}
-	sort.Strings(disabled)
-	return fmt.Sprintf("%s\x00opt=%t\x00max=%d\x00dis=%s",
-		text, !c.noOptimize, c.maxPlans, strings.Join(disabled, ","))
+	return fmt.Sprintf("%s\x00opt=%t\x00max=%d", text, !c.noOptimize, c.maxPlans)
 }
