@@ -271,7 +271,7 @@ func BenchmarkFig11NonRegular(b *testing.B) {
 		la := g.Dict.Intern("a")
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := pg.RunSameGeneration(la, pregel.RPQOptions{MaxMessages: s.MaxMessages}); err != nil {
+			if _, err := pg.RunSameGeneration(la, s.MaxMessages); err != nil {
 				if errors.Is(err, pregel.ErrMessageBudget) {
 					// The paper reports the same crashes (Fig. 11 crosses).
 					b.Skipf("message budget exhausted (paper: GraphX crashes): %v", err)

@@ -207,7 +207,7 @@ func Fig11(s Scale) *Table {
 		}
 	}
 	t.Notes = append(t.Notes,
-		"GraphX token floods diverge on any cycle and exhaust the message budget (X) — the paper reports the same crashes on most graphs")
+		"GraphX token floods diverge on any cycle: they exhaust the message budget or are stopped once still sending after 2·|V| supersteps (X) — the paper reports the same crashes on most graphs")
 	return t
 }
 
@@ -227,7 +227,7 @@ func runC7(g *graphgen.Graph, query string, s Scale) (mu, bd, gx *Result) {
 		prog, atom := AnBnProgram(EdgeRelName, dict, "a", "b")
 		bd = RunDatalogProgram(env, edbCols, prog, atom, s.Budget())
 		gx = runPregelC7(g, s, func(pg *pregel.Graph) (int, error) {
-			r, err := pg.RunAnBn(la, lb, pregel.RPQOptions{MaxMessages: s.MaxMessages})
+			r, err := pg.RunAnBn(la, lb, s.MaxMessages)
 			if err != nil {
 				return 0, err
 			}
@@ -240,7 +240,7 @@ func runC7(g *graphgen.Graph, query string, s Scale) (mu, bd, gx *Result) {
 		gx = runPregelC7(g, s, func(pg *pregel.Graph) (int, error) {
 			total := 0
 			for _, l := range []core.Value{la, lb, dict.Intern("c")} {
-				r, err := pg.RunSameGeneration(l, pregel.RPQOptions{MaxMessages: s.MaxMessages})
+				r, err := pg.RunSameGeneration(l, s.MaxMessages)
 				if err != nil {
 					return 0, err
 				}
@@ -259,7 +259,7 @@ func runC7(g *graphgen.Graph, query string, s Scale) (mu, bd, gx *Result) {
 			bd = RunDatalogProgram(env, edbCols, mp, mq, s.Budget())
 		}
 		gx = runPregelC7(g, s, func(pg *pregel.Graph) (int, error) {
-			r, err := pg.RunSameGeneration(la, pregel.RPQOptions{MaxMessages: s.MaxMessages})
+			r, err := pg.RunSameGeneration(la, s.MaxMessages)
 			if err != nil {
 				return 0, err
 			}
@@ -272,7 +272,7 @@ func runC7(g *graphgen.Graph, query string, s Scale) (mu, bd, gx *Result) {
 		gx = runPregelC7(g, s, func(pg *pregel.Graph) (int, error) {
 			total := 0
 			for _, l := range []core.Value{la, lb} {
-				r, err := pg.RunSameGeneration(l, pregel.RPQOptions{MaxMessages: s.MaxMessages})
+				r, err := pg.RunSameGeneration(l, s.MaxMessages)
 				if err != nil {
 					return 0, err
 				}

@@ -3,7 +3,6 @@ package cost
 import (
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -344,28 +343,5 @@ func TestConstTupleAndUnionEstimates(t *testing.T) {
 		if d > u.Rows {
 			t.Fatalf("distinct[%s]=%v > rows %v", c, d, u.Rows)
 		}
-	}
-}
-
-func TestAnnotate(t *testing.T) {
-	env := core.NewEnv()
-	env.Bind("E", chainGraph(50))
-	es := NewEstimator(FromEnv(env))
-	out, err := es.Annotate(core.ClosureLR("X", &core.Var{Name: "E"}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"µ(X)", "rows≈", "cost≈", "E"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("annotation missing %q:\n%s", want, out)
-		}
-	}
-	// Every line is indented consistently (tree shape).
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) < 4 {
-		t.Fatalf("annotation too shallow:\n%s", out)
-	}
-	if _, err := es.Annotate(&core.Var{Name: "missing"}); err == nil {
-		t.Fatal("expected error for unknown relation")
 	}
 }

@@ -5,6 +5,13 @@
 // their target vertex's worker at the barrier and consumed in superstep
 // k+1; the run halts when no messages remain.
 //
+// One superstep loop (Graph.run) drives every query. It owns the per-rank
+// outboxes, the message budget, the exchange by destination vertex with
+// its ownership check, the superstep and message counts, the convergence
+// test and the final gather. A query is a vertex program: each worker's
+// copy seeds its outbox, receives one message at a time, and returns its
+// (src, trg) share of the answer.
+//
 // Regular path queries are evaluated the way the paper describes for
 // GraphX: the RPQ is compiled to an NFA (internal/rpq) and each vertex
 // tracks the (origin, automaton-state) pairs that have reached it,
@@ -13,7 +20,18 @@
 // only competitive when the filter comes first, the paper's Q17
 // observation); an unanchored query starts from every vertex, and the
 // (origin × state) message volume is what makes the model struggle on
-// RPQs with large intermediate results.
+// RPQs with large intermediate results. The visited set makes an RPQ run
+// finite.
+//
+// The non-regular programs (same-generation and anbn, nonregular.go) carry
+// a counter that grows with every step, so on a cycle they never converge.
+// The loop ends such a run once it is still sending after 2·|V|
+// supersteps, with an error that wraps ErrMessageBudget: the flood would
+// exhaust any budget. The bound changes no run that converges. A
+// same-generation token's depth equals its superstep and stays below |V|
+// unless the token revisits a vertex, and a revisiting token circles for
+// ever. An anbn token's a-phase is a simple path, so shorter than |V|, and
+// its b-phase is no longer than the balance it built.
 package pregel
 
 import (
@@ -118,169 +136,181 @@ func owner(v core.Value, n uint64) int {
 // Vertices returns the number of distinct vertices loaded.
 func (g *Graph) Vertices() int { return g.vertices }
 
-// RPQOptions configures an RPQ run.
-type RPQOptions struct {
-	// StartNodes anchors the query at the given origins; nil starts from
-	// every vertex (the unanchored ?x expr ?y form).
-	StartNodes []core.Value
-	// MaxSupersteps bounds the run (0 = no bound beyond convergence).
-	MaxSupersteps int
-	// MaxMessages aborts the run with ErrMessageBudget once the total
-	// message count passes the budget (0 = unlimited) — the simulated
-	// memory capacity of the cluster.
-	MaxMessages int64
-}
-
-// RPQResult is the outcome of an RPQ evaluation.
-type RPQResult struct {
-	// Pairs holds (src, trg) rows: origin nodes and the nodes reached by a
-	// path matching the expression.
+// Result is the outcome of a run.
+type Result struct {
+	// Pairs holds the (src, trg) rows of the answer.
 	Pairs      *core.Relation
 	Supersteps int
 	Messages   int64
 }
 
-// message row schema: (dst, origin, state) — sorted column order.
-var msgCols = []string{"dst", "origin", "state"}
-
-type rpqState struct {
-	visited map[[2]core.Value]map[int]bool // (vertex, origin) → states seen
-	results *core.Relation
-	outbox  *core.Relation
+// program is one worker's copy of a vertex program. Its messages are rows
+// over the run's columns, in core's sorted column order.
+type program struct {
+	// seed adds the messages of the worker's vertices before superstep 1.
+	seed func(out *core.Relation)
+	// receive handles one message delivered to a vertex the worker owns
+	// and adds the messages it sends to out.
+	receive func(msg []core.Value, out *core.Relation)
+	// result returns the worker's (src, trg) share of the answer once the
+	// run has converged; it runs in one phase on every worker, so it may
+	// exchange.
+	result func(ctx *cluster.Ctx) (*core.Relation, error)
 }
 
-// RunRPQ evaluates the automaton over the distributed graph.
-func (g *Graph) RunRPQ(nfa *rpq.NFA, opts RPQOptions) (*RPQResult, error) {
+// run executes one vertex program to convergence. cols is the message
+// schema in sorted order and names the receiving vertex "dst"; newProgram
+// builds each worker's copy over its graph fragment. The run fails with
+// ErrMessageBudget once more than maxMessages have been sent (0 = no
+// budget) or when it is still sending after bound supersteps (0 = none).
+func (g *Graph) run(cols []string, maxMessages int64, bound int, newProgram func(adj *adjacency) program) (*Result, error) {
 	s := g.s
-	n := uint64(s.NumWorkers())
-	states := make([]*rpqState, len(g.adj)) // by worker rank
-
-	var totalMsgs atomic.Int64
-	startSet := map[core.Value]bool{}
-	for _, v := range opts.StartNodes {
-		startSet[v] = true
-	}
-
-	// Superstep 0: seed (origin, start-state closure) at the origins and
-	// emit the first messages.
+	progs := make([]program, len(g.adj))         // by worker rank
+	outbox := make([]*core.Relation, len(g.adj)) // by worker rank
+	var sent atomic.Int64
 	err := s.RunPhase(func(ctx *cluster.Ctx) error {
-		adj := g.adj[ctx.WorkerID()]
-		st := &rpqState{
-			visited: map[[2]core.Value]map[int]bool{},
-			results: core.NewRelation(core.ColSrc, core.ColTrg),
-			outbox:  core.NewRelation(msgCols...),
-		}
-		states[ctx.WorkerID()] = st
-		startStates := nfa.EpsClosure(map[int]bool{nfa.Start: true})
-		for _, v := range adj.vertices {
-			if opts.StartNodes != nil && !startSet[v] {
-				continue
-			}
-			for s := range startStates {
-				st.deliver(nfa, adj, v, v, s)
-			}
-		}
-		totalMsgs.Add(int64(st.outbox.Len()))
+		me := ctx.WorkerID()
+		progs[me] = newProgram(g.adj[me])
+		outbox[me] = core.NewRelation(cols...)
+		progs[me].seed(outbox[me])
+		sent.Add(int64(outbox[me].Len()))
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	res := &RPQResult{}
+	di := core.ColIndex(cols, "dst")
+	n := uint64(len(g.adj))
+	res := &Result{}
 	for {
-		if opts.MaxMessages > 0 && totalMsgs.Load() > opts.MaxMessages {
-			return nil, fmt.Errorf("%w: %d messages", ErrMessageBudget, totalMsgs.Load())
+		if maxMessages > 0 && sent.Load() > maxMessages {
+			return nil, fmt.Errorf("%w: %d messages", ErrMessageBudget, sent.Load())
+		}
+		if bound > 0 && res.Supersteps >= bound {
+			return nil, fmt.Errorf("%w: still sending after %d supersteps on %d vertices",
+				ErrMessageBudget, res.Supersteps, g.vertices)
 		}
 		var pending atomic.Int64
 		err := s.RunPhase(func(ctx *cluster.Ctx) error {
-			adj, st := g.adj[ctx.WorkerID()], states[ctx.WorkerID()]
-			inbox, err := ctx.Exchange(st.outbox, []string{"dst"})
+			me := ctx.WorkerID()
+			inbox, err := ctx.Exchange(outbox[me], []string{"dst"})
 			if err != nil {
 				return err
 			}
-			st.outbox = core.NewRelation(msgCols...)
-			di := core.ColIndex(inbox.Cols(), "dst")
-			oi := core.ColIndex(inbox.Cols(), "origin")
-			si := core.ColIndex(inbox.Cols(), "state")
-			for ri := 0; ri < inbox.Len(); ri++ {
-				row := inbox.RowAt(ri)
-				if owner(row[di], n) != ctx.WorkerID() {
-					return fmt.Errorf("pregel: message for %d delivered to worker %d", row[di], ctx.WorkerID())
+			outbox[me] = core.NewRelation(cols...)
+			for i := 0; i < inbox.Len(); i++ {
+				msg := inbox.RowAt(i)
+				if owner(msg[di], n) != me {
+					return fmt.Errorf("pregel: message for %d delivered to worker %d", msg[di], me)
 				}
-				st.deliver(nfa, adj, row[di], row[oi], int(row[si]))
+				progs[me].receive(msg, outbox[me])
 			}
-			pending.Add(int64(st.outbox.Len()))
+			pending.Add(int64(outbox[me].Len()))
 			return nil
 		})
 		if err != nil {
 			return nil, err
 		}
 		res.Supersteps++
-		totalMsgs.Add(pending.Load())
+		sent.Add(pending.Load())
 		if pending.Load() == 0 {
 			break
 		}
-		if opts.MaxSupersteps > 0 && res.Supersteps >= opts.MaxSupersteps {
-			return nil, fmt.Errorf("pregel: no convergence after %d supersteps", res.Supersteps)
+	}
+	res.Messages = sent.Load()
+
+	ds := s.NewDataset(core.ColSrc, core.ColTrg)
+	defer s.Free(ds)
+	if err := s.RunPhase(func(ctx *cluster.Ctx) error {
+		part, err := progs[ctx.WorkerID()].result(ctx)
+		if err != nil {
+			return err
 		}
-	}
-	res.Messages = totalMsgs.Load()
-
-	// Gather the per-worker result fragments.
-	pairs, err := g.gather(func(rank int) *core.Relation { return states[rank].results })
-	if err != nil {
-		return nil, err
-	}
-	res.Pairs = pairs
-	return res, nil
-}
-
-// gather collects the per-worker result fragments part(rank) on the
-// driver.
-func (g *Graph) gather(part func(rank int) *core.Relation) (*core.Relation, error) {
-	ds := g.s.NewDataset(core.ColSrc, core.ColTrg)
-	defer g.s.Free(ds)
-	if err := g.s.RunPhase(func(ctx *cluster.Ctx) error {
-		ctx.SetPartition(ds, part(ctx.WorkerID()))
+		ctx.SetPartition(ds, part)
 		return nil
 	}); err != nil {
 		return nil, err
 	}
-	return g.s.Collect(ds)
+	if res.Pairs, err = s.Collect(ds); err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
-// deliver processes one (origin, state) arrival at vertex v: expand the
-// ε-closure, record acceptance, and emit messages along matching edges.
-func (st *rpqState) deliver(nfa *rpq.NFA, adj *adjacency, v, origin core.Value, state int) {
-	states := nfa.EpsClosure(map[int]bool{state: true})
-	key := [2]core.Value{v, origin}
-	seen := st.visited[key]
-	if seen == nil {
-		seen = map[int]bool{}
-		st.visited[key] = seen
+// RPQOptions configures an RPQ run.
+type RPQOptions struct {
+	// StartNodes anchors the query at the given origins; nil starts from
+	// every vertex (the unanchored ?x expr ?y form).
+	StartNodes []core.Value
+	// MaxMessages aborts the run with ErrMessageBudget once the total
+	// message count passes the budget (0 = unlimited) — the simulated
+	// memory capacity of the cluster.
+	MaxMessages int64
+}
+
+// rpqCols is the RPQ message schema: an (origin, automaton state) pair
+// arriving at dst.
+var rpqCols = []string{"dst", "origin", "state"}
+
+// RunRPQ evaluates the automaton over the distributed graph.
+func (g *Graph) RunRPQ(nfa *rpq.NFA, opts RPQOptions) (*Result, error) {
+	var start map[core.Value]bool // nil = every vertex
+	if opts.StartNodes != nil {
+		start = map[core.Value]bool{}
+		for _, v := range opts.StartNodes {
+			start[v] = true
+		}
 	}
-	for s := range states {
-		if seen[s] {
-			continue
-		}
-		seen[s] = true
-		if s == nfa.Accept {
-			st.results.Add([]core.Value{origin, v})
-		}
-		for _, tr := range nfa.Trans[s] {
-			var nbrs []edge
-			if tr.Inverse {
-				nbrs = adj.in[v]
-			} else {
-				nbrs = adj.out[v]
+	return g.run(rpqCols, opts.MaxMessages, 0, func(adj *adjacency) program {
+		visited := map[[2]core.Value]map[int]bool{} // (vertex, origin) → states seen
+		results := core.NewRelation(core.ColSrc, core.ColTrg)
+		// deliver processes one (origin, state) arrival at vertex v: expand
+		// the ε-closure, record acceptance, and send along matching edges.
+		deliver := func(v, origin core.Value, state int, out *core.Relation) {
+			key := [2]core.Value{v, origin}
+			seen := visited[key]
+			if seen == nil {
+				seen = map[int]bool{}
+				visited[key] = seen
 			}
-			for _, e := range nbrs {
-				if e.label != tr.Label {
+			for s := range nfa.EpsClosure(map[int]bool{state: true}) {
+				if seen[s] {
 					continue
 				}
-				st.outbox.Add([]core.Value{e.to, origin, core.Value(tr.To)})
+				seen[s] = true
+				if s == nfa.Accept {
+					results.Add([]core.Value{origin, v})
+				}
+				for _, tr := range nfa.Trans[s] {
+					nbrs := adj.out[v]
+					if tr.Inverse {
+						nbrs = adj.in[v]
+					}
+					for _, e := range nbrs {
+						if e.label == tr.Label {
+							out.Add([]core.Value{e.to, origin, core.Value(tr.To)})
+						}
+					}
+				}
 			}
 		}
-	}
+		return program{
+			seed: func(out *core.Relation) {
+				startStates := nfa.EpsClosure(map[int]bool{nfa.Start: true})
+				for _, v := range adj.vertices {
+					if start != nil && !start[v] {
+						continue
+					}
+					for s := range startStates {
+						deliver(v, v, s, out)
+					}
+				}
+			},
+			receive: func(msg []core.Value, out *core.Relation) {
+				deliver(msg[0], msg[1], int(msg[2]), out)
+			},
+			result: func(*cluster.Ctx) (*core.Relation, error) { return results, nil },
+		}
+	})
 }
