@@ -724,8 +724,12 @@ func (e *Engine) run(ctx context.Context, term core.Term, cfg queryConfig, extra
 // runOnce executes one attempt inside its own cluster session and returns
 // the streaming cursor. Every cluster resource is released before the
 // cursor is handed out: execution is complete, only string decoding is
-// lazy. On failure the attempt's network traffic is charged to
-// rs.wastedBytes.
+// lazy. The cursor reads the result with at most one copy after the
+// workers' accumulators: a root fixpoint's rows are the frames the workers
+// shipped from their accumulators, or the relation the sub-result cache
+// keeps, read in place through the root's renames
+// (physical.Planner.ExecuteStream). On failure the attempt's network
+// traffic is charged to rs.wastedBytes.
 func (e *Engine) runOnce(ctx context.Context, term core.Term, cfg queryConfig, extra map[string]*core.Relation, rs *retryState) (*Rows, error) {
 	env := core.NewEnv()
 	env.Bind(edgeRel, e.graph.Triples)
@@ -750,7 +754,7 @@ func (e *Engine) runOnce(ctx context.Context, term core.Term, cfg queryConfig, e
 		planner.SubResults = prov
 	}
 	start := time.Now()
-	rel, rep, err := planner.Execute(term)
+	it, n, rep, err := planner.ExecuteStream(term)
 	if prov != nil {
 		prov.releaseAll()
 	}
@@ -822,5 +826,5 @@ func (e *Engine) runOnce(ctx context.Context, term core.Term, cfg queryConfig, e
 		stats.Retractions = prov.retractions
 		stats.RederivedRows = prov.rederived
 	}
-	return newRows(e.graph.Dict, rel, stats), nil
+	return newRows(e.graph.Dict, it, n, stats), nil
 }

@@ -223,7 +223,7 @@ func runC7(g *graphgen.Graph, query string, s Scale) (mu, bd, gx *Result) {
 
 	switch query {
 	case "anbn":
-		mu = RunMuRATerm(env, AnBnTerm(EdgeRelName, dict, "a", "b"), s.Budget(), MuRAOptions{})
+		mu = runMuRAOptimized(env, AnBnTerm(EdgeRelName, dict, "a", "b"), s.Budget())
 		prog, atom := AnBnProgram(EdgeRelName, dict, "a", "b")
 		bd = RunDatalogProgram(env, edbCols, prog, atom, s.Budget())
 		gx = runPregelC7(g, s, func(pg *pregel.Graph) (int, error) {
@@ -234,7 +234,7 @@ func runC7(g *graphgen.Graph, query string, s Scale) (mu, bd, gx *Result) {
 			return r.Pairs.Len(), nil
 		})
 	case "SG":
-		mu = RunMuRATerm(env, SGTerm(EdgeRelName), s.Budget(), MuRAOptions{})
+		mu = runMuRAOptimized(env, SGTerm(EdgeRelName), s.Budget())
 		prog, atom := SGProgram(EdgeRelName)
 		bd = RunDatalogProgram(env, edbCols, prog, atom, s.Budget())
 		gx = runPregelC7(g, s, func(pg *pregel.Graph) (int, error) {
@@ -249,7 +249,7 @@ func runC7(g *graphgen.Graph, query string, s Scale) (mu, bd, gx *Result) {
 			return total, nil
 		})
 	case "FilteredSG":
-		mu = RunMuRATerm(env, FilteredSGTerm(EdgeRelName, dict, "a"), s.Budget(), MuRAOptions{})
+		mu = runMuRAOptimized(env, FilteredSGTerm(EdgeRelName, dict, "a"), s.Budget())
 		prog, _ := SGProgram(EdgeRelName)
 		fq := FilteredSGQuery(dict, "a")
 		mp, mq, err := datalog.MagicTransform(prog, fq)
@@ -266,7 +266,7 @@ func runC7(g *graphgen.Graph, query string, s Scale) (mu, bd, gx *Result) {
 			return r.Pairs.Len(), nil
 		})
 	case "JoinedSG":
-		mu = RunMuRATerm(env, JoinedSGTerm(EdgeRelName, "P"), s.Budget(), MuRAOptions{})
+		mu = runMuRAOptimized(env, JoinedSGTerm(EdgeRelName, "P"), s.Budget())
 		prog, atom := JoinedSGProgram(EdgeRelName, "P")
 		bd = RunDatalogProgram(env, edbCols, prog, atom, s.Budget())
 		gx = runPregelC7(g, s, func(pg *pregel.Graph) (int, error) {
@@ -284,6 +284,24 @@ func runC7(g *graphgen.Graph, query string, s Scale) (mu, bd, gx *Result) {
 		panic("benchkit: unknown C7 query " + query)
 	}
 	return mu, bd, gx
+}
+
+// runMuRAOptimized runs a hand-written µ-RA term the way Dist-µ-RA runs
+// any query: the rewriter explores the term's plan space and the cost
+// model, over statistics of the relations env binds, picks the plan that
+// executes.
+func runMuRAOptimized(env *core.Env, term core.Term, b Budget) *Result {
+	rw := rewrite.NewRewriter(env.SchemaEnv())
+	rw.MaxPlans = b.maxPlans()
+	plans := rw.Explore(term)
+	cat := cost.NewCatalog()
+	for name, rel := range env.Rels {
+		cat.BindRelation(name, rel)
+	}
+	best, _ := cost.SelectBest(plans, cat)
+	res := RunMuRATerm(env, best, b, MuRAOptions{})
+	res.Info = fmt.Sprintf("%s plans=%d", res.Info, len(plans))
+	return res
 }
 
 func runPregelC7(g *graphgen.Graph, s Scale, f func(pg *pregel.Graph) (int, error)) *Result {

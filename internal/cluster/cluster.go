@@ -628,76 +628,130 @@ func (ctx *Ctx) shuffle(arity int, out [][]*core.Batch, keep func(*core.Batch)) 
 }
 
 // sendFrames ships the rows of wins — the windows of one logical
-// transfer, in order, all of the given arity — to a node as a sequence of
-// budget-sized wire frames of core.BatchRowsFor(arity) rows, numbered from
-// ordinal 0, the final one flagged Last. A stretch of a window that fills
-// a frame, or ends the transfer, leaves as a zero-copy view; the other
-// rows are gathered into a pooled frame buffer, so a transfer costs the
-// frames its row count needs however many small windows it comes in. An
-// empty transfer still sends one empty Last frame so barrier receivers
-// can count completed senders. Record/byte metrics are added per frame.
+// transfer, in order, all of the given arity — to a node as one
+// frameWriter transfer.
 func (c *Cluster) sendFrames(to int, kind MsgKind, tag, seq int64, from int, id int64,
 	arity int, wins []*core.Batch, recs, bytes *atomic.Int64) error {
-	step := core.BatchRowsFor(arity)
 	total := 0
 	for _, w := range wins {
 		total += w.Len()
 	}
-	sent, ord := 0, uint32(0)
-	emit := func(b *core.Batch) error {
-		sent += b.Len()
-		msg := &DataMsg{Kind: kind, Tag: tag, Seq: seq, From: from, ID: id, Ord: ord,
-			Batch: b, Last: sent == total}
-		ord++
-		recs.Add(int64(b.Len()))
-		bytes.Add(msg.wireBytes())
-		return c.send(to, msg)
+	fw := c.newFrameWriter(to, &DataMsg{Kind: kind, Tag: tag, Seq: seq, From: from, ID: id}, arity, total, recs, bytes)
+	defer fw.close()
+	for _, w := range wins {
+		if err := fw.write(w); err != nil {
+			return err
+		}
 	}
-	if total == 0 {
-		return emit(core.NewBatch(arity))
+	return fw.finish()
+}
+
+// frameWriter cuts one logical transfer of a known row count into
+// budget-sized wire frames of core.BatchRowsFor(arity) rows, numbered from
+// ordinal 0, the final one flagged Last. A stretch of a written batch that
+// fills a frame, or ends the transfer, leaves as a zero-copy view; the
+// other rows are gathered into a pooled frame buffer, so a transfer costs
+// the frames its row count needs however many small batches it comes in.
+// Every frame is handed to the transport before write returns (both
+// transports copy or encode it in Send), so a written batch may be reused
+// as soon as write returns. An empty transfer still sends one empty Last
+// frame so barrier receivers can count completed senders. Record/byte
+// metrics are added per frame.
+type frameWriter struct {
+	c           *Cluster
+	to          int
+	head        *DataMsg // kind, tag, seq, sender and id of every frame
+	arity, step int
+	total, sent int
+	ord         uint32
+	buf         *[]core.Value // the gather frame's pooled buffer
+	gather      *core.Batch
+	recs, bytes *atomic.Int64
+}
+
+func (c *Cluster) newFrameWriter(to int, head *DataMsg, arity, total int, recs, bytes *atomic.Int64) *frameWriter {
+	return &frameWriter{c: c, to: to, head: head, arity: arity, step: core.BatchRowsFor(arity),
+		total: total, recs: recs, bytes: bytes}
+}
+
+func (fw *frameWriter) emit(b *core.Batch) error {
+	fw.sent += b.Len()
+	h := fw.head
+	msg := &DataMsg{Kind: h.Kind, Tag: h.Tag, Seq: h.Seq, From: h.From, ID: h.ID, Ord: fw.ord,
+		Batch: b, Last: fw.sent == fw.total}
+	fw.ord++
+	fw.recs.Add(int64(b.Len()))
+	fw.bytes.Add(msg.wireBytes())
+	return fw.c.send(fw.to, msg)
+}
+
+// write ships the rows of b, keeping none of them past the call.
+func (fw *frameWriter) write(b *core.Batch) error {
+	lo, n := 0, b.Len()
+	if fw.sent+fw.gathered()+n > fw.total {
+		return fmt.Errorf("cluster: transfer of %d rows given more", fw.total)
 	}
-	var buf *[]core.Value // the gather frame's pooled buffer
-	defer func() {
-		if buf != nil {
-			framePool.Put(buf)
+	if fw.gathered() > 0 {
+		// Top up the partly gathered frame first.
+		lo = min(n, fw.step-fw.gather.Len())
+		fw.gather.AppendBatch(b.Sub(0, lo))
+		if fw.gather.Len() < fw.step {
+			return nil
 		}
-	}()
-	var gather *core.Batch
-	for i, w := range wins {
-		lo, n := 0, w.Len()
-		if gather != nil && gather.Len() > 0 {
-			// Top up the partly gathered frame first.
-			lo = min(n, step-gather.Len())
-			gather.AppendBatch(w.Sub(0, lo))
-			if gather.Len() < step {
-				continue
-			}
-			if err := emit(gather); err != nil {
-				return err
-			}
-			gather = core.NewBatchValues(arity, 0, (*buf)[:0])
+		if err := fw.emit(fw.gather); err != nil {
+			return err
 		}
-		for ; n-lo >= step; lo += step {
-			if err := emit(w.Sub(lo, lo+step)); err != nil {
-				return err
-			}
-		}
-		if lo == n {
-			continue
-		}
-		if i == len(wins)-1 {
-			return emit(w.Sub(lo, n))
-		}
-		if gather == nil {
-			buf = frameVals(0)
-			gather = core.NewBatchValues(arity, 0, (*buf)[:0])
-		}
-		gather.AppendBatch(w.Sub(lo, n))
+		fw.gather = core.NewBatchValues(fw.arity, 0, (*fw.buf)[:0])
 	}
-	if gather != nil && gather.Len() > 0 {
-		return emit(gather)
+	for ; n-lo >= fw.step; lo += fw.step {
+		if err := fw.emit(b.Sub(lo, lo+fw.step)); err != nil {
+			return err
+		}
+	}
+	if lo == n {
+		return nil
+	}
+	if fw.sent+n-lo == fw.total {
+		return fw.emit(b.Sub(lo, n))
+	}
+	if fw.gather == nil {
+		fw.buf = frameVals(0)
+		fw.gather = core.NewBatchValues(fw.arity, 0, (*fw.buf)[:0])
+	}
+	fw.gather.AppendBatch(b.Sub(lo, n))
+	return nil
+}
+
+func (fw *frameWriter) gathered() int {
+	if fw.gather == nil {
+		return 0
+	}
+	return fw.gather.Len()
+}
+
+// finish sends what is left: the gathered rows, or the empty Last frame
+// of an empty transfer.
+func (fw *frameWriter) finish() error {
+	switch {
+	case fw.total == 0:
+		return fw.emit(core.NewBatch(fw.arity))
+	case fw.gathered() > 0:
+		if err := fw.emit(fw.gather); err != nil {
+			return err
+		}
+	}
+	if fw.sent != fw.total {
+		return fmt.Errorf("cluster: transfer of %d rows ended after %d", fw.total, fw.sent)
 	}
 	return nil
+}
+
+// close returns the gather buffer to the pool.
+func (fw *frameWriter) close() {
+	if fw.buf != nil {
+		framePool.Put(fw.buf)
+		fw.buf, fw.gather = nil, nil
+	}
 }
 
 // recvFrames receives the driver's frame sequence for a scatter or
@@ -944,24 +998,34 @@ func (s *Session) BroadcastRel(rel *core.Relation) (*Broadcast, error) {
 	return b, nil
 }
 
-// Collect gathers all partitions of ds on the driver. The frames of a
-// dataset known to be disjoint are appended as they arrive, into storage
-// sized from the partition row counts the tasks report (no row is hashed,
-// the result's dedup set is deferred); any other dataset is merged with set
-// semantics.
-func (s *Session) Collect(ds *Dataset) (*core.Relation, error) {
+// Source is a set of rows a member ships to the driver in a Gather: a
+// *core.Relation, or a fixpoint's *core.Accumulator read in place. Scan
+// hands out its rows a stretch at a time; a stretch need not outlive the
+// call.
+type Source interface {
+	Cols() []string
+	Len() int
+	Scan(f func(*core.Batch) error) error
+}
+
+// Gather runs f on every session member, like RunPhase, while the driver
+// receives what each member ships with the ship function f is handed —
+// exactly once, a Source of the given columns — and returns the frames as
+// they arrived. It is the one receive loop of worker→driver traffic: a
+// plan ships a fixpoint's X straight from its accumulator (in-memory
+// segments leave as zero-copy windows, frozen runs a decoded chunk at a
+// time), and Collect ships a dataset's partitions. The frames are the
+// driver's one copy of the rows; nothing is hashed.
+func (s *Session) Gather(cols []string, f func(ctx *Ctx, ship func(Source) error) error) (*Frames, error) {
 	c := s.c
 	seq := c.seq.Add(1) << 20
-	out := core.NewRelation(ds.cols...)
-	disjoint := ds.Disjoint()
-	// rows sums the partition sizes the tasks report before they send, so
-	// that a frame never arrives ahead of its sender's count.
-	var rows atomic.Int64
+	arity := len(cols)
+	out := &Frames{cols: cols}
 	done := make(chan error, 1)
 	stop := make(chan struct{})
 	defer close(stop) // unblocks the receiver if the phase fails first
 	go func() {
-		// Workers stream their partitions as frame sequences; the gather is
+		// Members stream their rows as frame sequences; the gather is
 		// complete when every member's Last frame has arrived.
 		for lastSeen := 0; lastSeen < len(s.members); {
 			msg, rerr := s.recvNode(DriverNode, stop)
@@ -973,28 +1037,39 @@ func (s *Session) Collect(ds *Dataset) (*core.Relation, error) {
 				done <- protocolViolation(msg, "unexpected frame during collect")
 				return
 			}
-			if err := checkArity(msg, len(ds.cols)); err != nil {
+			if err := checkArity(msg, arity); err != nil {
 				done <- err
 				return
-			}
-			if disjoint {
-				out.ReserveRows(int(rows.Load()))
-				out.AppendDistinct(msg.Batch)
-			} else {
-				out.AddBatch(msg.Batch)
 			}
 			if msg.Last {
 				lastSeen++
 			}
-			msg.Release()
+			out.keep(msg)
 		}
 		done <- nil
 	}()
 	phaseErr := s.RunPhase(func(ctx *Ctx) error {
-		part := ctx.Partition(ds)
-		rows.Add(int64(part.Len()))
-		return c.sendFrames(DriverNode, KindCollect, s.tag, seq, ctx.w.id, ds.id, part.Arity(), []*core.Batch{part.AsBatch()},
-			&s.m.CollectRecords, &s.m.CollectBytes)
+		shipped := false
+		err := f(ctx, func(src Source) error {
+			if shipped {
+				return errors.New("cluster: a member shipped twice in one gather")
+			}
+			shipped = true
+			if !core.ColsEqual(src.Cols(), cols) {
+				return fmt.Errorf("cluster: gathered schema %v does not match %v", src.Cols(), cols)
+			}
+			fw := c.newFrameWriter(DriverNode, &DataMsg{Kind: KindCollect, Tag: s.tag, Seq: seq, From: ctx.w.id},
+				arity, src.Len(), &s.m.CollectRecords, &s.m.CollectBytes)
+			defer fw.close()
+			if err := src.Scan(fw.write); err != nil {
+				return err
+			}
+			return fw.finish()
+		})
+		if err == nil && !shipped {
+			err = errors.New("cluster: a member shipped nothing in a gather")
+		}
+		return err
 	})
 	if phaseErr != nil {
 		return nil, phaseErr
@@ -1003,6 +1078,91 @@ func (s *Session) Collect(ds *Dataset) (*core.Relation, error) {
 		return nil, recvErr
 	}
 	return out, nil
+}
+
+// Collect gathers all partitions of ds on the driver into one relation,
+// sized once from the gathered frames. The frames of a dataset known to
+// be disjoint are appended (no row is hashed, the result's dedup set is
+// deferred); any other dataset is merged with set semantics.
+func (s *Session) Collect(ds *Dataset) (*core.Relation, error) {
+	disjoint := ds.Disjoint()
+	fr, err := s.Gather(ds.cols, func(ctx *Ctx, ship func(Source) error) error {
+		return ship(ctx.Partition(ds))
+	})
+	if err != nil {
+		return nil, err
+	}
+	return fr.Relation(disjoint), nil
+}
+
+// Frames is a transfer the driver gathered, held as its frames arrived:
+// the rows in arrival order, counted. A consumer either scans the frames
+// in place (Scan) or copies them into one relation (Relation), once.
+type Frames struct {
+	cols []string
+	msgs []*DataMsg
+	n    int
+}
+
+// keep holds a received frame; an empty one is released at once.
+func (f *Frames) keep(msg *DataMsg) {
+	if msg.rows() == 0 {
+		msg.Release()
+		return
+	}
+	f.msgs = append(f.msgs, msg)
+	f.n += msg.rows()
+}
+
+// Cols returns the schema (sorted).
+func (f *Frames) Cols() []string { return f.cols }
+
+// Len returns the number of rows gathered.
+func (f *Frames) Len() int { return f.n }
+
+// Relation copies the frames into one relation sized once and releases
+// them. disjoint says the frames hold a set, so they are appended with
+// the dedup set deferred; otherwise every row is hashed once.
+func (f *Frames) Relation(disjoint bool) *core.Relation {
+	out := core.NewRelation(f.cols...)
+	out.ReserveRows(f.n)
+	for _, msg := range f.msgs {
+		if disjoint {
+			out.AppendDistinct(msg.Batch)
+		} else {
+			out.AddBatch(msg.Batch)
+		}
+		msg.Release()
+	}
+	f.msgs = nil
+	return out
+}
+
+// Scan streams the frames' batches in arrival order, without copying
+// them. A frame's buffer goes back to the transport's pool once the stream
+// has moved past it, so a batch is valid until the following Next, as for
+// every core.Iterator. The frames must hold a set (a disjoint transfer)
+// for the stream to be one. Scan the frames once.
+func (f *Frames) Scan() core.Iterator { return &framesIter{f: f} }
+
+type framesIter struct {
+	f *Frames
+	i int
+}
+
+func (it *framesIter) Cols() []string { return it.f.cols }
+
+func (it *framesIter) Next() *core.Batch {
+	msgs := it.f.msgs
+	if it.i > 0 && it.i <= len(msgs) {
+		msgs[it.i-1].Release()
+	}
+	if it.i >= len(msgs) {
+		it.i = len(msgs) + 1
+		return nil
+	}
+	it.i++
+	return msgs[it.i-1].Batch
 }
 
 // Distinct repartitions ds by full row hash so that duplicates meet on the

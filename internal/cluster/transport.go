@@ -60,7 +60,8 @@ type DataMsg struct {
 }
 
 // Release hands a received frame's value buffer back to the transport's
-// pool. A consumer calls it once it has copied the frame's rows out; the
+// pool. A consumer calls it once it has copied the frame's rows out, or
+// read them in place (Frames); the
 // frame's Batch is cleared, so a late read fails loudly instead of seeing
 // another frame's values. A frame without values, or one a transport did
 // not deliver, has no buffer: releasing it only clears its Batch.
@@ -131,7 +132,8 @@ func uvarintSize(vals []core.Value) int {
 // concurrent Send from multiple nodes. A received batch is the receiver's
 // own copy, in a buffer from the transport's frame pool: the consumer
 // copies its rows out and then calls DataMsg.Release, after which the
-// buffer serves a later frame. No receiver keeps a frame's rows.
+// buffer serves a later frame. Only the driver's Gather keeps frames as
+// received (Frames); whoever reads them releases each once done with it.
 type Transport interface {
 	// Send delivers msg to node `to`. It blocks until the message is
 	// handed to the target's inbox (chan) or written to the socket (TCP).

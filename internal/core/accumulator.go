@@ -684,56 +684,73 @@ func (ab *Absorber) AbsorbBatch(b *Batch) int {
 	return ab.ad.addBatch(ab.a, b)
 }
 
-// Materialize copies the accumulated rows into one Relation sized from the
-// shards' row counts: frozen runs are streamed back from disk in chunks,
-// then each shard's in-memory store is memcpy'd segment by segment. Runs
-// and shards are mutually disjoint sets by construction, so nothing is
-// hashed or probed — the result's dedup set is deferred to whoever first
-// asks for it. The shards are copied one after another; it is called
-// once, at fixpoint exit, and must not race with Add or EvictBelow.
-func (a *Accumulator) Materialize() *Relation {
-	total := 0
-	spilled := false
-	for i := range a.shards {
-		total += a.shards[i].n
-		spilled = spilled || a.shards[i].run != nil
-	}
-	out := NewRelation(a.cols...)
-	out.ReserveRows(total)
+// Scan hands f the accumulated rows, a stretch at a time, as read-only
+// batches: each shard's frozen run decoded a chunk of runScanChunk rows at
+// a time into one buffer reused for every chunk, then its in-memory store
+// as one zero-copy view per segment. A batch is valid only until f
+// returns; f must copy what it keeps. Runs and shards are mutually
+// disjoint sets by construction, so the stretches together are a set and
+// nothing is hashed or probed. Scan stops at f's first error and returns
+// it. Like Materialize it reads the shards one after another and must not
+// race with Add or EvictBelow.
+func (a *Accumulator) Scan(f func(*Batch) error) error {
 	arity := a.arity
-	if !spilled {
-		for i := range a.shards {
-			sh := &a.shards[i]
-			sh.forSegs(0, sh.n, arity, func(vals []Value, _ int) {
-				out.data = append(out.data, vals...)
-			})
+	var (
+		sc    runScanner
+		block []Value
+		rows  int
+	)
+	flush := func() error {
+		if rows == 0 {
+			return nil
 		}
-		out.n = total
-		out.deferred.Store(true)
-		return out
-	}
-	// One scanner and one flush buffer reused across all runs and shards.
-	var sc runScanner
-	block := make([]Value, 0, runScanChunk*arity)
-	rows := 0
-	flush := func() {
-		out.appendDistinctVals(block, rows)
+		err := f(NewBatchValues(arity, rows, block))
 		block, rows = block[:0], 0
+		return err
 	}
 	for i := range a.shards {
 		sh := &a.shards[i]
 		if sh.run != nil {
+			if block == nil {
+				block = make([]Value, 0, runScanChunk*arity)
+			}
 			sc.reset(sh.run.run)
 			for rec := sc.next(); rec != nil; rec = sc.next() {
 				block = append(block, rec[1:]...)
 				if rows++; rows >= runScanChunk {
-					flush()
+					if err := flush(); err != nil {
+						return err
+					}
 				}
 			}
-			flush()
+			if err := flush(); err != nil {
+				return err
+			}
 		}
-		sh.forSegs(0, sh.n-sh.frozen, arity, out.appendDistinctVals)
+		var err error
+		sh.forSegs(0, sh.n-sh.frozen, arity, func(vals []Value, n int) {
+			if err == nil {
+				err = f(NewBatchValues(arity, n, vals))
+			}
+		})
+		if err != nil {
+			return err
+		}
 	}
+	return nil
+}
+
+// Materialize copies the accumulated rows into one Relation sized from the
+// shards' row counts, in Scan's order. The stretches are disjoint sets, so
+// they are appended and the result's dedup set is deferred to whoever first
+// asks for it. It must not race with Add or EvictBelow.
+func (a *Accumulator) Materialize() *Relation {
+	out := NewRelation(a.cols...)
+	out.ReserveRows(a.Len())
+	_ = a.Scan(func(b *Batch) error { // f never fails, so neither does Scan
+		out.AppendDistinct(b)
+		return nil
+	})
 	return out
 }
 

@@ -578,26 +578,18 @@ func (ev *Evaluator) RunFixpoint(d *Decomposed, init *Relation, env *Env) (*Rela
 	}
 	loop := ev.NewFixpointLoop(d, init, env)
 	defer loop.Close()
-	for {
-		if err := CtxErr(ev.Ctx); err != nil {
-			return nil, err
-		}
-		added, err := loop.Step(nil)
-		if err != nil {
-			return nil, err
-		}
-		if added == 0 {
-			return loop.Result(), nil
-		}
+	if err := loop.Run(); err != nil {
+		return nil, err
 	}
+	return loop.X().Materialize(), nil
 }
 
 // FixpointLoop is the semi-naive loop body of Algorithm 1 as a stepping
 // object — the one loop every streaming plan runs. X is sharded across all
 // iterations in a cross-iteration Accumulator; the rows a step appends to
 // it ARE the next delta (zero-copy shard windows between two marks,
-// scanned through a deltaSource), and a Relation is materialized exactly
-// once, by block copy, by Result. Where the loop runs is the caller's
+// scanned through a deltaSource), and the result is read from X itself
+// (FixpointLoop.X) after the last step. Where the loop runs is the caller's
 // choice: stepped locally (RunFixpoint: Ps_plw, Ppg_plw, maintenance) or
 // once per driver iteration through an Exchange (Pgld).
 //
@@ -767,8 +759,24 @@ func (l *FixpointLoop) Step(ex Exchange) (int, error) {
 	return added, nil
 }
 
-// Result materializes X. Call it once, after the last step.
-func (l *FixpointLoop) Result() *Relation { return l.x.Materialize() }
+// Run steps the loop locally, polling ev.Ctx between steps, until a step
+// adds nothing.
+func (l *FixpointLoop) Run() error {
+	for {
+		if err := CtxErr(l.ev.Ctx); err != nil {
+			return err
+		}
+		added, err := l.Step(nil)
+		if err != nil || added == 0 {
+			return err
+		}
+	}
+}
+
+// X returns the loop's accumulator: the fixpoint once the last step has
+// added nothing. A plan reads it in place — Scan it, or Materialize it —
+// before Close, and must not read it while a step runs.
+func (l *FixpointLoop) X() *Accumulator { return l.x }
 
 // Close releases X and the shuffle filters (spill runs, gauge charges)
 // and unmarks the recursion variable. Calling it more than once is

@@ -654,7 +654,7 @@ func TestSealedRelationSharesConstantOperands(t *testing.T) {
 				break
 			}
 		}
-		if got := loop.Result(); got.Len() != n*(n+1)/2 {
+		if got := loop.X().Materialize(); got.Len() != n*(n+1)/2 {
 			t.Fatalf("closure of a %d-edge chain: %d rows, want %d", n, got.Len(), n*(n+1)/2)
 		}
 		held := g.Used()

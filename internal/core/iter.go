@@ -31,9 +31,9 @@ import (
 //     rows of a bag stream once (Relation.Add).
 //
 // Past the sink, set-ness travels with the data instead of being
-// re-established: an Accumulator materializes by block copy, a
-// cluster.Dataset records that its partitions are disjoint so Collect
-// appends frames, and duplicated frames are dropped by their ordinal, not
+// re-established: an Accumulator is shipped or materialized by block
+// copy, a cluster.Dataset records that its partitions are disjoint so
+// Collect appends frames, and duplicated frames are dropped by their ordinal, not
 // absorbed by re-hashing (see ARCHITECTURE.md, "Set discipline").
 
 // BatchBudgetValues is the per-batch value budget: batches target about
@@ -420,7 +420,7 @@ func projectInto(out, b *Batch, idx []int) {
 type renameIter struct {
 	in   Iterator
 	cols []string
-	perm []int // output position → input position
+	perm []int // output position → input position; nil hands batches on as they are
 	out  *Batch
 }
 
@@ -454,12 +454,60 @@ func RenameStream(in Iterator, from, to string, pool *BatchPool) (Iterator, erro
 	}, nil
 }
 
+// PeelRenames splits t into the chain of renames at its root, outermost
+// first, and the term below the chain.
+func PeelRenames(t Term) (chain []*Rename, base Term) {
+	for {
+		r, ok := t.(*Rename)
+		if !ok {
+			return chain, t
+		}
+		chain = append(chain, r)
+		t = r.T
+	}
+}
+
+// RenamedStream applies a chain of renames, outermost first as PeelRenames
+// returns it, to in as one composed column permutation: when that is the
+// identity the stream hands on in's batches under the renamed schema
+// without touching a row, and otherwise it permutes each batch into one
+// reused output batch.
+func RenamedStream(in Iterator, chain []*Rename) (Iterator, error) {
+	names := slices.Clone(in.Cols())
+	for i := len(chain) - 1; i >= 0; i-- {
+		r := chain[i]
+		if r.From == r.To {
+			continue
+		}
+		at := slices.Index(names, r.From)
+		if at < 0 {
+			return nil, fmt.Errorf("core: rename: column %q not in schema %v", r.From, SortCols(names))
+		}
+		if slices.Contains(names, r.To) {
+			return nil, fmt.Errorf("core: rename: column %q already in schema %v", r.To, SortCols(names))
+		}
+		names[at] = r.To
+	}
+	cols := SortCols(names)
+	perm := make([]int, len(cols))
+	identity := true
+	for j, c := range cols {
+		perm[j] = slices.Index(names, c)
+		identity = identity && perm[j] == j
+	}
+	it := &renameIter{in: in, cols: cols}
+	if !identity {
+		it.perm, it.out = perm, NewBatch(len(cols))
+	}
+	return it, nil
+}
+
 func (it *renameIter) Cols() []string { return it.cols }
 
 func (it *renameIter) Next() *Batch {
 	b := it.in.Next()
-	if b == nil {
-		return nil
+	if b == nil || it.perm == nil {
+		return b
 	}
 	it.out.reset()
 	projectInto(it.out, b, it.perm)

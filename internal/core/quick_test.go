@@ -760,7 +760,7 @@ func lockstepFixpoint(t *testing.T, d *Decomposed, init *Relation, env *Env, w i
 	}
 	out := NewRelation(init.Cols()...)
 	for _, l := range loops {
-		out.AddBatch(l.Result().AsBatch())
+		out.AddBatch(l.X().Materialize().AsBatch())
 	}
 	return out, loops, evs
 }

@@ -157,6 +157,16 @@ func (r *Relation) Rows() [][]Value {
 // backing array (same validity rule as RowAt).
 func (r *Relation) AsBatch() *Batch { return r.BatchRange(0, r.n) }
 
+// Scan hands f the relation's rows as one zero-copy batch (none when r is
+// empty): the shape of Accumulator.Scan, so a plan ships either the same
+// way.
+func (r *Relation) Scan(f func(*Batch) error) error {
+	if r.n == 0 {
+		return nil
+	}
+	return f(r.AsBatch())
+}
+
 // BatchRange returns rows [lo, hi) as a zero-copy batch aliasing the
 // backing array (same validity rule as RowAt).
 func (r *Relation) BatchRange(lo, hi int) *Batch {

@@ -186,8 +186,65 @@ func NewSessionPlanner(s *cluster.Session, env *core.Env) *Planner {
 
 // Execute evaluates t and reports how its fixpoints ran.
 func (p *Planner) Execute(t core.Term) (*core.Relation, *Report, error) {
-	sess := p.sess
 	rep := &Report{}
+	defer p.begin(rep)()
+	rel, err := p.ev.Eval(t)
+	if err != nil {
+		return nil, nil, err
+	}
+	return rel, rep, nil
+}
+
+// ExecuteStream evaluates t for a cursor that reads the result once, in
+// order, and returns the stream with its exact row count. When t is a
+// chain of renames over a fixpoint, the fixpoint's value is read through
+// the chain in place (core.RenamedStream): the relation the sub-result
+// cache holds or this query collected, or — for a fixpoint nothing keeps —
+// the frames the workers shipped. Any other t is evaluated as Execute
+// evaluates it, into a relation of its own: the stream never aliases a
+// relation a write can change (the triple relation, a caller's binding).
+func (p *Planner) ExecuteStream(t core.Term) (core.Iterator, int, *Report, error) {
+	rep := &Report{}
+	defer p.begin(rep)()
+	chain, base := core.PeelRenames(t)
+	fp, ok := base.(*core.Fixpoint)
+	if !ok {
+		rel, err := p.ev.Eval(t)
+		if err != nil {
+			return nil, 0, nil, err
+		}
+		if _, bound := t.(*core.Var); bound {
+			rel = rel.Clone()
+		}
+		return core.ScanRelation(rel), rel.Len(), rep, nil
+	}
+	if _, err := core.Schema(t, p.Env.SchemaEnv()); err != nil {
+		return nil, 0, nil, err
+	}
+	rel, frames, err := p.runFixpoint(p.sess, fp, rep, true)
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	var (
+		it core.Iterator
+		n  int
+	)
+	if frames != nil {
+		it, n = frames.Scan(), frames.Len()
+	} else {
+		it, n = core.ScanRelation(rel), rel.Len()
+	}
+	it, err = core.RenamedStream(it, chain)
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	return it, n, rep, nil
+}
+
+// begin sets up the driver-side glue evaluator of one execution, reporting
+// its fixpoints into rep, and returns its release.
+func (p *Planner) begin(rep *Report) func() {
+	sess := p.sess
 	p.ev = core.NewEvaluator(p.Env)
 	p.ev.Ctx = sess.Context()
 	if root := sess.Cluster().DriverGauge(); root != nil {
@@ -199,18 +256,14 @@ func (p *Planner) Execute(t core.Term) (*core.Relation, *Report, error) {
 		p.driverGauge = core.NewMemGaugeChild(root)
 		p.ev.Gauge = p.driverGauge
 	}
-	defer p.ev.Close()
 	if p.SubResults != nil {
 		p.ev.Operands = operandStore{subs: p.SubResults, rep: rep}
 	}
 	p.ev.FixpointHandler = func(fp *core.Fixpoint, _ *core.Env) (*core.Relation, error) {
-		return p.runFixpoint(sess, fp, rep)
+		rel, _, err := p.runFixpoint(sess, fp, rep, false)
+		return rel, err
 	}
-	rel, err := p.ev.Eval(t)
-	if err != nil {
-		return nil, nil, err
-	}
-	return rel, rep, nil
+	return p.ev.Close
 }
 
 // prepared is a fixpoint ready for distributed execution: the constant
@@ -250,7 +303,7 @@ func (p *Planner) prepare(sess *cluster.Session, fp *core.Fixpoint, rep *Report)
 				return s
 			}
 			if inner, ok := s.(*core.Fixpoint); ok {
-				rel, err := p.runFixpoint(sess, inner, rep)
+				rel, _, err := p.runFixpoint(sess, inner, rep, false)
 				if err != nil {
 					walkErr = err
 					return s
@@ -311,59 +364,73 @@ func (p *Planner) choose() Kind {
 // first: a hit is injected directly (the scan-of-a-base-relation the cost
 // model priced it as), a single-flight lease computes once and publishes
 // for the sessions waiting on the same fingerprint, and everything else
-// computes privately.
-func (p *Planner) runFixpoint(sess *cluster.Session, fp *core.Fixpoint, rep *Report) (*core.Relation, error) {
+// computes privately. The value is a relation, except for a root fixpoint
+// (root) that nothing keeps: that one is the frames the workers shipped,
+// left for the cursor to scan.
+func (p *Planner) runFixpoint(sess *cluster.Session, fp *core.Fixpoint, rep *Report, root bool) (*core.Relation, *cluster.Frames, error) {
 	if p.SubResults != nil {
 		rel, refreshed, complete, err := p.SubResults.Lookup(fp)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if rel != nil {
 			rep.Fixpoints = append(rep.Fixpoints, FixpointReport{Cached: true, Refreshed: refreshed, ResultRows: rel.Len()})
-			return rel, nil
+			return rel, nil, nil
 		}
 		if complete != nil {
-			out, err := p.computeFixpoint(sess, fp, rep)
+			out, _, err := p.computeFixpoint(sess, fp, rep, false)
 			complete(out, err)
-			return out, err
+			return out, nil, err
 		}
 	}
-	return p.computeFixpoint(sess, fp, rep)
+	return p.computeFixpoint(sess, fp, rep, root)
 }
 
-func (p *Planner) computeFixpoint(sess *cluster.Session, fp *core.Fixpoint, rep *Report) (*core.Relation, error) {
+// computeFixpoint runs one fixpoint on the cluster. The workers ship their
+// disjoint results to the driver; keepFrames returns those frames as they
+// arrived, else they are copied into one relation sized once.
+func (p *Planner) computeFixpoint(sess *cluster.Session, fp *core.Fixpoint, rep *Report, keepFrames bool) (*core.Relation, *cluster.Frames, error) {
 	pr, err := p.prepare(sess, fp, rep)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if len(pr.d.PhiBranches) == 0 {
 		rep.Fixpoints = append(rep.Fixpoints, FixpointReport{
 			Kind: p.choose(), ConstPartRows: pr.seed.Len(), ResultRows: pr.seed.Len(),
 		})
-		return pr.seed, nil
+		seed := pr.seed
+		if _, bound := pr.d.Const.(*core.Var); bound {
+			// The constant part is a bound relation itself: a copy, so the
+			// result never aliases what a write can change.
+			seed = seed.Clone()
+		}
+		return seed, nil, nil
 	}
 	kind := p.choose()
 	var (
-		out *core.Relation
-		fr  FixpointReport
+		frames *cluster.Frames
+		fr     FixpointReport
 	)
 	switch kind {
 	case Gld:
-		out, fr, err = p.runGld(sess, pr)
+		frames, fr, err = p.runGld(sess, pr)
 	case Pgplw:
-		out, fr, err = p.runPlw(sess, pr, true)
+		frames, fr, err = p.runPlw(sess, pr, true)
 	default:
-		out, fr, err = p.runPlw(sess, pr, false)
+		frames, fr, err = p.runPlw(sess, pr, false)
 	}
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	fr.Kind = kind
 	fr.ConstPartRows = pr.seed.Len()
 	fr.BroadcastRows = pr.phiConst
-	fr.ResultRows = out.Len()
+	fr.ResultRows = frames.Len()
 	rep.Fixpoints = append(rep.Fixpoints, fr)
-	return out, nil
+	if keepFrames {
+		return nil, frames, nil
+	}
+	return frames.Relation(true), nil, nil
 }
 
 // broadcastPhiRels ships the φ constant relations to all workers and
@@ -415,11 +482,11 @@ func localEnv(ctx *cluster.Ctx, handles map[string]*cluster.Broadcast) (*core.En
 // each produced tuple by its row hash as it drains: a tuple the worker
 // owns goes straight into its X, any other into the owner's shuffle
 // filter, whose new rows ship to the owner (the per-iteration shuffle of
-// Fig. 3, Ctx.ShipInto) and are absorbed into its X as the frames decode. Each worker keeps its evaluator
-// and loop alive for the whole run: the join indexes over the broadcast
-// (constant) relations are built once, X stays sharded, and it is
-// materialized only once, for the final collect.
-func (p *Planner) runGld(sess *cluster.Session, pr *prepared) (*core.Relation, FixpointReport, error) {
+// Fig. 3, Ctx.ShipInto) and are absorbed into its X as the frames decode.
+// Each worker keeps its evaluator and loop alive for the whole run: the
+// join indexes over the broadcast (constant) relations are built once, X
+// stays sharded, and the final gather reads it in place.
+func (p *Planner) runGld(sess *cluster.Session, pr *prepared) (*cluster.Frames, FixpointReport, error) {
 	fr := FixpointReport{StableCols: pr.stable}
 	handles, freeB, err := p.broadcastPhiRels(sess, pr)
 	if err != nil {
@@ -480,19 +547,12 @@ func (p *Planner) runGld(sess *cluster.Session, pr *prepared) (*core.Relation, F
 		}
 	}
 	// Every row of X lives on the worker its row hash names, so the
-	// partitions are disjoint.
-	if err := sess.RunPhase(func(ctx *cluster.Ctx) error {
-		ctx.SetPartition(xDS, tasks[ctx.WorkerID()].loop.Result())
-		return nil
-	}); err != nil {
-		return nil, fr, err
-	}
-	xDS.MarkDisjoint()
-	out, err := sess.Collect(xDS)
-	if err != nil {
-		return nil, fr, err
-	}
-	return out, fr, nil
+	// partitions are disjoint: each worker ships its X straight from the
+	// accumulator.
+	frames, err := sess.Gather(pr.seed.Cols(), func(ctx *cluster.Ctx, ship func(cluster.Source) error) error {
+		return ship(tasks[ctx.WorkerID()].loop.X())
+	})
+	return frames, fr, err
 }
 
 // runPlw executes the fixpoint as parallel local loops on the workers
@@ -502,7 +562,13 @@ func (p *Planner) runGld(sess *cluster.Session, pr *prepared) (*core.Relation, F
 // partition-wise set semantics (Ps_plw). usePg selects Ppg_plw, which runs
 // the same loop but passes the worker's seed partition and its result
 // through marshalBoundary.
-func (p *Planner) runPlw(sess *cluster.Session, pr *prepared, usePg bool) (*core.Relation, FixpointReport, error) {
+//
+// Split on a stable column, the local fixpoints are provably disjoint
+// (Prop. 3), so each worker ships its X to the driver at the end of the
+// fixpoint phase, straight from the accumulator. Without one they may
+// overlap: each worker stores its X as a partition, and a distinct
+// shuffle performs the deduplicating union before the gather.
+func (p *Planner) runPlw(sess *cluster.Session, pr *prepared, usePg bool) (*cluster.Frames, FixpointReport, error) {
 	fr := FixpointReport{StableCols: pr.stable}
 	handles, freeB, err := p.broadcastPhiRels(sess, pr)
 	if err != nil {
@@ -520,15 +586,15 @@ func (p *Planner) runPlw(sess *cluster.Session, pr *prepared, usePg bool) (*core
 		return nil, fr, err
 	}
 	defer sess.Free(seedDS)
-	resDS := sess.NewDataset(pr.seed.Cols()...)
-	defer sess.Free(resDS)
 
-	d := pr.d
+	cols := pr.seed.Cols()
 	var (
 		mu       sync.Mutex
 		maxIters int
 	)
-	phase := func(ctx *cluster.Ctx) error {
+	// local runs one worker's fixpoint and hands its result to done
+	// before the loop's accumulator is released.
+	local := func(ctx *cluster.Ctx, done func(cluster.Source) error) error {
 		part := ctx.Partition(seedDS)
 		if usePg {
 			part = marshalBoundary(part)
@@ -541,44 +607,53 @@ func (p *Planner) runPlw(sess *cluster.Session, pr *prepared, usePg bool) (*core
 		ev.Gauge = ctx.Gauge()
 		ev.Ctx = ctx.Context()
 		defer ev.Close()
-		local, err := ev.RunFixpoint(d, part, env)
-		if err != nil {
+		loop := ev.NewFixpointLoop(pr.d, part, env)
+		defer loop.Close()
+		if err := loop.Run(); err != nil {
 			return err
-		}
-		if usePg {
-			local = marshalBoundary(local)
 		}
 		mu.Lock()
 		maxIters = max(maxIters, ev.Stats.FixpointIterations)
 		mu.Unlock()
-		ctx.SetPartition(resDS, local)
-		return nil
+		if usePg {
+			return done(marshalBoundary(loop.X()))
+		}
+		return done(loop.X())
 	}
-	if err := sess.RunPhase(phase); err != nil {
+	if fr.Partitioned {
+		frames, err := sess.Gather(cols, local)
+		fr.Iterations = maxIters
+		return frames, fr, err
+	}
+	resDS := sess.NewDataset(cols...)
+	defer sess.Free(resDS)
+	if err := sess.RunPhase(func(ctx *cluster.Ctx) error {
+		return local(ctx, func(x cluster.Source) error {
+			ctx.SetPartition(resDS, materialize(x))
+			return nil
+		})
+	}); err != nil {
 		return nil, fr, err
 	}
 	fr.Iterations = maxIters
-
-	final := resDS
-	if fr.Partitioned {
-		// Split on a stable column, the local fixpoints are provably
-		// disjoint (Prop. 3): the collect appends them.
-		resDS.MarkDisjoint()
-	} else {
-		// No stable column: the local fixpoints may overlap; a distinct
-		// shuffle performs the deduplicating union of Prop. 3.
-		dd, err := sess.Distinct(resDS)
-		if err != nil {
-			return nil, fr, err
-		}
-		defer sess.Free(dd)
-		final = dd
-	}
-	out, err := sess.Collect(final)
+	dd, err := sess.Distinct(resDS)
 	if err != nil {
 		return nil, fr, err
 	}
-	return out, fr, nil
+	defer sess.Free(dd)
+	frames, err := sess.Gather(cols, func(ctx *cluster.Ctx, ship func(cluster.Source) error) error {
+		return ship(ctx.Partition(dd))
+	})
+	return frames, fr, err
+}
+
+// materialize returns a local result as a relation: X copied out of
+// its accumulator, or Ppg_plw's relation itself.
+func materialize(src cluster.Source) *core.Relation {
+	if x, ok := src.(*core.Accumulator); ok {
+		return x.Materialize()
+	}
+	return src.(*core.Relation)
 }
 
 // marshalBoundary serializes and deserializes every row through a textual
@@ -586,8 +661,8 @@ func (p *Planner) runPlw(sess *cluster.Session, pr *prepared, usePg bool) (*core
 // layer and the paper's per-worker PostgreSQL (its client protocol is
 // text-based; the paper attributes P pg_plw's overhead on small data to
 // exactly this marshalling and transfer, §III-D).
-func marshalBoundary(rel *core.Relation) *core.Relation {
-	arity := rel.Arity()
+func marshalBoundary(rel cluster.Source) *core.Relation {
+	arity := len(rel.Cols())
 	// The round trip is a bijection on rows, so the output is as distinct
 	// as the input and is appended, not re-hashed.
 	out := core.NewRelation(rel.Cols()...)
@@ -595,24 +670,31 @@ func marshalBoundary(rel *core.Relation) *core.Relation {
 	var sb strings.Builder
 	nrow := make([]core.Value, arity)
 	one := core.NewBatchValues(arity, 1, nrow)
-	for ri := 0; ri < rel.Len(); ri++ {
-		row := rel.RowAt(ri)
-		sb.Reset()
-		for i, v := range row {
-			if i > 0 {
-				sb.WriteByte('\t')
-			}
-			sb.WriteString(strconv.FormatInt(int64(v), 10))
+	_ = rel.Scan(func(b *core.Batch) error { // f never fails, so neither does Scan
+		for ri := 0; ri < b.Len(); ri++ {
+			marshalRow(&sb, b.Row(ri), nrow)
+			out.AppendDistinct(one)
 		}
-		fields := strings.Split(sb.String(), "\t")
-		for i, f := range fields {
-			n, err := strconv.ParseInt(f, 10, 64)
-			if err != nil {
-				panic("physical: marshal boundary round-trip failed: " + err.Error())
-			}
-			nrow[i] = core.Value(n)
-		}
-		out.AppendDistinct(one)
-	}
+		return nil
+	})
 	return out
+}
+
+// marshalRow writes row as text into sb and parses it back into nrow.
+func marshalRow(sb *strings.Builder, row, nrow []core.Value) {
+	sb.Reset()
+	for i, v := range row {
+		if i > 0 {
+			sb.WriteByte('\t')
+		}
+		sb.WriteString(strconv.FormatInt(int64(v), 10))
+	}
+	fields := strings.Split(sb.String(), "\t")
+	for i, f := range fields {
+		n, err := strconv.ParseInt(f, 10, 64)
+		if err != nil {
+			panic("physical: marshal boundary round-trip failed: " + err.Error())
+		}
+		nrow[i] = core.Value(n)
+	}
 }

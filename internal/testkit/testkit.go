@@ -465,13 +465,14 @@ func runRoutes(c *cluster.Cluster, g *Graph, term core.Term, opts Options, rep *
 		return nil, err
 	}
 
-	// Routes 3–5: the distributed plans.
+	// Routes 3–5: the distributed plans, read as the engine's cursor
+	// reads them (ExecuteStream: a root fixpoint's frames, in place).
 	for _, kind := range Plans {
 		sess := c.NewSession(nil)
 		p := physical.NewSessionPlanner(sess, env)
 		p.Force = kind
 		before := spillCount(gauges...)
-		rel, prep, err := p.Execute(term)
+		rel, prep, err := executeStream(p, term)
 		sess.Close()
 		rep.noteSpills(kind.String(), before, gauges...)
 		if err != nil {
@@ -490,6 +491,25 @@ func runRoutes(c *cluster.Cluster, g *Graph, term core.Term, opts Options, rep *
 		return nil, err
 	}
 	return want, nil
+}
+
+// executeStream runs term through p.ExecuteStream and drains the stream
+// into a relation without deduplicating, so a duplicated row shows as an
+// extra row; a stream whose length differs from the count it reported
+// fails.
+func executeStream(p *physical.Planner, term core.Term) (*core.Relation, *physical.Report, error) {
+	it, n, rep, err := p.ExecuteStream(term)
+	if err != nil {
+		return nil, nil, err
+	}
+	rel := core.NewRelation(it.Cols()...)
+	for b := it.Next(); b != nil; b = it.Next() {
+		rel.AppendDistinct(b)
+	}
+	if rel.Len() != n {
+		return nil, nil, fmt.Errorf("stream of %d rows reported %d", rel.Len(), n)
+	}
+	return rel, rep, nil
 }
 
 // runCachedRoute is route 6: the engine with its sub-result cache and

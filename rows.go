@@ -7,13 +7,13 @@ import (
 	"repro/internal/core"
 )
 
-// Rows is a streaming result cursor. Distributed execution materializes
-// the (interned, deduplicated) result relation on the driver — that is
-// inherent to the final distinct/collect — but the expensive half of the
-// old API, rendering every value back to a string up front, is done lazily
-// here: the cursor walks the relation batch-by-batch off the core.Iterator
-// pipeline and decodes dictionary values only for the rows the caller
-// actually visits.
+// Rows is a streaming result cursor. Execution has finished by the time a
+// Rows exists: the interned, deduplicated result is known and counted. The
+// cursor reads it where it lies — a fixpoint result through the renames
+// at the query's root, in the sub-result cache's relation or in the frames
+// the workers shipped to the driver, or the relation the driver evaluated
+// for any other root — and decodes dictionary values only for the rows
+// the caller actually visits.
 //
 // Usage mirrors database/sql:
 //
@@ -31,10 +31,14 @@ import (
 // resources (sessions, accumulators, spill files) and its admission slot —
 // an abandoned cursor can delay garbage collection of the result, but
 // never leaks engine capacity; Close is still good hygiene and makes the
-// deferred-close pattern of database/sql carry over.
+// deferred-close pattern of database/sql carry over. The rows a cursor
+// yields are those of the graph state its query ran on: a later write
+// never shows through, because the cursor reads only relations no write
+// changes (a cached result is replaced, never updated in place).
 type Rows struct {
 	dict  *core.Dict
-	rel   *core.Relation
+	cols  []string
+	n     int // result rows
 	it    core.Iterator
 	batch *core.Batch
 	bi    int
@@ -46,17 +50,18 @@ type Rows struct {
 	done  bool
 }
 
-func newRows(dict *core.Dict, rel *core.Relation, stats QueryStats) *Rows {
-	return &Rows{dict: dict, rel: rel, it: core.ScanRelation(rel), stats: stats}
+// newRows returns a cursor over it, a stream of n rows.
+func newRows(dict *core.Dict, it core.Iterator, n int, stats QueryStats) *Rows {
+	return &Rows{dict: dict, cols: it.Cols(), n: n, it: it, stats: stats}
 }
 
 // Columns returns the result schema.
-func (r *Rows) Columns() []string { return r.rel.Cols() }
+func (r *Rows) Columns() []string { return r.cols }
 
-// Len returns the total number of result rows (known up front: the
-// distributed union/distinct has already materialized the interned result;
-// only string decoding is lazy).
-func (r *Rows) Len() int { return r.rel.Len() }
+// Len returns the total number of result rows (known up front: execution
+// has finished and counted the interned result; only string decoding is
+// lazy).
+func (r *Rows) Len() int { return r.n }
 
 // Next advances to the next row, returning false when the cursor is
 // exhausted or closed. It must be called before the first Scan.
@@ -125,7 +130,7 @@ func (r *Rows) Strings() []string {
 	arity := len(r.cur)
 	if len(r.block) < arity {
 		// Rows left from the current one on, this one included.
-		n := min(renderBlockRows, r.rel.Len()-r.pos+1)
+		n := min(renderBlockRows, r.n-r.pos+1)
 		r.block = make([]string, n*arity)
 	}
 	out := r.block[:arity:arity]
@@ -164,8 +169,8 @@ func (r *Rows) Stats() QueryStats { return r.stats }
 // reproduces the old Query behavior exactly; after some Next calls it
 // returns only the rows not yet visited.
 func (r *Rows) Collect() (*Result, error) {
-	res := &Result{Columns: r.rel.Cols(), Stats: r.stats}
-	if n := r.rel.Len() - r.pos; n > 0 {
+	res := &Result{Columns: r.cols, Stats: r.stats}
+	if n := r.n - r.pos; n > 0 {
 		res.Rows = make([][]string, 0, n)
 	}
 	for r.Next() {

@@ -30,7 +30,7 @@ func TestRowsStringsRowsIndependent(t *testing.T) {
 	const n = 700 // at arity 2, three blocks of at most 255 rows
 	d, rel := renderFixture(n)
 
-	rows := newRows(d, rel, QueryStats{})
+	rows := newRows(d, core.ScanRelation(rel), rel.Len(), QueryStats{})
 	var kept, want [][]string
 	for i := 0; rows.Next(); i++ {
 		var x, y string
@@ -66,7 +66,7 @@ func TestRowsStringsRowsIndependent(t *testing.T) {
 	// renderBlockRows, so a 1-row result allocates a 1-row block.
 	one := core.NewRelation("x", "y")
 	one.Add([]core.Value{0, 1})
-	r1 := newRows(d, one, QueryStats{})
+	r1 := newRows(d, core.ScanRelation(one), one.Len(), QueryStats{})
 	if !r1.Next() {
 		t.Fatal("1-row cursor yielded no row")
 	}
@@ -79,11 +79,11 @@ func TestRowsStringsRowsIndependent(t *testing.T) {
 
 	// Collect equals the per-row path and is sized to the rows left.
 	var perRow [][]string
-	rows = newRows(d, rel, QueryStats{})
+	rows = newRows(d, core.ScanRelation(rel), rel.Len(), QueryStats{})
 	for rows.Next() {
 		perRow = append(perRow, rows.Strings())
 	}
-	res, err := newRows(d, rel, QueryStats{}).Collect()
+	res, err := newRows(d, core.ScanRelation(rel), rel.Len(), QueryStats{}).Collect()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestRowsRenderAllocs(t *testing.T) {
 	const n = 10000
 	d, rel := renderFixture(n)
 	allocs := testing.AllocsPerRun(3, func() {
-		rows := newRows(d, rel, QueryStats{})
+		rows := newRows(d, core.ScanRelation(rel), rel.Len(), QueryStats{})
 		for rows.Next() {
 			renderSink = rows.Strings()
 		}
