@@ -98,6 +98,56 @@ func TestFaultRetryAllPlans(t *testing.T) {
 	}
 }
 
+// TestHeartbeatRecoversPartitionedWorker: the engine hands its heartbeat
+// options to the cluster. A worker partitioned mid-query raises no error
+// anywhere — its frames just stop — so only the prober can declare it
+// dead; the query must then finish on the survivors through a retry, with
+// the fault-free rows, before the deadline. The timeout is 100 probe
+// intervals: at 10, the race detector's pauses got healthy workers
+// declared dead too.
+func TestHeartbeatRecoversPartitionedWorker(t *testing.T) {
+	e := openTest(t, Options{Workers: 3, MaxQueryRetries: 3, RetryBackoff: time.Millisecond,
+		HeartbeatInterval: 2 * time.Millisecond, HeartbeatTimeout: 200 * time.Millisecond})
+	faultTestGraph(e)
+	q := "?x,?y <- ?x e+ ?y"
+	probe := cluster.NewFaultPlan()
+	e.Cluster().InjectFaults(probe)
+	want := collect(t, e, q, WithPlan(PlanGld))
+	total := probe.Phases()
+	if total < 2 {
+		t.Fatalf("query ran only %d phases; cannot partition mid-execution", total)
+	}
+
+	part := cluster.NewFaultPlan()
+	part.PartitionWorkerID = 1
+	part.PartitionAtPhase = total/2 + 1
+	e.Cluster().InjectFaults(part)
+	defer e.Cluster().InjectFaults(nil)
+	type outcome struct {
+		res *Result
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		res, err := e.QueryCollect(context.Background(), q, WithPlan(PlanGld))
+		done <- outcome{res, err}
+	}()
+	select {
+	case o := <-done:
+		if o.err != nil {
+			t.Fatal(o.err)
+		}
+		if canonical(o.res) != canonical(want) {
+			t.Fatalf("recovered result differs from fault-free run: %d vs %d rows", len(o.res.Rows), len(want.Rows))
+		}
+		if o.res.Stats.RecoveredWorkers < 1 {
+			t.Fatalf("RecoveredWorkers = %d, want the partitioned worker recovered", o.res.Stats.RecoveredWorkers)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("partitioned worker hung the query; the engine's heartbeat did not fire")
+	}
+}
+
 // TestRetryDisabled: negative MaxQueryRetries turns retries off — the
 // typed worker failure surfaces directly.
 func TestRetryDisabled(t *testing.T) {

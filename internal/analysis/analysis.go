@@ -1,21 +1,14 @@
 // Package analysis is a dependency-free reimplementation of the core of
 // golang.org/x/tools/go/analysis: just enough driver surface to write
-// muralint's invariant analyzers against the familiar Analyzer/Pass API
+// muralint's invariant analyzer against the familiar Analyzer/Pass API
 // without pulling x/tools into the module.
 //
-// The analyzers under this directory encode invariants the codebase has
-// historically re-learned the hard way at runtime (drain loops that
-// outlive their context, channel sends under a mutex). Resource
-// lifetimes (accumulators, evaluators, gauge charges, spill mappings)
-// are checked at runtime by the differential harness instead (see
-// internal/testkit). The analyzers run in two modes:
-//
-//   - directly, via `go run ./cmd/muralint ./...`, which loads and
-//     type-checks packages itself (see load.go); and
-//   - under `go vet -vettool=<muralint>`, which drives one package at a
-//     time through the unitchecker .cfg protocol (see cmd/muralint).
-//
-// Both modes end at Run below.
+// The one analyzer under this directory, locksend, encodes an invariant
+// no runtime test catches: a blocking channel operation under a mutex.
+// Cancellation of long-running loops and resource lifetimes
+// (accumulators, evaluators, gauge charges, spill mappings) are checked
+// at runtime by tests instead. `go run ./cmd/muralint ./...` loads and
+// type-checks the packages (see load.go) and ends at Run below.
 package analysis
 
 import (
@@ -119,16 +112,4 @@ func Run(analyzers []*Analyzer, fset *token.FileSet, files []*ast.File, pkg *typ
 		return a.Message < b.Message
 	})
 	return diags, nil
-}
-
-// NewInfo returns a types.Info with every map the analyzers need.
-func NewInfo() *types.Info {
-	return &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Implicits:  make(map[ast.Node]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Scopes:     make(map[ast.Node]*types.Scope),
-	}
 }

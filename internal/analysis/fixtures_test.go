@@ -8,30 +8,21 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/analysistest"
-	"repro/internal/analysis/ctxloop"
 	"repro/internal/analysis/locksend"
 )
 
-func allAnalyzers() []*analysis.Analyzer {
-	return []*analysis.Analyzer{
-		ctxloop.Analyzer,
-		locksend.Analyzer,
-	}
-}
-
-// TestFixtures runs both analyzers over the seeded fixture module
-// and checks their diagnostics against the want comments — in both
-// directions: every seeded violation fires, every clean counterpart
-// (and the stub packages themselves) stays silent.
+// TestFixtures runs locksend over the seeded fixture module and checks
+// its diagnostics against the want comments — in both directions: every
+// seeded violation fires, every clean counterpart stays silent.
 func TestFixtures(t *testing.T) {
-	analysistest.Run(t, filepath.Join("testdata", "src"), allAnalyzers(), "fix/...")
+	analysistest.Run(t, filepath.Join("testdata", "src"), []*analysis.Analyzer{locksend.Analyzer}, "fix/...")
 }
 
-// TestMuralintBinaryFlagsFixtures builds the real multichecker binary
-// and points it at the fixture module: it must exit 2 (diagnostics
-// found) and report through both analyzers. This is the end-to-end
-// proof behind the CI gate — the same binary exiting 0 on the main
-// module is what keeps the repository invariant-clean.
+// TestMuralintBinaryFlagsFixtures builds the real muralint binary and
+// points it at the fixture module: it must exit 2 (diagnostics found)
+// and report through locksend. This is the end-to-end proof behind the
+// CI gate — the same binary exiting 0 on the main module is what keeps
+// the repository invariant-clean.
 func TestMuralintBinaryFlagsFixtures(t *testing.T) {
 	bin := filepath.Join(t.TempDir(), "muralint")
 	build := exec.Command("go", "build", "-o", bin, "./cmd/muralint")
@@ -47,9 +38,7 @@ func TestMuralintBinaryFlagsFixtures(t *testing.T) {
 	if !ok || ee.ExitCode() != 2 {
 		t.Fatalf("muralint on seeded fixtures: err=%v, want exit status 2\noutput:\n%s", err, out)
 	}
-	for _, name := range []string{"ctxloop", "locksend"} {
-		if !strings.Contains(string(out), name+":") {
-			t.Errorf("muralint output has no %s diagnostics:\n%s", name, out)
-		}
+	if !strings.Contains(string(out), "locksend:") {
+		t.Errorf("muralint output has no locksend diagnostics:\n%s", out)
 	}
 }

@@ -124,29 +124,24 @@ func typecheckListed(p *listPackage, exportFile map[string]string) (*LoadedPacka
 		f, ok := exportFile[path]
 		return f, ok
 	})
-	pkg, info, err := Typecheck(p.ImportPath, fset, files, imp)
-	if err != nil {
-		return nil, err
+	info := &types.Info{
+		Types:      make(map[ast.Expr]types.TypeAndValue),
+		Defs:       make(map[*ast.Ident]types.Object),
+		Uses:       make(map[*ast.Ident]types.Object),
+		Implicits:  make(map[ast.Node]types.Object),
+		Selections: make(map[*ast.SelectorExpr]*types.Selection),
+		Scopes:     make(map[ast.Node]*types.Scope),
 	}
-	return &LoadedPackage{ImportPath: p.ImportPath, Fset: fset, Files: files, Pkg: pkg, Info: info}, nil
-}
-
-// Typecheck type-checks one package's parsed files with the given
-// importer. Shared by Load (direct mode) and the unitchecker path in
-// cmd/muralint, which supplies its own importer built from the .cfg
-// import map.
-func Typecheck(importPath string, fset *token.FileSet, files []*ast.File, imp types.Importer) (*types.Package, *types.Info, error) {
-	info := NewInfo()
 	conf := types.Config{
 		Importer: imp,
 		Sizes:    types.SizesFor("gc", "amd64"),
 		Error:    func(error) {}, // collect via returned err; keep going for soft errors
 	}
-	pkg, err := conf.Check(importPath, fset, files, info)
+	pkg, err := conf.Check(p.ImportPath, fset, files, info)
 	if err != nil {
-		return nil, nil, fmt.Errorf("typecheck %s: %w", importPath, err)
+		return nil, fmt.Errorf("typecheck %s: %w", p.ImportPath, err)
 	}
-	return pkg, info, nil
+	return &LoadedPackage{ImportPath: p.ImportPath, Fset: fset, Files: files, Pkg: pkg, Info: info}, nil
 }
 
 // exportImporter returns a types.Importer that reads gc export data

@@ -1,57 +1,8 @@
-// Package cluster seeds ctxloop and locksend violations: its import
-// path ends in "cluster", which is on both analyzers' scopes.
+// Package cluster seeds locksend violations: its import path ends in
+// "cluster", which is on the analyzer's scope.
 package cluster
 
-import (
-	"context"
-	"sync"
-)
-
-var spins int
-
-// spin never looks at its cancellation signal.
-func spin(ctx context.Context) {
-	for { // want `unbounded loop never checks ctx/stop cancellation`
-		spins++
-	}
-}
-
-// pump is the clean counterpart: the loop selects on ctx.Done.
-func pump(ctx context.Context, ch chan int) {
-	for {
-		select {
-		case <-ch:
-		case <-ctx.Done():
-			return
-		}
-	}
-}
-
-// Session is a cancellable handle (it has an Err method).
-type Session struct{ n int }
-
-// Next advances the cursor.
-func (s *Session) Next() bool { return s.n > 0 }
-
-// Err reports the session's cancellation state.
-func (s *Session) Err() error { return nil }
-
-func (s *Session) pending() int { return s.n }
-func (s *Session) step()        { s.n-- }
-
-// drain walks a materialized cursor: the `for Next()` idiom is exempt.
-func drain(s *Session) {
-	for s.Next() {
-		s.step()
-	}
-}
-
-// spinUntilEmpty polls a condition without ever checking cancellation.
-func spinUntilEmpty(s *Session) {
-	for s.pending() > 0 { // want `unbounded loop never checks ctx/stop cancellation`
-		s.step()
-	}
-}
+import "sync"
 
 type notifier struct {
 	mu sync.Mutex

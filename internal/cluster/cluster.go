@@ -343,32 +343,15 @@ func (c *Cluster) failSessionOf(msg *DataMsg, to int, err error) {
 }
 
 // Dataset is a handle to a relation partitioned across the workers (the
-// RDD/Dataset analog). PartitionedBy records the hash partitioner columns
-// when known (nil means unknown/round-robin).
+// RDD/Dataset analog).
 type Dataset struct {
-	c             *Cluster
-	id            int64
-	cols          []string
-	PartitionedBy []string
-	// disjoint records that no row occurs in two partitions, so their
-	// concatenation is already a set and Collect appends frames instead of
-	// re-hashing them. Parallelize (any split of a set) and Distinct set
-	// it; SetPartition clears it, since the cluster cannot know what the
-	// plan stored; a plan that can prove its partitions disjoint (rows
-	// routed by row hash, or by stable columns — Prop. 3) says so with
-	// MarkDisjoint.
-	disjoint atomic.Bool
+	c    *Cluster
+	id   int64
+	cols []string
 }
 
 // Cols returns the dataset schema.
 func (d *Dataset) Cols() []string { return d.cols }
-
-// Disjoint reports whether the partitions are known to share no row.
-func (d *Dataset) Disjoint() bool { return d.disjoint.Load() }
-
-// MarkDisjoint asserts that the partitions currently stored share no row.
-// Call it after the phase that stored them; a later SetPartition clears it.
-func (d *Dataset) MarkDisjoint() { d.disjoint.Store(true) }
 
 // Broadcast is a handle to a relation replicated on every worker.
 type Broadcast struct {
@@ -483,13 +466,11 @@ func (ctx *Ctx) Partition(ds *Dataset) *core.Relation {
 	return core.NewRelation(ds.cols...)
 }
 
-// SetPartition replaces this worker's partition of ds. The dataset is no
-// longer known to be disjoint (see Dataset.MarkDisjoint).
+// SetPartition replaces this worker's partition of ds.
 func (ctx *Ctx) SetPartition(ds *Dataset, rel *core.Relation) {
 	if !core.ColsEqual(rel.Cols(), ds.cols) {
 		panic(fmt.Sprintf("cluster: partition schema %v does not match dataset %v", rel.Cols(), ds.cols))
 	}
-	ds.disjoint.Store(false)
 	ctx.w.mu.Lock()
 	ctx.w.store[ds.id] = rel
 	ctx.w.mu.Unlock()
@@ -876,11 +857,9 @@ func (c *Cluster) NewDataset(cols ...string) *Dataset {
 // Parallelize splits rel across the workers and ships each partition to its
 // worker (scatter). With byCols non-nil the split hashes on those columns —
 // the stable-column partitioning of §III-B; otherwise rows go round-robin.
-// Either way the partitions of a set are disjoint, and the dataset says so.
 func (s *Session) Parallelize(rel *core.Relation, byCols []string) (*Dataset, error) {
 	c := s.c
 	ds := c.NewDataset(rel.Cols()...)
-	ds.PartitionedBy = byCols
 	// Split across the session's members: after a recovery the surviving
 	// workers absorb the lost partitions' rows (re-partitioning is simply
 	// re-scattering the driver-held relation onto the new membership).
@@ -919,7 +898,6 @@ func (s *Session) Parallelize(rel *core.Relation, byCols []string) (*Dataset, er
 	if err != nil {
 		return nil, err
 	}
-	ds.MarkDisjoint()
 	return ds, nil
 }
 
@@ -1081,18 +1059,15 @@ func (s *Session) Gather(cols []string, f func(ctx *Ctx, ship func(Source) error
 }
 
 // Collect gathers all partitions of ds on the driver into one relation,
-// sized once from the gathered frames. The frames of a dataset known to
-// be disjoint are appended (no row is hashed, the result's dedup set is
-// deferred); any other dataset is merged with set semantics.
+// sized once from the gathered frames and merged with set semantics.
 func (s *Session) Collect(ds *Dataset) (*core.Relation, error) {
-	disjoint := ds.Disjoint()
 	fr, err := s.Gather(ds.cols, func(ctx *Ctx, ship func(Source) error) error {
 		return ship(ctx.Partition(ds))
 	})
 	if err != nil {
 		return nil, err
 	}
-	return fr.Relation(disjoint), nil
+	return fr.Relation(false), nil
 }
 
 // Frames is a transfer the driver gathered, held as its frames arrived:
@@ -1180,7 +1155,6 @@ func (s *Session) Distinct(ds *Dataset) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	out.MarkDisjoint()
 	return out, nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 )
@@ -221,4 +222,48 @@ func TestResidentBroadcastSingleSend(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestResidentBroadcastWaiterHonorsCancel: a session waiting on another
+// session's send of a resident broadcast stops waiting once its own
+// context is cancelled, instead of riding out the send. The owner's first
+// frame is held back for a second, so its send is still in flight when
+// the cancelled waiter asks for the same copy.
+func TestResidentBroadcastWaiterHonorsCancel(t *testing.T) {
+	c := newTestCluster(t, TransportChan, 2)
+	rel := randomRel(rand.New(rand.NewSource(8)), 100, 30)
+	stall := NewFaultPlan()
+	stall.DelayFrameAt, stall.Delay = 1, time.Second
+	c.InjectFaults(stall)
+	defer c.InjectFaults(nil)
+	filled := make(chan error, 1)
+	go func() {
+		_, release, err := session(t, c).AcquireBroadcast("G", rel)
+		if err == nil {
+			release()
+		}
+		filled <- err
+	}()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		c.residents.mu.Lock()
+		_, sending := c.residents.byName["G"]
+		c.residents.mu.Unlock()
+		if sending {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the owner never registered its copy")
+		}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	waiter := c.NewSession(ctx)
+	defer waiter.Close()
+	if _, _, err := waiter.AcquireBroadcast("G", rel); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled waiter: want context.Canceled, got %v", err)
+	}
+	if err := <-filled; err != nil {
+		t.Fatalf("owner: %v", err)
+	}
 }

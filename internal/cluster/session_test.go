@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -162,9 +163,10 @@ func TestSessionMetricsExact(t *testing.T) {
 	}
 }
 
-// TestSessionCancelAbortsBarrier parks one worker before its Exchange so
-// its peers wait at the barrier, then cancels the session: every worker
-// must return promptly with context.Canceled instead of deadlocking.
+// TestSessionCancelAbortsBarrier parks one worker so its peers wait at
+// the barrier for frames it never sends, then cancels the session: only
+// the context can wake the waiting mailboxes, and every worker must
+// return promptly with context.Canceled instead of deadlocking.
 func TestSessionCancelAbortsBarrier(t *testing.T) {
 	transports(t, 3, func(t *testing.T, c *Cluster) {
 		ctx, cancel := context.WithCancel(context.Background())
@@ -183,21 +185,27 @@ func TestSessionCancelAbortsBarrier(t *testing.T) {
 			time.Sleep(30 * time.Millisecond)
 			cancel()
 		}()
-		start := time.Now()
-		err = s.RunPhase(func(ctx *Ctx) error {
-			if ctx.WorkerID() == 0 {
-				// Park worker 0 past the cancel; its peers reach the
-				// barrier first and must be unblocked by the context.
-				<-ctx.Context().Done()
-			}
-			_, err := ctx.Exchange(ctx.Partition(ds), nil)
-			return err
-		})
+		phase := make(chan error, 1)
+		go func() {
+			phase <- s.RunPhase(func(ctx *Ctx) error {
+				if ctx.WorkerID() == 0 {
+					// Park worker 0 past the cancel and leave without
+					// sending: its peers reach the barrier first and
+					// must be unblocked by the context.
+					<-ctx.Context().Done()
+					return ctx.Context().Err()
+				}
+				_, err := ctx.Exchange(ctx.Partition(ds), nil)
+				return err
+			})
+		}()
+		select {
+		case err = <-phase:
+		case <-time.After(5 * time.Second):
+			t.Fatal("cancelled barrier still blocked after 5s")
+		}
 		if err == nil || !errors.Is(err, context.Canceled) {
 			t.Fatalf("want context.Canceled from the barrier, got %v", err)
-		}
-		if elapsed := time.Since(start); elapsed > 5*time.Second {
-			t.Fatalf("cancelled barrier took %v to unblock", elapsed)
 		}
 		// The cluster stays usable for later sessions.
 		if _, err := session(t, c).Collect(ds); err != nil {
@@ -217,5 +225,60 @@ func TestCancelledSessionRefusesPhases(t *testing.T) {
 	err := s.RunPhase(func(ctx *Ctx) error { return nil })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
+	}
+}
+
+// cancelOnErr is a context that cancels itself on the nth call of its
+// Err, so a cancel lands at a poll rather than at a moment in time.
+type cancelOnErr struct {
+	context.Context
+	n      atomic.Int64
+	cancel context.CancelFunc
+}
+
+func (c *cancelOnErr) Err() error {
+	if c.n.Add(-1) == 0 {
+		c.cancel()
+	}
+	return c.Context.Err()
+}
+
+// TestCancelBetweenFramesFailsReceivers: a mailbox hands out a frame that
+// is already queued without looking at the context, so the receive loops
+// of a scatter and of a shuffle barrier poll the session before every
+// frame. Here the session cancels itself at the first such poll — after
+// RunPhase's own check — while every frame still arrives: the transfer
+// must fail with context.Canceled instead of completing.
+func TestCancelBetweenFramesFailsReceivers(t *testing.T) {
+	c := newTestCluster(t, TransportChan, 3)
+	rel := core.NewRelation(core.ColSrc, core.ColTrg)
+	for i := 0; i < 3*core.BatchRowsFor(2); i++ {
+		rel.Add([]core.Value{core.Value(i), core.Value(i + 1)})
+	}
+	cancelling := func() *Session {
+		parent, cancel := context.WithCancel(context.Background())
+		t.Cleanup(cancel)
+		ctx := &cancelOnErr{Context: parent, cancel: cancel}
+		ctx.n.Store(2)
+		s := c.NewSession(ctx)
+		t.Cleanup(s.Close)
+		return s
+	}
+
+	if _, err := cancelling().Parallelize(rel, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("scatter: want context.Canceled, got %v", err)
+	}
+
+	ds, err := session(t, c).Parallelize(rel, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Free(ds)
+	err = cancelling().RunPhase(func(ctx *Ctx) error {
+		_, err := ctx.Exchange(ctx.Partition(ds), nil)
+		return err
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("shuffle: want context.Canceled, got %v", err)
 	}
 }

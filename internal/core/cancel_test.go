@@ -3,45 +3,81 @@ package core
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 )
 
-// TestRunFixpointCancelled: a cancelled context aborts the semi-naive loop
-// at its per-iteration check with ctx.Err(), for both the streaming and
-// the materializing evaluator.
+// cancelOnErr is a context that cancels itself on the nth call of its
+// Err. In a local fixpoint only the loop's poll between iterations calls
+// Err — the drain watches Done — so the nth call lands after iteration
+// n-1, at a point that does not depend on timing.
+type cancelOnErr struct {
+	context.Context
+	n      atomic.Int64
+	cancel context.CancelFunc
+}
+
+func (c *cancelOnErr) Err() error {
+	if c.n.Add(-1) == 0 {
+		c.cancel()
+	}
+	return c.Context.Err()
+}
+
+// TestRunFixpointCancelled: both semi-naive loops poll ev.Ctx before
+// every iteration, so a context cancelled before Eval aborts the loop at
+// its first poll, and one cancelled after iteration k stops it there,
+// where the chain's closure would otherwise run one iteration per edge.
+// Either way Eval returns context.Canceled, for the streaming and the
+// materializing evaluator.
 func TestRunFixpointCancelled(t *testing.T) {
 	env := NewEnv()
 	env.Bind("E", chainRelation(64))
 	term := ClosureLR("X", &Var{Name: "E"})
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
 	for _, materializing := range []bool{false, true} {
-		ev := NewEvaluator(env)
-		ev.Ctx = ctx
-		ev.Materializing = materializing
-		_, err := ev.Eval(term)
-		ev.Close()
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("materializing=%v: want context.Canceled, got %v", materializing, err)
+		for _, k := range []int{0, 3} {
+			parent, cancel := context.WithCancel(context.Background())
+			ctx := &cancelOnErr{Context: parent, cancel: cancel}
+			ctx.n.Store(int64(k) + 1)
+			if k == 0 {
+				cancel()
+			}
+			ev := NewEvaluator(env)
+			ev.Ctx = ctx
+			ev.Materializing = materializing
+			_, err := ev.Eval(term)
+			iters := ev.Stats.FixpointIterations
+			ev.Close()
+			cancel()
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("materializing=%v, k=%d: want context.Canceled, got %v", materializing, k, err)
+			}
+			if iters != k {
+				t.Fatalf("materializing=%v, k=%d: stopped after %d iterations", materializing, k, iters)
+			}
 		}
 	}
 }
 
 // TestParallelDrainCtxCancelled: a cancelled context stops the drain
-// between batches and surfaces ctx.Err(); a nil context never cancels.
+// between batches and surfaces ctx.Err(), both on the sequential path and
+// on the worker pool; a nil context never cancels.
 func TestParallelDrainCtxCancelled(t *testing.T) {
 	rel := chainRelation(BatchRowsFor(2) * 6)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	sink := NewAccumulator(nil, ColSrc, ColTrg)
-	_, err := ParallelDrainCtx(ctx, []Iterator{ScanRelation(rel)}, 1, []*Accumulator{sink}, 0)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("want context.Canceled, got %v", err)
+	for _, workers := range []int{1, 2} {
+		sink := NewAccumulator(nil, ColSrc, ColTrg)
+		its := []Iterator{ScanRelation(rel.Slice(0, rel.Len()/2)), ScanRelation(rel.Slice(rel.Len()/2, rel.Len()))}
+		_, err := ParallelDrainCtx(ctx, its, workers, []*Accumulator{sink}, 0)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: want context.Canceled, got %v", workers, err)
+		}
+		if sink.Len() >= rel.Len() {
+			t.Fatalf("workers=%d: cancelled drain consumed the whole input (%d rows)", workers, sink.Len())
+		}
+		sink.Close()
 	}
-	if sink.Len() >= rel.Len() {
-		t.Fatalf("cancelled drain consumed the whole input (%d rows)", sink.Len())
-	}
-	sink.Close()
 
 	sink2 := NewAccumulator(nil, ColSrc, ColTrg)
 	defer sink2.Close()

@@ -32,8 +32,8 @@ import (
 //
 // Past the sink, set-ness travels with the data instead of being
 // re-established: an Accumulator is shipped or materialized by block
-// copy, a cluster.Dataset records that its partitions are disjoint so
-// Collect appends frames, and duplicated frames are dropped by their ordinal, not
+// copy, the frames of provably disjoint fixpoint partitions are appended
+// on the driver, and duplicated frames are dropped by their ordinal, not
 // absorbed by re-hashing (see ARCHITECTURE.md, "Set discipline").
 
 // BatchBudgetValues is the per-batch value budget: batches target about

@@ -25,7 +25,7 @@ import (
 //
 // The dedup set may be deferred: a relation filled from rows that are
 // distinct by construction (AppendDistinct — a duplicate-free stream, an
-// accumulator's shards, the frames of a disjoint dataset, a Slice view)
+// accumulator's shards, the frames of a disjoint gather, a Slice view)
 // stores the rows only, and the set is built by the first operation that
 // needs it (Has, Add, Remove, Clone of a built set, Equal). Most results
 // are only ever scanned and never pay for it.
@@ -230,7 +230,7 @@ func (r *Relation) Add(row []Value) bool {
 
 // AppendDistinct bulk-appends the rows of b, which the caller guarantees
 // are absent from r and distinct among themselves — a duplicate-free
-// stream, a frame of a disjoint dataset, a window of accumulator rows. It
+// stream, a frame of a disjoint gather, a window of accumulator rows. It
 // is one memcpy of the flat row block, with the dedup set deferred to the
 // first operation that needs it; once that set exists, later appends extend
 // it (one insert per row, no membership probe). A nil batch is a no-op.

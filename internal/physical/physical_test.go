@@ -1,7 +1,10 @@
 package physical
 
 import (
+	"context"
+	"errors"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/cluster"
@@ -233,6 +236,75 @@ func TestGldShufflesEveryIteration(t *testing.T) {
 	}
 	if rep.Fixpoints[0].Iterations < 2 {
 		t.Fatalf("degenerate recursion: %d iterations", rep.Fixpoints[0].Iterations)
+	}
+}
+
+// cancelAfterIteration is the context of a one-worker Pgld session that
+// cancels itself between iterations k and k+1. Step k's drain — a Done
+// call while the session has counted k-1 shuffles — notes how many phases
+// the plan has asked for so far; the first Err call after the kth shuffle
+// cancels. A one-worker shuffle has no barrier that polls, so that call
+// is the driver's, made between the two phases.
+type cancelAfterIteration struct {
+	context.Context
+	cancel context.CancelFunc
+	sess   *cluster.Session
+	faults *cluster.FaultPlan
+	k      int64
+	asked  atomic.Int64 // phases asked for when step k ran
+}
+
+func (c *cancelAfterIteration) shuffles() int64 { return c.sess.Metrics().ShufflePhases.Load() }
+
+func (c *cancelAfterIteration) Done() <-chan struct{} {
+	if c.sess != nil && c.shuffles() == c.k-1 {
+		c.asked.CompareAndSwap(0, c.faults.Phases())
+	}
+	return c.Context.Done()
+}
+
+func (c *cancelAfterIteration) Err() error {
+	if c.sess != nil && c.shuffles() == c.k {
+		c.cancel()
+	}
+	return c.Context.Err()
+}
+
+// TestPgldStopsBetweenIterations: Pgld's driver loop polls the session
+// before it asks for each iteration's phase, so a query cancelled after
+// iteration k returns context.Canceled without asking for another phase.
+// An installed fault plan counts every phase asked for, refused or not;
+// the closure of a 20-edge chain would take 20 iterations.
+func TestPgldStopsBetweenIterations(t *testing.T) {
+	const k = 3
+	c := newTestCluster(t, cluster.TransportChan, 1)
+	faults := cluster.NewFaultPlan()
+	c.InjectFaults(faults)
+	defer c.InjectFaults(nil)
+	edges := core.NewRelation(core.ColSrc, core.ColTrg)
+	for i := 0; i < 20; i++ {
+		edges.Add([]core.Value{core.Value(i), core.Value(i + 1)})
+	}
+	env := core.NewEnv()
+	env.Bind("E", edges)
+	env.Bind("S", edges.Slice(0, 1))
+
+	parent, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ctx := &cancelAfterIteration{Context: parent, cancel: cancel, faults: faults, k: k}
+	s := c.NewSession(ctx)
+	defer s.Close()
+	ctx.sess = s
+	p := NewSessionPlanner(s, env)
+	p.Force = Gld
+	if _, _, err := p.Execute(reachTerm()); !errors.Is(err, context.Canceled) {
+		t.Fatalf("want context.Canceled, got %v", err)
+	}
+	if n := ctx.shuffles(); n != k {
+		t.Fatalf("cancelled after iteration %d, the run shuffled %d times", k, n)
+	}
+	if by, all := ctx.asked.Load(), faults.Phases(); by == 0 || all != by {
+		t.Fatalf("the run asked for %d phases by iteration %d and %d in all: a cancelled run must ask for none after", by, k, all)
 	}
 }
 

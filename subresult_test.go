@@ -617,8 +617,13 @@ func TestConcurrentSubResultCancelWait(t *testing.T) {
 		t.Fatal("waiter never blocked on the in-flight entry")
 	}
 	cancel()
-	if err := <-done; err != context.Canceled {
-		t.Fatalf("waiter error = %v, want context.Canceled", err)
+	select {
+	case err := <-done:
+		if err != context.Canceled {
+			t.Fatalf("waiter error = %v, want context.Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("cancelled waiter still blocked after 5s")
 	}
 	// The leader still completes normally afterwards.
 	rel := core.NewRelation("?x")

@@ -205,6 +205,44 @@ func TestWatchCancellation(t *testing.T) {
 	w.Close()
 }
 
+// TestWatchCancelEndsBlockedDelivery: a subscriber that stops reading
+// leaves the subscription parked on a delivery — the channel holds one
+// delta — and cancelling the context must still end it.
+func TestWatchCancelEndsBlockedDelivery(t *testing.T) {
+	eng := openTest(t, Options{Workers: 2})
+	eng.UseGraph(subTestGraph())
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	w, err := eng.Watch(ctx, "?x,?y <- ?x knows+ ?y")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The initial delta fills the channel, so the delete's delta has
+	// nowhere to go once the cache has refreshed the closure for it.
+	deadline := time.Now().Add(10 * time.Second)
+	for len(w.C) == 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	before := eng.SubResultCacheStats().Refreshes
+	eng.DeleteTriple("n10", "knows", "n11")
+	for eng.SubResultCacheStats().Refreshes == before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	// Nothing marks the moment the delivery parks. A cancel that lands
+	// before it ends the subscription in its evaluation instead, which
+	// passes too; the pause makes the parked delivery the case tested.
+	time.Sleep(50 * time.Millisecond)
+	cancel()
+	select {
+	case <-w.done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("cancel did not end a subscription parked on its delivery")
+	}
+	if w.Err() != nil {
+		t.Errorf("context cancellation reported error: %v", w.Err())
+	}
+}
+
 // checkDRedWindow asserts that the delivery d, covering a removal window
 // that started at cache stats before, was served by the shared cache's
 // in-place maintenance: a sub-result hit, a refresh, no invalidation.
