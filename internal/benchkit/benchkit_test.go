@@ -212,17 +212,26 @@ func TestRunMuRAPlanReporting(t *testing.T) {
 func TestBudgetTimeoutProducesTimeout(t *testing.T) {
 	b := Budget{Timeout: time.Millisecond, Workers: 2}
 	aborted := make(chan error, 1)
-	res := runWithBudget(b, cluster.TransportChan, func(s *cluster.Session) (*Result, error) {
-		err := s.RunPhase(func(ctx *cluster.Ctx) error {
-			if ctx.WorkerID() != 0 {
-				return nil
-			}
-			_, err := ctx.Exchange(core.NewRelation(core.ColSrc), nil)
-			return err
+	done := make(chan *Result, 1)
+	go func() {
+		done <- runWithBudget(b, cluster.TransportChan, func(s *cluster.Session) (*Result, error) {
+			err := s.RunPhase(func(ctx *cluster.Ctx) error {
+				if ctx.WorkerID() != 0 {
+					return nil
+				}
+				_, err := ctx.Exchange(core.NewRelation(core.ColSrc), nil)
+				return err
+			})
+			aborted <- err
+			return &Result{}, err
 		})
-		aborted <- err
-		return &Result{}, err
-	})
+	}()
+	var res *Result
+	select {
+	case res = <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("run blocked past its 1ms budget still running after 10s")
+	}
 	if !res.TimedOut || res.Cell() != "T/O" {
 		t.Fatalf("run outliving its budget reported as %q (%+v)", res.Cell(), res)
 	}

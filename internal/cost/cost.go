@@ -119,6 +119,9 @@ func (e *Estimate) clampDistinct() {
 	}
 }
 
+// maxFixpointIters bounds the simulated geometric growth of a fixpoint.
+const maxFixpointIters = 64
+
 // Estimator estimates µ-RA term cardinalities and costs against a catalog.
 //
 // An estimator memoizes the estimate of every subterm that mentions no
@@ -128,9 +131,6 @@ func (e *Estimate) clampDistinct() {
 // contain it. Memoized estimates are shared and never modified.
 type Estimator struct {
 	Cat *Catalog
-	// MaxFixpointIters bounds the simulated geometric growth of fixpoint
-	// estimation (default 64).
-	MaxFixpointIters int
 
 	memo map[core.Term]*Estimate
 	free map[core.Term][]string // free variables, sorted
@@ -138,7 +138,7 @@ type Estimator struct {
 
 // NewEstimator returns an estimator over cat.
 func NewEstimator(cat *Catalog) *Estimator {
-	return &Estimator{Cat: cat, MaxFixpointIters: 64}
+	return &Estimator{Cat: cat}
 }
 
 // Estimate computes the profile of t. Recursion variables of enclosing
@@ -531,15 +531,11 @@ func (es *Estimator) estimateFixpoint(fp *core.Fixpoint, bound map[string]*Estim
 			break
 		}
 	}
-	maxIters := es.MaxFixpointIters
-	if maxIters <= 0 {
-		maxIters = 64
-	}
 	total := seed.Rows
 	delta := seed.Rows
 	cost := seed.Cost
 	iters := 0
-	for iters < maxIters && delta >= 1 && total < satBound {
+	for iters < maxFixpointIters && delta >= 1 && total < satBound {
 		delta *= f
 		// Deltas shrink as the result saturates (semi-naive subtracts the
 		// accumulated set); damp geometric blow-ups.

@@ -1,19 +1,20 @@
 package rewrite
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/core"
 )
 
-// This file audits rewrite-rule applications. core.Schema checks every
-// output for well-formedness; AuditRule additionally re-checks that a
-// fired rule preserved the term's schema and that its §III side condition
-// actually held on its input, so a buggy or future rule cannot silently
-// smuggle an unsound plan into the space.
+// This file holds the side conditions the memo re-derives when it
+// certifies a rule application (memo.certify): the output must check and
+// keep the input's columns, and a rule that pushes an operator into a
+// fixpoint must have found its §III side condition true on the input, so
+// a buggy or future rule cannot silently smuggle an unsound plan into the
+// space.
 
-// Codes of the rule-audit diagnostics, beside core's checker codes.
+// Codes of the rule-certification diagnostics, beside core's checker
+// codes.
 const (
 	// CodeRuleSideCond is a fired rewrite rule whose paper side
 	// condition did not hold on the input term.
@@ -21,6 +22,8 @@ const (
 	// CodeRuleSchema is a fired rewrite rule that changed the term's
 	// output schema (every µ-RA rewrite is schema-preserving).
 	CodeRuleSchema core.Code = "rule-schema-changed"
+	// CodeRuleOutput is a fired rewrite rule whose output does not check.
+	CodeRuleOutput core.Code = "rule-output-ill-formed"
 )
 
 // VerifyErr is core.Schema's verdict on t under env, for callers that
@@ -30,62 +33,34 @@ func VerifyErr(t core.Term, env core.SchemaEnv) error {
 	return err
 }
 
-// AuditRule re-checks, after the named rewrite rule fired turning `in`
-// into `out` under env, that the transformation was sound: the output
-// checks, the schema is preserved, and — for the rules that push an
-// operator through a fixpoint — the paper's §III side condition actually
-// held on the input. A non-empty result means the candidate must be
-// discarded (and counted) rather than entered into the plan space.
-func AuditRule(name string, in, out core.Term, env core.SchemaEnv) []core.Diagnostic {
-	outCols, err := core.Schema(out, env)
-	var ce *core.CheckError
-	if errors.As(err, &ce) {
-		return ce.Diags
-	}
-	var diags []core.Diagnostic
-	if inCols, err := core.Schema(in, env); err == nil && !core.ColsEqual(inCols, outCols) {
-		diags = append(diags, core.Diagnostic{
-			Code: CodeRuleSchema, Path: "/", Term: out.String(),
-			Detail: fmt.Sprintf("rule %s changed schema %v -> %v", name, inCols, outCols),
-		})
-	}
-	if d, bad := auditSideCondition(name, in, out, env); bad {
-		diags = append(diags, d)
-	}
-	return diags
-}
-
-// auditSideCondition re-derives the per-rule side condition on the
-// input term for the three fixpoint-pushing rules. Rules without extra
-// conditions (the classical pushdowns and compositions) are covered by
-// the output check and schema preservation alone.
-func auditSideCondition(name string, in, out core.Term, env core.SchemaEnv) (core.Diagnostic, bool) {
-	fail := func(format string, args ...any) (core.Diagnostic, bool) {
-		return core.Diagnostic{Code: CodeRuleSideCond, Path: "/", Term: in.String(),
-			Detail: fmt.Sprintf("rule %s: ", name) + fmt.Sprintf(format, args...)}, true
-	}
+// sideCondition re-derives the per-rule side condition on the input term
+// for the three fixpoint-pushing rules, and says why it failed; it
+// returns "" when it held. Rules without extra conditions (the classical
+// pushdowns and compositions) are covered by the output check and schema
+// preservation alone.
+func sideCondition(name string, in, out core.Term, env core.SchemaEnv) string {
 	switch name {
 	case "filter-into-fixpoint":
 		// σf(µ(X = R ∪ φ)) → µ(X = σf(R) ∪ φ) requires cols(f) ⊆ the
 		// fixpoint's stable columns (§III distributivity).
 		f, ok := in.(*core.Filter)
 		if !ok {
-			return fail("input is not a filter")
+			return "input is not a filter"
 		}
 		fp, ok := f.T.(*core.Fixpoint)
 		if !ok {
-			return fail("filter input is not a fixpoint")
+			return "filter input is not a fixpoint"
 		}
 		d, err := core.Decompose(fp)
 		if err != nil {
-			return fail("input fixpoint does not decompose: %v", err)
+			return fmt.Sprintf("input fixpoint does not decompose: %v", err)
 		}
 		stable, err := core.StableCols(d, env)
 		if err != nil {
-			return fail("stable columns unavailable: %v", err)
+			return fmt.Sprintf("stable columns unavailable: %v", err)
 		}
 		if !subset(f.Cond.Columns(), stable) {
-			return fail("filter columns %v not all stable (stable: %v)", f.Cond.Columns(), stable)
+			return fmt.Sprintf("filter columns %v not all stable (stable: %v)", f.Cond.Columns(), stable)
 		}
 
 	case "join-into-fixpoint":
@@ -94,10 +69,10 @@ func auditSideCondition(name string, in, out core.Term, env core.SchemaEnv) (cor
 		// (§III decomposability).
 		j, ok := in.(*core.Join)
 		if !ok {
-			return fail("input is not a join")
+			return "input is not a join"
 		}
 		if !joinSideConditionHolds(j.L, j.R, env) && !joinSideConditionHolds(j.R, j.L, env) {
-			return fail("no operand orientation satisfies the stable-join/untouched-extra condition")
+			return "no operand orientation satisfies the stable-join/untouched-extra condition"
 		}
 
 	case "antiproject-into-fixpoint":
@@ -105,37 +80,37 @@ func auditSideCondition(name string, in, out core.Term, env core.SchemaEnv) (cor
 		// requires every pushed column untouched by φ.
 		ap, ok := in.(*core.AntiProject)
 		if !ok {
-			return fail("input is not an anti-projection")
+			return "input is not an anti-projection"
 		}
 		fp, ok := ap.T.(*core.Fixpoint)
 		if !ok {
-			return fail("anti-projection input is not a fixpoint")
+			return "anti-projection input is not a fixpoint"
 		}
 		pushed, ok := pushedAntiProjectCols(out)
 		if !ok {
-			return fail("output does not have the pushed µ(X = π̃(R) ∪ φ) shape")
+			return "output does not have the pushed µ(X = π̃(R) ∪ φ) shape"
 		}
 		d, err := core.Decompose(fp)
 		if err != nil {
-			return fail("input fixpoint does not decompose: %v", err)
+			return fmt.Sprintf("input fixpoint does not decompose: %v", err)
 		}
 		xCols, err := core.Schema(fp, env)
 		if err != nil {
-			return fail("input fixpoint schema unavailable: %v", err)
+			return fmt.Sprintf("input fixpoint schema unavailable: %v", err)
 		}
 		envX := env.With(d.X, xCols)
 		for _, c := range pushed {
 			if core.ColIndex(ap.Cols, c) < 0 {
-				return fail("output pushes column %q the input never dropped", c)
+				return fmt.Sprintf("output pushes column %q the input never dropped", c)
 			}
 			for _, br := range d.PhiBranches {
 				if !colsUntouchedByPhi(br, d.X, []string{c}, envX) {
-					return fail("pushed column %q is touched by the recursive part", c)
+					return fmt.Sprintf("pushed column %q is touched by the recursive part", c)
 				}
 			}
 		}
 	}
-	return core.Diagnostic{}, false
+	return ""
 }
 
 // joinSideConditionHolds checks the join-into-fixpoint condition for

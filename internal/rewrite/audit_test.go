@@ -1,6 +1,7 @@
 package rewrite
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -24,15 +25,6 @@ func closureFP() *core.Fixpoint {
 	}}
 }
 
-func hasCode(diags []core.Diagnostic, code core.Code) bool {
-	for _, d := range diags {
-		if d.Code == code {
-			return true
-		}
-	}
-	return false
-}
-
 func TestVerifyAcceptsWellFormed(t *testing.T) {
 	env := verifyEnv()
 	terms := []core.Term{
@@ -51,11 +43,45 @@ func TestVerifyAcceptsWellFormed(t *testing.T) {
 	}
 }
 
-// TestAuditRuleRejects feeds AuditRule forged rule applications — the
-// output a buggy rule would produce when its side condition is ignored —
-// and asserts each is rejected with the right code.
+// forgeRule explores in with a rule set of one rule, named rule, that
+// proposes out at the root and nothing else, so the forged application
+// goes through the memo's certification like any rule's.
+func forgeRule(env core.SchemaEnv, rule string, in, out core.Term) *Rewriter {
+	rw := NewRewriter(env)
+	fired := false
+	rw.rules = []Rule{{Name: rule, Apply: func(*Rewriter, core.Term, core.SchemaEnv) []core.Term {
+		if fired {
+			return nil
+		}
+		fired = true
+		return []core.Term{out}
+	}}}
+	rw.Explore(in)
+	return rw
+}
+
+// TestAuditRuleRejects feeds the memo's certification forged rule
+// applications — the output a buggy rule would produce when its side
+// condition is ignored — and asserts each is rejected with the right
+// code, and that LastAudit names the rule, the input and the output.
 func TestAuditRuleRejects(t *testing.T) {
 	env := verifyEnv()
+	rejects := func(t *testing.T, rule string, in, out core.Term, code core.Code) {
+		t.Helper()
+		rw := forgeRule(env, rule, in, out)
+		if rw.AuditViolations != 1 || len(rw.LastAudit) != 1 {
+			t.Fatalf("forged %s application not rejected: %d violations, %v", rule, rw.AuditViolations, rw.LastAudit)
+		}
+		d := rw.LastAudit[0]
+		if d.Code != code {
+			t.Errorf("rejected with %s, want %s: %v", d.Code, code, d)
+		}
+		m := rw.memo()
+		inStr, outStr := m.term(m.intern(in)).String(), m.term(m.intern(out)).String()
+		if d.Term != inStr || !strings.Contains(d.Detail, rule) || !strings.Contains(d.Detail, outStr) {
+			t.Errorf("diagnostic %v does not name rule %s, input %s and output %s", d, rule, inStr, outStr)
+		}
+	}
 
 	t.Run("filter pushed on unstable column", func(t *testing.T) {
 		// In the left-recursive closure only src is stable; pushing a trg
@@ -66,10 +92,7 @@ func TestAuditRuleRejects(t *testing.T) {
 			L: &core.Filter{Cond: core.EqConst{Col: core.ColTrg, Val: 1}, T: &core.Var{Name: "S"}},
 			R: core.Compose(&core.Var{Name: "X"}, &core.Var{Name: "E"}),
 		}}
-		diags := AuditRule("filter-into-fixpoint", in, out, env)
-		if !hasCode(diags, CodeRuleSideCond) {
-			t.Fatalf("unsound filter push not rejected: %v", diags)
-		}
+		rejects(t, "filter-into-fixpoint", in, out, CodeRuleSideCond)
 	})
 
 	t.Run("join pushed on unstable column", func(t *testing.T) {
@@ -79,16 +102,13 @@ func TestAuditRuleRejects(t *testing.T) {
 			L: &core.Join{L: &core.Var{Name: "B"}, R: &core.Var{Name: "S"}},
 			R: core.Compose(&core.Var{Name: "X"}, &core.Var{Name: "E"}),
 		}}
-		diags := AuditRule("join-into-fixpoint", in, out, env)
-		if !hasCode(diags, CodeRuleSideCond) {
-			t.Fatalf("unsound join push not rejected: %v", diags)
-		}
+		rejects(t, "join-into-fixpoint", in, out, CodeRuleSideCond)
 	})
 
 	t.Run("antiproject pushed on touched column", func(t *testing.T) {
 		// µ(X = S ∪ (X ▷ E)): the antijoin consults src, so dropping src
 		// in the seed changes which tuples survive — yet the pushed form
-		// still typechecks, so only the side-condition audit catches it.
+		// still typechecks, so only the side condition catches it.
 		fp := &core.Fixpoint{X: "X", Body: &core.Union{
 			L: &core.Var{Name: "S"},
 			R: &core.Antijoin{L: &core.Var{Name: "X"}, R: &core.Var{Name: "E"}},
@@ -98,41 +118,32 @@ func TestAuditRuleRejects(t *testing.T) {
 			L: &core.AntiProject{Cols: []string{core.ColSrc}, T: &core.Var{Name: "S"}},
 			R: &core.Antijoin{L: &core.Var{Name: "X"}, R: &core.Var{Name: "E"}},
 		}}
-		diags := AuditRule("antiproject-into-fixpoint", in, out, env)
-		if !hasCode(diags, CodeRuleSideCond) {
-			t.Fatalf("unsound anti-projection push not rejected: %v", diags)
-		}
+		rejects(t, "antiproject-into-fixpoint", in, out, CodeRuleSideCond)
 	})
 
 	t.Run("schema-changing rewrite", func(t *testing.T) {
 		in := &core.Filter{Cond: core.EqConst{Col: core.ColSrc, Val: 1}, T: &core.Var{Name: "S"}}
 		out := &core.AntiProject{Cols: []string{core.ColTrg}, T: &core.Var{Name: "S"}}
-		diags := AuditRule("filter-merge", in, out, env)
-		if !hasCode(diags, CodeRuleSchema) {
-			t.Fatalf("schema change not rejected: %v", diags)
-		}
+		rejects(t, "filter-merge", in, out, CodeRuleSchema)
 	})
 
 	t.Run("ill-formed output", func(t *testing.T) {
 		in := &core.Var{Name: "S"}
 		out := &core.Join{L: &core.Var{Name: "S"}, R: &core.Var{Name: "Zombie"}}
-		diags := AuditRule("compose-assoc", in, out, env)
-		if !hasCode(diags, core.CodeUnboundVar) {
-			t.Fatalf("ill-formed output not rejected: %v", diags)
-		}
+		rejects(t, "compose-assoc", in, out, CodeRuleOutput)
 	})
 
 	t.Run("legitimate application passes", func(t *testing.T) {
 		fp := closureFP()
 		in := &core.Filter{Cond: core.EqConst{Col: core.ColSrc, Val: 1}, T: fp}
-		rw := NewRewriter(env)
-		outs := ruleFilterIntoFixpoint(rw, in, env)
+		outs := ruleFilterIntoFixpoint(NewRewriter(env), in, env)
 		if len(outs) == 0 {
 			t.Fatal("rule did not fire")
 		}
 		for _, out := range outs {
-			if diags := AuditRule("filter-into-fixpoint", in, out, env); len(diags) != 0 {
-				t.Fatalf("legitimate application rejected: %v", diags)
+			rw := forgeRule(env, "filter-into-fixpoint", in, out)
+			if rw.AuditViolations != 0 {
+				t.Fatalf("legitimate application rejected: %v", rw.LastAudit)
 			}
 		}
 	})

@@ -1,6 +1,7 @@
 package rewrite
 
 import (
+	"fmt"
 	"slices"
 	"strconv"
 	"strings"
@@ -10,10 +11,10 @@ import (
 
 // This file is the optimizer memo: every term that enters a rewriter's plan
 // space is interned as a node, and every piece of per-subterm work — free
-// variables, the plan check, the audited rule applications and the list of
-// one-step rewrites — runs once per node instead of once per candidate plan
-// that contains it (Fejza & Genevès, arXiv 2312.02572: rules and checks per
-// group expression).
+// variables, the plan check, the certified rule applications and the list
+// of one-step rewrites — runs once per node instead of once per candidate
+// plan that contains it (Fejza & Genevès, arXiv 2312.02572: rules and
+// checks per group expression).
 //
 // A node's key is its operator label (opLabel: operator and parameters),
 // and its child node IDs. Fixpoint binders are canonical: µ(X = body) is
@@ -24,6 +25,13 @@ import (
 // subterms with the same free variables are one node, whose representative
 // term every plan containing it shares. A fixpoint nested in another is
 // strictly shorter, so canonical binders never shadow each other.
+//
+// A verdict is cached per node and bindings of its free variables (ctxKey),
+// so it must depend on nothing else; yet the no-shadowing rule reads every
+// enclosing binder. That holds for a subterm of a checked plan, not for a
+// rule output (join-into-fixpoint can bind µ@2 below an enclosing µ@2 until
+// withChild re-canonicalizes it), so an output is certified in its own
+// bindings (memo.own), never in its input's scope.
 
 // nodeID names an interned term; -1 marks an absent child.
 type nodeID = int32
@@ -431,7 +439,7 @@ func (m *memo) fcond(id nodeID, x string) bool {
 }
 
 // rewrites returns every node one rule application away from id in scope
-// sc: the audited applications of the rules at id in rule order, then the
+// sc: the certified applications of the rules at id in rule order, then the
 // rewrites of each child, left to right, rebuilt into id.
 func (m *memo) rewrites(id nodeID, sc *scope) []nodeID {
 	k := ctxKey{id, m.sig(id, sc)}
@@ -445,15 +453,13 @@ func (m *memo) rewrites(id nodeID, sc *scope) []nodeID {
 			continue
 		}
 		for _, nt := range rule.Apply(m.rw, t, env) {
-			// Certify the application before the candidate may enter the
-			// plan space: the output must check, preserve the schema,
-			// and the rule's side condition must have held on the input.
-			if diags := AuditRule(rule.Name, t, nt, env); len(diags) > 0 {
+			nid := m.intern(nt)
+			if d, bad := m.certify(rule.Name, id, nid, sc, env); bad {
 				m.rw.AuditViolations++
-				m.rw.LastAudit = diags
+				m.rw.LastAudit = []core.Diagnostic{d}
 				continue
 			}
-			out = append(out, m.intern(nt))
+			out = append(out, nid)
 		}
 	}
 	key := m.nodes[id].key
@@ -476,6 +482,39 @@ func (m *memo) rewrites(id nodeID, sc *scope) []nodeID {
 	}
 	m.steps[k] = out
 	return out
+}
+
+// certify vets the named rule's rewrite of node in, in scope sc, into out:
+// out must check in its own bindings and keep in's (cached) columns, and a
+// fixpoint-pushing rule's side condition must hold on in under env.
+func (m *memo) certify(rule string, in, out nodeID, sc *scope, env core.SchemaEnv) (core.Diagnostic, bool) {
+	var why string
+	code := CodeRuleSideCond
+	inCols, inOK := m.check(in, sc)
+	outCols, ok := m.check(out, m.own(out, sc))
+	switch {
+	case !ok:
+		code, why = CodeRuleOutput, "output does not check"
+	case inOK && !core.ColsEqual(inCols, outCols):
+		code, why = CodeRuleSchema, fmt.Sprintf("schema %v -> %v", inCols, outCols)
+	default:
+		if why = sideCondition(rule, m.term(in), m.term(out), env); why == "" {
+			return core.Diagnostic{}, false
+		}
+	}
+	return core.Diagnostic{Code: code, Path: "/", Term: m.term(in).String(),
+		Detail: fmt.Sprintf("rule %s: %s; output %s", rule, why, m.term(out))}, true
+}
+
+// own is the part of sc that binds id's free variables.
+func (m *memo) own(id nodeID, sc *scope) *scope {
+	var own *scope
+	for _, v := range m.nodes[id].free {
+		if cols, ok := sc.lookup(v); ok {
+			own = &scope{name: v, cols: cols, up: own}
+		}
+	}
+	return own
 }
 
 // has reports whether the sorted list s holds v.

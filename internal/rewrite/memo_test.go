@@ -56,7 +56,7 @@ func naiveRewriteAt(rw *Rewriter, t core.Term, env core.SchemaEnv, emit func(cor
 			continue
 		}
 		for _, nt := range rule.Apply(rw, t, env) {
-			if diags := AuditRule(rule.Name, t, nt, env); len(diags) > 0 {
+			if !auditWhole(rule.Name, t, nt, env) {
 				rw.AuditViolations++
 				continue
 			}
@@ -83,6 +83,20 @@ func naiveRewriteAt(rw *Rewriter, t core.Term, env core.SchemaEnv, emit func(cor
 			emit(core.WithChildren(t, nch))
 		})
 	}
+}
+
+// auditWhole is the whole-term certification of a rule application that
+// memo.certify replaced: out checks under env and keeps in's schema, and
+// the rule's side condition held on in.
+func auditWhole(name string, in, out core.Term, env core.SchemaEnv) bool {
+	outCols, err := core.Schema(out, env)
+	if err != nil {
+		return false
+	}
+	if inCols, err := core.Schema(in, env); err == nil && !core.ColsEqual(inCols, outCols) {
+		return false
+	}
+	return sideCondition(name, in, out, env) == ""
 }
 
 // assertMemoMatchesNaive explores t with the memo and with the oracle and

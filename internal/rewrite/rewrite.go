@@ -17,9 +17,9 @@
 //
 // Exploration is a breadth-first saturation capped by MaxPlans, run over a
 // memo (memo.go) that interns every plan and subterm: alpha-equivalent
-// terms are one node, and rules, audits, plan checks and free variables
-// run once per node. Individual rules can be disabled for the ablation
-// benchmarks.
+// terms are one node, and rules, plan checks (which also certify each rule
+// application) and free variables run once per node. Individual rules can
+// be disabled for the ablation benchmarks.
 package rewrite
 
 import (
@@ -53,9 +53,9 @@ type Rewriter struct {
 	// Disabled names rules to skip (ablation studies).
 	Disabled map[string]bool
 
-	// AuditViolations counts rule applications that failed AuditRule
-	// (see audit.go) and were discarded instead of entering the plan
-	// space. Always zero for a sound rule set; the testkit asserts on it.
+	// AuditViolations counts rule applications that failed memo.certify
+	// and were discarded instead of entering the plan space. Always zero
+	// for a sound rule set; the testkit asserts on it.
 	AuditViolations int
 	// DroppedIllFormed counts distinct candidate plans discarded because,
 	// although each rule application was locally sound, the composed
@@ -63,8 +63,8 @@ type Rewriter struct {
 	// an enclosing recursion variable into a nested fixpoint. The rules
 	// decline those moves, so this stays zero; it is the net under them.
 	DroppedIllFormed int
-	// LastAudit retains the diagnostics of the most recent discarded
-	// candidate, for debugging a non-zero AuditViolations.
+	// LastAudit names the rule, input and output of the most recent
+	// discarded application, for debugging a non-zero AuditViolations.
 	LastAudit []core.Diagnostic
 
 	fresh int
@@ -117,8 +117,8 @@ func (rw *Rewriter) explore(m *memo, t core.Term) []nodeID {
 				continue
 			}
 			seen[id] = true
-			// The per-application audit checks the rewritten subterm in
-			// its local env; the composed plan can still be globally
+			// Certification checks the rewritten subterm in its own
+			// bindings; the composed plan can still be globally
 			// ill-formed (Fcond of an enclosing fixpoint). Only checked
 			// plans enter the plan space.
 			if _, ok := m.check(id, nil); !ok {
@@ -153,19 +153,4 @@ func (rw *Rewriter) ExploreBoth(ltr, rtl core.Term) []core.Term {
 		}
 	}
 	return m.terms(plans)
-}
-
-// Neighbors returns all well-formed terms reachable from t by one rule
-// application at any position.
-func (rw *Rewriter) Neighbors(t core.Term) []core.Term {
-	m := rw.memo()
-	var out []nodeID
-	for _, id := range m.rewrites(m.intern(t), nil) {
-		if _, ok := m.check(id, nil); !ok {
-			rw.DroppedIllFormed++
-			continue
-		}
-		out = append(out, id)
-	}
-	return m.terms(out)
 }

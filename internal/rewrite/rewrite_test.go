@@ -207,12 +207,15 @@ func TestJoinIntoFixpointStablePred(t *testing.T) {
 	}}
 	join := &core.Join{L: &core.Var{Name: "P"}, R: fp}
 	rw := NewRewriter(env)
+	// The pushed plan is one of the root's first-level rewrites, which
+	// come first in Explore's BFS order.
 	var pushed core.Term
-	for _, nt := range rw.Neighbors(join) {
+	for _, nt := range rw.Explore(join) {
 		if fp2, ok := nt.(*core.Fixpoint); ok {
 			if d, err := core.Decompose(fp2); err == nil {
 				if _, isJoin := d.Const.(*core.Join); isJoin {
 					pushed = nt
+					break
 				}
 			}
 		}

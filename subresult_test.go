@@ -651,7 +651,18 @@ func TestSubResultLazySetSharedProbes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer w.Close()
+	defer func() {
+		closed := make(chan struct{})
+		go func() {
+			w.Close()
+			close(closed)
+		}()
+		select {
+		case <-closed:
+		case <-time.After(10 * time.Second):
+			t.Fatal("Watch.Close still blocked after 10s")
+		}
+	}()
 	watched := map[string]bool{}
 	for _, row := range recvDelta(t, w).Added {
 		watched[strings.Join(row, "\t")] = true
