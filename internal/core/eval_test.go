@@ -177,6 +177,53 @@ func TestDecomposeDistributesUnions(t *testing.T) {
 	}
 }
 
+// TestDecomposeKeepsUnionFreeBranches: a branch no union is distributed
+// out of comes back as the body's own subterm, pointer for pointer, so
+// callers that intern or memoize terms by pointer meet it again; a union
+// under an operator still distributes, sharing the operands it leaves
+// alone.
+func TestDecomposeKeepsUnionFreeBranches(t *testing.T) {
+	seed := EdgeRel("G", 1)
+	step := Compose(&Var{Name: "X"}, &Filter{Cond: EqConst{Col: ColSrc, Val: 2}, T: &Var{Name: "E"}})
+	guarded := &Antijoin{L: Compose(&Var{Name: "X"}, &Var{Name: "E"}), R: &Union{L: &Var{Name: "B"}, R: &Var{Name: "S"}}}
+	d := mustDecompose(t, &Fixpoint{X: "X", Body: UnionOf([]Term{seed, step, guarded})})
+	if d.Const != seed {
+		t.Fatalf("constant part %s is a copy of the body's seed", d.Const)
+	}
+	if len(d.PhiBranches) != 2 || d.PhiBranches[0] != step || d.PhiBranches[1] != guarded {
+		t.Fatalf("φ branches %v are not the body's own subterms", d.PhiBranches)
+	}
+
+	a, b := &Var{Name: "A"}, &Var{Name: "B"}
+	c := &Filter{Cond: EqConst{Col: ColTrg, Val: 3}, T: &Var{Name: "C"}}
+	filtered := &Filter{Cond: EqConst{Col: ColSrc, Val: 1}, T: &Union{L: a, R: b}}
+	joined := &Join{L: &Union{L: a, R: b}, R: c}
+	for _, tc := range []struct {
+		t    Term
+		want []string
+	}{
+		{filtered, []string{"σ[src=1](A)", "σ[src=1](B)"}},
+		{joined, []string{"(A ⋈ σ[trg=3](C))", "(B ⋈ σ[trg=3](C))"}},
+		{&Join{L: c, R: joined}, []string{"(σ[trg=3](C) ⋈ (A ⋈ σ[trg=3](C)))", "(σ[trg=3](C) ⋈ (B ⋈ σ[trg=3](C)))"}},
+	} {
+		got := normalizeBranches(tc.t)
+		if len(got) != len(tc.want) {
+			t.Fatalf("%s: %d branches %v, want %v", tc.t, len(got), got, tc.want)
+		}
+		for i, br := range got {
+			if br.String() != tc.want[i] {
+				t.Fatalf("%s: branch %d = %s, want %s", tc.t, i, br, tc.want[i])
+			}
+			Walk(br, func(s Term) bool {
+				if f, ok := s.(*Filter); ok && f.String() == c.String() && f != c {
+					t.Fatalf("%s: branch %s copies the union-free operand %s", tc.t, br, c)
+				}
+				return true
+			})
+		}
+	}
+}
+
 func TestDecomposedEvaluationMatchesDirect(t *testing.T) {
 	env := fig2Env()
 	fp := reachFixpoint()

@@ -56,46 +56,65 @@ func Decompose(fp *Fixpoint) (*Decomposed, error) {
 //
 // Antijoin right operands and nested fixpoints are treated as leaves
 // (the right operand of ▷ is constant in X by positivity, and unions inside
-// it cannot be distributed out soundly).
-func normalizeBranches(t Term) []Term {
+// it cannot be distributed out soundly). A subterm no union is distributed
+// out of is its own only branch, so callers that intern or memoize terms by
+// pointer see their own subterms again.
+func normalizeBranches(t Term) []Term { return appendNormalized(nil, t) }
+
+// appendNormalized appends the branches of t to dst. A node is rebuilt
+// only when some child's branch list is not exactly that child.
+func appendNormalized(dst []Term, t Term) []Term {
+	start := len(dst)
 	switch n := t.(type) {
 	case *Union:
-		return append(normalizeBranches(n.L), normalizeBranches(n.R)...)
+		return appendNormalized(appendNormalized(dst, n.L), n.R)
 	case *Filter:
-		return wrapBranches(normalizeBranches(n.T), func(b Term) Term {
+		return rewrap(appendNormalized(dst, n.T), start, n.T, t, func(b Term) Term {
 			return &Filter{Cond: n.Cond, T: b}
 		})
 	case *Rename:
-		return wrapBranches(normalizeBranches(n.T), func(b Term) Term {
+		return rewrap(appendNormalized(dst, n.T), start, n.T, t, func(b Term) Term {
 			return &Rename{From: n.From, To: n.To, T: b}
 		})
 	case *AntiProject:
-		return wrapBranches(normalizeBranches(n.T), func(b Term) Term {
+		return rewrap(appendNormalized(dst, n.T), start, n.T, t, func(b Term) Term {
 			return &AntiProject{Cols: n.Cols, T: b}
 		})
-	case *Join:
-		lb := normalizeBranches(n.L)
-		rb := normalizeBranches(n.R)
-		out := make([]Term, 0, len(lb)*len(rb))
-		for _, l := range lb {
-			for _, r := range rb {
-				out = append(out, &Join{L: l, R: r})
-			}
-		}
-		return out
 	case *Antijoin:
-		return wrapBranches(normalizeBranches(n.L), func(b Term) Term {
+		return rewrap(appendNormalized(dst, n.L), start, n.L, t, func(b Term) Term {
 			return &Antijoin{L: b, R: n.R}
 		})
+	case *Join:
+		dst = appendNormalized(dst, n.L)
+		mid := len(dst)
+		dst = appendNormalized(dst, n.R)
+		if mid-start == 1 && len(dst)-mid == 1 && dst[start] == n.L && dst[mid] == n.R {
+			return append(dst[:start], t)
+		}
+		lb := append([]Term(nil), dst[start:mid]...)
+		rb := append([]Term(nil), dst[mid:]...)
+		dst = dst[:start]
+		for _, l := range lb {
+			for _, r := range rb {
+				dst = append(dst, &Join{L: l, R: r})
+			}
+		}
+		return dst
 	default:
-		return []Term{t}
+		return append(dst, t)
 	}
 }
 
-func wrapBranches(branches []Term, wrap func(Term) Term) []Term {
-	out := make([]Term, len(branches))
-	for i, b := range branches {
-		out[i] = wrap(b)
+// rewrap finishes a unary node t over child, whose branches are
+// dst[start:]: t itself when child is its own only branch, and otherwise
+// wrap of each branch.
+func rewrap(dst []Term, start int, child, t Term, wrap func(Term) Term) []Term {
+	if len(dst)-start == 1 && dst[start] == child {
+		dst[start] = t
+		return dst
 	}
-	return out
+	for i := start; i < len(dst); i++ {
+		dst[i] = wrap(dst[i])
+	}
+	return dst
 }

@@ -23,8 +23,8 @@ const (
 	// accSlotBytes is the per-row bookkeeping of an Accumulator beyond the
 	// row's values: the stored 64-bit hash plus the dedup-set slot, 8 + 8
 	// bytes since a slot became one word. The price is deliberately kept,
-	// so budgets, spill decisions and cost.PlanMemory do not move with
-	// the table's layout.
+	// so budgets, spill decisions and the cost estimator's memory
+	// predictions do not move with the table's layout.
 	accSlotBytes = 12
 	// IndexRowBytes prices one indexed row of an in-memory JoinIndex: the
 	// bucket reference plus amortized bucket-map overhead (the row values
@@ -37,8 +37,8 @@ const (
 
 // AccRowBytes prices one in-memory Accumulator row of the given arity
 // under the budget model: the row's values plus hash and dedup-slot
-// bookkeeping. cost.PlanMemory uses the same constant, so the estimator
-// and the runtime gauge agree on units.
+// bookkeeping. The cost estimator's Estimate.Mem uses the same constant,
+// so the estimator and the runtime gauge agree on units.
 func AccRowBytes(arity int) int64 { return int64(8*arity + accSlotBytes) }
 
 // MemGauge is a per-task memory budget that operators charge as they grow

@@ -30,17 +30,22 @@ func StableCols(d *Decomposed, env SchemaEnv) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
+	return StableColsOver(d, xCols)
+}
+
+// StableColsOver is StableCols for a caller that already knows xCols, the
+// columns of the constant part (and so of the fixpoint).
+func StableColsOver(d *Decomposed, xCols []string) ([]string, error) {
 	if len(d.PhiBranches) == 0 {
 		// No recursion: the fixpoint equals R and every column is stable.
 		return xCols, nil
 	}
-	envX := env.With(d.X, xCols)
 	stable := map[string]bool{}
 	for _, c := range xCols {
 		stable[c] = true
 	}
 	for _, br := range d.PhiBranches {
-		s, onX, err := stableOfBranch(br, d.X, xCols, envX)
+		s, onX, err := stableOfBranch(br, d.X, xCols)
 		if err != nil {
 			return nil, err
 		}
@@ -64,7 +69,7 @@ func StableCols(d *Decomposed, env SchemaEnv) ([]string, error) {
 
 // stableOfBranch returns the set of X-columns that remain stable through
 // term t, and whether t contains X at all.
-func stableOfBranch(t Term, x string, xCols []string, env SchemaEnv) (map[string]bool, bool, error) {
+func stableOfBranch(t Term, x string, xCols []string) (map[string]bool, bool, error) {
 	switch n := t.(type) {
 	case *Var:
 		if n.Name == x {
@@ -78,9 +83,9 @@ func stableOfBranch(t Term, x string, xCols []string, env SchemaEnv) (map[string
 	case *ConstTuple:
 		return nil, false, nil
 	case *Filter:
-		return stableOfBranch(n.T, x, xCols, env)
+		return stableOfBranch(n.T, x, xCols)
 	case *Rename:
-		s, onX, err := stableOfBranch(n.T, x, xCols, env)
+		s, onX, err := stableOfBranch(n.T, x, xCols)
 		if err != nil || !onX {
 			return s, onX, err
 		}
@@ -88,7 +93,7 @@ func stableOfBranch(t Term, x string, xCols []string, env SchemaEnv) (map[string
 		delete(s, n.To)
 		return s, true, nil
 	case *AntiProject:
-		s, onX, err := stableOfBranch(n.T, x, xCols, env)
+		s, onX, err := stableOfBranch(n.T, x, xCols)
 		if err != nil || !onX {
 			return s, onX, err
 		}
@@ -97,11 +102,11 @@ func stableOfBranch(t Term, x string, xCols []string, env SchemaEnv) (map[string
 		}
 		return s, true, nil
 	case *Join:
-		ls, lOn, err := stableOfBranch(n.L, x, xCols, env)
+		ls, lOn, err := stableOfBranch(n.L, x, xCols)
 		if err != nil {
 			return nil, false, err
 		}
-		rs, rOn, err := stableOfBranch(n.R, x, xCols, env)
+		rs, rOn, err := stableOfBranch(n.R, x, xCols)
 		if err != nil {
 			return nil, false, err
 		}
@@ -114,13 +119,13 @@ func stableOfBranch(t Term, x string, xCols []string, env SchemaEnv) (map[string
 		return nil, false, nil
 	case *Antijoin:
 		// Positivity guarantees X is not in n.R.
-		return stableOfBranch(n.L, x, xCols, env)
+		return stableOfBranch(n.L, x, xCols)
 	case *Union:
-		ls, lOn, err := stableOfBranch(n.L, x, xCols, env)
+		ls, lOn, err := stableOfBranch(n.L, x, xCols)
 		if err != nil {
 			return nil, false, err
 		}
-		rs, rOn, err := stableOfBranch(n.R, x, xCols, env)
+		rs, rOn, err := stableOfBranch(n.R, x, xCols)
 		if err != nil {
 			return nil, false, err
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -146,9 +147,67 @@ func (t *AntiProject) withChildren(ch []Term) Term {
 }
 func (t *Fixpoint) withChildren(ch []Term) Term { return &Fixpoint{X: t.X, Body: ch[0]} }
 
-// TermEqual reports structural equality of two terms. Terms print
-// canonically, so string equality is structural equality.
-func TermEqual(a, b Term) bool { return a.String() == b.String() }
+// TermEqual reports whether a and b print alike, which for terms is
+// structural equality: the same operators, parameters and variable names
+// (alpha-variant fixpoints differ), given names free of the printed
+// delimiters. It compares the trees node by node, returning at once on
+// shared subterms, and prints only conjunctions and disjunctions, since
+// nested conjunctions print flat.
+func TermEqual(a, b Term) bool {
+	if a == b {
+		return true
+	}
+	switch x := a.(type) {
+	case *Var:
+		y, ok := b.(*Var)
+		return ok && x.Name == y.Name
+	case *ConstTuple:
+		y, ok := b.(*ConstTuple)
+		return ok && slices.Equal(x.Cols, y.Cols) && slices.Equal(x.Vals, y.Vals)
+	case *Union:
+		y, ok := b.(*Union)
+		return ok && TermEqual(x.L, y.L) && TermEqual(x.R, y.R)
+	case *Join:
+		y, ok := b.(*Join)
+		return ok && TermEqual(x.L, y.L) && TermEqual(x.R, y.R)
+	case *Antijoin:
+		y, ok := b.(*Antijoin)
+		return ok && TermEqual(x.L, y.L) && TermEqual(x.R, y.R)
+	case *Filter:
+		y, ok := b.(*Filter)
+		return ok && condEqual(x.Cond, y.Cond) && TermEqual(x.T, y.T)
+	case *Rename:
+		y, ok := b.(*Rename)
+		return ok && x.From == y.From && x.To == y.To && TermEqual(x.T, y.T)
+	case *AntiProject:
+		y, ok := b.(*AntiProject)
+		return ok && slices.Equal(x.Cols, y.Cols) && TermEqual(x.T, y.T)
+	case *Fixpoint:
+		y, ok := b.(*Fixpoint)
+		return ok && x.X == y.X && TermEqual(x.Body, y.Body)
+	}
+	return false
+}
+
+// condEqual reports whether two conditions print alike: by their fields
+// when both are the same comparison, and otherwise by their printing.
+func condEqual(a, b Condition) bool {
+	switch x := a.(type) {
+	case EqConst:
+		if y, ok := b.(EqConst); ok {
+			return x == y
+		}
+	case NeConst:
+		if y, ok := b.(NeConst); ok {
+			return x == y
+		}
+	case EqCols:
+		if y, ok := b.(EqCols); ok {
+			return x == y
+		}
+	}
+	return a.String() == b.String()
+}
 
 // Children returns the direct subterms of t in a fixed order.
 func Children(t Term) []Term { return t.children() }

@@ -14,6 +14,7 @@ package cost
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/core"
 )
@@ -80,27 +81,39 @@ func FromEnv(env *core.Env) *Catalog {
 }
 
 // Estimate is the estimated profile of a subterm: output cardinality,
-// per-column distinct counts, cumulative cost (abstract work units), and
-// the peak operator-owned memory (bytes) evaluating it is expected to
-// hold — join build indexes, dedup sets at sinks, and fixpoint
-// accumulators, priced with the same constants the runtime MemGauge
-// charges (core.AccRowBytes, core.IndexRowBytes). Input relations owned by
-// the storage layer are not counted; see ARCHITECTURE.md, "Memory
-// governance".
+// distinct counts per column (aligned with the sorted Cols), cumulative
+// cost (abstract work units), and the peak operator-owned memory (bytes)
+// evaluating it is expected to hold — join build indexes, dedup sets at
+// sinks, and fixpoint accumulators, priced with the same constants the
+// runtime MemGauge charges (core.AccRowBytes, core.IndexRowBytes). Input
+// relations owned by the storage layer are not counted; see
+// ARCHITECTURE.md, "Memory governance".
 type Estimate struct {
 	Rows     float64
-	Distinct map[string]float64
+	Distinct []float64 // Distinct[i] is the distinct count of Cols[i]
 	Cols     []string
 	Cost     float64
 	Mem      float64
 }
 
+// clone copies e with a Distinct slice of its own.
 func (e *Estimate) clone() *Estimate {
-	d := make(map[string]float64, len(e.Distinct))
-	for k, v := range e.Distinct {
-		d[k] = v
+	out := *e
+	out.Distinct = slices.Clone(e.Distinct)
+	return &out
+}
+
+// distinct returns the distinct count of column c, 0 when e has no such
+// column. i is where c is expected: a lookup at the same position in an
+// estimate of the same columns costs no search.
+func (e *Estimate) distinct(i int, c string) float64 {
+	if i < len(e.Cols) && e.Cols[i] == c {
+		return e.Distinct[i]
 	}
-	return &Estimate{Rows: e.Rows, Distinct: d, Cols: e.Cols, Cost: e.Cost, Mem: e.Mem}
+	if i = core.ColIndex(e.Cols, c); i >= 0 {
+		return e.Distinct[i]
+	}
+	return 0
 }
 
 // dedupSlotBytes prices one row of a deduplicating sink (union,
@@ -111,8 +124,8 @@ var dedupSlotBytes = float64(core.AccRowBytes(0))
 // clampDistinct caps every distinct count by the row count (a column cannot
 // have more distinct values than there are rows).
 func (e *Estimate) clampDistinct() {
-	for k, v := range e.Distinct {
-		e.Distinct[k] = math.Max(1, math.Min(v, e.Rows))
+	for i, v := range e.Distinct {
+		e.Distinct[i] = math.Max(1, math.Min(v, e.Rows))
 	}
 	if e.Rows < 0 {
 		e.Rows = 0
@@ -127,8 +140,10 @@ const maxFixpointIters = 64
 // An estimator memoizes the estimate of every subterm that mentions no
 // bound recursion variable, keyed by the subterm's pointer: the plans of
 // one optimize call share their subterms (the rewriter's memo interns
-// them), so each shared subterm is estimated once however many plans
-// contain it. Memoized estimates are shared and never modified.
+// them, and core.Decompose hands back a fixpoint's own seed), so each
+// shared subterm, fixpoint seeds included, is estimated once however many
+// plans contain it. Estimates are shared and never modified: a bound
+// variable and an identity renaming return their operand's estimate.
 type Estimator struct {
 	Cat *Catalog
 
@@ -146,16 +161,6 @@ func NewEstimator(cat *Catalog) *Estimator {
 // The result may be shared with later estimates and must not be modified.
 func (es *Estimator) Estimate(t core.Term) (*Estimate, error) {
 	return es.estimate(t, map[string]*Estimate{})
-}
-
-// EstimateCost is a convenience wrapper returning only the cost; it returns
-// +Inf on estimation errors so that ill-formed plans rank last.
-func (es *Estimator) EstimateCost(t core.Term) float64 {
-	e, err := es.Estimate(t)
-	if err != nil {
-		return math.Inf(1)
-	}
-	return e.Cost
 }
 
 func (es *Estimator) estimate(t core.Term, bound map[string]*Estimate) (*Estimate, error) {
@@ -181,21 +186,21 @@ func (es *Estimator) estimateNode(t core.Term, bound map[string]*Estimate) (*Est
 	switch n := t.(type) {
 	case *core.Var:
 		if b, ok := bound[n.Name]; ok {
-			return b.clone(), nil
+			return b, nil
 		}
 		s, ok := es.Cat.Rels[n.Name]
 		if !ok {
 			return nil, fmt.Errorf("cost: no statistics for relation %q", n.Name)
 		}
-		d := make(map[string]float64, len(s.Distinct))
-		for k, v := range s.Distinct {
-			d[k] = v
+		d := make([]float64, len(s.Cols))
+		for i, c := range s.Cols {
+			d[i] = s.Distinct[c]
 		}
 		return &Estimate{Rows: s.Rows, Distinct: d, Cols: s.Cols, Cost: s.Rows}, nil
 	case *core.ConstTuple:
-		d := map[string]float64{}
-		for _, c := range n.Cols {
-			d[c] = 1
+		d := make([]float64, len(n.Cols))
+		for i := range d {
+			d[i] = 1
 		}
 		return &Estimate{Rows: 1, Distinct: d, Cols: n.Cols, Cost: 1}, nil
 	case *core.Union:
@@ -207,9 +212,9 @@ func (es *Estimator) estimateNode(t core.Term, bound map[string]*Estimate) (*Est
 		if err != nil {
 			return nil, err
 		}
-		out := &Estimate{Rows: l.Rows + r.Rows, Distinct: map[string]float64{}, Cols: l.Cols}
-		for _, c := range l.Cols {
-			out.Distinct[c] = l.Distinct[c] + r.Distinct[c]
+		out := &Estimate{Rows: l.Rows + r.Rows, Distinct: make([]float64, len(l.Cols)), Cols: l.Cols}
+		for i, c := range l.Cols {
+			out.Distinct[i] = l.Distinct[i] + r.distinct(i, c)
 		}
 		out.Cost = l.Cost + r.Cost + out.Rows // dedup pass
 		out.Mem = math.Max(math.Max(l.Mem, r.Mem), out.Rows*dedupSlotBytes)
@@ -277,8 +282,8 @@ func (es *Estimator) estimateNode(t core.Term, bound map[string]*Estimate) (*Est
 		sel := condSelectivity(n.Cond, in)
 		out.Rows = in.Rows * sel
 		for _, c := range n.Cond.Columns() {
-			if isEqConstOn(n.Cond, c) {
-				out.Distinct[c] = 1
+			if i := core.ColIndex(out.Cols, c); i >= 0 && isEqConstOn(n.Cond, c) {
+				out.Distinct[i] = 1
 			}
 		}
 		out.Cost = in.Cost + in.Rows
@@ -289,33 +294,43 @@ func (es *Estimator) estimateNode(t core.Term, bound map[string]*Estimate) (*Est
 		if err != nil {
 			return nil, err
 		}
-		out := in.clone()
-		if n.From != n.To {
-			out.Distinct[n.To] = out.Distinct[n.From]
-			delete(out.Distinct, n.From)
-			cols := make([]string, 0, len(in.Cols))
-			for _, c := range in.Cols {
-				if c == n.From {
-					cols = append(cols, n.To)
-				} else {
-					cols = append(cols, c)
-				}
-			}
-			out.Cols = core.SortCols(cols)
+		if n.From == n.To {
+			return in, nil
 		}
-		return out, nil
+		cols := make([]string, 0, len(in.Cols))
+		for _, c := range in.Cols {
+			if c == n.From {
+				cols = append(cols, n.To)
+			} else {
+				cols = append(cols, c)
+			}
+		}
+		out := *in
+		out.Cols = core.SortCols(cols)
+		out.Distinct = make([]float64, len(out.Cols))
+		for i, c := range out.Cols {
+			if c == n.To {
+				c = n.From
+			}
+			out.Distinct[i] = in.distinct(i, c)
+		}
+		return &out, nil
 	case *core.AntiProject:
 		in, err := es.estimate(n.T, bound)
 		if err != nil {
 			return nil, err
 		}
-		out := in.clone()
+		out := *in
 		out.Cols = core.ColsMinus(in.Cols, n.Cols)
+		out.Distinct = make([]float64, len(out.Cols))
+		for i, c := range out.Cols {
+			out.Distinct[i] = in.distinct(i, c)
+		}
 		// Deduplication can shrink the result to the product of the
 		// remaining distinct counts.
 		maxRows := 1.0
-		for _, c := range out.Cols {
-			maxRows *= math.Max(1, out.Distinct[c])
+		for _, d := range out.Distinct {
+			maxRows *= math.Max(1, d)
 			if maxRows > in.Rows {
 				maxRows = in.Rows
 				break
@@ -324,14 +339,11 @@ func (es *Estimator) estimateNode(t core.Term, bound map[string]*Estimate) (*Est
 		if len(out.Cols) == 0 {
 			maxRows = 1
 		}
-		for _, c := range n.Cols {
-			delete(out.Distinct, c)
-		}
 		out.Rows = math.Min(in.Rows, maxRows)
 		out.Cost = in.Cost + in.Rows
 		out.Mem = math.Max(in.Mem, out.Rows*dedupSlotBytes)
 		out.clampDistinct()
-		return out, nil
+		return &out, nil
 	case *core.Fixpoint:
 		est, err := es.estimateFixpoint(n, bound)
 		if err != nil || es.Cat.Cached == nil || es.mentionsBound(n, bound) || !es.Cat.Cached(n) {
@@ -340,10 +352,10 @@ func (es *Estimator) estimateNode(t core.Term, bound map[string]*Estimate) (*Est
 		// The materialized result is already (or will momentarily be) in
 		// the engine's sub-result cache: evaluating it costs only the scan
 		// of its rows and holds no operator-owned memory of its own.
-		out := est.clone()
+		out := *est
 		out.Cost = out.Rows
 		out.Mem = 0
-		return out, nil
+		return &out, nil
 	default:
 		return nil, fmt.Errorf("cost: unknown term %T", t)
 	}
@@ -353,23 +365,22 @@ func joinEstimate(l, r *Estimate) *Estimate {
 	common := core.ColsIntersect(l.Cols, r.Cols)
 	sel := 1.0
 	for _, c := range common {
-		sel /= math.Max(1, math.Max(l.Distinct[c], r.Distinct[c]))
+		sel /= math.Max(1, math.Max(l.distinct(0, c), r.distinct(0, c)))
 	}
 	out := &Estimate{
-		Rows:     l.Rows * r.Rows * sel,
-		Distinct: map[string]float64{},
-		Cols:     core.ColsUnion(l.Cols, r.Cols),
+		Rows: l.Rows * r.Rows * sel,
+		Cols: core.ColsUnion(l.Cols, r.Cols),
 	}
-	for _, c := range out.Cols {
-		lv, lOk := l.Distinct[c]
-		rv, rOk := r.Distinct[c]
+	out.Distinct = make([]float64, len(out.Cols))
+	for i, c := range out.Cols {
+		li, ri := core.ColIndex(l.Cols, c), core.ColIndex(r.Cols, c)
 		switch {
-		case lOk && rOk:
-			out.Distinct[c] = math.Min(lv, rv)
-		case lOk:
-			out.Distinct[c] = lv
+		case li >= 0 && ri >= 0:
+			out.Distinct[i] = math.Min(l.Distinct[li], r.Distinct[ri])
+		case li >= 0:
+			out.Distinct[i] = l.Distinct[li]
 		default:
-			out.Distinct[c] = rv
+			out.Distinct[i] = r.Distinct[ri]
 		}
 	}
 	out.Cost = l.Cost + r.Cost + l.Rows + r.Rows + out.Rows
@@ -386,11 +397,11 @@ func joinEstimate(l, r *Estimate) *Estimate {
 func condSelectivity(c core.Condition, in *Estimate) float64 {
 	switch n := c.(type) {
 	case core.EqConst:
-		return 1 / math.Max(1, in.Distinct[n.Col])
+		return 1 / math.Max(1, in.distinct(0, n.Col))
 	case core.NeConst:
-		return 1 - 1/math.Max(1, in.Distinct[n.Col])
+		return 1 - 1/math.Max(1, in.distinct(0, n.Col))
 	case core.EqCols:
-		return 1 / math.Max(1, math.Max(in.Distinct[n.A], in.Distinct[n.B]))
+		return 1 / math.Max(1, math.Max(in.distinct(0, n.A), in.distinct(0, n.B)))
 	case core.And:
 		s := 1.0
 		for _, sub := range n {
@@ -503,8 +514,8 @@ func (es *Estimator) estimateFixpoint(fp *core.Fixpoint, bound map[string]*Estim
 			} else {
 				total.Rows += e.Rows
 				total.Mem = math.Max(total.Mem, e.Mem)
-				for c, v := range e.Distinct {
-					total.Distinct[c] = math.Max(total.Distinct[c], v)
+				for i, c := range total.Cols {
+					total.Distinct[i] = math.Max(total.Distinct[i], e.distinct(i, c))
 				}
 			}
 		}
@@ -520,12 +531,15 @@ func (es *Estimator) estimateFixpoint(fp *core.Fixpoint, bound map[string]*Estim
 	if seed.Rows > 0 {
 		f = first.Rows / seed.Rows
 	}
-	// Saturation bound: the product of the largest distinct counts seen for
-	// each output column.
+	// The domain of each output column: the largest distinct count seen
+	// for it. The saturation bound is their product.
+	dom := make([]float64, len(seed.Cols))
+	for i, c := range seed.Cols {
+		dom[i] = math.Max(seed.Distinct[i], first.distinct(i, c))
+	}
 	satBound := 1.0
-	for _, c := range seed.Cols {
-		dom := math.Max(seed.Distinct[c], first.Distinct[c])
-		satBound *= math.Max(1, dom)
+	for _, d := range dom {
+		satBound *= math.Max(1, d)
 		if satBound > 1e15 {
 			satBound = 1e15
 			break
@@ -555,12 +569,9 @@ func (es *Estimator) estimateFixpoint(fp *core.Fixpoint, bound map[string]*Estim
 	}
 	out := &Estimate{
 		Rows:     math.Min(total, satBound),
-		Distinct: map[string]float64{},
+		Distinct: dom,
 		Cols:     seed.Cols,
 		Cost:     cost,
-	}
-	for _, c := range seed.Cols {
-		out.Distinct[c] = math.Max(seed.Distinct[c], first.Distinct[c])
 	}
 	// Peak memory: X lives in the fixpoint accumulator at its final size,
 	// on top of whatever one φ application holds.

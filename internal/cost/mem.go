@@ -1,10 +1,6 @@
 package cost
 
-import (
-	"math"
-
-	"repro/internal/core"
-)
+import "math"
 
 // This file pairs the §IV cost estimator with the runtime memory governor:
 // the estimator predicts the chosen plan's peak operator-owned memory and
@@ -28,21 +24,9 @@ type MemPlan struct {
 	ExpectSpill bool
 }
 
-// PlanMemory estimates the peak operator-owned memory of evaluating t
-// against cat and pairs it with the per-task budget. Estimation errors
-// report +Inf peak (rank-last semantics, like EstimateCost). Callers that
-// already hold the term's Estimate (e.g. from SelectBest's ranking)
-// should use MemPlanFromEstimate instead of re-estimating.
-func PlanMemory(t core.Term, cat *Catalog, taskBudgetBytes int64) MemPlan {
-	est, err := NewEstimator(cat).Estimate(t)
-	if err != nil {
-		est = nil
-	}
-	return MemPlanFromEstimate(est, taskBudgetBytes)
-}
-
-// MemPlanFromEstimate builds the memory verdict from an existing estimate
-// (nil means estimation failed: +Inf peak).
+// MemPlanFromEstimate builds the memory verdict from a term's estimate,
+// such as the one SelectBest's ranking holds for the winner (nil means
+// estimation failed: +Inf peak, so an unestimated plan ranks last).
 func MemPlanFromEstimate(est *Estimate, taskBudgetBytes int64) MemPlan {
 	mp := MemPlan{BudgetBytes: taskBudgetBytes, PeakBytes: math.Inf(1)}
 	if est != nil {

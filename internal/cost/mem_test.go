@@ -1,6 +1,7 @@
 package cost
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/core"
@@ -46,19 +47,28 @@ func TestEstimateMemGrowsWithFixpoint(t *testing.T) {
 
 func TestPlanMemorySetsTheGauge(t *testing.T) {
 	cat, term := closureOverEdges(100)
+	est, err := NewEstimator(cat).Estimate(term)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Generous budget: no spill expected.
-	mp := PlanMemory(term, cat, 1<<30)
-	if mp.ExpectSpill {
-		t.Fatalf("1 GiB budget should not expect spill (peak %g)", mp.PeakBytes)
+	mp := MemPlanFromEstimate(est, 1<<30)
+	if mp.ExpectSpill || mp.PeakBytes != est.Mem {
+		t.Fatalf("1 GiB budget should not expect spill (peak %g, estimate %g)", mp.PeakBytes, est.Mem)
 	}
 	// Starved budget: the estimator predicts spilling before execution.
-	starved := PlanMemory(term, cat, 64)
+	starved := MemPlanFromEstimate(est, 64)
 	if !starved.ExpectSpill {
 		t.Fatalf("64-byte budget must expect spill (peak %g)", starved.PeakBytes)
 	}
 	// Unlimited budget: spilling is never expected.
-	free := PlanMemory(term, cat, 0)
+	free := MemPlanFromEstimate(est, 0)
 	if free.ExpectSpill {
 		t.Fatal("no budget, no spill expectation")
+	}
+	// A plan that failed to estimate peaks at +Inf and spills under any
+	// budget.
+	if failed := MemPlanFromEstimate(nil, 1<<30); !math.IsInf(failed.PeakBytes, 1) || !failed.ExpectSpill {
+		t.Fatalf("unestimated plan: %+v", failed)
 	}
 }

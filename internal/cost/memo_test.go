@@ -72,8 +72,7 @@ func TestMemoizedEstimatesImmutable(t *testing.T) {
 		}
 		snap := make(map[core.Term]Estimate, len(es.memo))
 		for term, e := range es.memo {
-			c := *e.clone()
-			snap[term] = c
+			snap[term] = *e.clone()
 		}
 		if len(snap) == 0 {
 			t.Fatal("nothing memoized")
@@ -87,6 +86,47 @@ func TestMemoizedEstimatesImmutable(t *testing.T) {
 			if got := *es.memo[term]; !reflect.DeepEqual(got, want) {
 				t.Fatalf("memoized estimate of %s changed:\n got  %+v\n want %+v", term, got, want)
 			}
+		}
+	}
+}
+
+// TestEstimatorSharesFixpointSeeds: two fixpoints over one seed subterm
+// share its estimate. Estimating the second memoizes only itself and
+// subterms of its own φ branch: its seed, the caller's own subterm, is a
+// memo hit rather than a copy estimated afresh.
+func TestEstimatorSharesFixpointSeeds(t *testing.T) {
+	env := core.NewEnv()
+	env.Bind("E", chainGraph(50))
+	es := NewEstimator(FromEnv(env))
+	e := &core.Var{Name: "E"}
+	seed := core.Compose(&core.Filter{Cond: core.EqConst{Col: core.ColSrc, Val: 3}, T: e}, e)
+	lr := &core.Fixpoint{X: "X", Body: &core.Union{L: seed, R: core.Compose(&core.Var{Name: "X"}, e)}}
+	step := core.Compose(e, &core.Var{Name: "Y"})
+	rl := &core.Fixpoint{X: "Y", Body: &core.Union{L: seed, R: step}}
+	if _, err := es.Estimate(lr); err != nil {
+		t.Fatal(err)
+	}
+	seedEst, ok := es.memo[seed]
+	if !ok {
+		t.Fatalf("the seed %s was estimated as a copy, not memoized as itself", seed)
+	}
+	known := map[core.Term]bool{rl: true}
+	for term := range es.memo {
+		known[term] = true
+	}
+	core.Walk(step, func(s core.Term) bool {
+		known[s] = true
+		return true
+	})
+	if _, err := es.Estimate(rl); err != nil {
+		t.Fatal(err)
+	}
+	if es.memo[seed] != seedEst {
+		t.Fatal("the second fixpoint re-estimated the shared seed")
+	}
+	for term := range es.memo {
+		if !known[term] {
+			t.Fatalf("the second fixpoint estimated %s, a copy of a seed subterm", term)
 		}
 	}
 }

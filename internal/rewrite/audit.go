@@ -38,7 +38,7 @@ func VerifyErr(t core.Term, env core.SchemaEnv) error {
 // returns "" when it held. Rules without extra conditions (the classical
 // pushdowns and compositions) are covered by the output check and schema
 // preservation alone.
-func sideCondition(name string, in, out core.Term, env core.SchemaEnv) string {
+func (rw *Rewriter) sideCondition(name string, in, out core.Term, env core.SchemaEnv) string {
 	switch name {
 	case "filter-into-fixpoint":
 		// σf(µ(X = R ∪ φ)) → µ(X = σf(R) ∪ φ) requires cols(f) ⊆ the
@@ -55,9 +55,9 @@ func sideCondition(name string, in, out core.Term, env core.SchemaEnv) string {
 		if err != nil {
 			return fmt.Sprintf("input fixpoint does not decompose: %v", err)
 		}
-		stable, err := core.StableCols(d, env)
-		if err != nil {
-			return fmt.Sprintf("stable columns unavailable: %v", err)
+		stable, ok := rw.stableCols(d, env)
+		if !ok {
+			return "stable columns unavailable: the constant part does not check"
 		}
 		if !subset(f.Cond.Columns(), stable) {
 			return fmt.Sprintf("filter columns %v not all stable (stable: %v)", f.Cond.Columns(), stable)
@@ -71,7 +71,7 @@ func sideCondition(name string, in, out core.Term, env core.SchemaEnv) string {
 		if !ok {
 			return "input is not a join"
 		}
-		if !joinSideConditionHolds(j.L, j.R, env) && !joinSideConditionHolds(j.R, j.L, env) {
+		if !rw.joinSideConditionHolds(j.L, j.R, env) && !rw.joinSideConditionHolds(j.R, j.L, env) {
 			return "no operand orientation satisfies the stable-join/untouched-extra condition"
 		}
 
@@ -94,9 +94,9 @@ func sideCondition(name string, in, out core.Term, env core.SchemaEnv) string {
 		if err != nil {
 			return fmt.Sprintf("input fixpoint does not decompose: %v", err)
 		}
-		xCols, err := core.Schema(fp, env)
-		if err != nil {
-			return fmt.Sprintf("input fixpoint schema unavailable: %v", err)
+		xCols := rw.schemaOf(fp, env)
+		if xCols == nil {
+			return "input fixpoint schema unavailable: it does not check"
 		}
 		envX := env.With(d.X, xCols)
 		for _, c := range pushed {
@@ -104,7 +104,7 @@ func sideCondition(name string, in, out core.Term, env core.SchemaEnv) string {
 				return fmt.Sprintf("output pushes column %q the input never dropped", c)
 			}
 			for _, br := range d.PhiBranches {
-				if !colsUntouchedByPhi(br, d.X, []string{c}, envX) {
+				if !rw.colsUntouchedByPhi(br, d.X, []string{c}, envX) {
 					return fmt.Sprintf("pushed column %q is touched by the recursive part", c)
 				}
 			}
@@ -115,7 +115,7 @@ func sideCondition(name string, in, out core.Term, env core.SchemaEnv) string {
 
 // joinSideConditionHolds checks the join-into-fixpoint condition for
 // the orientation (b ⋈ fp).
-func joinSideConditionHolds(b, fpTerm core.Term, env core.SchemaEnv) bool {
+func (rw *Rewriter) joinSideConditionHolds(b, fpTerm core.Term, env core.SchemaEnv) bool {
 	fp, ok := fpTerm.(*core.Fixpoint)
 	if !ok {
 		return false
@@ -124,12 +124,8 @@ func joinSideConditionHolds(b, fpTerm core.Term, env core.SchemaEnv) bool {
 	if err != nil {
 		return false
 	}
-	bCols, err := core.Schema(b, env)
-	if err != nil {
-		return false
-	}
-	fpCols, err := core.Schema(fp, env)
-	if err != nil {
+	bCols, fpCols := rw.schemaOf(b, env), rw.schemaOf(fp, env)
+	if bCols == nil || fpCols == nil {
 		return false
 	}
 	if core.ContainsVar(b, d.X) {
@@ -139,15 +135,15 @@ func joinSideConditionHolds(b, fpTerm core.Term, env core.SchemaEnv) bool {
 	if len(common) == 0 {
 		return false
 	}
-	stable, err := core.StableCols(d, env)
-	if err != nil || !subset(common, stable) {
+	stable, ok := rw.stableCols(d, env)
+	if !ok || !subset(common, stable) {
 		return false
 	}
 	extra := core.ColsMinus(bCols, fpCols)
 	if len(extra) > 0 {
 		envX := env.With(d.X, core.ColsUnion(fpCols, extra))
 		for _, br := range d.PhiBranches {
-			if !colsUntouchedByPhi(br, d.X, extra, envX) {
+			if !rw.colsUntouchedByPhi(br, d.X, extra, envX) {
 				return false
 			}
 		}

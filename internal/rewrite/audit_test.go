@@ -5,17 +5,12 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/termgen"
 )
 
-// verifyEnv is the schema env the mutation corpus is written against.
-func verifyEnv() core.SchemaEnv {
-	return core.SchemaEnv{
-		"S": {core.ColSrc, core.ColTrg},
-		"E": {core.ColSrc, core.ColTrg},
-		"B": {core.ColTrg},
-		"P": {core.ColPred, core.ColSrc, core.ColTrg},
-	}
-}
+// verifyEnv is the schema env the mutation corpus and the random terms
+// are written against.
+func verifyEnv() core.SchemaEnv { return termgen.Env() }
 
 // closureFP is the well-formed left-recursive closure µ(X = S ∪ X∘E).
 func closureFP() *core.Fixpoint {

@@ -14,7 +14,8 @@ import (
 // variables, the plan check, the certified rule applications and the list
 // of one-step rewrites — runs once per node instead of once per candidate
 // plan that contains it (Fejza & Genevès, arXiv 2312.02572: rules and
-// checks per group expression).
+// checks per group expression). The rules themselves read their operands'
+// columns from the cached plan check (ruleCols).
 //
 // A node's key is its operator label (opLabel: operator and parameters),
 // and its child node IDs. Fixpoint binders are canonical: µ(X = body) is
@@ -88,6 +89,12 @@ type memo struct {
 	cols   map[string]nodeID // column lists, for binder signatures
 	colsOf [][]string
 	sigs   map[[2]nodeID]nodeID // binding signatures (sig)
+
+	// site is the scope of the rule application in progress, while
+	// applying is set: the scope in which rules read operand columns
+	// (ruleCols).
+	site     *scope
+	applying bool
 }
 
 func newMemo(rw *Rewriter) *memo {
@@ -448,6 +455,7 @@ func (m *memo) rewrites(id nodeID, sc *scope) []nodeID {
 	}
 	var out []nodeID
 	t, env := m.term(id), m.env(id, sc)
+	m.site, m.applying = sc, true
 	for _, rule := range m.rw.rules {
 		if m.rw.Disabled[rule.Name] {
 			continue
@@ -462,6 +470,7 @@ func (m *memo) rewrites(id nodeID, sc *scope) []nodeID {
 			out = append(out, nid)
 		}
 	}
+	m.site, m.applying = nil, false
 	key := m.nodes[id].key
 	childScope := sc
 	if fp, ok := t.(*core.Fixpoint); ok {
@@ -498,12 +507,44 @@ func (m *memo) certify(rule string, in, out nodeID, sc *scope, env core.SchemaEn
 	case inOK && !core.ColsEqual(inCols, outCols):
 		code, why = CodeRuleSchema, fmt.Sprintf("schema %v -> %v", inCols, outCols)
 	default:
-		if why = sideCondition(rule, m.term(in), m.term(out), env); why == "" {
+		if why = m.rw.sideCondition(rule, m.term(in), m.term(out), env); why == "" {
 			return core.Diagnostic{}, false
 		}
 	}
 	return core.Diagnostic{Code: code, Path: "/", Term: m.term(in).String(),
 		Detail: fmt.Sprintf("rule %s: %s; output %s", rule, why, m.term(out))}, true
+}
+
+// ruleCols returns the columns of an interned t from its cached check
+// during a rule application, in the scope of the node the rule rewrites,
+// or nil when t does not check there. It answers (hit) only when env
+// binds every free variable of t as that scope and the database schema
+// do, so its verdict is core.Schema's on t under env: rules read the
+// operands of a node of a checked plan, which check in any bindings of
+// their free variables that agree.
+func (m *memo) ruleCols(t core.Term, env core.SchemaEnv) (cols []string, hit bool) {
+	id, interned := m.byTerm[t]
+	if !m.applying || !interned {
+		return nil, false
+	}
+	for _, v := range m.nodes[id].free {
+		got, bound := env[v]
+		want, db := m.rw.Env[v]
+		if !db {
+			c, inScope := m.site.lookup(v)
+			if !inScope || c < 0 {
+				return nil, false
+			}
+			want = m.colsOf[c]
+		}
+		if !bound || !core.ColsEqual(got, want) {
+			return nil, false
+		}
+	}
+	if cols, ok := m.check(id, m.site); ok {
+		return cols, true
+	}
+	return nil, true
 }
 
 // own is the part of sc that binds id's free variables.

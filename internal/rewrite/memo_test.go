@@ -1,11 +1,12 @@
 package rewrite
 
 import (
-	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/rpq"
+	"repro/internal/termgen"
 	"repro/internal/ucrpq"
 )
 
@@ -56,7 +57,7 @@ func naiveRewriteAt(rw *Rewriter, t core.Term, env core.SchemaEnv, emit func(cor
 			continue
 		}
 		for _, nt := range rule.Apply(rw, t, env) {
-			if !auditWhole(rule.Name, t, nt, env) {
+			if !auditWhole(rw, rule.Name, t, nt, env) {
 				rw.AuditViolations++
 				continue
 			}
@@ -87,8 +88,9 @@ func naiveRewriteAt(rw *Rewriter, t core.Term, env core.SchemaEnv, emit func(cor
 
 // auditWhole is the whole-term certification of a rule application that
 // memo.certify replaced: out checks under env and keeps in's schema, and
-// the rule's side condition held on in.
-func auditWhole(name string, in, out core.Term, env core.SchemaEnv) bool {
+// the rule's side condition held on in. The oracle's rewriter has no memo,
+// so its rules and side conditions check every operand whole too.
+func auditWhole(rw *Rewriter, name string, in, out core.Term, env core.SchemaEnv) bool {
 	outCols, err := core.Schema(out, env)
 	if err != nil {
 		return false
@@ -96,7 +98,7 @@ func auditWhole(name string, in, out core.Term, env core.SchemaEnv) bool {
 	if inCols, err := core.Schema(in, env); err == nil && !core.ColsEqual(inCols, outCols) {
 		return false
 	}
-	return sideCondition(name, in, out, env) == ""
+	return rw.sideCondition(name, in, out, env) == ""
 }
 
 // assertMemoMatchesNaive explores t with the memo and with the oracle and
@@ -156,8 +158,7 @@ func TestMemoExploreMatchesNaiveOnFuzzCorpus(t *testing.T) {
 	}
 	checked := 0
 	for _, seed := range seeds {
-		rng := rand.New(rand.NewSource(seed))
-		term := randomTerm(rng, 1+rng.Intn(3), nil)
+		term := termgen.Root(seed)
 		if _, err := core.Schema(term, verifyEnv()); err != nil {
 			continue
 		}
@@ -167,6 +168,28 @@ func TestMemoExploreMatchesNaiveOnFuzzCorpus(t *testing.T) {
 	if checked < 100 {
 		t.Fatalf("only %d certified roots compared", checked)
 	}
+}
+
+// TestMemoRuleColumnsInBinderScope: a rule in a fixpoint's body reads the
+// columns of an operand that mentions the recursion variable from the
+// memo, in the binder's scope. The filter is pushed onto the recursive
+// join operand, as the naive whole-term BFS pushes it.
+func TestMemoRuleColumnsInBinderScope(t *testing.T) {
+	step := &core.AntiProject{Cols: []string{"@m"}, T: &core.Filter{
+		Cond: core.EqConst{Col: core.ColSrc, Val: 1},
+		T: &core.Join{
+			L: &core.Rename{From: core.ColTrg, To: "@m", T: &core.Var{Name: "X"}},
+			R: &core.Rename{From: core.ColSrc, To: "@m", T: &core.Var{Name: "E"}},
+		},
+	}}
+	fp := &core.Fixpoint{X: "X", Body: &core.Union{L: &core.Var{Name: "S"}, R: step}}
+	assertMemoMatchesNaive(t, verifyEnv(), fp, 48)
+	for _, p := range NewRewriter(verifyEnv()).Explore(fp) {
+		if strings.Contains(p.String(), "(σ[src=1](ρ[trg→@m](µ@1)) ⋈") {
+			return
+		}
+	}
+	t.Fatal("the filter was never pushed onto the recursive join operand")
 }
 
 // TestMemoIdentifiesRenamedBinders: alpha-equivalent terms are one node,

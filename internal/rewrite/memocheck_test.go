@@ -2,10 +2,10 @@ package rewrite
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/termgen"
 )
 
 // The memo's checker (memo.check, checkNode, checkFixpoint, fcond) re-states
@@ -96,8 +96,7 @@ func TestMemoCheckMatchesSchemaOnFuzzRoots(t *testing.T) {
 	}
 	rejected := 0
 	for _, seed := range seeds {
-		rng := rand.New(rand.NewSource(seed))
-		term := randomTerm(rng, 1+rng.Intn(3), nil)
+		term := termgen.Root(seed)
 		if _, err := core.Schema(term, verifyEnv()); err != nil {
 			rejected++
 		}

@@ -28,13 +28,32 @@ func AllRules() []Rule {
 	}
 }
 
-// schemaOf is a helper returning nil on schema errors (rules then decline).
-func schemaOf(t core.Term, env core.SchemaEnv) []string {
+// schemaOf returns the columns of t under env, or nil when t does not
+// check (rules then decline). An operand the memo has interned is read
+// from its cached check (memo.ruleCols); only other terms are checked
+// whole.
+func (rw *Rewriter) schemaOf(t core.Term, env core.SchemaEnv) []string {
+	if rw.m != nil {
+		if cols, hit := rw.m.ruleCols(t, env); hit {
+			return cols
+		}
+	}
 	cols, err := core.Schema(t, env)
 	if err != nil {
 		return nil
 	}
 	return cols
+}
+
+// stableCols is core.StableCols with the constant part's columns read
+// through schemaOf.
+func (rw *Rewriter) stableCols(d *core.Decomposed, env core.SchemaEnv) ([]string, bool) {
+	xCols := rw.schemaOf(d.Const, env)
+	if xCols == nil {
+		return nil, false
+	}
+	stable, err := core.StableColsOver(d, xCols)
+	return stable, err == nil
 }
 
 func subset(a, b []string) bool {
@@ -85,10 +104,10 @@ func ruleFilterPushJoin(rw *Rewriter, t core.Term, env core.SchemaEnv) []core.Te
 	}
 	var out []core.Term
 	fcols := f.Cond.Columns()
-	if subset(fcols, schemaOf(j.L, env)) {
+	if subset(fcols, rw.schemaOf(j.L, env)) {
 		out = append(out, &core.Join{L: &core.Filter{Cond: f.Cond, T: j.L}, R: j.R})
 	}
-	if subset(fcols, schemaOf(j.R, env)) {
+	if subset(fcols, rw.schemaOf(j.R, env)) {
 		out = append(out, &core.Join{L: j.L, R: &core.Filter{Cond: f.Cond, T: j.R}})
 	}
 	return out
@@ -174,8 +193,8 @@ func ruleFilterIntoFixpoint(rw *Rewriter, t core.Term, env core.SchemaEnv) []cor
 	if err != nil {
 		return nil
 	}
-	stable, err := core.StableCols(d, env)
-	if err != nil || !subset(f.Cond.Columns(), stable) {
+	stable, ok := rw.stableCols(d, env)
+	if !ok || !subset(f.Cond.Columns(), stable) {
 		return nil
 	}
 	nd := &core.Decomposed{X: d.X, Const: &core.Filter{Cond: f.Cond, T: d.Const}, PhiBranches: d.PhiBranches}
@@ -241,7 +260,7 @@ func ruleAntiProjectPushJoin(rw *Rewriter, t core.Term, env core.SchemaEnv) []co
 	if !ok {
 		return nil
 	}
-	sl, sr := schemaOf(j.L, env), schemaOf(j.R, env)
+	sl, sr := rw.schemaOf(j.L, env), rw.schemaOf(j.R, env)
 	if sl == nil || sr == nil {
 		return nil
 	}
@@ -288,7 +307,7 @@ func ruleAntiProjectIntoFixpoint(rw *Rewriter, t core.Term, env core.SchemaEnv) 
 	if err != nil {
 		return nil
 	}
-	xCols := schemaOf(fp, env)
+	xCols := rw.schemaOf(fp, env)
 	if xCols == nil {
 		return nil
 	}
@@ -297,7 +316,7 @@ func ruleAntiProjectIntoFixpoint(rw *Rewriter, t core.Term, env core.SchemaEnv) 
 	for _, c := range ap.Cols {
 		untouched := true
 		for _, br := range d.PhiBranches {
-			if !colsUntouchedByPhi(br, d.X, []string{c}, envX) {
+			if !rw.colsUntouchedByPhi(br, d.X, []string{c}, envX) {
 				untouched = false
 				break
 			}
@@ -488,8 +507,8 @@ func joinIntoFixpoint(rw *Rewriter, b, fpTerm core.Term, env core.SchemaEnv) cor
 	if err != nil {
 		return nil
 	}
-	bCols := schemaOf(b, env)
-	fpCols := schemaOf(fp, env)
+	bCols := rw.schemaOf(b, env)
+	fpCols := rw.schemaOf(fp, env)
 	if bCols == nil || fpCols == nil {
 		return nil
 	}
@@ -500,15 +519,15 @@ func joinIntoFixpoint(rw *Rewriter, b, fpTerm core.Term, env core.SchemaEnv) cor
 	if len(common) == 0 {
 		return nil
 	}
-	stable, err := core.StableCols(d, env)
-	if err != nil || !subset(common, stable) {
+	stable, ok := rw.stableCols(d, env)
+	if !ok || !subset(common, stable) {
 		return nil
 	}
 	extra := core.ColsMinus(bCols, fpCols)
 	if len(extra) > 0 {
 		envX := env.With(d.X, core.ColsUnion(fpCols, extra))
 		for _, br := range d.PhiBranches {
-			if !colsUntouchedByPhi(br, d.X, extra, envX) {
+			if !rw.colsUntouchedByPhi(br, d.X, extra, envX) {
 				return nil
 			}
 		}
@@ -628,31 +647,31 @@ func renameCondCol(c core.Condition, from, to string) core.Condition {
 // the recursion untouched: they can be dropped before the fixpoint
 // (anti-projection pushing) or added to it (join pushing) without changing
 // its semantics.
-func colsUntouchedByPhi(t core.Term, x string, cols []string, env core.SchemaEnv) bool {
-	onX, ok := untouchedWalk(t, x, cols, env)
+func (rw *Rewriter) colsUntouchedByPhi(t core.Term, x string, cols []string, env core.SchemaEnv) bool {
+	onX, ok := rw.untouchedWalk(t, x, cols, env)
 	return onX && ok
 }
 
-func untouchedWalk(t core.Term, x string, cols []string, env core.SchemaEnv) (onX, ok bool) {
+func (rw *Rewriter) untouchedWalk(t core.Term, x string, cols []string, env core.SchemaEnv) (onX, ok bool) {
 	switch n := t.(type) {
 	case *core.Var:
 		return n.Name == x, true
 	case *core.ConstTuple:
 		return false, true
 	case *core.Filter:
-		onX, ok = untouchedWalk(n.T, x, cols, env)
+		onX, ok = rw.untouchedWalk(n.T, x, cols, env)
 		if onX && !disjoint(n.Cond.Columns(), cols) {
 			return onX, false
 		}
 		return onX, ok
 	case *core.Rename:
-		onX, ok = untouchedWalk(n.T, x, cols, env)
+		onX, ok = rw.untouchedWalk(n.T, x, cols, env)
 		if onX && (core.ColIndex(cols, n.From) >= 0 || core.ColIndex(cols, n.To) >= 0) {
 			return onX, false
 		}
 		return onX, ok
 	case *core.AntiProject:
-		onX, ok = untouchedWalk(n.T, x, cols, env)
+		onX, ok = rw.untouchedWalk(n.T, x, cols, env)
 		if onX && !disjoint(n.Cols, cols) {
 			return onX, false
 		}
@@ -665,23 +684,23 @@ func untouchedWalk(t core.Term, x string, cols []string, env core.SchemaEnv) (on
 			aj := n.(*core.Antijoin)
 			l, r = aj.L, aj.R
 		}
-		lOn, lOk := untouchedWalk(l, x, cols, env)
-		rOn, rOk := untouchedWalk(r, x, cols, env)
+		lOn, lOk := rw.untouchedWalk(l, x, cols, env)
+		rOn, rOk := rw.untouchedWalk(r, x, cols, env)
 		if !lOk || !rOk {
 			return lOn || rOn, false
 		}
 		if lOn {
-			rs := schemaOf(r, env)
+			rs := rw.schemaOf(r, env)
 			return true, rs != nil && disjoint(rs, cols)
 		}
 		if rOn {
-			ls := schemaOf(l, env)
+			ls := rw.schemaOf(l, env)
 			return true, ls != nil && disjoint(ls, cols)
 		}
 		return false, true
 	case *core.Union:
-		lOn, lOk := untouchedWalk(n.L, x, cols, env)
-		rOn, rOk := untouchedWalk(n.R, x, cols, env)
+		lOn, lOk := rw.untouchedWalk(n.L, x, cols, env)
+		rOn, rOk := rw.untouchedWalk(n.R, x, cols, env)
 		return lOn || rOn, lOk && rOk
 	case *core.Fixpoint:
 		// Fcond forbids x free inside nested fixpoints.
