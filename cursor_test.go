@@ -116,9 +116,10 @@ func TestCursorIsolatedFromCacheRefresh(t *testing.T) {
 
 // TestCursorIsolatedFromGraphWrites opens cursors whose roots read the
 // triple relation G or a caller's binding — ρ over G, bare G, ρ over a
-// bound relation — then writes to what they read before draining them:
-// each yields the rows from before the write, because a relation a write
-// can change is copied, never aliased.
+// bound relation, a µ with no recursive branch whose seed the operand memo
+// serves — then writes to what they read before draining them: each
+// yields the rows from before the write, because a relation a write can
+// change is copied, never aliased, and so is a memoized seed.
 func TestCursorIsolatedFromGraphWrites(t *testing.T) {
 	eng, err := Open(Options{Workers: 2})
 	if err != nil {
@@ -130,21 +131,30 @@ func TestCursorIsolatedFromGraphWrites(t *testing.T) {
 	bound := core.NewRelation("a", "b")
 	bound.Add([]core.Value{1, 2})
 	g := &core.Var{Name: edgeRel}
+	knows, _ := eng.Graph().Dict.Lookup("knows")
+	// µ(X = π̃[pred](σ[pred=knows](G))): its value is its seed. Forcing
+	// Ps_plw keeps the sub-result cache out, so each query reads the seed
+	// from the operand memo.
+	seedOnly := &core.Fixpoint{X: "X", Body: core.EdgeRel(edgeRel, knows)}
 	for _, tc := range []struct {
-		name  string
-		term  core.Term
-		extra map[string]*core.Relation
-		write func()
+		name    string
+		term    core.Term
+		extra   map[string]*core.Relation
+		opts    []QueryOption
+		seedHit bool
+		write   func()
 	}{
-		{"ρ over G", &core.Rename{From: core.ColSrc, To: "s", T: g}, nil,
+		{"ρ over G", &core.Rename{From: core.ColSrc, To: "s", T: g}, nil, nil, false,
 			func() { eng.DeleteTriple("a", "knows", "b") }},
-		{"bare G", g, nil,
+		{"bare G", g, nil, nil, false,
 			func() { eng.DeleteTriple("a", "knows", "c") }},
-		{"ρ over a binding", &core.Rename{From: "a", To: "z", T: &core.Var{Name: "R"}}, map[string]*core.Relation{"R": bound},
+		{"ρ over a binding", &core.Rename{From: "a", To: "z", T: &core.Var{Name: "R"}}, map[string]*core.Relation{"R": bound}, nil, false,
 			func() { bound.Add([]core.Value{3, 4}) }},
+		{"µ over a memoized seed", seedOnly, nil, []QueryOption{WithPlan(PlanSplw)}, true,
+			func() { eng.DeleteTriple("b", "knows", "d") }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			before, err := eng.QueryTerm(ctx, tc.term, tc.extra)
+			before, err := eng.QueryTerm(ctx, tc.term, tc.extra, tc.opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -153,13 +163,17 @@ func TestCursorIsolatedFromGraphWrites(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := rendered(res)
-			rows, err := eng.QueryTerm(ctx, tc.term, tc.extra)
+			hits := eng.OperandMemoStats().Hits
+			rows, err := eng.QueryTerm(ctx, tc.term, tc.extra, tc.opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
+			if tc.seedHit && eng.OperandMemoStats().Hits == hits {
+				t.Fatal("the second query did not read its seed from the operand memo")
+			}
 			tc.write()
 			sameSet(t, "cursor drained after the write", drainRendered(t, rows), want)
-			after, err := eng.QueryTerm(ctx, tc.term, tc.extra)
+			after, err := eng.QueryTerm(ctx, tc.term, tc.extra, tc.opts...)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -137,11 +137,15 @@ type Options struct {
 	PlanCacheSize int
 	// SubResultCacheBytes budgets the engine's shared sub-result cache
 	// (materialized recursive subplans reused across sessions; see
-	// ARCHITECTURE.md, "Multi-query optimization"). 0 inherits
-	// TaskMemBytes; when both are 0 residency is metered but unbounded.
+	// ARCHITECTURE.md, "Multi-query optimization") and, separately, the
+	// driver's operand memo. 0 inherits TaskMemBytes; when both are 0
+	// residency is metered but unbounded.
 	SubResultCacheBytes int64
-	// DisableSubResultCache turns the sub-result cache off entirely — the
-	// ablation flag for the overlapping-workload benchmark.
+	// DisableSubResultCache turns the sub-result cache off — the ablation
+	// flag for the overlapping-workload benchmark. It covers µ results
+	// only: the driver's operand memo stays on, keeping the operands and
+	// fixpoint seeds derived from the graph alone (Engine.OperandMemoStats),
+	// though no operand that contains a fixpoint.
 	DisableSubResultCache bool
 	// MaxQueryRetries bounds the automatic re-runs of a query that failed
 	// with a worker failure (0 = a default of 2, negative disables
@@ -183,8 +187,11 @@ type Engine struct {
 	clust *cluster.Cluster
 	plans *planCache
 	subs  *subResultCache // shared sub-result cache; nil when disabled
-	sem   chan struct{}   // admission semaphore; nil = unlimited
-	stats statsCache      // the cost model's edge statistics (edgeStats)
+	// operands is the driver's memo of graph-derived operands
+	// (operands.go), on whether or not subs is.
+	operands *core.OperandMemo
+	sem      chan struct{} // admission semaphore; nil = unlimited
+	stats    statsCache    // the cost model's edge statistics (edgeStats)
 
 	// watchers holds one coalescing wakeup channel per standing Watch
 	// subscription (watch.go); every mutation entry point signals them.
@@ -229,11 +236,12 @@ func Open(opts Options) (*Engine, error) {
 		clust: c,
 		plans: newPlanCache(cacheSize),
 	}
+	budget := opts.SubResultCacheBytes
+	if budget == 0 {
+		budget = opts.TaskMemBytes
+	}
+	e.operands = core.NewOperandMemo(budget)
 	if !opts.DisableSubResultCache {
-		budget := opts.SubResultCacheBytes
-		if budget == 0 {
-			budget = opts.TaskMemBytes
-		}
 		e.subs = newSubResultCache(budget)
 	}
 	if opts.MaxConcurrentQueries > 0 {
@@ -289,6 +297,7 @@ func (e *Engine) UseGraph(g *graphgen.Graph) {
 	e.graph = g
 	e.plans.flush()
 	e.subs.flush()
+	e.operands.Flush()
 	e.clust.RetireResidentBroadcasts()
 	e.notifyWatchers()
 }
@@ -748,10 +757,17 @@ func (e *Engine) runOnce(ctx context.Context, term core.Term, cfg queryConfig, e
 	// WithPlan is a request to actually execute that strategy (the plan
 	// comparison and ablation surface), which a cache hit would silently
 	// skip.
+	//
+	// The operand memo serves every query that reads the engine's triple
+	// relation, keeping operands that contain fixpoints only while the
+	// cache serves those fixpoints.
 	var prov *subResultProvider
 	if e.subs != nil && extra[edgeRel] == nil && cfg.plan == PlanAuto {
 		prov = &subResultProvider{ctx: ctx, cache: e.subs, graph: e.graph}
 		planner.SubResults = prov
+	}
+	if extra[edgeRel] == nil {
+		planner.Operands = &operandProvider{memo: e.operands, graph: e.graph, fixpoints: prov != nil}
 	}
 	start := time.Now()
 	it, n, rep, err := planner.ExecuteStream(term)

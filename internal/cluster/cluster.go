@@ -961,7 +961,7 @@ func (s *Session) BroadcastRel(rel *core.Relation) (*Broadcast, error) {
 		}); err != nil {
 			return err
 		}
-		r.Seal()
+		r.Seal(c.cfg.TaskMemBytes)
 		ctx.w.mu.Lock()
 		ctx.w.bcast[b.id] = r
 		ctx.w.mu.Unlock()

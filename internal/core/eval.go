@@ -159,7 +159,7 @@ type Evaluator struct {
 	// fixpoints, keyed by their text, so φ's constant operands are
 	// evaluated and indexed once per fixpoint instead of once per
 	// iteration. Its operands charge Gauge; Close returns the charge.
-	memo *operandMemo
+	memo map[string]*Operand
 	// Operands, when set, is the shared memo consulted for constant
 	// operands outside any running fixpoint: the driver's, across queries.
 	Operands OperandStore
@@ -176,7 +176,7 @@ func NewEvaluator(env *Env) *Evaluator {
 	return &Evaluator{
 		env:     env,
 		dynamic: make(map[string]bool),
-		memo:    newOperandMemo(-1),
+		memo:    make(map[string]*Operand),
 	}
 }
 
@@ -322,14 +322,10 @@ func (ev *Evaluator) evalOperand(t Term, env *Env) (*Relation, *Operand, error) 
 		if ev.dynamic[v.Name] {
 			return r, nil, nil
 		}
-		if op := ev.memo.get(v.Name); op != nil && op.rel == r {
+		if op := ev.memo[v.Name]; op != nil && op.rel == r {
 			return r, op, nil
 		}
-		var shared *Operand
-		if r.memo != nil {
-			shared = r.memo.get("")
-		}
-		return r, ev.hold(v.Name, r, shared), nil
+		return r, ev.hold(v.Name, r, r.self), nil
 	}
 	if ev.isDynamic(t) {
 		r, err := ev.eval(t, env)
@@ -337,7 +333,7 @@ func (ev *Evaluator) evalOperand(t Term, env *Env) (*Relation, *Operand, error) 
 	}
 	key := t.String()
 	if len(ev.dynamic) > 0 {
-		if op := ev.memo.get(key); op != nil {
+		if op := ev.memo[key]; op != nil {
 			return op.rel, op, nil
 		}
 	}
@@ -346,7 +342,7 @@ func (ev *Evaluator) evalOperand(t Term, env *Env) (*Relation, *Operand, error) 
 		return nil, nil, err
 	}
 	if shared != nil {
-		if op := ev.memo.get(key); op != nil && op.parent == shared {
+		if op := ev.memo[key]; op != nil && op.parent == shared {
 			return op.rel, op, nil
 		}
 		return shared.rel, ev.hold(key, shared.rel, shared), nil
@@ -362,26 +358,28 @@ func (ev *Evaluator) evalOperand(t Term, env *Env) (*Relation, *Operand, error) 
 // to the evaluator's gauge that takes its indexes from shared when set.
 func (ev *Evaluator) hold(key string, rel *Relation, shared *Operand) *Operand {
 	op := &Operand{rel: rel, parent: shared, gauge: ev.Gauge}
-	ev.memo.replace(key, op)
+	if old := ev.memo[key]; old != nil {
+		old.Release()
+	}
+	ev.memo[key] = op
 	return op
 }
 
 // sharedOperand returns the shared operand for a constant term t: from the
 // memo of the sealed relation that is t's one free variable (evaluated and
-// kept there on a miss, within the memo's cap), or from the evaluator's
-// OperandStore outside any running fixpoint. It returns nil when neither
-// keeps t.
+// kept there on a miss), or from the evaluator's OperandStore outside any
+// running fixpoint. It returns nil when neither keeps t.
 func (ev *Evaluator) sharedOperand(t Term, key string, env *Env) (*Operand, error) {
 	if fv := FreeVars(t); len(fv) == 1 {
 		if r, ok := env.Rels[fv[0]]; ok && r.memo != nil {
-			if op := r.memo.get(key); op != nil {
+			if op := r.memo.Get(key, ""); op != nil {
 				return op, nil
 			}
 			rel, err := ev.eval(t, env)
 			if err != nil {
 				return nil, err
 			}
-			return r.memo.put(key, NewOperand(rel, nil)), nil
+			return r.memo.Put(key, "", rel), nil
 		}
 	}
 	if ev.Operands == nil || len(ev.dynamic) > 0 {
@@ -423,7 +421,10 @@ func (ev *Evaluator) indexFor(rel *Relation, op *Operand, cols []string) (*JoinI
 // differential harness (internal/testkit) fails any route that leaves a
 // gauge holding a charge once its query returns.
 func (ev *Evaluator) Close() {
-	ev.memo.release()
+	for k, op := range ev.memo {
+		op.Release()
+		delete(ev.memo, k)
+	}
 	ev.releaseEphemeral(0)
 }
 

@@ -2,7 +2,9 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -618,10 +620,11 @@ func TestClosureBothDirectionsAgree(t *testing.T) {
 
 // TestSealedRelationSharesConstantOperands: a constant operand read from
 // one sealed relation is evaluated and indexed once and served to every
-// later evaluator that reads the relation, within a cap of the relation's
-// own row count; an evaluator probing the shared index charges its gauge
-// as a builder would until Close; an unsealed relation's operands are
-// evaluated per evaluator, and a sealed relation refuses mutation.
+// later evaluator that reads the relation, whatever its size — all of
+// them, even together larger than the relation, under a budget of 0; an
+// evaluator probing the shared index charges its gauge as a builder would
+// until Close; an unsealed relation's operands are evaluated per
+// evaluator, and a sealed relation refuses mutation.
 func TestSealedRelationSharesConstantOperands(t *testing.T) {
 	const n = 200
 	chain := func() *Relation {
@@ -632,7 +635,7 @@ func TestSealedRelationSharesConstantOperands(t *testing.T) {
 		return e
 	}
 	// Two constant operands of E: ρ_src(E) on the left of X, ρ_trg(E) on
-	// its right. Together they hold 2n rows, above the cap of n.
+	// its right. Together they hold 2n rows, twice the relation's own.
 	e := &Var{Name: "E"}
 	x := &Var{Name: "X"}
 	fp := &Fixpoint{X: "X", Body: &Union{L: e, R: &Union{L: Compose(x, e), R: Compose(e, x)}}}
@@ -655,7 +658,7 @@ func TestSealedRelationSharesConstantOperands(t *testing.T) {
 	}
 
 	sealed := chain()
-	sealed.Seal()
+	sealed.Seal(0)
 	env := NewEnv()
 	env.Bind("E", sealed)
 	got1, rows1 := run(env)
@@ -663,13 +666,12 @@ func TestSealedRelationSharesConstantOperands(t *testing.T) {
 	if !got1.Equal(want) || !got2.Equal(want) {
 		t.Fatalf("sealed relation changed the result: %d and %d rows, want %d", got1.Len(), got2.Len(), want.Len())
 	}
-	if rows1 != first || rows2 != first-n {
-		t.Fatalf("operand rows %d then %d, want %d then %d (one operand of %d rows served from the memo)",
-			rows1, rows2, first, first-n, n)
+	if rows1 != first || rows2 != first-2*n {
+		t.Fatalf("operand rows %d then %d, want %d then %d (both operands of %d rows served from the memo)",
+			rows1, rows2, first, first-2*n, n)
 	}
-	// The memo holds E itself under "" and one derived operand.
-	if len(sealed.memo.m) != 2 || sealed.memo.rows > sealed.Len() {
-		t.Fatalf("memo holds %d operands, %d rows; want E and 1 derived within the cap of %d", len(sealed.memo.m), sealed.memo.rows, sealed.Len())
+	if st := sealed.memo.Stats(); st.Entries != 2 || st.Evictions != 0 || st.Hits != 2 {
+		t.Fatalf("memo %+v; want both derived operands kept and each served once", st)
 	}
 
 	// A closure reads one constant operand of E, which the memo keeps with
@@ -682,7 +684,7 @@ func TestSealedRelationSharesConstantOperands(t *testing.T) {
 		t.Fatal(err)
 	}
 	shared := chain()
-	shared.Seal()
+	shared.Seal(0)
 	cenv := NewEnv()
 	cenv.Bind("E", shared)
 	step := func() (EvalStats, int64, *MemGauge) {
@@ -732,4 +734,173 @@ func TestSealedRelationSharesConstantOperands(t *testing.T) {
 		}
 	}()
 	sealed.Add([]Value{-1, -2})
+}
+
+// hubGraph returns the k+k edges a_i → hub → b_j, whose composition with
+// itself has k² rows.
+func hubGraph(k int) *Relation {
+	e := NewRelation(ColSrc, ColTrg)
+	const hub = 0
+	for i := 1; i <= k; i++ {
+		e.Add([]Value{Value(i), hub})
+		e.Add([]Value{hub, Value(1000 + i)})
+	}
+	return e
+}
+
+// TestSealedRelationKeepsLargerOperand: an operand derived from a sealed
+// relation is kept even when it holds more rows than the relation itself,
+// and a later evaluator reads the same rows from the memo.
+func TestSealedRelationKeepsLargerOperand(t *testing.T) {
+	const k = 20
+	e := &Var{Name: "E"}
+	// µ(X = E ∪ X∘(E∘E)): the constant operand ρ_src(E∘E) has k² rows.
+	fp := &Fixpoint{X: "X", Body: &Union{L: e, R: Compose(&Var{Name: "X"}, Compose(e, e))}}
+	plain := NewEnv()
+	plain.Bind("E", hubGraph(k))
+	want, err := Eval(fp, plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sealed := hubGraph(k)
+	sealed.Seal(0)
+	env := NewEnv()
+	env.Bind("E", sealed)
+	for i := 0; i < 2; i++ {
+		got, err := Eval(fp, env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(want) {
+			t.Fatalf("run %d over the sealed relation: %d rows, want %d", i, got.Len(), want.Len())
+		}
+	}
+	largest := 0
+	for _, en := range sealed.memo.m {
+		largest = max(largest, en.op.rel.Len())
+	}
+	if largest != k*k || largest <= sealed.Len() {
+		t.Fatalf("largest kept operand has %d rows, want the %d of E∘E, above E's %d", largest, k*k, sealed.Len())
+	}
+	if st := sealed.memo.Stats(); st.Hits == 0 {
+		t.Fatalf("the second run derived every operand again: %+v", st)
+	}
+}
+
+// TestSealedRelationEvictsColdest: under a budget, the memo keeps every
+// newcomer and evicts the least recently used entries until it fits —
+// an entry served since it was kept is warmer than one that was not — and
+// a newcomer larger than the whole budget is kept alone. An entry asked
+// for at another state is dropped.
+func TestSealedRelationEvictsColdest(t *testing.T) {
+	rows := func(n int) *Relation {
+		r := NewRelation(ColSrc, ColTrg)
+		for i := 0; i < n; i++ {
+			r.Add([]Value{Value(i), Value(i)})
+		}
+		return r
+	}
+	each := AccRowBytes(2) * 10
+	m := NewOperandMemo(2*each + each/2) // two entries of 10 rows fit, three do not
+	m.Put("a", "", rows(10))
+	m.Put("b", "", rows(10))
+	if m.Get("a", "") == nil {
+		t.Fatal("a was not kept")
+	}
+	m.Put("c", "", rows(10))
+	if m.Get("b", "") != nil || m.Get("a", "") == nil || m.Get("c", "") == nil {
+		t.Fatal("want b, the coldest, evicted and a and c kept")
+	}
+	if st := m.Stats(); st.Evictions != 1 || st.Entries != 2 || st.Bytes != 2*each {
+		t.Fatalf("stats %+v; want 1 eviction, 2 entries of %d B", st, 2*each)
+	}
+	big := m.Put("d", "", rows(100))
+	if m.Get("d", "") != big || m.Get("a", "") != nil || m.Get("c", "") != nil {
+		t.Fatal("want the over-budget newcomer kept alone")
+	}
+	if st := m.Stats(); st.Entries != 1 || st.Bytes != 10*each || st.Evictions != 3 {
+		t.Fatalf("stats %+v; want d alone, %d B, 3 evictions", st, 10*each)
+	}
+	if m.Get("d", "later") != nil {
+		t.Fatal("an entry was served at another state")
+	}
+	if st := m.Stats(); st.Entries != 0 || st.Bytes != 0 || st.Evictions != 3 {
+		t.Fatalf("stats %+v; want the stale entry dropped, uncounted as an eviction", st)
+	}
+	m.Put("e", "", rows(10))
+	m.Flush()
+	if st := m.Stats(); st.Entries != 0 || st.Bytes != 0 {
+		t.Fatalf("Flush left %+v", st)
+	}
+}
+
+// TestSealedRelationConcurrentEviction: two evaluators probe one sealed
+// relation at once under a one-byte budget, so every operand one of them
+// keeps evicts the other's; each still reads the unsealed result, and
+// the memo ends charged for only what it holds.
+func TestSealedRelationConcurrentEviction(t *testing.T) {
+	const n = 300
+	e := &Var{Name: "E"}
+	x := &Var{Name: "X"}
+	fp := &Fixpoint{X: "X", Body: &Union{L: e, R: &Union{L: Compose(x, e), R: Compose(e, x)}}}
+	chain := func() *Relation {
+		r := NewRelation(ColSrc, ColTrg)
+		for i := 0; i < n; i++ {
+			r.Add([]Value{Value(i), Value((i*7 + 1) % n)})
+		}
+		return r
+	}
+	plain := NewEnv()
+	plain.Bind("E", chain())
+	want, err := Eval(fp, plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sealed := chain()
+	sealed.Seal(1)
+	env := NewEnv()
+	env.Bind("E", sealed)
+	var wg sync.WaitGroup
+	errs := make(chan error, 2)
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 4; i++ {
+				g := NewMemGauge(0, "")
+				ev := NewEvaluator(env)
+				ev.Gauge = g
+				got, err := ev.Eval(fp)
+				ev.Close()
+				if err != nil {
+					errs <- err
+					return
+				}
+				if !got.Equal(want) {
+					errs <- fmt.Errorf("%d rows, want %d", got.Len(), want.Len())
+					return
+				}
+				if g.Used() != 0 {
+					errs <- fmt.Errorf("evaluator gauge holds %d B after Close", g.Used())
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	st := sealed.memo.Stats()
+	if st.Evictions == 0 || st.Entries > 1 {
+		t.Fatalf("memo %+v; want evictions and at most one entry kept", st)
+	}
+	var held int64
+	for _, en := range sealed.memo.m {
+		held += en.bytes + en.op.bytes
+	}
+	if held+sealed.self.bytes != st.Bytes {
+		t.Fatalf("memo gauge holds %d B, its entries and E's own indexes %d B", st.Bytes, held+sealed.self.bytes)
+	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"container/list"
 	"strings"
 	"sync"
 )
@@ -17,8 +18,10 @@ import (
 //   - a sealed relation keeps the operands derived from it alone
 //     (Relation.Seal), shared by every evaluator that reads it — a
 //     worker's resident broadcast copy across fixpoints and queries;
-//   - the engine's sub-result cache keeps the operands derived from the
-//     driver's graph, per graph state, across queries (OperandStore).
+//   - the engine keeps the operands derived from the driver's graph, per
+//     graph state, across queries (OperandStore).
+//
+// The last two are OperandMemos, under one admission rule.
 //
 // An evaluator's operand for a shared one has the shared one as parent: it
 // takes its indexes from there, so each index is built once per shared
@@ -42,6 +45,9 @@ type Operand struct {
 func NewOperand(rel *Relation, g *MemGauge) *Operand {
 	return &Operand{rel: rel, gauge: g}
 }
+
+// Rel returns the operand's relation, which must not be modified.
+func (o *Operand) Rel() *Relation { return o.rel }
 
 func joinIndexKey(cols []string) string { return strings.Join(cols, "\x00") }
 
@@ -97,61 +103,138 @@ type OperandStore interface {
 	Operand(t Term, derive func() (*Relation, error)) (*Operand, error)
 }
 
-// operandMemo maps operand keys — the canonical text of the term that
-// derives an operand (Term.String), or the name of the bound relation it
-// is — to operands. Safe for concurrent use.
-type operandMemo struct {
-	mu    sync.Mutex
-	m     map[string]*Operand
-	rows  int // rows of the operands held, the unkeyed "" entry excepted
-	limit int // cap on rows; negative means none
+// OperandMemo keeps constant operands, with their join indexes, for the
+// evaluators that come and go over one graph state: a sealed relation's
+// memo of the operands derived from it alone (Relation.Seal), and the
+// engine's memo of the operands derived from the driver's graph. One
+// admission rule governs both. Every newcomer is kept. Its rows, priced as
+// AccRowBytes, and each of its indexes as it is built are charged to the
+// memo's standalone gauge. While the gauge is over budget, the least
+// recently used entries are evicted, never the one just kept or served. A
+// budget of 0 meters without evicting.
+//
+// Keys are the canonical text of the term that derives the operand. Each
+// entry is stamped with the state it was derived from (a sealed
+// relation's entries with ""): an entry is served only to a caller at the
+// same state, and dropped when a caller at another state asks for its
+// key. Safe for concurrent use.
+type OperandMemo struct {
+	mu      sync.Mutex
+	m       map[string]*memoEntry
+	lru     list.List // of *memoEntry; front = most recently used
+	gauge   *MemGauge
+	hits    int64
+	misses  int64
+	evicted int64
 }
 
-func newOperandMemo(limit int) *operandMemo {
-	return &operandMemo{m: make(map[string]*Operand), limit: limit}
+type memoEntry struct {
+	key   string
+	stamp string
+	op    *Operand
+	bytes int64 // the rows' charge; the operand carries its indexes'
+	elem  *list.Element
 }
 
-func (m *operandMemo) get(key string) *Operand {
+// NewOperandMemo returns an empty memo budgeted at budgetBytes on a gauge
+// of its own (0 or negative: metered, never evicted). The gauge is
+// standalone rather than a task gauge's child: memo residency outlives
+// every task, and mirrored into a task's budget it would push each later
+// task toward spilling.
+func NewOperandMemo(budgetBytes int64) *OperandMemo {
+	return &OperandMemo{m: make(map[string]*memoEntry), gauge: NewMemGauge(budgetBytes, "")}
+}
+
+// Get returns the operand kept under key at the state stamp names, as the
+// most recently used, or nil. An entry of another state is dropped.
+func (m *OperandMemo) Get(key, stamp string) *Operand {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.m[key]
+	en := m.m[key]
+	if en == nil {
+		return nil
+	}
+	if en.stamp != stamp {
+		m.removeLocked(en)
+		return nil
+	}
+	m.hits++
+	m.lru.MoveToFront(en.elem)
+	m.evictOverBudgetLocked(en)
+	return en.op
 }
 
-// put keeps op under key unless an operand is already kept there or the
-// memo would exceed its row cap, and returns the operand kept under key
-// (op itself when none is, so the caller can go on using it).
-func (m *operandMemo) put(key string, op *Operand) *Operand {
+// Put keeps rel, derived at the state stamp names, as the operand under
+// key and returns the operand to use: the one kept there already at the
+// same state (another evaluator derived it meanwhile), else the new one.
+// The rows are charged now, each index as it is built.
+func (m *OperandMemo) Put(key, stamp string, rel *Relation) *Operand {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if cur, ok := m.m[key]; ok {
-		return cur
+	m.misses++
+	if cur := m.m[key]; cur != nil {
+		if cur.stamp == stamp {
+			m.lru.MoveToFront(cur.elem)
+			return cur.op
+		}
+		m.removeLocked(cur)
 	}
-	if m.limit >= 0 && m.rows+op.rel.Len() > m.limit {
-		return op
-	}
-	m.m[key] = op
-	m.rows += op.rel.Len()
-	return op
+	en := &memoEntry{key: key, stamp: stamp, op: NewOperand(rel, m.gauge), bytes: AccRowBytes(rel.Arity()) * int64(rel.Len())}
+	m.gauge.Charge(en.bytes)
+	en.elem = m.lru.PushFront(en)
+	m.m[key] = en
+	m.evictOverBudgetLocked(en)
+	return en.op
 }
 
-// replace keeps op under key, releasing the operand it displaces.
-func (m *operandMemo) replace(key string, op *Operand) {
-	m.mu.Lock()
-	old := m.m[key]
-	m.m[key] = op
-	m.mu.Unlock()
-	if old != nil {
-		old.Release()
+// evictOverBudgetLocked evicts from the cold end until the gauge is back
+// under budget or only keep is left.
+func (m *OperandMemo) evictOverBudgetLocked(keep *memoEntry) {
+	for el := m.lru.Back(); el != nil && m.gauge.Over(); {
+		prev := el.Prev()
+		if en := el.Value.(*memoEntry); en != keep {
+			m.removeLocked(en)
+			m.evicted++
+		}
+		el = prev
 	}
 }
 
-// release returns every held operand's charge and empties the memo.
-func (m *operandMemo) release() {
+// removeLocked unlinks en and returns its charges. Evaluators still
+// probing its operand go on doing so.
+func (m *OperandMemo) removeLocked(en *memoEntry) {
+	delete(m.m, en.key)
+	m.lru.Remove(en.elem)
+	m.gauge.Release(en.bytes)
+	en.op.Release()
+}
+
+// Flush drops every entry.
+func (m *OperandMemo) Flush() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for k, op := range m.m {
-		op.Release()
-		delete(m.m, k)
+	for _, en := range m.m {
+		m.removeLocked(en)
 	}
-	m.rows = 0
+}
+
+// OperandMemoStats reports an operand memo's effectiveness. Hits counts
+// operands served, Misses operands derived and put, Evictions entries
+// left under memory pressure (entries of another state dropped are not
+// counted).
+// Bytes is the gauge's charge: the kept rows and every index built over
+// them. Entries is the number of operands kept.
+type OperandMemoStats struct {
+	Hits      int64
+	Misses    int64
+	Evictions int64
+	Bytes     int64
+	Entries   int
+}
+
+// Stats returns the memo's counters.
+func (m *OperandMemo) Stats() OperandMemoStats {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return OperandMemoStats{Hits: m.hits, Misses: m.misses, Evictions: m.evicted, Bytes: m.gauge.Used(), Entries: len(m.m)}
 }

@@ -47,9 +47,10 @@ type Relation struct {
 	// (an append could clobber the parent's rows through shared capacity),
 	// and sealed relations (Seal).
 	readonly bool
-	// memo holds the operands derived from a sealed relation alone, under
-	// the key "" the relation itself; nil until Seal.
-	memo *operandMemo
+	// memo holds the operands derived from a sealed relation alone, and
+	// self the relation itself as an operand; nil until Seal.
+	memo *OperandMemo
+	self *Operand
 	// deferred is true while the dedup set has not been built over the
 	// stored rows; setMu serializes the one build (see ensureSet).
 	deferred atomic.Bool
@@ -111,11 +112,13 @@ func (r *Relation) Version() uint64 { return r.version }
 // r lives. The cluster seals each worker's copy of a broadcast as it
 // arrives, so a copy that stays resident across fixpoints and queries also
 // keeps its filtered and joined forms and every index built over them. The
-// derived operands hold at most as many rows as r itself.
-func (r *Relation) Seal() {
+// memo is budgeted at budgetBytes (OperandMemo's admission rule; 0 meters
+// without evicting); r's own indexes are charged to the memo's gauge but
+// never evicted.
+func (r *Relation) Seal(budgetBytes int64) {
 	r.readonly = true
-	r.memo = newOperandMemo(r.n)
-	r.memo.m[""] = NewOperand(r, nil)
+	r.memo = NewOperandMemo(budgetBytes)
+	r.self = NewOperand(r, r.memo.gauge)
 }
 
 // Cols returns the relation's schema (sorted). The returned slice must not

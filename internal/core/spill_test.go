@@ -353,7 +353,7 @@ func TestSpilledFixpointMatchesUnbudgeted(t *testing.T) {
 				}
 				var charged int64
 				indexes := 0
-				for _, op := range ev.memo.m {
+				for _, op := range ev.memo {
 					for _, ix := range op.ixs {
 						indexes++
 						if ix.buckets == nil {

@@ -110,9 +110,12 @@ type Planner struct {
 	// a hit replaces the whole distributed computation with the cached
 	// materialized relation (injected as if it were a base-relation scan),
 	// and a single-flight lease makes this planner the one that computes
-	// and publishes the result other sessions are waiting on. Its operand
-	// memo serves the driver's constant operands with their join indexes.
+	// and publishes the result other sessions are waiting on.
 	SubResults SubResultProvider
+	// Operands, when set, serves the driver's constant operands — the
+	// sides of its joins and antijoins and every fixpoint's constant part —
+	// with their join indexes.
+	Operands OperandProvider
 
 	sess        *cluster.Session
 	fresh       atomic.Int64
@@ -134,28 +137,30 @@ type Planner struct {
 //   - (nil, _, nil, err): the wait for another session's in-flight
 //     computation (or this session's refresh) was aborted (context
 //     cancelled); fail the query.
-//
-// Operand is the engine's operand memo, consulted for every constant
-// operand of the driver's glue evaluation (the sides of its joins and
-// antijoins): it returns the memoized operand for t with its join indexes,
-// calling derive to compute the relation on a miss, and reports whether
-// it hit. A nil operand means the engine does not keep t. A hit stands in
-// for every outermost fixpoint inside t, and each is reported as served
-// from the cache.
 type SubResultProvider interface {
 	Lookup(fp *core.Fixpoint) (rel *core.Relation, refreshed bool, complete func(*core.Relation, error), err error)
+}
+
+// OperandProvider is the engine's operand memo as seen by the physical
+// layer, consulted for every constant operand of the driver's glue
+// evaluation and for every fixpoint's constant part. Operand returns the
+// memoized operand for t with its join indexes, calling derive to compute
+// the relation on a miss, and reports whether it hit. A nil operand means
+// the engine does not keep t. A hit stands in for every outermost
+// fixpoint inside t, and each is reported as served from the cache.
+type OperandProvider interface {
 	Operand(t core.Term, derive func() (*core.Relation, error)) (op *core.Operand, hit bool, err error)
 }
 
-// operandStore is the driver evaluator's view of the provider's operand
-// memo: it reports the fixpoints a memo hit covers.
+// operandStore is the driver evaluator's view of the operand memo: it
+// reports the fixpoints a memo hit covers.
 type operandStore struct {
-	subs SubResultProvider
-	rep  *Report
+	ops OperandProvider
+	rep *Report
 }
 
 func (s operandStore) Operand(t core.Term, derive func() (*core.Relation, error)) (*core.Operand, error) {
-	op, hit, err := s.subs.Operand(t, derive)
+	op, hit, err := s.ops.Operand(t, derive)
 	if hit {
 		core.Walk(t, func(n core.Term) bool {
 			if _, ok := n.(*core.Fixpoint); ok {
@@ -256,8 +261,8 @@ func (p *Planner) begin(rep *Report) func() {
 		p.driverGauge = core.NewMemGaugeChild(root)
 		p.ev.Gauge = p.driverGauge
 	}
-	if p.SubResults != nil {
-		p.ev.Operands = operandStore{subs: p.SubResults, rep: rep}
+	if p.Operands != nil {
+		p.ev.Operands = operandStore{ops: p.Operands, rep: rep}
 	}
 	p.ev.FixpointHandler = func(fp *core.Fixpoint, _ *core.Env) (*core.Relation, error) {
 		rel, _, err := p.runFixpoint(sess, fp, rep, false)
@@ -274,6 +279,7 @@ func (p *Planner) begin(rep *Report) func() {
 type prepared struct {
 	d        *core.Decomposed
 	seed     *core.Relation
+	shared   bool                      // seed is the operand memo's, read by later queries
 	phiRels  map[string]*core.Relation // name → relation to broadcast
 	derived  map[string]*core.Relation // the phiRels computed by nested fixpoints
 	stable   []string
@@ -286,9 +292,10 @@ func (p *Planner) prepare(sess *cluster.Session, fp *core.Fixpoint, rep *Report)
 		return nil, err
 	}
 	// The constant part evaluates on the driver through the streaming
-	// evaluator; nested fixpoints inside it are routed back to this
-	// planner by the FixpointHandler installed in Execute.
-	seed, err := p.ev.Eval(d.Const)
+	// evaluator, or comes from the operand memo; nested fixpoints inside
+	// it are routed back to this planner by the FixpointHandler installed
+	// in Execute.
+	seed, shared, err := p.constPart(d.Const)
 	if err != nil {
 		return nil, err
 	}
@@ -349,7 +356,24 @@ func (p *Planner) prepare(sess *cluster.Session, fp *core.Fixpoint, rep *Report)
 	if err != nil {
 		return nil, err
 	}
-	return &prepared{d: pd, seed: seed, phiRels: phiRels, derived: extra, stable: stable, phiConst: total}, nil
+	return &prepared{d: pd, seed: seed, shared: shared, phiRels: phiRels, derived: extra, stable: stable, phiConst: total}, nil
+}
+
+// constPart returns the value of a fixpoint's constant part c: the
+// operand memo's, when the engine keeps c (shared is then true), else
+// evaluated on the driver.
+func (p *Planner) constPart(c core.Term) (rel *core.Relation, shared bool, err error) {
+	if p.ev.Operands != nil {
+		op, err := p.ev.Operands.Operand(c, func() (*core.Relation, error) { return p.ev.Eval(c) })
+		if err != nil {
+			return nil, false, err
+		}
+		if op != nil {
+			return op.Rel(), true, nil
+		}
+	}
+	rel, err = p.ev.Eval(c)
+	return rel, false, err
 }
 
 // choose returns the plan a fixpoint runs: Force, or Splw under Auto.
@@ -399,9 +423,10 @@ func (p *Planner) computeFixpoint(sess *cluster.Session, fp *core.Fixpoint, rep 
 			Kind: p.choose(), ConstPartRows: pr.seed.Len(), ResultRows: pr.seed.Len(),
 		})
 		seed := pr.seed
-		if _, bound := pr.d.Const.(*core.Var); bound {
-			// The constant part is a bound relation itself: a copy, so the
-			// result never aliases what a write can change.
+		if _, bound := pr.d.Const.(*core.Var); bound || pr.shared {
+			// The constant part is a bound relation itself, or the memo's:
+			// a copy, so the result never aliases what a write can change
+			// or what later queries read.
 			seed = seed.Clone()
 		}
 		return seed, nil, nil

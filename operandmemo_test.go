@@ -10,7 +10,9 @@ import (
 	"testing"
 
 	"repro/internal/benchkit"
+	"repro/internal/core"
 	"repro/internal/graphgen"
+	"repro/internal/rewrite"
 )
 
 // memoQuery's plan joins ρ(knows) with ρ(knows+) on the driver: the
@@ -40,21 +42,21 @@ func memoEngines(t *testing.T, opts Options) (*Engine, *Engine) {
 
 // TestOperandMemoWarmQuery: the second identical query derives no
 // operand and builds no driver index — every index over a memoized
-// operand charges the cache gauge as it is built, so an unchanged gauge
+// operand charges the memo's gauge as it is built, so an unchanged gauge
 // means none was — and still reads as a sub-result hit.
 func TestOperandMemoWarmQuery(t *testing.T) {
 	eng, ref := memoEngines(t, Options{Workers: 2})
 	want, _ := collectSorted(t, ref, memoQuery)
 	cold, _ := collectSorted(t, eng, memoQuery)
 	sameRows(t, "cold", cold, want)
-	before := eng.SubResultCacheStats()
-	if before.OperandMisses == 0 {
+	before := eng.OperandMemoStats()
+	if before.Misses == 0 {
 		t.Fatalf("cold query published no operand: %+v", before)
 	}
 	warm, stats := collectSorted(t, eng, memoQuery)
 	sameRows(t, "warm", warm, want)
-	after := eng.SubResultCacheStats()
-	if after.OperandMisses != before.OperandMisses || after.OperandHits <= before.OperandHits {
+	after := eng.OperandMemoStats()
+	if after.Misses != before.Misses || after.Hits <= before.Hits {
 		t.Errorf("warm query derived operands again: before %+v, after %+v", before, after)
 	}
 	if after.Bytes != before.Bytes || after.Entries != before.Entries {
@@ -74,12 +76,12 @@ func TestOperandMemoFootprint(t *testing.T) {
 	collectSorted(t, eng, memoQuery)
 
 	eng.AddTriple("m40", "likes", "m41")
-	before := eng.SubResultCacheStats()
+	before := eng.OperandMemoStats()
 	got, _ := collectSorted(t, eng, memoQuery)
 	want, _ := collectSorted(t, ref, memoQuery)
 	sameRows(t, "after an unrelated write", got, want)
-	after := eng.SubResultCacheStats()
-	if after.OperandMisses != before.OperandMisses || after.OperandHits == before.OperandHits {
+	after := eng.OperandMemoStats()
+	if after.Misses != before.Misses || after.Hits == before.Hits {
 		t.Errorf("a write to likes dropped a knows operand: before %+v, after %+v", before, after)
 	}
 
@@ -91,8 +93,8 @@ func TestOperandMemoFootprint(t *testing.T) {
 	if !strings.Contains(strings.Join(got, "\n"), "fresh") {
 		t.Error("the rows after the write do not reach the new edge")
 	}
-	after = eng.SubResultCacheStats()
-	if after.OperandMisses == before.OperandMisses {
+	after = eng.OperandMemoStats()
+	if after.Misses == before.Misses {
 		t.Errorf("a write to knows left its operand in the memo: before %+v, after %+v", before, after)
 	}
 }
@@ -101,25 +103,29 @@ func TestOperandMemoFootprint(t *testing.T) {
 func TestOperandMemoFlushedByUseGraph(t *testing.T) {
 	eng, ref := memoEngines(t, Options{Workers: 2})
 	collectSorted(t, eng, memoQuery)
-	if st := eng.SubResultCacheStats(); st.Entries == 0 || st.OperandMisses == 0 {
-		t.Fatalf("nothing cached before UseGraph: %+v", st)
+	if st := eng.OperandMemoStats(); st.Entries == 0 || st.Misses == 0 {
+		t.Fatalf("nothing memoized before UseGraph: %+v", st)
 	}
 	eng.UseGraph(ref.Graph())
-	if st := eng.SubResultCacheStats(); st.Entries != 0 || st.Bytes != 0 {
+	if st := eng.OperandMemoStats(); st.Entries != 0 || st.Bytes != 0 {
 		t.Fatalf("UseGraph left %d entries, %d B", st.Entries, st.Bytes)
 	}
-	before := eng.SubResultCacheStats()
+	before := eng.OperandMemoStats()
 	got, _ := collectSorted(t, eng, memoQuery)
 	want, _ := collectSorted(t, ref, memoQuery)
 	sameRows(t, "after UseGraph", got, want)
-	if after := eng.SubResultCacheStats(); after.OperandMisses == before.OperandMisses {
+	if after := eng.OperandMemoStats(); after.Misses == before.Misses {
 		t.Errorf("an operand survived UseGraph: before %+v, after %+v", before, after)
 	}
 }
 
-// TestOperandMemoEviction: under a one-byte budget every operand entry is
-// evicted as it is published, with its index charges, and each run
-// derives it again with the same rows.
+// TestOperandMemoEviction: under a one-byte budget every operand the
+// memo keeps or serves evicts all the others, with their index charges,
+// so the memo holds the one most recently used, over budget: the first
+// run keeps the fixpoint's seed, then the join side that contains the
+// fixpoint, which evicts the seed and serves every later run with the
+// same rows. The sub-result cache, on the same budget, holds nothing once
+// the query's pins are gone.
 func TestOperandMemoEviction(t *testing.T) {
 	eng, ref := memoEngines(t, Options{Workers: 2, SubResultCacheBytes: 1})
 	want, _ := collectSorted(t, ref, memoQuery)
@@ -128,12 +134,15 @@ func TestOperandMemoEviction(t *testing.T) {
 		got, _ := collectSorted(t, eng, memoQuery)
 		sameRows(t, fmt.Sprintf("evicted run %d", i), got, want)
 	}
-	st := eng.SubResultCacheStats()
-	if st.OperandMisses < runs || st.Evictions == 0 {
-		t.Errorf("operands were not evicted: %+v", st)
+	st := eng.OperandMemoStats()
+	if st.Misses != 2 || st.Evictions != 1 || st.Hits != runs-1 {
+		t.Errorf("memo %+v; want 2 operands derived, the colder evicted, the newer serving %d runs", st, runs-1)
 	}
-	if st.Bytes != 0 || st.Entries != 0 {
-		t.Errorf("over-budget cache retained %d B in %d entries", st.Bytes, st.Entries)
+	if st.Entries != 1 || st.Bytes <= 1 {
+		t.Errorf("memo holds %d entries of %d B, want the one most recently used, over budget", st.Entries, st.Bytes)
+	}
+	if sub := eng.SubResultCacheStats(); sub.Bytes != 0 || sub.Entries != 0 {
+		t.Errorf("over-budget cache retained %d B in %d entries", sub.Bytes, sub.Entries)
 	}
 }
 
@@ -210,7 +219,83 @@ func TestOperandMemoConcurrentReaders(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if st := eng.SubResultCacheStats(); st.OperandHits == 0 {
+	if st := eng.OperandMemoStats(); st.Hits == 0 {
 		t.Errorf("the clients shared no operand: %+v", st)
+	}
+}
+
+// TestOperandMemoColdCaches: with the plan cache and the sub-result cache
+// both off, the driver still memoizes the operands derived from the graph
+// alone. A second identical query derives no operand or fixpoint seed and
+// builds no index over one; neither query reads as a cache hit; the
+// operand that contains a fixpoint is not kept, so no memo hit stands in
+// for a µ result; and a write to a predicate a query reads makes the next
+// one derive again.
+func TestOperandMemoColdCaches(t *testing.T) {
+	eng, ref := memoEngines(t, Options{Workers: 2, PlanCacheSize: -1, DisableSubResultCache: true})
+	// A fixpoint whose seed is derived from the graph, and a glue join of
+	// two operands derived from it.
+	queries := []string{"?x,?y <- ?x knows+ ?y", "?x,?y <- ?x knows/knows ?y", memoQuery}
+	run := func(round string) {
+		t.Helper()
+		for _, q := range queries {
+			got, st := collectSorted(t, eng, q)
+			want, _ := collectSorted(t, ref, q)
+			sameRows(t, round+" "+q, got, want)
+			if st.SubResultHits != 0 || st.PlanCacheHit {
+				t.Errorf("%s %q: %d sub-result hits, plan cache hit %v; want neither", round, q, st.SubResultHits, st.PlanCacheHit)
+			}
+		}
+	}
+	run("cold")
+	before := eng.OperandMemoStats()
+	if before.Misses == 0 || before.Entries == 0 {
+		t.Fatalf("the cold round memoized nothing: %+v", before)
+	}
+	run("warm")
+	after := eng.OperandMemoStats()
+	if after.Misses != before.Misses || after.Hits <= before.Hits {
+		t.Errorf("the warm round derived operands again: before %+v, after %+v", before, after)
+	}
+	if after.Bytes != before.Bytes || after.Entries != before.Entries {
+		t.Errorf("the warm round built indexes or entries: %d B in %d entries, then %d B in %d",
+			before.Bytes, before.Entries, after.Bytes, after.Entries)
+	}
+
+	// memoQuery's glue join has a side that contains its fixpoint.
+	plan, _, _, err := eng.optimize(memoQuery, eng.queryConfig(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var withFixpoint []core.Term
+	core.Walk(plan, func(n core.Term) bool {
+		if j, ok := n.(*core.Join); ok {
+			for _, side := range []core.Term{j.L, j.R} {
+				if _, bare := side.(*core.Fixpoint); !bare && containsFixpoint(side) {
+					withFixpoint = append(withFixpoint, side)
+				}
+			}
+		}
+		return true
+	})
+	if len(withFixpoint) == 0 {
+		t.Fatalf("no join side of %s contains a fixpoint", plan)
+	}
+	for _, side := range withFixpoint {
+		if eng.operands.Get(rewrite.Fingerprint(side), snapshotFootprint(eng.graph, side).stamp()) != nil {
+			t.Errorf("the memo keeps %s without the sub-result cache", side)
+		}
+	}
+
+	eng.AddTriple("n40", "knows", "fresh")
+	before = eng.OperandMemoStats()
+	got, _ := collectSorted(t, eng, queries[0])
+	want, _ := collectSorted(t, ref, queries[0])
+	sameRows(t, "after a knows write", got, want)
+	if !strings.Contains(strings.Join(got, "\n"), "fresh") {
+		t.Error("the rows after the write do not reach the new edge")
+	}
+	if after := eng.OperandMemoStats(); after.Misses == before.Misses {
+		t.Errorf("a write to knows left its seed in the memo: before %+v, after %+v", before, after)
 	}
 }

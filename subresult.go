@@ -3,6 +3,7 @@ package distmura
 import (
 	"container/list"
 	"context"
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -48,16 +49,9 @@ import (
 // from scratch — a deletion can therefore never serve a stale entry, it
 // is either maintained through DRed or evicted.
 //
-// The same store is the driver's operand memo: the constant operands of
-// the driver's glue evaluation — the join and antijoin sides derived by
-// σ/π̃/ρ/⋈ from the graph and from cached fixpoints — are kept as
-// core.Operands with their join indexes, so a later query at the same
-// graph state neither re-derives nor re-indexes them. An operand entry is
-// keyed by the operand's fingerprint and validated by its footprint, like
-// a fixpoint entry; it is charged to the same gauge (its rows, then each
-// index as it is built) and evicted from the same LRU. A stale operand is
-// dropped on sight, never refreshed, and re-derived from whatever the
-// cache then serves for the fixpoints inside it.
+// The driver's operand memo is not here: it is the engine's OperandMemo
+// (operands.go), on whether or not this cache is, and stamped with the
+// same footprints.
 
 // footprint identifies the graph state a cached artifact (plan or
 // sub-result) was derived from: the graph's identity plus the generation
@@ -87,6 +81,10 @@ func snapshotFootprint(g *graphgen.Graph, t core.Term) footprint {
 	fp.gens = g.PredGens(preds)
 	return fp
 }
+
+// stamp returns the snapshot as a string, equal for equal snapshots of
+// the same predicates: the operand memo's stamp.
+func (f footprint) stamp() string { return fmt.Sprint(f.graphID, f.wildcard, f.gen, f.gens) }
 
 // valid reports whether the snapshot still describes g: same graph object
 // and no mutation of any predicate the term reads.
@@ -125,14 +123,10 @@ func (f footprint) valid(g *graphgen.Graph) bool {
 // refreshable caches the upgrade gate (refreshableSubResult) decided once
 // at entry creation from the term, so later lookups — including has(),
 // which only sees the fingerprint — don't re-derive it.
-//
-// An operand entry (op != nil) holds a memoized operand, whose relation is
-// rel: it is always complete, never pinned and never refreshed.
 type subEntry struct {
 	key         string
 	fp          footprint
 	rel         *core.Relation
-	op          *core.Operand
 	bytes       int64
 	refs        int
 	gone        bool
@@ -158,8 +152,6 @@ type subResultCache struct {
 	refreshRows   atomic.Int64
 	retractions   atomic.Int64
 	rederived     atomic.Int64
-	operandHits   atomic.Int64
-	operandMisses atomic.Int64
 }
 
 // newSubResultCache returns a cache whose residency is budgeted at
@@ -385,45 +377,6 @@ func (c *subResultCache) completer(en *subEntry) func(*core.Relation, error) {
 	}
 }
 
-// operand returns the operand kept under key if it is still valid for g.
-// A stale one is dropped on sight.
-func (c *subResultCache) operand(g *graphgen.Graph, key string) *core.Operand {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	en, ok := c.entries[key]
-	if !ok || en.op == nil {
-		return nil
-	}
-	if !en.fp.valid(g) {
-		c.removeLocked(en)
-		return nil
-	}
-	c.lru.MoveToFront(en.elem)
-	return en.op
-}
-
-// putOperand publishes rel, derived at the graph state fp, as the operand
-// under key and returns the operand to use: the one another query
-// published meanwhile at a valid state, else the new one. The operand's
-// rows are charged now and its indexes as they are built; colder entries
-// are evicted over budget, the new one included.
-func (c *subResultCache) putOperand(g *graphgen.Graph, key string, fp footprint, rel *core.Relation) *core.Operand {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if cur, ok := c.entries[key]; ok {
-		if cur.op != nil && cur.fp.valid(g) {
-			return cur.op
-		}
-		c.removeLocked(cur)
-	}
-	en := &subEntry{key: key, fp: fp, rel: rel, op: core.NewOperand(rel, c.gauge), bytes: subResultBytes(rel)}
-	c.entries[key] = en
-	c.gauge.Charge(en.bytes)
-	en.elem = c.lru.PushFront(en)
-	c.evictOverBudgetLocked()
-	return en.op
-}
-
 // evictOverBudgetLocked walks the LRU from the cold end releasing
 // completed, unpinned entries until the gauge is back under budget (or
 // nothing evictable remains). In-flight entries are not in the LRU and
@@ -444,7 +397,6 @@ func (c *subResultCache) evictOverBudgetLocked() {
 // removeLocked unlinks en from the map and LRU. The gauge charge is
 // released now when unpinned, else deferred to the last release() — the
 // rows are still feeding a running query, so the bytes are still real.
-// An operand's index charges go with it; queries still probing it go on.
 func (c *subResultCache) removeLocked(en *subEntry) {
 	if en.gone {
 		return
@@ -458,9 +410,6 @@ func (c *subResultCache) removeLocked(en *subEntry) {
 	if en.rel != nil && en.refs == 0 && en.bytes > 0 {
 		c.gauge.Release(en.bytes)
 		en.bytes = 0
-	}
-	if en.op != nil {
-		en.op.Release()
 	}
 }
 
@@ -533,10 +482,8 @@ func (c *subResultCache) flush() {
 // DRed phase 1 over-deleted when maintaining entries through edge
 // removals, and RederivedRows how many of those rederivation salvaged —
 // their difference is the net rows deletion maintenance removed.
-// OperandHits counts driver operands served from the operand memo with
-// their join indexes, OperandMisses those derived and published (the
-// other counters above count fixpoints only). Bytes/Entries describe
-// current residency, operands included.
+// Bytes/Entries describe current residency. The operand memo reports
+// through Engine.OperandMemoStats.
 type SubResultCacheStats struct {
 	Hits          int64
 	Misses        int64
@@ -547,8 +494,6 @@ type SubResultCacheStats struct {
 	RefreshRows   int64
 	Retractions   int64
 	RederivedRows int64
-	OperandHits   int64
-	OperandMisses int64
 	Bytes         int64
 	Entries       int
 }
@@ -573,8 +518,6 @@ func (e *Engine) SubResultCacheStats() SubResultCacheStats {
 		RefreshRows:   c.refreshRows.Load(),
 		Retractions:   c.retractions.Load(),
 		RederivedRows: c.rederived.Load(),
-		OperandHits:   c.operandHits.Load(),
-		OperandMisses: c.operandMisses.Load(),
 		Bytes:         c.gauge.Used(),
 		Entries:       entries,
 	}
@@ -641,37 +584,6 @@ func (p *subResultProvider) Lookup(fp *core.Fixpoint) (*core.Relation, bool, fun
 		return en.rel, out.refreshed, nil, nil
 	}
 	return nil, false, complete, nil
-}
-
-// Operand implements physical.SubResultProvider: the driver's operand
-// memo. Only an operand whose one free variable is the triple relation,
-// with a footprint of exact predicates, is kept; a bare fixpoint is left
-// to Lookup. The footprint is snapshotted before derive runs, so a write
-// landing during the derivation leaves the entry stale, never wrong. An
-// operand containing fixpoints is kept like any other: its value depends
-// only on the predicates it reads, whatever the cache served for them.
-func (p *subResultProvider) Operand(t core.Term, derive func() (*core.Relation, error)) (*core.Operand, bool, error) {
-	if _, ok := t.(*core.Fixpoint); ok {
-		return nil, false, nil
-	}
-	if fv := core.FreeVars(t); len(fv) != 1 || fv[0] != edgeRel {
-		return nil, false, nil
-	}
-	fp := snapshotFootprint(p.graph, t)
-	if fp.wildcard {
-		return nil, false, nil
-	}
-	key := rewrite.Fingerprint(t)
-	if op := p.cache.operand(p.graph, key); op != nil {
-		p.cache.operandHits.Add(1)
-		return op, true, nil
-	}
-	rel, err := derive()
-	if err != nil {
-		return nil, false, err
-	}
-	p.cache.operandMisses.Add(1)
-	return p.cache.putOperand(p.graph, key, fp, rel), false, nil
 }
 
 // releaseAll drops every pin this query holds.
