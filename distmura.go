@@ -179,8 +179,10 @@ type Options struct {
 //
 // One Engine serves any number of goroutines: each query executes in its
 // own cluster session (frames tagged per query, statistics and spill
-// accounting exact per query). Graph mutation (AddTriple, LoadTSV,
-// UseGraph) is not synchronized with execution — load data, then serve.
+// accounting exact per query). Graph mutation (AddTriple, DeleteTriple,
+// LoadTSV, UseGraph) is not synchronized with execution, and a Watch's
+// evaluations are execution: a write while a query, a cursor or a
+// subscribed Watch reads the graph is a data race. Load data, then serve.
 type Engine struct {
 	opts  Options
 	graph *graphgen.Graph

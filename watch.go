@@ -78,7 +78,7 @@ func (w *Watch) Err() error {
 // brought up to date by the cache's own maintenance, shared with every
 // other reader. Query options apply to every evaluation. The subscription
 // ends when ctx is cancelled, Close is called, or an evaluation fails
-// (see Watch.Err).
+// (see Watch.Err). Each evaluation reads the graph: see Engine on writes.
 //
 // A parse error fails Watch itself rather than arriving asynchronously.
 func (e *Engine) Watch(ctx context.Context, text string, opts ...QueryOption) (*Watch, error) {
@@ -100,8 +100,8 @@ func (e *Engine) Watch(ctx context.Context, text string, opts ...QueryOption) (*
 }
 
 // notifyWatchers wakes every standing subscription. Each watcher channel
-// has capacity one and the send never blocks, so a burst of writes
-// coalesces into a single pending wakeup per watcher.
+// has capacity one and the send never blocks (TestNotifyWatchersNeverBlocks),
+// so a burst of writes coalesces into a single pending wakeup per watcher.
 func (e *Engine) notifyWatchers() {
 	e.watchMu.Lock()
 	for ch := range e.watchers {

@@ -243,6 +243,57 @@ func TestWatchCancelEndsBlockedDelivery(t *testing.T) {
 	}
 }
 
+// TestNotifyWatchersNeverBlocks: notifyWatchers signals every watcher
+// while holding e.watchMu, so a signal that waits for its subscriber
+// would park every mutation entry point behind a consumer that stopped
+// reading C. The stalled subscriber is registered the way Engine.Watch
+// registers its own channel: capacity one, a wake-up already pending, and
+// never drained — a real watcher parked in delivery. A real Watch is not
+// driven there: that needs a write while its previous evaluation may
+// still read the graph, which is a data race (see Engine).
+func TestNotifyWatchersNeverBlocks(t *testing.T) {
+	eng := openTest(t, Options{Workers: 2})
+	eng.UseGraph(subTestGraph())
+	stalled := make(chan struct{}, 1)
+	stalled <- struct{}{}
+	eng.watchMu.Lock()
+	if eng.watchers == nil {
+		eng.watchers = make(map[chan struct{}]struct{})
+	}
+	eng.watchers[stalled] = struct{}{}
+	eng.watchMu.Unlock()
+
+	calls := []struct {
+		name string
+		call func() error
+	}{
+		{"AddTriple", func() error { eng.AddTriple("n40", "knows", "w0"); return nil }},
+		{"DeleteTriple", func() error {
+			// UseGraph below restores the edge for the second round.
+			if !eng.DeleteTriple("n10", "knows", "n11") {
+				return fmt.Errorf("edge n10 knows n11 absent: nothing notified")
+			}
+			return nil
+		}},
+		{"LoadTSV", func() error { return eng.LoadTSV(strings.NewReader("w0\tknows\tw1\n")) }},
+		{"UseGraph", func() error { eng.UseGraph(subTestGraph()); return nil }},
+	}
+	for round := 1; round <= 2; round++ {
+		for _, c := range calls {
+			done := make(chan error, 1)
+			go func() { done <- c.call() }()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatalf("%s (call %d): %v", c.name, round, err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("%s (call %d) blocked on a stalled watcher", c.name, round)
+			}
+		}
+	}
+}
+
 // checkDRedWindow asserts that the delivery d, covering a removal window
 // that started at cache stats before, was served by the shared cache's
 // in-place maintenance: a sub-result hit, a refresh, no invalidation.
