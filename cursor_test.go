@@ -117,9 +117,11 @@ func TestCursorIsolatedFromCacheRefresh(t *testing.T) {
 // TestCursorIsolatedFromGraphWrites opens cursors whose roots read the
 // triple relation G or a caller's binding — ρ over G, bare G, ρ over a
 // bound relation, a µ with no recursive branch whose seed the operand memo
-// serves — then writes to what they read before draining them: each
-// yields the rows from before the write, because a relation a write can
-// change is copied, never aliased, and so is a memoized seed.
+// serves, π̃ over a cached µ that the operand memo serves as the root —
+// then writes to what they read before draining them: each yields the
+// rows from before the write, because a relation a write can change is
+// copied, never aliased, and so is a memoized seed, and a memoized root
+// is replaced, never updated in place.
 func TestCursorIsolatedFromGraphWrites(t *testing.T) {
 	eng, err := Open(Options{Workers: 2})
 	if err != nil {
@@ -136,12 +138,14 @@ func TestCursorIsolatedFromGraphWrites(t *testing.T) {
 	// Ps_plw keeps the sub-result cache out, so each query reads the seed
 	// from the operand memo.
 	seedOnly := &core.Fixpoint{X: "X", Body: core.EdgeRel(edgeRel, knows)}
+	// π̃[src](knows+): the second query's root is the operand memo's.
+	reached := core.NewAntiProject(core.ClosureLR("X", core.EdgeRel(edgeRel, knows)), core.ColSrc)
 	for _, tc := range []struct {
 		name    string
 		term    core.Term
 		extra   map[string]*core.Relation
 		opts    []QueryOption
-		seedHit bool
+		memoHit bool // the second query reads its seed or its root from the operand memo
 		write   func()
 	}{
 		{"ρ over G", &core.Rename{From: core.ColSrc, To: "s", T: g}, nil, nil, false,
@@ -152,6 +156,8 @@ func TestCursorIsolatedFromGraphWrites(t *testing.T) {
 			func() { bound.Add([]core.Value{3, 4}) }},
 		{"µ over a memoized seed", seedOnly, nil, []QueryOption{WithPlan(PlanSplw)}, true,
 			func() { eng.DeleteTriple("b", "knows", "d") }},
+		{"π̃ over a cached µ", reached, nil, nil, true,
+			func() { eng.DeleteTriple("d", "knows", "e") }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			before, err := eng.QueryTerm(ctx, tc.term, tc.extra, tc.opts...)
@@ -163,13 +169,13 @@ func TestCursorIsolatedFromGraphWrites(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := rendered(res)
-			hits := eng.OperandMemoStats().Hits
+			memo := eng.OperandMemoStats()
 			rows, err := eng.QueryTerm(ctx, tc.term, tc.extra, tc.opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if tc.seedHit && eng.OperandMemoStats().Hits == hits {
-				t.Fatal("the second query did not read its seed from the operand memo")
+			if st := eng.OperandMemoStats(); tc.memoHit && (st.Hits == memo.Hits || st.Misses != memo.Misses) {
+				t.Fatalf("the second query was not served by the operand memo: %+v, then %+v", memo, st)
 			}
 			tc.write()
 			sameSet(t, "cursor drained after the write", drainRendered(t, rows), want)

@@ -143,9 +143,9 @@ type Options struct {
 	SubResultCacheBytes int64
 	// DisableSubResultCache turns the sub-result cache off — the ablation
 	// flag for the overlapping-workload benchmark. It covers µ results
-	// only: the driver's operand memo stays on, keeping the operands and
-	// fixpoint seeds derived from the graph alone (Engine.OperandMemoStats),
-	// though no operand that contains a fixpoint.
+	// only: the driver's operand memo stays on, keeping the operands,
+	// fixpoint seeds and query roots derived from the graph alone
+	// (Engine.OperandMemoStats), though none that contains a fixpoint.
 	DisableSubResultCache bool
 	// MaxQueryRetries bounds the automatic re-runs of a query that failed
 	// with a worker failure (0 = a default of 2, negative disables
@@ -356,7 +356,8 @@ type QueryStats struct {
 	SpilledBytes int64
 	// SubResultHits counts this query's fixpoints served straight from the
 	// engine's shared sub-result cache, including each fixpoint inside a
-	// driver operand the cache's operand memo served; SubResultWaits
+	// driver operand — or the query's root — the engine's operand memo
+	// served (Engine.OperandMemoStats); SubResultWaits
 	// counts fixpoints that joined another session's in-flight
 	// computation (single-flight) instead of recomputing. See
 	// Engine.SubResultCacheStats for the engine-wide view.
@@ -738,9 +739,10 @@ func (e *Engine) run(ctx context.Context, term core.Term, cfg queryConfig, extra
 // lazy. The cursor reads the result with at most one copy after the
 // workers' accumulators: a root fixpoint's rows are the frames the workers
 // shipped from their accumulators, or the relation the sub-result cache
-// keeps, read in place through the root's renames
-// (physical.Planner.ExecuteStream). On failure the attempt's network
-// traffic is charged to rs.wastedBytes.
+// keeps, read in place through the root's renames; any other root is
+// read in place from the operand memo when the engine keeps it, so a warm
+// query evaluates nothing (physical.Planner.ExecuteStream). On failure the
+// attempt's network traffic is charged to rs.wastedBytes.
 func (e *Engine) runOnce(ctx context.Context, term core.Term, cfg queryConfig, extra map[string]*core.Relation, rs *retryState) (*Rows, error) {
 	env := core.NewEnv()
 	env.Bind(edgeRel, e.graph.Triples)
@@ -761,8 +763,8 @@ func (e *Engine) runOnce(ctx context.Context, term core.Term, cfg queryConfig, e
 	// skip.
 	//
 	// The operand memo serves every query that reads the engine's triple
-	// relation, keeping operands that contain fixpoints only while the
-	// cache serves those fixpoints.
+	// relation — its operands, seeds and root — keeping those that contain
+	// fixpoints only while the cache serves those fixpoints.
 	var prov *subResultProvider
 	if e.subs != nil && extra[edgeRel] == nil && cfg.plan == PlanAuto {
 		prov = &subResultProvider{ctx: ctx, cache: e.subs, graph: e.graph}

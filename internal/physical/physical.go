@@ -113,8 +113,8 @@ type Planner struct {
 	// and publishes the result other sessions are waiting on.
 	SubResults SubResultProvider
 	// Operands, when set, serves the driver's constant operands — the
-	// sides of its joins and antijoins and every fixpoint's constant part —
-	// with their join indexes.
+	// sides of its joins and antijoins, every fixpoint's constant part and
+	// the root of an ExecuteStream — with their join indexes.
 	Operands OperandProvider
 
 	sess        *cluster.Session
@@ -143,7 +143,8 @@ type SubResultProvider interface {
 
 // OperandProvider is the engine's operand memo as seen by the physical
 // layer, consulted for every constant operand of the driver's glue
-// evaluation and for every fixpoint's constant part. Operand returns the
+// evaluation, for every fixpoint's constant part and for a streamed root
+// that is not a rename chain over a fixpoint. Operand returns the
 // memoized operand for t with its join indexes, calling derive to compute
 // the relation on a miss, and reports whether it hit. A nil operand means
 // the engine does not keep t. A hit stands in for every outermost
@@ -205,16 +206,20 @@ func (p *Planner) Execute(t core.Term) (*core.Relation, *Report, error) {
 // chain of renames over a fixpoint, the fixpoint's value is read through
 // the chain in place (core.RenamedStream): the relation the sub-result
 // cache holds or this query collected, or — for a fixpoint nothing keeps —
-// the frames the workers shipped. Any other t is evaluated as Execute
-// evaluates it, into a relation of its own: the stream never aliases a
-// relation a write can change (the triple relation, a caller's binding).
+// the frames the workers shipped. Any other t is the operand memo's
+// relation when the engine keeps t, read in place (a hit evaluates
+// nothing), else it is evaluated as Execute evaluates it, into a relation
+// of its own. The stream never aliases a relation a write can change: the
+// memo keeps no bare variable (the triple relation reads every predicate,
+// a caller's binding is not derived from it), and a bare variable root is
+// copied.
 func (p *Planner) ExecuteStream(t core.Term) (core.Iterator, int, *Report, error) {
 	rep := &Report{}
 	defer p.begin(rep)()
 	chain, base := core.PeelRenames(t)
 	fp, ok := base.(*core.Fixpoint)
 	if !ok {
-		rel, err := p.ev.Eval(t)
+		rel, _, err := p.memoized(t)
 		if err != nil {
 			return nil, 0, nil, err
 		}
@@ -295,7 +300,7 @@ func (p *Planner) prepare(sess *cluster.Session, fp *core.Fixpoint, rep *Report)
 	// evaluator, or comes from the operand memo; nested fixpoints inside
 	// it are routed back to this planner by the FixpointHandler installed
 	// in Execute.
-	seed, shared, err := p.constPart(d.Const)
+	seed, shared, err := p.memoized(d.Const)
 	if err != nil {
 		return nil, err
 	}
@@ -359,12 +364,13 @@ func (p *Planner) prepare(sess *cluster.Session, fp *core.Fixpoint, rep *Report)
 	return &prepared{d: pd, seed: seed, shared: shared, phiRels: phiRels, derived: extra, stable: stable, phiConst: total}, nil
 }
 
-// constPart returns the value of a fixpoint's constant part c: the
-// operand memo's, when the engine keeps c (shared is then true), else
-// evaluated on the driver.
-func (p *Planner) constPart(c core.Term) (rel *core.Relation, shared bool, err error) {
+// memoized returns the value of a term the engine may keep across
+// queries — a fixpoint's constant part, or the query's root: the operand
+// memo's, when the engine keeps t (shared is then true), else evaluated on
+// the driver.
+func (p *Planner) memoized(t core.Term) (rel *core.Relation, shared bool, err error) {
 	if p.ev.Operands != nil {
-		op, err := p.ev.Operands.Operand(c, func() (*core.Relation, error) { return p.ev.Eval(c) })
+		op, err := p.ev.Operands.Operand(t, func() (*core.Relation, error) { return p.ev.Eval(t) })
 		if err != nil {
 			return nil, false, err
 		}
@@ -372,7 +378,7 @@ func (p *Planner) constPart(c core.Term) (rel *core.Relation, shared bool, err e
 			return op.Rel(), true, nil
 		}
 	}
-	rel, err = p.ev.Eval(c)
+	rel, err = p.ev.Eval(t)
 	return rel, false, err
 }
 

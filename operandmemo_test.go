@@ -119,13 +119,103 @@ func TestOperandMemoFlushedByUseGraph(t *testing.T) {
 	}
 }
 
+// TestOperandMemoServesRoot: a root that is not a chain of renames over a
+// fixpoint — π̃ over a µ, and memoQuery's plan, a π̃ over a join with a µ
+// side — is an operand-memo entry. The warm query is one memo hit and no
+// miss: it runs no iteration, reads as [cached] and returns the
+// cache-disabled engine's rows. A write to a predicate the root reads
+// makes the next query derive it again, with the new rows; a write to an
+// unrelated predicate leaves it served. A forced plan is never served the
+// kept root, and without the sub-result cache the root is not kept.
+func TestOperandMemoServesRoot(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		root func(t *testing.T, e *Engine) core.Term
+	}{
+		{"π̃ over µ", func(t *testing.T, e *Engine) core.Term {
+			knows, _ := e.Graph().Dict.Lookup("knows")
+			return core.NewAntiProject(core.ClosureLR("X", core.EdgeRel(edgeRel, knows)), core.ColSrc)
+		}},
+		{"memoQuery's join", func(t *testing.T, e *Engine) core.Term {
+			plan, _, _, err := e.optimize(memoQuery, e.queryConfig(nil))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return plan
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, ref := memoEngines(t, Options{Workers: 2})
+			root := tc.root(t, eng)
+			if _, base := core.PeelRenames(root); !containsFixpoint(root) || isFixpoint(base) {
+				t.Fatalf("%s contains no fixpoint, or is a chain of renames over one", root)
+			}
+			run := func(e *Engine, opts ...QueryOption) ([]string, QueryStats) {
+				t.Helper()
+				rows, err := e.QueryTerm(context.Background(), root, nil, opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := rows.Collect()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return rendered(res), res.Stats
+			}
+			want, _ := run(ref)
+			cold, _ := run(eng)
+			sameSet(t, "cold", cold, want)
+			warm := func(what string) {
+				t.Helper()
+				before := eng.OperandMemoStats()
+				got, st := run(eng)
+				sameSet(t, what, got, want)
+				after := eng.OperandMemoStats()
+				if after.Hits != before.Hits+1 || after.Misses != before.Misses {
+					t.Errorf("%s: memo %+v, then %+v; want one hit, no miss", what, before, after)
+				}
+				if st.Iterations != 0 || st.Plan != "[cached]" {
+					t.Errorf("%s: %d iterations, plan %q; want none, [cached]", what, st.Iterations, st.Plan)
+				}
+			}
+			warm("warm")
+			eng.AddTriple("m40", "likes", "m41")
+			warm("after an unrelated write")
+
+			eng.AddTriple("n40", "knows", "fresh")
+			before := eng.OperandMemoStats()
+			got, _ := run(eng)
+			want, _ = run(ref)
+			sameSet(t, "after a knows write", got, want)
+			if !strings.Contains(strings.Join(got, "\n"), "fresh") {
+				t.Error("the rows after the write do not reach the new edge")
+			}
+			if after := eng.OperandMemoStats(); after.Misses == before.Misses {
+				t.Errorf("a write to knows left the root in the memo: before %+v, after %+v", before, after)
+			}
+
+			got, st := run(eng, WithPlan(PlanSplw))
+			sameSet(t, "forced plan", got, want)
+			if st.Iterations == 0 || st.Plan != "[Ps_plw]" {
+				t.Errorf("forced plan: %d iterations, plan %q; want its fixpoints run under Ps_plw", st.Iterations, st.Plan)
+			}
+			if _, st := run(ref); st.Iterations == 0 {
+				t.Error("the cache-disabled engine ran no iteration")
+			}
+			if ref.operands.Get(rewrite.Fingerprint(root), snapshotFootprint(ref.graph, root).stamp()) != nil {
+				t.Error("the memo keeps the root without the sub-result cache")
+			}
+		})
+	}
+}
+
 // TestOperandMemoEviction: under a one-byte budget every operand the
 // memo keeps or serves evicts all the others, with their index charges,
 // so the memo holds the one most recently used, over budget: the first
 // run keeps the fixpoint's seed, then the join side that contains the
-// fixpoint, which evicts the seed and serves every later run with the
-// same rows. The sub-result cache, on the same budget, holds nothing once
-// the query's pins are gone.
+// fixpoint, which evicts the seed, then the query's root, which evicts the
+// join side and serves every later run with the same rows. The sub-result
+// cache, on the same budget, holds nothing once the query's pins are gone.
 func TestOperandMemoEviction(t *testing.T) {
 	eng, ref := memoEngines(t, Options{Workers: 2, SubResultCacheBytes: 1})
 	want, _ := collectSorted(t, ref, memoQuery)
@@ -135,8 +225,8 @@ func TestOperandMemoEviction(t *testing.T) {
 		sameRows(t, fmt.Sprintf("evicted run %d", i), got, want)
 	}
 	st := eng.OperandMemoStats()
-	if st.Misses != 2 || st.Evictions != 1 || st.Hits != runs-1 {
-		t.Errorf("memo %+v; want 2 operands derived, the colder evicted, the newer serving %d runs", st, runs-1)
+	if st.Misses != 3 || st.Evictions != 2 || st.Hits != runs-1 {
+		t.Errorf("memo %+v; want 3 operands derived, the 2 colder evicted, the root serving %d runs", st, runs-1)
 	}
 	if st.Entries != 1 || st.Bytes <= 1 {
 		t.Errorf("memo holds %d entries of %d B, want the one most recently used, over budget", st.Entries, st.Bytes)
@@ -148,7 +238,10 @@ func TestOperandMemoEviction(t *testing.T) {
 
 // TestOperandMemoConcurrentReaders: four clients run the Yago pool in
 // their own orders against one engine, sharing operand entries and their
-// indexes, and every result equals a cache-disabled engine's.
+// indexes, and every result equals a cache-disabled engine's. The later
+// round is served by root hits: every query whose root is not a chain of
+// renames over a fixpoint reads its root from the memo, one hit each, and
+// nothing is derived again.
 func TestOperandMemoConcurrentReaders(t *testing.T) {
 	skip := map[string]bool{"Q5": true, "Q11": true, "Q12": true, "Q13": true, "Q14": true, "Q15": true, "Q20": true}
 	var pool []string
@@ -175,24 +268,39 @@ func TestOperandMemoConcurrentReaders(t *testing.T) {
 	}
 	defer eng.Close()
 	eng.UseGraph(g)
+	roots := 0 // pool queries whose root the memo keeps
+	for _, q := range pool {
+		plan, _, _, err := eng.optimize(q, eng.queryConfig(nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, base := core.PeelRenames(plan); !isFixpoint(base) {
+			roots++
+		}
+	}
+	if roots == 0 {
+		t.Fatal("every pool root is a chain of renames over a fixpoint")
+	}
 	// Round 0 runs the pool in pool order on every client, released
 	// together, so the clients derive the same operands at once and probe
 	// the entry that wins; round 1 runs it in each client's own order.
 	const clients = 4
-	var wg sync.WaitGroup
-	start := make(chan struct{})
-	errs := make(chan error, clients)
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			<-start
-			inOrder := make([]int, len(pool))
-			for i := range inOrder {
-				inOrder[i] = i
-			}
-			shuffled := rand.New(rand.NewSource(int64(c))).Perm(len(pool))
-			for round, order := range [][]int{inOrder, shuffled} {
+	round := func(round int) {
+		t.Helper()
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		errs := make(chan error, clients)
+		for c := 0; c < clients; c++ {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				<-start
+				order := rand.New(rand.NewSource(int64(c))).Perm(len(pool))
+				if round == 0 {
+					for i := range order {
+						order[i] = i
+					}
+				}
 				for _, i := range order {
 					q := pool[i]
 					res, err := eng.QueryCollect(context.Background(), q)
@@ -210,18 +318,31 @@ func TestOperandMemoConcurrentReaders(t *testing.T) {
 						return
 					}
 				}
-			}
-		}(c)
+			}(c)
+		}
+		close(start)
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Error(err)
+		}
 	}
-	close(start)
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
+	round(0)
+	before := eng.OperandMemoStats()
+	if before.Hits == 0 {
+		t.Errorf("the clients shared no operand: %+v", before)
 	}
-	if st := eng.OperandMemoStats(); st.Hits == 0 {
-		t.Errorf("the clients shared no operand: %+v", st)
+	round(1)
+	after := eng.OperandMemoStats()
+	if after.Misses != before.Misses || after.Hits-before.Hits != int64(clients*roots) {
+		t.Errorf("round 1: memo %+v, then %+v; want %d root hits (%d clients × %d roots) and no miss",
+			before, after, clients*roots, clients, roots)
 	}
+}
+
+func isFixpoint(t core.Term) bool {
+	_, ok := t.(*core.Fixpoint)
+	return ok
 }
 
 // TestOperandMemoColdCaches: with the plan cache and the sub-result cache

@@ -8,10 +8,12 @@ import (
 
 // This file is the driver's operand memo: the constant operands of the
 // driver's glue evaluation — the join and antijoin sides derived by
-// σ/π̃/ρ/⋈ from the graph, and every fixpoint's constant part — are kept
-// as core.Operands with their join indexes in one engine-owned
+// σ/π̃/ρ/⋈ from the graph, every fixpoint's constant part, and the query's
+// root when it is not a chain of renames over a fixpoint — are kept as
+// core.Operands with their join indexes in one engine-owned
 // core.OperandMemo, so a later query at the same graph state neither
-// re-derives nor re-indexes them. It is on whether or not the sub-result
+// re-derives nor re-indexes them; a warm query whose root the memo keeps
+// evaluates nothing, and its cursor scans the kept relation in place. It is on whether or not the sub-result
 // cache is, and budgeted like it (Options.SubResultCacheBytes, else
 // TaskMemBytes) under OperandMemo's admission rule. An entry is keyed by
 // the operand's fingerprint and stamped with the footprint — graph ID and

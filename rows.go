@@ -11,9 +11,10 @@ import (
 // Rows exists: the interned, deduplicated result is known and counted. The
 // cursor reads it where it lies — a fixpoint result through the renames
 // at the query's root, in the sub-result cache's relation or in the frames
-// the workers shipped to the driver, or the relation the driver evaluated
-// for any other root — and decodes dictionary values only for the rows
-// the caller actually visits.
+// the workers shipped to the driver; for any other root, the relation the
+// engine's operand memo keeps for it or the one the driver evaluated —
+// and decodes dictionary values only for the rows the caller actually
+// visits.
 //
 // Usage mirrors database/sql:
 //
@@ -34,7 +35,8 @@ import (
 // deferred-close pattern of database/sql carry over. The rows a cursor
 // yields are those of the graph state its query ran on: a later write
 // never shows through, because the cursor reads only relations no write
-// changes (a cached result is replaced, never updated in place).
+// changes (a cached result or memoized root is replaced, never updated in
+// place).
 type Rows struct {
 	dict  *core.Dict
 	cols  []string
