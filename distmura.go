@@ -135,17 +135,19 @@ type Options struct {
 	// PlanCacheSize bounds the engine's LRU plan cache (0 = a default of
 	// 128 entries, negative disables caching).
 	PlanCacheSize int
-	// SubResultCacheBytes budgets the engine's shared sub-result cache
-	// (materialized recursive subplans reused across sessions; see
-	// ARCHITECTURE.md, "Multi-query optimization") and, separately, the
-	// driver's operand memo. 0 inherits TaskMemBytes; when both are 0
-	// residency is metered but unbounded.
+	// SubResultCacheBytes budgets the driver store, the one memo that
+	// keeps what the driver derives from the graph across queries: the
+	// µ results of the shared sub-result cache (recursive subplans reused
+	// across sessions; see ARCHITECTURE.md, "Multi-query optimization"),
+	// the operands, fixpoint seeds and query roots, and their join
+	// indexes (Engine.OperandMemoStats). 0 inherits TaskMemBytes; when
+	// both are 0 residency is metered but unbounded.
 	SubResultCacheBytes int64
 	// DisableSubResultCache turns the sub-result cache off — the ablation
-	// flag for the overlapping-workload benchmark. It covers µ results
-	// only: the driver's operand memo stays on, keeping the operands,
-	// fixpoint seeds and query roots derived from the graph alone
-	// (Engine.OperandMemoStats), though none that contains a fixpoint.
+	// flag for the overlapping-workload benchmark. The driver store then
+	// keeps no µ result and nothing that contains a fixpoint, but still
+	// keeps the operands, fixpoint seeds and query roots derived from the
+	// graph alone.
 	DisableSubResultCache bool
 	// MaxQueryRetries bounds the automatic re-runs of a query that failed
 	// with a worker failure (0 = a default of 2, negative disables
@@ -188,12 +190,14 @@ type Engine struct {
 	graph *graphgen.Graph
 	clust *cluster.Cluster
 	plans *planCache
-	subs  *subResultCache // shared sub-result cache; nil when disabled
-	// operands is the driver's memo of graph-derived operands
-	// (operands.go), on whether or not subs is.
+	// operands is the driver store (operands.go): every graph-derived
+	// operand, seed, root and µ result the engine keeps, under one budget.
 	operands *core.OperandMemo
-	sem      chan struct{} // admission semaphore; nil = unlimited
-	stats    statsCache    // the cost model's edge statistics (edgeStats)
+	// subs is the single-flight lease over the µ results operands keeps
+	// (subresult.go); nil when the sub-result cache is disabled.
+	subs  *subResultCache
+	sem   chan struct{} // admission semaphore; nil = unlimited
+	stats statsCache    // the cost model's edge statistics (edgeStats)
 
 	// watchers holds one coalescing wakeup channel per standing Watch
 	// subscription (watch.go); every mutation entry point signals them.
@@ -244,7 +248,7 @@ func Open(opts Options) (*Engine, error) {
 	}
 	e.operands = core.NewOperandMemo(budget)
 	if !opts.DisableSubResultCache {
-		e.subs = newSubResultCache(budget)
+		e.subs = newSubResultCache(e.operands)
 	}
 	if opts.MaxConcurrentQueries > 0 {
 		e.sem = make(chan struct{}, opts.MaxConcurrentQueries)
@@ -252,9 +256,13 @@ func Open(opts Options) (*Engine, error) {
 	return e, nil
 }
 
-// Close releases the cluster. Queries still in flight fail with a
+// Close releases the cluster and empties the driver store; its hit and
+// miss counters stay readable. Queries still in flight fail with a
 // transport error; prefer cancelling their contexts first.
-func (e *Engine) Close() error { return e.clust.Close() }
+func (e *Engine) Close() error {
+	e.flushStore()
+	return e.clust.Close()
+}
 
 // AddTriple inserts one labeled edge. Cached recursive results that read
 // the edge's predicate are brought up to date by the semi-naive resume on
@@ -291,15 +299,14 @@ func (e *Engine) LoadTSV(r io.Reader) error {
 }
 
 // UseGraph replaces the engine's graph with a pre-built one (generator
-// output) and flushes the plan and sub-result caches (cached plans and
-// relations embed constants interned in the old graph's dictionary). The
-// workers drop their resident copy of the old graph once no query holds
-// it.
+// output) and flushes the plan cache and the driver store, µ results
+// included (cached plans and relations embed constants interned in the
+// old graph's dictionary). The workers drop their resident copy of the
+// old graph once no query holds it.
 func (e *Engine) UseGraph(g *graphgen.Graph) {
 	e.graph = g
 	e.plans.flush()
-	e.subs.flush()
-	e.operands.Flush()
+	e.flushStore()
 	e.clust.RetireResidentBroadcasts()
 	e.notifyWatchers()
 }
@@ -356,8 +363,8 @@ type QueryStats struct {
 	SpilledBytes int64
 	// SubResultHits counts this query's fixpoints served straight from the
 	// engine's shared sub-result cache, including each fixpoint inside a
-	// driver operand — or the query's root — the engine's operand memo
-	// served (Engine.OperandMemoStats); SubResultWaits
+	// driver operand — or the query's root — the driver store served
+	// (Engine.OperandMemoStats); SubResultWaits
 	// counts fixpoints that joined another session's in-flight
 	// computation (single-flight) instead of recomputing. See
 	// Engine.SubResultCacheStats for the engine-wide view.
@@ -738,9 +745,9 @@ func (e *Engine) run(ctx context.Context, term core.Term, cfg queryConfig, extra
 // cursor is handed out: execution is complete, only string decoding is
 // lazy. The cursor reads the result with at most one copy after the
 // workers' accumulators: a root fixpoint's rows are the frames the workers
-// shipped from their accumulators, or the relation the sub-result cache
+// shipped from their accumulators, or the relation the driver store
 // keeps, read in place through the root's renames; any other root is
-// read in place from the operand memo when the engine keeps it, so a warm
+// read in place from the driver store when the engine keeps it, so a warm
 // query evaluates nothing (physical.Planner.ExecuteStream). On failure the
 // attempt's network traffic is charged to rs.wastedBytes.
 func (e *Engine) runOnce(ctx context.Context, term core.Term, cfg queryConfig, extra map[string]*core.Relation, rs *retryState) (*Rows, error) {
@@ -755,29 +762,24 @@ func (e *Engine) runOnce(ctx context.Context, term core.Term, cfg queryConfig, e
 	defer sess.Close()
 	planner := physical.NewSessionPlanner(sess, env)
 	planner.Force = cfg.plan
-	// Wire the shared sub-result cache, unless this call rebinds the
-	// triple relation itself (QueryTerm may shadow "G" with an arbitrary
-	// relation the cache knows nothing about) or forces a physical plan —
+	// The driver store serves every query that does not rebind the triple
+	// relation itself (QueryTerm may shadow "G" with an arbitrary relation
+	// the store knows nothing about): its operands, seeds and root. It
+	// keeps µ results, and what contains them, only through the shared
+	// sub-result cache, and not for a query that forces a physical plan —
 	// WithPlan is a request to actually execute that strategy (the plan
 	// comparison and ablation surface), which a cache hit would silently
 	// skip.
-	//
-	// The operand memo serves every query that reads the engine's triple
-	// relation — its operands, seeds and root — keeping those that contain
-	// fixpoints only while the cache serves those fixpoints.
-	var prov *subResultProvider
-	if e.subs != nil && extra[edgeRel] == nil && cfg.plan == PlanAuto {
-		prov = &subResultProvider{ctx: ctx, cache: e.subs, graph: e.graph}
-		planner.SubResults = prov
-	}
+	var prov *operandProvider
 	if extra[edgeRel] == nil {
-		planner.Operands = &operandProvider{memo: e.operands, graph: e.graph, fixpoints: prov != nil}
+		prov = &operandProvider{ctx: ctx, memo: e.operands, graph: e.graph}
+		if cfg.plan == PlanAuto {
+			prov.subs = e.subs
+		}
+		planner.Operands = prov
 	}
 	start := time.Now()
 	it, n, rep, err := planner.ExecuteStream(term)
-	if prov != nil {
-		prov.releaseAll()
-	}
 	if err != nil {
 		// Whatever this attempt shipped over the network is now waste: the
 		// retry starts from the driver-held inputs.
@@ -838,7 +840,7 @@ func (e *Engine) runOnce(ctx context.Context, term core.Term, cfg queryConfig, e
 		Spills:         spills,
 		SpilledBytes:   spilled,
 	}
-	if prov != nil {
+	if prov != nil && prov.subs != nil {
 		stats.SubResultHits = hits
 		stats.SubResultWaits = prov.waits
 		stats.Refreshes = prov.refreshes

@@ -178,40 +178,39 @@ func TestDRedInterleavedDeleteInsert(t *testing.T) {
 // TestDRedDeleteDuringInFlightRefresh pins the snapshot-before-compute
 // rule against deletions at the cache API, where the interleaving is
 // deterministic: an entry whose computation straddles a delete must not
-// validate when published, exactly as for a straddled insert.
+// validate when kept, exactly as for a straddled insert.
 func TestDRedDeleteDuringInFlightRefresh(t *testing.T) {
 	g := graphgen.NewGraph("inflight-del")
 	g.Add("a", "p", "b")
 	g.Add("b", "p", "c")
 	p, _ := g.Dict.Lookup("p")
-	c := newSubResultCache(0)
+	c := newSubResultCache(core.NewOperandMemo(0))
 	term := core.ClosureLR("X", core.EdgeRel(edgeRel, p))
+	ctx := context.Background()
 
-	_, complete, _, err := c.acquire(context.Background(), g, "k", term)
-	if err != nil || complete == nil {
-		t.Fatalf("leader acquire: complete=%t err=%v", complete != nil, err)
-	}
 	// The leader snapshotted generations before this delete, so its rows
 	// may or may not include b→c's consequences — either way they must
 	// not be served as current.
-	if !g.Delete("b", "p", "c") {
-		t.Fatal("delete failed")
-	}
-	rel := core.NewRelation("src", "trg")
-	complete(rel, nil)
-
-	en, complete, out, err := c.acquire(context.Background(), g, "k", term)
+	_, _, err := c.operand(ctx, g, "k", term, func() (*core.Relation, error) {
+		if !g.Delete("b", "p", "c") {
+			t.Fatal("delete failed")
+		}
+		return core.NewRelation("src", "trg"), nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if en != nil && !out.refreshed {
-		t.Fatal("entry published over a straddled delete was served without maintenance")
+
+	led := false
+	_, out, err := c.operand(ctx, g, "k", term, func() (*core.Relation, error) {
+		led = true
+		return nil, fmt.Errorf("synthetic abort")
+	})
+	if !led && err != nil {
+		t.Fatal(err)
 	}
-	if en != nil {
-		c.release(en)
-	}
-	if complete != nil {
-		complete(nil, fmt.Errorf("synthetic abort"))
+	if !led && !out.refreshed {
+		t.Fatal("entry kept over a straddled delete was served without maintenance")
 	}
 }
 
@@ -222,36 +221,36 @@ func TestDRedDeleteDuringInFlightRefresh(t *testing.T) {
 func TestDRedStaleByDeletionNeverServed(t *testing.T) {
 	g := graphgen.NewGraph("stale-del")
 	g.Add("a", "p", "b")
-	c := newSubResultCache(0)
+	c := newSubResultCache(core.NewOperandMemo(0))
 	term := &core.Var{Name: edgeRel} // wildcard footprint: not maintainable
-
-	_, complete, _, err := c.acquire(context.Background(), g, "k", term)
-	if err != nil || complete == nil {
-		t.Fatalf("leader acquire: complete=%t err=%v", complete != nil, err)
-	}
+	ctx := context.Background()
 	stale := core.NewRelation("src", "trg")
-	complete(stale, nil)
-
-	en, _, _, err := c.acquire(context.Background(), g, "k", term)
-	if err != nil || en == nil {
-		t.Fatalf("fresh entry not served: en=%v err=%v", en, err)
+	if _, _, err := c.operand(ctx, g, "k", term, func() (*core.Relation, error) { return stale, nil }); err != nil {
+		t.Fatal(err)
 	}
-	c.release(en)
+
+	op, out, err := c.operand(ctx, g, "k", term, func() (*core.Relation, error) {
+		t.Fatal("fresh entry derived again")
+		return nil, nil
+	})
+	if err != nil || !out.hit || op.Rel() != stale {
+		t.Fatalf("fresh entry not served: hit=%t err=%v", out.hit, err)
+	}
 
 	if !g.Delete("a", "p", "b") {
 		t.Fatal("delete failed")
 	}
-	en, complete, _, err = c.acquire(context.Background(), g, "k", term)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if en != nil {
+	led := false
+	op, out, err = c.operand(ctx, g, "k", term, func() (*core.Relation, error) {
+		led = true
+		return nil, fmt.Errorf("synthetic abort")
+	})
+	if op != nil || out.hit {
 		t.Fatal("stale-by-deletion entry was served")
 	}
-	if complete == nil {
+	if !led || err == nil {
 		t.Fatal("caller not promoted to leader after invalidation")
 	}
-	complete(nil, fmt.Errorf("synthetic abort"))
 	if c.invalidations.Load() == 0 {
 		t.Error("deletion did not count as an invalidation")
 	}

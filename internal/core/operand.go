@@ -18,8 +18,9 @@ import (
 //   - a sealed relation keeps the operands derived from it alone
 //     (Relation.Seal), shared by every evaluator that reads it — a
 //     worker's resident broadcast copy across fixpoints and queries;
-//   - the engine keeps the operands derived from the driver's graph, per
-//     graph state, across queries (OperandStore).
+//   - the engine keeps what the driver derives from its graph, per graph
+//     state, across queries (OperandStore): operands, fixpoint seeds,
+//     query roots and µ results.
 //
 // The last two are OperandMemos, under one admission rule.
 //
@@ -207,6 +208,15 @@ func (m *OperandMemo) removeLocked(en *memoEntry) {
 	m.lru.Remove(en.elem)
 	m.gauge.Release(en.bytes)
 	en.op.Release()
+}
+
+// Holds reports whether key is kept at the state stamp names, touching
+// neither the recency order nor the counters.
+func (m *OperandMemo) Holds(key, stamp string) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	en := m.m[key]
+	return en != nil && en.stamp == stamp
 }
 
 // Flush drops every entry.

@@ -73,7 +73,7 @@ type FixpointReport struct {
 	Kind          Kind
 	StableCols    []string
 	Partitioned   bool // true when split on stable columns (distinct skipped)
-	Cached        bool // true when served from the engine's sub-result cache or covered by an operand memo hit (ResultRows then 0)
+	Cached        bool // true when served from the engine's operand memo, or covered by a memo hit on an operand containing it (ResultRows then 0)
 	Refreshed     bool // true when the cached entry was first upgraded in place from a graph delta
 	Iterations    int  // driver loop count (Gld) or max local iterations (Pplw)
 	ConstPartRows int
@@ -106,15 +106,10 @@ type Planner struct {
 	// when forced.
 	Force Kind
 
-	// SubResults, when set, is consulted before every fixpoint execution:
-	// a hit replaces the whole distributed computation with the cached
-	// materialized relation (injected as if it were a base-relation scan),
-	// and a single-flight lease makes this planner the one that computes
-	// and publishes the result other sessions are waiting on.
-	SubResults SubResultProvider
-	// Operands, when set, serves the driver's constant operands — the
-	// sides of its joins and antijoins, every fixpoint's constant part and
-	// the root of an ExecuteStream — with their join indexes.
+	// Operands, when set, serves what the engine keeps across queries —
+	// the sides of the driver's joins and antijoins, every fixpoint's
+	// constant part and value, and the root of an ExecuteStream — with
+	// their join indexes.
 	Operands OperandProvider
 
 	sess        *cluster.Session
@@ -123,46 +118,50 @@ type Planner struct {
 	driverGauge *core.MemGauge
 }
 
-// SubResultProvider is the engine's sub-result cache as seen by the
-// physical layer. Lookup is called with each fixpoint about to execute:
-//
-//   - (rel, refreshed, nil, nil): cache hit — rel is the materialized
-//     result, shared and read-only; the planner must not mutate it.
-//     refreshed is true when the provider first upgraded a stale entry in
-//     place from a graph delta before serving it.
-//   - (nil, _, complete, nil): single-flight lease — this planner must
-//     compute the fixpoint and call complete exactly once with the outcome
-//     so waiting sessions unblock (complete(nil, err) on failure).
-//   - (nil, _, nil, nil): not cacheable; compute without publishing.
-//   - (nil, _, nil, err): the wait for another session's in-flight
-//     computation (or this session's refresh) was aborted (context
-//     cancelled); fail the query.
-type SubResultProvider interface {
-	Lookup(fp *core.Fixpoint) (rel *core.Relation, refreshed bool, complete func(*core.Relation, error), err error)
-}
-
-// OperandProvider is the engine's operand memo as seen by the physical
-// layer, consulted for every constant operand of the driver's glue
-// evaluation, for every fixpoint's constant part and for a streamed root
-// that is not a rename chain over a fixpoint. Operand returns the
-// memoized operand for t with its join indexes, calling derive to compute
-// the relation on a miss, and reports whether it hit. A nil operand means
-// the engine does not keep t. A hit stands in for every outermost
+// OperandProvider is what the engine keeps across queries, as seen by the
+// physical layer: consulted for every constant operand of the driver's
+// glue evaluation, for every fixpoint's constant part, for every
+// fixpoint's value (runFixpoint alone asks for a bare fixpoint) and for a
+// streamed root that is not a rename chain over a fixpoint. Operand
+// returns the kept operand for t with its join indexes, calling derive to
+// compute the relation on a miss, and reports how it was served. A nil
+// operand means the engine does not keep t (derive was not called). For a
+// fixpoint, the provider holds a single-flight lease while derive runs:
+// another query asking for the same fixpoint meanwhile waits for the
+// result instead of computing it too. A hit stands in for every outermost
 // fixpoint inside t, and each is reported as served from the cache.
 type OperandProvider interface {
-	Operand(t core.Term, derive func() (*core.Relation, error)) (op *core.Operand, hit bool, err error)
+	Operand(t core.Term, derive func() (*core.Relation, error)) (op *core.Operand, hit Hit, err error)
 }
 
+// Hit says how an OperandProvider served an operand.
+type Hit int
+
+const (
+	// Miss: derive computed it now, or the engine does not keep it.
+	Miss Hit = iota
+	// Kept: the engine kept it from an earlier query, at this graph state.
+	Kept
+	// Refreshed: the engine kept a fixpoint's value from an earlier graph
+	// state and first brought it up to date from the graph's delta.
+	Refreshed
+)
+
 // operandStore is the driver evaluator's view of the operand memo: it
-// reports the fixpoints a memo hit covers.
+// reports the fixpoints a memo hit covers. It never asks for a bare
+// fixpoint: its derive would enter runFixpoint, which asks for the same
+// fixpoint and would wait on the lease this call holds.
 type operandStore struct {
 	ops OperandProvider
 	rep *Report
 }
 
 func (s operandStore) Operand(t core.Term, derive func() (*core.Relation, error)) (*core.Operand, error) {
+	if _, ok := t.(*core.Fixpoint); ok {
+		return nil, nil
+	}
 	op, hit, err := s.ops.Operand(t, derive)
-	if hit {
+	if hit != Miss {
 		core.Walk(t, func(n core.Term) bool {
 			if _, ok := n.(*core.Fixpoint); ok {
 				s.rep.Fixpoints = append(s.rep.Fixpoints, FixpointReport{Cached: true})
@@ -390,27 +389,27 @@ func (p *Planner) choose() Kind {
 	return Splw
 }
 
-// runFixpoint executes one fixpoint, consulting the sub-result cache
-// first: a hit is injected directly (the scan-of-a-base-relation the cost
-// model priced it as), a single-flight lease computes once and publishes
-// for the sessions waiting on the same fingerprint, and everything else
-// computes privately. The value is a relation, except for a root fixpoint
-// (root) that nothing keeps: that one is the frames the workers shipped,
-// left for the cursor to scan.
+// runFixpoint executes one fixpoint, asking the operand memo first: a
+// hit is injected directly (the scan-of-a-base-relation the cost model
+// priced it as), a miss the memo keeps is computed under its
+// single-flight lease for the sessions waiting on the same fixpoint, and
+// everything else computes privately. The value is a relation, except for
+// a root fixpoint (root) that nothing keeps: that one is the frames the
+// workers shipped, left for the cursor to scan.
 func (p *Planner) runFixpoint(sess *cluster.Session, fp *core.Fixpoint, rep *Report, root bool) (*core.Relation, *cluster.Frames, error) {
-	if p.SubResults != nil {
-		rel, refreshed, complete, err := p.SubResults.Lookup(fp)
+	if p.Operands != nil {
+		op, hit, err := p.Operands.Operand(fp, func() (*core.Relation, error) {
+			rel, _, err := p.computeFixpoint(sess, fp, rep, false)
+			return rel, err
+		})
 		if err != nil {
 			return nil, nil, err
 		}
-		if rel != nil {
-			rep.Fixpoints = append(rep.Fixpoints, FixpointReport{Cached: true, Refreshed: refreshed, ResultRows: rel.Len()})
-			return rel, nil, nil
+		if hit != Miss {
+			rep.Fixpoints = append(rep.Fixpoints, FixpointReport{Cached: true, Refreshed: hit == Refreshed, ResultRows: op.Rel().Len()})
 		}
-		if complete != nil {
-			out, _, err := p.computeFixpoint(sess, fp, rep, false)
-			complete(out, err)
-			return out, nil, err
+		if op != nil {
+			return op.Rel(), nil, nil
 		}
 	}
 	return p.computeFixpoint(sess, fp, rep, root)

@@ -212,10 +212,10 @@ func TestOperandMemoServesRoot(t *testing.T) {
 // TestOperandMemoEviction: under a one-byte budget every operand the
 // memo keeps or serves evicts all the others, with their index charges,
 // so the memo holds the one most recently used, over budget: the first
-// run keeps the fixpoint's seed, then the join side that contains the
-// fixpoint, which evicts the seed, then the query's root, which evicts the
-// join side and serves every later run with the same rows. The sub-result
-// cache, on the same budget, holds nothing once the query's pins are gone.
+// run keeps the fixpoint's seed, then the µ result, which evicts the
+// seed, then the join side that contains the fixpoint, which evicts the
+// µ result, then the query's root, which evicts the join side and serves
+// every later run with the same rows.
 func TestOperandMemoEviction(t *testing.T) {
 	eng, ref := memoEngines(t, Options{Workers: 2, SubResultCacheBytes: 1})
 	want, _ := collectSorted(t, ref, memoQuery)
@@ -225,23 +225,69 @@ func TestOperandMemoEviction(t *testing.T) {
 		sameRows(t, fmt.Sprintf("evicted run %d", i), got, want)
 	}
 	st := eng.OperandMemoStats()
-	if st.Misses != 3 || st.Evictions != 2 || st.Hits != runs-1 {
-		t.Errorf("memo %+v; want 3 operands derived, the 2 colder evicted, the root serving %d runs", st, runs-1)
+	if st.Misses != 4 || st.Evictions != 3 || st.Hits != runs-1 {
+		t.Errorf("memo %+v; want 4 entries derived, the 3 colder evicted, the root serving %d runs", st, runs-1)
 	}
 	if st.Entries != 1 || st.Bytes <= 1 {
 		t.Errorf("memo holds %d entries of %d B, want the one most recently used, over budget", st.Entries, st.Bytes)
 	}
-	if sub := eng.SubResultCacheStats(); sub.Bytes != 0 || sub.Entries != 0 {
-		t.Errorf("over-budget cache retained %d B in %d entries", sub.Bytes, sub.Entries)
+}
+
+// TestOperandMemoOneBudget: µ results and operands share the driver
+// store's one budget. The closure's plan keeps two entries, its seed and
+// its µ result, each of which fits the budget while both do not: the
+// store evicts the seed to keep the µ result, and never holds more than
+// the budget.
+func TestOperandMemoOneBudget(t *testing.T) {
+	const q = "?x,?y <- ?x knows+ ?y"
+	_, ref := memoEngines(t, Options{Workers: 2})
+	want, _ := collectSorted(t, ref, q)
+	row := core.AccRowBytes(2)
+	mu := int64(len(want)) * row
+	seed := int64(ref.Stats().Predicates["knows"]) * row
+	budget := max(mu, seed) + min(mu, seed)/2
+	eng, _ := memoEngines(t, Options{Workers: 2, SubResultCacheBytes: budget})
+	for i := 0; i < 2; i++ {
+		got, _ := collectSorted(t, eng, q)
+		sameRows(t, fmt.Sprintf("run %d", i), got, want)
+	}
+	st := eng.OperandMemoStats()
+	if st.Bytes > budget {
+		t.Errorf("the store holds %d B, over its %d B budget (µ result %d B, seed %d B)", st.Bytes, budget, mu, seed)
+	}
+	if st.Evictions == 0 || st.Entries != 1 {
+		t.Errorf("store %+v; want the seed evicted to keep the µ result", st)
+	}
+}
+
+// TestOperandMemoEmptiedByClose: closing the engine empties the driver
+// store — µ results, operands and roots — and leaves its counters
+// readable.
+func TestOperandMemoEmptiedByClose(t *testing.T) {
+	eng, _ := memoEngines(t, Options{Workers: 2})
+	collectSorted(t, eng, "?x,?y <- ?x knows+ ?y")
+	collectSorted(t, eng, memoQuery)
+	if st := eng.OperandMemoStats(); st.Entries == 0 || st.Bytes == 0 {
+		t.Fatalf("nothing kept before Close: %+v", st)
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st := eng.OperandMemoStats()
+	if st.Bytes != 0 || st.Entries != 0 {
+		t.Errorf("Close left %d B in %d entries", st.Bytes, st.Entries)
+	}
+	if st.Misses == 0 || eng.SubResultCacheStats().Misses == 0 {
+		t.Errorf("Close reset the counters: %+v, %+v", st, eng.SubResultCacheStats())
 	}
 }
 
 // TestOperandMemoConcurrentReaders: four clients run the Yago pool in
 // their own orders against one engine, sharing operand entries and their
 // indexes, and every result equals a cache-disabled engine's. The later
-// round is served by root hits: every query whose root is not a chain of
-// renames over a fixpoint reads its root from the memo, one hit each, and
-// nothing is derived again.
+// round is one memo hit per query, and nothing is derived again: a query
+// whose root is not a chain of renames over a fixpoint reads its root
+// from the memo, any other the µ result its root renames.
 func TestOperandMemoConcurrentReaders(t *testing.T) {
 	skip := map[string]bool{"Q5": true, "Q11": true, "Q12": true, "Q13": true, "Q14": true, "Q15": true, "Q20": true}
 	var pool []string
@@ -334,9 +380,9 @@ func TestOperandMemoConcurrentReaders(t *testing.T) {
 	}
 	round(1)
 	after := eng.OperandMemoStats()
-	if after.Misses != before.Misses || after.Hits-before.Hits != int64(clients*roots) {
-		t.Errorf("round 1: memo %+v, then %+v; want %d root hits (%d clients × %d roots) and no miss",
-			before, after, clients*roots, clients, roots)
+	if after.Misses != before.Misses || after.Hits-before.Hits != int64(clients*len(pool)) {
+		t.Errorf("round 1: memo %+v, then %+v; want %d hits (%d clients × %d queries) and no miss",
+			before, after, clients*len(pool), clients, len(pool))
 	}
 }
 

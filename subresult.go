@@ -1,7 +1,6 @@
 package distmura
 
 import (
-	"container/list"
 	"context"
 	"fmt"
 	"sync"
@@ -22,36 +21,34 @@ import (
 //
 //   - the cost model treats a cached (or in-flight) fixpoint as costing
 //     only its scan, steering plan selection toward reusable shapes;
-//   - the physical planner consults the cache before executing any
-//     fixpoint and injects a hit as if it were a base-relation scan;
+//   - the physical planner asks the driver store (operands.go) for every
+//     fixpoint before executing it and injects a hit as if it were a
+//     base-relation scan;
 //   - a second session arriving while the first still computes joins the
 //     in-flight computation (single-flight) instead of duplicating it.
 //
-// Residency is charged to a dedicated MemGauge and bounded by LRU
-// eviction of completed, unpinned entries — in-flight and pinned entries
-// are never evicted (their memory is owned by the running query; the
-// cache only defers the release of its own accounting). Validation is per
-// predicate: each entry snapshots the generation counters of exactly the
-// predicates its term reads (graphgen.Graph.PredGens), so a write to
-// `follows` leaves `cites+` sub-results live. Replacing the graph object
-// flushes everything.
+// The rows are not here: they are entries of the driver store, the
+// engine's one OperandMemo, keyed by fingerprint and stamped with the
+// footprint, charged and evicted with every operand, seed and root it
+// keeps. This cache keeps only what the memo does not: the single-flight
+// lease, and the footprint and refresh gate of each µ result.
+// Validation is per predicate: each entry snapshots the generation
+// counters of exactly the predicates its term reads
+// (graphgen.Graph.PredGens), so a write to `follows` leaves `cites+`
+// sub-results live. Replacing the graph object flushes everything.
 //
 // A stale entry is not necessarily lost work: when the entry's term is
-// monotone in the graph and its footprint pins exact predicates, acquire
-// upgrades the entry in place instead of evicting it. It fetches the net
+// monotone in the graph and its footprint pins exact predicates, operand
+// upgrades the entry in place instead of dropping it. It fetches the net
 // {added, removed} edge deltas from the graph's change log
 // (Graph.DeltasSince); removed edges retract their transitive
 // consequences by DRed (over-delete, then rederive survivors), and added
 // edges seed a semi-naive delta resumed from the maintained rows to
 // convergence (subresult_refresh.go) — cost proportional to the delta and
 // what it derives or retracts, not to the graph. Non-monotone or wildcard
-// entries keep the old behavior: evicted on sight at lookup, recomputed
-// from scratch — a deletion can therefore never serve a stale entry, it
-// is either maintained through DRed or evicted.
-//
-// The driver's operand memo is not here: it is the engine's OperandMemo
-// (operands.go), on whether or not this cache is, and stamped with the
-// same footprints.
+// entries are dropped on sight at lookup and recomputed from scratch — a
+// deletion can therefore never serve a stale entry, it is either
+// maintained through DRed or dropped.
 
 // footprint identifies the graph state a cached artifact (plan or
 // sub-result) was derived from: the graph's identity plus the generation
@@ -103,50 +100,34 @@ func (f footprint) valid(g *graphgen.Graph) bool {
 	return true
 }
 
-// subEntry is one cache slot, in one of three states:
-//
-//	in flight:  done != nil, rel == nil — a leader session is computing;
-//	            waiters block on done and re-examine the entry after.
-//	complete:   done == nil, rel != nil — resident, in the LRU, charged to
-//	            the gauge, served to readers under a pin (refs).
-//	refreshing: done != nil, rel != nil — a leader is upgrading a stale
-//	            entry in place (delta-seeded semi-naive resume); out of
-//	            the LRU for the duration, waiters use the same done-wait
-//	            path as in flight. rel still holds the pre-refresh rows,
-//	            which pinned readers keep using.
-//
-// gone marks an entry unlinked from the map (flushed, evicted, or its
-// leader failed); a gone in-flight entry completes without publishing,
-// and a gone pinned entry releases its gauge charge when the last pin
-// drops.
-//
-// refreshable caches the upgrade gate (refreshableSubResult) decided once
-// at entry creation from the term, so later lookups — including has(),
-// which only sees the fingerprint — don't re-derive it.
+// subEntry is the cache's record of one µ result, whose rows the operand
+// memo keeps under key at stamp. It is in flight while done != nil: a
+// leader is deriving the rows, or refreshing them from a graph delta, and
+// other sessions wait on done, then look again. The footprint is the
+// snapshot the rows are stamped with; refreshable caches the upgrade gate
+// (refreshableSubResult), decided once from the term at entry creation,
+// so has(), which sees only the fingerprint, does not re-derive it.
 type subEntry struct {
-	key         string
 	fp          footprint
-	rel         *core.Relation
-	bytes       int64
-	refs        int
-	gone        bool
+	stamp       string // fp.stamp()
 	refreshable bool
 	done        chan struct{}
-	elem        *list.Element
 }
 
-// subResultCache is the engine-wide store. Safe for concurrent use; all
-// state is guarded by mu except the monotonic counters.
+// subResultCache is the single-flight lease over the µ results the
+// engine's operand memo keeps, and their footprints. The memo holds the
+// rows, charges them and evicts them; an entry whose rows it evicted is
+// dropped when next looked up, or when a leader publishes. Safe for
+// concurrent use; entries are guarded by mu, which is taken before the
+// memo's lock, never after it.
 type subResultCache struct {
+	memo    *core.OperandMemo
 	mu      sync.Mutex
-	gauge   *core.MemGauge
 	entries map[string]*subEntry
-	lru     *list.List // completed resident entries; front = MRU
 
 	hits          atomic.Int64
 	misses        atomic.Int64
 	waits         atomic.Int64
-	evictions     atomic.Int64
 	invalidations atomic.Int64
 	refreshes     atomic.Int64
 	refreshRows   atomic.Int64
@@ -154,33 +135,18 @@ type subResultCache struct {
 	rederived     atomic.Int64
 }
 
-// newSubResultCache returns a cache whose residency is budgeted at
-// budgetBytes on a dedicated gauge (0 or negative = metering only, no
-// eviction pressure). The gauge is deliberately standalone rather than a
-// child of the cluster's driver gauge: a child mirrors its charges into
-// the parent, so long-lived cache residency would permanently push every
-// query's own budget over the line and force needless spilling. Nothing
-// spills through it: it is only charged, released and asked Over.
-func newSubResultCache(budgetBytes int64) *subResultCache {
-	return &subResultCache{
-		gauge:   core.NewMemGauge(budgetBytes, ""),
-		entries: make(map[string]*subEntry),
-		lru:     list.New(),
-	}
+// newSubResultCache returns a cache keeping its µ results in memo.
+func newSubResultCache(memo *core.OperandMemo) *subResultCache {
+	return &subResultCache{memo: memo, entries: make(map[string]*subEntry)}
 }
 
-// subResultBytes prices a materialized sub-result with the same constants
-// the runtime accumulators charge, so the cache budget is comparable to
-// Options.TaskMemBytes.
-func subResultBytes(rel *core.Relation) int64 {
-	return int64(core.AccRowBytes(rel.Arity())) * int64(rel.Len())
-}
-
-// acquireOutcome reports how one acquire resolved, beyond its return
-// values: whether it ever blocked on another session's in-flight
-// computation, and whether it served its hit by first upgrading a stale
-// entry in place (refreshRows = rows that upgrade added).
-type acquireOutcome struct {
+// lookupOutcome reports how one lookup resolved, beyond its operand:
+// whether it was served from the memo (hit), whether it ever blocked on
+// another session's in-flight computation, and whether it served its hit
+// by first upgrading a stale entry in place (refreshRows = rows that
+// upgrade added).
+type lookupOutcome struct {
+	hit         bool
 	waited      bool
 	refreshed   bool
 	refreshRows int64
@@ -188,60 +154,62 @@ type acquireOutcome struct {
 	rederived   int64
 }
 
-// acquire resolves one fingerprint lookup:
-//
-//	(en, nil, _, nil)       completed hit — en is pinned; the caller must
-//	                        release(en) when its query no longer needs the
-//	                        cache to keep the entry's accounting alive.
-//	(nil, complete, _, nil) the caller is the leader and must call
-//	                        complete exactly once with its outcome.
-//	(nil, nil, _, err)      ctx was cancelled while waiting on another
-//	                        session's in-flight computation, or while this
-//	                        session was refreshing a stale entry.
-//
-// A stale completed entry that passes the refresh gate is upgraded in
-// place (see refreshLocked) and then served as a hit; anything else stale
-// is evicted on sight. A waiter whose leader fails loops and may itself
-// become the new leader — a failed computation (or refresh) never poisons
-// the slot.
-func (c *subResultCache) acquire(ctx context.Context, g *graphgen.Graph, key string, term core.Term) (en *subEntry, complete func(*core.Relation, error), out acquireOutcome, err error) {
+// operand returns the µ result kept under key, deriving it on a miss. A
+// valid entry is served from the memo. A stale entry that passes the
+// refresh gate is upgraded in place (see refreshLocked) and then served as
+// a hit; anything else stale is dropped on sight. While another session
+// derives or refreshes the entry, operand waits for it, and fails with
+// ctx's error if ctx is cancelled first. On a miss the caller leads: the
+// footprint is snapshotted, derive runs without the lock, and its rows are
+// kept in the memo — a relevant write racing the computation makes them
+// fail validation, never serve stale rows. A leader whose derive fails
+// vacates the entry, and a waiter may then lead: a failed computation (or
+// refresh) never poisons the slot. The rows derive returns must be fully
+// materialized, since readers scan and probe them concurrently without
+// synchronization (everything the planner returns is).
+func (c *subResultCache) operand(ctx context.Context, g *graphgen.Graph, key string, term core.Term, derive func() (*core.Relation, error)) (*core.Operand, lookupOutcome, error) {
+	var out lookupOutcome
 	for {
 		c.mu.Lock()
-		cur, ok := c.entries[key]
-		if ok && cur.done == nil {
-			if cur.fp.valid(g) {
-				cur.refs++
-				c.lru.MoveToFront(cur.elem)
-				c.mu.Unlock()
-				c.hits.Add(1)
-				return cur, nil, out, nil
+		en := c.entries[key]
+		if en != nil && en.done == nil {
+			valid := en.fp.valid(g)
+			if valid {
+				if op := c.memo.Get(key, en.stamp); op != nil {
+					c.mu.Unlock()
+					c.hits.Add(1)
+					out.hit = true
+					return op, out, nil
+				}
+			} else {
+				// Staleness of a monotone entry — whether from inserts,
+				// deletes or both — is repaired at delta cost.
+				op, st, err := c.refreshLocked(ctx, g, key, en, term)
+				if err != nil {
+					c.mu.Unlock()
+					return nil, out, err
+				}
+				if op != nil {
+					c.mu.Unlock()
+					c.hits.Add(1)
+					out.hit, out.refreshed = true, true
+					out.refreshRows, out.retractions, out.rederived = st.added, st.retracted, st.rederived
+					return op, out, nil
+				}
 			}
-			// Stale. Staleness of a monotone entry — whether from inserts,
-			// deletes or both — is repaired at delta cost; everything else
-			// is evicted on sight.
-			refreshed, st, rerr := c.refreshLocked(ctx, g, cur, term)
-			if rerr != nil {
-				c.mu.Unlock()
-				return nil, nil, out, rerr
+			// Evicted from the memo, or stale beyond repair: drop it and
+			// look again.
+			if c.entries[key] == en {
+				delete(c.entries, key)
+				if !valid {
+					c.invalidations.Add(1)
+				}
 			}
-			if refreshed {
-				cur.refs++
-				c.mu.Unlock()
-				c.hits.Add(1)
-				out.refreshed = true
-				out.refreshRows += st.added
-				out.retractions += st.retracted
-				out.rederived += st.rederived
-				return cur, nil, out, nil
-			}
-			if !cur.gone {
-				c.removeLocked(cur)
-				c.invalidations.Add(1)
-			}
-			ok = false
+			c.mu.Unlock()
+			continue
 		}
-		if ok {
-			done := cur.done
+		if en != nil {
+			done := en.done
 			c.mu.Unlock()
 			if !out.waited {
 				out.waited = true
@@ -249,194 +217,128 @@ func (c *subResultCache) acquire(ctx context.Context, g *graphgen.Graph, key str
 			}
 			select {
 			case <-done:
-				continue // completed or leader failed; re-examine
+				continue // published, or the leader failed; look again
 			case <-ctx.Done():
-				return nil, nil, out, ctx.Err()
+				return nil, out, ctx.Err()
 			}
 		}
-		// Miss: this session leads. The footprint is snapshotted before
-		// computing — a relevant write racing the computation makes the
-		// published entry fail validation, never serve stale rows.
-		fresh := &subEntry{key: key, fp: snapshotFootprint(g, term), done: make(chan struct{})}
-		if fp, isFix := term.(*core.Fixpoint); isFix {
-			_, fresh.refreshable = refreshableSubResult(fp)
-			fresh.refreshable = fresh.refreshable && !fresh.fp.wildcard
+		en = &subEntry{fp: snapshotFootprint(g, term), done: make(chan struct{})}
+		en.stamp = en.fp.stamp()
+		if fp, isFix := term.(*core.Fixpoint); isFix && !en.fp.wildcard {
+			_, en.refreshable = refreshableSubResult(fp)
 		}
-		c.entries[key] = fresh
+		c.entries[key] = en
 		c.mu.Unlock()
 		c.misses.Add(1)
-		return nil, c.completer(fresh), out, nil
+		rel, err := derive()
+		return c.publish(key, en, rel, err), out, err
 	}
 }
 
-// refreshLocked attempts the in-place upgrade of a stale completed entry:
-// fetch the net {added, removed} edge deltas for the entry's predicates
-// from the graph's change log, maintain the fixpoint from the cached rows
-// (DRed retraction for removals, semi-naive resume for inserts —
-// subresult_refresh.go), and republish under the generations the delta
-// brings the entry to. Called with c.mu held, returns with c.mu held; the
-// lock is dropped for the computation itself, during which the entry is
-// in the refreshing state (waiters block on done, has() prices it by its
-// already-advanced footprint, the LRU cannot evict it).
-//
-// refreshed is false when the entry does not pass the gate (caller falls
-// back to evict-on-sight — a delta containing removals therefore never
-// touches an entry DRed cannot maintain) or when the refresh failed
-// non-fatally (the entry has been removed; the caller loops and
-// recomputes from scratch — a failed maintenance never poisons the slot).
-// err is non-nil only when ctx was cancelled mid-refresh, which must
-// fail the calling query.
-func (c *subResultCache) refreshLocked(ctx context.Context, g *graphgen.Graph, en *subEntry, term core.Term) (refreshed bool, st refreshOutcome, err error) {
-	if !en.refreshable || en.fp.wildcard || en.fp.graphID != g.ID() {
-		return false, st, nil
+// publish ends a leader's lease: its rows are kept in the memo, or, when
+// derive failed, the entry is vacated. Either way waiters are released.
+// Rows derived while the cache was flushed are returned to the leader as
+// an operand nothing keeps. Entries whose rows the memo has evicted are
+// dropped here, so the cache records no more µ results than the memo
+// holds, plus those in flight.
+func (c *subResultCache) publish(key string, en *subEntry, rel *core.Relation, err error) *core.Operand {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	defer close(en.done)
+	en.done = nil
+	switch {
+	case c.entries[key] != en:
+		if err != nil {
+			return nil
+		}
+		return core.NewOperand(rel, nil)
+	case err != nil:
+		delete(c.entries, key)
+		return nil
 	}
+	op := c.memo.Put(key, en.stamp, rel)
+	for k, other := range c.entries {
+		if other.done == nil && !c.memo.Holds(k, other.stamp) {
+			delete(c.entries, k)
+		}
+	}
+	return op
+}
+
+// refreshLocked attempts the in-place upgrade of a stale entry: fetch the
+// net {added, removed} edge deltas for the entry's predicates from the
+// graph's change log, maintain the fixpoint from the rows the memo keeps
+// (DRed retraction for removals, semi-naive resume for inserts —
+// subresult_refresh.go), and keep the new rows under the generations the
+// delta brings the entry to. Called with c.mu held, returns with c.mu
+// held; the lock is dropped for the computation itself, during which the
+// entry is in flight (waiters block on done, has() prices it by its
+// already-advanced footprint).
+//
+// op is nil when the entry does not pass the gate, its rows were
+// evicted, or the refresh failed non-fatally (the entry has been removed;
+// the caller looks again and recomputes from scratch — a failed
+// maintenance never poisons the slot). err is non-nil only when ctx was
+// cancelled mid-refresh, which must fail the calling query.
+func (c *subResultCache) refreshLocked(ctx context.Context, g *graphgen.Graph, key string, en *subEntry, term core.Term) (op *core.Operand, st refreshOutcome, err error) {
 	fp, ok := term.(*core.Fixpoint)
-	if !ok {
-		return false, st, nil
+	if !ok || !en.refreshable || en.fp.graphID != g.ID() {
+		return nil, st, nil
+	}
+	old := c.memo.Get(key, en.stamp)
+	if old == nil {
+		return nil, st, nil
 	}
 	added, removed, cur, ok := g.DeltasSince(en.fp.preds, en.fp.gens)
 	if !ok {
-		return false, st, nil
+		return nil, st, nil
 	}
 	// Take the refresh lease. The footprint advances to the generations
 	// the delta accounts for *before* computing — the same
 	// snapshot-before-compute rule fresh leaders follow — so a write
 	// racing the refresh re-stales the entry instead of letting it serve
 	// rows it never derived.
-	en.done = make(chan struct{})
-	if en.elem != nil {
-		c.lru.Remove(en.elem)
-		en.elem = nil
-	}
-	old := en.rel
+	done := make(chan struct{})
+	defer close(done)
+	en.done = done
 	en.fp.gens = cur
+	en.stamp = en.fp.stamp()
 	c.mu.Unlock()
 
-	st, rerr := refreshSubResult(ctx, g, fp, old, added, removed)
+	st, rerr := refreshSubResult(ctx, g, fp, old.Rel(), added, removed)
 
 	c.mu.Lock()
-	done := en.done
 	en.done = nil
-	defer close(done)
-	if en.gone {
+	if c.entries[key] != en {
 		// Flushed (or the graph was swapped) while refreshing: nothing to
-		// publish; the old charge is settled by removeLocked/release.
-		return false, st, nil
+		// keep.
+		return nil, st, nil
 	}
 	if rerr != nil {
-		c.removeLocked(en)
+		delete(c.entries, key)
 		c.invalidations.Add(1)
 		if ctx.Err() != nil {
-			return false, st, rerr
+			return nil, st, rerr
 		}
-		return false, refreshOutcome{}, nil
+		return nil, refreshOutcome{}, nil
 	}
-	// Swap the rows and re-price the slot. Pins taken on the old relation
-	// keep reading it unharmed (relations are immutable once published);
-	// the cache simply accounts for the new resident rows.
-	c.gauge.Release(en.bytes)
-	en.rel = st.rel
-	en.bytes = subResultBytes(st.rel)
-	c.gauge.Charge(en.bytes)
-	en.elem = c.lru.PushFront(en)
+	// Readers of the old rows keep reading them unharmed: relations are
+	// immutable once kept, and the memo replaces the entry.
+	op = c.memo.Put(key, en.stamp, st.rel)
 	c.refreshes.Add(1)
 	c.refreshRows.Add(st.added)
 	c.retractions.Add(st.retracted)
 	c.rederived.Add(st.rederived)
-	c.evictOverBudgetLocked()
-	return true, st, nil
-}
-
-// completer returns the leader's publication callback. On success the
-// relation is charged and enters the LRU (possibly evicting colder
-// entries over budget); on failure the slot is vacated so a waiter can
-// take over. Either way done is closed exactly once, releasing waiters.
-// The published relation must be fully materialized with its dedup set
-// built (everything the planner returns is), since readers scan and probe
-// it concurrently without synchronization.
-func (c *subResultCache) completer(en *subEntry) func(*core.Relation, error) {
-	return func(rel *core.Relation, err error) {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		done := en.done
-		en.done = nil
-		defer close(done)
-		if en.gone {
-			return // flushed while in flight; nothing to publish
-		}
-		if err != nil || rel == nil {
-			delete(c.entries, en.key)
-			en.gone = true
-			return
-		}
-		en.rel = rel
-		en.bytes = subResultBytes(rel)
-		c.gauge.Charge(en.bytes)
-		en.elem = c.lru.PushFront(en)
-		c.evictOverBudgetLocked()
-	}
-}
-
-// evictOverBudgetLocked walks the LRU from the cold end releasing
-// completed, unpinned entries until the gauge is back under budget (or
-// nothing evictable remains). In-flight entries are not in the LRU and
-// pinned entries are skipped, so neither is ever evicted.
-func (c *subResultCache) evictOverBudgetLocked() {
-	el := c.lru.Back()
-	for c.gauge.Over() && el != nil {
-		prev := el.Prev()
-		en := el.Value.(*subEntry)
-		if en.refs == 0 {
-			c.removeLocked(en)
-			c.evictions.Add(1)
-		}
-		el = prev
-	}
-}
-
-// removeLocked unlinks en from the map and LRU. The gauge charge is
-// released now when unpinned, else deferred to the last release() — the
-// rows are still feeding a running query, so the bytes are still real.
-func (c *subResultCache) removeLocked(en *subEntry) {
-	if en.gone {
-		return
-	}
-	en.gone = true
-	delete(c.entries, en.key)
-	if en.elem != nil {
-		c.lru.Remove(en.elem)
-		en.elem = nil
-	}
-	if en.rel != nil && en.refs == 0 && en.bytes > 0 {
-		c.gauge.Release(en.bytes)
-		en.bytes = 0
-	}
-}
-
-// release drops one pin taken by acquire.
-func (c *subResultCache) release(en *subEntry) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	en.refs--
-	if en.refs == 0 {
-		if en.gone {
-			if en.bytes > 0 {
-				c.gauge.Release(en.bytes)
-				en.bytes = 0
-			}
-		} else if c.gauge.Over() {
-			c.evictOverBudgetLocked()
-		}
-	}
+	return op, st, nil
 }
 
 // has reports whether a lookup for key would avoid a fresh computation —
-// a valid entry (completed or in flight), or a stale completed entry the
-// cache would upgrade in place at delta cost. The cost model's
-// Catalog.Cached hook; touches no counters and no LRU order.
+// a valid entry (kept or in flight), or a stale kept entry the cache
+// would upgrade in place at delta cost. The cost model's Catalog.Cached
+// hook; touches no counters and no recency order.
 //
-// In-flight entries get the same footprint validation as completed ones:
-// a leader publishes under the footprint it snapshotted before computing,
+// In-flight entries get the same footprint validation as kept ones: a
+// leader publishes under the footprint it snapshotted before computing,
 // so a relevant write since then has already doomed the entry — pricing
 // it at scan cost would steer plan selection toward a result that will
 // never validate.
@@ -447,55 +349,52 @@ func (c *subResultCache) has(key string, g *graphgen.Graph) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	en, ok := c.entries[key]
-	if !ok {
+	switch {
+	case !ok:
 		return false
+	case en.done != nil:
+		return en.fp.valid(g)
+	case en.fp.valid(g) || en.refreshable && en.fp.graphID == g.ID():
+		return c.memo.Holds(key, en.stamp)
 	}
-	if en.fp.valid(g) {
-		return true
-	}
-	return en.done == nil && en.refreshable && !en.fp.wildcard && en.fp.graphID == g.ID()
+	return false
 }
 
 // flush drops every entry — the graph object itself was replaced, so even
-// the interned constants inside cached relations are meaningless.
-// In-flight leaders finish computing for their own query but publish
-// nothing. Nil-safe (a disabled cache is a nil *subResultCache).
+// the interned constants inside kept relations are meaningless. The
+// engine flushes the memo after it (Engine.flushStore). In-flight leaders
+// finish computing for their own query but keep nothing. Nil-safe (a
+// disabled cache is a nil *subResultCache).
 func (c *subResultCache) flush() {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, en := range c.entries {
-		c.removeLocked(en)
-	}
+	clear(c.entries)
 }
 
 // SubResultCacheStats reports the sub-result cache's effectiveness.
-// Hits served a materialized result without any full fixpoint execution,
+// Hits served a kept result without any full fixpoint execution,
 // InFlightJoins blocked on (then shared) another session's computation,
-// Misses computed and published, Evictions left under memory pressure,
-// Invalidations were dropped because a predicate they read mutated (and
-// the entry could not be upgraded), Refreshes were stale entries upgraded
-// in place by delta maintenance (RefreshRows = rows those upgrades added;
-// every refresh also counts as a hit). Retractions counts the cached rows
-// DRed phase 1 over-deleted when maintaining entries through edge
-// removals, and RederivedRows how many of those rederivation salvaged —
-// their difference is the net rows deletion maintenance removed.
-// Bytes/Entries describe current residency. The operand memo reports
-// through Engine.OperandMemoStats.
+// Misses computed and kept, Invalidations were dropped because a
+// predicate they read mutated (and the entry could not be upgraded),
+// Refreshes were stale entries upgraded in place by delta maintenance
+// (RefreshRows = rows those upgrades added; every refresh also counts as
+// a hit). Retractions counts the kept rows DRed phase 1 over-deleted when
+// maintaining entries through edge removals, and RederivedRows how many
+// of those rederivation salvaged — their difference is the net rows
+// deletion maintenance removed. The rows live in the operand memo, which
+// reports residency and evictions (Engine.OperandMemoStats).
 type SubResultCacheStats struct {
 	Hits          int64
 	Misses        int64
 	InFlightJoins int64
-	Evictions     int64
 	Invalidations int64
 	Refreshes     int64
 	RefreshRows   int64
 	Retractions   int64
 	RederivedRows int64
-	Bytes         int64
-	Entries       int
 }
 
 // SubResultCacheStats returns the engine's sub-result cache counters
@@ -505,21 +404,15 @@ func (e *Engine) SubResultCacheStats() SubResultCacheStats {
 	if c == nil {
 		return SubResultCacheStats{}
 	}
-	c.mu.Lock()
-	entries := len(c.entries)
-	c.mu.Unlock()
 	return SubResultCacheStats{
 		Hits:          c.hits.Load(),
 		Misses:        c.misses.Load(),
 		InFlightJoins: c.waits.Load(),
-		Evictions:     c.evictions.Load(),
 		Invalidations: c.invalidations.Load(),
 		Refreshes:     c.refreshes.Load(),
 		RefreshRows:   c.refreshRows.Load(),
 		Retractions:   c.retractions.Load(),
 		RederivedRows: c.rederived.Load(),
-		Bytes:         c.gauge.Used(),
-		Entries:       entries,
 	}
 }
 
@@ -534,64 +427,6 @@ func cacheableFixpoint(fp *core.Fixpoint) bool {
 		}
 	}
 	return true
-}
-
-// subResultProvider adapts the engine cache to one query's execution (the
-// physical.SubResultProvider hook). It is used from the single driver
-// goroutine running Execute, so its per-query counters and pin list are
-// plain fields; pins are dropped right after Execute returns (the cache
-// then resumes normal accounting — the relations themselves stay alive
-// through whatever still references them).
-// graph is deliberately the snapshot runOnce took when it bound the
-// query's Env: the provider must validate and refresh against the same
-// graph object the execution reads, even if UseGraph swaps the engine's
-// graph mid-query (the cost model's hook, by contrast, outlives single
-// executions and must resolve the engine's current graph at call time —
-// see cachedTermPredicate).
-type subResultProvider struct {
-	ctx         context.Context
-	cache       *subResultCache
-	graph       *graphgen.Graph
-	waits       int64
-	refreshes   int64
-	refreshRows int64
-	retractions int64
-	rederived   int64
-	pinned      []*subEntry
-}
-
-// Lookup implements physical.SubResultProvider.
-func (p *subResultProvider) Lookup(fp *core.Fixpoint) (*core.Relation, bool, func(*core.Relation, error), error) {
-	if !cacheableFixpoint(fp) {
-		return nil, false, nil, nil
-	}
-	key := rewrite.Fingerprint(fp)
-	en, complete, out, err := p.cache.acquire(p.ctx, p.graph, key, fp)
-	if out.waited {
-		p.waits++
-	}
-	if out.refreshed {
-		p.refreshes++
-		p.refreshRows += out.refreshRows
-		p.retractions += out.retractions
-		p.rederived += out.rederived
-	}
-	if err != nil {
-		return nil, false, nil, err
-	}
-	if en != nil {
-		p.pinned = append(p.pinned, en)
-		return en.rel, out.refreshed, nil, nil
-	}
-	return nil, false, complete, nil
-}
-
-// releaseAll drops every pin this query holds.
-func (p *subResultProvider) releaseAll() {
-	for _, en := range p.pinned {
-		p.cache.release(en)
-	}
-	p.pinned = nil
 }
 
 // cachedTermPredicate returns the cost model's Catalog.Cached hook, or

@@ -126,15 +126,16 @@ func TestSubResultWarmColdShared(t *testing.T) {
 	if cs.Misses == 0 || cs.Hits == 0 {
 		t.Errorf("expected both misses and hits after warm+shared runs: %+v", cs)
 	}
-	if cs.Bytes <= 0 || cs.Entries == 0 {
-		t.Errorf("expected resident entries after runs: %+v", cs)
+	// Residency is the driver store's, which keeps the µ result.
+	if ms := shared.OperandMemoStats(); ms.Bytes <= 0 || ms.Entries == 0 {
+		t.Errorf("expected resident entries after runs: %+v", ms)
 	}
 }
 
 // TestSubResultSingleFlight checks that N cold concurrent sessions issuing
 // the same query compute each distinct recursive subplan once: the misses
-// after the burst equal the misses of one cold run, everything else hit or
-// joined in flight.
+// after the burst, and the fixpoint iterations the sessions ran, equal
+// those of one cold run; everything else hit or joined in flight.
 func TestSubResultSingleFlight(t *testing.T) {
 	g := subTestGraph()
 	probe, err := Open(Options{Workers: 2})
@@ -142,7 +143,7 @@ func TestSubResultSingleFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	probe.UseGraph(g)
-	collectSorted(t, probe, "?x,?y <- ?x knows+ ?y")
+	_, cold := collectSorted(t, probe, "?x,?y <- ?x knows+ ?y")
 	perRun := probe.SubResultCacheStats().Misses
 	probe.Close()
 	if perRun == 0 {
@@ -158,21 +159,30 @@ func TestSubResultSingleFlight(t *testing.T) {
 	const n = 8
 	var wg sync.WaitGroup
 	errs := make([]error, n)
+	iters := make([]int, n)
 	start := make(chan struct{})
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			<-start
-			_, errs[i] = eng.QueryCollect(context.Background(), "?x,?y <- ?x knows+ ?y")
+			res, err := eng.QueryCollect(context.Background(), "?x,?y <- ?x knows+ ?y")
+			if errs[i] = err; err == nil {
+				iters[i] = res.Stats.Iterations
+			}
 		}(i)
 	}
 	close(start)
 	wg.Wait()
+	total := 0
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}
+		total += iters[i]
+	}
+	if total != cold.Iterations {
+		t.Errorf("%d concurrent cold runs iterated %d times, want one run's %d (single-flight)", n, total, cold.Iterations)
 	}
 	cs := eng.SubResultCacheStats()
 	if cs.Misses != perRun {
@@ -345,27 +355,43 @@ func TestSubResultRefreshGate(t *testing.T) {
 // TestSubResultHasValidatesInFlight is the regression test for the
 // cost-hook staleness bug: has() used to report any in-flight entry as
 // cached without checking its footprint, so after a relevant write the
-// cost model kept pricing a doomed computation at scan cost.
+// cost model kept pricing a doomed computation at scan cost. A leader
+// that fails then vacates its slot: the next lookup leads.
 func TestSubResultHasValidatesInFlight(t *testing.T) {
 	g := graphgen.NewGraph("hasflight")
 	g.Add("a", "p", "b")
-	c := newSubResultCache(0)
+	c := newSubResultCache(core.NewOperandMemo(0))
 	term := &core.Var{Name: edgeRel} // wildcard footprint
+	ctx := context.Background()
 
-	_, complete, _, err := c.acquire(context.Background(), g, "k", term)
-	if err != nil || complete == nil {
-		t.Fatalf("leader acquire: complete=%t err=%v", complete != nil, err)
+	_, _, err := c.operand(ctx, g, "k", term, func() (*core.Relation, error) {
+		if !c.has("k", g) {
+			t.Error("in-flight entry with a current footprint should price as cached")
+		}
+		// The leader snapshotted before this write, so whatever it keeps
+		// can never validate: the entry is already doomed.
+		g.Add("a", "p", "c")
+		if c.has("k", g) {
+			t.Error("in-flight entry stale against the current graph still priced as cached")
+		}
+		return nil, fmt.Errorf("synthetic failure")
+	})
+	if err == nil {
+		t.Fatal("the leader's failure was not returned")
+	}
+	if c.has("k", g) {
+		t.Error("a failed leader left its entry priced as cached")
+	}
+	led := false
+	if _, _, err := c.operand(ctx, g, "k", term, func() (*core.Relation, error) {
+		led = true
+		return core.NewRelation("src", "pred", "trg"), nil
+	}); err != nil || !led {
+		t.Fatalf("the slot a failed leader held was not vacated: led=%t err=%v", led, err)
 	}
 	if !c.has("k", g) {
-		t.Error("in-flight entry with a current footprint should price as cached")
+		t.Error("entry missing after the new leader kept its rows")
 	}
-	// The leader snapshotted before this write, so whatever it publishes
-	// can never validate: the entry is already doomed.
-	g.Add("a", "p", "c")
-	if c.has("k", g) {
-		t.Error("in-flight entry stale against the current graph still priced as cached")
-	}
-	complete(nil, fmt.Errorf("synthetic failure"))
 }
 
 // TestCachedPredicateTracksGraphSwap is the regression test for the
@@ -485,9 +511,11 @@ func TestConcurrentRefreshStress(t *testing.T) {
 	}
 }
 
-// TestSubResultEviction runs with a one-byte cache budget: every completed
-// entry is immediately over budget and must be evicted rather than
-// accumulate, and evicted (cold-again) runs still return identical rows.
+// TestSubResultEviction runs with a one-byte budget: every kept µ result
+// is over budget at once and evicts what the driver store held before,
+// which is kept over budget in its turn, and evicted (cold-again) runs
+// still return identical rows. The store keeps the newcomer, under
+// OperandMemo's admission rule, so it holds one entry, not none.
 func TestSubResultEviction(t *testing.T) {
 	g := subTestGraph()
 	iso, err := Open(Options{Workers: 2, DisableSubResultCache: true})
@@ -508,22 +536,25 @@ func TestSubResultEviction(t *testing.T) {
 		rows, _ := collectSorted(t, eng, "?x,?y <- ?x knows+ ?y")
 		sameRows(t, fmt.Sprintf("evicted run %d", i), rows, want)
 	}
-	cs := eng.SubResultCacheStats()
-	if cs.Evictions == 0 {
-		t.Errorf("over-budget cache never evicted: %+v", cs)
+	ms := eng.OperandMemoStats()
+	if ms.Evictions == 0 {
+		t.Errorf("over-budget store never evicted: %+v", ms)
 	}
-	if cs.Bytes != 0 || cs.Entries != 0 {
-		t.Errorf("over-budget cache retained residency: %+v", cs)
+	if ms.Entries != 1 {
+		t.Errorf("over-budget store holds %d entries, want the newcomer alone: %+v", ms.Entries, ms)
 	}
 }
 
 // TestConcurrentSubResultCache is the -race stress for the cache object
-// itself: goroutines race acquires, completions, releases, graph writes
-// (invalidation) and flushes over a small hot key set.
+// itself: goroutines race lookups, derivations (some failing), graph
+// writes (invalidation), pricing and flushes over a small hot key set,
+// on a memo budget the keys overflow. After a final flush nothing is
+// resident.
 func TestConcurrentSubResultCache(t *testing.T) {
 	g := graphgen.NewGraph("stress")
 	g.Add("a", "p", "b")
-	c := newSubResultCache(1 << 16)
+	memo := core.NewOperandMemo(1 << 10)
+	c := newSubResultCache(memo)
 	term := &core.Var{Name: edgeRel} // wildcard footprint
 	ctx := context.Background()
 
@@ -550,40 +581,46 @@ func TestConcurrentSubResultCache(t *testing.T) {
 				switch {
 				case i%97 == 13:
 					c.flush()
+					memo.Flush()
 				case i%31 == 7:
 					g.Add("a", "p", fmt.Sprintf("t%d-%d", w, i)) // invalidates wildcards
 				case i%13 == 3:
 					c.has(key, g)
 				default:
-					en, complete, _, err := c.acquire(ctx, g, key, term)
+					fail := i%17 == 5
+					op, _, err := c.operand(ctx, g, key, term, func() (*core.Relation, error) {
+						if fail {
+							return nil, fmt.Errorf("synthetic failure")
+						}
+						return makeRel(1 + i%64), nil
+					})
+					if fail && err != nil {
+						continue
+					}
 					if err != nil {
-						t.Errorf("acquire: %v", err)
+						t.Errorf("lookup: %v", err)
 						return
 					}
-					if complete != nil {
-						if i%17 == 5 {
-							complete(nil, fmt.Errorf("synthetic failure"))
-						} else {
-							complete(makeRel(1+i%64), nil)
-						}
-					} else {
-						if en.rel == nil {
-							t.Error("pinned entry without relation")
-						}
-						_ = en.rel.Len()
-						c.release(en)
+					if op == nil || op.Rel() == nil {
+						t.Error("served entry without relation")
+						return
 					}
+					_ = op.Rel().Len()
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
 	c.flush()
-	if got := c.gauge.Used(); got != 0 {
-		t.Errorf("resident bytes after final flush = %d, want 0", got)
+	memo.Flush()
+	if st := memo.Stats(); st.Bytes != 0 || st.Entries != 0 {
+		t.Errorf("store holds %d B in %d entries after the final flush, want none", st.Bytes, st.Entries)
 	}
-	if c.lru.Len() != 0 || len(c.entries) != 0 {
-		t.Errorf("cache not empty after flush: lru=%d entries=%d", c.lru.Len(), len(c.entries))
+	if st := memo.Stats(); st.Evictions == 0 {
+		t.Errorf("the budget never evicted: %+v", st)
+	}
+	if len(c.entries) != 0 {
+		t.Errorf("cache holds %d entries after the final flush", len(c.entries))
 	}
 }
 
@@ -592,19 +629,32 @@ func TestConcurrentSubResultCache(t *testing.T) {
 func TestConcurrentSubResultCancelWait(t *testing.T) {
 	g := graphgen.NewGraph("cancel")
 	g.Add("a", "p", "b")
-	c := newSubResultCache(0)
+	c := newSubResultCache(core.NewOperandMemo(0))
 	term := &core.Var{Name: edgeRel}
 
-	_, complete, _, err := c.acquire(context.Background(), g, "k", term)
-	if err != nil || complete == nil {
-		t.Fatalf("leader acquire: complete=%t err=%v", complete != nil, err)
-	}
+	// The leader derives until release is closed.
+	release, leading := make(chan struct{}), make(chan struct{})
+	led := make(chan error, 1)
+	go func() {
+		_, _, err := c.operand(context.Background(), g, "k", term, func() (*core.Relation, error) {
+			close(leading)
+			<-release
+			rel := core.NewRelation("?x")
+			rel.Add([]core.Value{1})
+			return rel, nil
+		})
+		led <- err
+	}()
+	<-leading
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, _, waited, err := c.acquire(ctx, g, "k", term)
+		_, out, err := c.operand(ctx, g, "k", term, func() (*core.Relation, error) {
+			t.Error("a waiter derived while the leader held the lease")
+			return nil, fmt.Errorf("not the leader")
+		})
 		if err == nil {
-			t.Errorf("waiter returned without error despite cancellation (waited=%v)", waited)
+			t.Errorf("waiter returned without error despite cancellation (waited=%v)", out.waited)
 		}
 		done <- err
 	}()
@@ -626,9 +676,10 @@ func TestConcurrentSubResultCancelWait(t *testing.T) {
 		t.Fatal("cancelled waiter still blocked after 5s")
 	}
 	// The leader still completes normally afterwards.
-	rel := core.NewRelation("?x")
-	rel.Add([]core.Value{1})
-	complete(rel, nil)
+	close(release)
+	if err := <-led; err != nil {
+		t.Fatal(err)
+	}
 	if !c.has("k", g) {
 		t.Error("entry missing after leader completion")
 	}

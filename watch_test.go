@@ -217,17 +217,29 @@ func TestWatchCancelEndsBlockedDelivery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The initial delta fills the channel, so the delete's delta has
-	// nowhere to go once the cache has refreshed the closure for it.
+	// Receiving the initial delta orders the first evaluation's reads of
+	// the graph before the writes below. Each write is made only once the
+	// subscription has refreshed the closure for the one before, which
+	// orders that refresh's reads before it (the refresh counter is an
+	// atomic): a write while the subscription reads the graph is a data
+	// race. The first delete's delta then fills the channel, so the
+	// second's has nowhere to go.
+	recvDelta(t, w)
 	deadline := time.Now().Add(10 * time.Second)
-	for len(w.C) == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
+	refreshed := func(before int64) {
+		for eng.SubResultCacheStats().Refreshes == before && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
 	}
 	before := eng.SubResultCacheStats().Refreshes
 	eng.DeleteTriple("n10", "knows", "n11")
-	for eng.SubResultCacheStats().Refreshes == before && time.Now().Before(deadline) {
+	refreshed(before)
+	for len(w.C) == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
+	before = eng.SubResultCacheStats().Refreshes
+	eng.DeleteTriple("n12", "knows", "n13")
+	refreshed(before)
 	// Nothing marks the moment the delivery parks. A cancel that lands
 	// before it ends the subscription in its evaluation instead, which
 	// passes too; the pause makes the parked delivery the case tested.
